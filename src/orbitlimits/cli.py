@@ -238,7 +238,8 @@ def cmd_limit(args) -> int:
         "dim_K": len(data.K0),
         "K0_basis": [mat_to_doc(k) for k in data.K0],
         "K0_graded_dims": {str(w): d for w, d in data.graded_dims.items()},
-        "Klf_graded_dims": {str(w): d for w, d in ts.Klf_dims.items()},
+        "Klf_graded_dims": ({str(w): d for w, d in ts.Klf_dims.items()}
+                            if ts.Klf_dims is not None else None),
         "case": case.tag,
         "extension_feasible": bool(feas.feasible),
         "subalgebra_case": feas.hoffman,

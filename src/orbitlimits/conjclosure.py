@@ -480,15 +480,6 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
     return WitnessFamily(x_prime, list(range(1, n + 1)), chi, lead, low)
 
 
-def family_to_Jn(coeffs: Sequence) -> Mat:
-    """Theorem-Jn inner scaling: companion matrix with c_k(t) = t^{n-k} c_k,
-    whose eigenvalues are t times those of companion(coeffs) and whose
-    limit at t=0 is J_n.  Entries are polynomials in t."""
-    n = len(coeffs)
-    scaled = [UniPoly({n - k: _as_fraction(coeffs[k])}) for k in range(n)]
-    return companion(scaled)
-
-
 # ---------------------------------------------------------------------------
 # numeric probe: invariant-based closeness of the witness family to J_chi
 # ---------------------------------------------------------------------------

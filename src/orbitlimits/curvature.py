@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactcore import (Mat, Q0, Q1, _as_fraction, _is_zero, coords_in_basis,
+from .exactcore import (Mat, Q0, Q1, Subspace, _as_fraction, _is_zero,
                         lin_indep_subset)
 from .lierep import ConjRep, action_matrix, stabilizer_algebra, tangent_space
 
@@ -171,25 +171,26 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
     tangents = [S.apply(y) for S in S_ops]
     if full_tangent is None:
         full_tangent = tangents
-    t_idx = lin_indep_subset(full_tangent)
-    t_basis = [full_tangent[k] for k in t_idx]
-    if coords_in_basis(t_basis, y) is not None:
+    # one basis: the tangent space, then the chart normals
+    chart = Subspace(len(y))
+    t_basis = [t for t in full_tangent if chart.add(t)]
+    if y in chart:
         raise ValueError("y is not a simple point: y lies in its own tangent space")
     for t in full_tangent:
         for v in N_basis:
             if dot(t, v) != Q0:
                 raise ValueError("normal basis is not orthogonal to the tangent space")
 
+    # N is orthogonal to the tangent space, so a set of projected normals is
+    # independent modulo the tangent space exactly when it is independent
     proj_N = [_project_off(y, list(v)) for v in N_basis]
-    n_idx = [k for k, v in enumerate(proj_N) if any(not _is_zero(a) for a in v)]
-    n_idx = [n_idx[k] for k in lin_indep_subset([proj_N[k] for k in n_idx])]
-    combined = t_basis + [proj_N[k] for k in n_idx]
+    n_idx = [k for k, v in enumerate(proj_N) if chart.add(v)]
 
     L = len(S_ops)
     K = len(N_basis)
 
     def lam_N_tilde(w):
-        coords = coords_in_basis(combined, w)
+        coords = chart.coords(w)
         if coords is None:
             raise ValueError("vector does not decompose in tangent + chart normal")
         out = [Q0] * K
@@ -210,10 +211,11 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
     if osc:
         # ambient Pi then chart projection (the osculation identity)
         match = True
+        ambient = Subspace(len(y), t_basis + list(map(list, N_basis)))
         for i in range(L):
             for j in range(L):
                 w = S_ops[j].apply(tangents[i])
-                coords = coords_in_basis(t_basis + list(map(list, N_basis)), w)
+                coords = ambient.coords(w)
                 if coords is None:
                     match = False
                     continue

@@ -1,4 +1,4 @@
-"""Exact scalars (Q, Q[t], Q(t)) and exact dense linear algebra.
+"""Exact scalars (Q, Q[t], Q(t)) and exact linear algebra.
 
 Everything downstream (stabilizers, local models, limit algebras) reduces to
 kernels, solves and determinants over one of three scalar rings:
@@ -10,6 +10,8 @@ kernels, solves and determinants over one of three scalar rings:
 Matrices are dense row-major lists; elimination is generic over any of the
 three scalar types (UniPoly matrices are promoted to RationalFn when a field
 is required, with fraction-free Bareiss available for determinants).
+Questions about one subspace -- independence, membership, coordinates,
+completion by unit vectors -- go through a sparse incremental `Subspace`.
 """
 
 from __future__ import annotations
@@ -343,19 +345,6 @@ class RationalFn:
         return f"({self.num!r})/({self.den!r})"
 
 
-class PoleAtZero(ValueError):
-    pass
-
-
-def limit_at_zero(f: RationalFn) -> Fraction:
-    """Value at t=0 after reduction; raises PoleAtZero on a genuine pole."""
-    f = RationalFn.coerce(f)
-    d0 = f.den(0)
-    if not d0:
-        raise PoleAtZero("rational function has a pole at t=0")
-    return f.num(0) / d0
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -365,10 +354,11 @@ class Mat:
 
     __slots__ = ("rows", "cols", "a")
 
-    def __init__(self, rows_of_entries: Sequence[Sequence]):
+    def __init__(self, rows_of_entries: Sequence[Sequence], cols: int = 0):
+        """cols is read only when there are no rows: a 0 x cols matrix."""
         self.a = [list(r) for r in rows_of_entries]
         self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else 0
+        self.cols = len(self.a[0]) if self.a else cols
         for r in self.a:
             if len(r) != self.cols:
                 raise ValueError("ragged matrix")
@@ -376,7 +366,7 @@ class Mat:
     # -- constructors -------------------------------------------------
     @staticmethod
     def zeros(r: int, c: int, zero=Q0) -> "Mat":
-        return Mat([[zero] * c for _ in range(r)])
+        return Mat([[zero] * c for _ in range(r)], c)
 
     @staticmethod
     def identity(n: int, one=Q1, zero=Q0) -> "Mat":
@@ -387,7 +377,7 @@ class Mat:
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Mat":
-        return Mat([list(r) for r in zip(*cols)]) if cols else Mat([])
+        return Mat([list(r) for r in zip(*cols)], len(cols))
 
     @staticmethod
     def rational(rows) -> "Mat":
@@ -404,7 +394,9 @@ class Mat:
         return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
-        return Mat([list(r) for r in zip(*self.a)]) if self.a else Mat([])
+        if not self.a:
+            return Mat([[] for _ in range(self.cols)])
+        return Mat([list(r) for r in zip(*self.a)], self.rows)
 
     def map(self, f: Callable) -> "Mat":
         return Mat([[f(x) for x in r] for r in self.a])
@@ -497,7 +489,7 @@ def rref(m: Mat):
     Returns (rows, pivot_column_indices).
     """
     rows, one, zero = _field_promote(m.a)
-    nr, nc = len(rows), (len(rows[0]) if rows else 0)
+    nr, nc = len(rows), m.cols
     pivots = []
     r = 0
     for c in range(nc):
@@ -600,43 +592,6 @@ class SingularMatrix(ValueError):
     pass
 
 
-def invert_via_adjugate(m: Mat):
-    """(det, adj) with m·adj = det·I exactly, for UniPoly (or Fraction) entries."""
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("adjugate of non-square matrix")
-    d = det_bareiss(m)
-    if _is_zero(d):
-        raise SingularMatrix("matrix is singular over Q(t)")
-    # adj = det * m^{-1}: solve over the fraction field, then clear back.
-    inv_cols = solve(m, [[(Q1 if i == j else Q0) for i in range(n)] for j in range(n)])
-    drf = RationalFn.coerce(d)
-    adj_cols = []
-    for col in inv_cols:
-        adj_cols.append([_to_poly_scalar(RationalFn.coerce(x) * drf) for x in col])
-    return d, Mat.from_cols(adj_cols)
-
-
-def _to_poly_scalar(x: RationalFn):
-    p = x.as_poly()
-    return p.const_value() if p.is_const() else p
-
-
-def neumann_inverse_apply(theta_apply: Callable, v: Sequence, max_terms: int):
-    """(1+θ)^{-1} v as v - θv + θ²v - ..., valid when θ is nilpotent.
-
-    Raises if the series does not terminate within max_terms.
-    """
-    acc = list(v)
-    term = list(v)
-    for _ in range(max_terms):
-        term = [-x for x in theta_apply(term)]
-        if all(_is_zero(x) for x in term):
-            return acc
-        acc = [a + b for a, b in zip(acc, term)]
-    raise ValueError("Neumann series did not terminate (theta not nilpotent?)")
-
-
 def clear_denominators(col: Sequence) -> list[UniPoly]:
     """Scale a Q(t)-column by the lcm of denominators to get a Q[t]-column."""
     col = [RationalFn.coerce(x) for x in col]
@@ -682,22 +637,119 @@ def column_normalize(m: Mat) -> Mat:
     return Mat.from_cols(cols)
 
 
+# ---------------------------------------------------------------------------
+# subspaces
+
+
+def _sub_scaled(d: dict, c, s: dict) -> None:
+    """d -= c * s for sparse vectors, in place, dropping zeros."""
+    for j, x in s.items():
+        y = d[j] - c * x if j in d else -(c * x)
+        if y:
+            d[j] = y
+        else:
+            del d[j]
+
+
+class Subspace:
+    """A subspace of K^dim grown one generator at a time.
+
+    The span is kept in reduced row echelon form: each row is a sparse
+    {coordinate: value} dict with a 1 at its pivot and a 0 at every other
+    row's pivot, and it carries the combination {generator: coefficient}
+    of the accepted generators that equals it.  Because the rows are fully
+    reduced, the coefficient of a vector v on the row with pivot p is v[p]
+    itself, so membership and coordinates cost one pass over the rows that
+    v meets.  Entries may be Fraction, UniPoly or RationalFn; a UniPoly
+    pivot is promoted to RationalFn before division.
+    """
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int, gens: Iterable[Sequence] = ()):
+        self.dim = dim
+        self.rows: dict = {}            # pivot -> (row, combination)
+        for v in gens:
+            self.add(v)
+
+    def __len__(self) -> int:
+        """Dimension of the span, which is the number of accepted generators."""
+        return len(self.rows)
+
+    def _reduce(self, w: dict) -> dict:
+        """Subtract from w, in place, its part in the span; return that part
+        as a combination of the accepted generators."""
+        combo: dict = {}
+        for p, c in [(p, c) for p, c in w.items() if p in self.rows]:
+            row, rc = self.rows[p]
+            _sub_scaled(w, c, row)
+            _sub_scaled(combo, -c, rc)
+        return combo
+
+    def add(self, v: Sequence) -> bool:
+        """Add v to the span; True if v was independent of it (then v is the
+        next accepted generator)."""
+        return self._add({i: x for i, x in enumerate(v) if x})
+
+    def _add(self, w: dict) -> bool:
+        combo = self._reduce(w)
+        if not w:
+            return False
+        p = min(w)
+        piv = w[p]
+        inv = Q1 / (RationalFn.coerce(piv) if isinstance(piv, UniPoly) else piv)
+        rc = {g: -x * inv for g, x in combo.items()}
+        rc[len(self.rows)] = inv
+        row = {j: x * inv for j, x in w.items()}
+        for r, qc in self.rows.values():
+            c = r.get(p)
+            if c:
+                _sub_scaled(r, c, row)
+                _sub_scaled(qc, c, rc)
+        self.rows[p] = (row, rc)
+        return True
+
+    def __contains__(self, v: Sequence) -> bool:
+        return self.coords(v) is not None
+
+    def coords(self, v: Sequence):
+        """Coefficients of v over the accepted generators, in the order they
+        were accepted; None if v is not in the span."""
+        w = {i: x for i, x in enumerate(v) if x}
+        combo = self._reduce(w)
+        if w:
+            return None
+        return [combo.get(g, Q0) for g in range(len(self.rows))]
+
+    def complete_with_units(self) -> list[int]:
+        """Add the unit vectors e_0, e_1, ... that are independent of the span
+        until it fills K^dim; return their indices."""
+        units = []
+        for j in range(self.dim):
+            if len(self.rows) == self.dim:
+                break
+            if self._add({j: Q1}):
+                units.append(j)
+        return units
+
+
 def lin_indep_subset(cols: Sequence[Sequence]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy from the left."""
     if not cols:
         return []
-    rows, pivots = rref(Mat.from_cols(cols))
-    return pivots
+    sp = Subspace(len(cols[0]))
+    return [i for i, v in enumerate(cols) if sp.add(v)]
 
 
 def coords_in_basis(basis_cols: Sequence[Sequence], v: Sequence):
-    """Express v in a given independent set of columns; None if not in span."""
-    aug = Mat.from_cols(list(basis_cols) + [list(v)])
-    rows, pivots = rref(aug)
-    k = len(basis_cols)
-    if k in pivots:
+    """Express v over the given columns; None if not in their span.
+
+    A column that depends on the columns before it gets coefficient 0.
+    """
+    sp = Subspace(len(v))
+    accepted = [sp.add(b) for b in basis_cols]
+    co = sp.coords(v)
+    if co is None:
         return None
-    coeffs = [Q0] * k
-    for r, pc in zip(rows, pivots):
-        coeffs[pc] = r[k]
-    return coeffs
+    it = iter(co)
+    return [next(it) if a else Q0 for a in accepted]

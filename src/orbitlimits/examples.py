@@ -89,13 +89,6 @@ def det3_skew_sym_form() -> Form:
     return Form(9, 3, _det3_of(rows))
 
 
-def q1_form() -> Form:
-    rows = [[_unit(0), _unit(1), _unit(2)],
-            [_unit(3), _unit(4), _unit(5)],
-            [_unit(6), _unit(7), _lin((0, -1), (4, -1))]]
-    return Form(9, 3, _det3_of(rows))
-
-
 def q1_prime_form() -> Form:
     """z (x1 x5 - x2 x4) in the z-adapted coordinates (z is the ninth)."""
     terms: dict = {}

@@ -200,11 +200,6 @@ def bracket(a: Mat, b: Mat) -> Mat:
     return a * b - b * a
 
 
-def act_on_form(g: Mat, f: Form) -> Form:
-    rep = SymRep(f.nvars, f.degree)
-    return rep.from_coords(rep.act(g, rep.to_coords(f)))
-
-
 def act_on_matrix(g: Mat, y: Mat) -> Mat:
     if g.rows != y.rows or g.cols != y.cols:
         raise ValueError("act_on_matrix dimension mismatch")

@@ -16,14 +16,13 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q0, Q1, RationalFn, SingularMatrix, UniPoly,
-                        _is_zero, column_normalize, coords_in_basis,
-                        det_bareiss, lin_indep_subset, nullspace, rank, rref,
-                        solve)
+from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, _is_zero,
+                        column_normalize, coords_in_basis, det_bareiss,
+                        lin_indep_subset, nullspace, rank, solve)
 from .lierep import (ConjRep, Form, Representation, SymRep, bracket,
-                     elementary, group_act_form, stabilizer_algebra,
-                     substitute_linear, tangent_space)
-from .localmodel import LocalModel, NotTransverse, build_local_model
+                     group_act_form, stabilizer_algebra, substitute_linear,
+                     tangent_space)
+from .localmodel import NotTransverse, build_local_model
 
 
 class OnePS:
@@ -62,17 +61,6 @@ def gl_act_weights(rep: Representation, lam: OnePS) -> list[int]:
     """act_weight of each E_ij, indexed like ConjRep(n).basis (row-major)."""
     n = rep.n
     return [rep.act_weight(i, j, lam.weights) for i in range(n) for j in range(n)]
-
-
-def weight_decompose(rep: Representation, v: Sequence, lam: OnePS) -> dict:
-    """Split a V-coordinate vector into its lambda-weight components."""
-    out: dict = {}
-    for i, c in enumerate(v):
-        if _is_zero(c):
-            continue
-        w = rep.coord_weight(i, lam.weights)
-        out.setdefault(w, [Q0] * rep.dim)[i] = c
-    return out
 
 
 def decompose_form(f: Form, lam: OnePS) -> dict:
@@ -168,10 +156,15 @@ class KtElement:
         return self.mat.eval_at(Fraction(t0))
 
 
+class NotGraded(ValueError):
+    pass
+
+
 def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) -> dict:
     """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight.
 
-    Raises if the subspace is not graded (dims do not sum to its dimension).
+    Raises NotGraded if the subspace is not graded (dims do not sum to its
+    dimension).
     """
     if not vectors:
         return {}
@@ -186,7 +179,7 @@ def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) ->
         if d:
             dims[w] = d
     if sum(dims.values()) != total:
-        raise ValueError("subspace is not graded with respect to the 1-PS")
+        raise NotGraded("subspace is not graded with respect to the 1-PS")
     return dims
 
 
@@ -244,25 +237,15 @@ class LimitAlgebraData:
         if not self.Kt:
             return {}
         mats = [kt.mat if isinstance(kt, KtElement) else kt for kt in self.Kt]
-        flat = [self._glrep.to_coords(m) for m in mats]
+        span = Subspace(self._glrep.dim, [self._glrep.to_coords(m) for m in mats])
         out = {}
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                br = self._glrep.to_coords(bracket(mats[i], mats[j]))
-                co = coords_in_basis(flat, br)
+                co = span.coords(self._glrep.to_coords(bracket(mats[i], mats[j])))
                 if co is None:
                     raise ValueError("K(t) is not bracket-closed over Q(t)")
                 out[(i, j)] = co
         return out
-
-
-def build_MN_MS(f: Form, lam: OnePS, model: LocalModel):
-    """The matrices M_N(t), M_S(t) of lambda_N / lambda_S of
-    (1+theta(f^+(t)))^{-1} (h_j . f^+(t)), columns indexed by the H-basis."""
-    exp = expand_orbit_curve(f, lam)
-    if exp.transversal is False:
-        raise NotTransverse("expansion tail meets the tangent space at g")
-    return _build_MN_MS(exp, model)
 
 
 def _build_MN_MS(exp: LimitExpansion, model: LocalModel):
@@ -327,17 +310,16 @@ def _verify_limit_algebra(f: Form, data: LimitAlgebraData):
     if len(data.K0) != len(K):
         raise ValueError(f"dim K0 = {len(data.K0)} differs from dim K = {len(K)}")
     k0_flat = [glrep.to_coords(m) for m in data.K0]
-    if len(lin_indep_subset(k0_flat)) != len(k0_flat):
+    k0 = Subspace(glrep.dim, k0_flat)
+    if len(k0) != len(k0_flat):
         raise ValueError("K0 columns are dependent")
     # K0 inside H and bracket-closed
-    h_flat = [glrep.to_coords(m) for m in data.model.H]
-    for v in k0_flat:
-        if coords_in_basis(h_flat, v) is None:
-            raise ValueError("K0 is not contained in the stabilizer of g")
+    h = Subspace(glrep.dim, [glrep.to_coords(m) for m in data.model.H])
+    if any(v not in h for v in k0_flat):
+        raise ValueError("K0 is not contained in the stabilizer of g")
     for i in range(len(data.K0)):
         for j in range(i + 1, len(data.K0)):
-            br = glrep.to_coords(bracket(data.K0[i], data.K0[j]))
-            if coords_in_basis(k0_flat, br) is None:
+            if glrep.to_coords(bracket(data.K0[i], data.K0[j])) not in k0:
                 raise ValueError("K0 is not bracket-closed")
     # s-parts vanish to order b-a at t=0 (Prop K0(2))
     if data.expansion.b is not None:
@@ -405,20 +387,9 @@ def limit_algebra_by_conjugation(f: Form, lam: OnePS,
 
 def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
     glrep = ConjRep(n)
-    fa = [glrep.to_coords(m) for m in A]
+    a = Subspace(glrep.dim, [glrep.to_coords(m) for m in A])
     fb = [glrep.to_coords(m) for m in B]
-    if len(lin_indep_subset(fa)) != len(lin_indep_subset(fb)):
-        return False
-    return len(lin_indep_subset(fa + fb)) == len(lin_indep_subset(fa))
-
-
-def star_action(model: LocalModel, h: Mat, n: Sequence) -> list:
-    """h * n = lambda_N(h.n) for h in span(H)."""
-    glrep = ConjRep(model.rep.n)
-    h_flat = [glrep.to_coords(m) for m in model.H]
-    if coords_in_basis(h_flat, glrep.to_coords(h)) is None:
-        raise ValueError("h is not in the span of the stabilizer H")
-    return model.star(h, list(n))
+    return len(Subspace(glrep.dim, fb)) == len(a) and all(v in a for v in fb)
 
 
 class ExitTangent:
@@ -453,9 +424,11 @@ class TripleStabilizers:
         self.pure = pure            # weight-homogeneous elements of K
         self.pure_dims = pure_dims  # weight -> dim
         self.Klf = Klf              # {k in K : [k, ell] in K}
-        self.Klf_dims = Klf_dims    # weight -> dim of the graded parts
+        self.Klf_dims = Klf_dims    # weight -> dim of the graded parts; None if not graded
 
-    def klf_dims_tuple(self) -> tuple:
+    def klf_dims_tuple(self) -> Optional[tuple]:
+        if self.Klf_dims is None:
+            return None
         return (self.Klf_dims.get(1, 0), self.Klf_dims.get(0, 0),
                 self.Klf_dims.get(-1, 0))
 
@@ -493,7 +466,10 @@ def triple_stabilizers(f: Form, lam: OnePS, rep: Optional[Representation] = None
                 if not _is_zero(c):
                     m = m + k.scale(c)
             Klf.append(m)
-        Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw) if Klf else {}
+        try:
+            Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw)
+        except NotGraded:
+            Klf_dims = None   # K_lf = stab f ∩ stab lf need not be lambda-graded
     else:
         Klf, Klf_dims = [], {}
 
@@ -808,12 +784,16 @@ class DerivationData:
 
 def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None,
                   verify: bool = True) -> DerivationData:
-    """d_b(h) = {s} with s.g = h.f_b, for h in the domain (default K0)."""
+    """d_b(h) = {s} with s.g = h.f_b, for h in the domain (default K0).
+
+    A lambda-homogeneous f has no f_b; it is read as the zero form, so d_b = 0.
+    """
     model = data.model
     rep = data.rep
     if domain is None:
         domain = data.K0
-    fb = rep.to_coords(data.expansion.f_b)
+    f_b = data.expansion.f_b
+    fb = rep.to_coords(f_b) if f_b is not None else [Q0] * rep.dim
     values = []
     for h in domain:
         w = rep.act(h, fb)
@@ -823,12 +803,11 @@ def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None
         values.append(model.s_mat(sc))
     if verify:
         glrep = ConjRep(rep.n)
-        h_flat = [glrep.to_coords(m) for m in model.H]
-        dom_flat = [glrep.to_coords(m) for m in domain]
+        h = Subspace(glrep.dim, [glrep.to_coords(m) for m in model.H])
+        dom = Subspace(glrep.dim, [glrep.to_coords(m) for m in domain])
         for i in range(len(domain)):
             for j in range(i + 1, len(domain)):
-                br = bracket(domain[i], domain[j])
-                co = coords_in_basis(dom_flat, glrep.to_coords(br))
+                co = dom.coords(glrep.to_coords(bracket(domain[i], domain[j])))
                 if co is None:
                     raise ValueError("derivation domain is not a subalgebra")
                 lhs = Mat.zeros(rep.n, rep.n)
@@ -836,8 +815,7 @@ def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None
                     if not _is_zero(c):
                         lhs = lhs + s.scale(c)
                 rhs = bracket(domain[i], values[j]) - bracket(domain[j], values[i])
-                resid = glrep.to_coords(rhs - lhs)
-                if coords_in_basis(h_flat, resid) is None:
+                if glrep.to_coords(rhs - lhs) not in h:
                     raise ValueError("d_b fails the derivation identity")
     return DerivationData(list(domain), values, model)
 
@@ -909,38 +887,27 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
     if db is None:
         db = derivation_db(data)
     K0 = db.domain
-    k0_flat = [glrep.to_coords(m) for m in K0]
-    h_flat = [glrep.to_coords(m) for m in model.H]
-    # complement W of K0 inside H
-    idx = lin_indep_subset(k0_flat + h_flat)
-    W = [model.H[i - len(k0_flat)] for i in idx if i >= len(k0_flat)]
-    w_flat = [glrep.to_coords(m) for m in W]
-    # complement of K0 inside gl for the quotient projection
-    full = list(k0_flat)
-    comp_idx = []
-    for i in range(glrep.dim):
-        e = [Q0] * glrep.dim
-        e[i] = Q1
-        if len(lin_indep_subset(full + [e])) == len(full) + 1:
-            full.append(e)
-            comp_idx.append(i)
-    basis_cols = k0_flat + [_unit(glrep.dim, i) for i in comp_idx]
-    proj = Mat.from_cols(basis_cols)
+    K = len(K0)
+    # one basis of gl: K0, then a complement W of K0 inside H, then unit
+    # vectors; coordinates past the K0 block are coordinates on gl/K0
+    basis = Subspace(glrep.dim)
+    if not all([basis.add(glrep.to_coords(m)) for m in K0]):
+        raise ValueError("K0 columns are dependent")
+    W = [h for h in model.H if basis.add(glrep.to_coords(h))]
+    basis.complete_with_units()
 
     def mod_K0(vec):
-        co = solve(proj, [list(vec)])[0]
-        return co[len(k0_flat):]
+        return basis.coords(vec)[K:]
 
-    K = len(K0)
     nw = len(W)
     # structure constants of K0
     beta = {}
     for i in range(K):
         for j in range(i + 1, K):
-            co = coords_in_basis(k0_flat, glrep.to_coords(bracket(K0[i], K0[j])))
-            if co is None:
+            co = basis.coords(glrep.to_coords(bracket(K0[i], K0[j])))
+            if any(co[K:]):
                 raise ValueError("K0 is not bracket-closed")
-            beta[(i, j)] = co
+            beta[(i, j)] = co[:K]
     # unknowns x_{m,w}: dbar(k_m) = -s_m - sum_w x_{m,w} W_w  (cosets mod K0)
     # using dbar(h) = -s - correction so that k = h + eps*s has s in dbar(-h)
     nunk = K * nw
@@ -976,7 +943,8 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
                 rows.append(row)
                 rhs.append(-const_q[r])
     if rows:
-        sol = _solve_rectangular(rows, rhs, nunk)
+        # one solution, free unknowns set to 0; None if inconsistent
+        sol = coords_in_basis([list(c) for c in zip(*rows)], rhs)
         if sol is None:
             return FeasibilityResult(False, None, None)
     else:
@@ -996,27 +964,10 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
         d = data.expansion.b - data.expansion.a
         cond_i = all((c - data.expansion.a) % d == 0 for c in data.expansion.terms)
         Kf = stabilizer_algebra(rep, rep.to_coords(data.expansion.f))
-        cond_ii = any(coords_in_basis(h_flat, glrep.to_coords(k)) is None for k in Kf)
+        h = Subspace(glrep.dim, [glrep.to_coords(m) for m in model.H])
+        cond_ii = any(glrep.to_coords(k) not in h for k in Kf)
         reg = (cond_i, cond_ii)
     return FeasibilityResult(True, dbar, eps_basis, hoffman=hof, regular=reg)
-
-
-def _unit(n: int, i: int) -> list:
-    e = [Q0] * n
-    e[i] = Q1
-    return e
-
-
-def _solve_rectangular(rows: Sequence[Sequence], rhs: Sequence, nunk: int):
-    """One solution of a (possibly over/under-determined) linear system,
-    free variables set to 0; None if inconsistent."""
-    aug, pivots = rref(Mat([list(r) + [b] for r, b in zip(rows, rhs)]))
-    if nunk in pivots:
-        return None
-    sol = [Q0] * nunk
-    for r, pc in zip(aug, pivots):
-        sol[pc] = r[nunk]
-    return sol
 
 
 # ---------------------------------------------------------------------------

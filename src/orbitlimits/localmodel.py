@@ -8,67 +8,11 @@ eliminated; det C = det(1+θ(n)) gives the Δ of the limit pipeline.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q0, Q1, RationalFn, SingularMatrix, UniPoly,
-                        _is_zero, _zero_like, det_bareiss, lin_indep_subset,
-                        nullspace, rref, solve)
-from .lierep import ConjRep, Representation, bracket, stabilizer_algebra
-
-
-class Projector:
-    """Coordinates with respect to a full basis of column vectors.
-
-    When integer coordinate weights are supplied and every basis column is
-    weight-pure, the change of basis is inverted blockwise per weight.
-    """
-
-    def __init__(self, cols: Sequence[Sequence], coord_weights=None):
-        self.n = len(cols)
-        if self.n != len(cols[0]):
-            raise ValueError("not a square change of basis")
-        blocks = None
-        if coord_weights is not None:
-            colw = []
-            pure = True
-            for c in cols:
-                ws = {coord_weights[i] for i, x in enumerate(c) if not _is_zero(x)}
-                if len(ws) != 1:
-                    pure = False
-                    break
-                colw.append(ws.pop())
-            if pure:
-                blocks = {}
-                for j, w in enumerate(colw):
-                    blocks.setdefault(w, ([], []))[1].append(j)
-                for i, w in enumerate(coord_weights):
-                    if w in blocks:
-                        blocks[w][0].append(i)
-        if blocks is None:
-            blocks = {0: (list(range(self.n)), list(range(self.n)))}
-        self.blocks = []
-        covered = 0
-        for w, (coord_idx, col_idx) in sorted(blocks.items()):
-            if len(coord_idx) != len(col_idx):
-                raise ValueError("weight block not square; basis does not span")
-            sub = Mat([[cols[j][i] for j in col_idx] for i in coord_idx])
-            inv_cols = solve(sub, [[Q1 if i == j else Q0 for i in range(len(coord_idx))]
-                                   for j in range(len(coord_idx))])
-            inv = Mat.from_cols(inv_cols)
-            self.blocks.append((coord_idx, col_idx, inv))
-            covered += len(coord_idx)
-        if covered != self.n:
-            raise ValueError("weight blocks do not cover all coordinates")
-
-    def coords(self, v: Sequence) -> list:
-        out = [Q0] * self.n
-        for coord_idx, col_idx, inv in self.blocks:
-            sub = [v[i] for i in coord_idx]
-            res = inv.apply(sub)
-            for j, x in zip(col_idx, res):
-                out[j] = x
-        return out
+from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, _is_zero,
+                        det_bareiss, lin_indep_subset, nullspace, solve)
+from .lierep import ConjRep, Representation, stabilizer_algebra
 
 
 def graded_basis(vectors: Sequence[Sequence], coord_weights) -> list[list]:
@@ -109,34 +53,22 @@ class SliceStabilizer:
 
 class LocalModel:
     def __init__(self, rep: Representation, x: Sequence, H, S, TO, N,
-                 weights=None, levi=None, ambient=None):
+                 levi=None, ambient=None):
         self.rep = rep
         self.x = list(x)
         self.H = H                    # list of Mat (gl elements)
         self.S = S                    # list of Mat
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
         self.N = N                    # list of V-coordinate vectors
-        self.weights = weights
         self.levi = levi
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
-        cw = None
-        if weights is not None:
-            cw = [rep.coord_weight(i, weights) for i in range(rep.dim)]
-        self._vproj = Projector(TO + N, cw)
-        glrep = ConjRep(rep.n)
-        glw = None
-        if weights is not None:
-            glw = [glrep.coord_weight(i, weights) for i in range(glrep.dim)]
-        self._glrep = glrep
-        if ambient is None:
-            self._glproj = Projector([glrep.to_coords(m) for m in H + S], glw)
-        else:
-            self._glproj = None
-            self._glbasis = [glrep.to_coords(m) for m in H + S]
+        self._glrep = ConjRep(rep.n)
+        self.V = Subspace(rep.dim, TO + N)
+        self.HS = Subspace(self._glrep.dim, [self._glrep.to_coords(m) for m in H + S])
 
     # -- projections --------------------------------------------------
     def split_V(self, v: Sequence):
-        c = self._vproj.coords(v)
+        c = self.V.coords(v)          # TO + N is a basis of V
         k = len(self.TO)
         return c[:k], c[k:]
 
@@ -148,13 +80,9 @@ class LocalModel:
         return self.split_V(v)[1]
 
     def split_gl(self, g: Mat):
-        if self._glproj is not None:
-            c = self._glproj.coords(self._glrep.to_coords(g))
-        else:
-            from .exactcore import coords_in_basis
-            c = coords_in_basis(self._glbasis, self._glrep.to_coords(g))
-            if c is None:
-                raise ValueError("element not in the ambient algebra H + S")
+        c = self.HS.coords(self._glrep.to_coords(g))
+        if c is None:
+            raise ValueError("element not in the ambient algebra H + S")
         k = len(self.H)
         return c[:k], c[k:]
 
@@ -287,11 +215,10 @@ class LocalModel:
         return self.lamN(self.rep.act(h, list(n)))
 
     def verify(self):
-        glrep = self._glrep
-        ambient_dim = glrep.dim if self.ambient is None else len(self.ambient)
-        if len(self.H) + len(self.S) != ambient_dim:
+        ambient_dim = self._glrep.dim if self.ambient is None else len(self.ambient)
+        if not len(self.HS) == len(self.H) + len(self.S) == ambient_dim:
             raise ValueError("H + S does not fill the ambient algebra")
-        if len(self.TO) + len(self.N) != self.rep.dim:
+        if not len(self.V) == len(self.TO) + len(self.N) == self.rep.dim:
             raise ValueError("TO + N does not fill V")
         for s, to in zip(self.S, self.TO):
             if self.rep.act(s, self.x) != list(to):
@@ -365,13 +292,8 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
             raise NotTransverse("supplied S is not a complement of the stabilizer")
     elif ambient is not None:
         # complement of H inside the ambient span, orthogonal in ambient coords
-        amb_cols = [glrep.to_coords(a) for a in ambient]
-        h_in_amb = []
-        from .exactcore import coords_in_basis
-        for h in H:
-            co = coords_in_basis(amb_cols, glrep.to_coords(h))
-            h_in_amb.append(co)
-        comp = _orthocomplement(h_in_amb, len(ambient))
+        amb = Subspace(glrep.dim, [glrep.to_coords(a) for a in ambient])
+        comp = _orthocomplement([amb.coords(glrep.to_coords(h)) for h in H], len(ambient))
         Sb = []
         for co in comp:
             m = Mat.zeros(rep.n, rep.n)
@@ -394,26 +316,20 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
     else:
         contained = [list(v) for v in (N_contains or [])]
         if contained:
-            idx = lin_indep_subset(TO + contained)
-            extra = [contained[k - len(TO)] for k in idx if k >= len(TO)]
-            if len(extra) != len(lin_indep_subset(contained)):
+            V = Subspace(rep.dim, TO)
+            Nb = [v for v in contained if V.add(v)]
+            if len(Nb) != len(lin_indep_subset(contained)):
                 raise NotTransverse("N_contains meets the tangent space")
-            Nb = list(extra)
-            for j in range(rep.dim):
-                if len(TO) + len(Nb) == rep.dim:
-                    break
-                unit = [Q0] * rep.dim
-                unit[j] = Q1
-                if len(lin_indep_subset(TO + Nb + [unit])) == len(TO) + len(Nb) + 1:
-                    Nb.append(unit)
+            Nb += [[Q1 if i == j else Q0 for i in range(rep.dim)]
+                   for j in V.complete_with_units()]
         else:
             Nb = _orthocomplement(TO, rep.dim)
             if cw is not None:
                 Nb = graded_basis(Nb, cw)
-    if len(lin_indep_subset(TO + Nb)) != rep.dim or len(TO) + len(Nb) != rep.dim:
-        raise NotTransverse("supplied N is not a complement of the tangent space")
 
-    model = LocalModel(rep, x, H, Sb, TO, Nb, weights=weights, levi=levi,
+    model = LocalModel(rep, x, H, Sb, TO, Nb, levi=levi,
                        ambient=list(ambient) if ambient is not None else None)
+    if len(model.V) != rep.dim or len(TO) + len(Nb) != rep.dim:
+        raise NotTransverse("supplied N is not a complement of the tangent space")
     model.verify()
     return model

@@ -8,8 +8,6 @@ PASS/FAIL lines and the exit code.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,7 +22,7 @@ from .examples import (LAM1, LAM2, LAM4, O2_LAM, O3_LAM, det3_form,
                        o3_form, o3_reference_kt, q1_prime_form, q2_form, q3_form,
                        q4_form, q4_prime_form, O3_STRUCTURE)
 from .exactcore import (Mat, Q0, Q1, RationalFn, UniPoly, coords_in_basis,
-                        lin_indep_subset, _is_zero)
+                        _is_zero)
 from .kempf import (grid_minimize, kempf_descent, kempf_support,
                     leading_term_along, mu)
 from .lierep import (ConjRep, Form, SymRep, elementary, stabilizer_algebra)
@@ -487,18 +485,5 @@ RUNNERS = {
 
 
 def run_ids(ids) -> dict:
-    """Run the given example ids (possibly concurrently) and collect reports.
-
-    ORBITLIMITS_THREADS > 1 enables a thread pool; results are always
-    assembled in input order so the output is deterministic.
-    """
-    try:
-        threads = int(os.environ.get("ORBITLIMITS_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    if threads > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: RUNNERS[i](), ids))
-    else:
-        results = [RUNNERS[i]() for i in ids]
-    return {i: r for i, r in zip(ids, results)}
+    """Run the given example ids in order and collect their reports."""
+    return {i: RUNNERS[i]() for i in ids}

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
-                             main)
+                             form_from_doc, main)
+from orbitlimits.lierep import SymRep, stabilizer_algebra
 
 
 def _run(capsys, argv, stdin=None, monkeypatch=None):
@@ -78,6 +79,43 @@ def test_limit_o2(tmp_path, capsys):
     assert res["dim_K"] == 1
     assert res["case"] == "A"
     assert res["extension_feasible"] is True
+
+
+def _limit_answer(tmp_path, capsys, form, oneps):
+    path = _write(tmp_path, "in.json", {"form": form, "oneps": oneps})
+    code, out, err = _run(capsys, ["limit", "--input", path])
+    assert code == EXIT_OK, err
+    res = json.loads(out)
+    f = form_from_doc(form)
+    rep = SymRep(f.nvars, f.degree)
+    assert res["dim_K"] == len(stabilizer_algebra(rep, rep.to_coords(f)))
+    assert sum(res["K0_graded_dims"].values()) == res["dim_K"]
+    return res
+
+
+@pytest.mark.parametrize("nvars,exps,oneps", [
+    (2, [[2, 0]], [1, 0]),            # x^2
+    (2, [[1, 1]], [1, -1]),           # xy: lambda fixes f, N = 0
+    (3, [[1, 1, 1]], [0, 0, 0]),      # xyz under the trivial subgroup
+])
+def test_limit_of_lambda_homogeneous_form(tmp_path, capsys, nvars, exps, oneps):
+    form = {"nvars": nvars, "degree": sum(exps[0]),
+            "terms": [{"exp": e, "coef": "1"} for e in exps]}
+    res = _limit_answer(tmp_path, capsys, form, oneps)
+    assert res["b"] is None and res["f_b"] is None
+    assert res["extension_feasible"] is True
+
+
+def test_limit_with_ungraded_klf(tmp_path, capsys):
+    # -2zw + y^2 + 3w^2 - 3xw: transversal, but K_lf is not lambda-graded
+    form = {"nvars": 4, "degree": 2,
+            "terms": [{"exp": [0, 0, 1, 1], "coef": "-2"},
+                      {"exp": [0, 2, 0, 0], "coef": "1"},
+                      {"exp": [0, 0, 0, 2], "coef": "3"},
+                      {"exp": [1, 0, 0, 1], "coef": "-3"}]}
+    res = _limit_answer(tmp_path, capsys, form, [0, -2, 2, 0])
+    assert res["Klf_graded_dims"] is None
+    assert (res["a"], res["b"]) == (-4, 0)
 
 
 def test_closure_verdicts(tmp_path, capsys):
