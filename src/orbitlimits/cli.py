@@ -17,15 +17,15 @@ import sys
 from fractions import Fraction
 
 from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
-                          jab_slice_report, jn_slice_report)
+                          jab_slice_report, jn_slice_report, transpose_block_spectrum)
 from .curvature import (CurvatureData, adjoint_offdiagonal_vanishing,
                         adjoint_pi, cyclic_shift_suite, sphere_ricci)
-from .exactcore import Mat, UniPoly, RationalFn, _is_zero
+from .exactcore import Mat, UniPoly, RationalFn
 from .kempf import grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (OnePS, classify_case, extension_feasible, limit_algebra,
                      triple_stabilizers)
-from .localmodel import NotTransverse, build_local_model
+from .localmodel import build_local_model
 from .reproduce import RUNNERS, run_ids
 
 SCHEMA = 1
@@ -64,6 +64,8 @@ def rational_str(x: Fraction) -> str:
 def form_from_doc(doc) -> Form:
     try:
         nvars, degree = int(doc["nvars"]), int(doc["degree"])
+        if nvars < 1 or degree < 0:
+            raise InputError(f"a form needs nvars >= 1 and degree >= 0, got {nvars}, {degree}")
         terms = {}
         for t in doc["terms"]:
             e = tuple(int(x) for x in t["exp"])
@@ -72,7 +74,9 @@ def form_from_doc(doc) -> Form:
                                  f"form in {nvars} variables")
             terms[e] = terms.get(e, Fraction(0)) + parse_rational(t["coef"])
         return Form(nvars, degree, {e: c for e, c in terms.items() if c})
-    except (KeyError, TypeError) as e:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad form document: {e}") from None
 
 
@@ -96,6 +100,14 @@ def mat_to_doc(m: Mat):
     return [[rational_str(x) for x in row] for row in m.a]
 
 
+def int_field(doc: dict, key: str, least: int) -> int:
+    """The integer field doc[key]; it must be at least `least`."""
+    v = doc.get(key)
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise InputError(f"{key!r} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def oneps_from_doc(doc) -> OnePS:
     try:
         return OnePS([int(w) for w in doc])
@@ -110,7 +122,7 @@ def jordanspec_from_doc(doc) -> JordanSpec:
             ev = b["eig"]
             ev = ev["label"] if isinstance(ev, dict) else parse_rational(ev)
             blocks.append((ev, [int(s) for s in b["sizes"]]))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad Jordan spec: {e}") from None
     try:
         return JordanSpec(blocks)
@@ -199,7 +211,7 @@ def cmd_stabilizer(args) -> int:
     doc = read_input(args)
     rep, v = _vector_input(doc)
     H = stabilizer_algebra(rep, v)
-    verified = all(all(_is_zero(x) for x in rep.act(h, v)) for h in H)
+    verified = all(not any(rep.act(h, v)) for h in H)
     emit({"dimension": len(H), "basis": [mat_to_doc(h) for h in H],
           "verified": verified}, args.format)
     return EXIT_OK
@@ -208,7 +220,9 @@ def cmd_stabilizer(args) -> int:
 def cmd_local_model(args) -> int:
     doc = read_input(args)
     rep, v = _vector_input(doc)
-    weights = [int(w) for w in doc["weights"]] if "weights" in doc else None
+    weights = oneps_from_doc(doc["weights"]).weights if "weights" in doc else None
+    if weights is not None and len(weights) != rep.n:
+        raise InputError(f"need {rep.n} weights, got {len(weights)}")
     model = build_local_model(rep, v, policy=args.policy, weights=weights)
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [mat_to_doc(h) for h in model.H],
@@ -259,6 +273,9 @@ def cmd_closure(args) -> int:
         raise InputError(f"bad partition: {e}") from None
     if part.n != spec.n:
         raise InputError(f"partition of {part.n} vs spec of size {spec.n}")
+    if all(c == 1 for c in transpose_block_spectrum(spec)):
+        raise InputError("a scalar spec (chi = 1^n) is not accepted: its projective "
+                         "orbit is one point, and empty for eigenvalue 0")
     d = closure_contains_nilpotent(spec, part)
     out = {"contains": bool(d.contains),
            "transpose_block_spectrum": list(d.chi),
@@ -277,9 +294,10 @@ def cmd_slice(args) -> int:
     doc = read_input(args)
     kind = doc.get("kind")
     if kind == "jn":
-        report = jn_slice_report(int(doc["n"]), seed=args.seed)
+        report = jn_slice_report(int_field(doc, "n", 2), seed=args.seed)
     elif kind == "jab":
-        report = jab_slice_report(int(doc["a"]), int(doc["b"]), seed=args.seed)
+        b = int_field(doc, "b", 1)
+        report = jab_slice_report(int_field(doc, "a", b), b, seed=args.seed)
     else:
         raise InputError("slice input needs kind 'jn' or 'jab'")
     emit(to_jsonable(report), args.format)
@@ -293,15 +311,17 @@ def cmd_curvature(args) -> int:
         r = parse_rational(doc.get("r", 1))
         if r == 0:
             raise InputError("radius must be nonzero")
-        out = {"ricci": sphere_ricci(int(doc["dim"]), r)}
+        out = {"ricci": sphere_ricci(int_field(doc, "dim", 1), r)}
     elif kind == "adjoint":
+        if not isinstance(doc.get("lams"), list):
+            raise InputError("'lams' must be a list of rationals")
         lams = [parse_rational(x) for x in doc["lams"]]
         if len(set(lams)) != len(lams):
             raise InputError("eigenvalues must be distinct")
         out = {"d": {f"{p},{q}": diag for (p, q), diag in adjoint_pi(lams).items()},
                "offdiagonal_vanishes": adjoint_offdiagonal_vanishing(lams)}
     elif kind == "cyclic":
-        suite = cyclic_shift_suite(int(doc["n"]))
+        suite = cyclic_shift_suite(int_field(doc, "n", 3))
         out = {k: v for k, v in suite.items() if k != "curvature"}
         out["ricci"] = suite["curvature"].ricci
     else:
@@ -421,10 +441,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except NotTransverse as e:
-        print(f"computation error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except (ValueError, ZeroDivisionError, ArithmeticError, KeyError) as e:
+    except (ValueError, ArithmeticError, KeyError, AssertionError, RuntimeError) as e:
         print(f"computation error: {e}", file=sys.stderr)
         return EXIT_COMPUTE
 

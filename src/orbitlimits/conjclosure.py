@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .exactcore import (Mat, Q0, Q1, UniPoly, _as_fraction, _is_zero,
-                        nullspace, rank)
+from .exactcore import Mat, Q0, Q1, UniPoly, _as_fraction, nullspace, rank
 from .lierep import ConjRep, elementary, stabilizer_algebra
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix
 from .localmodel import LocalModel, build_local_model
@@ -208,7 +207,7 @@ def _looks_rational(s: str) -> bool:
 
 def _rational_roots(p: UniPoly) -> list[tuple]:
     """[(root, multiplicity)] of the rational roots of p, over Q."""
-    coeffs = {e: c for e, c in p.c.items() if not _is_zero(c)}
+    coeffs = {e: c for e, c in p.c.items() if c}
     if not coeffs:
         return []
     from math import gcd
@@ -229,7 +228,7 @@ def _rational_roots(p: UniPoly) -> list[tuple]:
     for r in sorted(cands):
         mult = 0
         q = p
-        while q.degree() >= 1 and _is_zero(q(r)):
+        while q.degree() >= 1 and not q(r):
             q = q.exact_div(UniPoly({1: Q1, 0: -r}))
             mult += 1
         if mult:
@@ -428,7 +427,7 @@ class WitnessFamily:
         for i in range(n):
             for j in range(n):
                 c = self.x_prime.a[i][j]
-                if _is_zero(c):
+                if not c:
                     out.a[i][j] = UniPoly.const(0)
                 else:
                     out.a[i][j] = UniPoly({i - j + shift: _as_fraction(c)})
@@ -442,7 +441,7 @@ class WitnessFamily:
         for i in range(n):
             for j in range(n):
                 c = self.x_prime.a[i][j]
-                if not _is_zero(c):
+                if c:
                     out.a[i][j] = c * t0 ** (i - j)
         return out
 
@@ -469,11 +468,11 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
     n = spec.n
     # lowest power of t in A(t) x' A(t)^{-1}: entry (i,j) scales by t^{i-j}
     low = min(i - j for i in range(n) for j in range(n)
-              if not _is_zero(x_prime.a[i][j]))
+              if x_prime.a[i][j])
     lead = Mat.zeros(n, n)
     for i in range(n):
         for j in range(n):
-            if i - j == low and not _is_zero(x_prime.a[i][j]):
+            if i - j == low and x_prime.a[i][j]:
                 lead.a[i][j] = x_prime.a[i][j]
     if low != -1 or lead != j_chi(chi):
         raise AssertionError("witness family leading term is not J_chi")
@@ -577,7 +576,7 @@ def minimal_polynomial(m: Mat) -> UniPoly:
             co = ker[0]
             deg = len(vecs) - 1
             lead = co[deg]
-            return UniPoly({i: c / lead for i, c in enumerate(co) if not _is_zero(c)})
+            return UniPoly({i: c / lead for i, c in enumerate(co) if c})
         power = power * m
     raise AssertionError("unreachable: powers of an n x n matrix are dependent")
 
@@ -604,7 +603,7 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     mats = [model.theta_matrix(nv) for nv in model.N]
     for t1 in mats:
         for t2 in mats:
-            if any(not _is_zero(x) for row in (t1 * t2).a for x in row):
+            if any(x for row in (t1 * t2).a for x in row):
                 theta_sq_zero = False
     report["theta_squared_zero"] = theta_sq_zero
     rng = random.Random(seed)
@@ -751,11 +750,7 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
     report["divisibility_sample"] = {
         "min_poly_degree": p.degree(),
         "equals_min_poly_Ta": p == minimal_polynomial(Ta),
-        "Tb_divides": _is_zero_poly(p.divmod(minimal_polynomial(Tb))[1]) if p.degree() == a else None,
-        "p_of_Tb_vanishes": all(_is_zero(x) for row in _poly_of_matrix(p, Tb).a for x in row),
+        "Tb_divides": not p.divmod(minimal_polynomial(Tb))[1] if p.degree() == a else None,
+        "p_of_Tb_vanishes": all(not x for row in _poly_of_matrix(p, Tb).a for x in row),
     }
     return report
-
-
-def _is_zero_poly(p: UniPoly) -> bool:
-    return all(_is_zero(c) for c in p.c.values())

@@ -19,18 +19,17 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import (Mat, Q0, Q1, Subspace, _as_fraction, _is_zero,
-                        lin_indep_subset)
+from .exactcore import Mat, Q0, Q1, Subspace, _as_fraction, lin_indep_subset
 from .lierep import ConjRep, action_matrix, stabilizer_algebra, tangent_space
 
 
 def dot(u, v):
     s = Q0
     for x, y in zip(u, v):
-        if not (_is_zero(x) or _is_zero(y)):
+        if x and y:
             s = s + x * y
     return s
 
@@ -135,7 +134,7 @@ def riemann_and_ricci(curv: CurvatureData) -> CurvatureData:
             for r in range(K):
                 for q in range(K):
                     g = gram[r][q]
-                    if not (_is_zero(a[r]) or _is_zero(b[q]) or _is_zero(g)):
+                    if a[r] and b[q] and g:
                         s = s + a[r] * g * b[q]
             return s
     pi = curv.pi
@@ -322,7 +321,7 @@ def adjoint_offdiagonal_vanishing(lams) -> bool:
             continue
         S = action_matrix(rep, e_mat(p, q))
         w = rep.from_coords(S.apply(rep.to_coords(e_mat(r, s))))
-        if any(not _is_zero(w.a[i][i]) for i in range(n)):
+        if any(w.a[i][i] for i in range(n)):
             return False
     return True
 
@@ -356,7 +355,7 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
     is the block-diagonal part of [Xhat, Yhat], which is what we verify.
     """
     lam, mu = _as_fraction(lam), _as_fraction(mu)
-    if lam == mu or _is_zero(lam) or _is_zero(mu):
+    if lam == mu or not lam or not mu:
         raise ValueError("blocks need distinct nonzero scalars")
     m = X.rows
     n = 2 * m
@@ -375,7 +374,7 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
             blockdiag = (i < m) == (j < m)
             if blockdiag and comm.a[i][j] != disp.a[i][j]:
                 return False
-            if not blockdiag and not _is_zero(comm.a[i][j]):
+            if not blockdiag and comm.a[i][j]:
                 return False
     # scaled route: fields with value Xhat, Yhat at x come from Xhat/(mu-lam)
     # and Yhat/(lam-mu); their Pi is the commutator route divided by (mu-lam).
@@ -489,12 +488,12 @@ def cyclic_shift_suite(n: int) -> dict:
                len(lin_indep_subset([rep.to_coords(m) for m in stab] + powers)) == n)
 
     lb = ell_bar(n)
-    lb_in_S = all(_is_zero(x) for x in shifted_diagonal_sums(lb))
+    lb_in_S = not any(shifted_diagonal_sums(lb))
 
     P = [[p_trace(n, i, j) for j in range(n)] for i in range(n)]
     closed_match = all(P[i][j] == p_closed(n, i, j)
                        for i in range(n) for j in range(n))
-    no_c0 = all(_is_zero(P[i][j][0]) for i in range(n) for j in range(n))
+    no_c0 = all(not P[i][j][0] for i in range(n) for j in range(n))
 
     # compression: gamma is constant on {ell_ij}, and at fixed wrap gap the
     # evenly spaced diagonal minimizes the sum of the remaining differences.
@@ -517,7 +516,7 @@ def cyclic_shift_suite(n: int) -> dict:
     for i in range(n):
         comps = list(P[i][i])
         comps[1] = Q0
-        if all(_is_zero(x) for x in comps):
+        if not any(comps):
             flags.append(i)
 
     # assemble the Gauss tensor from the exact P tables (normal Gram = n I)

@@ -7,11 +7,12 @@ kernels, solves and determinants over one of three scalar rings:
   * UniPoly         -- univariate polynomials in t over Q, sparse dict rep,
   * RationalFn      -- reduced fractions of UniPoly (den monic).
 
-Matrices are dense row-major lists; elimination is generic over any of the
-three scalar types (UniPoly matrices are promoted to RationalFn when a field
-is required, with fraction-free Bareiss available for determinants).
-Questions about one subspace -- independence, membership, coordinates,
-completion by unit vectors -- go through a sparse incremental `Subspace`.
+Matrices are dense row-major lists.  All row reduction goes through one
+sparse incremental `Subspace` echelon, generic over the three scalar types
+(UniPoly pivots are promoted to RationalFn).  It answers questions about one
+subspace -- independence, membership, coordinates, completion by unit
+vectors -- and `rref`, `nullspace`, `rank` and `solve` read their answers
+off it.  Determinants use fraction-free Bareiss instead.
 """
 
 from __future__ import annotations
@@ -431,7 +432,7 @@ class Mat:
             for c in ot:
                 s = None
                 for x, y in zip(r, c):
-                    if _is_zero(x) or _is_zero(y):
+                    if not x or not y:
                         continue
                     p = x * y
                     s = p if s is None else s + p
@@ -445,7 +446,7 @@ class Mat:
         for r in self.a:
             s = None
             for x, y in zip(r, v):
-                if _is_zero(x) or _is_zero(y):
+                if not x or not y:
                     continue
                 p = x * y
                 s = p if s is None else s + p
@@ -462,10 +463,6 @@ class Mat:
         return "Mat(" + ",\n    ".join(repr(r) for r in self.a) + ")"
 
 
-def _is_zero(x) -> bool:
-    return not x
-
-
 def _zero_like(x):
     if isinstance(x, UniPoly):
         return UniPoly.zero()
@@ -475,39 +472,26 @@ def _zero_like(x):
 
 
 def _field_promote(rows):
-    """Promote UniPoly entries to RationalFn so division is available."""
-    has_poly = any(isinstance(x, UniPoly) for r in rows for x in r)
-    has_rf = any(isinstance(x, RationalFn) for r in rows for x in r)
-    if has_poly or has_rf:
-        return [[RationalFn.coerce(x) for x in r] for r in rows], RationalFn(1), RationalFn(0)
-    return [[_as_fraction(x) for x in r] for r in rows], Q1, Q0
+    """Promote UniPoly entries to RationalFn so division is available;
+    returns the promoted rows and the zero of their field."""
+    if any(isinstance(x, (UniPoly, RationalFn)) for r in rows for x in r):
+        return [[RationalFn.coerce(x) for x in r] for r in rows], RationalFn(0)
+    return [[_as_fraction(x) for x in r] for r in rows], Q0
 
 
 def rref(m: Mat):
-    """Reduced row echelon form over the fraction field.
+    """Reduced row echelon form over the fraction field, read off `Subspace`.
 
-    Returns (rows, pivot_column_indices).
+    Returns (rows, pivot_column_indices): the nonzero rows in pivot order,
+    then zero rows up to m.rows.  The form is unique, so it does not depend
+    on the order in which `Subspace` eliminates.
     """
-    rows, one, zero = _field_promote(m.a)
-    nr, nc = len(rows), m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        p = next((i for i in range(r, nr) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    rows, zero = _field_promote(m.a)
+    sp = Subspace(m.cols, rows)
+    pivots = sorted(sp.rows)
+    out = [[sp.rows[p][0].get(j, zero) for j in range(m.cols)] for p in pivots]
+    out += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    return out, pivots
 
 
 def rank(m: Mat) -> int:
@@ -521,8 +505,8 @@ def nullspace(m: Mat) -> list[list]:
     """
     rows, pivots = rref(m)
     nc = m.cols
-    one = RationalFn(1) if rows and isinstance(rows[0][0], RationalFn) else Q1
-    zero = _zero_like(one) if not isinstance(one, Fraction) else Q0
+    one = RationalFn(1) if rows and nc and isinstance(rows[0][0], RationalFn) else Q1
+    zero = _zero_like(one)
     pivset = set(pivots)
     basis = []
     for free in range(nc):
@@ -631,7 +615,7 @@ def column_normalize(m: Mat) -> Mat:
         for i, x in enumerate(v):
             if x:
                 comb = [a + x * b for a, b in zip(comb, cols[i])]
-        if all(not p for p in comb):
+        if not any(comb):
             raise ValueError("columns are linearly dependent over Q(t)")
         cols[j] = strip(comb)
     return Mat.from_cols(cols)

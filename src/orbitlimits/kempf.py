@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Q0, _as_fraction, _is_zero
+from .exactcore import Q0, _as_fraction
 from .lierep import ConjRep, SymRep
 
 
@@ -40,7 +40,7 @@ class WeightSupport:
     components: list[WeightComponent]
 
     def __post_init__(self):
-        if any(_is_zero(c.norm_sq) for c in self.components):
+        if any(not c.norm_sq for c in self.components):
             raise ValueError("zero-norm component in support")
 
     @property
@@ -54,12 +54,12 @@ def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
     Sym^d basis monomial x^e has weight e; the matrix entry (i, j) has
     weight e_i - e_j.
     """
-    if all(_is_zero(x) for x in v):
+    if not any(v):
         raise ValueError("support of the zero vector")
     n = rep.nvars if isinstance(rep, SymRep) else rep.n
     groups: dict[tuple, list] = {}
     for idx, c in enumerate(v):
-        if _is_zero(c):
+        if not c:
             continue
         if isinstance(rep, SymRep):
             chi = tuple(rep.basis[idx])

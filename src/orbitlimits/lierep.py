@@ -12,12 +12,10 @@ Conventions (pinned by the Sym^2 worked example):
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import (Mat, Q0, Q1, _as_fraction, _is_zero, lin_indep_subset,
-                        nullspace)
+from .exactcore import Mat, Q0, Q1, _as_fraction, lin_indep_subset, nullspace
 
 
 class Form:
@@ -33,9 +31,9 @@ class Form:
             e = tuple(int(x) for x in e)
             if len(e) != nvars or sum(e) != degree:
                 raise ValueError(f"exponent {e} not of degree {degree} in {nvars} vars")
-            if not _is_zero(c):
+            if c:
                 t[e] = t.get(e, Q0) + c
-                if _is_zero(t[e]):
+                if not t[e]:
                     del t[e]
         self.terms = t
 
@@ -103,13 +101,13 @@ class SymRep:
 
     def from_coords(self, v: Sequence) -> Form:
         return Form(self.nvars, self.degree,
-                    {e: c for e, c in zip(self.basis, v) if not _is_zero(c)})
+                    {e: c for e, c in zip(self.basis, v) if c})
 
     def act_elementary(self, i: int, j: int, v: Sequence) -> list:
         """E_ij . v  =  x_j d/dx_i applied coordinatewise."""
         out = [Q0] * self.dim
         for idx, c in enumerate(v):
-            if _is_zero(c):
+            if not c:
                 continue
             e = self.basis[idx]
             if e[i] == 0:
@@ -127,10 +125,10 @@ class SymRep:
         for i in range(self.n):
             for j in range(self.n):
                 gij = g.a[i][j]
-                if _is_zero(gij):
+                if not gij:
                     continue
                 for idx, x in enumerate(self.act_elementary(i, j, v)):
-                    if not _is_zero(x):
+                    if x:
                         out[idx] = out[idx] + gij * x
         return out
 
@@ -170,10 +168,10 @@ class ConjRep:
         out = [Q0] * self.dim
         for k in range(n):
             x = v[j * n + k]          # (E_ij Y)[i,k] = Y[j,k]
-            if not _is_zero(x):
+            if x:
                 out[i * n + k] = out[i * n + k] + x
             x = v[k * n + i]          # (Y E_ij)[k,j] = Y[k,i]
-            if not _is_zero(x):
+            if x:
                 out[k * n + j] = out[k * n + j] - x
         return out
 
@@ -219,14 +217,14 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:
         out = {}
         for e, c in poly.items():
             for j, a in enumerate(row):
-                if _is_zero(a):
+                if not a:
                     continue
                 ee = list(e)
                 ee[j] += 1
                 key = tuple(ee)
                 prev = out.get(key)
                 out[key] = a * c if prev is None else prev + a * c
-        return {e: c for e, c in out.items() if not _is_zero(c)}
+        return {e: c for e, c in out.items() if c}
 
     total: dict = {}
     for e, coef in f.terms.items():
@@ -237,7 +235,7 @@ def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:
         for ee, c in poly.items():
             prev = total.get(ee)
             total[ee] = c if prev is None else prev + c
-    return {e: c for e, c in total.items() if not _is_zero(c)}
+    return {e: c for e, c in total.items() if c}
 
 
 def group_act_form(A: Mat, f: Form) -> Form:

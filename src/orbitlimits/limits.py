@@ -16,9 +16,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, _is_zero,
-                        column_normalize, coords_in_basis, det_bareiss,
-                        lin_indep_subset, nullspace, rank, solve)
+from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, column_normalize,
+                        coords_in_basis, det_bareiss, lin_indep_subset, nullspace, rank)
 from .lierep import (ConjRep, Form, Representation, SymRep, bracket,
                      group_act_form, stabilizer_algebra, substitute_linear,
                      tangent_space)
@@ -160,22 +159,24 @@ class NotGraded(ValueError):
     pass
 
 
+def _weight_rows(vectors: Sequence[Sequence], coord_weights: Sequence[int], keep) -> Mat:
+    """The matrix with columns vectors, cut to the rows whose coordinate
+    weight passes keep.  Its kernel is the set of combinations whose
+    components at those weights vanish."""
+    m = Mat.from_cols([list(v) for v in vectors])
+    return Mat([r for r, w in zip(m.a, coord_weights) if keep(w)], len(vectors))
+
+
 def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) -> dict:
     """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight.
 
     Raises NotGraded if the subspace is not graded (dims do not sum to its
     dimension).
     """
-    if not vectors:
-        return {}
     total = len(lin_indep_subset([list(v) for v in vectors]))
-    m = Mat.from_cols([list(v) for v in vectors])
     dims: dict = {}
-    weights = sorted({w for w in coord_weights})
-    for w in weights:
-        out_rows = [m.a[i] for i in range(m.rows) if coord_weights[i] != w]
-        r = rank(Mat(out_rows)) if out_rows else 0
-        d = total - r
+    for w in sorted(set(coord_weights)):
+        d = total - rank(_weight_rows(vectors, coord_weights, lambda x: x != w))
         if d:
             dims[w] = d
     if sum(dims.values()) != total:
@@ -185,20 +186,11 @@ def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) ->
 
 def graded_component(vectors: Sequence[Sequence], coord_weights: Sequence[int], w: int) -> list[list]:
     """Basis of span(vectors) ∩ (weight-w coordinate subspace)."""
-    if not vectors:
-        return []
-    m = Mat.from_cols([list(v) for v in vectors])
-    out_rows = [m.a[i] for i in range(m.rows) if coord_weights[i] != w]
-    if not out_rows:
-        combos = [[Q1 if i == j else Q0 for i in range(len(vectors))]
-                  for j in range(len(vectors))]
-    else:
-        combos = nullspace(Mat(out_rows))
     out = []
-    for alpha in combos:
-        v = [Q0] * m.rows
+    for alpha in nullspace(_weight_rows(vectors, coord_weights, lambda x: x != w)):
+        v = [Q0] * len(coord_weights)
         for c, vec in zip(alpha, vectors):
-            if _is_zero(c):
+            if not c:
                 continue
             for i, x in enumerate(vec):
                 v[i] = v[i] + c * x
@@ -273,22 +265,22 @@ def limit_algebra(f: Form, lam: OnePS, policy: str = "orthogonal",
                               N_contains=tail_coords, weights=lam.weights)
     n_t = exp.fplus_coords(rep)
     MN, MS = _build_MN_MS(exp, model)
-    delta = UniPoly.coerce(model.delta(n_t)) if model.S else UniPoly.const(1)
+    delta = UniPoly.coerce(model.delta(n_t))
 
-    ker = nullspace(MN) if len(model.H) else []
+    ker = nullspace(MN)
     Kt, K0, Ht = [], [], []
     if ker:
         norm = column_normalize(Mat.from_cols([list(v) for v in ker]))
         for alpha in norm.columns():
             h_poly = Mat.zeros(rep.n, rep.n, zero=UniPoly.zero())
             for aj, h in zip(alpha, model.H):
-                if _is_zero(aj):
+                if not aj:
                     continue
                 h_poly = h_poly + h.map(lambda x: UniPoly.coerce(aj) * UniPoly.coerce(x))
             # column j of MS is lambda_S(w_j); the s-part carries a minus sign
             sc = [RationalFn.coerce(0) for _ in model.S]
             for j, aj in enumerate(alpha):
-                if _is_zero(aj):
+                if not aj:
                     continue
                 sc = [a - RationalFn.coerce(aj) * RationalFn.coerce(MS.a[i][j])
                       for i, a in enumerate(sc)]
@@ -327,13 +319,13 @@ def _verify_limit_algebra(f: Form, data: LimitAlgebraData):
         for kt in data.Kt:
             for c in kt.s_coeffs:
                 c = RationalFn.coerce(c)
-                if c.num and (_is_zero(c.den(Q0)) or c.num.valuation() < d):
+                if c.num and (not c.den(Q0) or c.num.valuation() < d):
                     raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
     # generic rational t0: k(t0) annihilates f(t0)
     t0 = _generic_t0(data)
     ft0 = data.expansion.f_of_t_coords(rep, t0)
     for kt in data.Kt:
-        if any(not _is_zero(x) for x in rep.act(kt.at(t0), ft0)):
+        if any(rep.act(kt.at(t0), ft0)):
             raise ValueError(f"k({t0}) does not annihilate f({t0})")
 
 
@@ -341,14 +333,14 @@ def _generic_t0(data: LimitAlgebraData) -> Fraction:
     candidates = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(5, 7),
                   Fraction(7, 11), Fraction(2, 7), Fraction(3, 11)]
     for t0 in candidates:
-        if data.delta is not None and _is_zero(data.delta(t0)):
+        if data.delta is not None and not data.delta(t0):
             continue
         ok = True
         for kt in data.Kt:
             for row in kt.mat.a:
                 for x in row:
                     x = RationalFn.coerce(x)
-                    if _is_zero(x.den(t0)):
+                    if not x.den(t0):
                         ok = False
         if ok:
             return t0
@@ -371,9 +363,9 @@ def limit_algebra_by_conjugation(f: Form, lam: OnePS,
     cols = []
     for k in K:
         co = glrep.to_coords(k)
-        ws = [glw[i] for i, x in enumerate(co) if not _is_zero(x)]
+        ws = [glw[i] for i, x in enumerate(co) if x]
         base = min(ws) if ws else 0
-        cols.append([UniPoly.t(glw[i] - base, x) if not _is_zero(x) else UniPoly.zero()
+        cols.append([UniPoly.t(glw[i] - base, x) if x else UniPoly.zero()
                      for i, x in enumerate(co)])
     Kt, K0 = [], []
     if cols:
@@ -433,6 +425,13 @@ class TripleStabilizers:
                 self.Klf_dims.get(-1, 0))
 
 
+def _preimage_in_span(A: list[list], B: list[list]) -> list[list]:
+    """A basis of {alpha : sum alpha_i A_i in span B}: the A-block of the
+    kernel of [A | B], thinned to a linearly independent subset."""
+    alphas = [v[:len(A)] for v in nullspace(Mat.from_cols(A + B))]
+    return [alphas[i] for i in lin_indep_subset(alphas)]
+
+
 def triple_stabilizers(f: Form, lam: OnePS, rep: Optional[Representation] = None,
                        verify: bool = True) -> TripleStabilizers:
     """Pure elements of K and the stabilizer K_{ell f} = {k : [k, ell] in K}."""
@@ -453,31 +452,24 @@ def triple_stabilizers(f: Form, lam: OnePS, rep: Optional[Representation] = None
             pure.extend(glrep.from_coords(c) for c in comp)
 
     # Klf: alpha with sum alpha_i [k_i, ell] in span K
-    if K:
-        br_cols = [glrep.to_coords(bracket(k, ell)) for k in K]
-        big = Mat.from_cols(br_cols + k_flat)
-        Klf = []
-        kernel = nullspace(big)
-        alphas = [kv[:len(K)] for kv in kernel]
-        idx = lin_indep_subset(alphas) if alphas else []
-        for i in idx:
-            m = Mat.zeros(rep.n, rep.n)
-            for c, k in zip(alphas[i], K):
-                if not _is_zero(c):
-                    m = m + k.scale(c)
-            Klf.append(m)
-        try:
-            Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw)
-        except NotGraded:
-            Klf_dims = None   # K_lf = stab f ∩ stab lf need not be lambda-graded
-    else:
-        Klf, Klf_dims = [], {}
+    br_cols = [glrep.to_coords(bracket(k, ell)) for k in K]
+    Klf = []
+    for alpha in _preimage_in_span(br_cols, k_flat):
+        m = Mat.zeros(rep.n, rep.n)
+        for c, k in zip(alpha, K):
+            if c:
+                m = m + k.scale(c)
+        Klf.append(m)
+    try:
+        Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw)
+    except NotGraded:
+        Klf_dims = None   # K_lf = stab f ∩ stab lf need not be lambda-graded
 
     if verify and isinstance(f, Form):
         comps = decompose_form(f, lam)
         for p in pure:
             for form in comps.values():
-                if any(not _is_zero(x) for x in rep.act(p, rep.to_coords(form))):
+                if any(rep.act(p, rep.to_coords(form))):
                     raise ValueError("pure element does not kill a graded component of f")
     return TripleStabilizers(K, pure, pure_dims, Klf, Klf_dims)
 
@@ -495,14 +487,9 @@ def filtered_dims(f: Form, lam: OnePS, rep: Optional[Representation] = None) -> 
     K = stabilizer_algebra(rep, v)
     if not K:
         return {}
-    m = Mat.from_cols([glrep.to_coords(k) for k in K])
-    lo, hi = min(glw), max(glw)
-    out = {}
-    for i in range(lo, hi + 2):
-        rows = [m.a[r] for r in range(m.rows) if glw[r] < i]
-        r = rank(Mat(rows)) if rows else 0
-        out[i] = len(K) - r
-    return out
+    k_flat = [glrep.to_coords(k) for k in K]
+    return {i: len(K) - rank(_weight_rows(k_flat, glw, lambda w: w < i))
+            for i in range(min(glw), max(glw) + 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +538,7 @@ def is_nilpotent_matrix(m: Mat) -> bool:
     p = Mat.identity(n)
     for _ in range(n):
         p = p * m
-    return all(_is_zero(x) for row in p.a for x in row)
+    return all(not x for row in p.a for x in row)
 
 
 def jordan_chevalley(m: Mat):
@@ -561,7 +548,7 @@ def jordan_chevalley(m: Mat):
     dp = p.derivative()
     g = p.gcd(dp)
     f0 = p.exact_div(g).monic()          # squarefree part
-    if all(_is_zero(x) for row in _poly_of_matrix(f0, m).a for x in row):
+    if all(not x for row in _poly_of_matrix(f0, m).a for x in row):
         return m, Mat.zeros(m.rows, m.cols)
     g1, u1, _v1 = _poly_xgcd(f0.derivative(), f0)   # u1 inverts f0' modulo f0
     if g1.degree() != 0:
@@ -570,7 +557,7 @@ def jordan_chevalley(m: Mat):
     steps = 0
     while steps < m.rows + 2:
         fy = _poly_of_matrix(f0, y)
-        if all(_is_zero(x) for row in fy.a for x in row):
+        if all(not x for row in fy.a for x in row):
             break
         corr = fy * _poly_of_matrix(u1, y)
         y = y - corr
@@ -597,7 +584,7 @@ def _weight_split(m: Mat, glw, glrep) -> dict:
     out: dict = {}
     co = glrep.to_coords(m)
     for i, x in enumerate(co):
-        if _is_zero(x):
+        if not x:
             continue
         out.setdefault(glw[i], [Q0] * len(co))[i] = x
     return {w: glrep.from_coords(v) for w, v in out.items()}
@@ -614,26 +601,19 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
     # (B) with u = identity: a pure element of K
     for p in ts.pure:
         comps = decompose_form(f, lam)
-        if all(all(_is_zero(x) for x in rep.act(p, rep.to_coords(c)))
+        if all(not any(rep.act(p, rep.to_coords(c)))
                for c in comps.values()):
             return CaseResult("B", {"u": Mat.identity(rep.n), "witness": p,
                                     "pure": True})
 
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
     k_flat = [glrep.to_coords(k) for k in K]
-    if K:
-        neg_rows = [r for r in range(glrep.dim) if glw[r] < 0]
-        m = Mat.from_cols(k_flat)
-        sub = Mat([m.a[r] for r in neg_rows]) if neg_rows else Mat.zeros(0, len(K))
-        pk_alphas = nullspace(sub) if neg_rows else \
-            [[Q1 if i == j else Q0 for i in range(len(K))] for j in range(len(K))]
-    else:
-        pk_alphas = []
+    pk_alphas = nullspace(_weight_rows(k_flat, glw, lambda w: w < 0))
     candidates = []
     for alpha in pk_alphas:
         mm = Mat.zeros(rep.n, rep.n)
         for c, k in zip(alpha, K):
-            if not _is_zero(c):
+            if c:
                 mm = mm + k.scale(c)
         candidates.append(mm)
     rng = random.Random(seed)
@@ -644,17 +624,17 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
             if c == 0:
                 continue
             for cc, k in zip(alpha, K):
-                if not _is_zero(cc):
+                if cc:
                     mm = mm + k.scale(c * cc)
         candidates.append(mm)
     f_coords = rep.to_coords(f)
     for cand in candidates:
-        if all(_is_zero(x) for row in cand.a for x in row):
+        if all(not x for row in cand.a for x in row):
             continue
         ss, _nil = jordan_chevalley(cand)
-        if all(_is_zero(x) for row in ss.a for x in row):
+        if all(not x for row in ss.a for x in row):
             continue
-        if any(not _is_zero(x) for x in rep.act(ss, f_coords)):
+        if any(rep.act(ss, f_coords)):
             continue  # semisimple part should stabilize f; skip if not
         witness = _cancel_positive_weights(ss, glw, glrep, rep)
         if witness is None:
@@ -669,9 +649,9 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
         ellfu = Form(f.nvars, f.degree, {})
         for c, form in exp_u.terms.items():
             ellfu = ellfu + form.scale(Fraction(c))
-        ok = (all(_is_zero(x) for x in rep.act(k_pure, rep.to_coords(fu)))
-              and all(_is_zero(x) for x in rep.act(k_pure, rep.to_coords(exp_f.g)))
-              and all(_is_zero(x) for x in rep.act(k_pure, rep.to_coords(ellfu))))
+        ok = (not any(rep.act(k_pure, rep.to_coords(fu)))
+              and not any(rep.act(k_pure, rep.to_coords(exp_f.g)))
+              and not any(rep.act(k_pure, rep.to_coords(ellfu))))
         if ok:
             return CaseResult("B", {"u": u, "witness": k_pure, "pure": False,
                                     "semisimple": ss})
@@ -700,7 +680,7 @@ def _lower_central_series(K0: Sequence[Mat], glrep) -> Optional[list[int]]:
             x = glrep.from_coords(v)
             for k in K0:
                 nxt.append(glrep.to_coords(bracket(k, x)))
-        nxt = [nxt[i] for i in lin_indep_subset(nxt)] if nxt else []
+        nxt = [nxt[i] for i in lin_indep_subset(nxt)]
         if len(nxt) >= len(cur) and len(cur) > 0 and len(nxt) == dims[-1]:
             return None
         dims.append(len(nxt))
@@ -735,13 +715,12 @@ def _cancel_positive_weights(ss: Mat, glw, glrep, rep):
             z = glrep.from_coords(e)
             cols.append(glrep.to_coords(bracket(z, s0)))
         target = [-x for x in glrep.to_coords(comps[w])]
-        try:
-            sol = solve(Mat.from_cols(cols), [target])[0]
-        except ValueError:
+        sol = coords_in_basis(cols, target)   # any solution cancels cur_w
+        if sol is None:
             return None
         z = Mat.zeros(n, n)
         for c, i in zip(sol, idx):
-            if not _is_zero(c):
+            if c:
                 e = [Q0] * glrep.dim
                 e[i] = c
                 z = z + glrep.from_coords(e)
@@ -763,7 +742,7 @@ def _unipotent_inverse(u: Mat) -> Mat:
     for _ in range(n):
         term = (term * z).scale(Fraction(-1))
         inv = inv + term
-    if any(not _is_zero(x) for row in ((u * inv) - Mat.identity(n)).a for x in row):
+    if any(x for row in ((u * inv) - Mat.identity(n)).a for x in row):
         raise ValueError("matrix is not unipotent")
     return inv
 
@@ -798,7 +777,7 @@ def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None
     for h in domain:
         w = rep.act(h, fb)
         sc, nc = model.split_V(w)
-        if any(not _is_zero(x) for x in nc):
+        if any(nc):
             raise ValueError("h does not star-stabilize f_b; d_b undefined")
         values.append(model.s_mat(sc))
     if verify:
@@ -812,7 +791,7 @@ def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None
                     raise ValueError("derivation domain is not a subalgebra")
                 lhs = Mat.zeros(rep.n, rep.n)
                 for c, s in zip(co, values):
-                    if not _is_zero(c):
+                    if c:
                         lhs = lhs + s.scale(c)
                 rhs = bracket(domain[i], values[j]) - bracket(domain[j], values[i])
                 if glrep.to_coords(rhs - lhs) not in h:
@@ -843,29 +822,25 @@ def hoffman_case(H: Sequence[Mat], K0: Sequence[Mat], n: int) -> Optional[int]:
         return None
     cur = [glrep.to_coords(m) for m in K0]
     while cur:
-        # next iterate: {x in span(cur) : [h, x] in span(cur) for all h in H}
-        ncur = len(cur)
-        cols = []
-        for v in cur:
-            x = glrep.from_coords(v)
-            cols.append([c for h in H for c in glrep.to_coords(bracket(h, x))])
+        # next iterate: {x in span(cur) : [h, x] in span(cur) for all h in H},
+        # with the brackets by all of H stacked into one column per x
+        brackets = [[c for h in H for c in glrep.to_coords(bracket(h, glrep.from_coords(v)))]
+                    for v in cur]
+        blocks = []
         for hi in range(len(H)):
             for v in cur:
                 col = [Q0] * (len(H) * glrep.dim)
                 for t in range(glrep.dim):
                     col[hi * glrep.dim + t] = -v[t]
-                cols.append(col)
-        ker = nullspace(Mat.from_cols(cols))
-        alphas = [kv[:ncur] for kv in ker]
-        idx = lin_indep_subset(alphas) if alphas else []
+                blocks.append(col)
         nxt = []
-        for i in idx:
+        for alpha in _preimage_in_span(brackets, blocks):
             v = [Q0] * glrep.dim
-            for c, base in zip(alphas[i], cur):
-                if not _is_zero(c):
+            for c, base in zip(alpha, cur):
+                if c:
                     v = [a + c * b for a, b in zip(v, base)]
             nxt.append(v)
-        if len(nxt) == ncur:
+        if len(nxt) == len(cur):
             break
         cur = nxt
     codim = len(K0) - len(cur)
@@ -920,7 +895,7 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
             const = Mat.zeros(rep.n, rep.n)
             const = bracket(K0[i], db.values[j]) - bracket(K0[j], db.values[i])
             for mth, c in enumerate(beta[(i, j)]):
-                if not _is_zero(c):
+                if c:
                     const = const - db.values[mth].scale(c)
             const_q = mod_K0(glrep.to_coords(const))
             coeffs = {}
@@ -930,7 +905,7 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
                 coeffs[(j, w)] = vj
                 coeffs[(i, w)] = [-x for x in vi]
             for mth, c in enumerate(beta[(i, j)]):
-                if not _is_zero(c):
+                if c:
                     for w in range(nw):
                         wq = mod_K0(glrep.to_coords(W[w]))
                         prev = coeffs.get((mth, w), [Q0] * len(wq))
@@ -954,7 +929,7 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
         v = db.values[mth]
         for w in range(nw):
             c = sol[mth * nw + w]
-            if not _is_zero(c):
+            if c:
                 v = v + W[w].scale(c)
         dbar.append(v)
     eps_basis = [(K0[mth], -dbar[mth]) for mth in range(K)]
@@ -978,10 +953,13 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
     """For each weight component h_w of each K0 element, check the identity
     required at leading order: an s of weight (b-a)+w with s.g = h_w.f_b
     when such a weight exists in S, else h_w.f_b = 0.  The b-a in {1, 2, >2}
-    case split of the appendix is the specialization to w in {-1, 0}."""
+    case split of the appendix is the specialization to w in {-1, 0}.  A
+    lambda-homogeneous f has no f_b and so no condition: the report is empty."""
     model = data.model
     rep = data.rep
     exp = data.expansion
+    if exp.f_b is None:
+        return []
     glrep = ConjRep(rep.n)
     glw = gl_act_weights(rep, data.lam)
     # S is graded whenever H is, so the weight-w components of the S basis
@@ -1001,7 +979,7 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
             target = rep.act(hw, fb)
             needed = d + w
             entry = {"element": ki, "weight": w, "s_weight": needed, "case": case}
-            if all(_is_zero(x) for x in target):
+            if not any(target):
                 entry["status"] = "zero"
             elif needed in s_comps:
                 cols = [rep.act(s, g_coords) for s in s_comps[needed]]

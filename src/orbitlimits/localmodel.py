@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, _is_zero,
-                        det_bareiss, lin_indep_subset, nullspace, solve)
+from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, det_bareiss,
+                        lin_indep_subset, nullspace, solve)
 from .lierep import ConjRep, Representation, stabilizer_algebra
 
 
@@ -21,7 +21,7 @@ def graded_basis(vectors: Sequence[Sequence], coord_weights) -> list[list]:
     for v in vectors:
         by_w = {}
         for i, x in enumerate(v):
-            if not _is_zero(x):
+            if x:
                 by_w.setdefault(coord_weights[i], [Q0] * len(v))[i] = x
         comps.extend(by_w.values())
     idx = lin_indep_subset(comps)
@@ -90,10 +90,10 @@ class LocalModel:
         """N-coefficients -> V-coordinate vector."""
         out = [Q0] * self.rep.dim
         for c, nv in zip(ncoeffs, self.N):
-            if _is_zero(c):
+            if not c:
                 continue
             for i, x in enumerate(nv):
-                if not _is_zero(x):
+                if x:
                     out[i] = out[i] + c * x
         return out
 
@@ -101,7 +101,7 @@ class LocalModel:
         n = self.rep.n
         out = Mat.zeros(n, n)
         for c, s in zip(scoeffs, self.S):
-            if _is_zero(c):
+            if not c:
                 continue
             out = out + s.scale(c)
         return out
@@ -110,7 +110,7 @@ class LocalModel:
         n = self.rep.n
         out = Mat.zeros(n, n)
         for c, h in zip(hcoeffs, self.H):
-            if _is_zero(c):
+            if not c:
                 continue
             out = out + h.scale(c)
         return out
@@ -152,14 +152,14 @@ class LocalModel:
         C = self._C_matrix(n, bcols)
         rhs = [self.lamS(dv) for dv in dvs]
         try:
-            us = solve(C, rhs) if self.S else [[] for _ in dvs]
+            us = solve(C, rhs)
         except ValueError as e:
             raise SingularMatrix(f"1+theta(n) is singular: {e}") from e
         out = []
         for dv, u in zip(dvs, us):
             w = list(dv)
             for uj, b in zip(u, bcols):
-                if _is_zero(uj):
+                if not uj:
                     continue
                 w = [a - uj * x for a, x in zip(w, b)]
             out.append(w)
@@ -189,14 +189,13 @@ class LocalModel:
         hns = [self.rep.act(h, list(n)) for h in self.H]
         ws = self.inv_one_plus_theta(n, hns)
         splits = [self.split_V(w) for w in ws]
-        MN = Mat.from_cols([nc for (_, nc) in splits]) if self.N else Mat.zeros(0, len(self.H))
-        ker = nullspace(MN) if self.H else []
+        ker = nullspace(Mat.from_cols([nc for (_, nc) in splits]))
         elements, h_parts, s_parts, h_coeffs = [], [], [], []
         for alpha in ker:
             h = self.h_mat(alpha)
             sc = [Q0] * len(self.S)
             for aj, (scj, _) in zip(alpha, splits):
-                if _is_zero(aj):
+                if not aj:
                     continue
                 sc = [a - aj * b for a, b in zip(sc, scj)]
             s = self.s_mat(sc)
@@ -228,16 +227,9 @@ class LocalModel:
             for r in R:
                 rn_cols = [self.rep.act(r, list(nv)) for nv in self.N]
                 for c in rn_cols:
-                    if any(not _is_zero(x) for x in self.lamS(c)):
+                    if any(self.lamS(c)):
                         raise ValueError("reductive part does not preserve N")
         return True
-
-
-def _orthocomplement(vectors: Sequence[Sequence], dim: int) -> list[list]:
-    """Coefficientwise orthogonal complement of the span inside Q^dim."""
-    if not vectors:
-        return [[Q1 if i == j else Q0 for i in range(dim)] for j in range(dim)]
-    return nullspace(Mat([list(v) for v in vectors]))
 
 
 class NotTransverse(ValueError):
@@ -261,7 +253,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
     trace-zero basis).
     """
     x = list(x)
-    if all(_is_zero(c) for c in x):
+    if not any(x):
         raise ValueError("base point x must be nonzero")
     glrep = ConjRep(rep.n)
     cw = [rep.coord_weight(i, weights) for i in range(rep.dim)] if weights is not None else None
@@ -277,7 +269,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
         for co in nullspace(cols):
             m = Mat.zeros(rep.n, rep.n)
             for c, a in zip(co, ambient):
-                if not _is_zero(c):
+                if c:
                     m = m + a.scale(c)
             H.append(m)
         ambient_dim = len(ambient)
@@ -293,16 +285,16 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
     elif ambient is not None:
         # complement of H inside the ambient span, orthogonal in ambient coords
         amb = Subspace(glrep.dim, [glrep.to_coords(a) for a in ambient])
-        comp = _orthocomplement([amb.coords(glrep.to_coords(h)) for h in H], len(ambient))
+        comp = nullspace(Mat([amb.coords(glrep.to_coords(h)) for h in H], len(ambient)))
         Sb = []
         for co in comp:
             m = Mat.zeros(rep.n, rep.n)
             for c, a in zip(co, ambient):
-                if not _is_zero(c):
+                if c:
                     m = m + a.scale(c)
             Sb.append(m)
     else:
-        comp = _orthocomplement([glrep.to_coords(h) for h in H], glrep.dim)
+        comp = nullspace(Mat([glrep.to_coords(h) for h in H], glrep.dim))
         if glw is not None:
             comp = graded_basis(comp, glw)
         Sb = [glrep.from_coords(v) for v in comp]
@@ -323,7 +315,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
             Nb += [[Q1 if i == j else Q0 for i in range(rep.dim)]
                    for j in V.complete_with_units()]
         else:
-            Nb = _orthocomplement(TO, rep.dim)
+            Nb = nullspace(Mat(TO, rep.dim))
             if cw is not None:
                 Nb = graded_basis(Nb, cw)
 

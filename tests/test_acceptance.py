@@ -19,7 +19,7 @@ from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
 from orbitlimits.curvature import cyclic_shift_suite
-from orbitlimits.exactcore import Q1, UniPoly, coords_in_basis, _is_zero
+from orbitlimits.exactcore import Q1, UniPoly, coords_in_basis
 from orbitlimits.lierep import ConjRep, Form, bracket, monomial_basis
 from orbitlimits.limits import (OnePS, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
@@ -237,7 +237,7 @@ def test_acceptance_10_property_suites():
         for k in d1.K0:
             ok = ok and coords_in_basis(h_flat, glrep.to_coords(k)) is not None
             if fb is not None:
-                ok = ok and all(_is_zero(x) for x in d1.model.star(k, fb))
+                ok = ok and not any(d1.model.star(k, fb))
 
     # reconstruction identity on 100 random (n, dv) pairs
     model = jn_local_model(3)

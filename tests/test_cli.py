@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from orbitlimits import cli
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                              form_from_doc, main)
 from orbitlimits.lierep import SymRep, stabilizer_algebra
@@ -141,6 +142,15 @@ def test_closure_positive_with_witness(tmp_path, capsys):
     assert res["contains"] is True and "witness" in res
 
 
+@pytest.mark.parametrize("eig", ["-1", "0"])
+def test_closure_rejects_scalar_spec(tmp_path, capsys, eig):
+    # chi = (1^n): a one-point projective orbit, or none for the zero matrix
+    doc = {"spec": [{"eig": eig, "sizes": [1, 1]}], "partition": [1, 1]}
+    path = _write(tmp_path, "in.json", doc)
+    code, out, err = _run(capsys, ["closure", "--input", path])
+    assert code == EXIT_INPUT and out == "" and "scalar spec" in err
+
+
 def test_slice_jn(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"kind": "jn", "n": 3})
     code, out, _ = _run(capsys, ["slice", "--input", path])
@@ -200,11 +210,62 @@ def test_bad_exponent_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT and "input error" in err
 
 
+@pytest.mark.parametrize("nvars,degree", [(0, 2), (2, -1)])
+def test_form_without_variables_or_with_negative_degree_is_input_error(
+        tmp_path, capsys, nvars, degree):
+    doc = {"form": {"nvars": nvars, "degree": degree, "terms": []}}
+    path = _write(tmp_path, "in.json", doc)
+    code, _, err = _run(capsys, ["stabilizer", "--input", path])
+    assert code == EXIT_INPUT and "nvars >= 1" in err
+
+
 def test_wrong_schema_rejected(tmp_path, capsys):
     doc = dict(XYZ, schema=99)
     path = _write(tmp_path, "in.json", doc)
     code, _, err = _run(capsys, ["stabilizer", "--input", path])
     assert code == EXIT_INPUT and "schema" in err
+
+
+@pytest.mark.parametrize("cmd,doc", [
+    ("slice", {"kind": "jn"}),
+    ("slice", {"kind": "jn", "n": "x"}),
+    ("slice", {"kind": "jn", "n": 1}),
+    ("slice", {"kind": "jab", "a": 1, "b": 2}),
+    ("curvature", {"kind": "sphere"}),
+    ("curvature", {"kind": "sphere", "dim": -1}),
+    ("curvature", {"kind": "adjoint", "lams": 5}),
+    ("curvature", {"kind": "cyclic", "n": 2}),
+])
+def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cmd, doc):
+    path = _write(tmp_path, "in.json", doc)
+    code, out, err = _run(capsys, [cmd, "--input", path])
+    assert code == EXIT_INPUT and out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("cmd,doc", [
+    ("local-model", {"form": {"nvars": "x", "degree": 2, "terms": []}}),
+    ("local-model", {"form": {"nvars": 2, "degree": 2,
+                              "terms": [{"exp": ["a", 2], "coef": "1"}]}}),
+    ("local-model", dict(XYZ, weights=["q", 1, 0])),
+    ("local-model", dict(XYZ, weights=[1])),
+    ("closure", {"spec": [{"eig": "1", "sizes": ["x"]}], "partition": [1]}),
+])
+def test_ill_typed_fields_are_input_errors(tmp_path, capsys, cmd, doc):
+    path = _write(tmp_path, "in.json", doc)
+    code, out, err = _run(capsys, [cmd, "--input", path])
+    assert code == EXIT_INPUT and out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError, RuntimeError])
+def test_library_assertion_and_runtime_errors_are_compute_errors(
+        tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("internal check failed")
+    monkeypatch.setattr(cli, "closure_contains_nilpotent", fail)
+    doc = {"spec": [{"eig": "1", "sizes": [2]}], "partition": [2]}
+    path = _write(tmp_path, "in.json", doc)
+    code, _, err = _run(capsys, ["closure", "--input", path])
+    assert code == EXIT_COMPUTE and "internal check failed" in err
 
 
 def test_zero_form_is_compute_error(tmp_path, capsys):

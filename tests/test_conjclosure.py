@@ -13,7 +13,7 @@ from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      probe_family, transpose,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
-from orbitlimits.exactcore import Mat, UniPoly, Q1, _is_zero
+from orbitlimits.exactcore import Mat, UniPoly, Q1
 
 
 # ---------------------------------------------------------------------------

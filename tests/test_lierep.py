@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlimits.exactcore import Mat, Q0, Q1, _is_zero
+from orbitlimits.exactcore import Mat, Q0
 from orbitlimits.lierep import (ConjRep, Form, SymRep, action_matrix,
                                 bracket, elementary, group_act_form,
                                 stabilizer_algebra, tangent_space)
@@ -24,7 +24,7 @@ def test_sym_action_is_derivation_rule():
     v = rep.to_coords(f)
     assert rep.from_coords(rep.act(elementary(2, 0, 1), v)) == \
         Form(2, 2, {(1, 1): 2})
-    assert all(_is_zero(x) for x in rep.act(elementary(2, 1, 0), v))
+    assert not any(rep.act(elementary(2, 1, 0), v))
 
 
 def test_sym_euler_identity():
@@ -80,7 +80,7 @@ def test_stabilizer_annihilates():
     # the stabilizer of xyz is the trace-zero diagonal torus
     assert len(H) == 2
     for h in H:
-        assert all(_is_zero(x) for x in rep.act(h, v))
+        assert not any(rep.act(h, v))
 
 
 def test_stabilizer_of_zero_is_full_gl():

@@ -7,12 +7,11 @@ import pytest
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
-from orbitlimits.exactcore import (Mat, Q0, RationalFn, UniPoly,
-                                   coords_in_basis, _is_zero)
+from orbitlimits.exactcore import Mat, Q0, RationalFn, UniPoly, coords_in_basis
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, elementary
-from orbitlimits.limits import (OnePS, check_graded_conditions, classify_case,
-                                expand_orbit_curve, extension_feasible,
-                                filtered_dims, hoffman_case, limit_algebra,
+from orbitlimits.limits import (OnePS, _cancel_positive_weights, check_graded_conditions,
+                                classify_case, expand_orbit_curve, extension_feasible,
+                                filtered_dims, gl_act_weights, hoffman_case, limit_algebra,
                                 limit_algebra_by_conjugation, same_span,
                                 tangent_of_exit, triple_stabilizers)
 from orbitlimits.reproduce import _lam_data
@@ -59,7 +58,7 @@ def test_o2_kt_and_k0(o2_data):
     assert len(o2_data.Kt) == 1
     kt = o2_data.Kt[0].mat
     alpha = kt.a[0][1]
-    assert not _is_zero(alpha)
+    assert alpha
     assert kt.a[1][0] == alpha * RationalFn.coerce(UniPoly.t(2, -1))
     k0 = o2_data.K0[0]
     assert k0 == elementary(2, 0, 1, k0.a[0][1])
@@ -168,6 +167,13 @@ def test_o2_graded_conditions(o2_data):
     assert conds and all(c["status"] in ("solved", "zero") for c in conds)
 
 
+def test_graded_conditions_of_lambda_homogeneous_form():
+    # x^2 is fixed up to scale by lambda: no f_b, so no leading-order condition
+    data = limit_algebra(Form(2, 2, {(2, 0): 1}), OnePS([1, 0]))
+    assert data.expansion.f_b is None
+    assert check_graded_conditions(data) == []
+
+
 def test_k0_killed_by_star(o2_data):
     # every k in K0 lies in H and annihilates f_b modulo the tangent space
     model = o2_data.model
@@ -178,7 +184,7 @@ def test_k0_killed_by_star(o2_data):
     for k in o2_data.K0:
         assert coords_in_basis(h_flat, glrep.to_coords(k)) is not None
         # star-annihilation: lambda_N(k . f_b) = 0
-        assert all(_is_zero(x) for x in model.star(k, fb))
+        assert not any(model.star(k, fb))
 
 
 def test_k0_bracket_closed(o3_data):
@@ -193,3 +199,19 @@ def test_k0_bracket_closed(o3_data):
 def test_hoffman_requires_codim_one():
     H = [elementary(2, 0, 1), elementary(2, 1, 0)]
     assert hoffman_case(H, H, 2) is None
+
+
+def test_cancel_positive_weights_gives_weight_zero_conjugate():
+    # E_ij has weight d_j - d_i on forms: E_01 and E_12 weight 1, E_02 weight 2.
+    # ss = diag(1,2,3) + E_01 + E_12 + E_02 is semisimple (distinct eigenvalues)
+    # with positive-weight parts at two levels.
+    rep, glrep = SymRep(3, 2), ConjRep(3)
+    glw = gl_act_weights(rep, OnePS([0, 1, 2]))
+    diag = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]).map(Fraction)
+    ss = diag + elementary(3, 0, 1) + elementary(3, 1, 2) + elementary(3, 0, 2)
+    u, k = _cancel_positive_weights(ss, glw, glrep, rep)
+    assert k == diag                      # the weight-0 part, now pure
+    assert k * u == u * ss                # k = u ss u^-1
+    ident = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).map(Fraction)
+    co = glrep.to_coords(u - ident)
+    assert any(co) and all(glw[i] > 0 for i, x in enumerate(co) if x)   # u in U(lambda)

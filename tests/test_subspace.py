@@ -1,5 +1,6 @@
-"""Differential tests of the Subspace echelon and the functions built on it,
-against sympy over Q and Q(t), including 0-row and 0-column shapes."""
+"""Differential tests of the Subspace echelon and the functions built on it
+(rref, nullspace, rank, solve, lin_indep_subset, coords_in_basis), against
+sympy over Q and Q(t), including 0-row and 0-column shapes."""
 
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly,
                                    coords_in_basis, lin_indep_subset,
-                                   nullspace)
+                                   nullspace, rank, rref, solve)
 
 # mostly zeros, so that the matrices are sparse like the action maps
 entries = st.one_of(st.just(Q0), st.just(Q0),
@@ -166,3 +169,70 @@ def test_qt_vector_over_rational_basis_stays_polynomial():
     co = sp.coords([t, t * t])
     assert all(isinstance(c, (UniPoly, Fraction)) for c in co)
     assert co[0] == t and co[1] == (t * t - t) * Fraction(1, 2)
+
+
+def sym_mat(rows, cols):
+    return sympy.Matrix(len(rows), cols, lambda i, j: to_sympy(rows[i][j]))
+
+
+def same(ours, theirs):
+    """Entrywise equality of nested lists, with Q(t) entries compared after
+    simplify."""
+    return (len(ours) == len(theirs)
+            and all(len(a) == len(b) and all(sympy.simplify(to_sympy(x) - y) == 0
+                                              for x, y in zip(a, b))
+                    for a, b in zip(ours, theirs)))
+
+
+def check_elimination(rows, cols, field):
+    """rref, nullspace and rank of Mat(rows, cols) against sympy; every entry
+    of the results has the type `field`."""
+    m, sm = Mat(rows, cols), sym_mat(rows, cols)
+    got, pivots = rref(m)
+    want, want_pivots = sm.rref(simplify=True)
+    assert pivots == list(want_pivots) and same(got, want.tolist())
+    ns = nullspace(m)
+    assert same(ns, [list(v) for v in sm.nullspace(simplify=True)])
+    assert rank(m) == len(pivots) == sm.rank(simplify=True)
+    if rows and cols:
+        assert all(type(x) is field for r in got for x in r)
+        assert all(type(x) is field for v in ns for x in v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rref_nullspace_rank_against_sympy(data):
+    nr, nc = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    check_elimination(vectors(data, nc, nr), nc, Fraction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_nullspace_rank_over_qt_against_sympy(data):
+    nr, nc = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    rows = [[data.draw(st.one_of(polys, entries)) for _ in range(nc)] for _ in range(nr)]
+    # one Q[t] entry makes every entry of the results a RationalFn
+    field = RationalFn if any(isinstance(x, UniPoly) for r in rows for x in r) else Fraction
+    check_elimination(rows, nc, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_against_sympy(data):
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
+    qt = data.draw(st.booleans()) and n <= 3
+    cell = polys if qt else entries
+    rows = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+    rhs = [[data.draw(cell) for _ in range(n)] for _ in range(k)]
+    sm = sym_mat(rows, n)
+    if n and sympy.simplify(sm.det()) == 0:
+        with pytest.raises(ValueError):
+            solve(Mat(rows, n), rhs)
+        return
+    got = solve(Mat(rows, n), rhs)
+    want = [list(sm.LUsolve(sympy.Matrix([to_sympy(x) for x in b]))) for b in rhs]
+    assert same(got, want)
+    if n and any(isinstance(x, UniPoly) for r in rows + rhs for x in r):
+        assert all(type(x) is RationalFn for col in got for x in col)
+    else:
+        assert all(type(x) is Fraction for col in got for x in col)
