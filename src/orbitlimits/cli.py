@@ -35,6 +35,8 @@ EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 EXIT_MISMATCH = 4
 
+GRID_MAX_RANK = 4   # kempf's grid cross-check makes 41^(n-1) evaluations
+
 
 class InputError(ValueError):
     pass
@@ -333,15 +335,22 @@ def cmd_curvature(args) -> int:
 def cmd_kempf(args) -> int:
     doc = read_input(args)
     rep, v = _vector_input(doc)
+    t = doc.get("t", 100.0)
+    if (isinstance(t, bool) or not isinstance(t, (int, float))
+            or not 1 < t <= sys.float_info.max):
+        raise InputError(f"'t' must be a finite number > 1, got {t!r}")
+    t = float(t)
     support = kempf_support(rep, v)
-    t = float(doc.get("t", 100.0))
-    if t <= 1:
-        raise InputError("need t > 1")
+    grid = doc.get("grid", support.n <= GRID_MAX_RANK)
+    if not isinstance(grid, bool):
+        raise InputError(f"'grid' must be true or false, got {grid!r}")
+    if grid and support.n > GRID_MAX_RANK:
+        raise InputError(f"'grid' needs torus rank <= {GRID_MAX_RANK}, got {support.n}")
     res = kempf_descent(support, t, seed=args.seed)
     out = {"ell": res.ell, "f": res.f_value, "mu": res.mu_value,
            "converged": res.converged, "iterations": res.iterations,
            "weights": [list(chi) for chi in support.weights]}
-    if doc.get("grid", support.n <= 4):
+    if grid:
         gp, gf = grid_minimize(support, t)
         out["grid_f"] = gf
         out["grid_mu"] = float(mu(gp, support))

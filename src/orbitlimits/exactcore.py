@@ -12,11 +12,14 @@ sparse incremental `Subspace` echelon, generic over the three scalar types
 (UniPoly pivots are promoted to RationalFn).  It answers questions about one
 subspace -- independence, membership, coordinates, completion by unit
 vectors -- and `rref`, `nullspace`, `rank` and `solve` read their answers
-off it.  Determinants use fraction-free Bareiss instead.
+off it.  Determinants use fraction-free Bareiss instead, on sparse
+{column: value} rows, so that a sparse matrix such as I + λ_S∘B costs in
+proportion to its nonzeros.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -473,10 +476,13 @@ def _zero_like(x):
 
 def _field_promote(rows):
     """Promote UniPoly entries to RationalFn so division is available;
-    returns the promoted rows and the zero of their field."""
+    returns the promoted rows and the zero of their field, which stands in
+    for every zero entry."""
     if any(isinstance(x, (UniPoly, RationalFn)) for r in rows for x in r):
-        return [[RationalFn.coerce(x) for x in r] for r in rows], RationalFn(0)
-    return [[_as_fraction(x) for x in r] for r in rows], Q0
+        coerce, zero = RationalFn.coerce, RationalFn(0)
+    else:
+        coerce, zero = _as_fraction, Q0
+    return [[coerce(x) if x else zero for x in r] for r in rows], zero
 
 
 def rref(m: Mat):
@@ -535,40 +541,52 @@ def solve(m: Mat, rhs_cols: Sequence[Sequence]) -> list[list]:
 
 
 def det_bareiss(m: Mat):
-    """Fraction-free determinant (Bareiss) over Fraction or UniPoly entries."""
+    """Fraction-free determinant (Bareiss 1968) over Fraction or UniPoly entries.
+
+    Rows are sparse {column: value} dicts.  Step k updates a row below that
+    has a nonzero in column k only on the union of its columns with the
+    pivot row's; a row with a zero there is only rescaled by pivot/prev on
+    its own nonzeros, and not even that when pivot == prev.  Every division
+    is exact.  Returns a UniPoly if any entry is one, else a Fraction.
+    """
     n = m.rows
     if m.cols != n:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Q1
-    a = [list(r) for r in m.a]
-    poly = any(isinstance(x, UniPoly) for r in a for x in r)
-    if poly:
-        a = [[UniPoly.coerce(x) for x in r] for r in a]
-        one = UniPoly.const(1)
+    if any(isinstance(x, UniPoly) for r in m.a for x in r):
+        coerce, one, div = UniPoly.coerce, UniPoly.const(1), UniPoly.exact_div
     else:
-        a = [[_as_fraction(x) for x in r] for r in a]
-        one = Q1
+        coerce, one, div = _as_fraction, Q1, operator.truediv
+    rows = [{j: y for j, x in enumerate(r) if x and (y := coerce(x))} for r in m.a]
     sign = 1
     prev = one
     for k in range(n - 1):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return _zero_like(one)
-            a[k], a[p] = a[p], a[k]
+        p = next((i for i in range(k, n) if k in rows[i]), None)
+        if p is None:
+            return _zero_like(one)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
+        pr = rows[k]
+        piv = pr.pop(k)
+        rescale, scale, divide = piv != prev, piv != one, prev != one
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                e = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if poly:
-                    e = e.exact_div(prev) if k else e
-                else:
-                    e = e / prev if k else e
-                a[i][j] = e
-            a[i][k] = _zero_like(one)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
+            r = rows[i]
+            c = r.pop(k, None)
+            if c is None:
+                if rescale:
+                    rows[i] = {j: div(piv * x, prev) for j, x in r.items()}
+                continue
+            if scale:
+                for j, x in r.items():
+                    r[j] = piv * x
+            _sub_scaled(r, c, pr)
+            if divide:
+                for j, x in r.items():
+                    r[j] = div(x, prev)
+        prev = piv
+    d = rows[n - 1].get(n - 1, _zero_like(one))
     return -d if sign < 0 else d
 
 

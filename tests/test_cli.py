@@ -168,9 +168,11 @@ def test_curvature_sphere(tmp_path, capsys):
     assert res["ricci"][0][0] == "1/2"
 
 
+J3 = [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]
+
+
 def test_kempf_on_j3(tmp_path, capsys):
-    doc = {"matrix": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
-           "t": 1000}
+    doc = {"matrix": J3, "t": 1000}
     path = _write(tmp_path, "in.json", doc)
     code, out, _ = _run(capsys, ["kempf", "--input", path])
     res = json.loads(out)
@@ -178,6 +180,30 @@ def test_kempf_on_j3(tmp_path, capsys):
     assert res["mu"] > 0
     assert res["converged"] is True
     assert res["agrees_with_grid"] is True
+
+
+@pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])
+def test_kempf_rejects_bad_t(tmp_path, capsys, t):
+    path = _write(tmp_path, "in.json", {"matrix": J3, "t": t})
+    code, out, err = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_INPUT and out == "" and "'t' must be" in err
+
+
+@pytest.mark.parametrize("grid", ["yes", 1, None])
+def test_kempf_grid_must_be_boolean(tmp_path, capsys, grid):
+    path = _write(tmp_path, "in.json", {"matrix": J3, "grid": grid})
+    code, out, err = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_INPUT and out == "" and "'grid' must be" in err
+
+
+def test_kempf_grid_is_bounded_by_torus_rank(tmp_path, capsys):
+    j5 = [["1" if j == i + 1 else "0" for j in range(5)] for i in range(5)]
+    path = _write(tmp_path, "in.json", {"matrix": j5, "t": 1000, "grid": True})
+    code, out, err = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_INPUT and out == "" and "torus rank <= 4" in err
+    path = _write(tmp_path, "in.json", {"matrix": j5, "t": 1000})
+    code, out, _ = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_OK and "grid_f" not in json.loads(out)
 
 
 def test_reproduce_fast_ids(capsys):

@@ -1,18 +1,21 @@
 """Differential tests of the Subspace echelon and the functions built on it
-(rref, nullspace, rank, solve, lin_indep_subset, coords_in_basis), against
-sympy over Q and Q(t), including 0-row and 0-column shapes."""
+(rref, nullspace, rank, solve, lin_indep_subset, coords_in_basis), and of the
+sparse Bareiss determinant, against sympy over Q and Q(t), including 0-row
+and 0-column shapes."""
 
 from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly,
-                                   coords_in_basis, lin_indep_subset,
-                                   nullspace, rank, rref, solve)
+                                   coords_in_basis, det_bareiss,
+                                   lin_indep_subset, nullspace, rank, rref,
+                                   solve)
 
 # mostly zeros, so that the matrices are sparse like the action maps
 entries = st.one_of(st.just(Q0), st.just(Q0),
@@ -236,3 +239,63 @@ def test_solve_against_sympy(data):
         assert all(type(x) is RationalFn for col in got for x in col)
     else:
         assert all(type(x) is Fraction for col in got for x in col)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# Q[t] entries of t-degree <= 2, two thirds of them zero (some a zero UniPoly)
+qt_entries = st.one_of(st.just(Q0), st.just(UniPoly()),
+                       st.builds(lambda a, b, c: UniPoly({0: a, 1: b, 2: c}),
+                                 small, small, small))
+
+
+def sparse_square(data, n, cell, shape):
+    """An n x n matrix over `cell`, bent into one of the shapes that steer
+    Bareiss down each of its branches."""
+    nonzero = cell.filter(bool)
+    if shape == "identity-plus-sparse":    # like C = I + λ_S∘B in the local model
+        rows = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+        for _ in range(data.draw(st.integers(0, 2 * n))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows[i][j] = rows[i][j] + data.draw(nonzero)
+        return rows
+    rows = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+    if shape == "singular":                 # one row a combination of the others
+        i = data.draw(st.integers(0, n - 1))
+        others = [r for k, r in enumerate(rows) if k != i]
+        rows[i] = combination([data.draw(entries) for _ in others], others, n)
+    elif shape == "swap" and n >= 2:        # zero leading pivot: rows must swap
+        rows[0][0] = Q0
+        rows[data.draw(st.integers(1, n - 1))][0] = data.draw(nonzero)
+    elif shape == "triangular":
+        # the rows below each pivot have a 0 in its column and no pivot is 1,
+        # so every step only rescales them
+        diag = nonzero.filter(lambda x: x != 1)
+        rows = [[data.draw(diag) if i == j else (x if j > i else Q0)
+                 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_det_bareiss_against_sympy(data):
+    n = data.draw(st.integers(0, 8))
+    cell = data.draw(st.sampled_from([entries, qt_entries]))
+    shape = data.draw(st.sampled_from(["sparse", "singular", "swap", "triangular",
+                                       "identity-plus-sparse"]))
+    rows = sparse_square(data, n, cell, shape) if n else []
+    d = det_bareiss(Mat(rows, n))
+    if not n:
+        assert d == 1 and type(d) is Fraction
+        return
+    assert type(d) is (UniPoly if any(isinstance(x, UniPoly) for r in rows for x in r)
+                       else Fraction)
+    dm = DomainMatrix.from_Matrix(sym_mat(rows, n))
+    want = dm.domain.to_sympy(dm.det())
+    assert sympy.expand(to_sympy(d) - want) == 0
+    if shape == "singular":
+        assert not d
+
+
+def test_det_bareiss_of_non_square_matrix_raises():
+    with pytest.raises(ValueError):
+        det_bareiss(Mat.zeros(2, 3))
