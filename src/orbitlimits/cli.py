@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,10 @@ EXIT_COMPUTE = 3
 EXIT_MISMATCH = 4
 
 GRID_MAX_RANK = 4   # kempf's grid cross-check makes 41^(n-1) evaluations
+# A form's space Sym^d(Q^n) has dim C(n+d-1, d) and gl(n) has n^2 elements;
+# det3 (9 variables, dim 165) is the largest pinned example.
+FORM_MAX_VARS = 12
+FORM_MAX_DIM = 500
 
 
 class InputError(ValueError):
@@ -68,6 +73,12 @@ def form_from_doc(doc) -> Form:
         nvars, degree = int(doc["nvars"]), int(doc["degree"])
         if nvars < 1 or degree < 0:
             raise InputError(f"a form needs nvars >= 1 and degree >= 0, got {nvars}, {degree}")
+        if nvars > FORM_MAX_VARS:
+            raise InputError(f"a form may have at most {FORM_MAX_VARS} variables, got {nvars}")
+        dim = math.comb(nvars + degree - 1, nvars - 1)
+        if dim > FORM_MAX_DIM:
+            raise InputError(f"forms of degree {degree} in {nvars} variables span dim {dim} "
+                             f"> {FORM_MAX_DIM}")
         terms = {}
         for t in doc["terms"]:
             e = tuple(int(x) for x in t["exp"])

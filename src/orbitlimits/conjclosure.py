@@ -146,45 +146,8 @@ class JordanSpec:
         """Spec of a diagonalizable matrix: eigenvalue -> multiplicity."""
         return cls([(ev, Partition([1] * m)) for ev, m in multiplicities.items()])
 
-    @classmethod
-    def from_matrix(cls, m: Mat) -> "JordanSpec":
-        """Jordan data of a rational matrix with all-rational eigenvalues.
-
-        Eigenvalues are extracted as rational roots of the characteristic
-        polynomial; raises if any irrational/complex eigenvalue remains.
-        """
-        n = m.rows
-        p = charpoly(m)
-        roots = _rational_roots(p)
-        total = sum(mult for _, mult in roots)
-        if total != n:
-            raise ValueError("matrix has non-rational eigenvalues; "
-                             "supply a JordanSpec with symbolic labels instead")
-        blocks = []
-        for ev, mult in roots:
-            shifted = m - Mat.identity(n).scale(ev)
-            # lambda^T_k = dim ker((m - ev)^k) - dim ker((m - ev)^{k-1})
-            tparts = []
-            prev = 0
-            power = Mat.identity(n)
-            for _ in range(mult):
-                power = power * shifted
-                kd = n - rank(power)
-                tparts.append(kd - prev)
-                prev = kd
-                if kd == mult:
-                    break
-            blocks.append((ev, transpose(Partition(tparts))))
-        return cls(blocks)
-
     def is_diagonalizable(self) -> bool:
         return all(all(p == 1 for p in sizes) for _, sizes in self.blocks)
-
-    def spectrum_partition(self) -> Partition:
-        """Multiplicity partition (diagonalizable specs only)."""
-        if not self.is_diagonalizable():
-            raise ValueError("spectrum partition is defined for diagonalizable specs")
-        return Partition(sorted((len(sizes) for _, sizes in self.blocks), reverse=True))
 
     def to_matrix(self) -> Mat:
         """The Jordan canonical form (rational eigenvalues only)."""

@@ -406,8 +406,9 @@ class Mat:
         return Mat([[f(x) for x in r] for r in self.a])
 
     def eval_at(self, x) -> "Mat":
-        """Evaluate polynomial / rational-function entries at t=x."""
-        return self.map(lambda e: e(x) if isinstance(e, (UniPoly, RationalFn)) else e)
+        """Evaluate polynomial / rational-function entries at t=x; their zeros
+        become Q0 without evaluation."""
+        return self.map(lambda e: (e(x) if e else Q0) if isinstance(e, (UniPoly, RationalFn)) else e)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.a == other.a)

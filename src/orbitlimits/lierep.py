@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Mat, Q0, Q1, _as_fraction, lin_indep_subset, nullspace
+from .exactcore import (Mat, Q0, Q1, _as_fraction, _zero_like, lin_indep_subset,
+                        nullspace)
 
 
 class Form:
@@ -121,15 +122,19 @@ class SymRep:
         return out
 
     def act(self, g: Mat, v: Sequence) -> list:
+        """g . v, one nonzero g_ij at a time on the nonzero coordinates of v."""
         out = [Q0] * self.dim
-        for i in range(self.n):
-            for j in range(self.n):
-                gij = g.a[i][j]
-                if not gij:
-                    continue
-                for idx, x in enumerate(self.act_elementary(i, j, v)):
-                    if x:
-                        out[idx] = out[idx] + gij * x
+        nz = [(self.basis[k], c) for k, c in enumerate(v) if c]
+        for i, row in enumerate(g.a):
+            gi = [(j, x) for j, x in enumerate(row) if x]
+            if not gi:
+                continue
+            # x_j d/dx_i sends x^e to e_i x^(e - e_i + e_j)
+            lowered = [(e[:i] + (e[i] - 1,) + e[i + 1:], e[i] * c) for e, c in nz if e[i]]
+            for j, gij in gi:
+                for e, mc in lowered:
+                    tgt = self.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
+                    out[tgt] = out[tgt] + gij * mc
         return out
 
     def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
@@ -176,9 +181,7 @@ class ConjRep:
         return out
 
     def act(self, g: Mat, v: Sequence) -> list:
-        m = self.from_coords(list(v))
-        gm = Mat([[g.a[i][j] for j in range(self.n)] for i in range(self.n)])
-        return self.to_coords(gm * m - m * gm)
+        return self.to_coords(bracket(g, self.from_coords(v)))
 
     def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
         i, j = self.basis[idx]
@@ -193,15 +196,64 @@ Representation = SymRep | ConjRep
 
 
 def bracket(a: Mat, b: Mat) -> Mat:
-    if a.rows != b.rows or a.cols != b.cols:
+    """[a, b] = ab - ba, over the nonzero entries of each row of a and b.
+
+    Zeros of the result are like the entries of a and b (the wider type of
+    the two when they differ), as the dense products would leave them.
+    """
+    n = a.rows
+    if a.cols != n or b.rows != n or b.cols != n:
         raise ValueError("bracket dimension mismatch")
-    return a * b - b * a
+    if not n:
+        return Mat.zeros(0, 0)
+    ra = [[(j, x) for j, x in enumerate(r) if x] for r in a.a]
+    rb = [[(j, y) for j, y in enumerate(r) if y] for r in b.a]
+    zero = _zero_like(a.a[0][0]) + _zero_like(b.a[0][0])
+    out = []
+    for i in range(n):
+        acc = {}
+        for j, x in ra[i]:
+            for k, y in rb[j]:
+                p = x * y
+                acc[k] = acc[k] + p if k in acc else p
+        for j, y in rb[i]:
+            for k, x in ra[j]:
+                p = y * x
+                acc[k] = acc[k] - p if k in acc else -p
+        out.append([acc.get(k, zero) for k in range(n)])
+    return Mat(out)
 
 
-def act_on_matrix(g: Mat, y: Mat) -> Mat:
-    if g.rows != y.rows or g.cols != y.cols:
-        raise ValueError("act_on_matrix dimension mismatch")
-    return g * y - y * g
+def lin_comb(coeffs: Sequence, terms: Sequence, zero):
+    """sum c * term over the nonzero coefficients, touching only the nonzero
+    entries of each term.  The terms are gl elements (Mat) or coordinate
+    vectors (lists); `zero` is the zero Mat or vector of their shape, which
+    is returned when every coefficient vanishes.  Otherwise the zeros of the
+    result are the zero of c * entry, as a dense sum would leave them."""
+    mat = isinstance(zero, Mat)
+    width = zero.cols if mat else len(zero)
+    acc: dict = {}
+    z = None
+    for c, t in zip(coeffs, terms):
+        if not c:
+            continue
+        rows = t.a if mat else (t,)
+        if z is None and width and rows:
+            z = _zero_like(c * rows[0][0])
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x:
+                    k = i * width + j
+                    p = c * x
+                    acc[k] = acc[k] + p if k in acc else p
+    if z is None:
+        return zero
+    flat = [z] * (zero.rows * width if mat else width)
+    for k, x in acc.items():
+        flat[k] = x
+    if mat:
+        return Mat([flat[i * width:(i + 1) * width] for i in range(zero.rows)], width)
+    return flat
 
 
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:

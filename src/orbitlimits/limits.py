@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, column_normalize,
                         coords_in_basis, det_bareiss, lin_indep_subset, nullspace, rank)
 from .lierep import (ConjRep, Form, Representation, SymRep, bracket,
-                     group_act_form, stabilizer_algebra, substitute_linear,
+                     group_act_form, lin_comb, stabilizer_algebra, substitute_linear,
                      tangent_space)
 from .localmodel import NotTransverse, build_local_model
 
@@ -186,16 +186,8 @@ def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) ->
 
 def graded_component(vectors: Sequence[Sequence], coord_weights: Sequence[int], w: int) -> list[list]:
     """Basis of span(vectors) ∩ (weight-w coordinate subspace)."""
-    out = []
-    for alpha in nullspace(_weight_rows(vectors, coord_weights, lambda x: x != w)):
-        v = [Q0] * len(coord_weights)
-        for c, vec in zip(alpha, vectors):
-            if not c:
-                continue
-            for i, x in enumerate(vec):
-                v[i] = v[i] + c * x
-        out.append(v)
-    return out
+    return [lin_comb(alpha, vectors, [Q0] * len(coord_weights))
+            for alpha in nullspace(_weight_rows(vectors, coord_weights, lambda x: x != w))]
 
 
 class LimitAlgebraData:
@@ -240,9 +232,8 @@ class LimitAlgebraData:
         return out
 
 
-def _build_MN_MS(exp: LimitExpansion, model: LocalModel):
+def _build_MN_MS(n_t: Sequence, model: LocalModel):
     rep = model.rep
-    n_t = exp.fplus_coords(rep)
     hns = [rep.act(h, n_t) for h in model.H]
     ws = model.inv_one_plus_theta(n_t, hns)
     splits = [model.split_V(w) for w in ws]
@@ -264,28 +255,24 @@ def limit_algebra(f: Form, lam: OnePS, policy: str = "orthogonal",
     model = build_local_model(rep, g_coords, policy=policy,
                               N_contains=tail_coords, weights=lam.weights)
     n_t = exp.fplus_coords(rep)
-    MN, MS = _build_MN_MS(exp, model)
+    MN, MS = _build_MN_MS(n_t, model)
     delta = UniPoly.coerce(model.delta(n_t))
 
     ker = nullspace(MN)
     Kt, K0, Ht = [], [], []
     if ker:
+        n = rep.n
         norm = column_normalize(Mat.from_cols([list(v) for v in ker]))
+        ms_cols = MS.columns()
         for alpha in norm.columns():
-            h_poly = Mat.zeros(rep.n, rep.n, zero=UniPoly.zero())
-            for aj, h in zip(alpha, model.H):
-                if not aj:
-                    continue
-                h_poly = h_poly + h.map(lambda x: UniPoly.coerce(aj) * UniPoly.coerce(x))
+            h_poly = lin_comb([UniPoly.coerce(a) for a in alpha], model.H,
+                              Mat.zeros(n, n, UniPoly.zero()))
             # column j of MS is lambda_S(w_j); the s-part carries a minus sign
-            sc = [RationalFn.coerce(0) for _ in model.S]
-            for j, aj in enumerate(alpha):
-                if not aj:
-                    continue
-                sc = [a - RationalFn.coerce(aj) * RationalFn.coerce(MS.a[i][j])
-                      for i, a in enumerate(sc)]
-            s_mat = model.s_mat(sc) if model.S else Mat.zeros(rep.n, rep.n)
-            kmat = h_poly.map(RationalFn.coerce) + s_mat.map(RationalFn.coerce)
+            sc = lin_comb([-RationalFn.coerce(a) for a in alpha], ms_cols,
+                          [RationalFn(0)] * len(model.S))
+            # k(t) = h(t) + s(t)
+            kmat = lin_comb([RationalFn(1)] + sc, [h_poly] + model.S,
+                            Mat.zeros(n, n, RationalFn(0)))
             Kt.append(KtElement(alpha, h_poly, sc, kmat))
             Ht.append(h_poly)
             K0.append(kmat.eval_at(Q0))
@@ -339,8 +326,7 @@ def _generic_t0(data: LimitAlgebraData) -> Fraction:
         for kt in data.Kt:
             for row in kt.mat.a:
                 for x in row:
-                    x = RationalFn.coerce(x)
-                    if not x.den(t0):
+                    if x and not RationalFn.coerce(x).den(t0):
                         ok = False
         if ok:
             return t0
@@ -453,13 +439,8 @@ def triple_stabilizers(f: Form, lam: OnePS, rep: Optional[Representation] = None
 
     # Klf: alpha with sum alpha_i [k_i, ell] in span K
     br_cols = [glrep.to_coords(bracket(k, ell)) for k in K]
-    Klf = []
-    for alpha in _preimage_in_span(br_cols, k_flat):
-        m = Mat.zeros(rep.n, rep.n)
-        for c, k in zip(alpha, K):
-            if c:
-                m = m + k.scale(c)
-        Klf.append(m)
+    Klf = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n))
+           for alpha in _preimage_in_span(br_cols, k_flat)]
     try:
         Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw)
     except NotGraded:
@@ -609,24 +590,12 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
     k_flat = [glrep.to_coords(k) for k in K]
     pk_alphas = nullspace(_weight_rows(k_flat, glw, lambda w: w < 0))
-    candidates = []
-    for alpha in pk_alphas:
-        mm = Mat.zeros(rep.n, rep.n)
-        for c, k in zip(alpha, K):
-            if c:
-                mm = mm + k.scale(c)
-        candidates.append(mm)
+    candidates = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n)) for alpha in pk_alphas]
     rng = random.Random(seed)
     for _ in range(tries if pk_alphas else 0):
-        mm = Mat.zeros(rep.n, rep.n)
-        for alpha in pk_alphas:
-            c = Fraction(rng.randint(-3, 3))
-            if c == 0:
-                continue
-            for cc, k in zip(alpha, K):
-                if cc:
-                    mm = mm + k.scale(c * cc)
-        candidates.append(mm)
+        mix = [Fraction(rng.randint(-3, 3)) for _ in pk_alphas]
+        candidates.append(lin_comb(lin_comb(mix, pk_alphas, [Q0] * len(K)), K,
+                                   Mat.zeros(rep.n, rep.n)))
     f_coords = rep.to_coords(f)
     for cand in candidates:
         if all(not x for row in cand.a for x in row):
@@ -718,13 +687,10 @@ def _cancel_positive_weights(ss: Mat, glw, glrep, rep):
         sol = coords_in_basis(cols, target)   # any solution cancels cur_w
         if sol is None:
             return None
-        z = Mat.zeros(n, n)
+        zc = [Q0] * glrep.dim
         for c, i in zip(sol, idx):
-            if c:
-                e = [Q0] * glrep.dim
-                e[i] = c
-                z = z + glrep.from_coords(e)
-        step = Mat.identity(n) + z
+            zc[i] = c
+        step = Mat.identity(n) + glrep.from_coords(zc)
         inv_step = _unipotent_inverse(step)
         cur = step * cur * inv_step
         u = step * u
@@ -789,12 +755,11 @@ def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None
                 co = dom.coords(glrep.to_coords(bracket(domain[i], domain[j])))
                 if co is None:
                     raise ValueError("derivation domain is not a subalgebra")
-                lhs = Mat.zeros(rep.n, rep.n)
-                for c, s in zip(co, values):
-                    if c:
-                        lhs = lhs + s.scale(c)
-                rhs = bracket(domain[i], values[j]) - bracket(domain[j], values[i])
-                if glrep.to_coords(rhs - lhs) not in h:
+                # [h_i, d(h_j)] - [h_j, d(h_i)] - d([h_i, h_j]) must lie in H
+                diff = lin_comb([Q1, -Q1] + [-c for c in co],
+                                [bracket(domain[i], values[j]), bracket(domain[j], values[i])]
+                                + values, Mat.zeros(rep.n, rep.n))
+                if glrep.to_coords(diff) not in h:
                     raise ValueError("d_b fails the derivation identity")
     return DerivationData(list(domain), values, model)
 
@@ -833,13 +798,8 @@ def hoffman_case(H: Sequence[Mat], K0: Sequence[Mat], n: int) -> Optional[int]:
                 for t in range(glrep.dim):
                     col[hi * glrep.dim + t] = -v[t]
                 blocks.append(col)
-        nxt = []
-        for alpha in _preimage_in_span(brackets, blocks):
-            v = [Q0] * glrep.dim
-            for c, base in zip(alpha, cur):
-                if c:
-                    v = [a + c * b for a, b in zip(v, base)]
-            nxt.append(v)
+        nxt = [lin_comb(alpha, cur, [Q0] * glrep.dim)
+               for alpha in _preimage_in_span(brackets, blocks)]
         if len(nxt) == len(cur):
             break
         cur = nxt
@@ -875,6 +835,9 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
         return basis.coords(vec)[K:]
 
     nw = len(W)
+    # [k_i, W_w] and W_w modulo K0, once each
+    brW = [[mod_K0(glrep.to_coords(bracket(k, x))) for x in W] for k in K0]
+    Wq = [mod_K0(glrep.to_coords(x)) for x in W]
     # structure constants of K0
     beta = {}
     for i in range(K):
@@ -892,29 +855,24 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
         for j in range(i + 1, K):
             # derivation identity: dbar([ki,kj]) = [ki, dbar(kj)] - [kj, dbar(ki)]
             # with dbar(k_m) = S_m + sum_w x_{m,w} W_w, S_m := db value for k_m
-            const = Mat.zeros(rep.n, rep.n)
-            const = bracket(K0[i], db.values[j]) - bracket(K0[j], db.values[i])
-            for mth, c in enumerate(beta[(i, j)]):
-                if c:
-                    const = const - db.values[mth].scale(c)
+            const = lin_comb([Q1, -Q1] + [-c for c in beta[(i, j)]],
+                             [bracket(K0[i], db.values[j]), bracket(K0[j], db.values[i])]
+                             + db.values, Mat.zeros(rep.n, rep.n))
             const_q = mod_K0(glrep.to_coords(const))
             coeffs = {}
             for w in range(nw):
-                vj = mod_K0(glrep.to_coords(bracket(K0[i], W[w])))
-                vi = mod_K0(glrep.to_coords(bracket(K0[j], W[w])))
-                coeffs[(j, w)] = vj
-                coeffs[(i, w)] = [-x for x in vi]
+                coeffs[(j, w)] = brW[i][w]
+                coeffs[(i, w)] = [-x for x in brW[j][w]]
             for mth, c in enumerate(beta[(i, j)]):
                 if c:
                     for w in range(nw):
-                        wq = mod_K0(glrep.to_coords(W[w]))
-                        prev = coeffs.get((mth, w), [Q0] * len(wq))
-                        coeffs[(mth, w)] = [p - c * x for p, x in zip(prev, wq)]
+                        prev = coeffs.get((mth, w), [Q0] * len(Wq[w]))
+                        coeffs[(mth, w)] = lin_comb([Q1, -c], [prev, Wq[w]], [Q0] * len(Wq[w]))
             qdim = len(const_q)
             for r in range(qdim):
                 row = [Q0] * nunk
                 for (mth, w), vec in coeffs.items():
-                    row[mth * nw + w] = row[mth * nw + w] + vec[r]
+                    row[mth * nw + w] = vec[r]
                 rows.append(row)
                 rhs.append(-const_q[r])
     if rows:
@@ -924,14 +882,8 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
             return FeasibilityResult(False, None, None)
     else:
         sol = [Q0] * nunk
-    dbar = []
-    for mth in range(K):
-        v = db.values[mth]
-        for w in range(nw):
-            c = sol[mth * nw + w]
-            if c:
-                v = v + W[w].scale(c)
-        dbar.append(v)
+    dbar = [lin_comb([Q1] + sol[mth * nw:(mth + 1) * nw], [db.values[mth]] + W,
+                     Mat.zeros(rep.n, rep.n)) for mth in range(K)]
     eps_basis = [(K0[mth], -dbar[mth]) for mth in range(K)]
     hof = hoffman_case(model.H, K0, rep.n)
     reg = None

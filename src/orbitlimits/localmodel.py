@@ -1,5 +1,5 @@
 """Local model at a base point x: V = TO ⊕ N, gl = H ⊕ S, the θ-map,
-exact (1+θ(n))^{-1}, slice stabilizers (S-completion) and Φ.
+exact (1+θ(n))^{-1} and slice stabilizers (S-completion).
 
 The solve for (1+θ(n))^{-1} uses the factorization θ(n) = B ∘ λ_S with
 B(s-coeffs) = s·n, so only the dim(S) system C = I + λ_S∘B is ever
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, det_bareiss,
+from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, _zero_like, det_bareiss,
                         lin_indep_subset, nullspace, solve)
-from .lierep import ConjRep, Representation, stabilizer_algebra
+from .lierep import ConjRep, Representation, lin_comb, stabilizer_algebra
 
 
 def graded_basis(vectors: Sequence[Sequence], coord_weights) -> list[list]:
@@ -65,6 +65,7 @@ class LocalModel:
         self._glrep = ConjRep(rep.n)
         self.V = Subspace(rep.dim, TO + N)
         self.HS = Subspace(self._glrep.dim, [self._glrep.to_coords(m) for m in H + S])
+        self._theta_cache = None
 
     # -- projections --------------------------------------------------
     def split_V(self, v: Sequence):
@@ -88,32 +89,13 @@ class LocalModel:
 
     def n_vec(self, ncoeffs: Sequence) -> list:
         """N-coefficients -> V-coordinate vector."""
-        out = [Q0] * self.rep.dim
-        for c, nv in zip(ncoeffs, self.N):
-            if not c:
-                continue
-            for i, x in enumerate(nv):
-                if x:
-                    out[i] = out[i] + c * x
-        return out
+        return lin_comb(ncoeffs, self.N, [Q0] * self.rep.dim)
 
     def s_mat(self, scoeffs: Sequence) -> Mat:
-        n = self.rep.n
-        out = Mat.zeros(n, n)
-        for c, s in zip(scoeffs, self.S):
-            if not c:
-                continue
-            out = out + s.scale(c)
-        return out
+        return lin_comb(scoeffs, self.S, Mat.zeros(self.rep.n, self.rep.n))
 
     def h_mat(self, hcoeffs: Sequence) -> Mat:
-        n = self.rep.n
-        out = Mat.zeros(n, n)
-        for c, h in zip(hcoeffs, self.H):
-            if not c:
-                continue
-            out = out + h.scale(c)
-        return out
+        return lin_comb(hcoeffs, self.H, Mat.zeros(self.rep.n, self.rep.n))
 
     # -- theta --------------------------------------------------------
     def theta(self, n: Sequence, dv: Sequence) -> list:
@@ -129,27 +111,27 @@ class LocalModel:
             cols.append(self.theta(n, e))
         return Mat.from_cols(cols)
 
-    def _B_cols(self, n: Sequence) -> list[list]:
-        return [self.rep.act(s, list(n)) for s in self.S]
-
-    def _C_matrix(self, n: Sequence, bcols=None) -> Mat:
-        """C = I_S + λ_S ∘ B on S-coefficients; det C = det(1+θ(n))."""
-        bcols = self._B_cols(n) if bcols is None else bcols
-        k = len(self.S)
-        lam = [self.lamS(b) for b in bcols]
-        rows = []
-        for i in range(k):
-            rows.append([lam[j][i] + (1 if i == j else 0) for j in range(k)])
-        return Mat(rows)
+    def _theta_system(self, n: Sequence):
+        """The columns s·n of B, as (index, entry) lists of their nonzeros, and
+        C = I_S + λ_S ∘ B on S-coefficients (det C = det(1+θ(n))).  Both are
+        built once for each n and kept for the next call with the same n."""
+        key = tuple(n)
+        if self._theta_cache is None or self._theta_cache[0] != key:
+            bcols = [self.rep.act(s, key) for s in self.S]
+            lam = [self.lamS(b) for b in bcols]
+            k = len(self.S)
+            C = Mat([[lam[j][i] + (1 if i == j else 0) for j in range(k)] for i in range(k)], k)
+            bnz = [[(i, x) for i, x in enumerate(b) if x] for b in bcols]
+            self._theta_cache = (key, bnz, C)
+        return self._theta_cache[1:]
 
     def delta(self, n: Sequence):
         """det(1 + θ(n))."""
-        return det_bareiss(self._C_matrix(n))
+        return det_bareiss(self._theta_system(n)[1])
 
     def inv_one_plus_theta(self, n: Sequence, dvs: Sequence[Sequence]) -> list[list]:
         """(1+θ(n))^{-1} applied to each V-vector in dvs."""
-        bcols = self._B_cols(n)
-        C = self._C_matrix(n, bcols)
+        bnz, C = self._theta_system(n)
         rhs = [self.lamS(dv) for dv in dvs]
         try:
             us = solve(C, rhs)
@@ -157,11 +139,15 @@ class LocalModel:
             raise SingularMatrix(f"1+theta(n) is singular: {e}") from e
         out = []
         for dv, u in zip(dvs, us):
+            terms = [(uj, b) for uj, b in zip(u, bnz) if uj]
             w = list(dv)
-            for uj, b in zip(u, bcols):
-                if not uj:
-                    continue
-                w = [a - uj * x for a, x in zip(w, b)]
+            if terms:
+                # every entry takes the type of dv - u·B, as a dense update leaves it
+                zero = _zero_like(terms[0][0] * w[0])
+                w = [a + zero if a else zero for a in w]
+            for uj, b in terms:
+                for i, x in b:
+                    w[i] = w[i] - uj * x
             out.append(w)
         return out
 
@@ -193,21 +179,13 @@ class LocalModel:
         elements, h_parts, s_parts, h_coeffs = [], [], [], []
         for alpha in ker:
             h = self.h_mat(alpha)
-            sc = [Q0] * len(self.S)
-            for aj, (scj, _) in zip(alpha, splits):
-                if not aj:
-                    continue
-                sc = [a - aj * b for a, b in zip(sc, scj)]
+            sc = lin_comb([-a for a in alpha], [scj for scj, _ in splits], [Q0] * len(self.S))
             s = self.s_mat(sc)
             elements.append(h + s)
             h_parts.append(h)
             s_parts.append(s)
             h_coeffs.append(alpha)
         return SliceStabilizer(elements, h_parts, s_parts, h_coeffs)
-
-    def phi(self, scoeffs: Sequence, n: Sequence) -> list:
-        """Φ(s ⊗ n) = λ_S(s·n)."""
-        return self.lamS(self.rep.act(self.s_mat(scoeffs), list(n)))
 
     def star(self, h: Mat, n: Sequence) -> list:
         """h ⋆ n = λ_N(h·n), the induced H-action on N ≅ V/TO."""
@@ -265,13 +243,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
     else:
         # stabilizer within the span of the ambient basis
         cols = Mat.from_cols([rep.act(a, x) for a in ambient])
-        H = []
-        for co in nullspace(cols):
-            m = Mat.zeros(rep.n, rep.n)
-            for c, a in zip(co, ambient):
-                if c:
-                    m = m + a.scale(c)
-            H.append(m)
+        H = [lin_comb(co, ambient, Mat.zeros(rep.n, rep.n)) for co in nullspace(cols)]
         ambient_dim = len(ambient)
     if cw is not None:
         H = [glrep.from_coords(v) for v in
@@ -286,13 +258,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
         # complement of H inside the ambient span, orthogonal in ambient coords
         amb = Subspace(glrep.dim, [glrep.to_coords(a) for a in ambient])
         comp = nullspace(Mat([amb.coords(glrep.to_coords(h)) for h in H], len(ambient)))
-        Sb = []
-        for co in comp:
-            m = Mat.zeros(rep.n, rep.n)
-            for c, a in zip(co, ambient):
-                if c:
-                    m = m + a.scale(c)
-            Sb.append(m)
+        Sb = [lin_comb(co, ambient, Mat.zeros(rep.n, rep.n)) for co in comp]
     else:
         comp = nullspace(Mat([glrep.to_coords(h) for h in H], glrep.dim))
         if glw is not None:

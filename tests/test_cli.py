@@ -245,6 +245,32 @@ def test_form_without_variables_or_with_negative_degree_is_input_error(
     assert code == EXIT_INPUT and "nvars >= 1" in err
 
 
+def _power_sum(nvars, degree):
+    """x_1^d + x_2^d (just x_1^d in one variable) with the weight e_1."""
+    terms = [{"exp": [degree if j == i else 0 for j in range(nvars)], "coef": "1"}
+             for i in range(min(nvars, 2))]
+    return {"form": {"nvars": nvars, "degree": degree, "terms": terms},
+            "oneps": [1] + [0] * (nvars - 1)}
+
+
+@pytest.mark.parametrize("cmd", ["stabilizer", "local-model", "limit"])
+@pytest.mark.parametrize("nvars,degree,message", [
+    (12, 6, f"dim 12376 > {cli.FORM_MAX_DIM}"),
+    (2, cli.FORM_MAX_DIM, f"dim {cli.FORM_MAX_DIM + 1} > {cli.FORM_MAX_DIM}"),
+    (cli.FORM_MAX_VARS + 1, 1, f"at most {cli.FORM_MAX_VARS} variables")])
+def test_form_size_is_bounded(tmp_path, capsys, cmd, nvars, degree, message):
+    path = _write(tmp_path, "in.json", _power_sum(nvars, degree))
+    code, out, err = _run(capsys, [cmd, "--input", path])
+    assert code == EXIT_INPUT and out == "" and message in err
+
+
+def test_form_at_the_size_bounds_is_accepted(tmp_path, capsys):
+    for nvars, degree in [(2, cli.FORM_MAX_DIM - 1), (cli.FORM_MAX_VARS, 1)]:
+        path = _write(tmp_path, "in.json", _power_sum(nvars, degree))
+        code, out, _ = _run(capsys, ["stabilizer", "--input", path])
+        assert code == EXIT_OK and json.loads(out)["verified"] is True
+
+
 def test_wrong_schema_rejected(tmp_path, capsys):
     doc = dict(XYZ, schema=99)
     path = _write(tmp_path, "in.json", doc)

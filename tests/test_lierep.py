@@ -1,13 +1,14 @@
-"""Representations of gl(n): symmetric powers and conjugation."""
+"""Representations of gl(n): symmetric powers and conjugation, and the sparse
+gl arithmetic (bracket, actions, linear combinations) against dense references."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlimits.exactcore import Mat, Q0
+from orbitlimits.exactcore import Mat, Q0, RationalFn, UniPoly
 from orbitlimits.lierep import (ConjRep, Form, SymRep, action_matrix,
-                                bracket, elementary, group_act_form,
+                                bracket, elementary, group_act_form, lin_comb,
                                 stabilizer_algebra, tangent_space)
 
 small = st.integers(-4, 4)
@@ -111,3 +112,105 @@ def test_act_weight_conventions():
     assert rep.act_weight(0, 1, d) == -2
     crep = ConjRep(2)
     assert crep.act_weight(0, 1, d) == 2
+
+
+# -- sparse gl arithmetic against dense references ---------------------------
+
+fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys = st.builds(lambda a, b: UniPoly({0: a, 1: b}), fracs, fracs)
+# each scalar ring with its own zero; three draws in four are zero
+NONZERO = {"Q": fracs.filter(bool), "Q[t]": polys.filter(bool),
+           "Q(t)": st.builds(RationalFn, polys.filter(bool), polys.filter(bool))}
+ZERO = {"Q": lambda: Q0, "Q[t]": UniPoly.zero, "Q(t)": lambda: RationalFn(0)}
+rings = st.sampled_from(sorted(NONZERO))
+
+
+def scalars(draw, ring, count, nonzero=1):
+    """count entries over ring, `nonzero` in four of them nonzero, and all
+    zero one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return [ZERO[ring]() for _ in range(count)]
+    return [draw(NONZERO[ring]) if draw(st.integers(0, 3)) < nonzero else ZERO[ring]()
+            for _ in range(count)]
+
+
+def sparse_mat(draw, ring, n):
+    flat = scalars(draw, ring, n * n)
+    return Mat([flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+def types(entries):
+    return [type(x) for x in entries]
+
+
+def flat(m):
+    return [x for row in m.a for x in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_bracket_against_dense_products(data):
+    draw = data.draw
+    n, ring = draw(st.integers(1, 4)), draw(rings)
+    a, b = sparse_mat(draw, ring, n), sparse_mat(draw, ring, n)
+    got, want = bracket(a, b), a * b - b * a
+    assert got == want and types(flat(got)) == types(flat(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_conj_act_against_dense_products(data):
+    draw = data.draw
+    n = draw(st.integers(1, 4))
+    rep = ConjRep(n)
+    g = sparse_mat(draw, draw(rings), n)
+    v = scalars(draw, draw(rings), rep.dim)
+    m = rep.from_coords(v)
+    got, want = rep.act(g, v), rep.to_coords(g * m - m * g)
+    assert got == want and types(got) == types(want)
+
+
+def dense_sym_act(rep, g, v):
+    """g . v as the sum over g_ij E_ij, each E_ij applied by act_elementary."""
+    out = [Q0] * rep.dim
+    for i in range(rep.n):
+        for j in range(rep.n):
+            if g.a[i][j]:
+                for idx, x in enumerate(rep.act_elementary(i, j, v)):
+                    if x:
+                        out[idx] = out[idx] + g.a[i][j] * x
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_sym_act_against_act_elementary(data):
+    draw = data.draw
+    rep = SymRep(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    g = sparse_mat(draw, draw(rings), rep.n)
+    v = scalars(draw, draw(rings), rep.dim)
+    got, want = rep.act(g, v), dense_sym_act(rep, g, v)
+    assert got == want and types(got) == types(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lin_comb_against_dense_sums(data):
+    draw = data.draw
+    n, count = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    cring, tring = draw(rings), draw(rings)
+    coeffs = scalars(draw, cring, count, nonzero=3)
+    mats = [sparse_mat(draw, tring, n) for _ in range(count)]
+    want = Mat.zeros(n, n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            want = want + m.scale(c)
+    got = lin_comb(coeffs, mats, Mat.zeros(n, n))
+    assert got == want and types(flat(got)) == types(flat(want))
+    vecs = [scalars(draw, tring, n * n) for _ in range(count)]
+    want = [Q0] * (n * n)
+    for c, v in zip(coeffs, vecs):
+        if c:
+            want = [a + c * b for a, b in zip(want, v)]
+    got = lin_comb(coeffs, vecs, [Q0] * (n * n))
+    assert got == want and types(got) == types(want)

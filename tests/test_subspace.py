@@ -1,7 +1,9 @@
 """Differential tests of the Subspace echelon and the functions built on it
 (rref, nullspace, rank, solve, lin_indep_subset, coords_in_basis), and of the
 sparse Bareiss determinant, against sympy over Q and Q(t), including 0-row
-and 0-column shapes."""
+and 0-column shapes.  The oracle is sympy's DomainMatrix over QQ and
+QQ.frac_field(t), whose entries are canonical, so that results compare
+exactly without symbolic simplification."""
 
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly,
 entries = st.one_of(st.just(Q0), st.just(Q0),
                     st.fractions(min_value=-5, max_value=5, max_denominator=4))
 T = sympy.Symbol("t")
+QT = sympy.QQ.frac_field(T)
 
 
 def vectors(data, dim, count):
@@ -40,8 +43,22 @@ def sym_cols(cols, dim):
     return sympy.Matrix(dim, len(cols), lambda i, j: to_sympy(cols[j][i]))
 
 
+def domain_of(*blocks):
+    """QQ(t) if any entry of the nested lists is over Q[t] or Q(t), else QQ."""
+    qt = any(isinstance(x, (UniPoly, RationalFn)) for rows in blocks for r in rows for x in r)
+    return QT if qt else sympy.QQ
+
+
+def dom_mat(rows, cols, K=None):
+    """Mat(rows, cols) as a sympy DomainMatrix over K (by default domain_of(rows))."""
+    K = K or domain_of(rows)
+    return DomainMatrix([[K.from_sympy(to_sympy(x)) for x in r] for r in rows],
+                        (len(rows), cols), K)
+
+
 def sym_rank(cols, dim):
-    return sym_cols(cols, dim).rank(simplify=True) if cols and dim else 0
+    # the rank of the matrix whose rows are cols
+    return dom_mat(cols, dim).rank() if cols and dim else 0
 
 
 def greedy(cols, dim):
@@ -174,15 +191,11 @@ def test_qt_vector_over_rational_basis_stays_polynomial():
     assert co[0] == t and co[1] == (t * t - t) * Fraction(1, 2)
 
 
-def sym_mat(rows, cols):
-    return sympy.Matrix(len(rows), cols, lambda i, j: to_sympy(rows[i][j]))
-
-
-def same(ours, theirs):
-    """Entrywise equality of nested lists, with Q(t) entries compared after
-    simplify."""
+def same(ours, theirs, K):
+    """Entrywise equality of nested lists, ours converted into the domain K
+    of theirs."""
     return (len(ours) == len(theirs)
-            and all(len(a) == len(b) and all(sympy.simplify(to_sympy(x) - y) == 0
+            and all(len(a) == len(b) and all(K.from_sympy(to_sympy(x)) == y
                                               for x, y in zip(a, b))
                     for a, b in zip(ours, theirs)))
 
@@ -190,13 +203,14 @@ def same(ours, theirs):
 def check_elimination(rows, cols, field):
     """rref, nullspace and rank of Mat(rows, cols) against sympy; every entry
     of the results has the type `field`."""
-    m, sm = Mat(rows, cols), sym_mat(rows, cols)
+    m, dm = Mat(rows, cols), dom_mat(rows, cols)
     got, pivots = rref(m)
-    want, want_pivots = sm.rref(simplify=True)
-    assert pivots == list(want_pivots) and same(got, want.tolist())
+    want, want_pivots = dm.rref()
+    assert pivots == list(want_pivots) and same(got, want.to_list(), dm.domain)
     ns = nullspace(m)
-    assert same(ns, [list(v) for v in sm.nullspace(simplify=True)])
-    assert rank(m) == len(pivots) == sm.rank(simplify=True)
+    # one basis vector per free column, 1 there: sympy's Matrix.nullspace basis
+    assert same(ns, dm.nullspace(divide_last=True).to_list(), dm.domain)
+    assert rank(m) == len(pivots) == dm.rank()
     if rows and cols:
         assert all(type(x) is field for r in got for x in r)
         assert all(type(x) is field for v in ns for x in v)
@@ -227,14 +241,15 @@ def test_solve_against_sympy(data):
     cell = polys if qt else entries
     rows = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
     rhs = [[data.draw(cell) for _ in range(n)] for _ in range(k)]
-    sm = sym_mat(rows, n)
-    if n and sympy.simplify(sm.det()) == 0:
+    K = domain_of(rows, rhs)
+    dm = dom_mat(rows, n, K)
+    if n and not dm.det():
         with pytest.raises(ValueError):
             solve(Mat(rows, n), rhs)
         return
     got = solve(Mat(rows, n), rhs)
-    want = [list(sm.LUsolve(sympy.Matrix([to_sympy(x) for x in b]))) for b in rhs]
-    assert same(got, want)
+    want = [dm.lu_solve(dom_mat([[x] for x in b], 1, K)).to_list_flat() for b in rhs]
+    assert same(got, want, K)
     if n and any(isinstance(x, UniPoly) for r in rows + rhs for x in r):
         assert all(type(x) is RationalFn for col in got for x in col)
     else:
@@ -289,9 +304,8 @@ def test_det_bareiss_against_sympy(data):
         return
     assert type(d) is (UniPoly if any(isinstance(x, UniPoly) for r in rows for x in r)
                        else Fraction)
-    dm = DomainMatrix.from_Matrix(sym_mat(rows, n))
-    want = dm.domain.to_sympy(dm.det())
-    assert sympy.expand(to_sympy(d) - want) == 0
+    K = domain_of(rows)
+    assert K.from_sympy(to_sympy(d)) == dom_mat(rows, n, K).det()
     if shape == "singular":
         assert not d
 
