@@ -24,8 +24,8 @@ from .curvature import (CurvatureData, adjoint_offdiagonal_vanishing,
 from .exactcore import Mat, UniPoly, RationalFn
 from .kempf import grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
-from .limits import (OnePS, classify_case, extension_feasible, limit_algebra,
-                     triple_stabilizers)
+from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
+                     limit_algebra)
 from .localmodel import build_local_model
 from .reproduce import RUNNERS, run_ids
 
@@ -41,6 +41,10 @@ GRID_MAX_RANK = 4   # kempf's grid cross-check makes 41^(n-1) evaluations
 # det3 (9 variables, dim 165) is the largest pinned example.
 FORM_MAX_VARS = 12
 FORM_MAX_DIM = 500
+# A matrix input of size n acts through gl(n), whose action map is n^2 x n^2:
+# the stabilizer of a dense 9x9 integer matrix takes about 2 s, of a dense
+# 11x11 one 10 s (Python 3.11 on a 2-core Xeon).
+MATRIX_MAX_N = 9
 
 
 class InputError(ValueError):
@@ -197,6 +201,9 @@ def _vector_input(doc):
         m = mat_from_doc(doc["matrix"])
         if m.rows != m.cols:
             raise InputError("conjugation input must be a square matrix")
+        if m.rows > MATRIX_MAX_N:
+            raise InputError(f"a matrix may be at most {MATRIX_MAX_N}x{MATRIX_MAX_N}, "
+                             f"got {m.rows}x{m.cols}")
         rep = ConjRep(m.rows)
         return rep, rep.to_coords(m)
     raise InputError("input needs a 'form' or 'matrix' field")
@@ -236,7 +243,7 @@ def cmd_local_model(args) -> int:
     weights = oneps_from_doc(doc["weights"]).weights if "weights" in doc else None
     if weights is not None and len(weights) != rep.n:
         raise InputError(f"need {rep.n} weights, got {len(weights)}")
-    model = build_local_model(rep, v, policy=args.policy, weights=weights)
+    model = build_local_model(rep, v, weights=weights)
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [mat_to_doc(h) for h in model.H],
           "S": [mat_to_doc(s) for s in model.S],
@@ -253,11 +260,12 @@ def cmd_limit(args) -> int:
     lam = oneps_from_doc(doc["oneps"])
     if lam.nvars != f.nvars:
         raise InputError("one-parameter subgroup length must match nvars")
-    data = limit_algebra(f, lam, policy=args.policy)
-    exp = data.expansion
-    ts = triple_stabilizers(f, lam)
+    problem = LimitProblem(f, lam)
+    data = limit_algebra(problem)
+    exp = problem.expansion
+    ts = problem.triple
     feas = extension_feasible(data)
-    case = classify_case(f, lam, seed=args.seed)
+    case = classify_case(problem, seed=args.seed)
     out = {
         "a": exp.a, "b": exp.b,
         "g": form_to_doc(exp.g),
@@ -425,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "table"), default="json")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=1e-3)
-        sp.add_argument("--policy", choices=("orthogonal", "explicit"),
-                        default="orthogonal")
 
     for name, fn, help_ in (
             ("stabilizer", cmd_stabilizer,

@@ -522,8 +522,7 @@ def jn_local_model(n: int) -> LocalModel:
     rep = ConjRep(n)
     jn = Z_shift(n, 1)
     S = [elementary(n, i, j) for i in range(1, n) for j in range(n)]
-    return build_local_model(rep, rep.to_coords(jn), policy="explicit",
-                             S=S, N=companion_slice_basis(n))
+    return build_local_model(rep, rep.to_coords(jn), S=S, N=companion_slice_basis(n))
 
 
 def minimal_polynomial(m: Mat) -> UniPoly:
@@ -661,8 +660,7 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
     jab = jab_matrix(a, b)
     H = stabilizer_algebra(rep, rep.to_coords(jab))
     C = jab_normal_basis(a, b)
-    model = build_local_model(rep, rep.to_coords(jab), policy="explicit",
-                              N=[rep.to_coords(m) for m in C])
+    model = build_local_model(rep, rep.to_coords(jab), N=[rep.to_coords(m) for m in C])
     model.verify()
     report = {"a": a, "b": b, "dim_H": len(H), "dim_C": len(C),
               "dims_equal_a_plus_3b": len(H) == len(C) == a + 3 * b}

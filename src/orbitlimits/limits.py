@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, column_normalize,
                         coords_in_basis, det_bareiss, lin_indep_subset, nullspace, rank)
 from .lierep import (ConjRep, Form, Representation, SymRep, bracket,
-                     group_act_form, lin_comb, stabilizer_algebra, substitute_linear,
-                     tangent_space)
-from .localmodel import NotTransverse, build_local_model
+                     group_act_form, lin_comb, stabilizer_algebra, tangent_space)
+from .localmodel import LocalModel, NotTransverse, build_local_model
 
 
 class OnePS:
@@ -74,9 +74,7 @@ def decompose_form(f: Form, lam: OnePS) -> dict:
 class LimitExpansion:
     """f(t) = lam(t).f = t^a g + t^b f_b + ... + t^D f_D."""
 
-    def __init__(self, f: Form, lam: OnePS, terms: dict, transversal: Optional[bool]):
-        self.f = f
-        self.lam = lam
+    def __init__(self, terms: dict, transversal: Optional[bool]):
         self.terms = terms                     # exponent -> Form, ascending
         exps = sorted(terms)
         self.a = exps[0]
@@ -85,10 +83,6 @@ class LimitExpansion:
         self.f_b = terms[self.b] if self.b is not None else None
         self.tail = {c: terms[c] for c in exps[1:]}
         self.transversal = transversal
-
-    @property
-    def D(self) -> int:
-        return max(self.terms)
 
     def fplus_coords(self, rep: SymRep) -> list:
         """f^+(t) = sum_{c>a} t^{c-a} f_c as a vector of UniPoly."""
@@ -109,35 +103,82 @@ class LimitExpansion:
         return v
 
 
-def expand_orbit_curve(f: Form, lam: OnePS, family: Optional[Mat] = None) -> LimitExpansion:
-    """Graded expansion of lam(t).f (or f(A(t)x) for a polynomial family).
+def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
+    """Graded expansion of lam(t).f.
 
     Transversality of span{f_b, ..., f_D} with T_g O(g) is tested and
     reported as a flag, not an error.
     """
     if not f:
         raise ValueError("f must be nonzero")
-    if family is not None:
-        expanded = substitute_linear(f, family.a)
-        by_exp: dict = {}
-        for e, poly in expanded.items():
-            p = UniPoly.coerce(poly)
-            for exp, coef in p.c.items():
-                by_exp.setdefault(exp, {})[e] = coef
-        terms = {exp: Form(f.nvars, f.degree, t) for exp, t in sorted(by_exp.items())}
-    else:
-        terms = {w: comp for w, comp in decompose_form(f, lam).items()}
-    rep = SymRep(f.nvars, f.degree)
-    exps = sorted(terms)
-    transversal: Optional[bool] = None
-    if len(exps) > 1:
-        g = terms[exps[0]]
-        tangent = tangent_space(rep, rep.to_coords(g))
-        tail_vecs = [rep.to_coords(terms[c]) for c in exps[1:]]
+    exp = LimitExpansion(decompose_form(f, lam), None)
+    if exp.tail:
+        rep = SymRep(f.nvars, f.degree)
+        tangent = tangent_space(rep, rep.to_coords(exp.g))
+        tail_vecs = [rep.to_coords(form) for form in exp.tail.values()]
         tail_rank = len(lin_indep_subset(tail_vecs))
-        joint = len(lin_indep_subset(tangent + tail_vecs))
-        transversal = joint == len(tangent) + tail_rank
-    return LimitExpansion(f, lam, terms, transversal)
+        exp.transversal = len(lin_indep_subset(tangent + tail_vecs)) == len(tangent) + tail_rank
+    return exp
+
+
+class LimitProblem:
+    """One form f and one 1-PS lam, with what the limit stages share, each
+    built on first use: the representations, the expansion of lam(t).f,
+    K = stab f, the local model at the limit g (its H is stab g) and the
+    triple stabilizers.
+
+    The stage functions take a problem, or (f, lam) to build their own."""
+
+    def __init__(self, f: Form, lam: OnePS):
+        self.f = f
+        self.lam = lam
+
+    @classmethod
+    def of(cls, f: Union[Form, LimitProblem], lam: Optional[OnePS]) -> LimitProblem:
+        return f if isinstance(f, LimitProblem) else cls(f, lam)
+
+    @cached_property
+    def rep(self) -> SymRep:
+        return SymRep(self.f.nvars, self.f.degree)
+
+    @cached_property
+    def glrep(self) -> ConjRep:
+        return ConjRep(self.rep.n)
+
+    @cached_property
+    def glw(self) -> list[int]:
+        return gl_act_weights(self.rep, self.lam)
+
+    @cached_property
+    def expansion(self) -> LimitExpansion:
+        return expand_orbit_curve(self.f, self.lam)
+
+    @cached_property
+    def K(self) -> list[Mat]:
+        return stabilizer_algebra(self.rep, self.rep.to_coords(self.f))
+
+    @cached_property
+    def K_coords(self) -> list[list]:
+        return [self.glrep.to_coords(k) for k in self.K]
+
+    @cached_property
+    def model(self) -> LocalModel:
+        """The local model at g with the expansion tail inside N."""
+        exp, rep = self.expansion, self.rep
+        if exp.transversal is False:
+            raise NotTransverse("expansion tail meets the tangent space at g")
+        return build_local_model(rep, rep.to_coords(exp.g),
+                                 N_contains=[rep.to_coords(form) for form in exp.tail.values()],
+                                 weights=self.lam.weights)
+
+    @cached_property
+    def H_span(self) -> Subspace:
+        """The span of H = stab g in gl coordinates."""
+        return Subspace(self.glrep.dim, [self.glrep.to_coords(h) for h in self.model.H])
+
+    @cached_property
+    def triple(self) -> TripleStabilizers:
+        return triple_stabilizers(self)
 
 
 class KtElement:
@@ -193,23 +234,35 @@ def graded_component(vectors: Sequence[Sequence], coord_weights: Sequence[int], 
 class LimitAlgebraData:
     """K(t), K0 and the associated exact data for one limit computation."""
 
-    def __init__(self, expansion, model, MN, MS, delta, Kt, K0, Ht, lam, rep):
-        self.expansion = expansion
-        self.model = model          # LocalModel at g (None for conjugation route)
+    def __init__(self, problem: LimitProblem, MN, MS, delta, Kt, K0, Ht):
+        self.problem = problem
         self.MN = MN
         self.MS = MS
         self.delta = delta          # det(1 + theta(f^+(t))), UniPoly (or None)
         self.Kt = Kt                # list of KtElement / Mat over UniPoly
         self.K0 = K0                # list of Mat over Fraction
         self.Ht = Ht                # h-parts (Mat over UniPoly) or None
-        self.lam = lam
-        self.rep = rep
-        self._glrep = ConjRep(rep.n)
+
+    @property
+    def expansion(self) -> LimitExpansion:
+        return self.problem.expansion
+
+    @property
+    def model(self) -> LocalModel:
+        return self.problem.model
+
+    @property
+    def lam(self) -> OnePS:
+        return self.problem.lam
+
+    @property
+    def rep(self) -> SymRep:
+        return self.problem.rep
 
     @property
     def graded_dims(self) -> dict:
-        glw = gl_act_weights(self.rep, self.lam)
-        return graded_dims_of([self._glrep.to_coords(m) for m in self.K0], glw)
+        glrep = self.problem.glrep
+        return graded_dims_of([glrep.to_coords(m) for m in self.K0], self.problem.glw)
 
     def graded_dims_tuple(self) -> tuple:
         """Dims in the order (weight 1, 0, -1), the reference display order."""
@@ -220,42 +273,29 @@ class LimitAlgebraData:
         """(i, j) -> coefficients of [k_i(t), k_j(t)] over the k_m(t) basis."""
         if not self.Kt:
             return {}
+        glrep = self.problem.glrep
         mats = [kt.mat if isinstance(kt, KtElement) else kt for kt in self.Kt]
-        span = Subspace(self._glrep.dim, [self._glrep.to_coords(m) for m in mats])
+        span = Subspace(glrep.dim, [glrep.to_coords(m) for m in mats])
         out = {}
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                co = span.coords(self._glrep.to_coords(bracket(mats[i], mats[j])))
+                co = span.coords(glrep.to_coords(bracket(mats[i], mats[j])))
                 if co is None:
                     raise ValueError("K(t) is not bracket-closed over Q(t)")
                 out[(i, j)] = co
         return out
 
 
-def _build_MN_MS(n_t: Sequence, model: LocalModel):
-    rep = model.rep
-    hns = [rep.act(h, n_t) for h in model.H]
-    ws = model.inv_one_plus_theta(n_t, hns)
+def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitAlgebraData:
+    """The exact M_N pipeline: local model at g, kernel of M_N over Q(t),
+    column normalization, K(t) = h(t) + s(t), K0 = K(t) at t=0."""
+    problem = LimitProblem.of(f, lam)
+    rep, model = problem.rep, problem.model
+    n_t = problem.expansion.fplus_coords(rep)
+    ws = model.inv_one_plus_theta(n_t, [rep.act(h, n_t) for h in model.H])
     splits = [model.split_V(w) for w in ws]
     MN = Mat.from_cols([nc for (_, nc) in splits])
     MS = Mat.from_cols([sc for (sc, _) in splits])
-    return MN, MS
-
-
-def limit_algebra(f: Form, lam: OnePS, policy: str = "orthogonal",
-                  verify: bool = True) -> LimitAlgebraData:
-    """The exact M_N pipeline: local model at g, kernel of M_N over Q(t),
-    column normalization, K(t) = h(t) + s(t), K0 = K(t) at t=0."""
-    rep = SymRep(f.nvars, f.degree)
-    exp = expand_orbit_curve(f, lam)
-    if exp.transversal is False:
-        raise NotTransverse("expansion tail meets the tangent space at g")
-    g_coords = rep.to_coords(exp.g)
-    tail_coords = [rep.to_coords(form) for form in exp.tail.values()]
-    model = build_local_model(rep, g_coords, policy=policy,
-                              N_contains=tail_coords, weights=lam.weights)
-    n_t = exp.fplus_coords(rep)
-    MN, MS = _build_MN_MS(n_t, model)
     delta = UniPoly.coerce(model.delta(n_t))
 
     ker = nullspace(MN)
@@ -276,33 +316,31 @@ def limit_algebra(f: Form, lam: OnePS, policy: str = "orthogonal",
             Kt.append(KtElement(alpha, h_poly, sc, kmat))
             Ht.append(h_poly)
             K0.append(kmat.eval_at(Q0))
-    data = LimitAlgebraData(exp, model, MN, MS, delta, Kt, K0, Ht, lam, rep)
-    if verify:
-        _verify_limit_algebra(f, data)
+    data = LimitAlgebraData(problem, MN, MS, delta, Kt, K0, Ht)
+    _verify_limit_algebra(data)
     return data
 
 
-def _verify_limit_algebra(f: Form, data: LimitAlgebraData):
-    rep = data.rep
-    glrep = data._glrep
-    K = stabilizer_algebra(rep, rep.to_coords(f))
-    if len(data.K0) != len(K):
-        raise ValueError(f"dim K0 = {len(data.K0)} differs from dim K = {len(K)}")
+def _verify_limit_algebra(data: LimitAlgebraData):
+    problem = data.problem
+    rep, glrep = problem.rep, problem.glrep
+    if len(data.K0) != len(problem.K):
+        raise ValueError(f"dim K0 = {len(data.K0)} differs from dim K = {len(problem.K)}")
     k0_flat = [glrep.to_coords(m) for m in data.K0]
     k0 = Subspace(glrep.dim, k0_flat)
     if len(k0) != len(k0_flat):
         raise ValueError("K0 columns are dependent")
     # K0 inside H and bracket-closed
-    h = Subspace(glrep.dim, [glrep.to_coords(m) for m in data.model.H])
-    if any(v not in h for v in k0_flat):
+    if any(v not in problem.H_span for v in k0_flat):
         raise ValueError("K0 is not contained in the stabilizer of g")
     for i in range(len(data.K0)):
         for j in range(i + 1, len(data.K0)):
             if glrep.to_coords(bracket(data.K0[i], data.K0[j])) not in k0:
                 raise ValueError("K0 is not bracket-closed")
     # s-parts vanish to order b-a at t=0 (Prop K0(2))
-    if data.expansion.b is not None:
-        d = data.expansion.b - data.expansion.a
+    exp = problem.expansion
+    if exp.b is not None:
+        d = exp.b - exp.a
         for kt in data.Kt:
             for c in kt.s_coeffs:
                 c = RationalFn.coerce(c)
@@ -310,7 +348,7 @@ def _verify_limit_algebra(f: Form, data: LimitAlgebraData):
                     raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
     # generic rational t0: k(t0) annihilates f(t0)
     t0 = _generic_t0(data)
-    ft0 = data.expansion.f_of_t_coords(rep, t0)
+    ft0 = exp.f_of_t_coords(rep, t0)
     for kt in data.Kt:
         if any(rep.act(kt.at(t0), ft0)):
             raise ValueError(f"k({t0}) does not annihilate f({t0})")
@@ -333,22 +371,15 @@ def _generic_t0(data: LimitAlgebraData) -> Fraction:
     raise ValueError("no generic rational t0 found among the candidates")
 
 
-def limit_algebra_by_conjugation(f: Form, lam: OnePS,
-                                 rep: Optional[Representation] = None) -> LimitAlgebraData:
+def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
+                                 lam: Optional[OnePS] = None) -> LimitAlgebraData:
     """Independent route: conjugate a basis of K = stab(f) by lambda(t)
     symbolically (the E_ij component of weight w scales by t^w), normalize
     columns, and take t=0."""
-    if rep is None:
-        rep = SymRep(f.nvars, f.degree)
-        v = rep.to_coords(f)
-    else:
-        v = f if not isinstance(f, Form) else rep.to_coords(f)
-    glrep = ConjRep(rep.n)
-    glw = gl_act_weights(rep, lam)
-    K = stabilizer_algebra(rep, list(v))
+    problem = LimitProblem.of(f, lam)
+    glrep, glw = problem.glrep, problem.glw
     cols = []
-    for k in K:
-        co = glrep.to_coords(k)
+    for co in problem.K_coords:
         ws = [glw[i] for i, x in enumerate(co) if x]
         base = min(ws) if ws else 0
         cols.append([UniPoly.t(glw[i] - base, x) if x else UniPoly.zero()
@@ -359,8 +390,7 @@ def limit_algebra_by_conjugation(f: Form, lam: OnePS,
         for col in norm.columns():
             Kt.append(glrep.from_coords(list(col)))
             K0.append(glrep.from_coords([UniPoly.coerce(x)(Q0) for x in col]))
-    exp = expand_orbit_curve(f, lam) if isinstance(f, Form) else None
-    return LimitAlgebraData(exp, None, None, None, None, Kt, K0, None, lam, rep)
+    return LimitAlgebraData(problem, None, None, None, Kt, K0, None)
 
 
 def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
@@ -418,17 +448,13 @@ def _preimage_in_span(A: list[list], B: list[list]) -> list[list]:
     return [alphas[i] for i in lin_indep_subset(alphas)]
 
 
-def triple_stabilizers(f: Form, lam: OnePS, rep: Optional[Representation] = None,
-                       verify: bool = True) -> TripleStabilizers:
+def triple_stabilizers(f: Union[Form, LimitProblem],
+                       lam: Optional[OnePS] = None) -> TripleStabilizers:
     """Pure elements of K and the stabilizer K_{ell f} = {k : [k, ell] in K}."""
-    if rep is None:
-        rep = SymRep(f.nvars, f.degree)
-    v = rep.to_coords(f) if isinstance(f, Form) else list(f)
-    glrep = ConjRep(rep.n)
-    glw = gl_act_weights(rep, lam)
-    K = stabilizer_algebra(rep, v)
-    k_flat = [glrep.to_coords(m) for m in K]
-    ell = lam.ell()
+    problem = LimitProblem.of(f, lam)
+    rep, glrep, glw = problem.rep, problem.glrep, problem.glw
+    K, k_flat = problem.K, problem.K_coords
+    ell = problem.lam.ell()
 
     pure, pure_dims = [], {}
     for w in sorted({x for x in glw}):
@@ -446,30 +472,23 @@ def triple_stabilizers(f: Form, lam: OnePS, rep: Optional[Representation] = None
     except NotGraded:
         Klf_dims = None   # K_lf = stab f ∩ stab lf need not be lambda-graded
 
-    if verify and isinstance(f, Form):
-        comps = decompose_form(f, lam)
-        for p in pure:
-            for form in comps.values():
-                if any(rep.act(p, rep.to_coords(form))):
-                    raise ValueError("pure element does not kill a graded component of f")
+    comps = [rep.to_coords(form) for form in problem.expansion.terms.values()]
+    for p in pure:
+        if any(any(rep.act(p, c)) for c in comps):
+            raise ValueError("pure element does not kill a graded component of f")
     return TripleStabilizers(K, pure, pure_dims, Klf, Klf_dims)
 
 
-def filtered_dims(f: Form, lam: OnePS, rep: Optional[Representation] = None) -> dict:
+def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> dict:
     """i -> dim K^{>=i} where K^{>=i} = {k in K : components of weight < i vanish}.
 
     Quotient dims K^{>=i}/K^{>=i+1} match the graded dims of K0.
     """
-    if rep is None:
-        rep = SymRep(f.nvars, f.degree)
-    v = rep.to_coords(f) if isinstance(f, Form) else list(f)
-    glrep = ConjRep(rep.n)
-    glw = gl_act_weights(rep, lam)
-    K = stabilizer_algebra(rep, v)
+    problem = LimitProblem.of(f, lam)
+    K, glw = problem.K, problem.glw
     if not K:
         return {}
-    k_flat = [glrep.to_coords(k) for k in K]
-    return {i: len(K) - rank(_weight_rows(k_flat, glw, lambda w: w < i))
+    return {i: len(K) - rank(_weight_rows(problem.K_coords, glw, lambda w: w < i))
             for i in range(min(glw), max(glw) + 2)}
 
 
@@ -571,25 +590,23 @@ def _weight_split(m: Mat, glw, glrep) -> dict:
     return {w: glrep.from_coords(v) for w, v in out.items()}
 
 
-def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseResult:
+def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
+                  seed: int = 0, tries: int = 10) -> CaseResult:
     """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness."""
-    rep = SymRep(f.nvars, f.degree)
-    glrep = ConjRep(rep.n)
-    glw = gl_act_weights(rep, lam)
-    ts = triple_stabilizers(f, lam, verify=False)
-    K = ts.K
+    problem = LimitProblem.of(f, lam)
+    f, lam = problem.f, problem.lam
+    rep, glrep, glw = problem.rep, problem.glrep, problem.glw
+    K = problem.K
 
-    # (B) with u = identity: a pure element of K
-    for p in ts.pure:
-        comps = decompose_form(f, lam)
-        if all(not any(rep.act(p, rep.to_coords(c)))
-               for c in comps.values()):
-            return CaseResult("B", {"u": Mat.identity(rep.n), "witness": p,
-                                    "pure": True})
+    # (B) with u = identity: a pure element of K, which kills every graded
+    # component of f (triple_stabilizers checks it)
+    pure = problem.triple.pure
+    if pure:
+        return CaseResult("B", {"u": Mat.identity(rep.n), "witness": pure[0],
+                                "pure": True})
 
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
-    k_flat = [glrep.to_coords(k) for k in K]
-    pk_alphas = nullspace(_weight_rows(k_flat, glw, lambda w: w < 0))
+    pk_alphas = nullspace(_weight_rows(problem.K_coords, glw, lambda w: w < 0))
     candidates = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n)) for alpha in pk_alphas]
     rng = random.Random(seed)
     for _ in range(tries if pk_alphas else 0):
@@ -597,6 +614,7 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
         candidates.append(lin_comb(lin_comb(mix, pk_alphas, [Q0] * len(K)), K,
                                    Mat.zeros(rep.n, rep.n)))
     f_coords = rep.to_coords(f)
+    exp_f = problem.expansion
     for cand in candidates:
         if all(not x for row in cand.a for x in row):
             continue
@@ -610,13 +628,11 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
             continue
         u, k_pure = witness
         fu = group_act_form(u, f)
-        exp_u = expand_orbit_curve(fu, lam)
-        exp_f = expand_orbit_curve(f, lam)
-        if exp_u.a != exp_f.a or exp_u.g != exp_f.g:
+        comps_u = decompose_form(fu, lam)     # ascending weights
+        if next(iter(comps_u.items())) != (exp_f.a, exp_f.g):
             continue  # g must stay the leading term of f^u
-        ell = lam.ell()
         ellfu = Form(f.nvars, f.degree, {})
-        for c, form in exp_u.terms.items():
+        for c, form in comps_u.items():
             ellfu = ellfu + form.scale(Fraction(c))
         ok = (not any(rep.act(k_pure, rep.to_coords(fu)))
               and not any(rep.act(k_pure, rep.to_coords(exp_f.g)))
@@ -626,8 +642,7 @@ def classify_case(f: Form, lam: OnePS, seed: int = 0, tries: int = 10) -> CaseRe
                                     "semisimple": ss})
 
     # (A): K0 nilpotent with a lower-central-series certificate
-    data = limit_algebra_by_conjugation(f, lam)
-    K0 = data.K0
+    K0 = limit_algebra_by_conjugation(problem).K0
     series = _lower_central_series(K0, glrep)
     elementwise = all(is_nilpotent_matrix(m) for m in K0)
     if series is not None and elementwise:
@@ -642,7 +657,6 @@ def _lower_central_series(K0: Sequence[Mat], glrep) -> Optional[list[int]]:
     cur = [glrep.to_coords(m) for m in K0]
     cur = [cur[i] for i in lin_indep_subset(cur)]
     dims = [len(cur)]
-    base = [glrep.from_coords(v) for v in cur]
     while cur:
         nxt = []
         for v in cur:
@@ -718,26 +732,23 @@ def _unipotent_inverse(u: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 class DerivationData:
-    __slots__ = ("domain", "values", "model", "target")
+    __slots__ = ("domain", "values", "model")
 
-    def __init__(self, domain, values, model, target="mod-H"):
-        self.domain = domain    # list of Mat (subalgebra of H)
+    def __init__(self, domain, values, model):
+        self.domain = domain    # list of Mat: K0, a subalgebra of H
         self.values = values    # list of Mat in S: s with s.g = h.f_b
         self.model = model
-        self.target = target
 
 
-def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None,
-                  verify: bool = True) -> DerivationData:
-    """d_b(h) = {s} with s.g = h.f_b, for h in the domain (default K0).
+def derivation_db(data: LimitAlgebraData) -> DerivationData:
+    """d_b(h) = {s} with s.g = h.f_b, for h in K0.
 
     A lambda-homogeneous f has no f_b; it is read as the zero form, so d_b = 0.
     """
-    model = data.model
-    rep = data.rep
-    if domain is None:
-        domain = data.K0
-    f_b = data.expansion.f_b
+    problem = data.problem
+    model, rep, glrep = problem.model, problem.rep, problem.glrep
+    domain = data.K0
+    f_b = problem.expansion.f_b
     fb = rep.to_coords(f_b) if f_b is not None else [Q0] * rep.dim
     values = []
     for h in domain:
@@ -746,21 +757,18 @@ def derivation_db(data: LimitAlgebraData, domain: Optional[Sequence[Mat]] = None
         if any(nc):
             raise ValueError("h does not star-stabilize f_b; d_b undefined")
         values.append(model.s_mat(sc))
-    if verify:
-        glrep = ConjRep(rep.n)
-        h = Subspace(glrep.dim, [glrep.to_coords(m) for m in model.H])
-        dom = Subspace(glrep.dim, [glrep.to_coords(m) for m in domain])
-        for i in range(len(domain)):
-            for j in range(i + 1, len(domain)):
-                co = dom.coords(glrep.to_coords(bracket(domain[i], domain[j])))
-                if co is None:
-                    raise ValueError("derivation domain is not a subalgebra")
-                # [h_i, d(h_j)] - [h_j, d(h_i)] - d([h_i, h_j]) must lie in H
-                diff = lin_comb([Q1, -Q1] + [-c for c in co],
-                                [bracket(domain[i], values[j]), bracket(domain[j], values[i])]
-                                + values, Mat.zeros(rep.n, rep.n))
-                if glrep.to_coords(diff) not in h:
-                    raise ValueError("d_b fails the derivation identity")
+    dom = Subspace(glrep.dim, [glrep.to_coords(m) for m in domain])
+    for i in range(len(domain)):
+        for j in range(i + 1, len(domain)):
+            co = dom.coords(glrep.to_coords(bracket(domain[i], domain[j])))
+            if co is None:
+                raise ValueError("derivation domain is not a subalgebra")
+            # [h_i, d(h_j)] - [h_j, d(h_i)] - d([h_i, h_j]) must lie in H
+            diff = lin_comb([Q1, -Q1] + [-c for c in co],
+                            [bracket(domain[i], values[j]), bracket(domain[j], values[i])]
+                            + values, Mat.zeros(rep.n, rep.n))
+            if glrep.to_coords(diff) not in problem.H_span:
+                raise ValueError("d_b fails the derivation identity")
     return DerivationData(list(domain), values, model)
 
 
@@ -813,14 +821,12 @@ def hoffman_case(H: Sequence[Mat], K0: Sequence[Mat], n: int) -> Optional[int]:
     return None
 
 
-def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = None) -> FeasibilityResult:
+def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     """Linear feasibility of extending d_b : K0 -> G/H to d_bar : K0 -> G/K0
     (Prop localmain); returns the eps-extension when feasible."""
-    model = data.model
-    rep = data.rep
-    glrep = ConjRep(rep.n)
-    if db is None:
-        db = derivation_db(data)
+    problem = data.problem
+    model, rep, glrep = problem.model, problem.rep, problem.glrep
+    db = derivation_db(data)
     K0 = db.domain
     K = len(K0)
     # one basis of gl: K0, then a complement W of K0 inside H, then unit
@@ -887,12 +893,11 @@ def extension_feasible(data: LimitAlgebraData, db: Optional[DerivationData] = No
     eps_basis = [(K0[mth], -dbar[mth]) for mth in range(K)]
     hof = hoffman_case(model.H, K0, rep.n)
     reg = None
-    if data.expansion is not None and data.expansion.b is not None:
-        d = data.expansion.b - data.expansion.a
-        cond_i = all((c - data.expansion.a) % d == 0 for c in data.expansion.terms)
-        Kf = stabilizer_algebra(rep, rep.to_coords(data.expansion.f))
-        h = Subspace(glrep.dim, [glrep.to_coords(m) for m in model.H])
-        cond_ii = any(glrep.to_coords(k) not in h for k in Kf)
+    exp = problem.expansion
+    if exp.b is not None:
+        d = exp.b - exp.a
+        cond_i = all((c - exp.a) % d == 0 for c in exp.terms)
+        cond_ii = any(k not in problem.H_span for k in problem.K_coords)
         reg = (cond_i, cond_ii)
     return FeasibilityResult(True, dbar, eps_basis, hoffman=hof, regular=reg)
 
@@ -907,13 +912,11 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
     when such a weight exists in S, else h_w.f_b = 0.  The b-a in {1, 2, >2}
     case split of the appendix is the specialization to w in {-1, 0}.  A
     lambda-homogeneous f has no f_b and so no condition: the report is empty."""
-    model = data.model
-    rep = data.rep
-    exp = data.expansion
+    problem = data.problem
+    model, rep, glrep, glw = problem.model, problem.rep, problem.glrep, problem.glw
+    exp = problem.expansion
     if exp.f_b is None:
         return []
-    glrep = ConjRep(rep.n)
-    glw = gl_act_weights(rep, data.lam)
     # S is graded whenever H is, so the weight-w components of the S basis
     # span the graded piece S_w exactly.
     s_comps: dict[int, list] = {}

@@ -52,15 +52,13 @@ class SliceStabilizer:
 
 
 class LocalModel:
-    def __init__(self, rep: Representation, x: Sequence, H, S, TO, N,
-                 levi=None, ambient=None):
+    def __init__(self, rep: Representation, x: Sequence, H, S, TO, N, ambient=None):
         self.rep = rep
         self.x = list(x)
         self.H = H                    # list of Mat (gl elements)
         self.S = S                    # list of Mat
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
         self.N = N                    # list of V-coordinate vectors
-        self.levi = levi
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
         self._glrep = ConjRep(rep.n)
         self.V = Subspace(rep.dim, TO + N)
@@ -200,13 +198,6 @@ class LocalModel:
         for s, to in zip(self.S, self.TO):
             if self.rep.act(s, self.x) != list(to):
                 raise ValueError("TO basis is not S.x")
-        if self.levi is not None:
-            R, Qpart = self.levi
-            for r in R:
-                rn_cols = [self.rep.act(r, list(nv)) for nv in self.N]
-                for c in rn_cols:
-                    if any(self.lamS(c)):
-                        raise ValueError("reductive part does not preserve N")
         return True
 
 
@@ -214,17 +205,17 @@ class NotTransverse(ValueError):
     pass
 
 
-def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogonal",
+def build_local_model(rep: Representation, x: Sequence,
                       S: Optional[Sequence[Mat]] = None,
                       N: Optional[Sequence[Sequence]] = None,
                       N_contains: Optional[Sequence[Sequence]] = None,
-                      weights=None, levi=None,
+                      weights=None,
                       ambient: Optional[Sequence[Mat]] = None) -> LocalModel:
     """Build the local model at x.
 
-    policy 'orthogonal': complements are coefficientwise-orthogonal (the
-    positive-definite trace pairing Tr(a b^T) on gl, the coefficient inner
-    product on V).  policy 'explicit': S and/or N supplied and validated.
+    A supplied S or N is validated as a complement; a complement not
+    supplied is coefficientwise-orthogonal (the positive-definite trace
+    pairing Tr(a b^T) on gl, the coefficient inner product on V).
     N_contains lists vectors that must lie inside N (the expansion tail of a
     limit pipeline); N is then completed with coordinate vectors.  ambient
     restricts the acting algebra to a subalgebra of gl (e.g. sl via its
@@ -249,7 +240,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
         H = [glrep.from_coords(v) for v in
              graded_basis([glrep.to_coords(h) for h in H], glw)]
 
-    if policy == "explicit" and S is not None:
+    if S is not None:
         Sb = list(S)
         idx = lin_indep_subset([glrep.to_coords(m) for m in H + Sb])
         if len(idx) != len(H) + len(Sb) or len(H) + len(Sb) != ambient_dim:
@@ -269,7 +260,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
     if len(lin_indep_subset(TO)) != len(TO):
         raise NotTransverse("S does not inject into the tangent space")
 
-    if policy == "explicit" and N is not None:
+    if N is not None:
         Nb = [list(v) for v in N]
     else:
         contained = [list(v) for v in (N_contains or [])]
@@ -285,7 +276,7 @@ def build_local_model(rep: Representation, x: Sequence, policy: str = "orthogona
             if cw is not None:
                 Nb = graded_basis(Nb, cw)
 
-    model = LocalModel(rep, x, H, Sb, TO, Nb, levi=levi,
+    model = LocalModel(rep, x, H, Sb, TO, Nb,
                        ambient=list(ambient) if ambient is not None else None)
     if len(model.V) != rep.dim or len(TO) + len(Nb) != rep.dim:
         raise NotTransverse("supplied N is not a complement of the tangent space")

@@ -24,10 +24,9 @@ from .examples import (LAM1, LAM2, LAM4, O2_LAM, O3_LAM, det3_form,
 from .exactcore import Mat, Q0, Q1, RationalFn, UniPoly, coords_in_basis
 from .kempf import (grid_minimize, kempf_descent, kempf_support,
                     leading_term_along, mu)
-from .lierep import (ConjRep, Form, SymRep, elementary, stabilizer_algebra)
-from .limits import (check_graded_conditions, extension_feasible,
-                     gl_act_weights, graded_dims_of, limit_algebra, same_span,
-                     triple_stabilizers)
+from .lierep import ConjRep, Form, SymRep, elementary
+from .limits import (check_graded_conditions, extension_feasible, graded_dims_of,
+                     limit_algebra, same_span)
 from .localmodel import build_local_model
 
 
@@ -174,15 +173,15 @@ def run_o3() -> list:
 # the det3 suite
 
 
+_DET3_FORMS = {"l1": (det3_z_adapted_form, LAM1),
+               "l2": (det3_skew_sym_form, LAM2),
+               "l4": (det3_form, LAM4)}
+
+
 @lru_cache(maxsize=None)
 def _lam_data(which: str):
-    if which == "l1":
-        return limit_algebra(det3_z_adapted_form(), LAM1)
-    if which == "l2":
-        return limit_algebra(det3_skew_sym_form(), LAM2)
-    if which == "l4":
-        return limit_algebra(det3_form(), LAM4)
-    raise KeyError(which)
+    form_fn, lam = _DET3_FORMS[which]
+    return limit_algebra(form_fn(), lam)
 
 
 # The reference table lists H(Q1) and H(Q2) graded dims as (0, 8, 8), which
@@ -190,25 +189,23 @@ def _lam_data(which: str):
 # are (0, 9, 8), the extra weight-0 element being the shifted diagonal ell'
 # with H = K0 + span(ell').  H(Q4) = (1, 13, 7) matches as printed.
 _DET3_ROWS = [
-    ("l1", det3_z_adapted_form, LAM1, (0, 8, 8), (0, 9, 8), (0, 4, 0)),
-    ("l2", det3_skew_sym_form, LAM2, (0, 8, 8), (0, 9, 8), (0, 8, 0)),
-    ("l4", det3_form, LAM4, (1, 10, 5), (1, 13, 7), (1, 6, 1)),
+    ("l1", (0, 8, 8), (0, 9, 8), (0, 4, 0)),
+    ("l2", (0, 8, 8), (0, 9, 8), (0, 8, 0)),
+    ("l4", (1, 10, 5), (1, 13, 7), (1, 6, 1)),
 ]
 
 
 def run_det3_table() -> list:
     out = []
-    glrep = ConjRep(9)
-    for name, form_fn, lam, k_dims, h_dims, klf_dims in _DET3_ROWS:
-        f = form_fn()
+    for name, k_dims, h_dims, klf_dims in _DET3_ROWS:
         data = _lam_data(name)
+        problem = data.problem
         _check(out, f"{name}: dim K", len(data.K0), 16)
         _check(out, f"{name}: graded dims of K0 (1, 0, -1)",
                data.graded_dims_tuple(), k_dims)
-        rep = data.rep
-        glw = gl_act_weights(rep, lam)
-        H = stabilizer_algebra(rep, rep.to_coords(data.expansion.g))
-        hd = graded_dims_of([glrep.to_coords(m) for m in H], glw)
+        rep, lam, glrep = problem.rep, problem.lam, problem.glrep
+        H = problem.model.H
+        hd = graded_dims_of([glrep.to_coords(m) for m in H], problem.glw)
         _check(out, f"{name}: graded dims of H(limit) (1, 0, -1)",
                (hd.get(1, 0), hd.get(0, 0), hd.get(-1, 0)), h_dims)
         if name in ("l1", "l2"):
@@ -221,9 +218,8 @@ def run_det3_table() -> list:
                         None)
             _flag(out, f"{name}: H(limit) = K0 + span(ell')",
                   ellp is not None and same_span(data.K0 + [ellp], H, 9))
-        ts = triple_stabilizers(f, lam)
         _check(out, f"{name}: graded dims of K_lf (1, 0, -1)",
-               ts.klf_dims_tuple(), klf_dims)
+               problem.triple.klf_dims_tuple(), klf_dims)
     return out
 
 
@@ -232,9 +228,7 @@ def run_det3_q1() -> list:
     data = _lam_data("l1")
     exp = data.expansion
     _check(out, "expansion orders (a, b)", (exp.a, exp.b), (0, 1))
-    rep = data.rep
-    H = stabilizer_algebra(rep, rep.to_coords(exp.g))
-    _check(out, "dim H(Q1)", len(H), 17)
+    _check(out, "dim H(Q1)", len(data.model.H), 17)
     _check(out, "K0 graded dims (1, 0, -1)", data.graded_dims_tuple(), (0, 8, 8))
     _flag(out, "f_b = Q1' = z (x1 x5 - x2 x4)", exp.f_b == q1_prime_form())
     conds = check_graded_conditions(data)
@@ -256,9 +250,7 @@ def run_det3_q2() -> list:
     _check(out, "exponent support of the expansion", sorted(exp.terms), [1, 3])
     _flag(out, "leading term g = 2 Q2", exp.g == q2_form().scale(2))
     _flag(out, "exit direction f_b = Q3", exp.f_b == q3_form())
-    rep = data.rep
-    H = stabilizer_algebra(rep, rep.to_coords(q2_form()))
-    _check(out, "dim H(Q2)", len(H), 17)
+    _check(out, "dim H(Q2)", len(data.model.H), 17)
     _check(out, "K0 graded dims (1, 0, -1)", data.graded_dims_tuple(), (0, 8, 8))
     return out
 
@@ -270,9 +262,7 @@ def run_det3_q4() -> list:
     _check(out, "expansion orders (a, b)", (exp.a, exp.b), (1, 2))
     _flag(out, "leading term g = Q4", exp.g == q4_form())
     _flag(out, "exit direction f_b = Q4'", exp.f_b == q4_prime_form())
-    rep = data.rep
-    H = stabilizer_algebra(rep, rep.to_coords(q4_form()))
-    _check(out, "dim H(Q4)", len(H), 21)
+    _check(out, "dim H(Q4)", len(data.model.H), 21)
     _check(out, "K0 graded dims (1, 0, -1)", data.graded_dims_tuple(), (1, 10, 5))
     return out
 

@@ -1,10 +1,12 @@
 """CLI contract: JSON in/out, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from orbitlimits import cli
+from orbitlimits import (cli, conjclosure, curvature, kempf, lierep, limits, localmodel,
+                         reproduce)
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                              form_from_doc, main)
 from orbitlimits.lierep import SymRep, stabilizer_algebra
@@ -117,6 +119,47 @@ def test_limit_with_ungraded_klf(tmp_path, capsys):
     res = _limit_answer(tmp_path, capsys, form, [0, -2, 2, 0])
     assert res["Klf_graded_dims"] is None
     assert (res["a"], res["b"]) == (-4, 0)
+
+
+# Whole `limit` outputs, json and table, pinned on the O2 and O3 quartics, two
+# lambda-homogeneous forms and an input whose K_lf is not graded.
+LIMIT_GOLDEN = json.loads((Path(__file__).parent / "data" / "limit_golden.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", sorted(LIMIT_GOLDEN))
+def test_limit_output_is_pinned(tmp_path, capsys, name, fmt):
+    case = LIMIT_GOLDEN[name]
+    path = _write(tmp_path, "in.json", case["input"])
+    code, out, err = _run(capsys, ["limit", "--input", path, "--format", fmt])
+    assert code == EXIT_OK, err
+    assert out == case[fmt]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.<name>, made through any orbitlimits module."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (cli, conjclosure, curvature, kempf, lierep, limits, localmodel, reproduce):
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_limit_builds_each_stage_input_once(tmp_path, capsys, monkeypatch):
+    # stab f and stab g once each, one expansion, one triple-stabilizer run
+    stab = _count_calls(monkeypatch, lierep, "stabilizer_algebra")
+    expand = _count_calls(monkeypatch, limits, "expand_orbit_curve")
+    triple = _count_calls(monkeypatch, limits, "triple_stabilizers")
+    path = _write(tmp_path, "in.json", LIMIT_GOLDEN["o2"]["input"])
+    code, _, err = _run(capsys, ["limit", "--input", path])
+    assert code == EXIT_OK, err
+    assert (len(stab), len(expand), len(triple)) == (2, 1, 1)
 
 
 def test_closure_verdicts(tmp_path, capsys):
@@ -269,6 +312,28 @@ def test_form_at_the_size_bounds_is_accepted(tmp_path, capsys):
         path = _write(tmp_path, "in.json", _power_sum(nvars, degree))
         code, out, _ = _run(capsys, ["stabilizer", "--input", path])
         assert code == EXIT_OK and json.loads(out)["verified"] is True
+
+
+def _jordan_nilpotent(n):
+    return [["1" if j == i + 1 else "0" for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("cmd", ["stabilizer", "local-model", "kempf"])
+def test_matrix_size_is_bounded(tmp_path, capsys, cmd):
+    n = cli.MATRIX_MAX_N + 1
+    path = _write(tmp_path, "in.json", {"matrix": _jordan_nilpotent(n)})
+    code, out, err = _run(capsys, [cmd, "--input", path])
+    assert code == EXIT_INPUT and out == ""
+    assert f"at most {cli.MATRIX_MAX_N}x{cli.MATRIX_MAX_N}, got {n}x{n}" in err
+
+
+def test_matrix_at_the_size_bound_is_accepted(tmp_path, capsys):
+    n = cli.MATRIX_MAX_N
+    path = _write(tmp_path, "in.json", {"matrix": _jordan_nilpotent(n)})
+    code, out, _ = _run(capsys, ["stabilizer", "--input", path])
+    res = json.loads(out)
+    assert code == EXIT_OK and res["verified"] is True
+    assert res["dimension"] == n        # the centralizer of J_n
 
 
 def test_wrong_schema_rejected(tmp_path, capsys):

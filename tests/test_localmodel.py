@@ -91,8 +91,7 @@ def test_explicit_policy_validates_complement():
     x = rep.to_coords(j)
     # a supplied S that overlaps the stabilizer must be rejected
     with pytest.raises(NotTransverse):
-        build_local_model(rep, x, policy="explicit",
-                          S=[j, Mat.identity(2), elementary(2, 1, 0)])
+        build_local_model(rep, x, S=[j, Mat.identity(2), elementary(2, 1, 0)])
 
 
 def test_zero_base_point_rejected():
