@@ -201,6 +201,16 @@ def test_hoffman_requires_codim_one():
     assert hoffman_case(H, H, 2) is None
 
 
+def test_hoffman_trichotomy_branches():
+    e, f, h = elementary(2, 0, 1), elementary(2, 1, 0), Mat.rational([[1, 0], [0, -1]])
+    # the Borel <e, h> of sl2 contains no nonzero ideal of sl2
+    assert hoffman_case([e, f, h], [e, h], 2) == 1
+    # <h> inside <h, e>: the largest ideal inside <h> is 0, of codim 1
+    assert hoffman_case([h, e], [h], 2) == 2
+    # <e> is an ideal of <h, e>
+    assert hoffman_case([h, e], [e], 2) == 3
+
+
 def test_cancel_positive_weights_gives_weight_zero_conjugate():
     # E_ij has weight d_j - d_i on forms: E_01 and E_12 weight 1, E_02 weight 2.
     # ss = diag(1,2,3) + E_01 + E_12 + E_02 is semisimple (distinct eigenvalues)

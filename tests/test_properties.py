@@ -3,34 +3,35 @@
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import assume, given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import jn_local_model
 from orbitlimits.exactcore import Mat, Q0, coords_in_basis
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket
-from orbitlimits.limits import (OnePS, limit_algebra,
+from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse
 
 coef = st.integers(-3, 3)
 
 
-def _random_form(draw, nvars, degree):
+def _random_form(draw, nvars, degree, coefs=coef):
     from orbitlimits.lierep import monomial_basis
     basis = monomial_basis(nvars, degree)
     terms = {}
     for e in basis:
-        c = draw(coef)
+        c = draw(coefs)
         if c:
             terms[e] = Fraction(c)
     assume(terms)
     return Form(nvars, degree, terms)
 
 
-def _limit_pair(draw):
-    nvars, degree = 2, draw(st.integers(3, 4))
-    f = _random_form(draw, nvars, degree)
+def _limit_pair(draw, nvars=2, coefs=coef):
+    degree = draw(st.integers(3, 4))
+    f = _random_form(draw, nvars, degree, coefs)
     w = [draw(st.integers(0, 3)) for _ in range(nvars)]
     assume(len(set(w)) > 1)          # nontrivial 1-PS
     return f, OnePS(w)
@@ -147,3 +148,69 @@ def test_s_parts_vanish_to_order_b_minus_a(data):
             if c.num:
                 assert c.den(Q0)
                 assert c.num.valuation() >= order
+
+
+
+def _sym_cols(cols):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in c]
+                         for c in cols]).T
+
+
+def _fb_coords(d):
+    exp = d.expansion
+    return d.rep.to_coords(exp.f_b) if exp.f_b is not None else [Q0] * d.rep.dim
+
+
+def _assert_epsilon_extension(d, feas):
+    """Each pair (k_m, -dbar_m) of the eps-extension has dbar_m - d_b(k_m) in
+    H = stab g, and dbar is a derivation modulo K0:
+    sum_m beta_ij^m dbar_m - [k_i, dbar_j] + [k_j, dbar_i] lies in span K0,
+    with the structure constants beta of K0 from a sympy solve."""
+    rep, glrep = d.rep, d.problem.glrep
+    K0 = [k for k, _ in feas.epsilon_basis]
+    dbar = [-s for _, s in feas.epsilon_basis]
+    assert K0 == d.K0
+    g, fb = rep.to_coords(d.expansion.g), _fb_coords(d)
+    for k, x in zip(K0, dbar):
+        # d_b(k) is any s with s.g = k.f_b, so dbar(k) - d_b(k) is in H iff it kills g
+        assert rep.act(x, g) == rep.act(k, fb)
+    k0 = _sym_cols([glrep.to_coords(k) for k in K0])
+    for i in range(len(K0)):
+        for j in range(i + 1, len(K0)):
+            br = _sym_cols([glrep.to_coords(bracket(K0[i], K0[j]))])
+            beta, free = k0.gauss_jordan_solve(br)
+            assert free.shape[0] == 0
+            v = bracket(K0[j], dbar[i]) - bracket(K0[i], dbar[j])
+            for m, x in enumerate(dbar):
+                v = v + x.scale(Fraction(int(beta[m].p), int(beta[m].q)))
+            assert k0.rank() == k0.row_join(_sym_cols([glrep.to_coords(v)])).rank()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.data())
+def test_epsilon_extension_extends_db_as_a_derivation(data):
+    # sparse ternary forms, so that K0 often has dimension 2 or more
+    f, lam = _limit_pair(data.draw, 3, st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2]))
+    try:
+        d = limit_algebra(f, lam)
+        feas = extension_feasible(d)
+    except (NotTransverse, ValueError):
+        assume(False)
+        return
+    assume(feas.feasible)
+    _assert_epsilon_extension(d, feas)
+
+
+def test_epsilon_extension_corrects_db():
+    """x^2 + xy + yz under (1, 1, -1): dim K0 = 3, and the solved dbar differs
+    from d_b itself, so the extension system has a nonzero solution."""
+    f = Form(3, 2, {(2, 0, 0): Fraction(1), (1, 1, 0): Fraction(1), (0, 1, 1): Fraction(1)})
+    d = limit_algebra(f, OnePS([1, 1, -1]))
+    feas = extension_feasible(d)
+    assert feas.feasible and len(d.K0) == 3
+    _assert_epsilon_extension(d, feas)
+    model, fb = d.model, _fb_coords(d)
+    db = [model.s_mat(model.split_V(d.rep.act(k, fb))[0]) for k in d.K0]
+    assert any(-s != x for (_, s), x in zip(feas.epsilon_basis, db))
