@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
                           jab_slice_report, jn_slice_report, transpose_block_spectrum)
@@ -45,6 +46,16 @@ FORM_MAX_DIM = 500
 # the stabilizer of a dense 9x9 integer matrix takes about 2 s, of a dense
 # 11x11 one 10 s (Python 3.11 on a 2-core Xeon).
 MATRIX_MAX_N = 9
+# The other size fields, each bounded where one document costs about 2 s on
+# the same machine: a closure spec of size 500 with a witness family takes up
+# to 2.1 s, the slice report at J_8 2.9 s, the sphere in dim 24 2.2 s, the
+# adjoint orbit with 6 eigenvalues 2.5 s and the cyclic-shift suite at
+# n = 10 1.9 s.
+CLOSURE_MAX_N = 500
+SLICE_MAX_N = 8           # the size n of J_n, a + b of J_{a,b}
+SPHERE_MAX_DIM = 24
+ADJOINT_MAX_EIGS = 6
+CYCLIC_MAX_N = 10
 
 
 class InputError(ValueError):
@@ -117,11 +128,14 @@ def mat_to_doc(m: Mat):
     return [[rational_str(x) for x in row] for row in m.a]
 
 
-def int_field(doc: dict, key: str, least: int) -> int:
-    """The integer field doc[key]; it must be at least `least`."""
+def int_field(doc: dict, key: str, least: int, most: Optional[int] = None) -> int:
+    """The integer field doc[key]; it must be at least `least`, and at most
+    `most` when that is given."""
     v = doc.get(key)
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
         raise InputError(f"{key!r} must be an integer >= {least}, got {v!r}")
+    if most is not None and v > most:
+        raise InputError(f"{key!r} may be at most {most}, got {v}")
     return v
 
 
@@ -288,6 +302,8 @@ def cmd_closure(args) -> int:
     if "spec" not in doc or "partition" not in doc:
         raise InputError("closure input needs 'spec' and 'partition' fields")
     spec = jordanspec_from_doc(doc["spec"])
+    if spec.n > CLOSURE_MAX_N:
+        raise InputError(f"a closure spec may have size at most {CLOSURE_MAX_N}, got {spec.n}")
     try:
         part = Partition([int(p) for p in doc["partition"]])
     except (TypeError, ValueError) as e:
@@ -315,10 +331,13 @@ def cmd_slice(args) -> int:
     doc = read_input(args)
     kind = doc.get("kind")
     if kind == "jn":
-        report = jn_slice_report(int_field(doc, "n", 2), seed=args.seed)
+        report = jn_slice_report(int_field(doc, "n", 2, SLICE_MAX_N), seed=args.seed)
     elif kind == "jab":
         b = int_field(doc, "b", 1)
-        report = jab_slice_report(int_field(doc, "a", b), b, seed=args.seed)
+        a = int_field(doc, "a", b)
+        if a + b > SLICE_MAX_N:
+            raise InputError(f"a + b may be at most {SLICE_MAX_N}, got {a + b}")
+        report = jab_slice_report(a, b, seed=args.seed)
     else:
         raise InputError("slice input needs kind 'jn' or 'jab'")
     emit(to_jsonable(report), args.format)
@@ -332,17 +351,20 @@ def cmd_curvature(args) -> int:
         r = parse_rational(doc.get("r", 1))
         if r == 0:
             raise InputError("radius must be nonzero")
-        out = {"ricci": sphere_ricci(int_field(doc, "dim", 1), r)}
+        out = {"ricci": sphere_ricci(int_field(doc, "dim", 1, SPHERE_MAX_DIM), r)}
     elif kind == "adjoint":
         if not isinstance(doc.get("lams"), list):
             raise InputError("'lams' must be a list of rationals")
+        if len(doc["lams"]) > ADJOINT_MAX_EIGS:
+            raise InputError(f"'lams' may hold at most {ADJOINT_MAX_EIGS} eigenvalues, "
+                             f"got {len(doc['lams'])}")
         lams = [parse_rational(x) for x in doc["lams"]]
         if len(set(lams)) != len(lams):
             raise InputError("eigenvalues must be distinct")
         out = {"d": {f"{p},{q}": diag for (p, q), diag in adjoint_pi(lams).items()},
                "offdiagonal_vanishes": adjoint_offdiagonal_vanishing(lams)}
     elif kind == "cyclic":
-        suite = cyclic_shift_suite(int_field(doc, "n", 3))
+        suite = cyclic_shift_suite(int_field(doc, "n", 3, CYCLIC_MAX_N))
         out = {k: v for k, v in suite.items() if k != "curvature"}
         out["ricci"] = suite["curvature"].ricci
     else:
@@ -427,13 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "in exact rational arithmetic.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--input", default="-",
-                        help="JSON input file ('-' for stdin)")
-        sp.add_argument("--format", choices=("json", "table"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-3)
-
     for name, fn, help_ in (
             ("stabilizer", cmd_stabilizer,
              "Lie-algebra stabilizer of a form or matrix"),
@@ -452,7 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("reproduce", cmd_reproduce,
              "re-run the pinned worked examples and diff the results")):
         sp = sub.add_parser(name, help=help_)
-        common(sp)
+        sp.add_argument("--input", default="-",
+                        help="JSON input file ('-' for stdin)")
+        sp.add_argument("--format", choices=("json", "table"), default="json")
+        if name in ("limit", "slice", "kempf"):
+            sp.add_argument("--seed", type=int, default=0)
+        if name == "kempf":
+            sp.add_argument("--tol", type=float, default=1e-3)
         sp.set_defaults(fn=fn)
         if name == "reproduce":
             sp.add_argument("ids", nargs="*",

@@ -184,11 +184,9 @@ class LimitProblem:
 class KtElement:
     """A basis element k(t) = h(t) + s(t) of K(t)."""
 
-    __slots__ = ("alpha", "h_poly", "s_coeffs", "mat")
+    __slots__ = ("s_coeffs", "mat")
 
-    def __init__(self, alpha, h_poly, s_coeffs, mat):
-        self.alpha = alpha        # UniPoly coefficients over the H-basis
-        self.h_poly = h_poly      # Mat over UniPoly
+    def __init__(self, s_coeffs, mat):
         self.s_coeffs = s_coeffs  # RationalFn coefficients over the S-basis
         self.mat = mat            # Mat over RationalFn, h(t)+s(t)
 
@@ -234,14 +232,11 @@ def graded_component(vectors: Sequence[Sequence], coord_weights: Sequence[int], 
 class LimitAlgebraData:
     """K(t), K0 and the associated exact data for one limit computation."""
 
-    def __init__(self, problem: LimitProblem, MN, MS, delta, Kt, K0, Ht):
+    def __init__(self, problem: LimitProblem, delta, Kt, K0):
         self.problem = problem
-        self.MN = MN
-        self.MS = MS
         self.delta = delta          # det(1 + theta(f^+(t))), UniPoly (or None)
         self.Kt = Kt                # list of KtElement / Mat over UniPoly
         self.K0 = K0                # list of Mat over Fraction
-        self.Ht = Ht                # h-parts (Mat over UniPoly) or None
 
     @property
     def expansion(self) -> LimitExpansion:
@@ -269,6 +264,23 @@ class LimitAlgebraData:
         d = self.graded_dims
         return (d.get(1, 0), d.get(0, 0), d.get(-1, 0))
 
+    @cached_property
+    def beta(self) -> dict:
+        """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
+        structure constants of K0, which must be independent and closed."""
+        glrep, K0 = self.problem.glrep, self.K0
+        span = Subspace(glrep.dim)
+        if not all([span.add(glrep.to_coords(m)) for m in K0]):
+            raise ValueError("K0 columns are dependent")
+        out = {}
+        for i in range(len(K0)):
+            for j in range(i + 1, len(K0)):
+                co = span.coords(glrep.to_coords(bracket(K0[i], K0[j])))
+                if co is None:
+                    raise ValueError("K0 is not bracket-closed")
+                out[(i, j)] = co
+        return out
+
     def structure_constants(self) -> dict:
         """(i, j) -> coefficients of [k_i(t), k_j(t)] over the k_m(t) basis."""
         if not self.Kt:
@@ -294,29 +306,26 @@ def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     n_t = problem.expansion.fplus_coords(rep)
     ws = model.inv_one_plus_theta(n_t, [rep.act(h, n_t) for h in model.H])
     splits = [model.split_V(w) for w in ws]
-    MN = Mat.from_cols([nc for (_, nc) in splits])
-    MS = Mat.from_cols([sc for (sc, _) in splits])
     delta = UniPoly.coerce(model.delta(n_t))
 
-    ker = nullspace(MN)
-    Kt, K0, Ht = [], [], []
+    ker = nullspace(Mat.from_cols([nc for (_, nc) in splits]))    # M_N
+    Kt, K0 = [], []
     if ker:
         n = rep.n
         norm = column_normalize(Mat.from_cols([list(v) for v in ker]))
-        ms_cols = MS.columns()
+        ms_cols = [sc for (sc, _) in splits]                      # M_S
         for alpha in norm.columns():
             h_poly = lin_comb([UniPoly.coerce(a) for a in alpha], model.H,
                               Mat.zeros(n, n, UniPoly.zero()))
-            # column j of MS is lambda_S(w_j); the s-part carries a minus sign
+            # column j of M_S is lambda_S(w_j); the s-part carries a minus sign
             sc = lin_comb([-RationalFn.coerce(a) for a in alpha], ms_cols,
                           [RationalFn(0)] * len(model.S))
             # k(t) = h(t) + s(t)
             kmat = lin_comb([RationalFn(1)] + sc, [h_poly] + model.S,
                             Mat.zeros(n, n, RationalFn(0)))
-            Kt.append(KtElement(alpha, h_poly, sc, kmat))
-            Ht.append(h_poly)
+            Kt.append(KtElement(sc, kmat))
             K0.append(kmat.eval_at(Q0))
-    data = LimitAlgebraData(problem, MN, MS, delta, Kt, K0, Ht)
+    data = LimitAlgebraData(problem, delta, Kt, K0)
     _verify_limit_algebra(data)
     return data
 
@@ -326,17 +335,9 @@ def _verify_limit_algebra(data: LimitAlgebraData):
     rep, glrep = problem.rep, problem.glrep
     if len(data.K0) != len(problem.K):
         raise ValueError(f"dim K0 = {len(data.K0)} differs from dim K = {len(problem.K)}")
-    k0_flat = [glrep.to_coords(m) for m in data.K0]
-    k0 = Subspace(glrep.dim, k0_flat)
-    if len(k0) != len(k0_flat):
-        raise ValueError("K0 columns are dependent")
-    # K0 inside H and bracket-closed
-    if any(v not in problem.H_span for v in k0_flat):
+    data.beta       # K0 independent and bracket-closed
+    if any(glrep.to_coords(m) not in problem.H_span for m in data.K0):
         raise ValueError("K0 is not contained in the stabilizer of g")
-    for i in range(len(data.K0)):
-        for j in range(i + 1, len(data.K0)):
-            if glrep.to_coords(bracket(data.K0[i], data.K0[j])) not in k0:
-                raise ValueError("K0 is not bracket-closed")
     # s-parts vanish to order b-a at t=0 (Prop K0(2))
     exp = problem.expansion
     if exp.b is not None:
@@ -390,7 +391,7 @@ def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
         for col in norm.columns():
             Kt.append(glrep.from_coords(list(col)))
             K0.append(glrep.from_coords([UniPoly.coerce(x)(Q0) for x in col]))
-    return LimitAlgebraData(problem, None, None, None, Kt, K0, None)
+    return LimitAlgebraData(problem, None, Kt, K0)
 
 
 def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
@@ -731,53 +732,40 @@ def _unipotent_inverse(u: Mat) -> Mat:
 # derivations and the epsilon-extension feasibility test
 # ---------------------------------------------------------------------------
 
-class DerivationData:
-    __slots__ = ("domain", "values", "model")
-
-    def __init__(self, domain, values, model):
-        self.domain = domain    # list of Mat: K0, a subalgebra of H
-        self.values = values    # list of Mat in S: s with s.g = h.f_b
-        self.model = model
-
-
-def derivation_db(data: LimitAlgebraData) -> DerivationData:
-    """d_b(h) = {s} with s.g = h.f_b, for h in K0.
+def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
+    """d_b(h) = {s} with s.g = h.f_b, for h in K0, and its defect on each pair
+    i < j: [k_i, d(k_j)] - [k_j, d(k_i)] - d([k_i, k_j]) in gl coordinates,
+    which must lie in H.  Returns (values, defects).
 
     A lambda-homogeneous f has no f_b; it is read as the zero form, so d_b = 0.
     """
     problem = data.problem
     model, rep, glrep = problem.model, problem.rep, problem.glrep
-    domain = data.K0
+    K0 = data.K0
     f_b = problem.expansion.f_b
     fb = rep.to_coords(f_b) if f_b is not None else [Q0] * rep.dim
     values = []
-    for h in domain:
-        w = rep.act(h, fb)
-        sc, nc = model.split_V(w)
+    for h in K0:
+        sc, nc = model.split_V(rep.act(h, fb))
         if any(nc):
             raise ValueError("h does not star-stabilize f_b; d_b undefined")
         values.append(model.s_mat(sc))
-    dom = Subspace(glrep.dim, [glrep.to_coords(m) for m in domain])
-    for i in range(len(domain)):
-        for j in range(i + 1, len(domain)):
-            co = dom.coords(glrep.to_coords(bracket(domain[i], domain[j])))
-            if co is None:
-                raise ValueError("derivation domain is not a subalgebra")
-            # [h_i, d(h_j)] - [h_j, d(h_i)] - d([h_i, h_j]) must lie in H
-            diff = lin_comb([Q1, -Q1] + [-c for c in co],
-                            [bracket(domain[i], values[j]), bracket(domain[j], values[i])]
-                            + values, Mat.zeros(rep.n, rep.n))
-            if glrep.to_coords(diff) not in problem.H_span:
-                raise ValueError("d_b fails the derivation identity")
-    return DerivationData(list(domain), values, model)
+    defects = {}
+    for (i, j), co in data.beta.items():
+        diff = glrep.to_coords(lin_comb([Q1, -Q1] + [-c for c in co],
+                                        [bracket(K0[i], values[j]), bracket(K0[j], values[i])]
+                                        + values, Mat.zeros(rep.n, rep.n)))
+        if diff not in problem.H_span:
+            raise ValueError("d_b fails the derivation identity")
+        defects[(i, j)] = diff
+    return values, defects
 
 
 class FeasibilityResult:
-    __slots__ = ("feasible", "dbar", "epsilon_basis", "hoffman", "regular")
+    __slots__ = ("feasible", "epsilon_basis", "hoffman", "regular")
 
-    def __init__(self, feasible, dbar, epsilon_basis, hoffman=None, regular=None):
+    def __init__(self, feasible, epsilon_basis, hoffman=None, regular=None):
         self.feasible = feasible
-        self.dbar = dbar                  # list of Mat: d_bar(k_i) coset reps
         self.epsilon_basis = epsilon_basis  # list of (h, s): h + eps*s; plus eps*K0
         self.hoffman = hoffman
         self.regular = regular
@@ -826,71 +814,38 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     (Prop localmain); returns the eps-extension when feasible."""
     problem = data.problem
     model, rep, glrep = problem.model, problem.rep, problem.glrep
-    db = derivation_db(data)
-    K0 = db.domain
+    values, defects = derivation_db(data)
+    K0 = data.K0
     K = len(K0)
     # one basis of gl: K0, then a complement W of K0 inside H, then unit
     # vectors; coordinates past the K0 block are coordinates on gl/K0
-    basis = Subspace(glrep.dim)
-    if not all([basis.add(glrep.to_coords(m)) for m in K0]):
-        raise ValueError("K0 columns are dependent")
+    basis = Subspace(glrep.dim, [glrep.to_coords(m) for m in K0])
     W = [h for h in model.H if basis.add(glrep.to_coords(h))]
     basis.complete_with_units()
 
     def mod_K0(vec):
         return basis.coords(vec)[K:]
 
-    nw = len(W)
     # [k_i, W_w] and W_w modulo K0, once each
     brW = [[mod_K0(glrep.to_coords(bracket(k, x))) for x in W] for k in K0]
     Wq = [mod_K0(glrep.to_coords(x)) for x in W]
-    # structure constants of K0
-    beta = {}
-    for i in range(K):
-        for j in range(i + 1, K):
-            co = basis.coords(glrep.to_coords(bracket(K0[i], K0[j])))
-            if any(co[K:]):
-                raise ValueError("K0 is not bracket-closed")
-            beta[(i, j)] = co[:K]
-    # unknowns x_{m,w}: dbar(k_m) = -s_m - sum_w x_{m,w} W_w  (cosets mod K0)
-    # using dbar(h) = -s - correction so that k = h + eps*s has s in dbar(-h)
-    nunk = K * nw
-    rows = []
-    rhs = []
-    for i in range(K):
-        for j in range(i + 1, K):
-            # derivation identity: dbar([ki,kj]) = [ki, dbar(kj)] - [kj, dbar(ki)]
-            # with dbar(k_m) = S_m + sum_w x_{m,w} W_w, S_m := db value for k_m
-            const = lin_comb([Q1, -Q1] + [-c for c in beta[(i, j)]],
-                             [bracket(K0[i], db.values[j]), bracket(K0[j], db.values[i])]
-                             + db.values, Mat.zeros(rep.n, rep.n))
-            const_q = mod_K0(glrep.to_coords(const))
-            coeffs = {}
-            for w in range(nw):
-                coeffs[(j, w)] = brW[i][w]
-                coeffs[(i, w)] = [-x for x in brW[j][w]]
-            for mth, c in enumerate(beta[(i, j)]):
-                if c:
-                    for w in range(nw):
-                        prev = coeffs.get((mth, w), [Q0] * len(Wq[w]))
-                        coeffs[(mth, w)] = lin_comb([Q1, -c], [prev, Wq[w]], [Q0] * len(Wq[w]))
-            qdim = len(const_q)
-            for r in range(qdim):
-                row = [Q0] * nunk
-                for (mth, w), vec in coeffs.items():
-                    row[mth * nw + w] = vec[r]
-                rows.append(row)
-                rhs.append(-const_q[r])
-    if rows:
-        # one solution, free unknowns set to 0; None if inconsistent
-        sol = coords_in_basis([list(c) for c in zip(*rows)], rhs)
-        if sol is None:
-            return FeasibilityResult(False, None, None)
-    else:
-        sol = [Q0] * nunk
-    dbar = [lin_comb([Q1] + sol[mth * nw:(mth + 1) * nw], [db.values[mth]] + W,
-                     Mat.zeros(rep.n, rep.n)) for mth in range(K)]
-    eps_basis = [(K0[mth], -dbar[mth]) for mth in range(K)]
+    # unknowns x_{m,w}: dbar(k_m) = d_b(k_m) + sum_w x_{m,w} W_w (cosets mod K0).
+    # The derivation identity dbar([k_i,k_j]) = [k_i, dbar(k_j)] - [k_j, dbar(k_i)]
+    # on each pair i < j gives x_{m,w} the coefficient
+    # delta_mj [k_i, W_w] - delta_mi [k_j, W_w] - beta_ij^m W_w, and the
+    # defect of d_b as constant term.  One column per unknown, m major.
+    nw, zero = len(W), [Q0] * (glrep.dim - K)
+    cols = [[x for (i, j), co in data.beta.items()
+             for x in lin_comb([Q1 if m == j else Q0, -Q1 if m == i else Q0, -co[m]],
+                               [brW[i][w], brW[j][w], Wq[w]], zero)]
+            for m in range(K) for w in range(nw)]
+    rhs = [-x for pair in data.beta for x in mod_K0(defects[pair])]
+    # one solution, free unknowns set to 0; None if inconsistent
+    sol = coords_in_basis(cols, rhs)
+    if sol is None:
+        return FeasibilityResult(False, None)
+    eps_basis = [(K0[m], -lin_comb([Q1] + sol[m * nw:(m + 1) * nw], [values[m]] + W,
+                                   Mat.zeros(rep.n, rep.n))) for m in range(K)]
     hof = hoffman_case(model.H, K0, rep.n)
     reg = None
     exp = problem.expansion
@@ -899,7 +854,7 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
         cond_i = all((c - exp.a) % d == 0 for c in exp.terms)
         cond_ii = any(k not in problem.H_span for k in problem.K_coords)
         reg = (cond_i, cond_ii)
-    return FeasibilityResult(True, dbar, eps_basis, hoffman=hof, regular=reg)
+    return FeasibilityResult(True, eps_basis, hoffman=hof, regular=reg)
 
 
 # ---------------------------------------------------------------------------

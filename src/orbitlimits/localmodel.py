@@ -38,19 +38,6 @@ class SliceTangent:
         self.nPart = nPart   # coefficients over the N-basis
 
 
-class SliceStabilizer:
-    __slots__ = ("elements", "h_parts", "s_parts", "h_coeffs")
-
-    def __init__(self, elements, h_parts, s_parts, h_coeffs):
-        self.elements = elements
-        self.h_parts = h_parts
-        self.s_parts = s_parts
-        self.h_coeffs = h_coeffs
-
-    def __len__(self):
-        return len(self.elements)
-
-
 class LocalModel:
     def __init__(self, rep: Representation, x: Sequence, H, S, TO, N, ambient=None):
         self.rep = rep
@@ -167,23 +154,18 @@ class LocalModel:
         s2, n2 = self.solve_decomposition(n, hn)
         return SliceTangent([a + b for a, b in zip(sc, s2)], n2)
 
-    def slice_stabilizer(self, n: Sequence) -> SliceStabilizer:
+    def slice_stabilizer(self, n: Sequence) -> list[Mat]:
         """Stabilizer of x+n: elements h + s with λ_N((1+θ(n))^{-1}(h·n)) = 0
         and s = -λ_S((1+θ(n))^{-1}(h·n))."""
         hns = [self.rep.act(h, list(n)) for h in self.H]
         ws = self.inv_one_plus_theta(n, hns)
         splits = [self.split_V(w) for w in ws]
         ker = nullspace(Mat.from_cols([nc for (_, nc) in splits]))
-        elements, h_parts, s_parts, h_coeffs = [], [], [], []
+        elements = []
         for alpha in ker:
-            h = self.h_mat(alpha)
             sc = lin_comb([-a for a in alpha], [scj for scj, _ in splits], [Q0] * len(self.S))
-            s = self.s_mat(sc)
-            elements.append(h + s)
-            h_parts.append(h)
-            s_parts.append(s)
-            h_coeffs.append(alpha)
-        return SliceStabilizer(elements, h_parts, s_parts, h_coeffs)
+            elements.append(self.h_mat(alpha) + self.s_mat(sc))
+        return elements
 
     def star(self, h: Mat, n: Sequence) -> list:
         """h ⋆ n = λ_N(h·n), the induced H-action on N ≅ V/TO."""

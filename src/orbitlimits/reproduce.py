@@ -100,8 +100,8 @@ def run_sl2_sym2() -> list:
     _flag(out, "the completion stabilizes x^2 + y^2",
           not any(rep.act(completed, p2)))
     stab = model.slice_stabilizer(n)
-    _check(out, "slice stabilizer at y^2 is 1-dimensional", len(stab.elements), 1)
-    el = stab.elements[0]
+    _check(out, "slice stabilizer at y^2 is 1-dimensional", len(stab), 1)
+    el = stab[0]
     scale = el.a[1][0]
     _flag(out, "slice stabilizer is spanned by the rotation g(0,-1,1)",
           scale and el == _g(0, -1, 1).scale(scale))

@@ -336,6 +336,12 @@ def test_matrix_at_the_size_bound_is_accepted(tmp_path, capsys):
     assert res["dimension"] == n        # the centralizer of J_n
 
 
+def test_flags_are_registered_only_where_read():
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilizer", "--tol", "1"])
+    assert exc.value.code == 2
+
+
 def test_wrong_schema_rejected(tmp_path, capsys):
     doc = dict(XYZ, schema=99)
     path = _write(tmp_path, "in.json", doc)
@@ -352,6 +358,12 @@ def test_wrong_schema_rejected(tmp_path, capsys):
     ("curvature", {"kind": "sphere", "dim": -1}),
     ("curvature", {"kind": "adjoint", "lams": 5}),
     ("curvature", {"kind": "cyclic", "n": 2}),
+    # one past each size bound
+    ("slice", {"kind": "jn", "n": cli.SLICE_MAX_N + 1}),
+    ("slice", {"kind": "jab", "a": cli.SLICE_MAX_N // 2 + 1, "b": cli.SLICE_MAX_N // 2}),
+    ("curvature", {"kind": "sphere", "dim": cli.SPHERE_MAX_DIM + 1}),
+    ("curvature", {"kind": "adjoint", "lams": [str(k) for k in range(cli.ADJOINT_MAX_EIGS + 1)]}),
+    ("curvature", {"kind": "cyclic", "n": cli.CYCLIC_MAX_N + 1}),
 ])
 def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cmd, doc):
     path = _write(tmp_path, "in.json", doc)
@@ -366,6 +378,8 @@ def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cm
     ("local-model", dict(XYZ, weights=["q", 1, 0])),
     ("local-model", dict(XYZ, weights=[1])),
     ("closure", {"spec": [{"eig": "1", "sizes": ["x"]}], "partition": [1]}),
+    ("closure", {"spec": [{"eig": "1", "sizes": [cli.CLOSURE_MAX_N + 1]}],
+                 "partition": [cli.CLOSURE_MAX_N + 1]}),
 ])
 def test_ill_typed_fields_are_input_errors(tmp_path, capsys, cmd, doc):
     path = _write(tmp_path, "in.json", doc)

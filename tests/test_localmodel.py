@@ -46,7 +46,7 @@ def test_sl2_slice_completion(sl2_model):
     n = rep.to_coords(Form(2, 2, {(0, 2): 1}))
     stab = model.slice_stabilizer(n)
     assert len(stab) == 1
-    el = stab.elements[0]
+    el = stab[0]
     c = el.a[1][0]
     assert c and el == _g(0, -1, 1).scale(c)
     # the completed element stabilizes x^2 + y^2
@@ -72,7 +72,7 @@ def test_local_action_of_stabilizer_is_vertical(sl2_model):
     n = rep.to_coords(Form(2, 2, {(0, 2): 1}))
     # the slice stabilizer element induces zero motion at x + n
     stab = model.slice_stabilizer(n)
-    t2 = model.local_action(stab.elements[0], n)
+    t2 = model.local_action(stab[0], n)
     assert not any(t2.sPart)
     assert not any(t2.nPart)
 

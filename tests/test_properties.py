@@ -150,7 +150,6 @@ def test_s_parts_vanish_to_order_b_minus_a(data):
                 assert c.num.valuation() >= order
 
 
-
 def _sym_cols(cols):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in c]
                          for c in cols]).T
