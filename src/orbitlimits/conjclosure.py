@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Mat, Q0, Q1, UniPoly, _as_fraction, nullspace, rank
+from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank
 from .lierep import ConjRep, elementary, stabilizer_algebra
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix
 from .localmodel import LocalModel, build_local_model
@@ -526,21 +526,14 @@ def jn_local_model(n: int) -> LocalModel:
 
 
 def minimal_polynomial(m: Mat) -> UniPoly:
-    """Monic minimal polynomial over Q, via the dependency of powers of m."""
-    n = m.rows
-    glrep = ConjRep(n)
-    power = Mat.identity(n)
-    vecs = []
-    for _ in range(n + 1):
-        vecs.append(glrep.to_coords(power))
-        ker = nullspace(Mat.from_cols(vecs))
-        if ker:
-            co = ker[0]
-            deg = len(vecs) - 1
-            lead = co[deg]
-            return UniPoly({i: c / lead for i, c in enumerate(co) if c})
+    """Monic minimal polynomial over Q: the first power m^d that depends on
+    I, m, ..., m^(d-1) gives m^d = sum c_i m^i, so p = t^d - sum c_i t^i."""
+    glrep = ConjRep(m.rows)
+    powers, power = Subspace(glrep.dim), Mat.identity(m.rows)
+    while powers.add(glrep.to_coords(power)):
         power = power * m
-    raise AssertionError("unreachable: powers of an n x n matrix are dependent")
+    co = powers.coords(glrep.to_coords(power))
+    return UniPoly({i: -c for i, c in enumerate(co)} | {len(co): Q1})
 
 
 def jn_slice_report(n: int, seed: int = 0) -> dict:

@@ -10,18 +10,19 @@ kernels, solves and determinants over one of three scalar rings:
 Matrices are dense row-major lists.  All row reduction goes through one
 sparse incremental `Subspace` echelon, generic over the three scalar types
 (UniPoly pivots are promoted to RationalFn).  It answers questions about one
-subspace -- independence, membership, coordinates, completion by unit
-vectors -- and `rref`, `nullspace`, `rank` and `solve` read their answers
-off it.  Determinants use fraction-free Bareiss instead, on sparse
-{column: value} rows, so that a sparse matrix such as I + λ_S∘B costs in
-proportion to its nonzeros.
+subspace -- independence, the residue of a vector modulo the span (the
+quotient map), membership, coordinates, completion by unit vectors -- and
+`rref`, `nullspace`, `rank` and `solve` read their answers off it.
+Determinants use fraction-free Bareiss instead, on sparse {column: value}
+rows, so that a sparse matrix such as I + λ_S∘B costs in proportion to its
+nonzeros.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -662,9 +663,9 @@ class Subspace:
     row's pivot, and it carries the combination {generator: coefficient}
     of the accepted generators that equals it.  Because the rows are fully
     reduced, the coefficient of a vector v on the row with pivot p is v[p]
-    itself, so membership and coordinates cost one pass over the rows that
-    v meets.  Entries may be Fraction, UniPoly or RationalFn; a UniPoly
-    pivot is promoted to RationalFn before division.
+    itself, so the residue, membership and coordinates of v cost one pass
+    over the rows that v meets.  Entries may be Fraction, UniPoly or
+    RationalFn; a UniPoly pivot is promoted to RationalFn before division.
     """
 
     __slots__ = ("dim", "rows")
@@ -679,15 +680,14 @@ class Subspace:
         """Dimension of the span, which is the number of accepted generators."""
         return len(self.rows)
 
-    def _reduce(self, w: dict) -> dict:
-        """Subtract from w, in place, its part in the span; return that part
-        as a combination of the accepted generators."""
-        combo: dict = {}
+    def _reduce(self, w: dict, combo: Optional[dict] = None) -> None:
+        """Subtract from w, in place, its part in the span; add that part, as
+        a combination of the accepted generators, to combo if one is given."""
         for p, c in [(p, c) for p, c in w.items() if p in self.rows]:
             row, rc = self.rows[p]
             _sub_scaled(w, c, row)
-            _sub_scaled(combo, -c, rc)
-        return combo
+            if combo is not None:
+                _sub_scaled(combo, -c, rc)
 
     def add(self, v: Sequence) -> bool:
         """Add v to the span; True if v was independent of it (then v is the
@@ -695,7 +695,8 @@ class Subspace:
         return self._add({i: x for i, x in enumerate(v) if x})
 
     def _add(self, w: dict) -> bool:
-        combo = self._reduce(w)
+        combo: dict = {}
+        self._reduce(w, combo)
         if not w:
             return False
         p = min(w)
@@ -712,14 +713,21 @@ class Subspace:
         self.rows[p] = (row, rc)
         return True
 
+    def residue(self, v: Sequence) -> list:
+        """v minus its part in the span.  This is the quotient map
+        K^dim -> K^dim / span: it is linear and its kernel is the span."""
+        w = {i: x for i, x in enumerate(v) if x}
+        self._reduce(w)
+        return [w.get(i, Q0) for i in range(self.dim)]
+
     def __contains__(self, v: Sequence) -> bool:
-        return self.coords(v) is not None
+        return not any(self.residue(v))
 
     def coords(self, v: Sequence):
         """Coefficients of v over the accepted generators, in the order they
         were accepted; None if v is not in the span."""
-        w = {i: x for i, x in enumerate(v) if x}
-        combo = self._reduce(w)
+        w, combo = {i: x for i, x in enumerate(v) if x}, {}
+        self._reduce(w, combo)
         if w:
             return None
         return [combo.get(g, Q0) for g in range(len(self.rows))]

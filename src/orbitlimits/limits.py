@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, column_normalize,
                         coords_in_basis, det_bareiss, lin_indep_subset, nullspace, rank)
 from .lierep import (ConjRep, Form, Representation, SymRep, bracket,
-                     group_act_form, lin_comb, stabilizer_algebra, tangent_space)
+                     group_act_form, lin_comb, stabilizer_algebra)
 from .localmodel import LocalModel, NotTransverse, build_local_model
 
 
@@ -107,17 +107,19 @@ def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
     """Graded expansion of lam(t).f.
 
     Transversality of span{f_b, ..., f_D} with T_g O(g) is tested and
-    reported as a flag, not an error.
+    reported as a flag, not an error.  The tail forms have disjoint monomial
+    supports, so they are independent, and the span meets the tangent space
+    only in 0 exactly when each is independent of the tangent space and the
+    tail forms before it.
     """
     if not f:
         raise ValueError("f must be nonzero")
     exp = LimitExpansion(decompose_form(f, lam), None)
     if exp.tail:
         rep = SymRep(f.nvars, f.degree)
-        tangent = tangent_space(rep, rep.to_coords(exp.g))
-        tail_vecs = [rep.to_coords(form) for form in exp.tail.values()]
-        tail_rank = len(lin_indep_subset(tail_vecs))
-        exp.transversal = len(lin_indep_subset(tangent + tail_vecs)) == len(tangent) + tail_rank
+        g, n = rep.to_coords(exp.g), rep.n
+        span = Subspace(rep.dim, (rep.act_elementary(i, j, g) for i in range(n) for j in range(n)))
+        exp.transversal = all(span.add(rep.to_coords(form)) for form in exp.tail.values())
     return exp
 
 
@@ -265,12 +267,17 @@ class LimitAlgebraData:
         return (d.get(1, 0), d.get(0, 0), d.get(-1, 0))
 
     @cached_property
+    def K0_span(self) -> Subspace:
+        """The span of K0 in gl coordinates."""
+        glrep = self.problem.glrep
+        return Subspace(glrep.dim, [glrep.to_coords(m) for m in self.K0])
+
+    @cached_property
     def beta(self) -> dict:
         """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
         structure constants of K0, which must be independent and closed."""
-        glrep, K0 = self.problem.glrep, self.K0
-        span = Subspace(glrep.dim)
-        if not all([span.add(glrep.to_coords(m)) for m in K0]):
+        glrep, K0, span = self.problem.glrep, self.K0, self.K0_span
+        if len(span) != len(K0):
             raise ValueError("K0 columns are dependent")
         out = {}
         for i in range(len(K0)):
@@ -442,13 +449,6 @@ class TripleStabilizers:
                 self.Klf_dims.get(-1, 0))
 
 
-def _preimage_in_span(A: list[list], B: list[list]) -> list[list]:
-    """A basis of {alpha : sum alpha_i A_i in span B}: the A-block of the
-    kernel of [A | B], thinned to a linearly independent subset."""
-    alphas = [v[:len(A)] for v in nullspace(Mat.from_cols(A + B))]
-    return [alphas[i] for i in lin_indep_subset(alphas)]
-
-
 def triple_stabilizers(f: Union[Form, LimitProblem],
                        lam: Optional[OnePS] = None) -> TripleStabilizers:
     """Pure elements of K and the stabilizer K_{ell f} = {k : [k, ell] in K}."""
@@ -464,10 +464,10 @@ def triple_stabilizers(f: Union[Form, LimitProblem],
             pure_dims[w] = len(comp)
             pure.extend(glrep.from_coords(c) for c in comp)
 
-    # Klf: alpha with sum alpha_i [k_i, ell] in span K
-    br_cols = [glrep.to_coords(bracket(k, ell)) for k in K]
-    Klf = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n))
-           for alpha in _preimage_in_span(br_cols, k_flat)]
+    # Klf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K
+    mod_K = Subspace(glrep.dim, k_flat).residue
+    Klf = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n)) for alpha in
+           nullspace(Mat.from_cols([mod_K(glrep.to_coords(bracket(k, ell))) for k in K]))]
     try:
         Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw)
     except NotGraded:
@@ -784,29 +784,15 @@ def hoffman_case(H: Sequence[Mat], K0: Sequence[Mat], n: int) -> Optional[int]:
     cur = [glrep.to_coords(m) for m in K0]
     while cur:
         # next iterate: {x in span(cur) : [h, x] in span(cur) for all h in H},
-        # with the brackets by all of H stacked into one column per x
-        brackets = [[c for h in H for c in glrep.to_coords(bracket(h, glrep.from_coords(v)))]
-                    for v in cur]
-        blocks = []
-        for hi in range(len(H)):
-            for v in cur:
-                col = [Q0] * (len(H) * glrep.dim)
-                for t in range(glrep.dim):
-                    col[hi * glrep.dim + t] = -v[t]
-                blocks.append(col)
-        nxt = [lin_comb(alpha, cur, [Q0] * glrep.dim)
-               for alpha in _preimage_in_span(brackets, blocks)]
+        # the kernel of x -> ([h, x] mod span(cur))_h; one column per x
+        mod_cur = Subspace(glrep.dim, cur).residue
+        cols = [[c for h in H for c in mod_cur(glrep.to_coords(bracket(h, glrep.from_coords(v))))]
+                for v in cur]
+        nxt = [lin_comb(alpha, cur, [Q0] * glrep.dim) for alpha in nullspace(Mat.from_cols(cols))]
         if len(nxt) == len(cur):
             break
         cur = nxt
-    codim = len(K0) - len(cur)
-    if codim == 0:
-        return 3
-    if codim == 1:
-        return 2
-    if codim == 2:
-        return 1
-    return None
+    return {0: 3, 1: 2, 2: 1}.get(len(K0) - len(cur))
 
 
 def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
@@ -817,15 +803,11 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     values, defects = derivation_db(data)
     K0 = data.K0
     K = len(K0)
-    # one basis of gl: K0, then a complement W of K0 inside H, then unit
-    # vectors; coordinates past the K0 block are coordinates on gl/K0
-    basis = Subspace(glrep.dim, [glrep.to_coords(m) for m in K0])
-    W = [h for h in model.H if basis.add(glrep.to_coords(h))]
-    basis.complete_with_units()
-
-    def mod_K0(vec):
-        return basis.coords(vec)[K:]
-
+    # the quotient map gl -> gl/K0, and a complement W of K0 inside H: the
+    # h whose residues modulo K0 are independent
+    mod_K0 = data.K0_span.residue
+    quotient = Subspace(glrep.dim)
+    W = [h for h in model.H if quotient.add(mod_K0(glrep.to_coords(h)))]
     # [k_i, W_w] and W_w modulo K0, once each
     brW = [[mod_K0(glrep.to_coords(bracket(k, x))) for x in W] for k in K0]
     Wq = [mod_K0(glrep.to_coords(x)) for x in W]
@@ -834,7 +816,7 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     # on each pair i < j gives x_{m,w} the coefficient
     # delta_mj [k_i, W_w] - delta_mi [k_j, W_w] - beta_ij^m W_w, and the
     # defect of d_b as constant term.  One column per unknown, m major.
-    nw, zero = len(W), [Q0] * (glrep.dim - K)
+    nw, zero = len(W), [Q0] * glrep.dim
     cols = [[x for (i, j), co in data.beta.items()
              for x in lin_comb([Q1 if m == j else Q0, -Q1 if m == i else Q0, -co[m]],
                                [brW[i][w], brW[j][w], Wq[w]], zero)]
@@ -892,9 +874,8 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
             if not any(target):
                 entry["status"] = "zero"
             elif needed in s_comps:
-                cols = [rep.act(s, g_coords) for s in s_comps[needed]]
-                sol = coords_in_basis(cols, target)
-                entry["status"] = "solved" if sol is not None else "unsolvable"
+                solvable = target in Subspace(rep.dim, [rep.act(s, g_coords) for s in s_comps[needed]])
+                entry["status"] = "solved" if solvable else "unsolvable"
             else:
                 entry["status"] = "nonzero-no-s"
             report.append(entry)

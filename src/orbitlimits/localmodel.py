@@ -39,17 +39,22 @@ class SliceTangent:
 
 
 class LocalModel:
-    def __init__(self, rep: Representation, x: Sequence, H, S, TO, N, ambient=None):
+    """gl ⊇ H ⊕ S with H = stab x, and V = TO ⊕ N with TO = S.x.  V and HS
+    span TO + N and H + S in that generator order, so their coords split a
+    vector in two; build_local_model grows and checks them, and supplies them."""
+
+    def __init__(self, rep: Representation, x: Sequence, H, S, TO, N, V: Subspace,
+                 HS: Subspace, ambient=None):
         self.rep = rep
         self.x = list(x)
         self.H = H                    # list of Mat (gl elements)
         self.S = S                    # list of Mat
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
         self.N = N                    # list of V-coordinate vectors
+        self.V = V                    # span of TO + N
+        self.HS = HS                  # span of H + S in gl coordinates
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
         self._glrep = ConjRep(rep.n)
-        self.V = Subspace(rep.dim, TO + N)
-        self.HS = Subspace(self._glrep.dim, [self._glrep.to_coords(m) for m in H + S])
         self._theta_cache = None
 
     # -- projections --------------------------------------------------
@@ -221,46 +226,49 @@ def build_local_model(rep: Representation, x: Sequence,
     if cw is not None:
         H = [glrep.from_coords(v) for v in
              graded_basis([glrep.to_coords(h) for h in H], glw)]
+    h_coords = [glrep.to_coords(h) for h in H]
 
     if S is not None:
         Sb = list(S)
-        idx = lin_indep_subset([glrep.to_coords(m) for m in H + Sb])
-        if len(idx) != len(H) + len(Sb) or len(H) + len(Sb) != ambient_dim:
-            raise NotTransverse("supplied S is not a complement of the stabilizer")
     elif ambient is not None:
         # complement of H inside the ambient span, orthogonal in ambient coords
         amb = Subspace(glrep.dim, [glrep.to_coords(a) for a in ambient])
-        comp = nullspace(Mat([amb.coords(glrep.to_coords(h)) for h in H], len(ambient)))
+        comp = nullspace(Mat([amb.coords(v) for v in h_coords], len(ambient)))
         Sb = [lin_comb(co, ambient, Mat.zeros(rep.n, rep.n)) for co in comp]
     else:
-        comp = nullspace(Mat([glrep.to_coords(h) for h in H], glrep.dim))
+        comp = nullspace(Mat(h_coords, glrep.dim))
         if glw is not None:
             comp = graded_basis(comp, glw)
         Sb = [glrep.from_coords(v) for v in comp]
+    HS = Subspace(glrep.dim, h_coords + [glrep.to_coords(m) for m in Sb])
+    if S is not None and not len(HS) == len(H) + len(Sb) == ambient_dim:
+        raise NotTransverse("supplied S is not a complement of the stabilizer")
 
     TO = [rep.act(s, x) for s in Sb]
-    if len(lin_indep_subset(TO)) != len(TO):
+    V = Subspace(rep.dim, TO)
+    if len(V) != len(TO):
         raise NotTransverse("S does not inject into the tangent space")
 
-    if N is not None:
-        Nb = [list(v) for v in N]
+    if N is None and N_contains:
+        contained = [list(v) for v in N_contains]
+        Nb = [v for v in contained if V.add(v)]
+        if len(Nb) != len(lin_indep_subset(contained)):
+            raise NotTransverse("N_contains meets the tangent space")
+        Nb += [[Q1 if i == j else Q0 for i in range(rep.dim)]
+               for j in V.complete_with_units()]
     else:
-        contained = [list(v) for v in (N_contains or [])]
-        if contained:
-            V = Subspace(rep.dim, TO)
-            Nb = [v for v in contained if V.add(v)]
-            if len(Nb) != len(lin_indep_subset(contained)):
-                raise NotTransverse("N_contains meets the tangent space")
-            Nb += [[Q1 if i == j else Q0 for i in range(rep.dim)]
-                   for j in V.complete_with_units()]
+        if N is not None:
+            Nb = [list(v) for v in N]
         else:
             Nb = nullspace(Mat(TO, rep.dim))
             if cw is not None:
                 Nb = graded_basis(Nb, cw)
-
-    model = LocalModel(rep, x, H, Sb, TO, Nb,
-                       ambient=list(ambient) if ambient is not None else None)
-    if len(model.V) != rep.dim or len(TO) + len(Nb) != rep.dim:
+        for v in Nb:
+            V.add(v)
+    if len(V) != rep.dim or len(TO) + len(Nb) != rep.dim:
         raise NotTransverse("supplied N is not a complement of the tangent space")
+
+    model = LocalModel(rep, x, H, Sb, TO, Nb, V, HS,
+                       ambient=list(ambient) if ambient is not None else None)
     model.verify()
     return model

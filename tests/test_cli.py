@@ -399,6 +399,16 @@ def test_library_assertion_and_runtime_errors_are_compute_errors(
     assert code == EXIT_COMPUTE and "internal check failed" in err
 
 
+def test_limit_with_tail_in_the_tangent_space_is_compute_error(tmp_path, capsys):
+    # y^2 + xy under [1, 0]: g = y^2, and the tail xy = (x d/dy) y^2 / 2 is tangent
+    form = {"nvars": 2, "degree": 2,
+            "terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [1, 1], "coef": "1"}]}
+    path = _write(tmp_path, "in.json", {"form": form, "oneps": [1, 0]})
+    code, out, err = _run(capsys, ["limit", "--input", path])
+    assert (code, out) == (EXIT_COMPUTE, "")
+    assert err == "computation error: expansion tail meets the tangent space at g\n"
+
+
 def test_zero_form_is_compute_error(tmp_path, capsys):
     doc = {"form": {"nvars": 2, "degree": 2, "terms": []}}
     path = _write(tmp_path, "in.json", doc)

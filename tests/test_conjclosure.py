@@ -4,6 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      closure_contains_nilpotent, companion,
@@ -172,6 +175,38 @@ def test_companion_minimal_polynomial_symbolic():
     m = companion(c)
     p = minimal_polynomial(m)
     assert p == UniPoly({3: Q1, 0: c[0], 1: c[1], 2: c[2]})
+
+
+def _matrix_with_repeats(data, n):
+    """An n x n integer matrix: sparse random, scalar, or a block repeated down
+    the diagonal (derogatory) conjugated by a unit upper-triangular matrix."""
+    cell = st.sampled_from([0, 0, 0, 1, -1, 2])
+    kind = data.draw(st.sampled_from(["random", "scalar", "repeated-block"]))
+    if kind == "random":
+        return sympy.Matrix(n, n, lambda i, j: data.draw(cell))
+    if kind == "scalar":
+        return sympy.eye(n) * data.draw(st.integers(-2, 2))
+    b = data.draw(st.integers(1, max(1, n // 2)))
+    block = sympy.Matrix(b, b, lambda i, j: data.draw(cell))
+    rest = n - b * (n // b)
+    d = sympy.diag(*([block] * (n // b) + [sympy.Matrix(rest, rest, lambda i, j: data.draw(cell))]))
+    p = sympy.Matrix(n, n, lambda i, j: 1 if i == j else (data.draw(cell) if j > i else 0))
+    return p * d * p.inv()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimal_polynomial_against_sympy(data):
+    n = data.draw(st.integers(1, 5))
+    m = _matrix_with_repeats(data, n)
+    p = minimal_polynomial(Mat([[Fraction(int(x.p), int(x.q)) for x in m.row(i)]
+                                for i in range(n)]))
+    d = p.degree()
+    assert 1 <= d <= n and p.lc() == 1
+    coeff = lambda e: sympy.Rational(p.coeff(e).numerator, p.coeff(e).denominator)
+    assert sum((coeff(e) * m**e for e in range(d + 1)), sympy.zeros(n, n)) == sympy.zeros(n, n)
+    # no polynomial of lower degree annihilates m
+    assert sympy.Matrix([list(m**e) for e in range(d)]).rank() == d
 
 
 def test_z4_stabilizer_element():

@@ -1,8 +1,11 @@
 """Limits of forms under one-parameter subgroups: K(t), K0, feasibility."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
@@ -209,6 +212,47 @@ def test_hoffman_trichotomy_branches():
     assert hoffman_case([h, e], [h], 2) == 2
     # <e> is an ideal of <h, e>
     assert hoffman_case([h, e], [e], 2) == 3
+
+
+def _codim_of_largest_ideal(ad, phi) -> int:
+    """Codimension in ker phi of the largest ad-stable subspace inside it, from
+    the dual side: that subspace is the annihilator of the smallest subspace D
+    of functionals that contains phi and is closed under psi -> psi∘ad(h), so
+    the codimension is dim D - 1.  sympy ranks decide each step."""
+    D = [sympy.Matrix([phi])]
+    for psi in D:       # D grows while it is walked
+        for a in ad:
+            cand = psi * a
+            if sympy.Matrix.vstack(*D, cand).rank() > len(D):
+                D.append(cand)
+    return len(D) - 1
+
+
+@pytest.mark.parametrize("n,positions,expected", [
+    (2, [(i, j) for i in range(2) for j in range(2)], {1: 4, 3: 1}),        # gl(2)
+    (3, [(i, j) for i in range(3) for j in range(i, 3)], {2: 6, 3: 13}),    # b(3)
+])
+def test_hoffman_case_against_dual_oracle(n, positions, expected):
+    """Every codimension-1 subalgebra ker phi, phi in {-1, 0, 1}^dim H, of H
+    spanned by the elementary matrices at `positions`; phi and -phi give one
+    kernel, counted once.  Between them the two algebras reach all three cases."""
+    H = [elementary(n, i, j) for i, j in positions]
+    ad = [sympy.Matrix([[bracket(h, hj).a[i][j] for hj in H] for i, j in positions])
+          for h in H]
+    seen = Counter()
+    for phi in itertools.product((-1, 0, 1), repeat=len(H)):
+        p = next((k for k, c in enumerate(phi) if c), None)
+        if p is None or phi[p] < 0:      # zero, or the same kernel as -phi
+            continue
+        K0 = [H[j] - H[p].scale(Fraction(phi[j], phi[p])) for j in range(len(H)) if j != p]
+        if any(sum(c * bracket(a, b).a[i][j] for c, (i, j) in zip(phi, positions))
+               for a in K0 for b in K0):
+            continue                     # ker phi is not a subalgebra
+        codim = _codim_of_largest_ideal(ad, phi)
+        case = hoffman_case(H, K0, n)
+        assert case == {0: 3, 1: 2, 2: 1}.get(codim), phi
+        seen[case] += 1
+    assert seen == expected
 
 
 def test_cancel_positive_weights_gives_weight_zero_conjugate():

@@ -90,8 +90,30 @@ def test_explicit_policy_validates_complement():
     j = Mat.rational([[0, 1], [0, 0]])
     x = rep.to_coords(j)
     # a supplied S that overlaps the stabilizer must be rejected
-    with pytest.raises(NotTransverse):
+    with pytest.raises(NotTransverse, match="supplied S is not a complement of the stabilizer"):
         build_local_model(rep, x, S=[j, Mat.identity(2), elementary(2, 1, 0)])
+
+
+@pytest.mark.parametrize("N", [
+    [[Q0, Q1, Q0]],                     # xy lies in the tangent space x·(x, y)
+    [[Q0, Q0, Q1], [Q0, Q0, Q1]],       # y^2 twice: too many vectors
+    [],                                 # too few
+])
+def test_supplied_N_must_complement_the_tangent_space(N):
+    rep = SymRep(2, 2)
+    x = rep.to_coords(Form(2, 2, {(2, 0): 1}))
+    with pytest.raises(NotTransverse, match="supplied N is not a complement of the tangent space"):
+        build_local_model(rep, x, N=N)
+
+
+def test_N_contains_must_meet_the_tangent_space_only_in_zero():
+    rep = SymRep(2, 2)
+    x = rep.to_coords(Form(2, 2, {(2, 0): 1}))
+    with pytest.raises(NotTransverse, match="N_contains meets the tangent space"):
+        build_local_model(rep, x, N_contains=[[Q0, Q0, Q1], [Q1, Q1, Q0]])
+    # y^2 alone is a complement, so N is just y^2
+    model = build_local_model(rep, x, N_contains=[[Q0, Q0, Q1]])
+    assert model.N == [[Q0, Q0, Q1]] and model.verify()
 
 
 def test_zero_base_point_rejected():

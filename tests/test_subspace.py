@@ -1,9 +1,9 @@
-"""Differential tests of the Subspace echelon and the functions built on it
-(rref, nullspace, rank, solve, lin_indep_subset, coords_in_basis), and of the
-sparse Bareiss determinant, against sympy over Q and Q(t), including 0-row
-and 0-column shapes.  The oracle is sympy's DomainMatrix over QQ and
-QQ.frac_field(t), whose entries are canonical, so that results compare
-exactly without symbolic simplification."""
+"""Differential tests of the Subspace echelon, its residue (quotient) map and
+the functions built on it (rref, nullspace, rank, solve, lin_indep_subset,
+coords_in_basis), and of the sparse Bareiss determinant, against sympy over
+Q and Q(t), including 0-row and 0-column shapes.  The oracle is sympy's
+DomainMatrix over QQ and QQ.frac_field(t), whose entries are canonical, so
+that results compare exactly without symbolic simplification."""
 
 from fractions import Fraction
 
@@ -100,6 +100,31 @@ def test_subspace_add_contains_coords_against_sympy(data):
         assert params.shape[0] == 0
         assert co == [Fraction(int(x.p), int(x.q)) for x in sol]
         assert all(type(c) is Fraction for c in co)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_residue_is_the_quotient_map_against_sympy(data):
+    dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+    gens = vectors(data, dim, count)
+    sp = Subspace(dim, gens)
+    basis = [gens[i] for i in greedy(gens, dim)]
+
+    def draw_vector():
+        if data.draw(st.booleans()):
+            return combination([data.draw(entries) for _ in basis], basis, dim)
+        return vectors(data, dim, 1)[0]
+
+    u, v, c = draw_vector(), draw_vector(), data.draw(entries)
+    r = sp.residue(u)
+    assert len(r) == dim and all(type(x) is Fraction for x in r)
+    # zero exactly on the span, and the part taken off lies in the span
+    inside = sym_rank(basis + [u], dim) == len(basis)
+    assert (not any(r)) == inside == (u in sp)
+    assert sym_rank(basis + [[a - b for a, b in zip(u, r)]], dim) == len(basis)
+    # linear
+    assert sp.residue([a + c * b for a, b in zip(u, v)]) == \
+        [a + c * b for a, b in zip(r, sp.residue(v))]
 
 
 @settings(max_examples=40, deadline=None)
