@@ -56,6 +56,10 @@ SLICE_MAX_N = 8           # the size n of J_n, a + b of J_{a,b}
 SPHERE_MAX_DIM = 24
 ADJOINT_MAX_EIGS = 6
 CYCLIC_MAX_N = 10
+# The exact pipeline evaluates lambda(t0).f at a rational t0, and t0^(c-a) has
+# about c - a bits; a dense binary form of degree 499 under the weights
+# [2500, -2500] takes about 2 s in `limit` on the same machine.
+ONEPS_MAX_WEIGHT = 2500
 
 
 class InputError(ValueError):
@@ -85,7 +89,7 @@ def rational_str(x: Fraction) -> str:
 
 def form_from_doc(doc) -> Form:
     try:
-        nvars, degree = int(doc["nvars"]), int(doc["degree"])
+        nvars, degree = json_int(doc["nvars"], "'nvars'"), json_int(doc["degree"], "'degree'")
         if nvars < 1 or degree < 0:
             raise InputError(f"a form needs nvars >= 1 and degree >= 0, got {nvars}, {degree}")
         if nvars > FORM_MAX_VARS:
@@ -96,7 +100,7 @@ def form_from_doc(doc) -> Form:
                              f"> {FORM_MAX_DIM}")
         terms = {}
         for t in doc["terms"]:
-            e = tuple(int(x) for x in t["exp"])
+            e = tuple(json_int(x, "an exponent") for x in t["exp"])
             if len(e) != nvars or any(x < 0 for x in e) or sum(e) != degree:
                 raise InputError(f"bad exponent {list(e)} for a degree-{degree} "
                                  f"form in {nvars} variables")
@@ -128,6 +132,13 @@ def mat_to_doc(m: Mat):
     return [[rational_str(x) for x in row] for row in m.a]
 
 
+def json_int(v, what: str) -> int:
+    """v, which must be a JSON integer: not a float, string or boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def int_field(doc: dict, key: str, least: int, most: Optional[int] = None) -> int:
     """The integer field doc[key]; it must be at least `least`, and at most
     `most` when that is given."""
@@ -141,9 +152,13 @@ def int_field(doc: dict, key: str, least: int, most: Optional[int] = None) -> in
 
 def oneps_from_doc(doc) -> OnePS:
     try:
-        return OnePS([int(w) for w in doc])
-    except (TypeError, ValueError) as e:
+        weights = [json_int(w, "a one-parameter subgroup weight") for w in doc]
+    except TypeError as e:
         raise InputError(f"bad one-parameter subgroup: {e}") from None
+    if any(abs(w) > ONEPS_MAX_WEIGHT for w in weights):
+        raise InputError(f"one-parameter subgroup weights may be at most {ONEPS_MAX_WEIGHT} "
+                         f"in absolute value, got {weights}")
+    return OnePS(weights)
 
 
 def jordanspec_from_doc(doc) -> JordanSpec:
@@ -152,7 +167,7 @@ def jordanspec_from_doc(doc) -> JordanSpec:
         for b in doc:
             ev = b["eig"]
             ev = ev["label"] if isinstance(ev, dict) else parse_rational(ev)
-            blocks.append((ev, [int(s) for s in b["sizes"]]))
+            blocks.append((ev, [json_int(s, "a block size") for s in b["sizes"]]))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad Jordan spec: {e}") from None
     try:
@@ -305,7 +320,7 @@ def cmd_closure(args) -> int:
     if spec.n > CLOSURE_MAX_N:
         raise InputError(f"a closure spec may have size at most {CLOSURE_MAX_N}, got {spec.n}")
     try:
-        part = Partition([int(p) for p in doc["partition"]])
+        part = Partition([json_int(p, "a partition part") for p in doc["partition"]])
     except (TypeError, ValueError) as e:
         raise InputError(f"bad partition: {e}") from None
     if part.n != spec.n:
@@ -376,6 +391,9 @@ def cmd_curvature(args) -> int:
 def cmd_kempf(args) -> int:
     doc = read_input(args)
     rep, v = _vector_input(doc)
+    if rep.n < 2:
+        raise InputError("kempf needs torus rank >= 2: a form in at least 2 variables "
+                         "or a matrix at least 2x2")
     t = doc.get("t", 100.0)
     if (isinstance(t, bool) or not isinstance(t, (int, float))
             or not 1 < t <= sys.float_info.max):

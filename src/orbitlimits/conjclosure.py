@@ -107,10 +107,6 @@ def all_partitions(n: int) -> list[Partition]:
     return out
 
 
-class NilpotentSignature(Partition):
-    """The Jordan-block-size partition of a nilpotent matrix."""
-
-
 # ---------------------------------------------------------------------------
 # Jordan data
 # ---------------------------------------------------------------------------
@@ -145,19 +141,6 @@ class JordanSpec:
     def diagonalizable(cls, multiplicities: dict) -> "JordanSpec":
         """Spec of a diagonalizable matrix: eigenvalue -> multiplicity."""
         return cls([(ev, Partition([1] * m)) for ev, m in multiplicities.items()])
-
-    def is_diagonalizable(self) -> bool:
-        return all(all(p == 1 for p in sizes) for _, sizes in self.blocks)
-
-    def to_matrix(self) -> Mat:
-        """The Jordan canonical form (rational eigenvalues only)."""
-        mats = []
-        for ev, sizes in self.blocks:
-            if not isinstance(ev, Fraction):
-                raise ValueError("symbolic eigenvalues have no matrix realization")
-            for s in sizes:
-                mats.append(jordan_block(s, ev))
-        return direct_sum(mats)
 
 
 def _looks_rational(s: str) -> bool:
@@ -222,7 +205,7 @@ def transpose_block_spectrum(spec: JordanSpec) -> Partition:
                       for j in range(1, depth + 1)])
 
 
-def nilpotent_signature(m: Mat) -> NilpotentSignature:
+def nilpotent_signature(m: Mat) -> Partition:
     """Block-size partition of a nilpotent matrix, from ranks of powers."""
     n = m.rows
     if not is_nilpotent_matrix(m):
@@ -237,7 +220,7 @@ def nilpotent_signature(m: Mat) -> NilpotentSignature:
         prev = r
         if r == 0:
             break
-    return NilpotentSignature(transpose(Partition(tparts)).parts)
+    return transpose(Partition(tparts))
 
 
 # ---------------------------------------------------------------------------
@@ -372,29 +355,13 @@ class WitnessFamily:
     """x' = direct sum of companion blocks; A(t) = diag(t, ..., t^n)
     conjugates it so the lowest t-power term is t^{leading_power} J_chi."""
 
-    __slots__ = ("x_prime", "weights", "chi", "leading_term", "leading_power")
+    __slots__ = ("x_prime", "weights", "chi", "leading_power")
 
-    def __init__(self, x_prime, weights, chi, leading_term, leading_power):
+    def __init__(self, x_prime, weights, chi, leading_power):
         self.x_prime = x_prime
         self.weights = weights
         self.chi = chi
-        self.leading_term = leading_term
         self.leading_power = leading_power
-
-    def conjugated(self) -> Mat:
-        """A(t) x' A(t)^{-1} with entries in t, shifted by t^{-leading_power}
-        so all exponents are nonnegative (the (i,j) entry carries t^{i-j})."""
-        n = self.x_prime.rows
-        shift = -self.leading_power
-        out = Mat.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                c = self.x_prime.a[i][j]
-                if not c:
-                    out.a[i][j] = UniPoly.const(0)
-                else:
-                    out.a[i][j] = UniPoly({i - j + shift: _as_fraction(c)})
-        return out
 
     def at(self, t0) -> Mat:
         """The honest conjugate A(t0) x' A(t0)^{-1} at a nonzero rational t0."""
@@ -439,7 +406,7 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
                 lead.a[i][j] = x_prime.a[i][j]
     if low != -1 or lead != j_chi(chi):
         raise AssertionError("witness family leading term is not J_chi")
-    return WitnessFamily(x_prime, list(range(1, n + 1)), chi, lead, low)
+    return WitnessFamily(x_prime, list(range(1, n + 1)), chi, low)
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,6 @@ class CurvatureData:
     def normal_dim(self) -> int:
         return len(self.pi[0][0]) if self.pi and self.pi[0] else 0
 
-    def pi_symmetric(self) -> bool:
-        L = self.tangent_dim
-        return all(self.pi[i][j] == self.pi[j][i]
-                   for i in range(L) for j in range(L))
-
 
 def second_fundamental_form(x, S_ops, N_basis) -> CurvatureData:
     """Pi and alpha tables at x for orthonormal tangent/normal bases.

@@ -1,7 +1,7 @@
 """Limits of forms under 1-parameter subgroups: graded expansions, the
 M_N/M_S matrices over Q(t), K(t) and its limit algebra K0, the star-action,
-tangents of exit, triple stabilizers, the A/B case classification, filtered
-dimensions, and the derivation-extension feasibility test.
+triple stabilizers, the A/B case classification, filtered dimensions, and
+the derivation-extension feasibility test.
 
 Conventions.  lambda(t).x_i = t^{d_i} x_i, so the monomial x^e picks up
 t^{<d,e>}.  A stabilizer element k of f conjugates to a stabilizer of
@@ -13,15 +13,17 @@ t -> 0 gives K0, spanned by the lowest-weight components.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly, column_normalize,
                         coords_in_basis, det_bareiss, lin_indep_subset, nullspace, rank)
-from .lierep import (ConjRep, Form, Representation, SymRep, bracket,
+from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
-from .localmodel import LocalModel, NotTransverse, build_local_model
+from .localmodel import (LocalModel, NotTransverse, build_local_model, gl_act_weights,
+                         graded_basis, weight_split)
 
 
 class OnePS:
@@ -54,12 +56,6 @@ class OnePS:
 
     def __repr__(self):
         return f"OnePS({self.weights})"
-
-
-def gl_act_weights(rep: Representation, lam: OnePS) -> list[int]:
-    """act_weight of each E_ij, indexed like ConjRep(n).basis (row-major)."""
-    n = rep.n
-    return [rep.act_weight(i, j, lam.weights) for i in range(n) for j in range(n)]
 
 
 def decompose_form(f: Form, lam: OnePS) -> dict:
@@ -149,7 +145,7 @@ class LimitProblem:
 
     @cached_property
     def glw(self) -> list[int]:
-        return gl_act_weights(self.rep, self.lam)
+        return gl_act_weights(self.rep, self.lam.weights)
 
     @cached_property
     def expansion(self) -> LimitExpansion:
@@ -211,18 +207,15 @@ def _weight_rows(vectors: Sequence[Sequence], coord_weights: Sequence[int], keep
 def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) -> dict:
     """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight.
 
-    Raises NotGraded if the subspace is not graded (dims do not sum to its
-    dimension).
+    Raises NotGraded if the subspace is not graded (its weight-pure parts
+    span more than it).
     """
-    total = len(lin_indep_subset([list(v) for v in vectors]))
-    dims: dict = {}
-    for w in sorted(set(coord_weights)):
-        d = total - rank(_weight_rows(vectors, coord_weights, lambda x: x != w))
-        if d:
-            dims[w] = d
-    if sum(dims.values()) != total:
-        raise NotGraded("subspace is not graded with respect to the 1-PS")
-    return dims
+    try:
+        basis = graded_basis([vectors[i] for i in lin_indep_subset(vectors)], coord_weights)
+    except ValueError:
+        raise NotGraded("subspace is not graded with respect to the 1-PS") from None
+    weights = Counter(coord_weights[next(i for i, x in enumerate(v) if x)] for v in basis)
+    return dict(sorted(weights.items()))
 
 
 def graded_component(vectors: Sequence[Sequence], coord_weights: Sequence[int], w: int) -> list[list]:
@@ -247,10 +240,6 @@ class LimitAlgebraData:
     @property
     def model(self) -> LocalModel:
         return self.problem.model
-
-    @property
-    def lam(self) -> OnePS:
-        return self.problem.lam
 
     @property
     def rep(self) -> SymRep:
@@ -408,39 +397,12 @@ def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
     return len(Subspace(glrep.dim, fb)) == len(a) and all(v in a for v in fb)
 
 
-class ExitTangent:
-    __slots__ = ("ellf", "exit", "ell_prime_f", "direction")
-
-    def __init__(self, ellf, exit_form, ell_prime_f, direction):
-        self.ellf = ellf                # ell . f = sum c * f_c
-        self.exit = exit_form           # ell f - f, the literal exit tangent
-        self.ell_prime_f = ell_prime_f  # (ell - a/d I) . f = sum (c-a) f_c
-        self.direction = direction      # ell' f / (b - a): f_b + higher, or None
-
-
-def tangent_of_exit(f: Form, lam: OnePS) -> ExitTangent:
-    exp = expand_orbit_curve(f, lam)
-    ellf = Form(f.nvars, f.degree, {})
-    for c, form in exp.terms.items():
-        ellf = ellf + form.scale(Fraction(c))
-    exit_form = ellf - f
-    shift = Fraction(exp.a)
-    ellpf = ellf - f.scale(shift)
-    direction = None
-    if exp.b is not None:
-        direction = ellpf.scale(Fraction(1, exp.b - exp.a))
-    return ExitTangent(ellf, exit_form, ellpf, direction)
-
-
 class TripleStabilizers:
-    __slots__ = ("K", "pure", "pure_dims", "Klf", "Klf_dims")
+    __slots__ = ("pure", "Klf_dims")
 
-    def __init__(self, K, pure, pure_dims, Klf, Klf_dims):
-        self.K = K
+    def __init__(self, pure, Klf_dims):
         self.pure = pure            # weight-homogeneous elements of K
-        self.pure_dims = pure_dims  # weight -> dim
-        self.Klf = Klf              # {k in K : [k, ell] in K}
-        self.Klf_dims = Klf_dims    # weight -> dim of the graded parts; None if not graded
+        self.Klf_dims = Klf_dims    # weight -> dim of the graded parts of K_lf; None if not graded
 
     def klf_dims_tuple(self) -> Optional[tuple]:
         if self.Klf_dims is None:
@@ -451,25 +413,22 @@ class TripleStabilizers:
 
 def triple_stabilizers(f: Union[Form, LimitProblem],
                        lam: Optional[OnePS] = None) -> TripleStabilizers:
-    """Pure elements of K and the stabilizer K_{ell f} = {k : [k, ell] in K}."""
+    """Pure elements of K and the graded dims of the stabilizer
+    K_{ell f} = {k in K : [k, ell] in K}."""
     problem = LimitProblem.of(f, lam)
     rep, glrep, glw = problem.rep, problem.glrep, problem.glw
     K, k_flat = problem.K, problem.K_coords
     ell = problem.lam.ell()
 
-    pure, pure_dims = [], {}
-    for w in sorted({x for x in glw}):
-        comp = graded_component(k_flat, glw, w)
-        if comp:
-            pure_dims[w] = len(comp)
-            pure.extend(glrep.from_coords(c) for c in comp)
+    pure = [glrep.from_coords(c) for w in sorted(set(glw))
+            for c in graded_component(k_flat, glw, w)]
 
-    # Klf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K
+    # K_lf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K, combined in gl coordinates
     mod_K = Subspace(glrep.dim, k_flat).residue
-    Klf = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n)) for alpha in
+    Klf = [lin_comb(alpha, k_flat, [Q0] * glrep.dim) for alpha in
            nullspace(Mat.from_cols([mod_K(glrep.to_coords(bracket(k, ell))) for k in K]))]
     try:
-        Klf_dims = graded_dims_of([glrep.to_coords(m) for m in Klf], glw)
+        Klf_dims = graded_dims_of(Klf, glw)
     except NotGraded:
         Klf_dims = None   # K_lf = stab f ∩ stab lf need not be lambda-graded
 
@@ -477,7 +436,7 @@ def triple_stabilizers(f: Union[Form, LimitProblem],
     for p in pure:
         if any(any(rep.act(p, c)) for c in comps):
             raise ValueError("pure element does not kill a graded component of f")
-    return TripleStabilizers(K, pure, pure_dims, Klf, Klf_dims)
+    return TripleStabilizers(pure, Klf_dims)
 
 
 def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> dict:
@@ -582,13 +541,7 @@ class CaseResult:
 
 
 def _weight_split(m: Mat, glw, glrep) -> dict:
-    out: dict = {}
-    co = glrep.to_coords(m)
-    for i, x in enumerate(co):
-        if not x:
-            continue
-        out.setdefault(glw[i], [Q0] * len(co))[i] = x
-    return {w: glrep.from_coords(v) for w, v in out.items()}
+    return {w: glrep.from_coords(v) for w, v in weight_split(glrep.to_coords(m), glw).items()}
 
 
 def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,

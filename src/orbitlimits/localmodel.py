@@ -15,27 +15,29 @@ from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, _zero_like, det_b
 from .lierep import ConjRep, Representation, lin_comb, stabilizer_algebra
 
 
+def gl_act_weights(rep: Representation, weights: Sequence[int]) -> list[int]:
+    """act_weight of each E_ij, indexed like ConjRep(n).basis (row-major)."""
+    return [rep.act_weight(i, j, weights) for i in range(rep.n) for j in range(rep.n)]
+
+
+def weight_split(v: Sequence, coord_weights: Sequence[int]) -> dict:
+    """w -> the weight-w part of v, for each weight v touches, in the order
+    of their first coordinates."""
+    out: dict = {}
+    for i, x in enumerate(v):
+        if x:
+            out.setdefault(coord_weights[i], [Q0] * len(v))[i] = x
+    return out
+
+
 def graded_basis(vectors: Sequence[Sequence], coord_weights) -> list[list]:
-    """Replace a basis of a weight-graded subspace by a weight-pure one."""
-    comps = []
-    for v in vectors:
-        by_w = {}
-        for i, x in enumerate(v):
-            if x:
-                by_w.setdefault(coord_weights[i], [Q0] * len(v))[i] = x
-        comps.extend(by_w.values())
+    """Replace a basis of a weight-graded subspace by a weight-pure one.  The
+    span is graded exactly when the weight parts of the basis span no more."""
+    comps = [part for v in vectors for part in weight_split(v, coord_weights).values()]
     idx = lin_indep_subset(comps)
     if len(idx) != len(vectors):
         raise ValueError("subspace is not weight-graded")
     return [comps[k] for k in idx]
-
-
-class SliceTangent:
-    __slots__ = ("sPart", "nPart")
-
-    def __init__(self, sPart, nPart):
-        self.sPart = sPart   # coefficients over the S-basis
-        self.nPart = nPart   # coefficients over the N-basis
 
 
 class LocalModel:
@@ -54,7 +56,6 @@ class LocalModel:
         self.V = V                    # span of TO + N
         self.HS = HS                  # span of H + S in gl coordinates
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
-        self._glrep = ConjRep(rep.n)
         self._theta_cache = None
 
     # -- projections --------------------------------------------------
@@ -69,13 +70,6 @@ class LocalModel:
 
     def lamN(self, v: Sequence) -> list:
         return self.split_V(v)[1]
-
-    def split_gl(self, g: Mat):
-        c = self.HS.coords(self._glrep.to_coords(g))
-        if c is None:
-            raise ValueError("element not in the ambient algebra H + S")
-        k = len(self.H)
-        return c[:k], c[k:]
 
     def n_vec(self, ncoeffs: Sequence) -> list:
         """N-coefficients -> V-coordinate vector."""
@@ -151,14 +145,6 @@ class LocalModel:
         sc, nc = self.split_V(w)
         return sc, nc
 
-    def local_action(self, g: Mat, n: Sequence) -> SliceTangent:
-        """The induced action of g at the slice point x+n."""
-        hc, sc = self.split_gl(g)
-        h = self.h_mat(hc)
-        hn = self.rep.act(h, list(n))
-        s2, n2 = self.solve_decomposition(n, hn)
-        return SliceTangent([a + b for a, b in zip(sc, s2)], n2)
-
     def slice_stabilizer(self, n: Sequence) -> list[Mat]:
         """Stabilizer of x+n: elements h + s with λ_N((1+θ(n))^{-1}(h·n)) = 0
         and s = -λ_S((1+θ(n))^{-1}(h·n))."""
@@ -177,7 +163,7 @@ class LocalModel:
         return self.lamN(self.rep.act(h, list(n)))
 
     def verify(self):
-        ambient_dim = self._glrep.dim if self.ambient is None else len(self.ambient)
+        ambient_dim = self.rep.n ** 2 if self.ambient is None else len(self.ambient)
         if not len(self.HS) == len(self.H) + len(self.S) == ambient_dim:
             raise ValueError("H + S does not fill the ambient algebra")
         if not len(self.V) == len(self.TO) + len(self.N) == self.rep.dim:
@@ -213,7 +199,7 @@ def build_local_model(rep: Representation, x: Sequence,
         raise ValueError("base point x must be nonzero")
     glrep = ConjRep(rep.n)
     cw = [rep.coord_weight(i, weights) for i in range(rep.dim)] if weights is not None else None
-    glw = [glrep.coord_weight(i, weights) for i in range(glrep.dim)] if weights is not None else None
+    glw = gl_act_weights(rep, weights) if weights is not None else None
 
     if ambient is None:
         H = stabilizer_algebra(rep, x)

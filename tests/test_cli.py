@@ -380,11 +380,43 @@ def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cm
     ("closure", {"spec": [{"eig": "1", "sizes": ["x"]}], "partition": [1]}),
     ("closure", {"spec": [{"eig": "1", "sizes": [cli.CLOSURE_MAX_N + 1]}],
                  "partition": [cli.CLOSURE_MAX_N + 1]}),
+    # integer fields take JSON integers only, never a float, string or boolean
+    ("limit", {"form": {"nvars": 2, "degree": 2, "terms": [{"exp": [2.7, 0], "coef": "1"}]},
+               "oneps": [1, 0]}),
+    ("limit", {"form": {"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": "1"}]},
+               "oneps": [1.9, 0]}),
+    ("local-model", {"form": {"nvars": 2.9, "degree": 2, "terms": []}}),
+    ("local-model", {"form": {"nvars": 2, "degree": "2", "terms": []}}),
+    ("local-model", {"form": {"nvars": 2, "degree": 2, "terms": [{"exp": [True, 1], "coef": "1"}]}}),
+    ("closure", {"spec": [{"eig": "1", "sizes": [2.5]}], "partition": [2]}),
+    ("closure", {"spec": [{"eig": "1", "sizes": [2]}], "partition": [2.0]}),
 ])
 def test_ill_typed_fields_are_input_errors(tmp_path, capsys, cmd, doc):
     path = _write(tmp_path, "in.json", doc)
     code, out, err = _run(capsys, [cmd, "--input", path])
     assert code == EXIT_INPUT and out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("cmd", ["limit", "local-model"])
+def test_oneps_weights_are_bounded(tmp_path, capsys, cmd):
+    doc = {"form": {"nvars": 2, "degree": 2, "terms": [{"exp": [1, 1], "coef": "1"}]}}
+    for w in (cli.ONEPS_MAX_WEIGHT + 1, -cli.ONEPS_MAX_WEIGHT - 1):
+        doc["oneps"] = doc["weights"] = [w, 0]
+        code, out, err = _run(capsys, [cmd, "--input", _write(tmp_path, "in.json", doc)])
+        assert code == EXIT_INPUT and out == ""
+        assert f"weights may be at most {cli.ONEPS_MAX_WEIGHT}" in err
+    doc["oneps"] = doc["weights"] = [cli.ONEPS_MAX_WEIGHT, -cli.ONEPS_MAX_WEIGHT]
+    code, _, _ = _run(capsys, [cmd, "--input", _write(tmp_path, "in.json", doc)])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("doc", [
+    {"matrix": [["2"]]},
+    {"form": {"nvars": 1, "degree": 3, "terms": [{"exp": [3], "coef": "1"}]}},
+])
+def test_kempf_needs_torus_rank_two(tmp_path, capsys, doc):
+    code, out, err = _run(capsys, ["kempf", "--input", _write(tmp_path, "in.json", doc)])
+    assert code == EXIT_INPUT and out == "" and "torus rank >= 2" in err
 
 
 @pytest.mark.parametrize("exc", [AssertionError, RuntimeError])

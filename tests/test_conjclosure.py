@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
-                                     closure_contains_nilpotent, companion,
+                                     closure_contains_nilpotent, companion, direct_sum,
                                      dominates, in_Xkr, jab_slice_report,
                                      jn_slice_report, jordan_block,
                                      minimal_polynomial, nilpotent_signature,
@@ -96,7 +96,7 @@ def test_separation_soundness_up_to_6():
 def test_xkr_membership_via_rank_on_matrices():
     # in_Xkr on a spec agrees with the rank of (m - ev)^k on its matrix
     spec = JordanSpec([(Fraction(2), [3, 1]), (Fraction(-1), [2])])
-    m = spec.to_matrix()
+    m = direct_sum([jordan_block(s, ev) for ev, sizes in spec.blocks for s in sizes])
     n = m.rows
     for k in range(1, 4):
         for r in range(0, n):

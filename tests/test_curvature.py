@@ -33,7 +33,8 @@ def test_sphere_second_form_skew_and_symmetric():
     curv = second_fundamental_form(x, S_ops, N_basis)
     assert curv.skew is True
     assert curv.beta_is_minus_alpha is True
-    assert curv.pi_symmetric()
+    L = curv.tangent_dim
+    assert all(curv.pi[i][j] == curv.pi[j][i] for i in range(L) for j in range(L))
 
 
 def test_non_orthonormal_frame_rejected():

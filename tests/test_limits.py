@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
 from orbitlimits.exactcore import Mat, Q0, RationalFn, UniPoly, coords_in_basis
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, elementary
-from orbitlimits.limits import (OnePS, _cancel_positive_weights, check_graded_conditions,
-                                classify_case, expand_orbit_curve, extension_feasible,
-                                filtered_dims, gl_act_weights, hoffman_case, limit_algebra,
-                                limit_algebra_by_conjugation, same_span,
-                                tangent_of_exit, triple_stabilizers)
+from orbitlimits.limits import (LimitProblem, NotGraded, OnePS, _cancel_positive_weights,
+                                check_graded_conditions, classify_case, expand_orbit_curve,
+                                extension_feasible, filtered_dims, gl_act_weights,
+                                graded_dims_of, hoffman_case, limit_algebra,
+                                limit_algebra_by_conjugation, same_span, triple_stabilizers)
 from orbitlimits.reproduce import _lam_data
 
 
@@ -46,11 +48,6 @@ def test_trivial_oneps_gives_whole_form():
     f = o2_form()
     exp = expand_orbit_curve(f, OnePS([0, 0]))
     assert exp.g == f and exp.b is None
-
-
-def test_tangent_of_exit_o2():
-    te = tangent_of_exit(o2_form(), O2_LAM)
-    assert te.direction == Form(2, 4, {(2, 2): 2, (4, 0): 2})
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +153,9 @@ def test_lam4_filtered_dims():
 
 
 def test_lam4_triple_stabilizers():
-    ts = triple_stabilizers(det3_form(), LAM4)
-    assert ts.klf_dims_tuple() == (1, 6, 1)
-    assert len(ts.K) == 16
+    problem = LimitProblem(det3_form(), LAM4)
+    assert triple_stabilizers(problem).klf_dims_tuple() == (1, 6, 1)
+    assert len(problem.K) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def test_cancel_positive_weights_gives_weight_zero_conjugate():
     # ss = diag(1,2,3) + E_01 + E_12 + E_02 is semisimple (distinct eigenvalues)
     # with positive-weight parts at two levels.
     rep, glrep = SymRep(3, 2), ConjRep(3)
-    glw = gl_act_weights(rep, OnePS([0, 1, 2]))
+    glw = gl_act_weights(rep, [0, 1, 2])
     diag = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]).map(Fraction)
     ss = diag + elementary(3, 0, 1) + elementary(3, 1, 2) + elementary(3, 0, 2)
     u, k = _cancel_positive_weights(ss, glw, glrep, rep)
@@ -269,3 +266,54 @@ def test_cancel_positive_weights_gives_weight_zero_conjugate():
     ident = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).map(Fraction)
     co = glrep.to_coords(u - ident)
     assert any(co) and all(glw[i] > 0 for i, x in enumerate(co) if x)   # u in U(lambda)
+
+
+# ---------------------------------------------------------------------------
+# graded dims against sympy
+
+
+@st.composite
+def _weighted_vectors(draw):
+    """(vectors, coordinate weights): weight-pure vectors mixed by a random
+    invertible-or-not combination (graded, possibly with dependent
+    generators), or vectors drawn freely (usually not graded)."""
+    D = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=D, max_size=D))
+    entry = st.integers(-2, 2).map(Fraction)
+    if draw(st.booleans()):
+        pure = []
+        for _ in range(draw(st.integers(1, D))):
+            w = draw(st.sampled_from(weights))
+            pure.append([draw(entry) if weights[i] == w else Q0 for i in range(D)])
+        mix = draw(st.lists(st.lists(entry, min_size=len(pure), max_size=len(pure)),
+                            min_size=1, max_size=len(pure) + 1))
+        vectors = [[sum((c * v[i] for c, v in zip(row, pure)), Q0) for i in range(D)]
+                   for row in mix]
+    else:
+        vectors = draw(st.lists(st.lists(entry, min_size=D, max_size=D),
+                                min_size=1, max_size=D))
+    return vectors, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_vectors())
+def test_graded_dims_of_against_sympy(case):
+    """dim(span ∩ V_w) = dim U + dim V_w - dim(U + V_w) by sympy ranks, where
+    V_w is the weight-w coordinate subspace; the span is graded exactly when
+    these add up to dim U."""
+    vectors, weights = case
+    U = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                      for v in vectors])
+    dim_u = U.rank()
+    expected = {}
+    for w in sorted(set(weights)):
+        Vw = sympy.Matrix([[1 if k == i else 0 for k in range(len(weights))]
+                           for i, x in enumerate(weights) if x == w])
+        d = dim_u + Vw.rows - sympy.Matrix.vstack(U, Vw).rank()
+        if d:
+            expected[w] = d
+    if sum(expected.values()) == dim_u:
+        assert graded_dims_of(vectors, weights) == expected
+    else:
+        with pytest.raises(NotGraded):
+            graded_dims_of(vectors, weights)

@@ -67,16 +67,6 @@ def test_solve_decomposition_reconstructs(sl2_model):
         assert recon == dv
 
 
-def test_local_action_of_stabilizer_is_vertical(sl2_model):
-    rep, x, model = sl2_model
-    n = rep.to_coords(Form(2, 2, {(0, 2): 1}))
-    # the slice stabilizer element induces zero motion at x + n
-    stab = model.slice_stabilizer(n)
-    t2 = model.local_action(stab[0], n)
-    assert not any(t2.sPart)
-    assert not any(t2.nPart)
-
-
 def test_star_action_matches_quotient(sl2_model):
     rep, x, model = sl2_model
     n = rep.to_coords(Form(2, 2, {(0, 2): 1}))
@@ -129,3 +119,19 @@ def test_orthogonal_policy_full_gl():
     assert len(model.H) + len(model.S) == 4
     assert len(model.TO) + len(model.N) == rep.dim
     assert model.verify() is True
+
+
+def test_weighted_model_has_weight_pure_bases():
+    rep, glrep, weights = SymRep(3, 2), ConjRep(3), [1, 0, -1]
+    x = rep.to_coords(Form(3, 2, {(1, 0, 1): 1, (0, 2, 0): 1}))      # xz + y^2, weight 0
+    model = build_local_model(rep, x, weights=weights)
+    glw = [rep.act_weight(i, j, weights) for i, j in glrep.basis]
+    cw = [rep.coord_weight(i, weights) for i in range(rep.dim)]
+    for m in model.H + model.S:
+        assert len({glw[i] for i, c in enumerate(glrep.to_coords(m)) if c}) == 1
+    for v in model.N:
+        assert len({cw[i] for i, c in enumerate(v) if c}) == 1
+    # x^2 + y^2 has stabilizer so(2), spanned by E_01 - E_10 of weights -1 and 1
+    x = rep.to_coords(Form(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1}))
+    with pytest.raises(ValueError, match="^subspace is not weight-graded$"):
+        build_local_model(rep, x, weights=weights)
