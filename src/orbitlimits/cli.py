@@ -408,7 +408,10 @@ def cmd_kempf(args) -> int:
     res = kempf_descent(support, t, seed=args.seed)
     out = {"ell": res.ell, "f": res.f_value, "mu": res.mu_value,
            "converged": res.converged, "iterations": res.iterations,
-           "weights": [list(chi) for chi in support.weights]}
+           "weights": [list(chi) for chi in support.weights],
+           "unstable": res.mu_star_squared > 0,
+           "min_norm_point": list(res.min_norm_point),
+           "mu_star_squared": res.mu_star_squared}
     if grid:
         gp, gf = grid_minimize(support, t)
         out["grid_f"] = gf

@@ -8,9 +8,20 @@ factor <l, chi>.  The functional
 
 is minimized over the trace-zero unit sphere O_{n-2} = {sum p = 0, |p| = 1};
 for t large its minimizer lands in {l : mu(l, v) > alpha} whenever that set
-is non-empty, where mu(l, v) = min_chi <l, chi>.  The minimizer is computed
-by projected gradient descent with backtracking and deterministic
-multi-start, with an exhaustive rational-grid oracle for small n.
+is non-empty, where mu(l, v) = min_chi <l, chi>.
+
+Its limit as t -> oo is Kempf's optimal destabilizing direction.  For a
+torus that is the minimum-norm point p of the convex hull of the weights
+projected to the trace-zero plane (Kempf 1978); `kempf_optimum` finds it
+exactly, in rationals, by Wolfe's algorithm (Wolfe 1976).  v is unstable
+exactly when p != 0, and then l* = p/|p| and mu* = max mu = |p|.
+
+`kempf_descent` minimizes f(t, .) by projected gradient descent with
+backtracking.  On an unstable v it makes one start, at l*: f is convex on
+the plane and <grad f, l*> < 0 everywhere on it, so f has no critical point
+inside the unit ball and its ball minimizer is the sphere minimizer.  On a
+semistable v (p = 0) it keeps a deterministic multi-start.  An exhaustive
+rational-grid oracle cross-checks both for small n.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Q0, _as_fraction
+from .exactcore import Q0, Q1, Mat, _as_fraction, solve
 from .lierep import ConjRep, SymRep
 
 
@@ -113,6 +124,61 @@ def leading_term_along(ell, support: WeightSupport):
 
 
 # ---------------------------------------------------------------------------
+# the exact optimum: Wolfe's minimum-norm point
+
+
+def _affine_min_norm(S: list) -> list[Fraction]:
+    """Barycentric coordinates of the minimum-norm point of the affine hull
+    of the affinely independent points S: the solution alpha of
+    [G 1; 1^T 0] (alpha, theta) = (0, 1), G the Gram matrix of S."""
+    k = len(S)
+    rows = [[pairing(a, b) for b in S] + [1] for a in S] + [[1] * k + [0]]
+    return solve(Mat.rational(rows), [[0] * k + [1]])[0][:k]
+
+
+def kempf_optimum(support: WeightSupport) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(p, |p|^2): the minimum-norm point p of the convex hull of the weights
+    projected to the trace-zero plane, chi - (sum chi / n) 1, in rationals.
+
+    Wolfe's algorithm on the integer points n chi - (sum chi) 1, which are
+    n times the projected weights.  A major cycle adds the point q that
+    minimizes <x, q> unless <x, q> >= |x|^2 (then x is optimal); a minor
+    cycle moves x to the affine minimum-norm point of the corral S, and
+    while that point leaves conv S it stops at the boundary and drops the
+    points whose weight reaches 0.  Exact arithmetic makes every test exact
+    and |x| strictly decreases between major cycles, so it terminates.
+    """
+    n = support.n
+    pts = sorted({tuple(n * x - sum(chi) for x in chi) for chi in support.weights})
+    S = [min(pts, key=lambda q: pairing(q, q))]
+    lam = [Q1]
+    while True:
+        # x = sum lam_i S_i, as an integer vector xi over the denominator den
+        den = math.lcm(*(c.denominator for c in lam))
+        w = [int(c * den) for c in lam]
+        xi = [sum(c * s[j] for c, s in zip(w, S)) for j in range(n)]
+        xx = pairing(xi, xi)
+        if not xx:
+            break
+        q = min(pts, key=lambda q: pairing(xi, q))
+        if pairing(xi, q) * den >= xx:
+            break
+        S.append(q)
+        lam.append(Q0)
+        while True:
+            alpha = _affine_min_norm(S)
+            if all(a > 0 for a in alpha):
+                lam = alpha
+                break
+            theta = min(c / (c - a) for c, a in zip(lam, alpha) if a <= 0)
+            lam = [theta * a + (1 - theta) * c for c, a in zip(lam, alpha)]
+            S = [s for s, c in zip(S, lam) if c > 0]
+            lam = [c for c in lam if c > 0]
+    d = den * n
+    return tuple(Fraction(x, d) for x in xi), Fraction(xx, d * d)
+
+
+# ---------------------------------------------------------------------------
 # projected gradient descent on O_{n-2}
 
 
@@ -160,6 +226,8 @@ class KempfResult:
     iterations: int
     monotone: bool
     max_residual: float
+    min_norm_point: tuple[Fraction, ...]   # p of `kempf_optimum`
+    mu_star_squared: Fraction              # |p|^2; v is unstable iff it is > 0
 
 
 def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
@@ -167,15 +235,21 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
                   gtol: float = 1e-8) -> KempfResult:
     """Minimize f(t, .) on O_{n-2} by projected gradient descent.
 
-    Deterministic multi-start (centered arithmetic progressions, adjacent
-    coordinate differences, then a seeded Gaussian fill); backtracking line
-    search with an Armijo condition; every iterate is re-projected so the
-    constraint residuals stay at machine precision.  Non-convergence is
-    reported through the `converged` flag with the best iterate.
+    Computes the exact optimum p first.  If p != 0 (v unstable) it makes
+    one start, at p/|p|, which the module docstring certifies; otherwise
+    it makes a deterministic multi-start (centered arithmetic progressions,
+    adjacent coordinate differences, then a Gaussian fill seeded by
+    `seed`).  Backtracking line search with an Armijo condition; every
+    iterate is re-projected so the constraint residuals stay at machine
+    precision.  The gradient tests are relative: the projected gradient is
+    compared with gtol * max(1, f ln t), since |grad f| scales with f ln t.
+    Non-convergence is reported through the `converged` flag with the best
+    iterate.
     """
     if t <= 1:
         raise ValueError("need t > 1")
     n = support.n
+    p_star, p2 = kempf_optimum(support)
     lognsq = [(float(c.norm_sq), [float(x) for x in c.chi])
               for c in support.components]
     lt = math.log(t)
@@ -191,20 +265,25 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
                     g[i] -= lt * chi[i] * e
         return fv, g
 
+    if p2:
+        starts = [_project_point([float(x) for x in p_star])]
+    else:
+        starts = _seed_points(n, n_starts, seed)
     best = None
-    for p0 in _seed_points(n, n_starts, seed):
+    for p0 in starts:
         p = list(p0)
         fv, g = f_and_grad(p)
         monotone = True
         converged = False
         it = 0
-        gn = math.inf
+        gn = scale = math.inf
         max_res = _residual(p)
         for it in range(1, max_iter + 1):
             pg = _project_gradient(g, p)
             gn2 = sum(x * x for x in pg)
             gn = math.sqrt(gn2)
-            if gn < gtol:
+            scale = max(1.0, fv * lt)
+            if gn < gtol * scale:
                 converged = True
                 break
             step = 1.0
@@ -223,10 +302,11 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
                 break
             max_res = max(max_res, _residual(p))
         if not converged:
-            converged = gn < 1e-6
+            converged = gn < 1e-6 * scale
         res = KempfResult(ell=p, f_value=fv, mu_value=float(mu(p, support)),
                           converged=converged, iterations=it,
-                          monotone=monotone, max_residual=max_res)
+                          monotone=monotone, max_residual=max_res,
+                          min_norm_point=p_star, mu_star_squared=p2)
         if best is None or res.f_value < best.f_value:
             best = res
     return best

@@ -223,6 +223,19 @@ def test_kempf_on_j3(tmp_path, capsys):
     assert res["mu"] > 0
     assert res["converged"] is True
     assert res["agrees_with_grid"] is True
+    assert res["unstable"] is True
+    assert res["min_norm_point"] == ["1/2", "0", "-1/2"]
+    assert res["mu_star_squared"] == "1/2"
+
+
+def test_kempf_exact_optimum_of_semistable_monomial(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", dict(XYZ, t=10))
+    code, out, _ = _run(capsys, ["kempf", "--input", path])
+    res = json.loads(out)
+    assert code == EXIT_OK
+    assert res["unstable"] is False
+    assert res["min_norm_point"] == ["0", "0", "0"]
+    assert res["mu_star_squared"] == "0"
 
 
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])
