@@ -428,22 +428,27 @@ class Mat:
         return self.map(lambda x: x * s)
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Row-by-row sparse product (Gustavson 1978): row i of the result
+        accumulates A[i][k] * B[k][j] over the nonzeros of A's row i and of
+        B's row k only, in increasing k.  An entry that gets no term is a
+        fresh zero of the type of A's row."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().a
+        b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in other.a]
+        m = other.cols
         out = []
         for r in self.a:
-            row = []
-            for c in ot:
-                s = None
-                for x, y in zip(r, c):
-                    if not x or not y:
-                        continue
+            acc = {}
+            for x, bk in zip(r, b_rows):
+                if not x:
+                    continue
+                for j, y in bk:
                     p = x * y
-                    s = p if s is None else s + p
-                row.append(s if s is not None else _zero_like(r[0] if r else Q0))
-            out.append(row)
-        return Mat(out)
+                    s = acc.get(j)
+                    acc[j] = p if s is None else s + p
+            r0 = r[0] if r else Q0
+            out.append([acc[j] if j in acc else _zero_like(r0) for j in range(m)])
+        return Mat(out, m)
 
     def apply(self, v: Sequence) -> list:
         """Matrix times column vector."""

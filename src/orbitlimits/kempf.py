@@ -16,12 +16,20 @@ projected to the trace-zero plane (Kempf 1978); `kempf_optimum` finds it
 exactly, in rationals, by Wolfe's algorithm (Wolfe 1976).  v is unstable
 exactly when p != 0, and then l* = p/|p| and mu* = max mu = |p|.
 
-`kempf_descent` minimizes f(t, .) by projected gradient descent with
-backtracking.  On an unstable v it makes one start, at l*: f is convex on
-the plane and <grad f, l*> < 0 everywhere on it, so f has no critical point
-inside the unit ball and its ball minimizer is the sphere minimizer.  On a
-semistable v (p = 0) it keeps a deterministic multi-start.  An exhaustive
-rational-grid oracle cross-checks both for small n.
+`kempf_descent` minimizes f(t, .) by projected gradient descent on log f,
+with Barzilai-Borwein trial steps and backtracking: the gradient of log f,
+grad f / f, does not shrink with f, so a start where f is small does not
+stall, and its scale, at most ln t max |chi|, does not depend on the size
+of v's coordinates.  On an unstable v it makes one
+start, at l*: f is convex on the plane and <grad f, l*> < 0 everywhere on
+it, so f has no critical point inside the unit ball and its ball minimizer
+is the sphere minimizer.  On a semistable v (p = 0) it keeps a
+deterministic multi-start.  An exhaustive rational-grid oracle
+(`grid_minimize`) cross-checks both for small n; the float norms both read
+are computed once per support (`WeightSupport.float_norms`).  The CLI
+compares the descent with the grid by f and mu on an unstable v, and by f
+alone on a semistable one, where mu at a finite-t minimizer is no
+optimality measure.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactcore import Q0, Q1, Mat, _as_fraction, solve
 from .lierep import ConjRep, SymRep
@@ -57,6 +66,12 @@ class WeightSupport:
     @property
     def weights(self) -> list[tuple[int, ...]]:
         return [c.chi for c in self.components]
+
+    @cached_property
+    def float_norms(self) -> list[float]:
+        """|v_chi|^2 as floats, one per component: the only float copy of the
+        norms, shared by `kempf_f` and `kempf_descent`."""
+        return [float(c.norm_sq) for c in self.components]
 
 
 def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
@@ -104,8 +119,8 @@ def mu(ell, support: WeightSupport):
 
 
 def kempf_f(t: float, ell, support: WeightSupport) -> float:
-    return sum(float(c.norm_sq) * t ** (-float(pairing(ell, c.chi)))
-               for c in support.components)
+    return sum(nsq * t ** (-float(pairing(ell, c.chi)))
+               for nsq, c in zip(support.float_norms, support.components))
 
 
 def leading_term_along(ell, support: WeightSupport):
@@ -233,37 +248,43 @@ class KempfResult:
 def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
                   n_starts: int = 8, max_iter: int = 2000,
                   gtol: float = 1e-8) -> KempfResult:
-    """Minimize f(t, .) on O_{n-2} by projected gradient descent.
+    """Minimize f(t, .) on O_{n-2} by projected gradient descent on log f.
 
     Computes the exact optimum p first.  If p != 0 (v unstable) it makes
     one start, at p/|p|, which the module docstring certifies; otherwise
     it makes a deterministic multi-start (centered arithmetic progressions,
     adjacent coordinate differences, then a Gaussian fill seeded by
-    `seed`).  Backtracking line search with an Armijo condition; every
-    iterate is re-projected so the constraint residuals stay at machine
-    precision.  The gradient tests are relative: the projected gradient is
-    compared with gtol * max(1, f ln t), since |grad f| scales with f ln t.
-    Non-convergence is reported through the `converged` flag with the best
-    iterate.
+    `seed`).  It descends on log f, a log-sum-exp.  Each iteration tries the
+    Barzilai-Borwein step first (at most 1), then halves it until an Armijo
+    condition on log f holds; every iterate is re-projected so the
+    constraint residuals stay at machine precision.  The projected gradient
+    of log f is compared with gtol * ln t, the scale of that gradient; an
+    absolute test on grad f (gtol / f on grad log f) would stop where f is
+    tiny, with f still well above its minimum.  `f_value` reports f.
+    Non-convergence is reported through the `converged` flag with the
+    best iterate.
     """
     if t <= 1:
         raise ValueError("need t > 1")
     n = support.n
     p_star, p2 = kempf_optimum(support)
-    lognsq = [(float(c.norm_sq), [float(x) for x in c.chi])
-              for c in support.components]
+    terms = [(math.log(nsq), [float(x) for x in c.chi])
+             for nsq, c in zip(support.float_norms, support.components)]
     lt = math.log(t)
 
-    def f_and_grad(p):
-        fv = 0.0
+    def logf_and_grad(p):
+        # log f = log sum exp(log |v_chi|^2 - <p, chi> ln t), shifted by its
+        # largest exponent so that neither f nor its terms under- or overflow
+        es = [lnsq - lt * sum(a * b for a, b in zip(p, chi)) for lnsq, chi in terms]
+        top = max(es)
+        ws = [math.exp(e - top) for e in es]
+        sw = sum(ws)
         g = [0.0] * n
-        for nsq, chi in lognsq:
-            e = nsq * math.exp(-lt * sum(a * b for a, b in zip(p, chi)))
-            fv += e
+        for w, (_, chi) in zip(ws, terms):
             for i in range(n):
                 if chi[i]:
-                    g[i] -= lt * chi[i] * e
-        return fv, g
+                    g[i] -= lt * chi[i] * w
+        return top + math.log(sw), [x / sw for x in g]
 
     if p2:
         starts = [_project_point([float(x) for x in p_star])]
@@ -272,29 +293,37 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
     best = None
     for p0 in starts:
         p = list(p0)
-        fv, g = f_and_grad(p)
+        lf, g = logf_and_grad(p)
         monotone = True
         converged = False
         it = 0
-        gn = scale = math.inf
+        gn = math.inf
         max_res = _residual(p)
+        p_prev = pg_prev = None
         for it in range(1, max_iter + 1):
             pg = _project_gradient(g, p)
             gn2 = sum(x * x for x in pg)
             gn = math.sqrt(gn2)
-            scale = max(1.0, fv * lt)
-            if gn < gtol * scale:
+            if gn < gtol * lt:
                 converged = True
                 break
+            # first trial step: Barzilai-Borwein, |s|^2 / <s, y> over the last
+            # move s and the change y of the projected gradient, at most 1
             step = 1.0
+            if p_prev is not None:
+                s = [a - b for a, b in zip(p, p_prev)]
+                sy = sum(a * (b - c) for a, b, c in zip(s, pg, pg_prev))
+                if sy > 0:
+                    step = min(1.0, sum(a * a for a in s) / sy)
+            p_prev, pg_prev = p, pg
             accepted = False
             for _ in range(60):
                 cand = _project_point([a - step * b for a, b in zip(p, pg)])
-                fc, gc = f_and_grad(cand)
-                if fc <= fv - 1e-4 * step * gn2:
-                    if fc > fv:
+                lc, gc = logf_and_grad(cand)
+                if lc <= lf - 1e-4 * step * gn2:
+                    if lc > lf:
                         monotone = False
-                    p, fv, g = cand, fc, gc
+                    p, lf, g = cand, lc, gc
                     accepted = True
                     break
                 step *= 0.5
@@ -302,8 +331,8 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
                 break
             max_res = max(max_res, _residual(p))
         if not converged:
-            converged = gn < 1e-6 * scale
-        res = KempfResult(ell=p, f_value=fv, mu_value=float(mu(p, support)),
+            converged = gn < 1e-6 * lt
+        res = KempfResult(ell=p, f_value=math.exp(lf), mu_value=float(mu(p, support)),
                           converged=converged, iterations=it,
                           monotone=monotone, max_residual=max_res,
                           min_norm_point=p_star, mu_star_squared=p2)

@@ -238,6 +238,18 @@ def test_kempf_exact_optimum_of_semistable_monomial(tmp_path, capsys):
     assert res["mu_star_squared"] == "0"
 
 
+def test_kempf_agrees_with_grid_on_semistable_input(tmp_path, capsys):
+    # mu at a finite-t minimizer of a semistable matrix is no optimality
+    # measure: here the descent's f and mu are both below the grid point's
+    A = [["4", "5", "2", "7"], ["8", "3", "2", "2"], ["1", "7", "9", "5"], ["1", "4", "9", "9"]]
+    path = _write(tmp_path, "in.json", {"matrix": A, "t": 100})
+    code, out, _ = _run(capsys, ["kempf", "--input", path])
+    res = json.loads(out)
+    assert code == EXIT_OK and res["unstable"] is False
+    assert res["f"] < res["grid_f"] and res["mu"] < res["grid_mu"] - 1e-3
+    assert res["agrees_with_grid"] is True
+
+
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])
 def test_kempf_rejects_bad_t(tmp_path, capsys, t):
     path = _write(tmp_path, "in.json", {"matrix": J3, "t": t})
@@ -353,6 +365,28 @@ def test_flags_are_registered_only_where_read():
     with pytest.raises(SystemExit) as exc:
         main(["stabilizer", "--tol", "1"])
     assert exc.value.code == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    seen = []
+    read_input = cli.read_input
+    monkeypatch.setattr(cli, "read_input",
+                        lambda args: seen.append((args.tol, args.seed)) or read_input(args))
+    path = _write(tmp_path, "in.json", {"matrix": J3, "t": 1000})
+    code, _, _ = _run(capsys, ["kempf", "--tol", "1", "--seed", "3", "--input", path])
+    assert code == EXIT_OK
+    code, second, _ = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_OK
+    assert seen == [(1.0, 3), (1e-3, 0)]
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["kempf", "--help"])
+    assert exc.value.code == 0 and "usage: orbitlimits kempf" in capsys.readouterr().out
+    code, third, _ = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_OK and third == second
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_wrong_schema_rejected(tmp_path, capsys):

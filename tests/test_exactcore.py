@@ -116,6 +116,85 @@ def test_det_multiplicative(data):
     assert det_bareiss(a * b) == det_bareiss(a) * det_bareiss(b)
 
 
+# the sparse product against independent oracles
+
+
+def _entries(draw, entry, zero, n, m):
+    """An n x m matrix of `entry` draws, sparse or dense: each entry is
+    `zero` with a drawn probability of 0, 1/2 or 9/10."""
+    level = draw(st.sampled_from([0, 5, 9]))
+    return Mat([[zero if draw(st.integers(0, 9)) < level else draw(entry)
+                 for _ in range(m)] for _ in range(n)], m)
+
+
+@st.composite
+def product_pairs(draw, entry, zero):
+    k, n, m = (draw(st.integers(0, 5)) for _ in range(3))
+    return _entries(draw, entry, zero, k, n), _entries(draw, entry, zero, n, m)
+
+
+def _sympy(a):
+    return sympy.Matrix(a.rows, a.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in a.a for x in row])
+
+
+def _triple_loop(a, b, zero):
+    return [[sum((a.a[i][k] * b.a[k][j] for k in range(a.cols)), zero)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def _check_product(a, b, zero):
+    c = a * b
+    assert (c.rows, c.cols) == (a.rows, b.cols)
+    zero_type = type(zero) if a.cols else Fraction         # an empty row has Q0
+    for i, row in enumerate(c.a):
+        for j, x in enumerate(row):
+            if not any(a.a[i][k] and b.a[k][j] for k in range(a.cols)):
+                assert type(x) is zero_type and not x     # the zero of the row's type
+    return c
+
+
+polys = st.builds(lambda cs: UniPoly(dict(enumerate(cs))),
+                  st.lists(rationals, min_size=1, max_size=3)).filter(bool)
+ratfns = st.builds(RationalFn, polys, polys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_pairs(rationals.filter(bool), Q0))
+def test_product_matches_sympy(ab):
+    a, b = ab
+    c = _check_product(a, b, Q0)
+    want = _sympy(a) * _sympy(b)
+    assert c.a == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)]
+                   for i in range(want.rows)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_pairs(polys, UniPoly.zero()))
+def test_unipoly_product_matches_triple_loop(ab):
+    a, b = ab
+    assert _check_product(a, b, UniPoly.zero()).a == _triple_loop(a, b, UniPoly.zero())
+
+
+@settings(max_examples=25, deadline=None)
+@given(product_pairs(ratfns, RationalFn(0)))
+def test_rationalfn_product_matches_triple_loop(ab):
+    a, b = ab
+    assert _check_product(a, b, RationalFn(0)).a == _triple_loop(a, b, RationalFn(0))
+
+
+def test_product_of_empty_shapes():
+    k0, m0 = Mat([[], [], []], 0), Mat([], 4)                # 3 x 0 and 0 x 4
+    c = k0 * m0
+    assert (c.rows, c.cols) == (3, 4) and c == Mat.zeros(3, 4)
+    c = m0 * Mat.zeros(4, 2)                                 # 0 x 4 times 4 x 2
+    assert (c.rows, c.cols) == (0, 2)
+    c = Mat.zeros(2, 3) * Mat([[], [], []], 0)               # 2 x 3 times 3 x 0
+    assert (c.rows, c.cols) == (2, 0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.zeros(2, 3) * Mat.zeros(2, 3)
+
+
 def test_coords_in_basis():
     basis = [[Q1, Q0, Q0], [Q0, Q1, Q0]]
     assert coords_in_basis(basis, [Fraction(2), Fraction(3), Q0]) == \

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import jordan_block
@@ -110,14 +110,17 @@ def test_constraint_residual_at_machine_precision():
 # the exact optimum
 
 
+def _support(n, weights):
+    return WeightSupport(n, [WeightComponent(chi, Fraction(a), ()) for chi, a in weights])
+
+
 @st.composite
 def supports(draw, max_n=4, max_weights=6):
     n = draw(st.integers(2, max_n))
     chis = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                          min_size=1, max_size=max_weights, unique=True))
     norms = draw(st.lists(st.integers(1, 9), min_size=len(chis), max_size=len(chis)))
-    return WeightSupport(n, [WeightComponent(chi, Fraction(a), ())
-                             for chi, a in zip(chis, norms)])
+    return _support(n, zip(chis, norms))
 
 
 def _oracle_min_norm_point(support):
@@ -176,6 +179,12 @@ def test_descent_mu_rises_towards_mu_star(n):
 
 @settings(max_examples=40, deadline=None)
 @given(supports(max_n=3), st.sampled_from([10.0, 100.0, 1000.0]))
+# f is about 1e-4 at the optimum: a descent on f itself stalled above the grid
+@example(_support(3, [((0, -1, 1), 1), ((0, -2, 0), 1)]), 1000.0)
+# f is about 1e-8: a gradient test allowing gtol / f stopped 0.8% above the grid
+@example(_support(3, [((-1, 2, -2), 1), ((0, 2, -2), 2)]), 1000.0)
+# unit first steps bounced across the minimum for 2,000 iterations
+@example(_support(3, [((2, 0, 1), 8), ((-1, -2, 2), 8)]), 100.0)
 def test_single_start_never_worse_than_grid(sup, t):
     assume(kempf_optimum(sup)[1] > 0)
     res = kempf_descent(sup, t)
