@@ -305,7 +305,7 @@ def cmd_limit(args) -> int:
         "K0_graded_dims": {str(w): d for w, d in data.graded_dims.items()},
         "Klf_graded_dims": ({str(w): d for w, d in ts.Klf_dims.items()}
                             if ts.Klf_dims is not None else None),
-        "case": case.tag,
+        "case": case,
         "extension_feasible": bool(feas.feasible),
         "subalgebra_case": feas.hoffman,
     }

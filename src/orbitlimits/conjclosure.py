@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank
 from .lierep import ConjRep, elementary, stabilizer_algebra
-from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix
+from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
 from .localmodel import LocalModel, build_local_model
 
 
@@ -114,9 +114,10 @@ def all_partitions(n: int) -> list[Partition]:
 class JordanSpec:
     """Eigenvalue -> Jordan-block-size partition data of a matrix.
 
-    Eigenvalues may be rationals or hashable symbolic labels (strings);
-    only the multiplicity structure enters the closure theorem, but
-    witness families require rational eigenvalues.
+    Eigenvalues may be rationals (ints are read as rationals) or hashable
+    symbolic labels (strings, even those that read like numbers); only the
+    multiplicity structure enters the closure theorem, but witness
+    families require rational eigenvalues.
     """
 
     __slots__ = ("blocks", "n")
@@ -125,8 +126,7 @@ class JordanSpec:
         seen = set()
         bl = []
         for ev, sizes in blocks:
-            ev = _as_fraction(ev) if isinstance(ev, (int, str, Fraction)) and not (
-                isinstance(ev, str) and not _looks_rational(ev)) else ev
+            ev = _as_fraction(ev) if isinstance(ev, int) else ev
             if ev in seen:
                 raise ValueError(f"repeated eigenvalue {ev!r}")
             seen.add(ev)
@@ -141,14 +141,6 @@ class JordanSpec:
     def diagonalizable(cls, multiplicities: dict) -> "JordanSpec":
         """Spec of a diagonalizable matrix: eigenvalue -> multiplicity."""
         return cls([(ev, Partition([1] * m)) for ev, m in multiplicities.items()])
-
-
-def _looks_rational(s: str) -> bool:
-    try:
-        Fraction(s)
-        return True
-    except ValueError:
-        return False
 
 
 def _rational_roots(p: UniPoly) -> list[tuple]:
@@ -516,10 +508,7 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     report = {"n": n, "dim_H": len(model.H), "dim_S": len(model.S),
               "dim_N": len(model.N)}
     # H is spanned by the nonnegative shifts Z_0..Z_{n-1}
-    zs = Mat.from_cols([ConjRep(n).to_coords(Z_shift(n, k)) for k in range(n)])
-    hs = Mat.from_cols([ConjRep(n).to_coords(h) for h in model.H])
-    report["H_is_span_Z"] = rank(zs) == rank(hs) == rank(
-        Mat.from_cols(zs.columns() + hs.columns())) == n
+    report["H_is_span_Z"] = same_span([Z_shift(n, k) for k in range(n)], model.H, n)
     # theta(n1) theta(n2) = 0 on basis pairs => theta(n)^2 = 0 for all n in N
     theta_sq_zero = True
     mats = [model.theta_matrix(nv) for nv in model.N]

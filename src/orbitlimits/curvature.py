@@ -258,6 +258,13 @@ def sphere_ricci(sphere_dim: int, r) -> list:
 # adjoint action at a regular diagonal point
 
 
+def _e_mat(lams, p, q) -> Mat:
+    """The normalized off-diagonal element e_pq = E_pq / (lam_q - lam_p)."""
+    m = Mat.zeros(len(lams), len(lams))
+    m.a[p][q] = 1 / (lams[q] - lams[p])
+    return m
+
+
 def adjoint_pi(lams) -> dict:
     """Pi table of the conjugation orbit at x = diag(lams), distinct entries.
 
@@ -274,20 +281,13 @@ def adjoint_pi(lams) -> dict:
     if len(set(lams)) != n:
         raise ValueError("eigenvalues must be distinct")
     rep = ConjRep(n)
-
-    def e_mat(p, q):
-        m = Mat.zeros(n, n)
-        m.a[p][q] = 1 / (lams[q] - lams[p])
-        return m
-
     table = {}
     for p in range(n):
         for q in range(n):
             if p == q:
                 continue
-            # dual route: generic action matrix of e_pq applied to e_qp coords
-            S = action_matrix(rep, e_mat(p, q))
-            w = rep.from_coords(S.apply(rep.to_coords(e_mat(q, p))))
+            # dual route: the generic action of e_pq on the coordinates of e_qp
+            w = rep.from_coords(rep.act(_e_mat(lams, p, q), rep.to_coords(_e_mat(lams, q, p))))
             diag = [w.a[i][i] for i in range(n)]
             d = (lams[q] - lams[p]) ** 2
             expected = [Q0] * n
@@ -305,17 +305,10 @@ def adjoint_offdiagonal_vanishing(lams) -> bool:
     lams = [_as_fraction(x) for x in lams]
     n = len(lams)
     rep = ConjRep(n)
-
-    def e_mat(p, q):
-        m = Mat.zeros(n, n)
-        m.a[p][q] = 1 / (lams[q] - lams[p])
-        return m
-
     for p, q, r, s in itertools.product(range(n), repeat=4):
         if p == q or r == s or (r, s) == (q, p):
             continue
-        S = action_matrix(rep, e_mat(p, q))
-        w = rep.from_coords(S.apply(rep.to_coords(e_mat(r, s))))
+        w = rep.from_coords(rep.act(_e_mat(lams, p, q), rep.to_coords(_e_mat(lams, r, s))))
         if any(w.a[i][i] for i in range(n)):
             return False
     return True
@@ -374,8 +367,7 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
     # scaled route: fields with value Xhat, Yhat at x come from Xhat/(mu-lam)
     # and Yhat/(lam-mu); their Pi is the commutator route divided by (mu-lam).
     s = 1 / (mu - lam)
-    S_Y = action_matrix(rep, Yhat.scale(-s))
-    w = rep.from_coords(S_Y.apply(rep.to_coords(Xhat)))
+    w = rep.from_coords(rep.act(Yhat.scale(-s), rep.to_coords(Xhat)))
     for i in range(n):
         for j in range(n):
             if (i < m) == (j < m) and w.a[i][j] != disp.a[i][j] * s:
@@ -387,19 +379,17 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
 # the cyclic-shift suite
 
 
-def cyclic_shift(n: int) -> Mat:
-    """c(i, j) = 1 iff j - i = 1 mod n."""
-    m = Mat.zeros(n, n)
-    for i in range(n):
-        m.a[i][(i + 1) % n] = Q1
-    return m
-
-
 def cyc_power(n: int, k: int) -> Mat:
+    """c^k: c^k(i, j) = 1 iff j - i = k mod n."""
     m = Mat.zeros(n, n)
     for i in range(n):
         m.a[i][(i + k) % n] = Q1
     return m
+
+
+def cyclic_shift(n: int) -> Mat:
+    """c(i, j) = 1 iff j - i = 1 mod n."""
+    return cyc_power(n, 1)
 
 
 def ell_matrix(n: int) -> Mat:

@@ -119,8 +119,12 @@ def mu(ell, support: WeightSupport):
 
 
 def kempf_f(t: float, ell, support: WeightSupport) -> float:
-    return sum(nsq * t ** (-float(pairing(ell, c.chi)))
-               for nsq, c in zip(support.float_norms, support.components))
+    """f(t, l) in floats; math.inf where a term t^(-<l, chi>) overflows."""
+    try:
+        return sum(nsq * t ** (-float(pairing(ell, c.chi)))
+                   for nsq, c in zip(support.float_norms, support.components))
+    except OverflowError:
+        return math.inf
 
 
 def leading_term_along(ell, support: WeightSupport):
@@ -239,7 +243,6 @@ class KempfResult:
     mu_value: float
     converged: bool
     iterations: int
-    monotone: bool
     max_residual: float
     min_norm_point: tuple[Fraction, ...]   # p of `kempf_optimum`
     mu_star_squared: Fraction              # |p|^2; v is unstable iff it is > 0
@@ -256,13 +259,13 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
     adjacent coordinate differences, then a Gaussian fill seeded by
     `seed`).  It descends on log f, a log-sum-exp.  Each iteration tries the
     Barzilai-Borwein step first (at most 1), then halves it until an Armijo
-    condition on log f holds; every iterate is re-projected so the
-    constraint residuals stay at machine precision.  The projected gradient
-    of log f is compared with gtol * ln t, the scale of that gradient; an
-    absolute test on grad f (gtol / f on grad log f) would stop where f is
-    tiny, with f still well above its minimum.  `f_value` reports f.
-    Non-convergence is reported through the `converged` flag with the
-    best iterate.
+    condition on log f holds, so f decreases at every accepted step; every
+    iterate is re-projected so the constraint residuals stay at machine
+    precision.  The projected gradient of log f is compared with
+    gtol * ln t, the scale of that gradient; an absolute test on grad f
+    (gtol / f on grad log f) would stop where f is tiny, with f still well
+    above its minimum.  `f_value` reports f.  Non-convergence is reported
+    through the `converged` flag with the best iterate.
     """
     if t <= 1:
         raise ValueError("need t > 1")
@@ -294,7 +297,6 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
     for p0 in starts:
         p = list(p0)
         lf, g = logf_and_grad(p)
-        monotone = True
         converged = False
         it = 0
         gn = math.inf
@@ -321,8 +323,6 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
                 cand = _project_point([a - step * b for a, b in zip(p, pg)])
                 lc, gc = logf_and_grad(cand)
                 if lc <= lf - 1e-4 * step * gn2:
-                    if lc > lf:
-                        monotone = False
                     p, lf, g = cand, lc, gc
                     accepted = True
                     break
@@ -334,7 +334,7 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
             converged = gn < 1e-6 * lt
         res = KempfResult(ell=p, f_value=math.exp(lf), mu_value=float(mu(p, support)),
                           converged=converged, iterations=it,
-                          monotone=monotone, max_residual=max_res,
+                          max_residual=max_res,
                           min_norm_point=p_star, mu_star_squared=p2)
         if best is None or res.f_value < best.f_value:
             best = res

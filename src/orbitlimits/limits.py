@@ -265,33 +265,30 @@ class LimitAlgebraData:
     def beta(self) -> dict:
         """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
         structure constants of K0, which must be independent and closed."""
-        glrep, K0, span = self.problem.glrep, self.K0, self.K0_span
-        if len(span) != len(K0):
+        if len(self.K0_span) != len(self.K0):
             raise ValueError("K0 columns are dependent")
-        out = {}
-        for i in range(len(K0)):
-            for j in range(i + 1, len(K0)):
-                co = span.coords(glrep.to_coords(bracket(K0[i], K0[j])))
-                if co is None:
-                    raise ValueError("K0 is not bracket-closed")
-                out[(i, j)] = co
-        return out
+        return _structure_constants(self.problem.glrep, self.K0, self.K0_span,
+                                    "K0 is not bracket-closed")
 
     def structure_constants(self) -> dict:
         """(i, j) -> coefficients of [k_i(t), k_j(t)] over the k_m(t) basis."""
-        if not self.Kt:
-            return {}
         glrep = self.problem.glrep
-        mats = [kt.mat if isinstance(kt, KtElement) else kt for kt in self.Kt]
+        mats = [kt.mat for kt in self.Kt]
         span = Subspace(glrep.dim, [glrep.to_coords(m) for m in mats])
-        out = {}
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                co = span.coords(glrep.to_coords(bracket(mats[i], mats[j])))
-                if co is None:
-                    raise ValueError("K(t) is not bracket-closed over Q(t)")
-                out[(i, j)] = co
-        return out
+        return _structure_constants(glrep, mats, span, "K(t) is not bracket-closed over Q(t)")
+
+
+def _structure_constants(glrep: ConjRep, mats: Sequence[Mat], span: Subspace,
+                         closure_error: str) -> dict:
+    """(i, j) -> coordinates of [mats_i, mats_j] over span, for i < j."""
+    out = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            co = span.coords(glrep.to_coords(bracket(mats[i], mats[j])))
+            if co is None:
+                raise ValueError(closure_error)
+            out[(i, j)] = co
+    return out
 
 
 def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitAlgebraData:
@@ -529,24 +526,15 @@ def jordan_chevalley(m: Mat):
     return s, nil
 
 
-class CaseResult:
-    __slots__ = ("tag", "detail")
-
-    def __init__(self, tag: str, detail: dict):
-        self.tag = tag      # "A" | "B" | "search-exhausted"
-        self.detail = detail
-
-    def __repr__(self):
-        return f"CaseResult({self.tag!r})"
-
-
 def _weight_split(m: Mat, glw, glrep) -> dict:
     return {w: glrep.from_coords(v) for w, v in weight_split(glrep.to_coords(m), glw).items()}
 
 
 def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
-                  seed: int = 0, tries: int = 10) -> CaseResult:
-    """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness."""
+                  seed: int = 0, tries: int = 10) -> str:
+    """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness:
+    "A", "B", or "search-exhausted" when neither is certified.  seed drives
+    only the random candidates of the (B) search."""
     problem = LimitProblem.of(f, lam)
     f, lam = problem.f, problem.lam
     rep, glrep, glw = problem.rep, problem.glrep, problem.glw
@@ -554,10 +542,8 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
 
     # (B) with u = identity: a pure element of K, which kills every graded
     # component of f (triple_stabilizers checks it)
-    pure = problem.triple.pure
-    if pure:
-        return CaseResult("B", {"u": Mat.identity(rep.n), "witness": pure[0],
-                                "pure": True})
+    if problem.triple.pure:
+        return "B"
 
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
     pk_alphas = nullspace(_weight_rows(problem.K_coords, glw, lambda w: w < 0))
@@ -577,61 +563,50 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
             continue
         if any(rep.act(ss, f_coords)):
             continue  # semisimple part should stabilize f; skip if not
-        witness = _cancel_positive_weights(ss, glw, glrep, rep)
+        witness = _cancel_positive_weights(ss, glw, glrep)
         if witness is None:
             continue
-        u, k_pure = witness
-        fu = group_act_form(u, f)
+        # k = u ss u^-1 stabilizes f(u^-1 x), the substitution by u^-1
+        u_inv, k_pure = witness
+        fu = group_act_form(u_inv, f)
         comps_u = decompose_form(fu, lam)     # ascending weights
         if next(iter(comps_u.items())) != (exp_f.a, exp_f.g):
             continue  # g must stay the leading term of f^u
         ellfu = Form(f.nvars, f.degree, {})
         for c, form in comps_u.items():
             ellfu = ellfu + form.scale(Fraction(c))
-        ok = (not any(rep.act(k_pure, rep.to_coords(fu)))
-              and not any(rep.act(k_pure, rep.to_coords(exp_f.g)))
-              and not any(rep.act(k_pure, rep.to_coords(ellfu))))
-        if ok:
-            return CaseResult("B", {"u": u, "witness": k_pure, "pure": False,
-                                    "semisimple": ss})
+        if (not any(rep.act(k_pure, rep.to_coords(fu)))
+                and not any(rep.act(k_pure, rep.to_coords(exp_f.g)))
+                and not any(rep.act(k_pure, rep.to_coords(ellfu)))):
+            return "B"
 
-    # (A): K0 nilpotent with a lower-central-series certificate
+    # (A): K0 nilpotent, certified by its lower central series and its elements
     K0 = limit_algebra_by_conjugation(problem).K0
-    series = _lower_central_series(K0, glrep)
-    elementwise = all(is_nilpotent_matrix(m) for m in K0)
-    if series is not None and elementwise:
-        return CaseResult("A", {"lower_central_series_dims": series,
-                                "elements_nilpotent": True})
-    return CaseResult("search-exhausted",
-                      {"series": series, "elements_nilpotent": elementwise})
+    if _lower_central_series_vanishes(K0, glrep) and all(is_nilpotent_matrix(m) for m in K0):
+        return "A"
+    return "search-exhausted"
 
 
-def _lower_central_series(K0: Sequence[Mat], glrep) -> Optional[list[int]]:
-    """Dims of the lower central series of span(K0); None if it stalls."""
+def _lower_central_series_vanishes(K0: Sequence[Mat], glrep) -> bool:
+    """Whether the lower central series of span(K0) reaches 0.  K0 is a Lie
+    algebra, so each term [K0, C^k] lies inside C^k, and the series stalls
+    exactly when a term is no smaller than the one before."""
     cur = [glrep.to_coords(m) for m in K0]
     cur = [cur[i] for i in lin_indep_subset(cur)]
-    dims = [len(cur)]
     while cur:
-        nxt = []
-        for v in cur:
-            x = glrep.from_coords(v)
-            for k in K0:
-                nxt.append(glrep.to_coords(bracket(k, x)))
+        nxt = [glrep.to_coords(bracket(k, glrep.from_coords(v))) for v in cur for k in K0]
         nxt = [nxt[i] for i in lin_indep_subset(nxt)]
-        if len(nxt) >= len(cur) and len(cur) > 0 and len(nxt) == dims[-1]:
-            return None
-        dims.append(len(nxt))
+        if len(nxt) >= len(cur):
+            return False
         cur = nxt
-        if len(dims) > glrep.dim + 2:
-            return None
-    return dims
+    return True
 
 
-def _cancel_positive_weights(ss: Mat, glw, glrep, rep):
+def _cancel_positive_weights(ss: Mat, glw, glrep):
     """Find u in U(lam) with u ss u^{-1} of pure weight 0, by cancelling the
-    positive-weight components level by level.  Returns (u, u ss u^{-1})."""
+    positive-weight components level by level.  Returns (u^{-1}, u ss u^{-1})."""
     n = ss.rows
-    u = Mat.identity(n)
+    u_inv = Mat.identity(n)
     cur = ss
     pos_weights = sorted({w for w in glw if w > 0})
     for _ in range(len(pos_weights) + 1):
@@ -640,7 +615,7 @@ def _cancel_positive_weights(ss: Mat, glw, glrep, rep):
             return None
         pos = sorted(w for w in comps if w > 0)
         if not pos:
-            return u, cur
+            return u_inv, cur
         w = pos[0]
         s0 = comps.get(0, Mat.zeros(n, n))
         # solve [z, s0] = -cur_w over the weight-w entries of gl
@@ -661,10 +636,10 @@ def _cancel_positive_weights(ss: Mat, glw, glrep, rep):
         step = Mat.identity(n) + glrep.from_coords(zc)
         inv_step = _unipotent_inverse(step)
         cur = step * cur * inv_step
-        u = step * u
+        u_inv = u_inv * inv_step
     comps = _weight_split(cur, glw, glrep)
     if set(comps) <= {0}:
-        return u, cur
+        return u_inv, cur
     return None
 
 

@@ -122,7 +122,9 @@ def test_limit_with_ungraded_klf(tmp_path, capsys):
 
 
 # Whole `limit` outputs, json and table, pinned on the O2 and O3 quartics, two
-# lambda-homogeneous forms and an input whose K_lf is not graded.
+# lambda-homogeneous forms, an input whose K_lf is not graded, and
+# 3x^2 + 3yz + z^2 ("semisimple-b"), whose case B only the semisimple route
+# certifies: its witness u ss u^-1 stabilizes the substitution of f by u^-1.
 LIMIT_GOLDEN = json.loads((Path(__file__).parent / "data" / "limit_golden.json").read_text())
 
 
@@ -185,6 +187,18 @@ def test_closure_positive_with_witness(tmp_path, capsys):
     assert res["contains"] is True and "witness" in res
 
 
+def test_closure_labels_are_symbols(tmp_path, capsys):
+    # {"label": "2"} is a symbol, not the rational 2, so it is no repeat of it
+    outs = []
+    for label in ("2", "mu"):
+        doc = {"spec": [{"eig": {"label": label}, "sizes": [1]}, {"eig": "2", "sizes": [1]}],
+               "partition": [1, 1]}
+        code, out, err = _run(capsys, ["closure", "--input", _write(tmp_path, "in.json", doc)])
+        assert code == EXIT_OK, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("eig", ["-1", "0"])
 def test_closure_rejects_scalar_spec(tmp_path, capsys, eig):
     # chi = (1^n): a one-point projective orbit, or none for the zero matrix
@@ -226,6 +240,15 @@ def test_kempf_on_j3(tmp_path, capsys):
     assert res["unstable"] is True
     assert res["min_norm_point"] == ["1/2", "0", "-1/2"]
     assert res["mu_star_squared"] == "1/2"
+
+
+def test_kempf_grid_survives_overflow(tmp_path, capsys):
+    # at t = 1e300, t^(-<l, chi>) overflows at some grid points; f is +inf there
+    path = _write(tmp_path, "in.json", {"matrix": J3, "t": 1e300})
+    code, out, err = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_OK, err
+    res = json.loads(out)
+    assert res["agrees_with_grid"] is True and res["unstable"] is True
 
 
 def test_kempf_exact_optimum_of_semistable_monomial(tmp_path, capsys):
