@@ -2,15 +2,22 @@
 
 One test per acceptance criterion; each prints a single
 "ACCEPTANCE k: PASS/FAIL" line (directly to the terminal, bypassing
-capture) and then asserts.
+capture) and then asserts.  Each worked-example runner runs once: its
+checks are compared with `reproduce --format json`'s pinned output
+(tests/data/reproduce_golden.json) where a criterion runs it, and the last
+test renders the whole document from those checks and compares it byte for
+byte.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from orbitlimits import cli
 from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      charpoly, closure_contains_nilpotent,
                                      companion, dominates, in_Xkr,
@@ -42,9 +49,26 @@ def _criterion(num: int, desc: str, ok: bool) -> None:
     assert ok, line
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "reproduce_golden.json"
+_REPORTS: dict = {}     # runner id -> its checks
+
+
+def _report(ident: str) -> list:
+    if ident not in _REPORTS:
+        _REPORTS[ident] = RUNNERS[ident]()
+    return _REPORTS[ident]
+
+
+def _render(entry) -> str:
+    return json.dumps(entry, sort_keys=True, indent=2)
+
+
 def _runner_ok(ident: str):
-    rows = RUNNERS[ident]()
+    rows = _report(ident)
     bad = [r["label"] for r in rows if not r["ok"]]
+    entry = {"ok": not bad, "checks": cli.to_jsonable(rows)}
+    if _render(entry) != _render(json.loads(GOLDEN.read_text())["examples"][ident]):
+        bad.append("output differs from reproduce_golden.json")
     return not bad, bad
 
 
@@ -278,3 +302,13 @@ def test_acceptance_10_property_suites():
                    "closure and star-annihilation on 25 random instances; "
                    "reconstruction identity on 100 random pairs; dominance "
                    "axioms exhaustive to n = 8", ok)
+
+
+def test_reproduce_json_is_byte_identical_to_golden(monkeypatch, capsys):
+    # the runners that no criterion runs are compared here
+    for ident in ("jn-slice", "jab-slice"):
+        ok, bad = _runner_ok(ident)
+        assert ok, bad
+    monkeypatch.setattr(cli, "run_ids", lambda ids: {i: _report(i) for i in ids})
+    assert cli.main(["reproduce", "--format", "json"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == GOLDEN.read_text()

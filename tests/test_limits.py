@@ -1,6 +1,8 @@
 """Limits of forms under one-parameter subgroups: K(t), K0, feasibility."""
 
+import copy
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
-from orbitlimits.exactcore import Mat, Q0, RationalFn, UniPoly, coords_in_basis
-from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, elementary
+from orbitlimits.exactcore import Mat, Q0, RationalFn, Subspace, UniPoly, coords_in_basis
+from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, elementary, monomial_basis
 from orbitlimits.limits import (LimitProblem, NotGraded, OnePS, _cancel_positive_weights,
                                 check_graded_conditions, classify_case, expand_orbit_curve,
                                 extension_feasible, filtered_dims, gl_act_weights,
                                 graded_dims_of, hoffman_case, limit_algebra,
                                 limit_algebra_by_conjugation, same_span, triple_stabilizers)
+from orbitlimits.localmodel import NotTransverse, weight_split
 from orbitlimits.reproduce import _lam_data
 
 
@@ -172,6 +175,79 @@ def test_graded_conditions_of_lambda_homogeneous_form():
     data = limit_algebra(Form(2, 2, {(2, 0): 1}), OnePS([1, 0]))
     assert data.expansion.f_b is None
     assert check_graded_conditions(data) == []
+
+
+def _graded_conditions_by_subspaces(data):
+    """The graded conditions with a Subspace of S_w.g for each weight w: S_w is
+    spanned by the weight-w components of the S basis, and h_w.f_b must lie in
+    S_(b-a+w).g."""
+    problem = data.problem
+    model, rep, glrep, glw = problem.model, problem.rep, problem.glrep, problem.glw
+    exp = problem.expansion
+    if exp.f_b is None:
+        return []
+
+    def split(m):
+        return {w: glrep.from_coords(v) for w, v in weight_split(glrep.to_coords(m), glw).items()}
+
+    s_comps = {}
+    for s in model.S:
+        for w, part in split(s).items():
+            s_comps.setdefault(w, []).append(part)
+    fb, g = rep.to_coords(exp.f_b), rep.to_coords(exp.g)
+    d = exp.b - exp.a
+    case = "b-a=1" if d == 1 else ("b-a=2" if d == 2 else "b-a>2")
+    report = []
+    for ki, k in enumerate(data.K0):
+        for w, hw in sorted(split(k).items()):
+            target = rep.act(hw, fb)
+            entry = {"element": ki, "weight": w, "s_weight": d + w, "case": case}
+            if not any(target):
+                entry["status"] = "zero"
+            elif d + w in s_comps:
+                span = Subspace(rep.dim, [rep.act(s, g) for s in s_comps[d + w]])
+                entry["status"] = "solved" if target in span else "unsolvable"
+            else:
+                entry["status"] = "nonzero-no-s"
+            report.append(entry)
+    return report
+
+
+def _random_gl_elements(rng, glw, count):
+    """count random gl elements, each supported on one or two weights of glw."""
+    weights = sorted(set(glw))
+    out = []
+    for _ in range(count):
+        ws = rng.sample(weights, min(len(weights), rng.randint(1, 2)))
+        coords = [Fraction(rng.randint(-2, 2)) if w in ws else Q0 for w in glw]
+        out.append(ConjRep(int(len(glw) ** 0.5)).from_coords(coords))
+    return out
+
+
+def test_graded_conditions_match_the_subspace_formulation():
+    rng = random.Random(17)
+    statuses = Counter()
+    done = 0
+    while done < 30:
+        nvars, degree = rng.randint(2, 3), rng.randint(2, 4)
+        basis = monomial_basis(nvars, degree)
+        terms = {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+                 for e in rng.sample(basis, rng.randint(2, min(5, len(basis))))}
+        lam = OnePS([rng.randint(-2, 2) for _ in range(nvars)])
+        try:
+            data = limit_algebra(Form(nvars, degree, terms), lam)
+        except (NotTransverse, ValueError):
+            continue
+        if data.expansion.f_b is None:
+            continue
+        done += 1
+        assert check_graded_conditions(data) == _graded_conditions_by_subspaces(data)
+        fake = copy.copy(data)
+        fake.K0 = _random_gl_elements(rng, data.problem.glw, 4)
+        report = check_graded_conditions(fake)
+        assert report == _graded_conditions_by_subspaces(fake)
+        statuses.update(e["status"] for e in report)
+    assert set(statuses) == {"zero", "solved", "unsolvable", "nonzero-no-s"}
 
 
 def test_k0_killed_by_star(o2_data):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlimits.exactcore import Mat, Q0, Q1
-from orbitlimits.lierep import ConjRep, Form, SymRep, elementary
+from orbitlimits.exactcore import Mat, Q0, Q1, RationalFn, SingularMatrix, UniPoly
+from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, monomial_basis,
+                                stabilizer_algebra)
 from orbitlimits.localmodel import NotTransverse, build_local_model
 
 
@@ -135,3 +136,78 @@ def test_weighted_model_has_weight_pure_bases():
     x = rep.to_coords(Form(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1}))
     with pytest.raises(ValueError, match="^subspace is not weight-graded$"):
         build_local_model(rep, x, weights=weights)
+
+
+def _random_models(rng, count):
+    """count local models with orthogonal complements, alternately at a random
+    form (2-3 variables, degree 2-3, 1-3 terms) and a random 2x2 or 3x3 matrix."""
+    made = 0
+    while made < count:
+        if made % 2:
+            n = rng.randint(2, 3)
+            rep = ConjRep(n)
+            x = rep.to_coords(Mat([[Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)]
+                                   for _ in range(n)]))
+        else:
+            nvars, degree = rng.randint(2, 3), rng.randint(2, 3)
+            rep = SymRep(nvars, degree)
+            terms = {e: Fraction(rng.choice([-2, -1, 1, 2]))
+                     for e in rng.sample(monomial_basis(nvars, degree), rng.randint(1, 3))}
+            x = rep.to_coords(Form(nvars, degree, terms))
+        if any(x):
+            made += 1
+            yield rep, x, build_local_model(rep, x)
+
+
+def _slice_points(rng, model, count):
+    for _ in range(count):
+        yield model.n_vec([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in model.N])
+
+
+def test_slice_stabilizer_is_the_stabilizer_of_the_slice_point():
+    # k = h + s kills x + n exactly when h.n + (1 + theta(n))(s.x) = 0, so where
+    # 1 + theta(n) is invertible the slice stabilizer is all of stab(x + n)
+    rng = random.Random(5)
+    checked = 0
+    for rep, x, model in _random_models(rng, 24):
+        for n in _slice_points(rng, model, 3):
+            try:
+                stab = model.slice_stabilizer(n)
+            except SingularMatrix:
+                continue
+            p = [a + b for a, b in zip(x, n)]
+            assert all(not any(rep.act(k, p)) for k in stab)
+            assert len(stab) == len(stabilizer_algebra(rep, p))
+            checked += 1
+    assert checked >= 60
+
+
+def test_theta_matrix_columns_are_lamS_times_n():
+    # the definition: column k of theta(n) is lambda_S(e_k) . n
+    rng = random.Random(6)
+    for rep, x, model in _random_models(rng, 16):
+        for n in _slice_points(rng, model, 2):
+            theta = model.theta_matrix(n)
+            assert (theta.rows, theta.cols) == (rep.dim, rep.dim)
+            for k in range(rep.dim):
+                e = [Q1 if i == k else Q0 for i in range(rep.dim)]
+                assert theta.col(k) == rep.act(model.s_mat(model.lamS(e)), n)
+
+
+def test_denominators_over_qt_divide_delta():
+    # along n(t) = t n1, (1 + theta(n(t)))^-1 is solved through C, whose
+    # determinant is Delta, so Delta is a common denominator of every result
+    rng = random.Random(8)
+    nonconstant = 0
+    for rep, x, model in _random_models(rng, 12):
+        n_t = [UniPoly.t(1, a) for a in next(_slice_points(rng, model, 1))]
+        delta = UniPoly.coerce(model.delta(n_t))
+        try:
+            ws = model.inv_one_plus_theta(n_t, [rep.act(h, n_t) for h in model.H])
+        except SingularMatrix:
+            continue
+        nonconstant += delta.degree() > 0
+        for w in ws:
+            for c in w:
+                assert not delta.divmod(RationalFn.coerce(c).den)[1]
+    assert nonconstant >= 4

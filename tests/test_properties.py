@@ -213,3 +213,23 @@ def test_epsilon_extension_corrects_db():
     model, fb = d.model, _fb_coords(d)
     db = [model.s_mat(model.split_V(d.rep.act(k, fb))[0]) for k in d.K0]
     assert any(-s != x for (_, s), x in zip(feas.epsilon_basis, db))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.data())
+def test_kt_denominators_divide_delta(data):
+    """Every denominator of K(t) divides Delta = det(1 + theta(f^+(t))): K(t)
+    comes from solving the system C, whose determinant is Delta."""
+    from orbitlimits.exactcore import RationalFn
+    f, lam = _limit_pair(data.draw)
+    try:
+        d = limit_algebra(f, lam)
+    except (NotTransverse, ValueError):
+        assume(False)
+        return
+    for kt in d.Kt:
+        for row in kt.mat.a:
+            for x in row:
+                assert not d.delta.divmod(RationalFn.coerce(x).den)[1]
