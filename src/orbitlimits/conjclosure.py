@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank
-from .lierep import ConjRep, elementary, stabilizer_algebra
+from .lierep import ConjRep, elementary
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
 from .localmodel import LocalModel, build_local_model
 
@@ -502,9 +502,7 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     point has an n-dimensional stabilizer."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    rep = ConjRep(n)
     model = jn_local_model(n)
-    model.verify()
     report = {"n": n, "dim_H": len(model.H), "dim_S": len(model.S),
               "dim_N": len(model.N)}
     # H is spanned by the nonnegative shifts Z_0..Z_{n-1}
@@ -606,13 +604,12 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
         raise ValueError("need a >= b >= 1")
     n = a + b
     rep = ConjRep(n)
-    jab = jab_matrix(a, b)
-    H = stabilizer_algebra(rep, rep.to_coords(jab))
     C = jab_normal_basis(a, b)
-    model = build_local_model(rep, rep.to_coords(jab), N=[rep.to_coords(m) for m in C])
-    model.verify()
-    report = {"a": a, "b": b, "dim_H": len(H), "dim_C": len(C),
-              "dims_equal_a_plus_3b": len(H) == len(C) == a + 3 * b}
+    model = build_local_model(rep, rep.to_coords(jab_matrix(a, b)),
+                              N=[rep.to_coords(m) for m in C])
+    dim_H = len(model.H)
+    report = {"a": a, "b": b, "dim_H": dim_H, "dim_C": len(C),
+              "dims_equal_a_plus_3b": dim_H == len(C) == a + 3 * b}
     rng = random.Random(seed)
     deg_ok = ker_ok = True
     for _ in range(nsamples):

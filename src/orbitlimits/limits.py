@@ -229,8 +229,8 @@ class LimitAlgebraData:
 
     def __init__(self, problem: LimitProblem, delta, Kt, K0):
         self.problem = problem
-        self.delta = delta          # det(1 + theta(f^+(t))), UniPoly (or None)
-        self.Kt = Kt                # list of KtElement / Mat over UniPoly
+        self.delta = delta          # det(1 + theta(f^+(t))), UniPoly
+        self.Kt = Kt                # list of KtElement
         self.K0 = K0                # list of Mat over Fraction
 
     @property
@@ -292,21 +292,18 @@ def _structure_constants(glrep: ConjRep, mats: Sequence[Mat], span: Subspace,
 
 
 def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitAlgebraData:
-    """The exact M_N pipeline: local model at g, kernel of M_N over Q(t),
-    column normalization, K(t) = h(t) + s(t), K0 = K(t) at t=0."""
+    """The exact M_N pipeline: the slice equations of the local model at g
+    along n = f^+(t), column normalization of ker M_N, K(t) = h(t) + s(t),
+    K0 = K(t) at t=0."""
     problem = LimitProblem.of(f, lam)
     rep, model = problem.rep, problem.model
     n_t = problem.expansion.fplus_coords(rep)
-    ws = model.inv_one_plus_theta(n_t, [rep.act(h, n_t) for h in model.H])
-    splits = [model.split_V(w) for w in ws]
+    ker, ms_cols = model.slice_equations(n_t)
     delta = UniPoly.coerce(model.delta(n_t))
-
-    ker = nullspace(Mat.from_cols([nc for (_, nc) in splits]))    # M_N
     Kt, K0 = [], []
     if ker:
         n = rep.n
         norm = column_normalize(Mat.from_cols([list(v) for v in ker]))
-        ms_cols = [sc for (sc, _) in splits]                      # M_S
         for alpha in norm.columns():
             h_poly = lin_comb([UniPoly.coerce(a) for a in alpha], model.H,
                               Mat.zeros(n, n, UniPoly.zero()))
@@ -341,35 +338,28 @@ def _verify_limit_algebra(data: LimitAlgebraData):
                 if c.num and (not c.den(Q0) or c.num.valuation() < d):
                     raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
     # generic rational t0: k(t0) annihilates f(t0)
-    t0 = _generic_t0(data)
+    t0 = _generic_t0(data.delta)
     ft0 = exp.f_of_t_coords(rep, t0)
     for kt in data.Kt:
         if any(rep.act(kt.at(t0), ft0)):
             raise ValueError(f"k({t0}) does not annihilate f({t0})")
 
 
-def _generic_t0(data: LimitAlgebraData) -> Fraction:
-    candidates = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(5, 7),
-                  Fraction(7, 11), Fraction(2, 7), Fraction(3, 11)]
-    for t0 in candidates:
-        if data.delta is not None and not data.delta(t0):
-            continue
-        ok = True
-        for kt in data.Kt:
-            for row in kt.mat.a:
-                for x in row:
-                    if x and not RationalFn.coerce(x).den(t0):
-                        ok = False
-        if ok:
+def _generic_t0(delta: UniPoly) -> Fraction:
+    """A rational t0 with delta(t0) != 0.  Every denominator of K(t) comes
+    from solving C, whose determinant is delta, so none vanishes at t0."""
+    for t0 in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(5, 7),
+               Fraction(7, 11), Fraction(2, 7), Fraction(3, 11)):
+        if delta(t0):
             return t0
     raise ValueError("no generic rational t0 found among the candidates")
 
 
 def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
-                                 lam: Optional[OnePS] = None) -> LimitAlgebraData:
-    """Independent route: conjugate a basis of K = stab(f) by lambda(t)
-    symbolically (the E_ij component of weight w scales by t^w), normalize
-    columns, and take t=0."""
+                                 lam: Optional[OnePS] = None) -> list[Mat]:
+    """Independent route to a basis of K0: conjugate a basis of K = stab(f)
+    by lambda(t) symbolically (the E_ij component of weight w scales by
+    t^w), normalize columns, and take t=0."""
     problem = LimitProblem.of(f, lam)
     glrep, glw = problem.glrep, problem.glw
     cols = []
@@ -378,13 +368,10 @@ def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
         base = min(ws) if ws else 0
         cols.append([UniPoly.t(glw[i] - base, x) if x else UniPoly.zero()
                      for i, x in enumerate(co)])
-    Kt, K0 = [], []
-    if cols:
-        norm = column_normalize(Mat.from_cols(cols))
-        for col in norm.columns():
-            Kt.append(glrep.from_coords(list(col)))
-            K0.append(glrep.from_coords([UniPoly.coerce(x)(Q0) for x in col]))
-    return LimitAlgebraData(problem, None, Kt, K0)
+    if not cols:
+        return []
+    return [glrep.from_coords([UniPoly.coerce(x)(Q0) for x in col])
+            for col in column_normalize(Mat.from_cols(cols)).columns()]
 
 
 def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
@@ -581,7 +568,7 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
             return "B"
 
     # (A): K0 nilpotent, certified by its lower central series and its elements
-    K0 = limit_algebra_by_conjugation(problem).K0
+    K0 = limit_algebra_by_conjugation(problem)
     if _lower_central_series_vanishes(K0, glrep) and all(is_nilpotent_matrix(m) for m in K0):
         return "A"
     return "search-exhausted"
@@ -782,27 +769,24 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
     exp = problem.expansion
     if exp.f_b is None:
         return []
-    # S is graded whenever H is, so the weight-w components of the S basis
-    # span the graded piece S_w exactly.
-    s_comps: dict[int, list] = {}
-    for s in model.S:
-        for w, part in _weight_split(s, glw, glrep).items():
-            s_comps.setdefault(w, []).append(part)
+    # the S basis is weight-pure and TO = S.g, so h_w.f_b lies in S_(b-a+w).g
+    # exactly when lambda_N of it vanishes and lambda_S of it has no
+    # coordinate on an S basis element of another weight
+    s_weights = [next(iter(weight_split(glrep.to_coords(s), glw))) for s in model.S]
     fb = rep.to_coords(exp.f_b)
     d = exp.b - exp.a
     case = "b-a=1" if d == 1 else ("b-a=2" if d == 2 else "b-a>2")
-    g_coords = rep.to_coords(exp.g)
     report = []
     for ki, k in enumerate(data.K0):
-        comps = _weight_split(k, glw, glrep)
-        for w, hw in sorted(comps.items()):
+        for w, hw in sorted(_weight_split(k, glw, glrep).items()):
             target = rep.act(hw, fb)
             needed = d + w
             entry = {"element": ki, "weight": w, "s_weight": needed, "case": case}
             if not any(target):
                 entry["status"] = "zero"
-            elif needed in s_comps:
-                solvable = target in Subspace(rep.dim, [rep.act(s, g_coords) for s in s_comps[needed]])
+            elif needed in s_weights:
+                sc, nc = model.split_V(target)
+                solvable = not any(nc) and all(sw == needed for c, sw in zip(sc, s_weights) if c)
                 entry["status"] = "solved" if solvable else "unsolvable"
             else:
                 entry["status"] = "nonzero-no-s"

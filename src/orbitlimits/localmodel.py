@@ -4,6 +4,8 @@ exact (1+θ(n))^{-1} and slice stabilizers (S-completion).
 The solve for (1+θ(n))^{-1} uses the factorization θ(n) = B ∘ λ_S with
 B(s-coeffs) = s·n, so only the dim(S) system C = I + λ_S∘B is ever
 eliminated; det C = det(1+θ(n)) gives the Δ of the limit pipeline.
+`LocalModel.slice_equations` is the one construction of the slice matrices
+M_N and M_S, at a point over Q and along the curve f^+(t) over Q[t].
 """
 
 from __future__ import annotations
@@ -82,18 +84,13 @@ class LocalModel:
         return lin_comb(hcoeffs, self.H, Mat.zeros(self.rep.n, self.rep.n))
 
     # -- theta --------------------------------------------------------
-    def theta(self, n: Sequence, dv: Sequence) -> list:
-        """θ(n)(dv) = λ_S(dv)·n, as a V-coordinate vector."""
-        s = self.s_mat(self.lamS(dv))
-        return self.rep.act(s, list(n))
-
     def theta_matrix(self, n: Sequence) -> Mat:
-        cols = []
-        for k in range(self.rep.dim):
-            e = [Q0] * self.rep.dim
-            e[k] = Q1
-            cols.append(self.theta(n, e))
-        return Mat.from_cols(cols)
+        """θ(n)(dv) = λ_S(dv)·n as a matrix: B ∘ λ_S, where B has the columns
+        s·n over the S basis."""
+        dim = self.rep.dim
+        bcols = [self.rep.act(s, list(n)) for s in self.S]
+        units = ([Q1 if i == k else Q0 for i in range(dim)] for k in range(dim))
+        return Mat.from_cols([lin_comb(self.lamS(e), bcols, [Q0] * dim) for e in units])
 
     def _theta_system(self, n: Sequence):
         """The columns s·n of B, as (index, entry) lists of their nonzeros, and
@@ -145,18 +142,22 @@ class LocalModel:
         sc, nc = self.split_V(w)
         return sc, nc
 
-    def slice_stabilizer(self, n: Sequence) -> list[Mat]:
-        """Stabilizer of x+n: elements h + s with λ_N((1+θ(n))^{-1}(h·n)) = 0
-        and s = -λ_S((1+θ(n))^{-1}(h·n))."""
-        hns = [self.rep.act(h, list(n)) for h in self.H]
-        ws = self.inv_one_plus_theta(n, hns)
+    def slice_equations(self, n: Sequence) -> tuple[list, list]:
+        """The slice equations at x + n, for n over Q or Q[t]: (ker M_N, the
+        columns of M_S).  Column j of M_N and of M_S is λ_N and λ_S of
+        (1+θ(n))^{-1}(h_j·n); h + s with h = Σ α_j h_j kills x + n exactly
+        when α is in ker M_N and s = -M_S α."""
+        ws = self.inv_one_plus_theta(n, [self.rep.act(h, list(n)) for h in self.H])
         splits = [self.split_V(w) for w in ws]
-        ker = nullspace(Mat.from_cols([nc for (_, nc) in splits]))
-        elements = []
-        for alpha in ker:
-            sc = lin_comb([-a for a in alpha], [scj for scj, _ in splits], [Q0] * len(self.S))
-            elements.append(self.h_mat(alpha) + self.s_mat(sc))
-        return elements
+        return nullspace(Mat.from_cols([nc for _, nc in splits])), [sc for sc, _ in splits]
+
+    def slice_stabilizer(self, n: Sequence) -> list[Mat]:
+        """Stabilizer of x+n: the elements h + s with α in ker M_N and
+        s = -M_S α (`slice_equations`)."""
+        ker, ms_cols = self.slice_equations(n)
+        return [self.h_mat(alpha) + self.s_mat(lin_comb([-a for a in alpha], ms_cols,
+                                                        [Q0] * len(self.S)))
+                for alpha in ker]
 
     def star(self, h: Mat, n: Sequence) -> list:
         """h ⋆ n = λ_N(h·n), the induced H-action on N ≅ V/TO."""

@@ -247,7 +247,7 @@ def test_acceptance_10_property_suites():
     glrep = ConjRep(2)
     for f, lam, d1, d2 in _random_limit_instances(25):
         # dual-pipeline agreement
-        ok = ok and same_span(d1.K0, d2.K0, 2)
+        ok = ok and same_span(d1.K0, d2, 2)
         # K0 bracket closure
         flat = [glrep.to_coords(m) for m in d1.K0]
         for i in range(len(d1.K0)):

@@ -120,13 +120,13 @@ def test_o3_computed_structure_closed(o3_data):
 def test_dual_pipeline_o2():
     d1 = limit_algebra(o2_form(), O2_LAM)
     d2 = limit_algebra_by_conjugation(o2_form(), O2_LAM)
-    assert same_span(d1.K0, d2.K0, 2)
+    assert same_span(d1.K0, d2, 2)
 
 
 def test_dual_pipeline_o3():
     d1 = limit_algebra(o3_form(), O3_LAM)
     d2 = limit_algebra_by_conjugation(o3_form(), O3_LAM)
-    assert same_span(d1.K0, d2.K0, 3)
+    assert same_span(d1.K0, d2, 3)
 
 
 # ---------------------------------------------------------------------------

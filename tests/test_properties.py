@@ -51,7 +51,7 @@ def test_dual_pipeline_k0_agreement(data):
     except (NotTransverse, ValueError):
         assume(False)
         return
-    assert same_span(d1.K0, d2.K0, f.nvars)
+    assert same_span(d1.K0, d2, f.nvars)
 
 
 @settings(max_examples=25, deadline=None,
