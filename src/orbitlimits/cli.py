@@ -58,8 +58,10 @@ SPHERE_MAX_DIM = 24
 ADJOINT_MAX_EIGS = 6
 CYCLIC_MAX_N = 10
 # The exact pipeline evaluates lambda(t0).f at a rational t0, and t0^(c-a) has
-# about c - a bits; a dense binary form of degree 499 under the weights
-# [2500, -2500] takes about 2 s in `limit` on the same machine.
+# about c - a bits.  `limit` runs on lambda / gcd(lambda), so the cost follows
+# the reduced weights: a dense binary form of degree 499 takes about 2 s under
+# [2500, -2499] on the same machine, and as long under [2500, -2500] as under
+# [1, -1].
 ONEPS_MAX_WEIGHT = 2500
 
 
@@ -290,20 +292,23 @@ def cmd_limit(args) -> int:
     lam = oneps_from_doc(doc["oneps"])
     if lam.nvars != f.nvars:
         raise InputError("one-parameter subgroup length must match nvars")
-    problem = LimitProblem(f, lam)
+    # the answer under lambda^k is the answer under lambda with every weight
+    # times k, and the cost grows with the weights: run on lambda / gcd
+    scale = max(math.gcd(*lam.weights), 1)
+    problem = LimitProblem(f, OnePS([w // scale for w in lam.weights]))
     data = limit_algebra(problem)
     exp = problem.expansion
     ts = problem.triple
     feas = extension_feasible(data)
     case = classify_case(problem, seed=args.seed)
     out = {
-        "a": exp.a, "b": exp.b,
+        "a": exp.a * scale, "b": exp.b * scale if exp.b is not None else None,
         "g": form_to_doc(exp.g),
         "f_b": form_to_doc(exp.f_b) if exp.f_b is not None else None,
         "dim_K": len(data.K0),
         "K0_basis": [mat_to_doc(k) for k in data.K0],
-        "K0_graded_dims": {str(w): d for w, d in data.graded_dims.items()},
-        "Klf_graded_dims": ({str(w): d for w, d in ts.Klf_dims.items()}
+        "K0_graded_dims": {str(w * scale): d for w, d in data.graded_dims.items()},
+        "Klf_graded_dims": ({str(w * scale): d for w, d in ts.Klf_dims.items()}
                             if ts.Klf_dims is not None else None),
         "case": case,
         "extension_feasible": bool(feas.feasible),

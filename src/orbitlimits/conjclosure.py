@@ -405,23 +405,30 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
 # numeric probe: invariant-based closeness of the witness family to J_chi
 # ---------------------------------------------------------------------------
 
-def probe_family(fam: WitnessFamily, t0=Fraction(1, 1000), tol: float = 0.05,
-                 rank_rel: float = 1e-2) -> dict:
-    """Evaluate the family at a small rational t and test, numerically, that
-    v = t * A(t) x' A(t)^{-1} is close to the orbit of J_chi.
+# probe_family evaluates at t = PROBE_T, with the tolerances below
+PROBE_T = Fraction(1, 1000)
+PROBE_TOL = 0.05
+PROBE_RANK_REL = 1e-2
+
+
+def probe_family(fam: WitnessFamily) -> dict:
+    """Evaluate the family at the small rational t = PROBE_T and test,
+    numerically, that v = t * A(t) x' A(t)^{-1} is close to the orbit of J_chi.
 
     Two scale-invariant checks:
-      * nilpotency distance max_k (|e_k(v)| / ||v||_F^k)^{1/k} < tol, where
-        e_k are the characteristic-polynomial coefficients (each term decays
-        linearly in t, so tol ~ a few times t is the right scale);
+      * nilpotency distance max_k (|e_k(v)| / ||v||_F^k)^{1/k} < PROBE_TOL,
+        where e_k are the characteristic-polynomial coefficients (each term
+        decays linearly in t, so a tolerance of a few times t is the right
+        scale);
       * the rank of each power v^k, counting singular values above
-        rank_rel * ||v||_F^k (thresholding against the original matrix's
-        scale, since the spurious singular values of v^k are O(t) while the
-        genuine ones are O(||v||^k)), matches that of J_chi.
+        PROBE_RANK_REL * ||v||_F^k (thresholding against the original
+        matrix's scale, since the spurious singular values of v^k are O(t)
+        while the genuine ones are O(||v||^k)), matches that of J_chi.
     Intended for small n (<= 4 at t = 1e-3)."""
     import numpy as np
 
-    v = fam.at(t0).scale(_as_fraction(t0))
+    t0 = PROBE_T
+    v = fam.at(t0).scale(t0)
     n = v.rows
     arr = np.array([[float(x) for x in row] for row in v.a])
     fro = float(np.linalg.norm(arr))
@@ -436,14 +443,14 @@ def probe_family(fam: WitnessFamily, t0=Fraction(1, 1000), tol: float = 0.05,
     ranks, tranks = [], []
     pa, pt = arr.copy(), tarr.copy()
     for k in range(1, n + 1):
-        ranks.append(_num_rank(pa, rank_rel * fro ** k))
-        tranks.append(_num_rank(pt, rank_rel * tfro ** k))
+        ranks.append(_num_rank(pa, PROBE_RANK_REL * fro ** k))
+        tranks.append(_num_rank(pt, PROBE_RANK_REL * tfro ** k))
         pa = pa @ arr
         pt = pt @ tarr
     return {
         "t": t0,
         "nilpotency_distance": dist,
-        "nilpotent_to_tol": dist < tol,
+        "nilpotent_to_tol": dist < PROBE_TOL,
         "rank_sequence": ranks,
         "target_rank_sequence": tranks,
         "ranks_match": ranks == tranks,

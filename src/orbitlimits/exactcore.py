@@ -374,10 +374,10 @@ class Mat:
         return Mat([[zero] * c for _ in range(r)], c)
 
     @staticmethod
-    def identity(n: int, one=Q1, zero=Q0) -> "Mat":
-        m = Mat.zeros(n, n, zero)
+    def identity(n: int) -> "Mat":
+        m = Mat.zeros(n, n)
         for i in range(n):
-            m.a[i][i] = one
+            m.a[i][i] = Q1
         return m
 
     @staticmethod

@@ -44,6 +44,14 @@ from functools import cached_property
 from .exactcore import Q0, Q1, Mat, _as_fraction, solve
 from .lierep import ConjRep, SymRep
 
+# kempf_descent: starts on a semistable v, iterations per start, and the
+# stopping test |P grad log f| < GTOL ln t
+N_STARTS = 8
+MAX_ITER = 2000
+GTOL = 1e-8
+# grid_minimize evaluates f at the points q/|q|, q in (Z/GRID_RESOLUTION)^n
+GRID_RESOLUTION = 20
+
 
 @dataclass(frozen=True)
 class WeightComponent:
@@ -223,7 +231,7 @@ def centered_ap_direction(n: int) -> list[float]:
     return _project_point(raw)
 
 
-def _seed_points(n: int, n_starts: int, seed: int) -> list[list[float]]:
+def _seed_points(n: int, seed: int) -> list[list[float]]:
     seeds = [centered_ap_direction(n),
              [-x for x in centered_ap_direction(n)]]
     for i in range(n - 1):
@@ -231,9 +239,9 @@ def _seed_points(n: int, n_starts: int, seed: int) -> list[list[float]]:
         raw[i], raw[i + 1] = 1.0, -1.0
         seeds.append(_project_point(raw))
     rng = random.Random(seed)
-    while len(seeds) < n_starts:
+    while len(seeds) < N_STARTS:
         seeds.append(_project_point([rng.gauss(0.0, 1.0) for _ in range(n)]))
-    return seeds[:max(n_starts, 2)]
+    return seeds[:N_STARTS]
 
 
 @dataclass
@@ -248,9 +256,7 @@ class KempfResult:
     mu_star_squared: Fraction              # |p|^2; v is unstable iff it is > 0
 
 
-def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
-                  n_starts: int = 8, max_iter: int = 2000,
-                  gtol: float = 1e-8) -> KempfResult:
+def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0) -> KempfResult:
     """Minimize f(t, .) on O_{n-2} by projected gradient descent on log f.
 
     Computes the exact optimum p first.  If p != 0 (v unstable) it makes
@@ -262,10 +268,11 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
     condition on log f holds, so f decreases at every accepted step; every
     iterate is re-projected so the constraint residuals stay at machine
     precision.  The projected gradient of log f is compared with
-    gtol * ln t, the scale of that gradient; an absolute test on grad f
-    (gtol / f on grad log f) would stop where f is tiny, with f still well
-    above its minimum.  `f_value` reports f.  Non-convergence is reported
-    through the `converged` flag with the best iterate.
+    GTOL * ln t, the scale of that gradient; an absolute test on grad f
+    (GTOL / f on grad log f) would stop where f is tiny, with f still well
+    above its minimum.  `f_value` reports f; where even the best f found
+    passes the float range it raises OverflowError.  Non-convergence is
+    reported through the `converged` flag with the best iterate.
     """
     if t <= 1:
         raise ValueError("need t > 1")
@@ -292,7 +299,7 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
     if p2:
         starts = [_project_point([float(x) for x in p_star])]
     else:
-        starts = _seed_points(n, n_starts, seed)
+        starts = _seed_points(n, seed)
     best = None
     for p0 in starts:
         p = list(p0)
@@ -302,11 +309,11 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
         gn = math.inf
         max_res = _residual(p)
         p_prev = pg_prev = None
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             pg = _project_gradient(g, p)
             gn2 = sum(x * x for x in pg)
             gn = math.sqrt(gn2)
-            if gn < gtol * lt:
+            if gn < GTOL * lt:
                 converged = True
                 break
             # first trial step: Barzilai-Borwein, |s|^2 / <s, y> over the last
@@ -332,12 +339,18 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0,
             max_res = max(max_res, _residual(p))
         if not converged:
             converged = gn < 1e-6 * lt
-        res = KempfResult(ell=p, f_value=math.exp(lf), mu_value=float(mu(p, support)),
+        try:
+            f_value = math.exp(lf)
+        except OverflowError:
+            f_value = math.inf
+        res = KempfResult(ell=p, f_value=f_value, mu_value=float(mu(p, support)),
                           converged=converged, iterations=it,
                           max_residual=max_res,
                           min_norm_point=p_star, mu_star_squared=p2)
         if best is None or res.f_value < best.f_value:
             best = res
+    if best.f_value == math.inf:
+        raise OverflowError(f"f exceeds the float range at t = {t!r}")
     return best
 
 
@@ -346,13 +359,12 @@ def _residual(p: list[float]) -> float:
                abs(math.sqrt(sum(x * x for x in p)) - 1.0))
 
 
-def grid_minimize(support: WeightSupport, t: float,
-                  resolution: int = 20) -> tuple[list[float], float]:
-    """Brute-force oracle: best direction q/|q|, q in (Z/resolution)^n with
-    sum q = 0, evaluated on f(t, .).  Intended for small n."""
+def grid_minimize(support: WeightSupport, t: float) -> tuple[list[float], float]:
+    """Brute-force oracle: best direction q/|q|, q in (Z/GRID_RESOLUTION)^n
+    with sum q = 0, evaluated on f(t, .).  Intended for small n."""
     n = support.n
     best_p, best_f = None, math.inf
-    R = resolution
+    R = GRID_RESOLUTION
     for q in itertools.product(range(-R, R + 1), repeat=n - 1):
         last = -sum(q)
         if abs(last) > R:

@@ -517,8 +517,12 @@ def _weight_split(m: Mat, glw, glrep) -> dict:
     return {w: glrep.from_coords(v) for w, v in weight_split(glrep.to_coords(m), glw).items()}
 
 
+# random combinations of the basis of P(lambda) ∩ K that the (B) search tries
+CASE_B_TRIES = 10
+
+
 def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
-                  seed: int = 0, tries: int = 10) -> str:
+                  seed: int = 0) -> str:
     """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness:
     "A", "B", or "search-exhausted" when neither is certified.  seed drives
     only the random candidates of the (B) search."""
@@ -536,7 +540,7 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
     pk_alphas = nullspace(_weight_rows(problem.K_coords, glw, lambda w: w < 0))
     candidates = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n)) for alpha in pk_alphas]
     rng = random.Random(seed)
-    for _ in range(tries if pk_alphas else 0):
+    for _ in range(CASE_B_TRIES if pk_alphas else 0):
         mix = [Fraction(rng.randint(-3, 3)) for _ in pk_alphas]
         candidates.append(lin_comb(lin_comb(mix, pk_alphas, [Q0] * len(K)), K,
                                    Mat.zeros(rep.n, rep.n)))

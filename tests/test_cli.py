@@ -138,6 +138,52 @@ def test_limit_output_is_pinned(tmp_path, capsys, name, fmt):
     assert out == case[fmt]
 
 
+def _scaled_limit_docs():
+    """The limit-mix documents of the benchmark (seed 1), then 40 random
+    (f, lambda): 2-3 variables, degree 2-4, 2-5 monomials, weights in [-2, 2]."""
+    import random
+    import sys
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import inputs
+        docs = [doc for _, doc in inputs.limit_mix(1)]
+    finally:
+        sys.path.remove(perfbench)
+    rng = random.Random(41)
+    for _ in range(40):
+        nvars, degree = rng.randint(2, 3), rng.randint(2, 4)
+        basis = lierep.monomial_basis(nvars, degree)
+        terms = [{"exp": list(e), "coef": str(rng.choice([-3, -2, -1, 1, 2, 3]))}
+                 for e in rng.sample(basis, rng.randint(2, min(5, len(basis))))]
+        docs.append({"form": {"nvars": nvars, "degree": degree, "terms": terms},
+                     "oneps": [rng.randint(-2, 2) for _ in range(nvars)]})
+    return docs
+
+
+def _rescaled_limit(out: str, k: int) -> dict:
+    """A limit output with a, b and the graded-dims weights multiplied by k."""
+    res = json.loads(out)
+    res["a"] *= k
+    res["b"] = res["b"] * k if res["b"] is not None else None
+    for key in ("K0_graded_dims", "Klf_graded_dims"):
+        if res[key] is not None:
+            res[key] = {str(int(w) * k): d for w, d in res[key].items()}
+    return res
+
+
+def test_limit_answer_scales_with_the_weights(capsys, monkeypatch):
+    # lambda^k has the limit of lambda, with every weight times k
+    for doc in _scaled_limit_docs():
+        code1, out1, err1 = _run(capsys, ["limit"], json.dumps(doc), monkeypatch)
+        for k in (7, 1000):
+            scaled = dict(doc, oneps=[w * k for w in doc["oneps"]])
+            code, out, err = _run(capsys, ["limit"], json.dumps(scaled), monkeypatch)
+            assert (code, err) == (code1, err1)
+            if code == EXIT_OK:
+                assert json.loads(out) == _rescaled_limit(out1, k)
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of module.<name>, made through any orbitlimits module."""
     fn = getattr(module, name)
@@ -249,6 +295,16 @@ def test_kempf_grid_survives_overflow(tmp_path, capsys):
     assert code == EXIT_OK, err
     res = json.loads(out)
     assert res["agrees_with_grid"] is True and res["unstable"] is True
+
+
+@pytest.mark.parametrize("extra", [{}, {"grid": False}])
+def test_kempf_f_past_the_float_range_is_computation_error(tmp_path, capsys, extra):
+    # the trace-zero unit circle of rank 2 is two points, and f = 2 + t^sqrt2 + t^-sqrt2,
+    # about 1e424, at both
+    path = _write(tmp_path, "in.json", {"matrix": [["1", "1"], ["1", "1"]], "t": 1e300, **extra})
+    code, out, err = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_COMPUTE and out == ""
+    assert err == "computation error: f exceeds the float range at t = 1e+300\n"
 
 
 def test_kempf_exact_optimum_of_semistable_monomial(tmp_path, capsys):
