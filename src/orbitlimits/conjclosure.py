@@ -405,10 +405,7 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
 # numeric probe: invariant-based closeness of the witness family to J_chi
 # ---------------------------------------------------------------------------
 
-# probe_family evaluates at t = PROBE_T, with the tolerances below
-PROBE_T = Fraction(1, 1000)
-PROBE_TOL = 0.05
-PROBE_RANK_REL = 1e-2
+PROBE_T, PROBE_TOL, PROBE_RANK_REL = Fraction(1, 1000), 0.05, 1e-2
 
 
 def probe_family(fam: WitnessFamily) -> dict:
@@ -418,12 +415,11 @@ def probe_family(fam: WitnessFamily) -> dict:
     Two scale-invariant checks:
       * nilpotency distance max_k (|e_k(v)| / ||v||_F^k)^{1/k} < PROBE_TOL,
         where e_k are the characteristic-polynomial coefficients (each term
-        decays linearly in t, so a tolerance of a few times t is the right
-        scale);
+        decays linearly in t, so a few times t is the right tolerance);
       * the rank of each power v^k, counting singular values above
-        PROBE_RANK_REL * ||v||_F^k (thresholding against the original
-        matrix's scale, since the spurious singular values of v^k are O(t)
-        while the genuine ones are O(||v||^k)), matches that of J_chi.
+        PROBE_RANK_REL * ||v||_F^k (thresholding against the original matrix's
+        scale, since the spurious singular values of v^k are O(t) while the
+        genuine ones are O(||v||^k)), matches that of J_chi.
     Intended for small n (<= 4 at t = 1e-3)."""
     import numpy as np
 
@@ -515,13 +511,9 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     # H is spanned by the nonnegative shifts Z_0..Z_{n-1}
     report["H_is_span_Z"] = same_span([Z_shift(n, k) for k in range(n)], model.H, n)
     # theta(n1) theta(n2) = 0 on basis pairs => theta(n)^2 = 0 for all n in N
-    theta_sq_zero = True
     mats = [model.theta_matrix(nv) for nv in model.N]
-    for t1 in mats:
-        for t2 in mats:
-            if any(x for row in (t1 * t2).a for x in row):
-                theta_sq_zero = False
-    report["theta_squared_zero"] = theta_sq_zero
+    report["theta_squared_zero"] = all(not any(x for row in (t1 * t2).a for x in row)
+                                       for t1 in mats for t2 in mats)
     rng = random.Random(seed)
     samples = []
     for _ in range(3):
@@ -547,7 +539,6 @@ def z4_example() -> dict:
     """The explicit S-completion stabilizing Z_4 = J_4 + E_41: starting from
     h = J_4^3, the completion s = E_21 + E_32 + E_43 satisfies
     [s, J_4] = -[h, C_4] and s + h stabilizes Z_4."""
-    n = 4
     j4 = Z_shift(4, 1)
     c4 = elementary(4, 3, 0)
     z4 = j4 + c4
@@ -557,8 +548,7 @@ def z4_example() -> dict:
     ok_completion = br(s, j4) == br(h, c4).scale(-1)
     ok_stab = br(s + h, z4) == Mat.zeros(4, 4)
     model = jn_local_model(4)
-    rep = ConjRep(4)
-    stab = model.slice_stabilizer(rep.to_coords(c4))
+    stab = model.slice_stabilizer(model.rep.to_coords(c4))
     return {"completion_identity": ok_completion, "stabilizes": ok_stab,
             "s_plus_h": s + h, "slice_stabilizer_dim": len(stab)}
 
@@ -637,8 +627,7 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
     # the nilpotent family: alpha_i = t, everything else zero
     family = []
     for i in range(1, b + 1):
-        zt = [Q0] * b
-        al = list(zt)
+        al = [Q0] * b
         al[i - 1] = Q1
         Ji = jab_slice_point(a, b, [Q0] * a, [Q0] * b, al, [Q0] * b)
         sig = nilpotent_signature(Ji)

@@ -334,7 +334,6 @@ def _verify_limit_algebra(data: LimitAlgebraData):
         d = exp.b - exp.a
         for kt in data.Kt:
             for c in kt.s_coeffs:
-                c = RationalFn.coerce(c)
                 if c.num and (not c.den(Q0) or c.num.valuation() < d):
                     raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
     # generic rational t0: k(t0) annihilates f(t0)

@@ -138,9 +138,7 @@ class LocalModel:
 
         Returns (s-coefficients, n'-coefficients over the N-basis).
         """
-        w = self.inv_one_plus_theta(n, [dv])[0]
-        sc, nc = self.split_V(w)
-        return sc, nc
+        return self.split_V(self.inv_one_plus_theta(n, [dv])[0])
 
     def slice_equations(self, n: Sequence) -> tuple[list, list]:
         """The slice equations at x + n, for n over Q or Q[t]: (ker M_N, the
