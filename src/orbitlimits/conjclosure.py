@@ -405,7 +405,10 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
 # numeric probe: invariant-based closeness of the witness family to J_chi
 # ---------------------------------------------------------------------------
 
-PROBE_T, PROBE_TOL, PROBE_RANK_REL = Fraction(1, 1000), 0.05, 1e-2
+# probe_family's t and its two tolerances
+PROBE_T = Fraction(1, 1000)
+PROBE_TOL = 0.05
+PROBE_RANK_REL = 1e-2
 
 
 def probe_family(fam: WitnessFamily) -> dict:
@@ -423,8 +426,7 @@ def probe_family(fam: WitnessFamily) -> dict:
     Intended for small n (<= 4 at t = 1e-3)."""
     import numpy as np
 
-    t0 = PROBE_T
-    v = fam.at(t0).scale(t0)
+    v = fam.at(PROBE_T).scale(PROBE_T)
     n = v.rows
     arr = np.array([[float(x) for x in row] for row in v.a])
     fro = float(np.linalg.norm(arr))
@@ -444,7 +446,7 @@ def probe_family(fam: WitnessFamily) -> dict:
         pa = pa @ arr
         pt = pt @ tarr
     return {
-        "t": t0,
+        "t": PROBE_T,
         "nilpotency_distance": dist,
         "nilpotent_to_tol": dist < PROBE_TOL,
         "rank_sequence": ranks,
