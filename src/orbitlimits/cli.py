@@ -241,6 +241,14 @@ def _vector_input(doc):
     raise InputError("input needs a 'form' or 'matrix' field")
 
 
+def _nonzero_vector_input(doc):
+    """_vector_input, for the subcommands that need a nonzero point."""
+    rep, v = _vector_input(doc)
+    if not any(v):
+        raise InputError("the form or matrix must be nonzero")
+    return rep, v
+
+
 def emit(doc: dict, fmt: str) -> None:
     doc = dict(doc)
     doc["schema"] = SCHEMA
@@ -271,7 +279,7 @@ def cmd_stabilizer(args) -> int:
 
 def cmd_local_model(args) -> int:
     doc = read_input(args)
-    rep, v = _vector_input(doc)
+    rep, v = _nonzero_vector_input(doc)
     weights = oneps_from_doc(doc["weights"]).weights if "weights" in doc else None
     if weights is not None and len(weights) != rep.n:
         raise InputError(f"need {rep.n} weights, got {len(weights)}")
@@ -289,6 +297,8 @@ def cmd_limit(args) -> int:
     if "form" not in doc or "oneps" not in doc:
         raise InputError("limit input needs 'form' and 'oneps' fields")
     f = form_from_doc(doc["form"])
+    if not f:
+        raise InputError("the form must be nonzero")
     lam = oneps_from_doc(doc["oneps"])
     if lam.nvars != f.nvars:
         raise InputError("one-parameter subgroup length must match nvars")
@@ -396,7 +406,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_kempf(args) -> int:
     doc = read_input(args)
-    rep, v = _vector_input(doc)
+    rep, v = _nonzero_vector_input(doc)
     if rep.n < 2:
         raise InputError("kempf needs torus rank >= 2: a form in at least 2 variables "
                          "or a matrix at least 2x2")

@@ -601,30 +601,18 @@ class SingularMatrix(ValueError):
     pass
 
 
-def clear_denominators(col: Sequence) -> list[UniPoly]:
-    """Scale a Q(t)-column by the lcm of denominators to get a Q[t]-column."""
-    col = [RationalFn.coerce(x) for x in col]
-    lcm = UniPoly.const(1)
-    for x in col:
-        g = lcm.gcd(x.den)
-        lcm = lcm * x.den.exact_div(g)
-    return [(x.num * lcm.exact_div(x.den)) for x in col]
-
-
 def column_normalize(m: Mat) -> Mat:
-    """Normalize Q(t)-columns so that evaluation at t=0 has full column rank.
+    """Normalize Q[t]-columns so that evaluation at t=0 has full column rank.
 
-    Preserves the Q(t)-column span: clear denominators, strip common t-powers,
-    then repeatedly replace any column whose value at 0 depends on the others
-    by the reduced combination divided by its t-valuation.
+    Preserves the Q(t)-column span: strip common t-powers, then repeatedly
+    replace any column whose value at 0 depends on the others by the reduced
+    combination divided by its t-valuation.
     """
-    cols = [clear_denominators(c) for c in m.columns()]
-
     def strip(c):
         v = min((p.valuation() for p in c if p), default=0)
         return [p.shift(-v) if p else p for p in c] if v > 0 else c
 
-    cols = [strip(c) for c in cols]
+    cols = [strip(c) for c in m.columns()]
     guard = 0
     while True:
         guard += 1

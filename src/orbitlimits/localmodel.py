@@ -3,9 +3,8 @@ exact (1+θ(n))^{-1} and slice stabilizers (S-completion).
 
 The solve for (1+θ(n))^{-1} uses the factorization θ(n) = B ∘ λ_S with
 B(s-coeffs) = s·n, so only the dim(S) system C = I + λ_S∘B is ever
-eliminated; det C = det(1+θ(n)) gives the Δ of the limit pipeline.
-`LocalModel.slice_equations` is the one construction of the slice matrices
-M_N and M_S, at a point over Q and along the curve f^+(t) over Q[t].
+eliminated.  `LocalModel.slice_equations` is the one construction of the
+slice matrices M_N and M_S at x + n.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ class LocalModel:
 
     def _theta_system(self, n: Sequence):
         """The columns s·n of B, as (index, entry) lists of their nonzeros, and
-        C = I_S + λ_S ∘ B on S-coefficients (det C = det(1+θ(n))).  Both are
-        built once for each n and kept for the next call with the same n."""
+        C = I_S + λ_S ∘ B on S-coefficients.  Both are built once for each n
+        and kept for the next call with the same n."""
         key = tuple(n)
         if self._theta_cache is None or self._theta_cache[0] != key:
             bcols = [self.rep.act(s, key) for s in self.S]
@@ -107,7 +106,8 @@ class LocalModel:
         return self._theta_cache[1:]
 
     def delta(self, n: Sequence):
-        """det(1 + θ(n))."""
+        """det(1 + θ(n)).  The limit pipeline does not need it: along f^+(t)
+        at a limit's weight-graded model it is 1.  Tests read it."""
         return det_bareiss(self._theta_system(n)[1])
 
     def inv_one_plus_theta(self, n: Sequence, dvs: Sequence[Sequence]) -> list[list]:

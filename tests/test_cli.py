@@ -567,11 +567,23 @@ def test_limit_with_tail_in_the_tangent_space_is_compute_error(tmp_path, capsys)
     assert err == "computation error: expansion tail meets the tangent space at g\n"
 
 
-def test_zero_form_is_compute_error(tmp_path, capsys):
-    doc = {"form": {"nvars": 2, "degree": 2, "terms": []}}
-    path = _write(tmp_path, "in.json", doc)
-    code, _, err = _run(capsys, ["local-model", "--input", path])
-    assert code == EXIT_COMPUTE
+ZERO_FORM = {"nvars": 2, "degree": 2, "terms": [{"exp": [1, 1], "coef": "0"}]}
+ZERO_MATRIX = [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("cmd, doc", [
+    ("local-model", {"form": {"nvars": 2, "degree": 2, "terms": []}}),
+    ("local-model", {"form": ZERO_FORM}),
+    ("local-model", {"matrix": ZERO_MATRIX}),
+    ("limit", {"form": ZERO_FORM, "oneps": [1, 0]}),
+    ("kempf", {"form": ZERO_FORM}),
+    ("kempf", {"matrix": ZERO_MATRIX}),
+], ids=["local-model-empty-form", "local-model-form", "local-model-matrix", "limit-form",
+        "kempf-form", "kempf-matrix"])
+def test_zero_input_is_input_error(tmp_path, capsys, cmd, doc):
+    code, out, err = _run(capsys, [cmd, "--input", _write(tmp_path, "in.json", doc)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: ") and "must be nonzero" in err
 
 
 def test_json_output_deterministic(tmp_path, capsys):

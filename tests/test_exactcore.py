@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import sympy
 
-from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, UniPoly,
-                                   clear_denominators, column_normalize,
+from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, UniPoly, column_normalize,
                                    coords_in_basis, det_bareiss,
                                    lin_indep_subset, nullspace, rank, rref,
                                    solve)
@@ -207,13 +206,12 @@ def test_lin_indep_subset():
     assert lin_indep_subset(vs) == [0, 2]
 
 
-def test_clear_denominators_and_normalize():
-    t, one = UniPoly.t(1, 1), UniPoly.const(1)
-    col = [RationalFn(one, t + one), RationalFn(t, one)]   # 1/(t+1), t
-    cleared = clear_denominators(col)
-    assert cleared[0] == one
-    assert cleared[1] == t * (t + one)
+def test_column_normalize():
     m = column_normalize(Mat([[UniPoly.t(1, 1)], [UniPoly.t(2, 1)]]))
     col0 = m.col(0)
     assert min(p.valuation() for p in col0 if p) == 0
     assert rank(m.eval_at(Q0)) == 1
+    # (1, 0) and (1 + t, t^2) agree at t = 0; the second becomes (0, t) and then (0, 1)
+    t, one, zero = UniPoly.t(1, 1), UniPoly.const(1), UniPoly.zero()
+    m = column_normalize(Mat.from_cols([[one, zero], [one + t, t * t]]))
+    assert m.columns() == [[one, zero], [zero, one]]

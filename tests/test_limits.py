@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
-from orbitlimits.exactcore import Mat, Q0, RationalFn, Subspace, UniPoly, coords_in_basis
-from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, elementary, monomial_basis
-from orbitlimits.limits import (LimitProblem, NotGraded, OnePS, _cancel_positive_weights,
+from orbitlimits.exactcore import Mat, Q0, Subspace, UniPoly, coords_in_basis
+from orbitlimits.lierep import (ConjRep, Form, SymRep, bracket, elementary, lin_comb,
+                               monomial_basis)
+from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
+                                _cancel_positive_weights, _verify_limit_algebra,
                                 check_graded_conditions, classify_case, expand_orbit_curve,
                                 extension_feasible, filtered_dims, gl_act_weights,
                                 graded_dims_of, hoffman_case, limit_algebra,
@@ -62,9 +64,23 @@ def test_o2_kt_and_k0(o2_data):
     kt = o2_data.Kt[0].mat
     alpha = kt.a[0][1]
     assert alpha
-    assert kt.a[1][0] == alpha * RationalFn.coerce(UniPoly.t(2, -1))
+    assert kt.a[1][0] == alpha * UniPoly.t(2, -1)
     k0 = o2_data.K0[0]
     assert k0 == elementary(2, 0, 1, k0.a[0][1])
+
+
+def test_verification_catches_a_wrong_regrading(o2_data):
+    """k(t) = h(t) + t s(t) has the same K0 and an s-part of higher order,
+    and equals k(t) at t = 1; only k(t0) at t0 != 1 can tell it is wrong."""
+    _verify_limit_algebra(o2_data)
+    n, t = o2_data.rep.n, UniPoly.t(1, 1)
+    i, kt = next((i, kt) for i, kt in enumerate(o2_data.Kt) if any(kt.s_coeffs))
+    s = lin_comb(kt.s_coeffs, o2_data.model.S, Mat.zeros(n, n, UniPoly.zero()))
+    wrong = copy.copy(o2_data)
+    wrong.Kt = list(o2_data.Kt)
+    wrong.Kt[i] = KtElement([t * c for c in kt.s_coeffs], kt.mat + s.scale(t - 1))
+    with pytest.raises(ValueError, match="does not annihilate"):
+        _verify_limit_algebra(wrong)
 
 
 def test_o2_feasibility(o2_data):
@@ -90,8 +106,7 @@ def test_o2_filtered_dims():
 
 def test_o3_kt_spans_printed_basis(o3_data):
     assert len(o3_data.Kt) == 3
-    printed = [k.map(RationalFn.coerce) for k in o3_reference_kt()]
-    assert same_span([kt.mat for kt in o3_data.Kt], printed, 3)
+    assert same_span([kt.mat for kt in o3_data.Kt], o3_reference_kt(), 3)
 
 
 def test_o3_printed_structure_constants():

@@ -3,16 +3,20 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import jn_local_model
-from orbitlimits.exactcore import Mat, Q0, coords_in_basis
-from orbitlimits.lierep import ConjRep, Form, SymRep, bracket
+from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
+from orbitlimits.exactcore import (Mat, Q0, RationalFn, UniPoly, column_normalize,
+                                   coords_in_basis)
+from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, lin_comb
 from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse
+from orbitlimits.reproduce import _lam_data
 
 coef = st.integers(-3, 3)
 
@@ -132,7 +136,6 @@ def test_filtered_vs_graded_dims(data):
 @given(st.data())
 def test_s_parts_vanish_to_order_b_minus_a(data):
     """k(t) = h(t) + s(t) with the s-part divisible by t^(b-a)."""
-    from orbitlimits.exactcore import RationalFn
     f, lam = _limit_pair(data.draw)
     try:
         d = limit_algebra(f, lam)
@@ -144,10 +147,9 @@ def test_s_parts_vanish_to_order_b_minus_a(data):
     order = d.expansion.b - d.expansion.a
     for kt in d.Kt:
         for c in kt.s_coeffs:
-            c = RationalFn.coerce(c)
-            if c.num:
-                assert c.den(Q0)
-                assert c.num.valuation() >= order
+            assert isinstance(c, UniPoly)
+            if c:
+                assert c.valuation() >= order
 
 
 def _sym_cols(cols):
@@ -215,21 +217,93 @@ def test_epsilon_extension_corrects_db():
     assert any(-s != x for (_, s), x in zip(feas.epsilon_basis, db))
 
 
+# ---------------------------------------------------------------------------
+# the slice equations along f^+(t) over Q(t), as an oracle for K(t)
+
+
+def _fplus(problem):
+    """f^+(t) = sum_{c>a} t^(c-a) f_c as a vector of UniPoly."""
+    rep, exp = problem.rep, problem.expansion
+    out = [UniPoly.zero()] * rep.dim
+    for c, form in exp.tail.items():
+        for e, coef in form.terms.items():
+            out[rep.index[e]] = out[rep.index[e]] + UniPoly.t(c - exp.a, coef)
+    return out
+
+
+def _clear_denominators(col):
+    """The Q(t)-column col times the lcm of its denominators."""
+    col = [RationalFn.coerce(x) for x in col]
+    lcm = UniPoly.const(1)
+    for x in col:
+        lcm = lcm * x.den.exact_div(lcm.gcd(x.den))
+    return [x.num * lcm.exact_div(x.den) for x in col]
+
+
+def _kt_over_qt(d):
+    """(s-coefficients, h(t) + s(t)) for each element of K(t), from the slice
+    equations solved along f^+(t): ker M_N over Q(t), cleared and normalized
+    by column_normalize, and s = -M_S alpha."""
+    model, n = d.model, d.rep.n
+    ker, ms_cols = model.slice_equations(_fplus(d.problem))
+    if not ker:
+        return []
+    out = []
+    for alpha in column_normalize(Mat.from_cols([_clear_denominators(v) for v in ker])).columns():
+        sc = lin_comb([-RationalFn.coerce(a) for a in alpha], ms_cols,
+                      [RationalFn(0)] * len(model.S))
+        out.append((sc, lin_comb(alpha + sc, model.H + model.S,
+                                 Mat.zeros(n, n, RationalFn(0)))))
+    return out
+
+
+def _assert_kt_matches_the_qt_route(d):
+    oracle = _kt_over_qt(d)
+    assert len(oracle) == len(d.Kt)
+    for (sc, mat), kt in zip(oracle, d.Kt):
+        assert kt.s_coeffs == sc
+        assert kt.mat.a == mat.a
+
+
+@pytest.mark.parametrize("name", ["det3-l2", "det3-l4", "O2", "O3"])
+def test_kt_matches_the_qt_route_on_the_examples(name):
+    if name.startswith("det3-"):
+        d = _lam_data(name[5:])
+    else:
+        d = limit_algebra(*{"O2": (o2_form(), O2_LAM), "O3": (o3_form(), O3_LAM)}[name])
+    assert d.Kt
+    _assert_kt_matches_the_qt_route(d)
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(st.data())
-def test_kt_denominators_divide_delta(data):
-    """Every denominator of K(t) divides Delta = det(1 + theta(f^+(t))): K(t)
-    comes from solving the system C, whose determinant is Delta."""
-    from orbitlimits.exactcore import RationalFn
+def test_kt_matches_the_qt_route(data):
+    """K(t) from the slice equations at f^+(1) over Q, with t put back by the
+    weights, equals K(t) from the equations along f^+(t) over Q(t)."""
     f, lam = _limit_pair(data.draw)
     try:
         d = limit_algebra(f, lam)
     except (NotTransverse, ValueError):
         assume(False)
         return
+    _assert_kt_matches_the_qt_route(d)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.data())
+def test_delta_is_one_and_kt_is_polynomial(data):
+    """Delta = det(1 + theta(f^+(t))) is 1 at the limit's local model, whose
+    bases are weight-pure, and every entry of K(t) is a polynomial."""
+    f, lam = _limit_pair(data.draw)
+    try:
+        d = limit_algebra(f, lam)
+    except (NotTransverse, ValueError):
+        assume(False)
+        return
+    assert d.model.delta(_fplus(d.problem)) == 1
     for kt in d.Kt:
-        for row in kt.mat.a:
-            for x in row:
-                assert not d.delta.divmod(RationalFn.coerce(x).den)[1]
+        assert all(isinstance(x, UniPoly) for row in kt.mat.a for x in row)
