@@ -23,7 +23,7 @@ from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
                           jab_slice_report, jn_slice_report, transpose_block_spectrum)
 from .curvature import (CurvatureData, adjoint_offdiagonal_vanishing,
                         adjoint_pi, cyclic_shift_suite, sphere_ricci)
-from .exactcore import Mat, UniPoly, RationalFn
+from .exactcore import Mat, UniPoly, RationalFn, dense
 from .kempf import grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
@@ -244,7 +244,7 @@ def _vector_input(doc):
 def _nonzero_vector_input(doc):
     """_vector_input, for the subcommands that need a nonzero point."""
     rep, v = _vector_input(doc)
-    if not any(v):
+    if not v:
         raise InputError("the form or matrix must be nonzero")
     return rep, v
 
@@ -271,7 +271,7 @@ def cmd_stabilizer(args) -> int:
     doc = read_input(args)
     rep, v = _vector_input(doc)
     H = stabilizer_algebra(rep, v)
-    verified = all(not any(rep.act(h, v)) for h in H)
+    verified = all(not rep.act(h, v) for h in H)
     emit({"dimension": len(H), "basis": [mat_to_doc(h) for h in H],
           "verified": verified}, args.format)
     return EXIT_OK
@@ -287,7 +287,7 @@ def cmd_local_model(args) -> int:
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [mat_to_doc(h) for h in model.H],
           "S": [mat_to_doc(s) for s in model.S],
-          "N": [[rational_str(Fraction(x)) for x in nv] for nv in model.N]},
+          "N": [[rational_str(Fraction(x)) for x in dense(nv, rep.dim)] for nv in model.N]},
          args.format)
     return EXIT_OK
 

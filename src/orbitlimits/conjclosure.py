@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank
+from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank, sparse
 from .lierep import ConjRep, elementary
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
 from .localmodel import LocalModel, build_local_model
@@ -476,7 +476,7 @@ def Z_shift(n: int, k: int) -> Mat:
     return m
 
 
-def companion_slice_basis(n: int) -> list[list]:
+def companion_slice_basis(n: int) -> list[dict]:
     """V-coordinate basis of C_n: matrices supported on the first column."""
     rep = ConjRep(n)
     return [rep.to_coords(elementary(n, i, 0)) for i in range(n)]
@@ -497,7 +497,7 @@ def minimal_polynomial(m: Mat) -> UniPoly:
     while powers.add(glrep.to_coords(power)):
         power = power * m
     co = powers.coords(glrep.to_coords(power))
-    return UniPoly({i: -c for i, c in enumerate(co)} | {len(co): Q1})
+    return UniPoly({i: -c for i, c in co.items()} | {len(powers): Q1})
 
 
 def jn_slice_report(n: int, seed: int = 0) -> dict:
@@ -524,7 +524,7 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
         p = minimal_polynomial(comp)
         expected = UniPoly({n: Q1, **{i: _as_fraction(c[i]) for i in range(n)}})
         # N basis is E_{i,0}; companion's first column entries are -c reversed
-        nvec = model.n_vec([-_as_fraction(ci) for ci in reversed(c)])
+        nvec = model.n_vec(sparse([-_as_fraction(ci) for ci in reversed(c)]))
         stab = model.slice_stabilizer(nvec)
         samples.append({
             "c": c,

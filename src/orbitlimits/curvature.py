@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Mat, Q0, Q1, Subspace, _as_fraction, lin_indep_subset
+from .exactcore import Mat, Q0, Q1, Subspace, _as_fraction, dense, sparse
 from .lierep import ConjRep, action_matrix, stabilizer_algebra, tangent_space
 
 
@@ -167,8 +167,8 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
         full_tangent = tangents
     # one basis: the tangent space, then the chart normals
     chart = Subspace(len(y))
-    t_basis = [t for t in full_tangent if chart.add(t)]
-    if y in chart:
+    t_basis = [t for t in full_tangent if chart.add(sparse(t))]
+    if sparse(y) in chart:
         raise ValueError("y is not a simple point: y lies in its own tangent space")
     for t in full_tangent:
         for v in N_basis:
@@ -178,18 +178,18 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
     # N is orthogonal to the tangent space, so a set of projected normals is
     # independent modulo the tangent space exactly when it is independent
     proj_N = [_project_off(y, list(v)) for v in N_basis]
-    n_idx = [k for k, v in enumerate(proj_N) if chart.add(v)]
+    n_idx = [k for k, v in enumerate(proj_N) if chart.add(sparse(v))]
 
     L = len(S_ops)
     K = len(N_basis)
 
     def lam_N_tilde(w):
-        coords = chart.coords(w)
+        coords = chart.coords(sparse(w))
         if coords is None:
             raise ValueError("vector does not decompose in tangent + chart normal")
         out = [Q0] * K
         for pos, k in enumerate(n_idx):
-            out[k] = coords[len(t_basis) + pos]
+            out[k] = coords.get(len(t_basis) + pos, Q0)
         return out
 
     pi = []
@@ -205,17 +205,17 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
     if osc:
         # ambient Pi then chart projection (the osculation identity)
         match = True
-        ambient = Subspace(len(y), t_basis + list(map(list, N_basis)))
+        ambient = Subspace(len(y), map(sparse, t_basis + list(N_basis)))
         for i in range(L):
             for j in range(L):
                 w = S_ops[j].apply(tangents[i])
-                coords = ambient.coords(w)
+                coords = ambient.coords(sparse(w))
                 if coords is None:
                     match = False
                     continue
                 amb = [Q0] * len(y)
                 for r in range(K):
-                    c = coords[len(t_basis) + r]
+                    c = coords.get(len(t_basis) + r, Q0)
                     amb = [a + c * b for a, b in zip(amb, N_basis[r])]
                 if lam_N_tilde(_project_off(y, amb)) != pi[i][j]:
                     match = False
@@ -470,7 +470,7 @@ def cyclic_shift_suite(n: int) -> dict:
     stab = stabilizer_algebra(rep, c_coords)
     powers = [rep.to_coords(cyc_power(n, k)) for k in range(n)]
     stab_ok = (len(stab) == n and
-               len(lin_indep_subset([rep.to_coords(m) for m in stab] + powers)) == n)
+               len(Subspace(rep.dim, [rep.to_coords(m) for m in stab] + powers)) == n)
 
     lb = ell_bar(n)
     lb_in_S = not any(shifted_diagonal_sums(lb))
@@ -539,7 +539,7 @@ def cyclic_chart_form(n: int) -> CurvatureData:
     c = cyclic_shift(n)
     y = rep.to_coords(c)
     S_ops = [action_matrix(rep, L_op(n, i)) for i in range(n)]
-    N_basis = [rep.to_coords(cyc_power(n, k)) for k in range(n)]
-    full_tangent = tangent_space(rep, y)
-    return chart_second_fundamental_form(y, S_ops, N_basis,
+    N_basis = [dense(rep.to_coords(cyc_power(n, k)), rep.dim) for k in range(n)]
+    full_tangent = [dense(t, rep.dim) for t in tangent_space(rep, y)]
+    return chart_second_fundamental_form(dense(y, rep.dim), S_ops, N_basis,
                                          full_tangent=full_tangent)

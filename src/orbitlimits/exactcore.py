@@ -7,15 +7,16 @@ kernels, solves and determinants over one of three scalar rings:
   * UniPoly         -- univariate polynomials in t over Q, sparse dict rep,
   * RationalFn      -- reduced fractions of UniPoly (den monic).
 
-Matrices are dense row-major lists.  All row reduction goes through one
-sparse incremental `Subspace` echelon, generic over the three scalar types
-(UniPoly pivots are promoted to RationalFn).  It answers questions about one
-subspace -- independence, the residue of a vector modulo the span (the
-quotient map), membership, coordinates, completion by unit vectors -- and
-`rref`, `nullspace`, `rank` and `solve` read their answers off it.
-Determinants use fraction-free Bareiss instead, on sparse {column: value}
-rows, so that a sparse matrix such as I + λ_S∘B costs in proportion to its
-nonzeros.
+A vector is a sparse dict {index: value} with no stored zeros; `Mat` is
+a dense row-major matrix, and `sparse` and `dense` convert at the edges.  All
+row reduction goes through one sparse incremental `Subspace` echelon, generic
+over the three scalar types (UniPoly pivots are promoted to RationalFn).  It
+answers questions about one subspace -- independence, the residue of a
+vector modulo the span (the quotient map), membership, coordinates,
+completion by unit vectors -- and `kernel`, `rref`, `nullspace`, `rank` and
+`solve` read their answers off it.  Determinants use fraction-free Bareiss
+instead, on sparse rows, so that a sparse matrix such as I + λ_S∘B costs in
+proportion to its nonzeros.
 """
 
 from __future__ import annotations
@@ -481,15 +482,14 @@ def _zero_like(x):
     return Q0
 
 
-def _field_promote(rows):
-    """Promote UniPoly entries to RationalFn so division is available;
-    returns the promoted rows and the zero of their field, which stands in
-    for every zero entry."""
-    if any(isinstance(x, (UniPoly, RationalFn)) for r in rows for x in r):
+def _sparse_rows(m: Mat):
+    """m's rows as sparse vectors over its fraction field (Q(t) if any entry
+    is over Q[t] or Q(t), else Q), and the zero of that field."""
+    if any(isinstance(x, (UniPoly, RationalFn)) for r in m.a for x in r):
         coerce, zero = RationalFn.coerce, RationalFn(0)
     else:
         coerce, zero = _as_fraction, Q0
-    return [[coerce(x) if x else zero for x in r] for r in rows], zero
+    return [{j: coerce(x) for j, x in enumerate(r) if x} for r in m.a], zero
 
 
 def rref(m: Mat):
@@ -499,10 +499,10 @@ def rref(m: Mat):
     then zero rows up to m.rows.  The form is unique, so it does not depend
     on the order in which `Subspace` eliminates.
     """
-    rows, zero = _field_promote(m.a)
-    sp = Subspace(m.cols, rows)
+    rows, zero = _sparse_rows(m)
+    sp = Subspace._echelon(m.cols, rows)
     pivots = sorted(sp.rows)
-    out = [[sp.rows[p][0].get(j, zero) for j in range(m.cols)] for p in pivots]
+    out = [dense(sp.rows[p], m.cols, zero) for p in pivots]
     out += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
     return out, pivots
 
@@ -511,27 +511,33 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Mat) -> list[list]:
-    """Basis of the right kernel, as column vectors over the fraction field.
+def kernel(ncols: int, rows: Iterable[dict], one=Q1) -> list[dict]:
+    """Basis of {v : r·v = 0 for every sparse row r} in K^ncols, one vector
+    per free column in increasing order, with `one` there: the vector
+    e_free - sum over pivots p of (reduced row p)[free] e_p."""
+    sp = Subspace._echelon(ncols, rows)
+    by_col: dict = {}
+    for p, r in sp.rows.items():
+        for j, x in r.items():
+            if j != p:
+                by_col.setdefault(j, {})[p] = -x
+    return [{f: one, **by_col.get(f, {})} for f in range(ncols) if f not in sp.rows]
 
-    Deterministic: free columns in increasing order, free coordinate set to 1.
-    """
-    rows, pivots = rref(m)
-    nc = m.cols
-    one = RationalFn(1) if rows and nc and isinstance(rows[0][0], RationalFn) else Q1
-    zero = _zero_like(one)
-    pivset = set(pivots)
-    basis = []
-    for free in range(nc):
-        if free in pivset:
-            continue
-        v = [zero] * nc
-        v[free] = one
-        for r, pc in zip(rows, pivots):
-            if r[free]:
-                v[pc] = -r[free]
-        basis.append(v)
-    return basis
+
+def nullspace(m: Mat) -> list[list]:
+    """Basis of the right kernel, as dense column vectors over the fraction
+    field (`kernel`)."""
+    rows, zero = _sparse_rows(m)
+    return [dense(v, m.cols, zero) for v in kernel(m.cols, rows, zero + Q1)]
+
+
+def transpose(vectors: Sequence[dict]) -> list[dict]:
+    """The nonzero rows of the matrix whose columns are the sparse vectors."""
+    rows: dict = {}
+    for j, v in enumerate(vectors):
+        for i, x in v.items():
+            rows.setdefault(i, {})[j] = x
+    return list(rows.values())
 
 
 def solve(m: Mat, rhs_cols: Sequence[Sequence]) -> list[list]:
@@ -638,6 +644,16 @@ def column_normalize(m: Mat) -> Mat:
 # subspaces
 
 
+def sparse(v: Sequence) -> dict:
+    """The nonzero entries {index: value} of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense(v: dict, dim: int, zero=Q0) -> list:
+    """The dense vector of length dim with the entries of v, zero elsewhere."""
+    return [v.get(i, zero) for i in range(dim)]
+
+
 def _sub_scaled(d: dict, c, s: dict) -> None:
     """d -= c * s for sparse vectors, in place, dropping zeros."""
     for j, x in s.items():
@@ -649,25 +665,36 @@ def _sub_scaled(d: dict, c, s: dict) -> None:
 
 
 class Subspace:
-    """A subspace of K^dim grown one generator at a time.
+    """A subspace of K^dim grown one generator at a time; vectors are sparse.
 
     The span is kept in reduced row echelon form: each row is a sparse
     {coordinate: value} dict with a 1 at its pivot and a 0 at every other
-    row's pivot, and it carries the combination {generator: coefficient}
-    of the accepted generators that equals it.  Because the rows are fully
-    reduced, the coefficient of a vector v on the row with pivot p is v[p]
-    itself, so the residue, membership and coordinates of v cost one pass
-    over the rows that v meets.  Entries may be Fraction, UniPoly or
-    RationalFn; a UniPoly pivot is promoted to RationalFn before division.
+    row's pivot, and the row with pivot p has the combination combos[p]
+    {generator: coefficient} of the accepted generators that equals it.
+    Because the rows are fully reduced, the coefficient of a vector v on the
+    row with pivot p is v[p] itself, so the residue, membership and
+    coordinates of v cost one pass over the rows that v meets.  Entries may
+    be Fraction, UniPoly or RationalFn; a UniPoly pivot is promoted to
+    RationalFn before division.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_combos")
 
-    def __init__(self, dim: int, gens: Iterable[Sequence] = ()):
+    def __init__(self, dim: int, gens: Iterable[dict] = ()):
         self.dim = dim
-        self.rows: dict = {}            # pivot -> (row, combination)
+        self.rows: dict = {}            # pivot -> row
+        self._combos: Optional[dict] = {}   # pivot -> combination; None if not kept
         for v in gens:
             self.add(v)
+
+    @classmethod
+    def _echelon(cls, dim: int, rows: Iterable[dict]) -> "Subspace":
+        """The span of rows, without the combinations that only `coords` reads."""
+        sp = cls(dim)
+        sp._combos = None
+        for r in rows:
+            sp.add(r)
+        return sp
 
     def __len__(self) -> int:
         """Dimension of the span, which is the number of accepted generators."""
@@ -677,53 +704,56 @@ class Subspace:
         """Subtract from w, in place, its part in the span; add that part, as
         a combination of the accepted generators, to combo if one is given."""
         for p, c in [(p, c) for p, c in w.items() if p in self.rows]:
-            row, rc = self.rows[p]
-            _sub_scaled(w, c, row)
+            _sub_scaled(w, c, self.rows[p])
             if combo is not None:
-                _sub_scaled(combo, -c, rc)
+                _sub_scaled(combo, -c, self._combos[p])
 
-    def add(self, v: Sequence) -> bool:
+    def add(self, v: dict) -> bool:
         """Add v to the span; True if v was independent of it (then v is the
         next accepted generator)."""
-        return self._add({i: x for i, x in enumerate(v) if x})
+        return self._add(dict(v))
 
     def _add(self, w: dict) -> bool:
-        combo: dict = {}
+        combos = self._combos
+        combo = None if combos is None else {}
         self._reduce(w, combo)
         if not w:
             return False
         p = min(w)
         piv = w[p]
         inv = Q1 / (RationalFn.coerce(piv) if isinstance(piv, UniPoly) else piv)
-        rc = {g: -x * inv for g, x in combo.items()}
-        rc[len(self.rows)] = inv
         row = {j: x * inv for j, x in w.items()}
-        for r, qc in self.rows.values():
+        if combos is not None:
+            rc = {g: -x * inv for g, x in combo.items()}
+            rc[len(self.rows)] = inv
+        for q, r in self.rows.items():
             c = r.get(p)
             if c:
                 _sub_scaled(r, c, row)
-                _sub_scaled(qc, c, rc)
-        self.rows[p] = (row, rc)
+                if combos is not None:
+                    _sub_scaled(combos[q], c, rc)
+        self.rows[p] = row
+        if combos is not None:
+            combos[p] = rc
         return True
 
-    def residue(self, v: Sequence) -> list:
+    def residue(self, v: dict) -> dict:
         """v minus its part in the span.  This is the quotient map
         K^dim -> K^dim / span: it is linear and its kernel is the span."""
-        w = {i: x for i, x in enumerate(v) if x}
+        w = dict(v)
         self._reduce(w)
-        return [w.get(i, Q0) for i in range(self.dim)]
+        return w
 
-    def __contains__(self, v: Sequence) -> bool:
-        return not any(self.residue(v))
+    def __contains__(self, v: dict) -> bool:
+        return not self.residue(v)
 
-    def coords(self, v: Sequence):
-        """Coefficients of v over the accepted generators, in the order they
-        were accepted; None if v is not in the span."""
-        w, combo = {i: x for i, x in enumerate(v) if x}, {}
+    def coords(self, v: dict) -> Optional[dict]:
+        """Coefficients {generator: coefficient} of v over the accepted
+        generators, numbered in the order they were accepted; None if v is
+        not in the span."""
+        w, combo = dict(v), {}
         self._reduce(w, combo)
-        if w:
-            return None
-        return [combo.get(g, Q0) for g in range(len(self.rows))]
+        return None if w else combo
 
     def complete_with_units(self) -> list[int]:
         """Add the unit vectors e_0, e_1, ... that are independent of the span
@@ -738,22 +768,25 @@ class Subspace:
 
 
 def lin_indep_subset(cols: Sequence[Sequence]) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedy from the left."""
+    """Indices of a maximal linearly independent subset of dense columns,
+    greedy from the left."""
     if not cols:
         return []
     sp = Subspace(len(cols[0]))
-    return [i for i, v in enumerate(cols) if sp.add(v)]
+    return [i for i, v in enumerate(cols) if sp.add(sparse(v))]
 
 
 def coords_in_basis(basis_cols: Sequence[Sequence], v: Sequence):
-    """Express v over the given columns; None if not in their span.
-
-    A column that depends on the columns before it gets coefficient 0.
+    """Express the dense v over the given dense columns, densely; None if
+    not in their span.  A column that depends on the columns before it gets
+    coefficient 0.
     """
     sp = Subspace(len(v))
-    accepted = [sp.add(b) for b in basis_cols]
-    co = sp.coords(v)
+    accepted = [i for i, b in enumerate(basis_cols) if sp.add(sparse(b))]
+    co = sp.coords(sparse(v))
     if co is None:
         return None
-    it = iter(co)
-    return [next(it) if a else Q0 for a in accepted]
+    out = [Q0] * len(basis_cols)
+    for g, c in co.items():
+        out[accepted[g]] = c
+    return out

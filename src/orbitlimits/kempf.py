@@ -57,7 +57,7 @@ GRID_RESOLUTION = 20
 class WeightComponent:
     chi: tuple[int, ...]
     norm_sq: Fraction
-    coords: tuple  # full V-coordinate vector of v_chi
+    coords: dict  # sparse V-coordinate vector of v_chi
 
 
 @dataclass
@@ -88,13 +88,11 @@ def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
     Sym^d basis monomial x^e has weight e; the matrix entry (i, j) has
     weight e_i - e_j.
     """
-    if not any(v):
+    if not v:
         raise ValueError("support of the zero vector")
     n = rep.nvars if isinstance(rep, SymRep) else rep.n
-    groups: dict[tuple, list] = {}
-    for idx, c in enumerate(v):
-        if not c:
-            continue
+    groups: dict[tuple, dict] = {}
+    for idx, c in v.items():
         if isinstance(rep, SymRep):
             chi = tuple(rep.basis[idx])
         else:
@@ -103,12 +101,12 @@ def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
             w[i] += 1
             w[j] -= 1
             chi = tuple(w)
-        groups.setdefault(chi, [Q0] * rep.dim)[idx] = _as_fraction(c)
+        groups.setdefault(chi, {})[idx] = _as_fraction(c)
     comps = []
     for chi in sorted(groups):
         coords = groups[chi]
-        nsq = sum((x * x for x in coords), Q0)
-        comps.append(WeightComponent(chi, nsq, tuple(coords)))
+        nsq = sum((x * x for x in coords.values()), Q0)
+        comps.append(WeightComponent(chi, nsq, coords))
     return WeightSupport(n=n, components=comps)
 
 
@@ -142,12 +140,9 @@ def leading_term_along(ell, support: WeightSupport):
     """
     vals = [pairing(ell, c.chi) for c in support.components]
     m = min(vals)
-    dim = len(support.components[0].coords)
-    out = [Q0] * dim
-    for val, c in zip(vals, support.components):
-        if val == m:
-            out = [a + b for a, b in zip(out, c.coords)]
-    return m, out
+    # the components have disjoint supports
+    return m, {i: x for val, c in zip(vals, support.components) if val == m
+               for i, x in c.coords.items()}
 
 
 # ---------------------------------------------------------------------------

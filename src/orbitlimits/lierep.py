@@ -7,7 +7,9 @@ Conventions (pinned by the Sym^2 worked example):
     2a x^2 + 2b xy;
   * on matrices g acts by commutator, g . y = g y - y g;
   * monomial bases are ordered graded-lexicographically in the given
-    variable order, matrix-entry bases row-major.
+    variable order, matrix-entry bases row-major;
+  * coordinate vectors are sparse dicts {basis index: value} with no stored
+    zeros, in V and in gl alike; gl elements themselves are `Mat`s.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import (Mat, Q0, Q1, _as_fraction, _zero_like, lin_indep_subset,
-                        nullspace)
+from .exactcore import Mat, Q0, Q1, Subspace, _as_fraction, _zero_like, dense, kernel, transpose
 
 
 class Form:
@@ -94,37 +95,29 @@ class SymRep:
         self.dim = len(self.basis)
         self.n = nvars
 
-    def to_coords(self, f: Form) -> list:
-        v = [Q0] * self.dim
-        for e, c in f.terms.items():
-            v[self.index[e]] = c
-        return v
+    def to_coords(self, f: Form) -> dict:
+        return {self.index[e]: c for e, c in f.terms.items()}
 
-    def from_coords(self, v: Sequence) -> Form:
-        return Form(self.nvars, self.degree,
-                    {e: c for e, c in zip(self.basis, v) if c})
+    def from_coords(self, v: dict) -> Form:
+        return Form(self.nvars, self.degree, {self.basis[k]: c for k, c in v.items()})
 
-    def act_elementary(self, i: int, j: int, v: Sequence) -> list:
-        """E_ij . v  =  x_j d/dx_i applied coordinatewise."""
-        out = [Q0] * self.dim
-        for idx, c in enumerate(v):
-            if not c:
-                continue
+    def act_elementary(self, i: int, j: int, v: dict) -> dict:
+        """E_ij . v  =  x_j d/dx_i applied coordinatewise.  It sends distinct
+        monomials to distinct ones, so no two terms meet."""
+        out = {}
+        for idx, c in v.items():
             e = self.basis[idx]
-            if e[i] == 0:
-                continue
-            mult = e[i]
-            ee = list(e)
-            ee[i] -= 1
-            ee[j] += 1
-            tgt = self.index[tuple(ee)]
-            out[tgt] = out[tgt] + mult * c
+            if e[i]:
+                ee = list(e)
+                ee[i] -= 1
+                ee[j] += 1
+                out[self.index[tuple(ee)]] = e[i] * c
         return out
 
-    def act(self, g: Mat, v: Sequence) -> list:
+    def act(self, g: Mat, v: dict) -> dict:
         """g . v, one nonzero g_ij at a time on the nonzero coordinates of v."""
-        out = [Q0] * self.dim
-        nz = [(self.basis[k], c) for k, c in enumerate(v) if c]
+        out: dict = {}
+        nz = [(self.basis[k], c) for k, c in v.items()]
         for i, row in enumerate(g.a):
             gi = [(j, x) for j, x in enumerate(row) if x]
             if not gi:
@@ -134,8 +127,9 @@ class SymRep:
             for j, gij in gi:
                 for e, mc in lowered:
                     tgt = self.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
-                    out[tgt] = out[tgt] + gij * mc
-        return out
+                    p = gij * mc
+                    out[tgt] = out[tgt] + p if tgt in out else p
+        return {k: x for k, x in out.items() if x}
 
     def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
         return sum(k * w for k, w in zip(self.basis[idx], weights))
@@ -160,27 +154,31 @@ class ConjRep:
         self.dim = n * n
         self.nvars = n
 
-    def to_coords(self, m: Mat) -> list:
-        return [m.a[i][j] for (i, j) in self.basis]
-
-    def from_coords(self, v: Sequence) -> Mat:
+    def to_coords(self, m: Mat) -> dict:
         n = self.n
-        return Mat([[v[i * n + j] for j in range(n)] for i in range(n)])
+        return {i * n + j: x for i, r in enumerate(m.a) for j, x in enumerate(r) if x}
 
-    def act_elementary(self, i: int, j: int, v: Sequence) -> list:
-        # E_ij . Y = E_ij Y - Y E_ij
+    def from_coords(self, v: dict) -> Mat:
+        """The matrix with coordinates v; its zeros are like v's entries."""
         n = self.n
-        out = [Q0] * self.dim
-        for k in range(n):
-            x = v[j * n + k]          # (E_ij Y)[i,k] = Y[j,k]
-            if x:
-                out[i * n + k] = out[i * n + k] + x
-            x = v[k * n + i]          # (Y E_ij)[k,j] = Y[k,i]
-            if x:
-                out[k * n + j] = out[k * n + j] - x
-        return out
+        flat = dense(v, self.dim, _zero_like(next(iter(v.values()), Q0)))
+        return Mat([flat[i * n:(i + 1) * n] for i in range(n)], n)
 
-    def act(self, g: Mat, v: Sequence) -> list:
+    def act_elementary(self, i: int, j: int, v: dict) -> dict:
+        # E_ij . Y = E_ij Y - Y E_ij: (E_ij Y)[i,k] = Y[j,k], (Y E_ij)[k,j] = Y[k,i]
+        n = self.n
+        out: dict = {}
+        for idx, x in v.items():
+            r, c = divmod(idx, n)
+            if r == j:
+                k = i * n + c
+                out[k] = out[k] + x if k in out else x
+            if c == i:
+                k = r * n + j
+                out[k] = out[k] - x if k in out else -x
+        return {k: x for k, x in out.items() if x}
+
+    def act(self, g: Mat, v: dict) -> dict:
         return self.to_coords(bracket(g, self.from_coords(v)))
 
     def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
@@ -224,36 +222,14 @@ def bracket(a: Mat, b: Mat) -> Mat:
     return Mat(out)
 
 
-def lin_comb(coeffs: Sequence, terms: Sequence, zero):
-    """sum c * term over the nonzero coefficients, touching only the nonzero
-    entries of each term.  The terms are gl elements (Mat) or coordinate
-    vectors (lists); `zero` is the zero Mat or vector of their shape, which
-    is returned when every coefficient vanishes.  Otherwise the zeros of the
-    result are the zero of c * entry, as a dense sum would leave them."""
-    mat = isinstance(zero, Mat)
-    width = zero.cols if mat else len(zero)
+def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:
+    """sum over coeffs' items (k, c) of c * terms[k], for sparse vectors."""
     acc: dict = {}
-    z = None
-    for c, t in zip(coeffs, terms):
-        if not c:
-            continue
-        rows = t.a if mat else (t,)
-        if z is None and width and rows:
-            z = _zero_like(c * rows[0][0])
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                if x:
-                    k = i * width + j
-                    p = c * x
-                    acc[k] = acc[k] + p if k in acc else p
-    if z is None:
-        return zero
-    flat = [z] * (zero.rows * width if mat else width)
-    for k, x in acc.items():
-        flat[k] = x
-    if mat:
-        return Mat([flat[i * width:(i + 1) * width] for i in range(zero.rows)], width)
-    return flat
+    for k, c in coeffs.items():
+        for i, x in terms[k].items():
+            p = c * x
+            acc[i] = acc[i] + p if i in acc else p
+    return {i: x for i, x in acc.items() if x}
 
 
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:
@@ -304,37 +280,22 @@ def elementary(n: int, i: int, j: int, coef=Q1) -> Mat:
 
 def action_matrix(rep: Representation, g: Mat) -> Mat:
     """The dim(V) x dim(V) matrix of the action of g on the chosen basis."""
-    cols = []
-    for k in range(rep.dim):
-        v = [Q0] * rep.dim
-        v[k] = Q1
-        cols.append(rep.act(g, v))
-    return Mat.from_cols(cols)
+    return Mat.from_cols([dense(rep.act(g, {k: Q1}), rep.dim) for k in range(rep.dim)])
 
 
-def _action_map_matrix(rep: Representation, v: Sequence) -> Mat:
-    """Matrix of g |-> rho(g).v : gl -> V; columns indexed by E_ij row-major."""
-    n = rep.n
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(rep.act_elementary(i, j, list(v)))
-    return Mat.from_cols(cols)
+def _action_map_cols(rep: Representation, v: dict) -> list[dict]:
+    """The columns of g |-> rho(g).v : gl -> V, indexed by E_ij row-major."""
+    return [rep.act_elementary(i, j, v) for i in range(rep.n) for j in range(rep.n)]
 
 
-def stabilizer_algebra(rep: Representation, v: Sequence) -> list[Mat]:
+def stabilizer_algebra(rep: Representation, v: dict) -> list[Mat]:
     """Basis of {g in gl : rho(g).v = 0}, deterministic order."""
-    n = rep.n
-    ker = nullspace(_action_map_matrix(rep, v))
-    out = []
-    for w in ker:
-        out.append(Mat([[w[i * n + j] for j in range(n)] for i in range(n)]))
-    return out
+    glrep = ConjRep(rep.n)
+    return [glrep.from_coords(w) for w in
+            kernel(glrep.dim, transpose(_action_map_cols(rep, v)))]
 
 
-def tangent_space(rep: Representation, v: Sequence) -> list[list]:
+def tangent_space(rep: Representation, v: dict) -> list[dict]:
     """Basis of the image {rho(g).v : g in gl} as V-coordinate vectors."""
-    m = _action_map_matrix(rep, v)
-    cols = m.columns()
-    idx = lin_indep_subset(cols)
-    return [cols[k] for k in idx]
+    span = Subspace(rep.dim)
+    return [c for c in _action_map_cols(rep, v) if span.add(c)]

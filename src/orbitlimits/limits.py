@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactcore import (Mat, Q0, Q1, Subspace, UniPoly, column_normalize,
-                        coords_in_basis, det_bareiss, lin_indep_subset, nullspace, rank)
+from .exactcore import (Mat, Q1, Subspace, UniPoly, column_normalize, det_bareiss, kernel,
+                        sparse, transpose)
 from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
 from .localmodel import (LocalModel, NotTransverse, build_local_model, gl_act_weights,
@@ -80,14 +80,11 @@ class LimitExpansion:
         self.tail = {c: terms[c] for c in exps[1:]}
         self.transversal = transversal
 
-    def f_of_t_coords(self, rep: SymRep, t0: Fraction) -> list:
-        """Coordinates of f(t0)/t0^a = g + sum t0^{c-a} f_c."""
-        v = [Q0] * rep.dim
-        for c, form in self.terms.items():
-            s = Fraction(t0) ** (c - self.a)
-            for e, coef in form.terms.items():
-                v[rep.index[e]] = v[rep.index[e]] + s * coef
-        return v
+    def f_of_t_coords(self, rep: SymRep, t0: Fraction) -> dict:
+        """Coordinates of f(t0)/t0^a = g + sum t0^{c-a} f_c; the f_c have
+        disjoint supports."""
+        return {rep.index[e]: Fraction(t0) ** (c - self.a) * coef
+                for c, form in self.terms.items() for e, coef in form.terms.items()}
 
 
 def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
@@ -147,7 +144,7 @@ class LimitProblem:
         return stabilizer_algebra(self.rep, self.rep.to_coords(self.f))
 
     @cached_property
-    def K_coords(self) -> list[list]:
+    def K_coords(self) -> list[dict]:
         return [self.glrep.to_coords(k) for k in self.K]
 
     @cached_property
@@ -163,17 +160,17 @@ class LimitProblem:
     @cached_property
     def h_weights(self) -> list[int]:
         """The lambda-weights of the model's weight-pure H basis."""
-        return _pure_weights([self.glrep.to_coords(h) for h in self.model.H], self.glw)
+        return _pure_weights(self.model.H_coords, self.glw)
 
     @cached_property
     def s_weights(self) -> list[int]:
         """The lambda-weights of the model's weight-pure S basis."""
-        return _pure_weights([self.glrep.to_coords(s) for s in self.model.S], self.glw)
+        return _pure_weights(self.model.S_coords, self.glw)
 
     @cached_property
     def H_span(self) -> Subspace:
         """The span of H = stab g in gl coordinates."""
-        return Subspace(self.glrep.dim, [self.glrep.to_coords(h) for h in self.model.H])
+        return Subspace(self.glrep.dim, self.model.H_coords)
 
     @cached_property
     def triple(self) -> TripleStabilizers:
@@ -197,36 +194,37 @@ class NotGraded(ValueError):
     pass
 
 
-def _weight_rows(vectors: Sequence[Sequence], coord_weights: Sequence[int], keep) -> Mat:
-    """The matrix with columns vectors, cut to the rows whose coordinate
-    weight passes keep.  Its kernel is the set of combinations whose
-    components at those weights vanish."""
-    m = Mat.from_cols([list(v) for v in vectors])
-    return Mat([r for r, w in zip(m.a, coord_weights) if keep(w)], len(vectors))
+def _weight_kernel(vectors: Sequence[dict], coord_weights: Sequence[int], keep) -> list[dict]:
+    """The combinations of vectors whose coordinates of a weight that passes
+    keep vanish: the kernel of the matrix with columns vectors cut to those
+    rows."""
+    return kernel(len(vectors), transpose([{i: x for i, x in v.items() if keep(coord_weights[i])}
+                                           for v in vectors]))
 
 
-def _pure_weights(vectors: Sequence[Sequence], coord_weights: Sequence[int]) -> list[int]:
+def _pure_weights(vectors: Sequence[dict], coord_weights: Sequence[int]) -> list[int]:
     """The weight of each weight-pure vector: that of its first nonzero coordinate."""
-    return [coord_weights[next(i for i, x in enumerate(v) if x)] for v in vectors]
+    return [coord_weights[min(v)] for v in vectors]
 
 
-def graded_dims_of(vectors: Sequence[Sequence], coord_weights: Sequence[int]) -> dict:
+def graded_dims_of(vectors: Sequence[dict], coord_weights: Sequence[int]) -> dict:
     """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight.
 
     Raises NotGraded if the subspace is not graded (its weight-pure parts
     span more than it).
     """
+    span = Subspace(len(coord_weights))
     try:
-        basis = graded_basis([vectors[i] for i in lin_indep_subset(vectors)], coord_weights)
+        basis = graded_basis([v for v in vectors if span.add(v)], coord_weights)
     except ValueError:
         raise NotGraded("subspace is not graded with respect to the 1-PS") from None
     return dict(sorted(Counter(_pure_weights(basis, coord_weights)).items()))
 
 
-def graded_component(vectors: Sequence[Sequence], coord_weights: Sequence[int], w: int) -> list[list]:
+def graded_component(vectors: Sequence[dict], coord_weights: Sequence[int], w: int) -> list[dict]:
     """Basis of span(vectors) ∩ (weight-w coordinate subspace)."""
-    return [lin_comb(alpha, vectors, [Q0] * len(coord_weights))
-            for alpha in nullspace(_weight_rows(vectors, coord_weights, lambda x: x != w))]
+    return [lin_comb(alpha, vectors)
+            for alpha in _weight_kernel(vectors, coord_weights, lambda x: x != w)]
 
 
 class LimitAlgebraData:
@@ -295,16 +293,17 @@ def _structure_constants(glrep: ConjRep, mats: Sequence[Mat], span: Subspace,
     return out
 
 
-def _regrade(vectors: Sequence[Sequence], weights: Sequence[int]) -> list[list]:
+def _regrade(vectors: Sequence[dict], weights: Sequence[int]) -> list[dict]:
     """Put t back into Q-vectors whose coordinate j has lambda-weight
     weights[j]: v becomes the Q[t]-column v_j t^(w_j - m), m the least weight
     on v's support.  The columns are then normalized, so that their values
     at t = 0 are independent (`column_normalize`)."""
     cols = []
     for v in vectors:
-        base = min((w for w, x in zip(weights, v) if x), default=0)
-        cols.append([UniPoly.t(w - base, x) if x else UniPoly.zero() for w, x in zip(weights, v)])
-    return column_normalize(Mat.from_cols(cols)).columns() if cols else []
+        base = min((weights[j] for j in v), default=0)
+        cols.append([UniPoly.t(w - base, v[j]) if j in v else UniPoly.zero()
+                     for j, w in enumerate(weights)])
+    return [sparse(c) for c in column_normalize(Mat.from_cols(cols)).columns()] if cols else []
 
 
 def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitAlgebraData:
@@ -319,21 +318,21 @@ def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     t^(sigma_i - w_j), sigma_i the weight of S's element i.  Only the
     equations at n1 are solved, over Q."""
     problem = LimitProblem.of(f, lam)
-    rep, model = problem.rep, problem.model
-    n1 = [c - x for c, x in zip(rep.to_coords(problem.f), model.x)]
-    ker, ms_cols = model.slice_equations(n1)
-    zero = UniPoly.zero()
-    ms_t = [[UniPoly.t(sw - hw, x) if x else zero for sw, x in zip(problem.s_weights, col)]
+    rep, model, glrep = problem.rep, problem.model, problem.glrep
+    ker, ms_cols = model.slice_equations(rep.to_coords(problem.f - problem.expansion.g))
+    sw = problem.s_weights
+    ms_t = [{i: UniPoly.t(sw[i] - hw, x) for i, x in col.items()}
             for hw, col in zip(problem.h_weights, ms_cols)]
-    n = rep.n
+    nh = len(model.H)
     Kt, K0 = [], []
     for alpha in _regrade(ker, problem.h_weights):
         # s(t) = -M_S(t) alpha
-        sc = lin_comb([-a for a in alpha], ms_t, [zero] * len(model.S))
+        sc = lin_comb({j: -a for j, a in alpha.items()}, ms_t)
         # k(t) = h(t) + s(t)
-        kmat = lin_comb(alpha + sc, model.H + model.S, Mat.zeros(n, n, zero))
+        kmat = glrep.from_coords(lin_comb(alpha | {nh + i: c for i, c in sc.items()},
+                                          model.H_coords + model.S_coords))
         Kt.append(KtElement(sc, kmat))
-        K0.append(kmat.eval_at(Q0))
+        K0.append(kmat.eval_at(0))
     data = LimitAlgebraData(problem, Kt, K0)
     _verify_limit_algebra(data)
     return data
@@ -351,14 +350,14 @@ def _verify_limit_algebra(data: LimitAlgebraData):
     exp = problem.expansion
     if exp.b is not None:
         d = exp.b - exp.a
-        if any(c and c.valuation() < d for kt in data.Kt for c in kt.s_coeffs):
+        if any(c.valuation() < d for kt in data.Kt for c in kt.s_coeffs.values()):
             raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
     # k(t0) annihilates f(t0); at t0 = 1 the regrading by the weights is the
     # identity, and this would test nothing
     t0 = Fraction(1, 2)
     ft0 = exp.f_of_t_coords(rep, t0)
     for kt in data.Kt:
-        if any(rep.act(kt.at(t0), ft0)):
+        if rep.act(kt.at(t0), ft0):
             raise ValueError(f"k({t0}) does not annihilate f({t0})")
 
 
@@ -368,7 +367,7 @@ def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
     by lambda(t) symbolically (the E_ij component of weight w scales by
     t^w), normalize columns, and take t=0."""
     problem = LimitProblem.of(f, lam)
-    return [problem.glrep.from_coords([x(Q0) for x in col])
+    return [problem.glrep.from_coords({j: y for j, x in col.items() if (y := x(0))})
             for col in _regrade(problem.K_coords, problem.glw)]
 
 
@@ -407,8 +406,8 @@ def triple_stabilizers(f: Union[Form, LimitProblem],
 
     # K_lf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K, combined in gl coordinates
     mod_K = Subspace(glrep.dim, k_flat).residue
-    Klf = [lin_comb(alpha, k_flat, [Q0] * glrep.dim) for alpha in
-           nullspace(Mat.from_cols([mod_K(glrep.to_coords(bracket(k, ell))) for k in K]))]
+    Klf = [lin_comb(alpha, k_flat) for alpha in
+           kernel(len(K), transpose([mod_K(glrep.to_coords(bracket(k, ell))) for k in K]))]
     try:
         Klf_dims = graded_dims_of(Klf, glw)
     except NotGraded:
@@ -416,7 +415,7 @@ def triple_stabilizers(f: Union[Form, LimitProblem],
 
     comps = [rep.to_coords(form) for form in problem.expansion.terms.values()]
     for p in pure:
-        if any(any(rep.act(p, c)) for c in comps):
+        if any(rep.act(p, c) for c in comps):
             raise ValueError("pure element does not kill a graded component of f")
     return TripleStabilizers(pure, Klf_dims)
 
@@ -430,7 +429,7 @@ def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     K, glw = problem.K, problem.glw
     if not K:
         return {}
-    return {i: len(K) - rank(_weight_rows(problem.K_coords, glw, lambda w: w < i))
+    return {i: len(_weight_kernel(problem.K_coords, glw, lambda w: w < i))
             for i in range(min(glw), max(glw) + 2)}
 
 
@@ -535,13 +534,12 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
         return "B"
 
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
-    pk_alphas = nullspace(_weight_rows(problem.K_coords, glw, lambda w: w < 0))
-    candidates = [lin_comb(alpha, K, Mat.zeros(rep.n, rep.n)) for alpha in pk_alphas]
+    pk_alphas = _weight_kernel(problem.K_coords, glw, lambda w: w < 0)
     rng = random.Random(seed)
-    for _ in range(CASE_B_TRIES if pk_alphas else 0):
-        mix = [Fraction(rng.randint(-3, 3)) for _ in pk_alphas]
-        candidates.append(lin_comb(lin_comb(mix, pk_alphas, [Q0] * len(K)), K,
-                                   Mat.zeros(rep.n, rep.n)))
+    alphas = pk_alphas + [lin_comb(sparse([Fraction(rng.randint(-3, 3)) for _ in pk_alphas]),
+                                   pk_alphas)
+                          for _ in range(CASE_B_TRIES if pk_alphas else 0)]
+    candidates = [glrep.from_coords(lin_comb(alpha, problem.K_coords)) for alpha in alphas]
     f_coords = rep.to_coords(f)
     exp_f = problem.expansion
     for cand in candidates:
@@ -550,7 +548,7 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
         ss, _nil = jordan_chevalley(cand)
         if all(not x for row in ss.a for x in row):
             continue
-        if any(rep.act(ss, f_coords)):
+        if rep.act(ss, f_coords):
             continue  # semisimple part should stabilize f; skip if not
         witness = _cancel_positive_weights(ss, glw, glrep)
         if witness is None:
@@ -564,9 +562,9 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
         ellfu = Form(f.nvars, f.degree, {})
         for c, form in comps_u.items():
             ellfu = ellfu + form.scale(Fraction(c))
-        if (not any(rep.act(k_pure, rep.to_coords(fu)))
-                and not any(rep.act(k_pure, rep.to_coords(exp_f.g)))
-                and not any(rep.act(k_pure, rep.to_coords(ellfu)))):
+        if (not rep.act(k_pure, rep.to_coords(fu))
+                and not rep.act(k_pure, rep.to_coords(exp_f.g))
+                and not rep.act(k_pure, rep.to_coords(ellfu))):
             return "B"
 
     # (A): K0 nilpotent, certified by its lower central series and its elements
@@ -580,11 +578,12 @@ def _lower_central_series_vanishes(K0: Sequence[Mat], glrep) -> bool:
     """Whether the lower central series of span(K0) reaches 0.  K0 is a Lie
     algebra, so each term [K0, C^k] lies inside C^k, and the series stalls
     exactly when a term is no smaller than the one before."""
-    cur = [glrep.to_coords(m) for m in K0]
-    cur = [cur[i] for i in lin_indep_subset(cur)]
+    span = Subspace(glrep.dim)
+    cur = [v for v in map(glrep.to_coords, K0) if span.add(v)]
     while cur:
-        nxt = [glrep.to_coords(bracket(k, glrep.from_coords(v))) for v in cur for k in K0]
-        nxt = [nxt[i] for i in lin_indep_subset(nxt)]
+        span = Subspace(glrep.dim)
+        nxt = [w for v in cur for k in K0
+               if span.add(w := glrep.to_coords(bracket(k, glrep.from_coords(v))))]
         if len(nxt) >= len(cur):
             return False
         cur = nxt
@@ -608,21 +607,13 @@ def _cancel_positive_weights(ss: Mat, glw, glrep):
         w = pos[0]
         s0 = comps.get(0, Mat.zeros(n, n))
         # solve [z, s0] = -cur_w over the weight-w entries of gl
-        idx = [i for i in range(glrep.dim) if glw[i] == w]
-        cols = []
-        for i in idx:
-            e = [Q0] * glrep.dim
-            e[i] = Q1
-            z = glrep.from_coords(e)
-            cols.append(glrep.to_coords(bracket(z, s0)))
-        target = [-x for x in glrep.to_coords(comps[w])]
-        sol = coords_in_basis(cols, target)   # any solution cancels cur_w
-        if sol is None:
+        span = Subspace(glrep.dim)
+        idx = [i for i in range(glrep.dim) if glw[i] == w
+               and span.add(glrep.to_coords(bracket(glrep.from_coords({i: Q1}), s0)))]
+        sol = span.coords({i: -x for i, x in glrep.to_coords(comps[w]).items()})
+        if sol is None:      # any solution cancels cur_w
             return None
-        zc = [Q0] * glrep.dim
-        for c, i in zip(sol, idx):
-            zc[i] = c
-        step = Mat.identity(n) + glrep.from_coords(zc)
+        step = Mat.identity(n) + glrep.from_coords({idx[g]: c for g, c in sol.items()})
         inv_step = _unipotent_inverse(step)
         cur = step * cur * inv_step
         u_inv = u_inv * inv_step
@@ -660,18 +651,19 @@ def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
     model, rep, glrep = problem.model, problem.rep, problem.glrep
     K0 = data.K0
     f_b = problem.expansion.f_b
-    fb = rep.to_coords(f_b) if f_b is not None else [Q0] * rep.dim
+    fb = rep.to_coords(f_b) if f_b is not None else {}
     values = []
     for h in K0:
         sc, nc = model.split_V(rep.act(h, fb))
-        if any(nc):
+        if nc:
             raise ValueError("h does not star-stabilize f_b; d_b undefined")
         values.append(model.s_mat(sc))
+    value_coords = [glrep.to_coords(v) for v in values]
     defects = {}
     for (i, j), co in data.beta.items():
-        diff = glrep.to_coords(lin_comb([Q1, -Q1] + [-c for c in co],
-                                        [bracket(K0[i], values[j]), bracket(K0[j], values[i])]
-                                        + values, Mat.zeros(rep.n, rep.n)))
+        diff = lin_comb({0: Q1, 1: -Q1} | {2 + m: -c for m, c in co.items()},
+                        [glrep.to_coords(bracket(K0[i], values[j])),
+                         glrep.to_coords(bracket(K0[j], values[i]))] + value_coords)
         if diff not in problem.H_span:
             raise ValueError("d_b fails the derivation identity")
         defects[(i, j)] = diff
@@ -703,9 +695,10 @@ def hoffman_case(H: Sequence[Mat], K0: Sequence[Mat], n: int) -> Optional[int]:
         # next iterate: {x in span(cur) : [h, x] in span(cur) for all h in H},
         # the kernel of x -> ([h, x] mod span(cur))_h; one column per x
         mod_cur = Subspace(glrep.dim, cur).residue
-        cols = [[c for h in H for c in mod_cur(glrep.to_coords(bracket(h, glrep.from_coords(v))))]
+        cols = [{a * glrep.dim + k: x for a, h in enumerate(H)
+                 for k, x in mod_cur(glrep.to_coords(bracket(h, glrep.from_coords(v)))).items()}
                 for v in cur]
-        nxt = [lin_comb(alpha, cur, [Q0] * glrep.dim) for alpha in nullspace(Mat.from_cols(cols))]
+        nxt = [lin_comb(alpha, cur) for alpha in kernel(len(cur), transpose(cols))]
         if len(nxt) == len(cur):
             break
         cur = nxt
@@ -724,27 +717,36 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     # h whose residues modulo K0 are independent
     mod_K0 = data.K0_span.residue
     quotient = Subspace(glrep.dim)
-    W = [h for h in model.H if quotient.add(mod_K0(glrep.to_coords(h)))]
+    W = [a for a, h in enumerate(model.H_coords) if quotient.add(mod_K0(h))]
     # [k_i, W_w] and W_w modulo K0, once each
-    brW = [[mod_K0(glrep.to_coords(bracket(k, x))) for x in W] for k in K0]
-    Wq = [mod_K0(glrep.to_coords(x)) for x in W]
+    brW = [[mod_K0(glrep.to_coords(bracket(k, model.H[a]))) for a in W] for k in K0]
+    Wq = [mod_K0(model.H_coords[a]) for a in W]
     # unknowns x_{m,w}: dbar(k_m) = d_b(k_m) + sum_w x_{m,w} W_w (cosets mod K0).
     # The derivation identity dbar([k_i,k_j]) = [k_i, dbar(k_j)] - [k_j, dbar(k_i)]
     # on each pair i < j gives x_{m,w} the coefficient
     # delta_mj [k_i, W_w] - delta_mi [k_j, W_w] - beta_ij^m W_w, and the
-    # defect of d_b as constant term.  One column per unknown, m major.
-    nw, zero = len(W), [Q0] * glrep.dim
-    cols = [[x for (i, j), co in data.beta.items()
-             for x in lin_comb([Q1 if m == j else Q0, -Q1 if m == i else Q0, -co[m]],
-                               [brW[i][w], brW[j][w], Wq[w]], zero)]
-            for m in range(K) for w in range(nw)]
-    rhs = [-x for pair in data.beta for x in mod_K0(defects[pair])]
+    # defect of d_b as constant term.  One column per unknown, m major; pair
+    # number p fills the rows p * dim(gl) + (gl coordinate).
+    nw, dim = len(W), glrep.dim
+    cols = [{} for _ in range(K * nw)]
+    for p, ((i, j), co) in enumerate(data.beta.items()):
+        for m in {i, j} | co.keys():
+            coeffs = sparse([Q1 if m == j else 0, -Q1 if m == i else 0, -co.get(m, 0)])
+            for w in range(nw):
+                for k, x in lin_comb(coeffs, [brW[i][w], brW[j][w], Wq[w]]).items():
+                    cols[m * nw + w][p * dim + k] = x
+    rhs = {p * dim + k: -x for p, pair in enumerate(data.beta)
+           for k, x in mod_K0(defects[pair]).items()}
     # one solution, free unknowns set to 0; None if inconsistent
-    sol = coords_in_basis(cols, rhs)
+    span = Subspace(len(data.beta) * dim)
+    unknowns = [u for u, c in enumerate(cols) if span.add(c)]
+    sol = span.coords(rhs)
     if sol is None:
         return FeasibilityResult(False, None)
-    eps_basis = [(K0[m], -lin_comb([Q1] + sol[m * nw:(m + 1) * nw], [values[m]] + W,
-                                   Mat.zeros(rep.n, rep.n))) for m in range(K)]
+    sol = {unknowns[g]: c for g, c in sol.items()}
+    eps_basis = [(K0[m], glrep.from_coords(lin_comb(
+        {0: -Q1} | {1 + w: -sol[m * nw + w] for w in range(nw) if m * nw + w in sol},
+        [glrep.to_coords(values[m])] + [model.H_coords[a] for a in W]))) for m in range(K)]
     hof = hoffman_case(model.H, K0, rep.n)
     reg = None
     exp = problem.expansion
@@ -784,11 +786,11 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
             target = rep.act(hw, fb)
             needed = d + w
             entry = {"element": ki, "weight": w, "s_weight": needed, "case": case}
-            if not any(target):
+            if not target:
                 entry["status"] = "zero"
             elif needed in s_weights:
                 sc, nc = model.split_V(target)
-                solvable = not any(nc) and all(sw == needed for c, sw in zip(sc, s_weights) if c)
+                solvable = not nc and all(s_weights[i] == needed for i in sc)
                 entry["status"] = "solved" if solvable else "unsolvable"
             else:
                 entry["status"] = "nonzero-no-s"

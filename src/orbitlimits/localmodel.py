@@ -4,15 +4,16 @@ exact (1+θ(n))^{-1} and slice stabilizers (S-completion).
 The solve for (1+θ(n))^{-1} uses the factorization θ(n) = B ∘ λ_S with
 B(s-coeffs) = s·n, so only the dim(S) system C = I + λ_S∘B is ever
 eliminated.  `LocalModel.slice_equations` is the one construction of the
-slice matrices M_N and M_S at x + n.
+slice matrices M_N and M_S at x + n.  V- and gl-coordinate vectors, and
+coefficient vectors over the H, S and N bases, are sparse dicts.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q0, Q1, SingularMatrix, Subspace, _zero_like, det_bareiss,
-                        lin_indep_subset, nullspace, solve)
+from .exactcore import (Mat, Q1, SingularMatrix, Subspace, dense, det_bareiss, kernel,
+                        transpose)
 from .lierep import ConjRep, Representation, lin_comb, stabilizer_algebra
 
 
@@ -21,24 +22,24 @@ def gl_act_weights(rep: Representation, weights: Sequence[int]) -> list[int]:
     return [rep.act_weight(i, j, weights) for i in range(rep.n) for j in range(rep.n)]
 
 
-def weight_split(v: Sequence, coord_weights: Sequence[int]) -> dict:
+def weight_split(v: dict, coord_weights: Sequence[int]) -> dict:
     """w -> the weight-w part of v, for each weight v touches, in the order
     of their first coordinates."""
     out: dict = {}
-    for i, x in enumerate(v):
-        if x:
-            out.setdefault(coord_weights[i], [Q0] * len(v))[i] = x
+    for i in sorted(v):
+        out.setdefault(coord_weights[i], {})[i] = v[i]
     return out
 
 
-def graded_basis(vectors: Sequence[Sequence], coord_weights) -> list[list]:
+def graded_basis(vectors: Sequence[dict], coord_weights) -> list[dict]:
     """Replace a basis of a weight-graded subspace by a weight-pure one.  The
     span is graded exactly when the weight parts of the basis span no more."""
-    comps = [part for v in vectors for part in weight_split(v, coord_weights).values()]
-    idx = lin_indep_subset(comps)
-    if len(idx) != len(vectors):
+    span = Subspace(len(coord_weights))
+    basis = [part for v in vectors for part in weight_split(v, coord_weights).values()
+             if span.add(part)]
+    if len(basis) != len(vectors):
         raise ValueError("subspace is not weight-graded")
-    return [comps[k] for k in idx]
+    return basis
 
 
 class LocalModel:
@@ -46,10 +47,10 @@ class LocalModel:
     span TO + N and H + S in that generator order, so their coords split a
     vector in two; build_local_model grows and checks them, and supplies them."""
 
-    def __init__(self, rep: Representation, x: Sequence, H, S, TO, N, V: Subspace,
+    def __init__(self, rep: Representation, x: dict, H, S, TO, N, V: Subspace,
                  HS: Subspace, ambient=None):
         self.rep = rep
-        self.x = list(x)
+        self.x = dict(x)
         self.H = H                    # list of Mat (gl elements)
         self.S = S                    # list of Mat
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
@@ -57,109 +58,103 @@ class LocalModel:
         self.V = V                    # span of TO + N
         self.HS = HS                  # span of H + S in gl coordinates
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
+        self.glrep = ConjRep(rep.n)
+        self.H_coords = [self.glrep.to_coords(h) for h in H]
+        self.S_coords = [self.glrep.to_coords(s) for s in S]
         self._theta_cache = None
 
     # -- projections --------------------------------------------------
-    def split_V(self, v: Sequence):
-        c = self.V.coords(v)          # TO + N is a basis of V
-        k = len(self.TO)
-        return c[:k], c[k:]
+    def split_V(self, v: dict) -> tuple[dict, dict]:
+        """(λ_S v, λ_N v): the coefficients of v over S.x = TO and over N."""
+        k, s, n = len(self.TO), {}, {}
+        for g, c in self.V.coords(v).items():    # TO + N is a basis of V
+            if g < k:
+                s[g] = c
+            else:
+                n[g - k] = c
+        return s, n
 
-    def lamS(self, v: Sequence) -> list:
+    def lamS(self, v: dict) -> dict:
         """s-coefficients of the TO-component (lambda_S: V -> S-coeffs)."""
         return self.split_V(v)[0]
 
-    def lamN(self, v: Sequence) -> list:
+    def lamN(self, v: dict) -> dict:
         return self.split_V(v)[1]
 
-    def n_vec(self, ncoeffs: Sequence) -> list:
+    def n_vec(self, ncoeffs: dict) -> dict:
         """N-coefficients -> V-coordinate vector."""
-        return lin_comb(ncoeffs, self.N, [Q0] * self.rep.dim)
+        return lin_comb(ncoeffs, self.N)
 
-    def s_mat(self, scoeffs: Sequence) -> Mat:
-        return lin_comb(scoeffs, self.S, Mat.zeros(self.rep.n, self.rep.n))
+    def s_mat(self, scoeffs: dict) -> Mat:
+        return self.glrep.from_coords(lin_comb(scoeffs, self.S_coords))
 
-    def h_mat(self, hcoeffs: Sequence) -> Mat:
-        return lin_comb(hcoeffs, self.H, Mat.zeros(self.rep.n, self.rep.n))
+    def h_mat(self, hcoeffs: dict) -> Mat:
+        return self.glrep.from_coords(lin_comb(hcoeffs, self.H_coords))
 
     # -- theta --------------------------------------------------------
-    def theta_matrix(self, n: Sequence) -> Mat:
+    def theta_matrix(self, n: dict) -> Mat:
         """θ(n)(dv) = λ_S(dv)·n as a matrix: B ∘ λ_S, where B has the columns
         s·n over the S basis."""
         dim = self.rep.dim
-        bcols = [self.rep.act(s, list(n)) for s in self.S]
-        units = ([Q1 if i == k else Q0 for i in range(dim)] for k in range(dim))
-        return Mat.from_cols([lin_comb(self.lamS(e), bcols, [Q0] * dim) for e in units])
+        bcols = [self.rep.act(s, n) for s in self.S]
+        return Mat.from_cols([dense(lin_comb(self.lamS({k: Q1}), bcols), dim)
+                              for k in range(dim)])
 
-    def _theta_system(self, n: Sequence):
-        """The columns s·n of B, as (index, entry) lists of their nonzeros, and
-        C = I_S + λ_S ∘ B on S-coefficients.  Both are built once for each n
-        and kept for the next call with the same n."""
-        key = tuple(n)
-        if self._theta_cache is None or self._theta_cache[0] != key:
-            bcols = [self.rep.act(s, key) for s in self.S]
-            lam = [self.lamS(b) for b in bcols]
-            k = len(self.S)
-            C = Mat([[lam[j][i] + (1 if i == j else 0) for j in range(k)] for i in range(k)], k)
-            bnz = [[(i, x) for i, x in enumerate(b) if x] for b in bcols]
-            self._theta_cache = (key, bnz, C)
+    def _theta_system(self, n: dict):
+        """The columns s·n of B, the columns of C = I_S + λ_S ∘ B on
+        S-coefficients, and their span.  All are built once for each n and
+        kept for the next call with the same n."""
+        if self._theta_cache is None or self._theta_cache[0] != n:
+            bcols = [self.rep.act(s, n) for s in self.S]
+            ccols = [lin_comb({0: Q1, 1: Q1}, [{j: Q1}, self.lamS(b)])
+                     for j, b in enumerate(bcols)]
+            self._theta_cache = (dict(n), bcols, ccols, Subspace(len(ccols), ccols))
         return self._theta_cache[1:]
 
-    def delta(self, n: Sequence):
+    def delta(self, n: dict):
         """det(1 + θ(n)).  The limit pipeline does not need it: along f^+(t)
         at a limit's weight-graded model it is 1.  Tests read it."""
-        return det_bareiss(self._theta_system(n)[1])
+        ccols = self._theta_system(n)[1]
+        return det_bareiss(Mat.from_cols([dense(c, len(ccols)) for c in ccols]))
 
-    def inv_one_plus_theta(self, n: Sequence, dvs: Sequence[Sequence]) -> list[list]:
-        """(1+θ(n))^{-1} applied to each V-vector in dvs."""
-        bnz, C = self._theta_system(n)
-        rhs = [self.lamS(dv) for dv in dvs]
-        try:
-            us = solve(C, rhs)
-        except ValueError as e:
-            raise SingularMatrix(f"1+theta(n) is singular: {e}") from e
-        out = []
-        for dv, u in zip(dvs, us):
-            terms = [(uj, b) for uj, b in zip(u, bnz) if uj]
-            w = list(dv)
-            if terms:
-                # every entry takes the type of dv - u·B, as a dense update leaves it
-                zero = _zero_like(terms[0][0] * w[0])
-                w = [a + zero if a else zero for a in w]
-            for uj, b in terms:
-                for i, x in b:
-                    w[i] = w[i] - uj * x
-            out.append(w)
-        return out
+    def inv_one_plus_theta(self, n: dict, dvs: Sequence[dict]) -> list[dict]:
+        """(1+θ(n))^{-1} applied to each V-vector dv in dvs: dv - B u with
+        C u = λ_S dv, u read off as coordinates over the columns of C."""
+        bcols, ccols, C = self._theta_system(n)
+        if len(C) < len(ccols):
+            raise SingularMatrix("1+theta(n) is singular")
+        return [lin_comb({0: Q1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
+                         [dv] + bcols) for dv in dvs]
 
     # -- slice formulas -----------------------------------------------
-    def solve_decomposition(self, n: Sequence, dv: Sequence):
+    def solve_decomposition(self, n: dict, dv: dict):
         """The unique (s, n') with s·(x+n) + n' = dv.
 
         Returns (s-coefficients, n'-coefficients over the N-basis).
         """
         return self.split_V(self.inv_one_plus_theta(n, [dv])[0])
 
-    def slice_equations(self, n: Sequence) -> tuple[list, list]:
+    def slice_equations(self, n: dict) -> tuple[list, list]:
         """The slice equations at x + n, for n over Q or Q[t]: (ker M_N, the
         columns of M_S).  Column j of M_N and of M_S is λ_N and λ_S of
         (1+θ(n))^{-1}(h_j·n); h + s with h = Σ α_j h_j kills x + n exactly
         when α is in ker M_N and s = -M_S α."""
-        ws = self.inv_one_plus_theta(n, [self.rep.act(h, list(n)) for h in self.H])
+        ws = self.inv_one_plus_theta(n, [self.rep.act(h, n) for h in self.H])
         splits = [self.split_V(w) for w in ws]
-        return nullspace(Mat.from_cols([nc for _, nc in splits])), [sc for sc, _ in splits]
+        return (kernel(len(self.H), transpose([nc for _, nc in splits])),
+                [sc for sc, _ in splits])
 
-    def slice_stabilizer(self, n: Sequence) -> list[Mat]:
+    def slice_stabilizer(self, n: dict) -> list[Mat]:
         """Stabilizer of x+n: the elements h + s with α in ker M_N and
         s = -M_S α (`slice_equations`)."""
         ker, ms_cols = self.slice_equations(n)
-        return [self.h_mat(alpha) + self.s_mat(lin_comb([-a for a in alpha], ms_cols,
-                                                        [Q0] * len(self.S)))
+        return [self.h_mat(alpha) + self.s_mat(lin_comb({j: -a for j, a in alpha.items()},
+                                                        ms_cols))
                 for alpha in ker]
 
-    def star(self, h: Mat, n: Sequence) -> list:
+    def star(self, h: Mat, n: dict) -> dict:
         """h ⋆ n = λ_N(h·n), the induced H-action on N ≅ V/TO."""
-        return self.lamN(self.rep.act(h, list(n)))
+        return self.lamN(self.rep.act(h, n))
 
     def verify(self):
         ambient_dim = self.rep.n ** 2 if self.ambient is None else len(self.ambient)
@@ -168,7 +163,7 @@ class LocalModel:
         if not len(self.V) == len(self.TO) + len(self.N) == self.rep.dim:
             raise ValueError("TO + N does not fill V")
         for s, to in zip(self.S, self.TO):
-            if self.rep.act(s, self.x) != list(to):
+            if self.rep.act(s, self.x) != to:
                 raise ValueError("TO basis is not S.x")
         return True
 
@@ -177,10 +172,10 @@ class NotTransverse(ValueError):
     pass
 
 
-def build_local_model(rep: Representation, x: Sequence,
+def build_local_model(rep: Representation, x: dict,
                       S: Optional[Sequence[Mat]] = None,
-                      N: Optional[Sequence[Sequence]] = None,
-                      N_contains: Optional[Sequence[Sequence]] = None,
+                      N: Optional[Sequence[dict]] = None,
+                      N_contains: Optional[Sequence[dict]] = None,
                       weights=None,
                       ambient: Optional[Sequence[Mat]] = None) -> LocalModel:
     """Build the local model at x.
@@ -193,39 +188,38 @@ def build_local_model(rep: Representation, x: Sequence,
     restricts the acting algebra to a subalgebra of gl (e.g. sl via its
     trace-zero basis).
     """
-    x = list(x)
-    if not any(x):
+    if not x:
         raise ValueError("base point x must be nonzero")
     glrep = ConjRep(rep.n)
     cw = [rep.coord_weight(i, weights) for i in range(rep.dim)] if weights is not None else None
     glw = gl_act_weights(rep, weights) if weights is not None else None
 
     if ambient is None:
-        H = stabilizer_algebra(rep, x)
+        h_coords = [glrep.to_coords(h) for h in stabilizer_algebra(rep, x)]
         ambient_dim = glrep.dim
     else:
         # stabilizer within the span of the ambient basis
-        cols = Mat.from_cols([rep.act(a, x) for a in ambient])
-        H = [lin_comb(co, ambient, Mat.zeros(rep.n, rep.n)) for co in nullspace(cols)]
+        amb = [glrep.to_coords(a) for a in ambient]
+        h_coords = [lin_comb(co, amb) for co in
+                    kernel(len(ambient), transpose([rep.act(a, x) for a in ambient]))]
         ambient_dim = len(ambient)
     if cw is not None:
-        H = [glrep.from_coords(v) for v in
-             graded_basis([glrep.to_coords(h) for h in H], glw)]
-    h_coords = [glrep.to_coords(h) for h in H]
+        h_coords = graded_basis(h_coords, glw)
 
     if S is not None:
-        Sb = list(S)
+        s_coords = [glrep.to_coords(s) for s in S]
     elif ambient is not None:
         # complement of H inside the ambient span, orthogonal in ambient coords
-        amb = Subspace(glrep.dim, [glrep.to_coords(a) for a in ambient])
-        comp = nullspace(Mat([amb.coords(v) for v in h_coords], len(ambient)))
-        Sb = [lin_comb(co, ambient, Mat.zeros(rep.n, rep.n)) for co in comp]
+        amb_span = Subspace(glrep.dim, amb)
+        s_coords = [lin_comb(co, amb) for co in
+                    kernel(len(ambient), [amb_span.coords(v) for v in h_coords])]
     else:
-        comp = nullspace(Mat(h_coords, glrep.dim))
+        s_coords = kernel(glrep.dim, h_coords)
         if glw is not None:
-            comp = graded_basis(comp, glw)
-        Sb = [glrep.from_coords(v) for v in comp]
-    HS = Subspace(glrep.dim, h_coords + [glrep.to_coords(m) for m in Sb])
+            s_coords = graded_basis(s_coords, glw)
+    H = [glrep.from_coords(v) for v in h_coords]
+    Sb = list(S) if S is not None else [glrep.from_coords(v) for v in s_coords]
+    HS = Subspace(glrep.dim, h_coords + s_coords)
     if S is not None and not len(HS) == len(H) + len(Sb) == ambient_dim:
         raise NotTransverse("supplied S is not a complement of the stabilizer")
 
@@ -235,17 +229,15 @@ def build_local_model(rep: Representation, x: Sequence,
         raise NotTransverse("S does not inject into the tangent space")
 
     if N is None and N_contains:
-        contained = [list(v) for v in N_contains]
-        Nb = [v for v in contained if V.add(v)]
-        if len(Nb) != len(lin_indep_subset(contained)):
+        Nb = [dict(v) for v in N_contains if V.add(v)]
+        if len(Nb) != len(Subspace(rep.dim, N_contains)):
             raise NotTransverse("N_contains meets the tangent space")
-        Nb += [[Q1 if i == j else Q0 for i in range(rep.dim)]
-               for j in V.complete_with_units()]
+        Nb += [{j: Q1} for j in V.complete_with_units()]
     else:
         if N is not None:
-            Nb = [list(v) for v in N]
+            Nb = [dict(v) for v in N]
         else:
-            Nb = nullspace(Mat(TO, rep.dim))
+            Nb = kernel(rep.dim, TO)
             if cw is not None:
                 Nb = graded_basis(Nb, cw)
         for v in Nb:

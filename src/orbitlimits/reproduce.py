@@ -21,10 +21,10 @@ from .examples import (LAM1, LAM2, LAM4, O2_LAM, O3_LAM, det3_form,
                        det3_skew_sym_form, det3_z_adapted_form, o2_form,
                        o3_form, o3_reference_kt, q1_prime_form, q2_form, q3_form,
                        q4_form, q4_prime_form, O3_STRUCTURE)
-from .exactcore import Mat, Q0, Q1, Subspace, UniPoly
+from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, dense
 from .kempf import (grid_minimize, kempf_descent, kempf_support,
                     leading_term_along, mu)
-from .lierep import ConjRep, Form, SymRep, elementary
+from .lierep import ConjRep, Form, SymRep, elementary, lin_comb
 from .limits import (check_graded_conditions, extension_feasible, graded_dims_of,
                      limit_algebra, same_span)
 from .localmodel import build_local_model
@@ -76,9 +76,8 @@ def run_sl2_sym2() -> list:
     _check(out, "theta(y^2) maps x^2 to -y^2 and kills xy, y^2",
            [[str(c) for c in row] for row in theta.a],
            [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]])
-    units = [[Q1 if i == j else Q0 for j in range(3)] for i in range(3)]
-    inv_cols = model.inv_one_plus_theta(n, units)
-    inv = Mat.from_cols(inv_cols)
+    inv_cols = model.inv_one_plus_theta(n, [{j: Q1} for j in range(3)])
+    inv = Mat.from_cols([dense(c, 3) for c in inv_cols])
     _check(out, "(1 + theta(y^2))^-1 matrix",
            [[str(c) for c in row] for row in inv.a],
            [["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]])
@@ -87,7 +86,7 @@ def run_sl2_sym2() -> list:
     qn = rep.act(q, n)                              # q . y^2 = 2 xy
     w = model.inv_one_plus_theta(n, [qn])[0]
     _flag(out, "lambda_N((1+theta)^-1 (q.n)) = 0",
-          not any(model.lamN(w)))
+          not model.lamN(w))
     s_correction = model.s_mat(model.lamS(w))
     _check(out, "lambda_S((1+theta)^-1 (q.n)) = g(0,1,0)",
            [[str(c) for c in row] for row in s_correction.a],
@@ -96,9 +95,9 @@ def run_sl2_sym2() -> list:
     _check(out, "S-completion of g(0,0,1) is g(0,-1,1)",
            [[str(c) for c in row] for row in completed.a],
            [["0", "-1"], ["1", "0"]])
-    p2 = [a + b for a, b in zip(x, n)]              # x^2 + y^2
+    p2 = lin_comb({0: Q1, 1: Q1}, [x, n])          # x^2 + y^2
     _flag(out, "the completion stabilizes x^2 + y^2",
-          not any(rep.act(completed, p2)))
+          not rep.act(completed, p2))
     stab = model.slice_stabilizer(n)
     _check(out, "slice stabilizer at y^2 is 1-dimensional", len(stab), 1)
     el = stab[0]
@@ -209,8 +208,7 @@ def run_det3_table() -> list:
             g_coords = rep.to_coords(data.expansion.g)
             ellp = next((lam.ell_prime(s) for s in
                          (Fraction(a, 3), Fraction(-a, 3))
-                         if all(not x
-                                for x in rep.act(lam.ell_prime(s), g_coords))),
+                         if not rep.act(lam.ell_prime(s), g_coords)),
                         None)
             _flag(out, f"{name}: H(limit) = K0 + span(ell')",
                   ellp is not None and same_span(data.K0 + [ellp], H, 9))

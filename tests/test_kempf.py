@@ -39,7 +39,7 @@ def test_support_of_jn():
 def test_support_rejects_zero_vector():
     rep = ConjRep(2)
     with pytest.raises(ValueError):
-        kempf_support(rep, [Fraction(0)] * 4)
+        kempf_support(rep, {})
 
 
 def test_mu_and_pairing_exact():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlimits.exactcore import Mat, Q0, Q1, RationalFn, SingularMatrix, UniPoly
-from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, monomial_basis,
+from orbitlimits.exactcore import Mat, Q1, RationalFn, SingularMatrix, UniPoly, dense, sparse
+from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, lin_comb, monomial_basis,
                                 stabilizer_algebra)
 from orbitlimits.localmodel import NotTransverse, build_local_model
 
@@ -37,8 +37,8 @@ def test_sl2_theta_and_inverse(sl2_model):
     assert [[str(c) for c in row] for row in theta.a] == \
         [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]]
     # (1 + theta)^{-1} = 1 - theta here since theta^2 = 0
-    units = [[Q1 if i == j else Q0 for j in range(3)] for i in range(3)]
-    inv = Mat.from_cols(model.inv_one_plus_theta(n, units))
+    inv_cols = model.inv_one_plus_theta(n, [{j: Q1} for j in range(3)])
+    inv = Mat.from_cols([dense(c, 3) for c in inv_cols])
     assert (Mat.identity(3) + theta) * inv == Mat.identity(3)
 
 
@@ -51,20 +51,20 @@ def test_sl2_slice_completion(sl2_model):
     c = el.a[1][0]
     assert c and el == _g(0, -1, 1).scale(c)
     # the completed element stabilizes x^2 + y^2
-    p2 = [a + b for a, b in zip(x, n)]
-    assert not any(rep.act(el, p2))
+    p2 = lin_comb({0: Q1, 1: Q1}, [x, n])
+    assert not rep.act(el, p2)
 
 
 def test_solve_decomposition_reconstructs(sl2_model):
     rep, x, model = sl2_model
     rng = random.Random(3)
     for _ in range(25):
-        nc = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))]
+        nc = sparse([Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
         n = model.n_vec(nc)
-        dv = [Fraction(rng.randint(-3, 3)) for _ in range(rep.dim)]
+        dv = sparse([Fraction(rng.randint(-3, 3)) for _ in range(rep.dim)])
         sc, nprime = model.solve_decomposition(n, dv)
-        recon = rep.act(model.s_mat(sc), [a + b for a, b in zip(x, n)])
-        recon = [a + b for a, b in zip(recon, model.n_vec(nprime))]
+        recon = rep.act(model.s_mat(sc), lin_comb({0: Q1, 1: Q1}, [x, n]))
+        recon = lin_comb({0: Q1, 1: Q1}, [recon, model.n_vec(nprime)])
         assert recon == dv
 
 
@@ -86,8 +86,8 @@ def test_explicit_policy_validates_complement():
 
 
 @pytest.mark.parametrize("N", [
-    [[Q0, Q1, Q0]],                     # xy lies in the tangent space x·(x, y)
-    [[Q0, Q0, Q1], [Q0, Q0, Q1]],       # y^2 twice: too many vectors
+    [{1: Q1}],                          # xy lies in the tangent space x·(x, y)
+    [{2: Q1}, {2: Q1}],                 # y^2 twice: too many vectors
     [],                                 # too few
 ])
 def test_supplied_N_must_complement_the_tangent_space(N):
@@ -101,16 +101,16 @@ def test_N_contains_must_meet_the_tangent_space_only_in_zero():
     rep = SymRep(2, 2)
     x = rep.to_coords(Form(2, 2, {(2, 0): 1}))
     with pytest.raises(NotTransverse, match="N_contains meets the tangent space"):
-        build_local_model(rep, x, N_contains=[[Q0, Q0, Q1], [Q1, Q1, Q0]])
+        build_local_model(rep, x, N_contains=[{2: Q1}, {0: Q1, 1: Q1}])
     # y^2 alone is a complement, so N is just y^2
-    model = build_local_model(rep, x, N_contains=[[Q0, Q0, Q1]])
-    assert model.N == [[Q0, Q0, Q1]] and model.verify()
+    model = build_local_model(rep, x, N_contains=[{2: Q1}])
+    assert model.N == [{2: Q1}] and model.verify()
 
 
 def test_zero_base_point_rejected():
     rep = SymRep(2, 2)
     with pytest.raises(ValueError):
-        build_local_model(rep, [Q0] * rep.dim)
+        build_local_model(rep, {})
 
 
 def test_orthogonal_policy_full_gl():
@@ -129,9 +129,9 @@ def test_weighted_model_has_weight_pure_bases():
     glw = [rep.act_weight(i, j, weights) for i, j in glrep.basis]
     cw = [rep.coord_weight(i, weights) for i in range(rep.dim)]
     for m in model.H + model.S:
-        assert len({glw[i] for i, c in enumerate(glrep.to_coords(m)) if c}) == 1
+        assert len({glw[i] for i in glrep.to_coords(m)}) == 1
     for v in model.N:
-        assert len({cw[i] for i, c in enumerate(v) if c}) == 1
+        assert len({cw[i] for i in v}) == 1
     # x^2 + y^2 has stabilizer so(2), spanned by E_01 - E_10 of weights -1 and 1
     x = rep.to_coords(Form(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1}))
     with pytest.raises(ValueError, match="^subspace is not weight-graded$"):
@@ -154,14 +154,15 @@ def _random_models(rng, count):
             terms = {e: Fraction(rng.choice([-2, -1, 1, 2]))
                      for e in rng.sample(monomial_basis(nvars, degree), rng.randint(1, 3))}
             x = rep.to_coords(Form(nvars, degree, terms))
-        if any(x):
+        if x:
             made += 1
             yield rep, x, build_local_model(rep, x)
 
 
 def _slice_points(rng, model, count):
     for _ in range(count):
-        yield model.n_vec([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in model.N])
+        yield model.n_vec(sparse([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for _ in model.N]))
 
 
 def test_slice_stabilizer_is_the_stabilizer_of_the_slice_point():
@@ -175,8 +176,8 @@ def test_slice_stabilizer_is_the_stabilizer_of_the_slice_point():
                 stab = model.slice_stabilizer(n)
             except SingularMatrix:
                 continue
-            p = [a + b for a, b in zip(x, n)]
-            assert all(not any(rep.act(k, p)) for k in stab)
+            p = lin_comb({0: Q1, 1: Q1}, [x, n])
+            assert all(not rep.act(k, p) for k in stab)
             assert len(stab) == len(stabilizer_algebra(rep, p))
             checked += 1
     assert checked >= 60
@@ -190,8 +191,8 @@ def test_theta_matrix_columns_are_lamS_times_n():
             theta = model.theta_matrix(n)
             assert (theta.rows, theta.cols) == (rep.dim, rep.dim)
             for k in range(rep.dim):
-                e = [Q1 if i == k else Q0 for i in range(rep.dim)]
-                assert theta.col(k) == rep.act(model.s_mat(model.lamS(e)), n)
+                e = {k: Q1}
+                assert theta.col(k) == dense(rep.act(model.s_mat(model.lamS(e)), n), rep.dim)
 
 
 def test_denominators_over_qt_divide_delta():
@@ -200,7 +201,7 @@ def test_denominators_over_qt_divide_delta():
     rng = random.Random(8)
     nonconstant = 0
     for rep, x, model in _random_models(rng, 12):
-        n_t = [UniPoly.t(1, a) for a in next(_slice_points(rng, model, 1))]
+        n_t = {i: UniPoly.t(1, a) for i, a in next(_slice_points(rng, model, 1)).items()}
         delta = UniPoly.coerce(model.delta(n_t))
         try:
             ws = model.inv_one_plus_theta(n_t, [rep.act(h, n_t) for h in model.H])
@@ -208,6 +209,6 @@ def test_denominators_over_qt_divide_delta():
             continue
         nonconstant += delta.degree() > 0
         for w in ws:
-            for c in w:
+            for c in w.values():
                 assert not delta.divmod(RationalFn.coerce(c).den)[1]
     assert nonconstant >= 4

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import jn_local_model
 from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
-from orbitlimits.exactcore import (Mat, Q0, RationalFn, UniPoly, column_normalize,
-                                   coords_in_basis)
+from orbitlimits.exactcore import (Mat, Q1, RationalFn, Subspace, UniPoly, column_normalize,
+                                   dense, sparse)
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, lin_comb
 from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
@@ -70,19 +70,19 @@ def test_k0_bracket_closure_and_star(data):
         assume(False)
         return
     glrep = ConjRep(f.nvars)
-    flat = [glrep.to_coords(m) for m in d.K0]
+    span = Subspace(glrep.dim, [glrep.to_coords(m) for m in d.K0])
     for i in range(len(d.K0)):
         for j in range(i + 1, len(d.K0)):
             br = glrep.to_coords(bracket(d.K0[i], d.K0[j]))
-            assert coords_in_basis(flat, br) is not None
+            assert span.coords(br) is not None
     # K0 lies in H and star-annihilates f_b
-    h_flat = [glrep.to_coords(m) for m in d.model.H]
+    h_span = Subspace(glrep.dim, [glrep.to_coords(m) for m in d.model.H])
     fb = (d.rep.to_coords(d.expansion.f_b)
           if d.expansion.f_b is not None else None)
     for k in d.K0:
-        assert coords_in_basis(h_flat, glrep.to_coords(k)) is not None
+        assert h_span.coords(glrep.to_coords(k)) is not None
         if fb is not None:
-            assert not any(d.model.star(k, fb))
+            assert not d.model.star(k, fb)
 
 
 def test_reconstruction_identity_100_random_pairs():
@@ -92,17 +92,16 @@ def test_reconstruction_identity_100_random_pairs():
     rng = random.Random(11)
     done = 0
     while done < 100:
-        nc = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-              for _ in range(len(model.N))]
+        nc = sparse([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for _ in range(len(model.N))])
         n = model.n_vec(nc)
-        dv = [Fraction(rng.randint(-4, 4)) for _ in range(rep.dim)]
+        dv = sparse([Fraction(rng.randint(-4, 4)) for _ in range(rep.dim)])
         try:
             sc, nprime = model.solve_decomposition(n, dv)
         except Exception:
             continue                 # 1 + theta(n) singular for this n
-        recon = rep.act(model.s_mat(sc),
-                        [a + b for a, b in zip(model.x, n)])
-        recon = [a + b for a, b in zip(recon, model.n_vec(nprime))]
+        recon = rep.act(model.s_mat(sc), lin_comb({0: Q1, 1: Q1}, [model.x, n]))
+        recon = lin_comb({0: Q1, 1: Q1}, [recon, model.n_vec(nprime)])
         assert recon == dv
         done += 1
 
@@ -146,20 +145,20 @@ def test_s_parts_vanish_to_order_b_minus_a(data):
         return
     order = d.expansion.b - d.expansion.a
     for kt in d.Kt:
-        for c in kt.s_coeffs:
-            assert isinstance(c, UniPoly)
-            if c:
-                assert c.valuation() >= order
+        for c in kt.s_coeffs.values():
+            assert isinstance(c, UniPoly) and c
+            assert c.valuation() >= order
 
 
-def _sym_cols(cols):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in c]
+def _sym_cols(cols, dim):
+    """The sympy matrix with the sparse columns cols of length dim."""
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in dense(c, dim)]
                          for c in cols]).T
 
 
 def _fb_coords(d):
     exp = d.expansion
-    return d.rep.to_coords(exp.f_b) if exp.f_b is not None else [Q0] * d.rep.dim
+    return d.rep.to_coords(exp.f_b) if exp.f_b is not None else {}
 
 
 def _assert_epsilon_extension(d, feas):
@@ -175,16 +174,16 @@ def _assert_epsilon_extension(d, feas):
     for k, x in zip(K0, dbar):
         # d_b(k) is any s with s.g = k.f_b, so dbar(k) - d_b(k) is in H iff it kills g
         assert rep.act(x, g) == rep.act(k, fb)
-    k0 = _sym_cols([glrep.to_coords(k) for k in K0])
+    k0 = _sym_cols([glrep.to_coords(k) for k in K0], glrep.dim)
     for i in range(len(K0)):
         for j in range(i + 1, len(K0)):
-            br = _sym_cols([glrep.to_coords(bracket(K0[i], K0[j]))])
+            br = _sym_cols([glrep.to_coords(bracket(K0[i], K0[j]))], glrep.dim)
             beta, free = k0.gauss_jordan_solve(br)
             assert free.shape[0] == 0
             v = bracket(K0[j], dbar[i]) - bracket(K0[i], dbar[j])
             for m, x in enumerate(dbar):
                 v = v + x.scale(Fraction(int(beta[m].p), int(beta[m].q)))
-            assert k0.rank() == k0.row_join(_sym_cols([glrep.to_coords(v)])).rank()
+            assert k0.rank() == k0.row_join(_sym_cols([glrep.to_coords(v)], glrep.dim)).rank()
 
 
 @settings(max_examples=60, deadline=None,
@@ -222,13 +221,11 @@ def test_epsilon_extension_corrects_db():
 
 
 def _fplus(problem):
-    """f^+(t) = sum_{c>a} t^(c-a) f_c as a vector of UniPoly."""
+    """f^+(t) = sum_{c>a} t^(c-a) f_c as a sparse vector of UniPoly; the f_c
+    have disjoint supports."""
     rep, exp = problem.rep, problem.expansion
-    out = [UniPoly.zero()] * rep.dim
-    for c, form in exp.tail.items():
-        for e, coef in form.terms.items():
-            out[rep.index[e]] = out[rep.index[e]] + UniPoly.t(c - exp.a, coef)
-    return out
+    return {rep.index[e]: UniPoly.t(c - exp.a, coef)
+            for c, form in exp.tail.items() for e, coef in form.terms.items()}
 
 
 def _clear_denominators(col):
@@ -244,16 +241,16 @@ def _kt_over_qt(d):
     """(s-coefficients, h(t) + s(t)) for each element of K(t), from the slice
     equations solved along f^+(t): ker M_N over Q(t), cleared and normalized
     by column_normalize, and s = -M_S alpha."""
-    model, n = d.model, d.rep.n
+    model, nh = d.model, len(d.model.H)
     ker, ms_cols = model.slice_equations(_fplus(d.problem))
     if not ker:
         return []
     out = []
-    for alpha in column_normalize(Mat.from_cols([_clear_denominators(v) for v in ker])).columns():
-        sc = lin_comb([-RationalFn.coerce(a) for a in alpha], ms_cols,
-                      [RationalFn(0)] * len(model.S))
-        out.append((sc, lin_comb(alpha + sc, model.H + model.S,
-                                 Mat.zeros(n, n, RationalFn(0)))))
+    cleared = [_clear_denominators(dense(v, nh)) for v in ker]
+    for alpha in map(sparse, column_normalize(Mat.from_cols(cleared)).columns()):
+        sc = lin_comb({j: -RationalFn.coerce(a) for j, a in alpha.items()}, ms_cols)
+        kc = lin_comb(alpha | {nh + i: c for i, c in sc.items()}, model.H_coords + model.S_coords)
+        out.append((sc, model.glrep.from_coords(kc)))
     return out
 
 

@@ -1,7 +1,8 @@
-"""Differential tests of the Subspace echelon, its residue (quotient) map and
-the functions built on it (rref, nullspace, rank, solve, lin_indep_subset,
-coords_in_basis), and of the sparse Bareiss determinant, against sympy over
-Q and Q(t), including 0-row and 0-column shapes.  The oracle is sympy's
+"""Differential tests of the Subspace echelon on sparse vectors, its residue
+(quotient) map and the functions built on it (rref, nullspace, rank, solve,
+and the dense adapters lin_indep_subset and coords_in_basis), and of the
+sparse Bareiss determinant, against sympy over Q and Q(t), including 0-row
+and 0-column shapes.  The oracle is sympy's
 DomainMatrix over QQ and QQ.frac_field(t), whose entries are canonical, so
 that results compare exactly without symbolic simplification."""
 
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 import pytest
 
 from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly,
-                                   coords_in_basis, det_bareiss,
+                                   coords_in_basis, dense, det_bareiss,
                                    lin_indep_subset, nullspace, rank, rref,
-                                   solve)
+                                   solve, sparse)
 
 # mostly zeros, so that the matrices are sparse like the action maps
 entries = st.one_of(st.just(Q0), st.just(Q0),
@@ -70,6 +71,12 @@ def greedy(cols, dim):
     return out
 
 
+def assert_no_stored_zeros(sp, *vectors):
+    """No row of sp and no given sparse vector (None is skipped) keeps a zero."""
+    assert all(x for row in sp.rows.values() for x in row.values())
+    assert all(x for v in vectors if v is not None for x in v.values())
+
+
 def combination(coeffs, cols, dim):
     v = [Q0] * dim
     for c, col in zip(coeffs, cols):
@@ -83,7 +90,7 @@ def test_subspace_add_contains_coords_against_sympy(data):
     dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
     gens = vectors(data, dim, count)
     sp = Subspace(dim)
-    flags = [sp.add(g) for g in gens]
+    flags = [sp.add(sparse(g)) for g in gens]
     idx = greedy(gens, dim)
     assert [i for i, f in enumerate(flags) if f] == idx
     assert len(sp) == sym_rank(gens, dim)
@@ -93,13 +100,14 @@ def test_subspace_add_contains_coords_against_sympy(data):
     else:
         v = vectors(data, dim, 1)[0]
     inside = sym_rank(basis + [v], dim) == len(basis)
-    co = sp.coords(v)
-    assert (v in sp) == inside == (co is not None)
+    co = sp.coords(sparse(v))
+    assert (sparse(v) in sp) == inside == (co is not None)
+    assert_no_stored_zeros(sp, co)
     if inside and basis:
         sol, params = sym_cols(basis, dim).gauss_jordan_solve(sympy.Matrix([to_sympy(x) for x in v]))
         assert params.shape[0] == 0
-        assert co == [Fraction(int(x.p), int(x.q)) for x in sol]
-        assert all(type(c) is Fraction for c in co)
+        assert co == sparse([Fraction(int(x.p), int(x.q)) for x in sol])
+        assert all(type(c) is Fraction for c in co.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +115,7 @@ def test_subspace_add_contains_coords_against_sympy(data):
 def test_residue_is_the_quotient_map_against_sympy(data):
     dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
     gens = vectors(data, dim, count)
-    sp = Subspace(dim, gens)
+    sp = Subspace(dim, map(sparse, gens))
     basis = [gens[i] for i in greedy(gens, dim)]
 
     def draw_vector():
@@ -116,15 +124,16 @@ def test_residue_is_the_quotient_map_against_sympy(data):
         return vectors(data, dim, 1)[0]
 
     u, v, c = draw_vector(), draw_vector(), data.draw(entries)
-    r = sp.residue(u)
-    assert len(r) == dim and all(type(x) is Fraction for x in r)
+    r = sp.residue(sparse(u))
+    assert all(0 <= i < dim for i in r) and all(type(x) is Fraction for x in r.values())
+    assert_no_stored_zeros(sp, r)
     # zero exactly on the span, and the part taken off lies in the span
     inside = sym_rank(basis + [u], dim) == len(basis)
-    assert (not any(r)) == inside == (u in sp)
-    assert sym_rank(basis + [[a - b for a, b in zip(u, r)]], dim) == len(basis)
+    assert (not r) == inside == (sparse(u) in sp)
+    assert sym_rank(basis + [[a - b for a, b in zip(u, dense(r, dim))]], dim) == len(basis)
     # linear
-    assert sp.residue([a + c * b for a, b in zip(u, v)]) == \
-        [a + c * b for a, b in zip(r, sp.residue(v))]
+    assert sp.residue(sparse([a + c * b for a, b in zip(u, v)])) == \
+        sparse([a + c * b for a, b in zip(dense(r, dim), dense(sp.residue(sparse(v)), dim))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,9 +141,10 @@ def test_residue_is_the_quotient_map_against_sympy(data):
 def test_complete_with_units_is_greedy(data):
     dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
     gens = vectors(data, dim, count)
-    sp = Subspace(dim, gens)
+    sp = Subspace(dim, map(sparse, gens))
     units = sp.complete_with_units()
     assert len(sp) == dim
+    assert_no_stored_zeros(sp)
     cur = [gens[i] for i in greedy(gens, dim)]
     expected = []
     for j in range(dim):
@@ -164,12 +174,12 @@ def test_lin_indep_subset_and_coords_in_basis_against_sympy(data):
 
 
 def test_integer_input_gives_fractions():
-    sp = Subspace(2, [[2, 4], [0, 3]])
-    co = sp.coords([1, 1])
-    assert co == [Fraction(1, 2), Fraction(-1, 3)]
-    assert all(type(c) is Fraction for c in co)
+    sp = Subspace(2, [{0: 2, 1: 4}, {1: 3}])
+    co = sp.coords({0: 1, 1: 1})
+    assert co == {0: Fraction(1, 2), 1: Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in co.values())
     assert all(type(c) is Fraction for c in coords_in_basis([[2, 0], [0, 3]], [1, 1]))
-    assert all(type(x) is Fraction for row, _ in sp.rows.values() for x in row.values())
+    assert all(type(x) is Fraction for row in sp.rows.values() for x in row.values())
 
 
 def test_zero_row_and_zero_column_shapes():
@@ -180,7 +190,7 @@ def test_zero_row_and_zero_column_shapes():
     assert nullspace(Mat.from_cols([[], []])) == [[Q1, Q0], [Q0, Q1]]
     assert lin_indep_subset([[], []]) == [] and coords_in_basis([[], []], []) == [Q0, Q0]
     sp = Subspace(0)
-    assert not sp.add([]) and [] in sp and sp.coords([]) == []
+    assert not sp.add({}) and {} in sp and sp.coords({}) == {}
     assert sp.complete_with_units() == []
 
 
@@ -194,25 +204,26 @@ def test_subspace_over_qt_against_sympy(data):
     dim, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     gens = [[data.draw(polys) for _ in range(dim)] for _ in range(count)]
     sp = Subspace(dim)
-    flags = [sp.add(g) for g in gens]
+    flags = [sp.add(sparse(g)) for g in gens]
     idx = greedy(gens, dim)
     assert [i for i, f in enumerate(flags) if f] == idx
     basis = [gens[i] for i in idx]
     coeffs = [data.draw(polys) for _ in basis]
     v = [sum((c * b[i] for c, b in zip(coeffs, basis)), UniPoly.zero())
          for i in range(dim)]
-    co = sp.coords(v)
-    assert co is not None and all(RationalFn.coerce(c) == RationalFn.coerce(p)
-                                  for c, p in zip(co, coeffs))
+    co = sp.coords(sparse(v))
+    assert co is not None and all(RationalFn.coerce(co.get(i, Q0)) == RationalFn.coerce(p)
+                                  for i, p in enumerate(coeffs))
+    assert_no_stored_zeros(sp, co)
     w = [data.draw(polys) for _ in range(dim)]
-    assert (w in sp) == (sym_rank(basis + [w], dim) == len(basis))
+    assert (sparse(w) in sp) == (sym_rank(basis + [w], dim) == len(basis))
 
 
 def test_qt_vector_over_rational_basis_stays_polynomial():
     t = UniPoly.t()
-    sp = Subspace(2, [[Q1, Q1], [Q0, Fraction(2)]])
-    co = sp.coords([t, t * t])
-    assert all(isinstance(c, (UniPoly, Fraction)) for c in co)
+    sp = Subspace(2, [{0: Q1, 1: Q1}, {1: Fraction(2)}])
+    co = sp.coords({0: t, 1: t * t})
+    assert all(isinstance(c, (UniPoly, Fraction)) for c in co.values())
     assert co[0] == t and co[1] == (t * t - t) * Fraction(1, 2)
 
 

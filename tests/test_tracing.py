@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -24,3 +28,22 @@ def test_every_traced_name_exists():
         cls = getattr(importlib.import_module(f"orbitlimits.{mod_name}"), cls_name, None)
         assert callable(getattr(cls, meth, None)), f"{mod_name}.{cls_name}.{meth}"
     assert callable(getattr(importlib.import_module("orbitlimits.kempf"), "kempf_f", None))
+
+
+def test_traced_worker_runs_a_limit_and_a_det3_row():
+    # one round of a small `limit` document (O2) and det3 row l4, traced
+    o2 = {"form": {"nvars": 2, "degree": 4,
+                   "terms": [{"exp": [4, 0], "coef": "1"}, {"exp": [2, 2], "coef": "2"},
+                             {"exp": [0, 4], "coef": "1"}]},
+          "oneps": [1, 0]}
+    job = {"requests": [["limit", o2], ["det3", "l4"]], "seconds": 0, "trace": 1,
+           "probe": False}
+    env = dict(os.environ, PYTHONPATH=str(TRACING.parents[1] / "src"))
+    proc = subprocess.run([sys.executable, str(TRACING.parent / "worker.py")],
+                          input=json.dumps(job), capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert [rc for rc, _ in out["answers"]] == [0, 0]
+    assert {f"exactcore.rref.{k}" for k in ("calls", "total_s", "self_s", "entries",
+                                            "max_bits")} <= set(out["layers"])
