@@ -500,9 +500,9 @@ def rref(m: Mat):
     on the order in which `Subspace` eliminates.
     """
     rows, zero = _sparse_rows(m)
-    sp = Subspace._echelon(m.cols, rows)
-    pivots = sorted(sp.rows)
-    out = [dense(sp.rows[p], m.cols, zero) for p in pivots]
+    ech = Subspace._echelon(m.cols, rows)
+    pivots = sorted(ech)
+    out = [dense(ech[p], m.cols, zero) for p in pivots]
     out += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
     return out, pivots
 
@@ -511,24 +511,29 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel(ncols: int, rows: Iterable[dict], one=Q1) -> list[dict]:
+def kernel(ncols: int, rows: Iterable[dict]) -> list[dict]:
     """Basis of {v : r·v = 0 for every sparse row r} in K^ncols, one vector
-    per free column in increasing order, with `one` there: the vector
-    e_free - sum over pivots p of (reduced row p)[free] e_p."""
-    sp = Subspace._echelon(ncols, rows)
+    per free column in increasing order: e_free - sum over pivots p of
+    (reduced row p)[free] e_p.  K is Q(t), and every entry a RationalFn, if
+    a reduced row has an entry over Q[t] or Q(t); else K is Q."""
+    ech = Subspace._echelon(ncols, rows)
+    qt = any(isinstance(x, (UniPoly, RationalFn)) for r in ech.values() for x in r.values())
     by_col: dict = {}
-    for p, r in sp.rows.items():
+    for p, r in ech.items():
         for j, x in r.items():
             if j != p:
-                by_col.setdefault(j, {})[p] = -x
-    return [{f: one, **by_col.get(f, {})} for f in range(ncols) if f not in sp.rows]
+                by_col.setdefault(j, {})[p] = -RationalFn.coerce(x) if qt else -x
+    one = RationalFn(1) if qt else Q1
+    return [{f: one, **by_col.get(f, {})} for f in range(ncols) if f not in ech]
 
 
 def nullspace(m: Mat) -> list[list]:
     """Basis of the right kernel, as dense column vectors over the fraction
     field (`kernel`)."""
     rows, zero = _sparse_rows(m)
-    return [dense(v, m.cols, zero) for v in kernel(m.cols, rows, zero + Q1)]
+    if not any(rows):   # no entry for `kernel` to read the field from
+        return [dense({f: zero + Q1}, m.cols, zero) for f in range(m.cols)]
+    return [dense(v, m.cols, zero) for v in kernel(m.cols, rows)]
 
 
 def transpose(vectors: Sequence[dict]) -> list[dict]:
@@ -688,13 +693,15 @@ class Subspace:
             self.add(v)
 
     @classmethod
-    def _echelon(cls, dim: int, rows: Iterable[dict]) -> "Subspace":
-        """The span of rows, without the combinations that only `coords` reads."""
+    def _echelon(cls, dim: int, rows: Iterable[dict]) -> dict:
+        """The reduced rows {pivot: row} of the span of rows, eliminated
+        without the combinations that only `coords` reads; the subspace that
+        skips them stays inside, so nothing calls `coords` on it."""
         sp = cls(dim)
         sp._combos = None
         for r in rows:
             sp.add(r)
-        return sp
+        return sp.rows
 
     def __len__(self) -> int:
         """Dimension of the span, which is the number of accepted generators."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q1, SingularMatrix, Subspace, dense, det_bareiss, kernel,
-                        transpose)
+from .exactcore import (Mat, Q1, RationalFn, SingularMatrix, Subspace, UniPoly, dense,
+                        det_bareiss, kernel, transpose)
 from .lierep import ConjRep, Representation, lin_comb, stabilizer_algebra
 
 
@@ -119,12 +119,16 @@ class LocalModel:
 
     def inv_one_plus_theta(self, n: dict, dvs: Sequence[dict]) -> list[dict]:
         """(1+θ(n))^{-1} applied to each V-vector dv in dvs: dv - B u with
-        C u = λ_S dv, u read off as coordinates over the columns of C."""
+        C u = λ_S dv, u read off as coordinates over the columns of C.  For n
+        over Q[t] the results are over Q(t), every entry a RationalFn."""
         bcols, ccols, C = self._theta_system(n)
         if len(C) < len(ccols):
             raise SingularMatrix("1+theta(n) is singular")
-        return [lin_comb({0: Q1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
-                         [dv] + bcols) for dv in dvs]
+        out = [lin_comb({0: Q1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
+                        [dv] + bcols) for dv in dvs]
+        if any(isinstance(x, (UniPoly, RationalFn)) for x in n.values()):
+            out = [{i: RationalFn.coerce(x) for i, x in w.items()} for w in out]
+        return out
 
     # -- slice formulas -----------------------------------------------
     def solve_decomposition(self, n: dict, dv: dict):

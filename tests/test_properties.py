@@ -242,7 +242,10 @@ def _kt_over_qt(d):
     equations solved along f^+(t): ker M_N over Q(t), cleared and normalized
     by column_normalize, and s = -M_S alpha."""
     model, nh = d.model, len(d.model.H)
-    ker, ms_cols = model.slice_equations(_fplus(d.problem))
+    fplus = _fplus(d.problem)
+    ker, ms_cols = model.slice_equations(fplus)
+    if fplus:
+        assert all(isinstance(x, RationalFn) for v in ker + ms_cols for x in v.values())
     if not ker:
         return []
     out = []

@@ -45,5 +45,11 @@ def test_traced_worker_runs_a_limit_and_a_det3_row():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert [rc for rc, _ in out["answers"]] == [0, 0]
+    layers = out["layers"]
+    for name in ("limits.limit_algebra", "lierep.stabilizer_algebra",
+                 "localmodel.build_local_model", "localmodel.inv_one_plus_theta"):
+        assert layers[f"{name}.calls"] > 0, name
+    # the limit pipeline eliminates through Subspace and kernel, which are not
+    # wrapped, so the rref counters are only checked to be reported
     assert {f"exactcore.rref.{k}" for k in ("calls", "total_s", "self_s", "entries",
-                                            "max_bits")} <= set(out["layers"])
+                                            "max_bits")} <= set(layers)
