@@ -1,22 +1,18 @@
-"""Exact scalars (Q, Q[t], Q(t)) and exact linear algebra.
+"""Exact scalars (Q, Q[t]) and exact linear algebra.
 
 Everything downstream (stabilizers, local models, limit algebras) reduces to
-kernels, solves and determinants over one of three scalar rings:
-
-  * Fraction        -- the rationals,
-  * UniPoly         -- univariate polynomials in t over Q, sparse dict rep,
-  * RationalFn      -- reduced fractions of UniPoly (den monic).
+kernels, solves and determinants over the rationals (`Fraction`), and to
+determinants and ranks over Q[t] (`UniPoly`, sparse dict rep).
 
 A vector is a sparse dict {index: value} with no stored zeros; `Mat` is
 a dense row-major matrix, and `sparse` and `dense` convert at the edges.  All
-row reduction goes through one sparse incremental `Subspace` echelon, generic
-over the three scalar types (UniPoly pivots are promoted to RationalFn).  It
-answers questions about one subspace -- independence, the residue of a
+row reduction over Q goes through one sparse incremental `Subspace` echelon.
+It answers questions about one subspace -- independence, the residue of a
 vector modulo the span (the quotient map), membership, coordinates,
 completion by unit vectors -- and `kernel`, `rref`, `nullspace`, `rank` and
-`solve` read their answers off it.  Determinants use fraction-free Bareiss
-instead, on sparse rows, so that a sparse matrix such as I + λ_S∘B costs in
-proportion to its nonzeros.
+`solve` read their answers off it.  Over Q[t], fraction-free Bareiss
+elimination on sparse rows gives determinants and ranks over Q(t) without a
+rational function, at a cost in proportion to the nonzeros.
 """
 
 from __future__ import annotations
@@ -110,7 +106,7 @@ class UniPoly:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, RationalFn):
+        if not isinstance(other, _POLY_OPERANDS):
             return NotImplemented
         other = UniPoly.coerce(other)
         c = dict(self.c)
@@ -132,15 +128,13 @@ class UniPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, RationalFn):
-            return NotImplemented
-        return self + (-UniPoly.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return UniPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, RationalFn):
+        if not isinstance(other, _POLY_OPERANDS):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
             v = _as_fraction(other)
@@ -253,8 +247,13 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+_POLY_OPERANDS = (UniPoly, int, Fraction)   # other types get their reflected operator
+
+
 class RationalFn:
-    """Reduced fraction num/den in Q(t); den monic and nonzero."""
+    """Reduced fraction num/den in Q(t); den monic and nonzero.  Unused by
+    the library; kept only for the rref hook of `perfbench/tracing.py`, which
+    imports it, and to go with that hook."""
 
     __slots__ = ("num", "den")
 
@@ -321,15 +320,6 @@ class RationalFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = RationalFn.coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RationalFn.coerce(other) / self
-
     def is_poly(self) -> bool:
         return self.den.is_const()
 
@@ -356,7 +346,7 @@ class RationalFn:
 
 
 class Mat:
-    """Dense row-major matrix over Fraction / UniPoly / RationalFn."""
+    """Dense row-major matrix over Fraction or UniPoly."""
 
     __slots__ = ("rows", "cols", "a")
 
@@ -408,9 +398,9 @@ class Mat:
         return Mat([[f(x) for x in r] for r in self.a])
 
     def eval_at(self, x) -> "Mat":
-        """Evaluate polynomial / rational-function entries at t=x; their zeros
-        become Q0 without evaluation."""
-        return self.map(lambda e: (e(x) if e else Q0) if isinstance(e, (UniPoly, RationalFn)) else e)
+        """Evaluate polynomial entries at t=x; their zeros become Q0 without
+        evaluation."""
+        return self.map(lambda e: (e(x) if e else Q0) if isinstance(e, UniPoly) else e)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.a == other.a)
@@ -447,8 +437,8 @@ class Mat:
                     p = x * y
                     s = acc.get(j)
                     acc[j] = p if s is None else s + p
-            r0 = r[0] if r else Q0
-            out.append([acc[j] if j in acc else _zero_like(r0) for j in range(m)])
+            zero = _zero_like(r[0] if r else Q0)
+            out.append([acc.get(j, zero) for j in range(m)])
         return Mat(out, m)
 
     def apply(self, v: Sequence) -> list:
@@ -475,35 +465,26 @@ class Mat:
 
 
 def _zero_like(x):
-    if isinstance(x, UniPoly):
-        return UniPoly.zero()
-    if isinstance(x, RationalFn):
-        return RationalFn(0)
-    return Q0
+    """The zero of the scalar ring of x."""
+    return Q0 if isinstance(x, (Fraction, int)) else x - x
 
 
-def _sparse_rows(m: Mat):
-    """m's rows as sparse vectors over its fraction field (Q(t) if any entry
-    is over Q[t] or Q(t), else Q), and the zero of that field."""
-    if any(isinstance(x, (UniPoly, RationalFn)) for r in m.a for x in r):
-        coerce, zero = RationalFn.coerce, RationalFn(0)
-    else:
-        coerce, zero = _as_fraction, Q0
-    return [{j: coerce(x) for j, x in enumerate(r) if x} for r in m.a], zero
+def _sparse_rows(m: Mat) -> list[dict]:
+    """m's rows as sparse vectors over Q."""
+    return [{j: _as_fraction(x) for j, x in enumerate(r) if x} for r in m.a]
 
 
 def rref(m: Mat):
-    """Reduced row echelon form over the fraction field, read off `Subspace`.
+    """Reduced row echelon form over Q, read off `Subspace`.
 
     Returns (rows, pivot_column_indices): the nonzero rows in pivot order,
     then zero rows up to m.rows.  The form is unique, so it does not depend
     on the order in which `Subspace` eliminates.
     """
-    rows, zero = _sparse_rows(m)
-    ech = Subspace._echelon(m.cols, rows)
+    ech = Subspace._echelon(m.cols, _sparse_rows(m))
     pivots = sorted(ech)
-    out = [dense(ech[p], m.cols, zero) for p in pivots]
-    out += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    out = [dense(ech[p], m.cols) for p in pivots]
+    out += [[Q0] * m.cols for _ in range(m.rows - len(pivots))]
     return out, pivots
 
 
@@ -512,28 +493,21 @@ def rank(m: Mat) -> int:
 
 
 def kernel(ncols: int, rows: Iterable[dict]) -> list[dict]:
-    """Basis of {v : r·v = 0 for every sparse row r} in K^ncols, one vector
+    """Basis of {v : r·v = 0 for every sparse row r} in Q^ncols, one vector
     per free column in increasing order: e_free - sum over pivots p of
-    (reduced row p)[free] e_p.  K is Q(t), and every entry a RationalFn, if
-    a reduced row has an entry over Q[t] or Q(t); else K is Q."""
+    (reduced row p)[free] e_p."""
     ech = Subspace._echelon(ncols, rows)
-    qt = any(isinstance(x, (UniPoly, RationalFn)) for r in ech.values() for x in r.values())
     by_col: dict = {}
     for p, r in ech.items():
         for j, x in r.items():
             if j != p:
-                by_col.setdefault(j, {})[p] = -RationalFn.coerce(x) if qt else -x
-    one = RationalFn(1) if qt else Q1
-    return [{f: one, **by_col.get(f, {})} for f in range(ncols) if f not in ech]
+                by_col.setdefault(j, {})[p] = -x
+    return [{f: Q1, **by_col.get(f, {})} for f in range(ncols) if f not in ech]
 
 
 def nullspace(m: Mat) -> list[list]:
-    """Basis of the right kernel, as dense column vectors over the fraction
-    field (`kernel`)."""
-    rows, zero = _sparse_rows(m)
-    if not any(rows):   # no entry for `kernel` to read the field from
-        return [dense({f: zero + Q1}, m.cols, zero) for f in range(m.cols)]
-    return [dense(v, m.cols, zero) for v in kernel(m.cols, rows)]
+    """Basis of the right kernel over Q, as dense column vectors (`kernel`)."""
+    return [dense(v, m.cols) for v in kernel(m.cols, _sparse_rows(m))]
 
 
 def transpose(vectors: Sequence[dict]) -> list[dict]:
@@ -558,40 +532,38 @@ def solve(m: Mat, rhs_cols: Sequence[Sequence]) -> list[list]:
     return [[rows[i][n + j] for i in range(n)] for j in range(k)]
 
 
-def det_bareiss(m: Mat):
-    """Fraction-free determinant (Bareiss 1968) over Fraction or UniPoly entries.
+def _ring(entries: Iterable):
+    """(coerce, one, exact division) of Q[t] if any entry is a UniPoly, else of Q."""
+    if any(isinstance(x, UniPoly) for x in entries):
+        return UniPoly.coerce, UniPoly.const(1), UniPoly.exact_div
+    return _as_fraction, Q1, operator.truediv
 
-    Rows are sparse {column: value} dicts.  Step k updates a row below that
-    has a nonzero in column k only on the union of its columns with the
-    pivot row's; a row with a zero there is only rescaled by pivot/prev on
-    its own nonzeros, and not even that when pivot == prev.  Every division
-    is exact.  Returns a UniPoly if any entry is one, else a Fraction.
+
+def _bareiss(rows: list[dict], cols: Iterable[int], one, div):
+    """Fraction-free forward elimination (Bareiss 1968) of sparse rows, in
+    place, over the given columns in order, until every row is a pivot row.
+
+    For each column it yields (pivot, swapped), the pivot brought up by a row
+    swap if swapped, or (None, False) if no row left has a nonzero there.  A
+    later row is updated only on the union of its columns with the pivot
+    row's, or, with a zero in the pivot column, only rescaled by pivot/prev,
+    and not even that when pivot == prev.  Every division is exact.
     """
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return Q1
-    if any(isinstance(x, UniPoly) for r in m.a for x in r):
-        coerce, one, div = UniPoly.coerce, UniPoly.const(1), UniPoly.exact_div
-    else:
-        coerce, one, div = _as_fraction, Q1, operator.truediv
-    rows = [{j: y for j, x in enumerate(r) if x and (y := coerce(x))} for r in m.a]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        p = next((i for i in range(k, n) if k in rows[i]), None)
+    n, k, prev = len(rows), 0, one
+    for col in cols:
+        if k == n:
+            return
+        p = next((i for i in range(k, n) if col in rows[i]), None)
         if p is None:
-            return _zero_like(one)
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
+            yield None, False
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
         pr = rows[k]
-        piv = pr.pop(k)
+        piv = pr.pop(col)
         rescale, scale, divide = piv != prev, piv != one, prev != one
         for i in range(k + 1, n):
             r = rows[i]
-            c = r.pop(k, None)
+            c = r.pop(col, None)
             if c is None:
                 if rescale:
                     rows[i] = {j: div(piv * x, prev) for j, x in r.items()}
@@ -604,8 +576,34 @@ def det_bareiss(m: Mat):
                 for j, x in r.items():
                     r[j] = div(x, prev)
         prev = piv
-    d = rows[n - 1].get(n - 1, _zero_like(one))
+        k += 1
+        yield piv, p != k - 1
+
+
+def det_bareiss(m: Mat):
+    """Fraction-free determinant (`_bareiss`) over Fraction or UniPoly entries,
+    on sparse rows.  Returns a UniPoly if any entry is one, else a Fraction."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("determinant of non-square matrix")
+    coerce, one, div = _ring(x for r in m.a for x in r)
+    rows = [{j: y for j, x in enumerate(r) if x and (y := coerce(x))} for r in m.a]
+    sign, d = 1, one
+    for d, swapped in _bareiss(rows, range(n), one, div):
+        if d is None:
+            return _zero_like(one)
+        if swapped:
+            sign = -sign
     return -d if sign < 0 else d
+
+
+def rank_qt(vectors: Sequence[dict]) -> int:
+    """The rank over Q(t) of sparse vectors over Q or Q[t], by fraction-free
+    elimination (`_bareiss`) inside Q[t]: no rational function is formed."""
+    coerce, one, div = _ring(x for v in vectors for x in v.values())
+    rows = [{j: y for j, x in v.items() if x and (y := coerce(x))} for v in vectors]
+    cols = sorted({j for r in rows for j in r})
+    return sum(piv is not None for piv, _ in _bareiss(rows, cols, one, div))
 
 
 class SingularMatrix(ValueError):
@@ -678,9 +676,9 @@ class Subspace:
     {generator: coefficient} of the accepted generators that equals it.
     Because the rows are fully reduced, the coefficient of a vector v on the
     row with pivot p is v[p] itself, so the residue, membership and
-    coordinates of v cost one pass over the rows that v meets.  Entries may
-    be Fraction, UniPoly or RationalFn; a UniPoly pivot is promoted to
-    RationalFn before division.
+    coordinates of v cost one pass over the rows that v meets.  The span is
+    over Q; a vector over Q[t] may be reduced modulo it (its residue and
+    coordinates are then over Q[t]), but not added to it.
     """
 
     __slots__ = ("dim", "rows", "_combos")
@@ -728,7 +726,7 @@ class Subspace:
             return False
         p = min(w)
         piv = w[p]
-        inv = Q1 / (RationalFn.coerce(piv) if isinstance(piv, UniPoly) else piv)
+        inv = Q1 / piv
         row = {j: x * inv for j, x in w.items()}
         if combos is not None:
             rc = {g: -x * inv for g, x in combo.items()}

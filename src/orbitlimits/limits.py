@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactcore import (Mat, Q1, Subspace, UniPoly, column_normalize, det_bareiss, kernel,
-                        sparse, transpose)
+                        rank_qt, sparse, transpose)
 from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
 from .localmodel import (LocalModel, NotTransverse, build_local_model, gl_act_weights,
@@ -79,12 +79,6 @@ class LimitExpansion:
         self.f_b = terms[self.b] if self.b is not None else None
         self.tail = {c: terms[c] for c in exps[1:]}
         self.transversal = transversal
-
-    def f_of_t_coords(self, rep: SymRep, t0: Fraction) -> dict:
-        """Coordinates of f(t0)/t0^a = g + sum t0^{c-a} f_c; the f_c have
-        disjoint supports."""
-        return {rep.index[e]: Fraction(t0) ** (c - self.a) * coef
-                for c, form in self.terms.items() for e, coef in form.terms.items()}
 
 
 def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
@@ -186,9 +180,6 @@ class KtElement:
         self.s_coeffs = s_coeffs  # UniPoly coefficients over the S-basis
         self.mat = mat            # Mat over UniPoly, h(t)+s(t)
 
-    def at(self, t0) -> Mat:
-        return self.mat.eval_at(Fraction(t0))
-
 
 class NotGraded(ValueError):
     pass
@@ -267,30 +258,28 @@ class LimitAlgebraData:
     def beta(self) -> dict:
         """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
         structure constants of K0, which must be independent and closed."""
-        if len(self.K0_span) != len(self.K0):
+        glrep, K0 = self.problem.glrep, self.K0
+        if len(self.K0_span) != len(K0):
             raise ValueError("K0 columns are dependent")
-        return _structure_constants(self.problem.glrep, self.K0, self.K0_span,
-                                    "K0 is not bracket-closed")
+        out = {}
+        for i in range(len(K0)):
+            for j in range(i + 1, len(K0)):
+                co = self.K0_span.coords(glrep.to_coords(bracket(K0[i], K0[j])))
+                if co is None:
+                    raise ValueError("K0 is not bracket-closed")
+                out[(i, j)] = co
+        return out
 
-    def structure_constants(self) -> dict:
-        """(i, j) -> coefficients of [k_i(t), k_j(t)] over the k_m(t) basis."""
+    def closed_pairs(self) -> list[tuple]:
+        """The pairs i < j whose bracket [k_i(t), k_j(t)] lies in the Q(t)-span
+        of K(t), each decided by a rank over Q(t) (`rank_qt`); K(t) is
+        bracket-closed when every pair is listed."""
         glrep = self.problem.glrep
         mats = [kt.mat for kt in self.Kt]
-        span = Subspace(glrep.dim, [glrep.to_coords(m) for m in mats])
-        return _structure_constants(glrep, mats, span, "K(t) is not bracket-closed over Q(t)")
-
-
-def _structure_constants(glrep: ConjRep, mats: Sequence[Mat], span: Subspace,
-                         closure_error: str) -> dict:
-    """(i, j) -> coordinates of [mats_i, mats_j] over span, for i < j."""
-    out = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            co = span.coords(glrep.to_coords(bracket(mats[i], mats[j])))
-            if co is None:
-                raise ValueError(closure_error)
-            out[(i, j)] = co
-    return out
+        coords = [glrep.to_coords(m) for m in mats]
+        r = rank_qt(coords)
+        return [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))
+                if rank_qt(coords + [glrep.to_coords(bracket(mats[i], mats[j]))]) == r]
 
 
 def _regrade(vectors: Sequence[dict], weights: Sequence[int]) -> list[dict]:
@@ -352,13 +341,13 @@ def _verify_limit_algebra(data: LimitAlgebraData):
         d = exp.b - exp.a
         if any(c.valuation() < d for kt in data.Kt for c in kt.s_coeffs.values()):
             raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
-    # k(t0) annihilates f(t0); at t0 = 1 the regrading by the weights is the
-    # identity, and this would test nothing
-    t0 = Fraction(1, 2)
-    ft0 = exp.f_of_t_coords(rep, t0)
+    # k(t) annihilates g + f^+(t) = sum t^(c-a) f_c as polynomials in t; the
+    # f_c have disjoint supports
+    curve = {rep.index[e]: UniPoly.t(c - exp.a, coef)
+             for c, form in exp.terms.items() for e, coef in form.terms.items()}
     for kt in data.Kt:
-        if rep.act(kt.at(t0), ft0):
-            raise ValueError(f"k({t0}) does not annihilate f({t0})")
+        if rep.act(kt.mat, curve):
+            raise ValueError("k(t) does not annihilate g + f^+(t)")
 
 
 def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
@@ -372,9 +361,13 @@ def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
 
 
 def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
+    """Whether the elements A and B of gl(n) span the same subspace: over Q
+    by `Subspace`, over Q(t) by ranks (`rank_qt`) if an entry is over Q[t]."""
     glrep = ConjRep(n)
-    a = Subspace(glrep.dim, [glrep.to_coords(m) for m in A])
-    fb = [glrep.to_coords(m) for m in B]
+    fa, fb = [glrep.to_coords(m) for m in A], [glrep.to_coords(m) for m in B]
+    if any(isinstance(x, UniPoly) for v in fa + fb for x in v.values()):
+        return rank_qt(fa) == rank_qt(fb) == rank_qt(fa + fb)
+    a = Subspace(glrep.dim, fa)
     return len(Subspace(glrep.dim, fb)) == len(a) and all(v in a for v in fb)
 
 

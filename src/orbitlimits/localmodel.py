@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactcore import (Mat, Q1, RationalFn, SingularMatrix, Subspace, UniPoly, dense,
-                        det_bareiss, kernel, transpose)
+from .exactcore import Mat, Q1, SingularMatrix, Subspace, dense, det_bareiss, kernel, transpose
 from .lierep import ConjRep, Representation, lin_comb, stabilizer_algebra
 
 
@@ -100,35 +99,37 @@ class LocalModel:
         return Mat.from_cols([dense(lin_comb(self.lamS({k: Q1}), bcols), dim)
                               for k in range(dim)])
 
+    def _theta_columns(self, n: dict) -> tuple[list, list]:
+        """The columns s·n of B and the columns of C = I_S + λ_S ∘ B on
+        S-coefficients."""
+        bcols = [self.rep.act(s, n) for s in self.S]
+        return bcols, [lin_comb({0: Q1, 1: Q1}, [{j: Q1}, self.lamS(b)])
+                       for j, b in enumerate(bcols)]
+
     def _theta_system(self, n: dict):
-        """The columns s·n of B, the columns of C = I_S + λ_S ∘ B on
-        S-coefficients, and their span.  All are built once for each n and
-        kept for the next call with the same n."""
+        """The columns of B and the span of the columns of C, built once for
+        each n and kept for the next call with the same n."""
         if self._theta_cache is None or self._theta_cache[0] != n:
-            bcols = [self.rep.act(s, n) for s in self.S]
-            ccols = [lin_comb({0: Q1, 1: Q1}, [{j: Q1}, self.lamS(b)])
-                     for j, b in enumerate(bcols)]
-            self._theta_cache = (dict(n), bcols, ccols, Subspace(len(ccols), ccols))
+            bcols, ccols = self._theta_columns(n)
+            self._theta_cache = (dict(n), bcols, Subspace(len(ccols), ccols))
         return self._theta_cache[1:]
 
     def delta(self, n: dict):
-        """det(1 + θ(n)).  The limit pipeline does not need it: along f^+(t)
-        at a limit's weight-graded model it is 1.  Tests read it."""
-        ccols = self._theta_system(n)[1]
+        """det(1 + θ(n)) = det C, for n over Q or Q[t].  The limit pipeline
+        does not need it: along f^+(t) at a limit's weight-graded model it is
+        1.  Tests read it."""
+        ccols = self._theta_columns(n)[1]
         return det_bareiss(Mat.from_cols([dense(c, len(ccols)) for c in ccols]))
 
     def inv_one_plus_theta(self, n: dict, dvs: Sequence[dict]) -> list[dict]:
-        """(1+θ(n))^{-1} applied to each V-vector dv in dvs: dv - B u with
-        C u = λ_S dv, u read off as coordinates over the columns of C.  For n
-        over Q[t] the results are over Q(t), every entry a RationalFn."""
-        bcols, ccols, C = self._theta_system(n)
-        if len(C) < len(ccols):
+        """(1+θ(n))^{-1} applied to each V-vector dv in dvs, for n over Q:
+        dv - B u with C u = λ_S dv, u read off as coordinates over the columns
+        of C."""
+        bcols, C = self._theta_system(n)
+        if len(C) < len(self.S):
             raise SingularMatrix("1+theta(n) is singular")
-        out = [lin_comb({0: Q1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
-                        [dv] + bcols) for dv in dvs]
-        if any(isinstance(x, (UniPoly, RationalFn)) for x in n.values()):
-            out = [{i: RationalFn.coerce(x) for i, x in w.items()} for w in out]
-        return out
+        return [lin_comb({0: Q1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
+                         [dv] + bcols) for dv in dvs]
 
     # -- slice formulas -----------------------------------------------
     def solve_decomposition(self, n: dict, dv: dict):
@@ -139,8 +140,8 @@ class LocalModel:
         return self.split_V(self.inv_one_plus_theta(n, [dv])[0])
 
     def slice_equations(self, n: dict) -> tuple[list, list]:
-        """The slice equations at x + n, for n over Q or Q[t]: (ker M_N, the
-        columns of M_S).  Column j of M_N and of M_S is λ_N and λ_S of
+        """The slice equations at x + n, for n over Q: (ker M_N, the columns
+        of M_S).  Column j of M_N and of M_S is λ_N and λ_S of
         (1+θ(n))^{-1}(h_j·n); h + s with h = Σ α_j h_j kills x + n exactly
         when α is in ker M_N and s = -M_S α."""
         ws = self.inv_one_plus_theta(n, [self.rep.act(h, n) for h in self.H])

@@ -184,6 +184,36 @@ def test_limit_answer_scales_with_the_weights(capsys, monkeypatch):
                 assert json.loads(out) == _rescaled_limit(out1, k)
 
 
+# the dense binary form of degree 499 (every monomial but x y^498): the
+# largest form the CLI's size bound admits
+DENSE_BINARY_499 = {"nvars": 2, "degree": 499,
+                    "terms": [{"exp": [499 - k, k], "coef": "1"} for k in range(500) if k != 498]}
+
+
+def _k0_or_error(f, weights):
+    """(K0, its graded dims) of limit_algebra under the weights, or the error
+    it raises as (type, message)."""
+    try:
+        data = limits.limit_algebra(f, limits.OnePS(weights))
+        return [m.a for m in data.K0], data.graded_dims
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+def test_limit_algebra_under_multiplied_weights():
+    # limit_algebra itself, with lambda not divided by its gcd: under
+    # k lambda, K0 is the same and its graded dims sit at the weights times k
+    k = 1000
+    cases = [(form_from_doc(doc["form"]), doc["oneps"]) for doc in _scaled_limit_docs()]
+    cases.append((form_from_doc(DENSE_BINARY_499), [2500, -2499]))
+    for f, lam in cases:
+        base, scaled = _k0_or_error(f, lam), _k0_or_error(f, [w * k for w in lam])
+        if isinstance(base[0], type):
+            assert scaled == base
+        else:
+            assert scaled == (base[0], {w * k: d for w, d in base[1].items()})
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of module.<name>, made through any orbitlimits module."""
     fn = getattr(module, name)
@@ -490,6 +520,7 @@ def test_wrong_schema_rejected(tmp_path, capsys):
     ("curvature", {"kind": "sphere", "dim": cli.SPHERE_MAX_DIM + 1}),
     ("curvature", {"kind": "adjoint", "lams": [str(k) for k in range(cli.ADJOINT_MAX_EIGS + 1)]}),
     ("curvature", {"kind": "cyclic", "n": cli.CYCLIC_MAX_N + 1}),
+    ("slice", {"kind": "jab", "a": 1, "b": 1}),     # J_{1,1} = 0
 ])
 def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cmd, doc):
     path = _write(tmp_path, "in.json", doc)

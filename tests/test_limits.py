@@ -70,7 +70,8 @@ def test_o2_kt_and_k0(o2_data):
 
 def test_verification_catches_a_wrong_regrading(o2_data):
     """k(t) = h(t) + t s(t) has the same K0 and an s-part of higher order,
-    and equals k(t) at t = 1; only k(t0) at t0 != 1 can tell it is wrong."""
+    and equals k(t) at t = 1; only a check away from t = 1 can tell it is
+    wrong."""
     _verify_limit_algebra(o2_data)
     t = UniPoly.t(1, 1)
     i, kt = next((i, kt) for i, kt in enumerate(o2_data.Kt) if kt.s_coeffs)
@@ -79,6 +80,23 @@ def test_verification_catches_a_wrong_regrading(o2_data):
     wrong.Kt = list(o2_data.Kt)
     wrong.Kt[i] = KtElement({j: t * c for j, c in kt.s_coeffs.items()},
                             kt.mat + s.scale(t - 1))
+    with pytest.raises(ValueError, match="does not annihilate"):
+        _verify_limit_algebra(wrong)
+
+
+def test_verification_catches_a_kt_that_agrees_at_one_half(o2_data):
+    """k(t) + (2t - 1) t^(b-a) s for an s in S equals k(t) at t = 1/2 and has
+    the same K0 and an s-part divisible by t^(b-a), but it is not a
+    polynomial identity: (2t - 1) t^(b-a) s.g is not 0."""
+    t = UniPoly.t(1, 1)
+    bump = (t * 2 - 1) * UniPoly.t(o2_data.expansion.b - o2_data.expansion.a, 1)
+    kt = o2_data.Kt[0]
+    s_coeffs = dict(kt.s_coeffs)
+    s_coeffs[0] = s_coeffs.get(0, UniPoly.zero()) + bump
+    wrong = copy.copy(o2_data)
+    wrong.Kt = [KtElement(s_coeffs, kt.mat + o2_data.model.S[0].scale(bump))] + o2_data.Kt[1:]
+    assert wrong.Kt[0].mat.eval_at(Fraction(1, 2)) == kt.mat.eval_at(Fraction(1, 2))
+    assert wrong.Kt[0].mat.eval_at(0) == kt.mat.eval_at(0)
     with pytest.raises(ValueError, match="does not annihilate"):
         _verify_limit_algebra(wrong)
 
@@ -124,8 +142,7 @@ def test_o3_case_classification():
 
 
 def test_o3_computed_structure_closed(o3_data):
-    sc = o3_data.structure_constants()
-    assert sorted(sc) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(o3_data.closed_pairs()) == [(0, 1), (0, 2), (1, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import sympy
 from hypothesis import assume, given, settings, HealthCheck
 from hypothesis import strategies as st
 
+import qt_oracle
 from orbitlimits.conjclosure import jn_local_model
 from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
-from orbitlimits.exactcore import (Mat, Q1, RationalFn, Subspace, UniPoly, column_normalize,
-                                   dense, sparse)
+from orbitlimits.exactcore import (Mat, Q1, Subspace, UniPoly, column_normalize, dense,
+                                   sparse)
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, lin_comb
 from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
@@ -217,7 +218,7 @@ def test_epsilon_extension_corrects_db():
 
 
 # ---------------------------------------------------------------------------
-# the slice equations along f^+(t) over Q(t), as an oracle for K(t)
+# the slice equations along f^+(t) over Q(t), solved by sympy, as an oracle for K(t)
 
 
 def _fplus(problem):
@@ -229,29 +230,28 @@ def _fplus(problem):
 
 
 def _clear_denominators(col):
-    """The Q(t)-column col times the lcm of its denominators."""
-    col = [RationalFn.coerce(x) for x in col]
+    """The Q(t)-column col (elements of sympy's QQ(t)) times the lcm of its
+    denominators, over Q[t]."""
+    parts = [qt_oracle.poly_parts(x) for x in col]
     lcm = UniPoly.const(1)
-    for x in col:
-        lcm = lcm * x.den.exact_div(lcm.gcd(x.den))
-    return [x.num * lcm.exact_div(x.den) for x in col]
+    for _, den in parts:
+        lcm = lcm * den.exact_div(lcm.gcd(den))
+    return [num * lcm.exact_div(den) for num, den in parts]
 
 
 def _kt_over_qt(d):
     """(s-coefficients, h(t) + s(t)) for each element of K(t), from the slice
-    equations solved along f^+(t): ker M_N over Q(t), cleared and normalized
-    by column_normalize, and s = -M_S alpha."""
+    equations solved along f^+(t) over Q(t) by sympy: ker M_N cleared and
+    normalized by column_normalize, and s = -M_S alpha."""
     model, nh = d.model, len(d.model.H)
-    fplus = _fplus(d.problem)
-    ker, ms_cols = model.slice_equations(fplus)
-    if fplus:
-        assert all(isinstance(x, RationalFn) for v in ker + ms_cols for x in v.values())
+    ker, m_s = qt_oracle.slice_equations(model, _fplus(d.problem))
     if not ker:
         return []
     out = []
-    cleared = [_clear_denominators(dense(v, nh)) for v in ker]
+    cleared = [_clear_denominators(v) for v in ker]
     for alpha in map(sparse, column_normalize(Mat.from_cols(cleared)).columns()):
-        sc = lin_comb({j: -RationalFn.coerce(a) for j, a in alpha.items()}, ms_cols)
+        s = m_s * qt_oracle.columns([{j: -a for j, a in alpha.items()}], nh)
+        sc = sparse([qt_oracle.as_poly(x) for x in s.to_list_flat()])
         kc = lin_comb(alpha | {nh + i: c for i, c in sc.items()}, model.H_coords + model.S_coords)
         out.append((sc, model.glrep.from_coords(kc)))
     return out

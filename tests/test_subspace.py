@@ -1,10 +1,11 @@
-"""Differential tests of the Subspace echelon on sparse vectors, its residue
-(quotient) map and the functions built on it (rref, nullspace, rank, solve,
-and the dense adapters lin_indep_subset and coords_in_basis), and of the
-sparse Bareiss determinant, against sympy over Q and Q(t), including 0-row
-and 0-column shapes.  The oracle is sympy's
-DomainMatrix over QQ and QQ.frac_field(t), whose entries are canonical, so
-that results compare exactly without symbolic simplification."""
+"""Differential tests of the Subspace echelon on sparse vectors over Q (and of
+vectors over Q[t] reduced modulo it), its residue (quotient) map and the
+functions built on it (rref, nullspace, rank, solve, and the dense adapters
+lin_indep_subset and coords_in_basis), and of the sparse fraction-free
+Bareiss determinant and rank over Q[t], against sympy, including 0-row and
+0-column shapes.  The oracle is sympy's DomainMatrix over QQ and
+QQ.frac_field(t), whose entries are canonical, so that results compare
+exactly without symbolic simplification."""
 
 from fractions import Fraction
 
@@ -15,10 +16,9 @@ from hypothesis import strategies as st
 
 import pytest
 
-from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, Subspace, UniPoly,
-                                   coords_in_basis, dense, det_bareiss,
-                                   lin_indep_subset, nullspace, rank, rref,
-                                   solve, sparse)
+from orbitlimits.exactcore import (Mat, Q0, Q1, Subspace, UniPoly, coords_in_basis,
+                                   dense, det_bareiss, lin_indep_subset, nullspace,
+                                   rank, rank_qt, rref, solve, sparse)
 
 # mostly zeros, so that the matrices are sparse like the action maps
 entries = st.one_of(st.just(Q0), st.just(Q0),
@@ -34,8 +34,6 @@ def vectors(data, dim, count):
 def to_sympy(x):
     if isinstance(x, UniPoly):
         return sum((to_sympy(c) * T**e for e, c in x.c.items()), sympy.Integer(0))
-    if isinstance(x, RationalFn):
-        return to_sympy(x.num) / to_sympy(x.den)
     x = Fraction(x)
     return sympy.Rational(x.numerator, x.denominator)
 
@@ -45,8 +43,8 @@ def sym_cols(cols, dim):
 
 
 def domain_of(*blocks):
-    """QQ(t) if any entry of the nested lists is over Q[t] or Q(t), else QQ."""
-    qt = any(isinstance(x, (UniPoly, RationalFn)) for rows in blocks for r in rows for x in r)
+    """QQ(t) if any entry of the nested lists is over Q[t], else QQ."""
+    qt = any(isinstance(x, UniPoly) for rows in blocks for r in rows for x in r)
     return QT if qt else sympy.QQ
 
 
@@ -201,8 +199,10 @@ polys = st.builds(lambda a, b: UniPoly({0: a, 1: b}),
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_subspace_over_qt_against_sympy(data):
+    # a span over Q reduces vectors over Q[t]: their coordinates are over Q[t],
+    # and they lie in it exactly when they lie in its Q(t)-span
     dim, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    gens = [[data.draw(polys) for _ in range(dim)] for _ in range(count)]
+    gens = vectors(data, dim, count)
     sp = Subspace(dim)
     flags = [sp.add(sparse(g)) for g in gens]
     idx = greedy(gens, dim)
@@ -212,8 +212,7 @@ def test_subspace_over_qt_against_sympy(data):
     v = [sum((c * b[i] for c, b in zip(coeffs, basis)), UniPoly.zero())
          for i in range(dim)]
     co = sp.coords(sparse(v))
-    assert co is not None and all(RationalFn.coerce(co.get(i, Q0)) == RationalFn.coerce(p)
-                                  for i, p in enumerate(coeffs))
+    assert co is not None and all(co.get(i, UniPoly.zero()) == p for i, p in enumerate(coeffs))
     assert_no_stored_zeros(sp, co)
     w = [data.draw(polys) for _ in range(dim)]
     assert (sparse(w) in sp) == (sym_rank(basis + [w], dim) == len(basis))
@@ -236,9 +235,9 @@ def same(ours, theirs, K):
                     for a, b in zip(ours, theirs)))
 
 
-def check_elimination(rows, cols, field):
+def check_elimination(rows, cols):
     """rref, nullspace and rank of Mat(rows, cols) against sympy; every entry
-    of the results has the type `field`."""
+    of the results is a Fraction."""
     m, dm = Mat(rows, cols), dom_mat(rows, cols)
     got, pivots = rref(m)
     want, want_pivots = dm.rref()
@@ -248,15 +247,15 @@ def check_elimination(rows, cols, field):
     assert same(ns, dm.nullspace(divide_last=True).to_list(), dm.domain)
     assert rank(m) == len(pivots) == dm.rank()
     if rows and cols:
-        assert all(type(x) is field for r in got for x in r)
-        assert all(type(x) is field for v in ns for x in v)
+        assert all(type(x) is Fraction for r in got for x in r)
+        assert all(type(x) is Fraction for v in ns for x in v)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_rref_nullspace_rank_against_sympy(data):
     nr, nc = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
-    check_elimination(vectors(data, nc, nr), nc, Fraction)
+    check_elimination(vectors(data, nc, nr), nc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,20 +263,21 @@ def test_rref_nullspace_rank_against_sympy(data):
 def test_rref_nullspace_rank_over_qt_against_sympy(data):
     nr, nc = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     rows = [[data.draw(st.one_of(polys, entries)) for _ in range(nc)] for _ in range(nr)]
-    # one Q[t] entry makes every entry of the results a RationalFn
-    field = RationalFn if any(isinstance(x, UniPoly) for r in rows for x in r) else Fraction
-    check_elimination(rows, nc, field)
+    # the elimination over Q is rref's; with an entry over Q[t], the rank over
+    # Q(t) is the fraction-free one
+    if any(isinstance(x, UniPoly) for r in rows for x in r):
+        assert rank_qt([sparse(r) for r in rows]) == sym_rank(rows, nc)
+    else:
+        check_elimination(rows, nc)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_solve_against_sympy(data):
     n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
-    qt = data.draw(st.booleans()) and n <= 3
-    cell = polys if qt else entries
-    rows = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
-    rhs = [[data.draw(cell) for _ in range(n)] for _ in range(k)]
-    K = domain_of(rows, rhs)
+    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    rhs = [[data.draw(entries) for _ in range(n)] for _ in range(k)]
+    K = sympy.QQ
     dm = dom_mat(rows, n, K)
     if n and not dm.det():
         with pytest.raises(ValueError):
@@ -286,10 +286,7 @@ def test_solve_against_sympy(data):
     got = solve(Mat(rows, n), rhs)
     want = [dm.lu_solve(dom_mat([[x] for x in b], 1, K)).to_list_flat() for b in rhs]
     assert same(got, want, K)
-    if n and any(isinstance(x, UniPoly) for r in rows + rhs for x in r):
-        assert all(type(x) is RationalFn for col in got for x in col)
-    else:
-        assert all(type(x) is Fraction for col in got for x in col)
+    assert all(type(x) is Fraction for col in got for x in col)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -344,6 +341,32 @@ def test_det_bareiss_against_sympy(data):
     assert K.from_sympy(to_sympy(d)) == dom_mat(rows, n, K).det()
     if shape == "singular":
         assert not d
+
+
+dense_qt = st.builds(lambda a, b, c: UniPoly({0: a, 1: b, 2: c}),
+                    small, small, small).filter(bool)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_rank_qt_against_sympy(data):
+    # sparse, dense and rational draws; a zero row, or one row a Q[t]-combination
+    # of the others
+    nr, nc = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    cell = data.draw(st.sampled_from([qt_entries, dense_qt, entries]))
+    rows = [[data.draw(cell) for _ in range(nc)] for _ in range(nr)]
+    shape = data.draw(st.sampled_from(["random", "zero-row", "deficient"]))
+    deficient = (shape == "zero-row" and nr >= 1) or (shape == "deficient" and nr >= 2)
+    i = data.draw(st.integers(0, nr - 1)) if deficient else None
+    if deficient and shape == "zero-row":
+        rows[i] = [Q0] * nc
+    elif deficient:
+        others = [r for k, r in enumerate(rows) if k != i]
+        rows[i] = combination([data.draw(qt_entries) for _ in others], others, nc)
+    got = rank_qt([sparse(r) for r in rows])
+    assert got == sym_rank(rows, nc)
+    if deficient:
+        assert got < nr
 
 
 def test_det_bareiss_of_non_square_matrix_raises():

@@ -31,25 +31,31 @@ def test_every_traced_name_exists():
 
 
 def test_traced_worker_runs_a_limit_and_a_det3_row():
-    # one round of a small `limit` document (O2) and det3 row l4, traced
+    # one round of a small `limit` document (O2), det3 row l4, `kempf` on J_3
+    # and the slice report at J_{2,1}, traced; the last two go through the
+    # tracer's rref hook
     o2 = {"form": {"nvars": 2, "degree": 4,
                    "terms": [{"exp": [4, 0], "coef": "1"}, {"exp": [2, 2], "coef": "2"},
                              {"exp": [0, 4], "coef": "1"}]},
           "oneps": [1, 0]}
-    job = {"requests": [["limit", o2], ["det3", "l4"]], "seconds": 0, "trace": 1,
-           "probe": False}
+    j3 = [["1" if j == i + 1 else "0" for j in range(3)] for i in range(3)]
+    job = {"requests": [["limit", o2], ["det3", "l4"],
+                        ["kempf", {"matrix": j3, "t": 1000, "grid": True}],
+                        ["slice", {"kind": "jab", "a": 2, "b": 1}]],
+           "seconds": 0, "trace": 1, "probe": False}
     env = dict(os.environ, PYTHONPATH=str(TRACING.parents[1] / "src"))
     proc = subprocess.run([sys.executable, str(TRACING.parent / "worker.py")],
                           input=json.dumps(job), capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert [rc for rc, _ in out["answers"]] == [0, 0]
+    assert [rc for rc, _ in out["answers"]] == [0, 0, 0, 0]
     layers = out["layers"]
     for name in ("limits.limit_algebra", "lierep.stabilizer_algebra",
                  "localmodel.build_local_model", "localmodel.inv_one_plus_theta"):
         assert layers[f"{name}.calls"] > 0, name
-    # the limit pipeline eliminates through Subspace and kernel, which are not
-    # wrapped, so the rref counters are only checked to be reported
     assert {f"exactcore.rref.{k}" for k in ("calls", "total_s", "self_s", "entries",
                                             "max_bits")} <= set(layers)
+    # the limit pipeline eliminates through Subspace and kernel, which are not
+    # wrapped; `kempf` and the slice report call rref
+    assert layers["exactcore.rref.calls"] > 0
