@@ -160,14 +160,21 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        r = UniPoly.const(1)
+        """Square and multiply: b runs through self^(2^i) and is squared only
+        while a higher bit of k remains; r starts at the first set bit."""
+        if k < 0:
+            raise ValueError("negative exponent of a polynomial")
+        if not k:
+            return UniPoly.const(1)
+        r = None
         b = self
-        while k:
+        while True:
             if k & 1:
-                r = r * b
-            b = b * b
+                r = b if r is None else r * b
             k >>= 1
-        return r
+            if not k:
+                return r
+            b = b * b
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by t**k (k may be negative if the valuation allows)."""

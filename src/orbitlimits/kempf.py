@@ -78,7 +78,7 @@ class WeightSupport:
     @cached_property
     def float_norms(self) -> list[float]:
         """|v_chi|^2 as floats, one per component: the only float copy of the
-        norms, shared by `kempf_f` and `kempf_descent`."""
+        norms, shared by `kempf_f`, `grid_minimize` and `kempf_descent`."""
         return [float(c.norm_sq) for c in self.components]
 
 
@@ -125,12 +125,18 @@ def mu(ell, support: WeightSupport):
 
 
 def kempf_f(t: float, ell, support: WeightSupport) -> float:
-    """f(t, l) in floats; math.inf where a term t^(-<l, chi>) overflows."""
+    """f(t, l) in floats; math.inf where a term t^(-<l, chi>) overflows.
+
+    The terms are added left to right from 0, the order `grid_minimize`
+    reproduces (the builtin `sum` compensates float rounding from Python
+    3.12 on)."""
+    f = 0.0
     try:
-        return sum(nsq * t ** (-float(pairing(ell, c.chi)))
-                   for nsq, c in zip(support.float_norms, support.components))
+        for nsq, c in zip(support.float_norms, support.components):
+            f += nsq * t ** (-float(pairing(ell, c.chi)))
     except OverflowError:
         return math.inf
+    return f
 
 
 def leading_term_along(ell, support: WeightSupport):
@@ -355,21 +361,58 @@ def _residual(p: list[float]) -> float:
 
 
 def grid_minimize(support: WeightSupport, t: float) -> tuple[list[float], float]:
-    """Brute-force oracle: best direction q/|q|, q in (Z/GRID_RESOLUTION)^n
-    with sum q = 0, evaluated on f(t, .).  Intended for small n."""
+    """Brute-force oracle: the best direction p = q/|q| on f(t, .), over the
+    nonzero integer q with sum q = 0 and every |q_i| <= GRID_RESOLUTION
+    (40, 1,260 and 45,960 points for n = 2, 3, 4).  Intended for small n.
+
+    Returns (p, f(t, p)) for the first q, in lexicographic order, whose f is
+    least: a later point replaces the best only with a strictly smaller f.
+    Each f is `kempf_f`'s, bit for bit: the same products, the same term
+    expression and the same left-to-right sums.  A point stops being summed
+    once its partial sum reaches the best f, since the terms are >= 0 and
+    float addition is monotone; a term that overflows makes f +inf.  Where
+    every point's f is +inf, or n < 2 leaves no point, the result is
+    (None, inf).
+    """
     n = support.n
-    best_p, best_f = None, math.inf
     R = GRID_RESOLUTION
-    for q in itertools.product(range(-R, R + 1), repeat=n - 1):
-        last = -sum(q)
-        if abs(last) > R:
-            continue
-        full = list(q) + [last]
-        if all(x == 0 for x in full):
-            continue
-        nrm = math.sqrt(sum(x * x for x in full))
-        p = [x / nrm for x in full]
-        fv = kempf_f(t, p, support)
-        if fv < best_f:
-            best_f, best_p = fv, p
+    best_p, best_f = None, math.inf
+    if n < 2:
+        return best_p, best_f
+    # per component, |v_chi|^2 with the nonzero (index, entry) pairs of chi;
+    # a zero chi pairs to -0.0 in `kempf_f`: its whole term is a constant
+    terms = []
+    for nsq, c in zip(support.float_norms, support.components):
+        nz = [(i, b) for i, b in enumerate(c.chi) if b]
+        if nz:
+            terms.append((nsq, nz[0][0], nz[0][1], nz[1:]))
+        else:
+            terms.append((nsq * t ** -0.0, None, None, None))
+    # q = head + (x, -(h + x)): x runs over the values with |h + x| <= R
+    for head in itertools.product(range(-R, R + 1), repeat=n - 2):
+        h = sum(head)
+        hsq = sum(y * y for y in head)
+        at_origin = not any(head)
+        for x in range(max(-R, -R - h), min(R, R - h) + 1):
+            if at_origin and not x:
+                continue
+            q = head + (x, -(h + x))
+            nrm = math.sqrt(hsq + x * x + (h + x) * (h + x))
+            f = 0.0
+            for w, i, b, rest in terms:
+                if i is None:
+                    f += w
+                else:
+                    # p_i * b with p = q/|q|, as `pairing` forms it
+                    s = q[i] / nrm * b
+                    for j, c in rest:
+                        s += q[j] / nrm * c
+                    try:
+                        f += w * t ** -s
+                    except OverflowError:
+                        break
+                if f >= best_f:
+                    break
+            else:
+                best_p, best_f = [y / nrm for y in q], f
     return best_p, best_f

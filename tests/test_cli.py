@@ -359,6 +359,21 @@ def test_kempf_agrees_with_grid_on_semistable_input(tmp_path, capsys):
     assert res["agrees_with_grid"] is True
 
 
+# Whole `kempf --format json` outputs, pinned on J_3 and J_4 at t = 1000 and
+# t = 1e300, the semistable dense 4x4 above at t = 100 and a semistable
+# ternary cubic, all with the grid cross-check
+KEMPF_GOLDEN = json.loads((Path(__file__).parent / "data" / "kempf_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(KEMPF_GOLDEN))
+def test_kempf_output_is_pinned(tmp_path, capsys, name):
+    case = KEMPF_GOLDEN[name]
+    path = _write(tmp_path, "in.json", case["input"])
+    code, out, err = _run(capsys, ["kempf", "--input", path, "--format", "json"])
+    assert code == EXIT_OK, err
+    assert out == case["json"]
+
+
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])
 def test_kempf_rejects_bad_t(tmp_path, capsys, t):
     path = _write(tmp_path, "in.json", {"matrix": J3, "t": t})

@@ -57,6 +57,22 @@ def test_unipoly_mul_evaluates(a, b):
     assert (p * q)(t0) == p(t0) * q(t0)
 
 
+@pytest.mark.parametrize("p", [UniPoly({1: Q1, 0: Fraction(-2, 3)}),      # t - 2/3
+                               UniPoly({3: Fraction(2), 0: Q1}),          # 2t^3 + 1
+                               UniPoly({2: Fraction(-1, 2)}),             # -t^2 / 2
+                               UniPoly()])
+def test_unipoly_pow_is_repeated_multiplication(p):
+    r = UniPoly.const(1)
+    for k in range(9):
+        assert p ** k == r
+        r = r * p
+
+
+def test_unipoly_negative_power_raises():
+    with pytest.raises(ValueError):
+        UniPoly({1: Q1, 0: Q1}) ** -1
+
+
 def test_rationalfn_reduces():
     num = UniPoly({2: Q1, 1: Q1})                       # t^2 + t
     den = UniPoly({1: Fraction(2)})                     # 2t

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from orbitlimits.conjclosure import jordan_block
 from orbitlimits.exactcore import Mat
-from orbitlimits.kempf import (WeightComponent, WeightSupport,
+from orbitlimits.kempf import (GRID_RESOLUTION, WeightComponent, WeightSupport,
                                centered_ap_direction, grid_minimize, kempf_f,
                                kempf_descent, kempf_optimum, kempf_support,
                                leading_term_along, mu, pairing)
@@ -204,3 +205,88 @@ def test_dense_semistable_descent_converges():
     assert res.mu_star_squared == 0
     assert res.converged is True
     assert abs(res.f_value - gf) <= 1e-3 * abs(gf)
+
+
+# ---------------------------------------------------------------------------
+# the grid oracle against its definition
+
+
+def _grid_reference(support, t):
+    """`grid_minimize` as first written: every tuple of (-R..R)^(n-1), the
+    trace-zero ones evaluated by `kempf_f` at q/|q|, the first least f kept."""
+    n = support.n
+    best_p, best_f = None, math.inf
+    R = GRID_RESOLUTION
+    for q in itertools.product(range(-R, R + 1), repeat=n - 1):
+        last = -sum(q)
+        if abs(last) > R:
+            continue
+        full = list(q) + [last]
+        if all(x == 0 for x in full):
+            continue
+        nrm = math.sqrt(sum(x * x for x in full))
+        p = [x / nrm for x in full]
+        fv = kempf_f(t, p, support)
+        if fv < best_f:
+            best_f, best_p = fv, p
+    return best_p, best_f
+
+
+def _grid_supports():
+    """J_2-J_4, seeded sparse and dense integer matrices with n <= 4, and
+    seeded forms in 2-4 variables."""
+    rng = random.Random(18)
+    cases = [(f"J_{n}", _jn_support(n)) for n in (2, 3, 4)]
+    for n in (2, 2, 3, 3, 4):
+        rep = ConjRep(n)
+        for kind, density in (("sparse", 0.3), ("dense", 1.0)):
+            rows = [[rng.randint(-3, 3) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(n)]
+            rows[0][n - 1] = rows[0][n - 1] or 1   # keep the matrix nonzero
+            cases.append((f"{kind}-{n}x{n}-{len(cases)}",
+                          kempf_support(rep, rep.to_coords(Mat.rational(rows)))))
+    for nvars, degree in ((2, 3), (2, 5), (3, 2), (3, 3), (4, 3)):
+        rep = SymRep(nvars, degree)
+        exps = rng.sample(rep.basis, min(len(rep.basis), rng.randint(2, 5)))
+        form = Form(nvars, degree, {tuple(e): rng.choice([-3, -1, 1, 2, 5]) for e in exps})
+        cases.append((f"form-{nvars}v-deg{degree}", kempf_support(rep, rep.to_coords(form))))
+    return cases
+
+
+# the reference loop takes about 0.5 s a call at n = 4: there J_4 runs at
+# every t and the other supports at one moderate and one overflowing t
+GRID_CASES = [pytest.param(sup, t, id=f"{name}-t{t:g}")
+              for name, sup in _grid_supports()
+              for t in (2.0, 10.0, 1000.0, 1e300)
+              if sup.n < 4 or name == "J_4" or t in (10.0, 1e300)]
+
+
+@pytest.mark.parametrize("sup, t", GRID_CASES)
+def test_grid_equals_reference_loop(sup, t):
+    p, f = grid_minimize(sup, t)
+    rp, rf = _grid_reference(sup, t)
+    assert p == rp and f == rf
+
+
+def test_grid_without_a_finite_point():
+    # f = 2 + t^sqrt2 + t^-sqrt2 at both points of the rank-2 grid: every f
+    # is +inf at t = 1e300, and no point is best
+    rep = ConjRep(2)
+    sup = kempf_support(rep, rep.to_coords(Mat.rational([[1, 1], [1, 1]])))
+    assert grid_minimize(sup, 1e300) == _grid_reference(sup, 1e300) == (None, math.inf)
+    # the rank-1 grid is empty
+    sup = _support(1, [((2,), 1)])
+    assert grid_minimize(sup, 10.0) == _grid_reference(sup, 10.0) == (None, math.inf)
+
+
+@pytest.mark.parametrize("n, points", [(2, 40), (3, 1260), (4, 45960)])
+def test_grid_ties_go_to_the_first_point(n, points):
+    # a zero weight makes f constant, so every one of the documented number
+    # of grid points ties, and the first in lexicographic order is returned
+    R = GRID_RESOLUTION
+    grid = [q + (-sum(q),) for q in itertools.product(range(-R, R + 1), repeat=n - 1)
+            if any(q) and abs(sum(q)) <= R]
+    assert len(grid) == points
+    p, f = grid_minimize(_support(n, [((0,) * n, 1)]), 10.0)
+    nrm = math.sqrt(sum(x * x for x in grid[0]))
+    assert f == 1.0 and p == [x / nrm for x in grid[0]]
