@@ -374,6 +374,23 @@ def test_kempf_output_is_pinned(tmp_path, capsys, name):
     assert out == case["json"]
 
 
+# Whole `--format json` outputs of the subcommands that print gl elements or
+# build on them: stabilizer and local-model on xyz, J_4 and a dense 5x5
+# integer matrix (entries drawn from [-3, 3] by random.Random(3)), local-model
+# under weights, the slice reports at J_4 and J_{3,2}, and the cyclic and
+# adjoint curvature suites
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_output_is_pinned(tmp_path, capsys, name):
+    case = CLI_GOLDEN[name]
+    path = _write(tmp_path, "in.json", case["input"])
+    code, out, err = _run(capsys, [case["command"], "--input", path, "--format", "json"])
+    assert code == EXIT_OK, err
+    assert out == case["json"]
+
+
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])
 def test_kempf_rejects_bad_t(tmp_path, capsys, t):
     path = _write(tmp_path, "in.json", {"matrix": J3, "t": t})
