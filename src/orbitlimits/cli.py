@@ -171,7 +171,12 @@ def jordanspec_from_doc(doc) -> JordanSpec:
     try:
         for b in doc:
             ev = b["eig"]
-            ev = ev["label"] if isinstance(ev, dict) else parse_rational(ev)
+            if isinstance(ev, dict):
+                ev = ev["label"]
+                if not isinstance(ev, str):
+                    raise InputError(f"an eigenvalue label must be a string, got {ev!r}")
+            else:
+                ev = parse_rational(ev)
             blocks.append((ev, [json_int(s, "a block size") for s in b["sizes"]]))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad Jordan spec: {e}") from None
@@ -431,13 +436,12 @@ def cmd_kempf(args) -> int:
         gp, gf = grid_minimize(support, t)
         out["grid_f"] = gf
         out["grid_mu"] = float(mu(gp, support))
-        if out["unstable"]:
-            out["agrees_with_grid"] = (abs(res.f_value - gf) <= args.tol * abs(gf)
-                                       and res.mu_value >= out["grid_mu"] - args.tol)
-        else:
-            # mu at a finite-t minimizer of a semistable v measures nothing;
-            # the descent agrees when its f is no worse than the grid's
-            out["agrees_with_grid"] = res.f_value <= gf * (1 + args.tol)
+        # the descent agrees when its f is no worse than the grid's and, on an
+        # unstable v, its mu no lower; mu at a finite-t minimizer of a
+        # semistable v measures nothing
+        out["agrees_with_grid"] = (res.f_value <= gf * (1 + args.tol)
+                                   and (not out["unstable"]
+                                        or res.mu_value >= out["grid_mu"] - args.tol))
     emit(out, args.format)
     return EXIT_OK
 

@@ -579,6 +579,11 @@ def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cm
     ("local-model", {"form": {"nvars": 2, "degree": 2, "terms": [{"exp": [True, 1], "coef": "1"}]}}),
     ("closure", {"spec": [{"eig": "1", "sizes": [2.5]}], "partition": [2]}),
     ("closure", {"spec": [{"eig": "1", "sizes": [2]}], "partition": [2.0]}),
+    # an eigenvalue label is a JSON string, never a list, an object or a number
+    ("closure", {"spec": [{"eig": {"label": [1]}, "sizes": [2]}], "partition": [2]}),
+    ("closure", {"spec": [{"eig": {"label": {"a": 1}}, "sizes": [2]}], "partition": [2]}),
+    ("closure", {"spec": [{"eig": {"label": 1}, "sizes": [1]}, {"eig": "1", "sizes": [1]}],
+                 "partition": [2]}),
 ])
 def test_ill_typed_fields_are_input_errors(tmp_path, capsys, cmd, doc):
     path = _write(tmp_path, "in.json", doc)
