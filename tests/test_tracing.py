@@ -59,3 +59,13 @@ def test_traced_worker_runs_a_limit_and_a_det3_row():
     # the limit pipeline eliminates through Subspace and kernel, which are not
     # wrapped; `kempf` and the slice report call rref
     assert layers["exactcore.rref.calls"] > 0
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own tests, which read `orbitlimits.examples` and the CLI
+    # answers that its checks parse
+    root = TRACING.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(TRACING.parent / "selftest.py")],
+                          capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
