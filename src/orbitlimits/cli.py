@@ -137,6 +137,11 @@ def mat_to_doc(m: Mat):
     return [[rational_str(x) for x in row] for row in m.a]
 
 
+def gl_to_doc(g: dict, n: int):
+    """The matrix document of an element of gl(n) given by its coordinates."""
+    return mat_to_doc(ConjRep(n).from_coords(g))
+
+
 def json_int(v, what: str) -> int:
     """v, which must be a JSON integer: not a float, string or boolean."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -279,7 +284,7 @@ def cmd_stabilizer(args) -> int:
     rep, v = _vector_input(doc)
     H = stabilizer_algebra(rep, v)
     verified = all(not rep.act(h, v) for h in H)
-    emit({"dimension": len(H), "basis": [mat_to_doc(h) for h in H],
+    emit({"dimension": len(H), "basis": [gl_to_doc(h, rep.n) for h in H],
           "verified": verified}, args.format)
     return EXIT_OK
 
@@ -292,8 +297,8 @@ def cmd_local_model(args) -> int:
         raise InputError(f"need {rep.n} weights, got {len(weights)}")
     model = build_local_model(rep, v, weights=weights)
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
-          "H": [mat_to_doc(h) for h in model.H],
-          "S": [mat_to_doc(s) for s in model.S],
+          "H": [gl_to_doc(h, rep.n) for h in model.H],
+          "S": [gl_to_doc(s, rep.n) for s in model.S],
           "N": [[rational_str(Fraction(x)) for x in dense(nv, rep.dim)] for nv in model.N]},
          args.format)
     return EXIT_OK

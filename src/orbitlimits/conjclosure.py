@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank, sparse
-from .lierep import ConjRep, elementary
+from .lierep import ConjRep, bracket, elementary, lin_comb
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
 from .localmodel import LocalModel, build_local_model
 
@@ -477,16 +477,15 @@ def Z_shift(n: int, k: int) -> Mat:
 
 
 def companion_slice_basis(n: int) -> list[dict]:
-    """V-coordinate basis of C_n: matrices supported on the first column."""
-    rep = ConjRep(n)
-    return [rep.to_coords(elementary(n, i, 0)) for i in range(n)]
+    """V-coordinate basis of C_n: the units E_i1 of the first column."""
+    return [{i * n: Q1} for i in range(n)]
 
 
 def jn_local_model(n: int) -> LocalModel:
+    """The local model at J_n with S spanned by the E_ij off the first row."""
     rep = ConjRep(n)
-    jn = Z_shift(n, 1)
-    S = [elementary(n, i, j) for i in range(1, n) for j in range(n)]
-    return build_local_model(rep, rep.to_coords(jn), S=S, N=companion_slice_basis(n))
+    S = [{k: Q1} for k in range(n, n * n)]
+    return build_local_model(rep, rep.to_coords(Z_shift(n, 1)), S=S, N=companion_slice_basis(n))
 
 
 def minimal_polynomial(m: Mat) -> UniPoly:
@@ -511,7 +510,8 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     report = {"n": n, "dim_H": len(model.H), "dim_S": len(model.S),
               "dim_N": len(model.N)}
     # H is spanned by the nonnegative shifts Z_0..Z_{n-1}
-    report["H_is_span_Z"] = same_span([Z_shift(n, k) for k in range(n)], model.H, n)
+    report["H_is_span_Z"] = same_span([model.rep.to_coords(Z_shift(n, k)) for k in range(n)],
+                                      model.H, n)
     # theta(n1) theta(n2) = 0 on basis pairs => theta(n)^2 = 0 for all n in N
     mats = [model.theta_matrix(nv) for nv in model.N]
     report["theta_squared_zero"] = all(not any(x for row in (t1 * t2).a for x in row)
@@ -541,18 +541,17 @@ def z4_example() -> dict:
     """The explicit S-completion stabilizing Z_4 = J_4 + E_41: starting from
     h = J_4^3, the completion s = E_21 + E_32 + E_43 satisfies
     [s, J_4] = -[h, C_4] and s + h stabilizes Z_4."""
-    j4 = Z_shift(4, 1)
-    c4 = elementary(4, 3, 0)
-    z4 = j4 + c4
-    h = j4 * j4 * j4
-    s = elementary(4, 1, 0) + elementary(4, 2, 1) + elementary(4, 3, 2)
-    br = lambda a, b: a * b - b * a
-    ok_completion = br(s, j4) == br(h, c4).scale(-1)
-    ok_stab = br(s + h, z4) == Mat.zeros(4, 4)
-    model = jn_local_model(4)
-    stab = model.slice_stabilizer(model.rep.to_coords(c4))
+    glrep, j4 = ConjRep(4), Z_shift(4, 1)
+    c4 = glrep.to_coords(elementary(4, 3, 0))
+    h = glrep.to_coords(j4 * j4 * j4)
+    s = glrep.to_coords(elementary(4, 1, 0) + elementary(4, 2, 1) + elementary(4, 3, 2))
+    s_plus_h = lin_comb({0: Q1, 1: Q1}, [s, h])
+    z4 = lin_comb({0: Q1, 1: Q1}, [glrep.to_coords(j4), c4])
+    ok_completion = bracket(s, glrep.to_coords(j4), 4) == lin_comb({0: -Q1}, [bracket(h, c4, 4)])
+    ok_stab = not bracket(s_plus_h, z4, 4)
+    stab = jn_local_model(4).slice_stabilizer(c4)
     return {"completion_identity": ok_completion, "stabilizes": ok_stab,
-            "s_plus_h": s + h, "slice_stabilizer_dim": len(stab)}
+            "s_plus_h": s_plus_h, "slice_stabilizer_dim": len(stab)}
 
 
 # ---------------------------------------------------------------------------

@@ -258,11 +258,10 @@ def sphere_ricci(sphere_dim: int, r) -> list:
 # adjoint action at a regular diagonal point
 
 
-def _e_mat(lams, p, q) -> Mat:
-    """The normalized off-diagonal element e_pq = E_pq / (lam_q - lam_p)."""
-    m = Mat.zeros(len(lams), len(lams))
-    m.a[p][q] = 1 / (lams[q] - lams[p])
-    return m
+def _e(lams, p, q) -> dict:
+    """The normalized off-diagonal element e_pq = E_pq / (lam_q - lam_p), in
+    gl coordinates."""
+    return {p * len(lams) + q: 1 / (lams[q] - lams[p])}
 
 
 def adjoint_pi(lams) -> dict:
@@ -287,8 +286,8 @@ def adjoint_pi(lams) -> dict:
             if p == q:
                 continue
             # dual route: the generic action of e_pq on the coordinates of e_qp
-            w = rep.from_coords(rep.act(_e_mat(lams, p, q), rep.to_coords(_e_mat(lams, q, p))))
-            diag = [w.a[i][i] for i in range(n)]
+            w = rep.act(_e(lams, p, q), _e(lams, q, p))
+            diag = [w.get(i * (n + 1), Q0) for i in range(n)]
             d = (lams[q] - lams[p]) ** 2
             expected = [Q0] * n
             expected[p] = -1 / d
@@ -308,8 +307,8 @@ def adjoint_offdiagonal_vanishing(lams) -> bool:
     for p, q, r, s in itertools.product(range(n), repeat=4):
         if p == q or r == s or (r, s) == (q, p):
             continue
-        w = rep.from_coords(rep.act(_e_mat(lams, p, q), rep.to_coords(_e_mat(lams, r, s))))
-        if any(w.a[i][i] for i in range(n)):
+        w = rep.act(_e(lams, p, q), _e(lams, r, s))
+        if any(i * (n + 1) in w for i in range(n)):
             return False
     return True
 
@@ -367,10 +366,10 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
     # scaled route: fields with value Xhat, Yhat at x come from Xhat/(mu-lam)
     # and Yhat/(lam-mu); their Pi is the commutator route divided by (mu-lam).
     s = 1 / (mu - lam)
-    w = rep.from_coords(rep.act(Yhat.scale(-s), rep.to_coords(Xhat)))
+    w = rep.act(rep.to_coords(Yhat.scale(-s)), rep.to_coords(Xhat))
     for i in range(n):
         for j in range(n):
-            if (i < m) == (j < m) and w.a[i][j] != disp.a[i][j] * s:
+            if (i < m) == (j < m) and w.get(i * n + j, Q0) != disp.a[i][j] * s:
                 return False
     return True
 
@@ -469,8 +468,7 @@ def cyclic_shift_suite(n: int) -> dict:
 
     stab = stabilizer_algebra(rep, c_coords)
     powers = [rep.to_coords(cyc_power(n, k)) for k in range(n)]
-    stab_ok = (len(stab) == n and
-               len(Subspace(rep.dim, [rep.to_coords(m) for m in stab] + powers)) == n)
+    stab_ok = len(stab) == n and len(Subspace(rep.dim, stab + powers)) == n
 
     lb = ell_bar(n)
     lb_in_S = not any(shifted_diagonal_sums(lb))
@@ -538,7 +536,7 @@ def cyclic_chart_form(n: int) -> CurvatureData:
     rep = ConjRep(n)
     c = cyclic_shift(n)
     y = rep.to_coords(c)
-    S_ops = [action_matrix(rep, L_op(n, i)) for i in range(n)]
+    S_ops = [action_matrix(rep, rep.to_coords(L_op(n, i))) for i in range(n)]
     N_basis = [dense(rep.to_coords(cyc_power(n, k)), rep.dim) for k in range(n)]
     full_tangent = [dense(t, rep.dim) for t in tangent_space(rep, y)]
     return chart_second_fundamental_form(dense(y, rep.dim), S_ops, N_basis,

@@ -9,7 +9,10 @@ Conventions (pinned by the Sym^2 worked example):
   * monomial bases are ordered graded-lexicographically in the given
     variable order, matrix-entry bases row-major;
   * coordinate vectors are sparse dicts {basis index: value} with no stored
-    zeros, in V and in gl alike; gl elements themselves are `Mat`s.
+    zeros, in V and in gl alike.  An element g of gl(n) is its coordinate
+    vector {i*n + j: g_ij}, from the action maps through the limit algebra;
+    `Mat` is for matrix products, group elements and input and output, and
+    `ConjRep.to_coords`/`from_coords` convert at those edges.
 """
 
 from __future__ import annotations
@@ -114,14 +117,12 @@ class SymRep:
                 out[self.index[tuple(ee)]] = e[i] * c
         return out
 
-    def act(self, g: Mat, v: dict) -> dict:
-        """g . v, one nonzero g_ij at a time on the nonzero coordinates of v."""
+    def act(self, g: dict, v: dict) -> dict:
+        """g . v, one coordinate g_ij of g at a time on the nonzero coordinates
+        of v."""
         out: dict = {}
         nz = [(self.basis[k], c) for k, c in v.items()]
-        for i, row in enumerate(g.a):
-            gi = [(j, x) for j, x in enumerate(row) if x]
-            if not gi:
-                continue
+        for i, gi in _rows(g, self.n).items():
             # x_j d/dx_i sends x^e to e_i x^(e - e_i + e_j)
             lowered = [(e[:i] + (e[i] - 1,) + e[i + 1:], e[i] * c) for e, c in nz if e[i]]
             for j, gij in gi:
@@ -178,8 +179,8 @@ class ConjRep:
                 out[k] = out[k] - x if k in out else -x
         return {k: x for k, x in out.items() if x}
 
-    def act(self, g: Mat, v: dict) -> dict:
-        return self.to_coords(bracket(g, self.from_coords(v)))
+    def act(self, g: dict, v: dict) -> dict:
+        return bracket(g, v, self.n)
 
     def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
         i, j = self.basis[idx]
@@ -193,33 +194,30 @@ class ConjRep:
 Representation = SymRep | ConjRep
 
 
-def bracket(a: Mat, b: Mat) -> Mat:
-    """[a, b] = ab - ba, over the nonzero entries of each row of a and b.
+def _rows(g: dict, n: int) -> dict:
+    """i -> [(j, g_ij)] over the coordinates of the gl(n) element g."""
+    rows: dict = {}
+    for k, x in g.items():
+        rows.setdefault(k // n, []).append((k % n, x))
+    return rows
 
-    Zeros of the result are like the entries of a and b (the wider type of
-    the two when they differ), as the dense products would leave them.
-    """
-    n = a.rows
-    if a.cols != n or b.rows != n or b.cols != n:
-        raise ValueError("bracket dimension mismatch")
-    if not n:
-        return Mat.zeros(0, 0)
-    ra = [[(j, x) for j, x in enumerate(r) if x] for r in a.a]
-    rb = [[(j, y) for j, y in enumerate(r) if y] for r in b.a]
-    zero = _zero_like(a.a[0][0]) + _zero_like(b.a[0][0])
-    out = []
-    for i in range(n):
-        acc = {}
-        for j, x in ra[i]:
-            for k, y in rb[j]:
-                p = x * y
-                acc[k] = acc[k] + p if k in acc else p
-        for j, y in rb[i]:
-            for k, x in ra[j]:
-                p = y * x
-                acc[k] = acc[k] - p if k in acc else -p
-        out.append([acc.get(k, zero) for k in range(n)])
-    return Mat(out)
+
+def bracket(a: dict, b: dict, n: int) -> dict:
+    """[a, b] = ab - ba for elements of gl(n) in coordinates, over the
+    nonzero entries of each row of a and b."""
+    ra, rb = _rows(a, n), _rows(b, n)
+    acc: dict = {}
+    for i, row in ra.items():
+        for j, x in row:
+            for k, y in rb.get(j, ()):
+                c, p = i * n + k, x * y
+                acc[c] = acc[c] + p if c in acc else p
+    for i, row in rb.items():
+        for j, y in row:
+            for k, x in ra.get(j, ()):
+                c, p = i * n + k, y * x
+                acc[c] = acc[c] - p if c in acc else -p
+    return {k: x for k, x in acc.items() if x}
 
 
 def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:
@@ -278,7 +276,7 @@ def elementary(n: int, i: int, j: int, coef=Q1) -> Mat:
     return m
 
 
-def action_matrix(rep: Representation, g: Mat) -> Mat:
+def action_matrix(rep: Representation, g: dict) -> Mat:
     """The dim(V) x dim(V) matrix of the action of g on the chosen basis."""
     return Mat.from_cols([dense(rep.act(g, {k: Q1}), rep.dim) for k in range(rep.dim)])
 
@@ -288,11 +286,9 @@ def _action_map_cols(rep: Representation, v: dict) -> list[dict]:
     return [rep.act_elementary(i, j, v) for i in range(rep.n) for j in range(rep.n)]
 
 
-def stabilizer_algebra(rep: Representation, v: dict) -> list[Mat]:
-    """Basis of {g in gl : rho(g).v = 0}, deterministic order."""
-    glrep = ConjRep(rep.n)
-    return [glrep.from_coords(w) for w in
-            kernel(glrep.dim, transpose(_action_map_cols(rep, v)))]
+def stabilizer_algebra(rep: Representation, v: dict) -> list[dict]:
+    """Basis of {g in gl : rho(g).v = 0} in gl coordinates, deterministic order."""
+    return kernel(rep.n ** 2, transpose(_action_map_cols(rep, v)))
 
 
 def tangent_space(rep: Representation, v: dict) -> list[dict]:

@@ -7,7 +7,8 @@ Conventions.  lambda(t).x_i = t^{d_i} x_i, so the monomial x^e picks up
 t^{<d,e>}.  A stabilizer element k of f conjugates to a stabilizer of
 f(t) = lambda(t).f whose E_ij-component scales by t^{w} with
 w = act_weight(E_ij) (d_j - d_i on forms); normalizing columns and letting
-t -> 0 gives K0, spanned by the lowest-weight components.
+t -> 0 gives K0, spanned by the lowest-weight components.  gl elements are
+their coordinate vectors (`lierep`), over Q[t] along K(t).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactcore import (Mat, Q1, Subspace, UniPoly, column_normalize, det_bareiss, kernel,
-                        rank_qt, sparse, transpose)
+from .exactcore import (Mat, Q0, Q1, Subspace, UniPoly, column_normalize, det_bareiss,
+                        kernel, rank_qt, sparse, transpose)
 from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
 from .localmodel import (LocalModel, NotTransverse, build_local_model, gl_act_weights,
@@ -38,21 +39,10 @@ class OnePS:
     def nvars(self) -> int:
         return len(self.weights)
 
-    def ell(self) -> Mat:
-        """log_t lambda(t) = diag(d)."""
+    def ell(self, shift: Fraction = Q0) -> dict:
+        """log_t of t^{-shift} lambda(t) = diag(d) - shift * I, in gl coordinates."""
         n = len(self.weights)
-        m = Mat.zeros(n, n)
-        for i, w in enumerate(self.weights):
-            m.a[i][i] = Fraction(w)
-        return m
-
-    def ell_prime(self, shift: Fraction) -> Mat:
-        """ell - shift * I (the generator of t^{-shift} lambda(t))."""
-        n = len(self.weights)
-        m = self.ell()
-        for i in range(n):
-            m.a[i][i] = m.a[i][i] - Fraction(shift)
-        return m
+        return {i * (n + 1): x for i, w in enumerate(self.weights) if (x := w - shift)}
 
     def __repr__(self):
         return f"OnePS({self.weights})"
@@ -134,12 +124,8 @@ class LimitProblem:
         return expand_orbit_curve(self.f, self.lam)
 
     @cached_property
-    def K(self) -> list[Mat]:
+    def K(self) -> list[dict]:
         return stabilizer_algebra(self.rep, self.rep.to_coords(self.f))
-
-    @cached_property
-    def K_coords(self) -> list[dict]:
-        return [self.glrep.to_coords(k) for k in self.K]
 
     @cached_property
     def model(self) -> LocalModel:
@@ -154,17 +140,17 @@ class LimitProblem:
     @cached_property
     def h_weights(self) -> list[int]:
         """The lambda-weights of the model's weight-pure H basis."""
-        return _pure_weights(self.model.H_coords, self.glw)
+        return _pure_weights(self.model.H, self.glw)
 
     @cached_property
     def s_weights(self) -> list[int]:
         """The lambda-weights of the model's weight-pure S basis."""
-        return _pure_weights(self.model.S_coords, self.glw)
+        return _pure_weights(self.model.S, self.glw)
 
     @cached_property
     def H_span(self) -> Subspace:
-        """The span of H = stab g in gl coordinates."""
-        return Subspace(self.glrep.dim, self.model.H_coords)
+        """The span of H = stab g."""
+        return Subspace(self.glrep.dim, self.model.H)
 
     @cached_property
     def triple(self) -> TripleStabilizers:
@@ -174,11 +160,11 @@ class LimitProblem:
 class KtElement:
     """A basis element k(t) = h(t) + s(t) of K(t)."""
 
-    __slots__ = ("s_coeffs", "mat")
+    __slots__ = ("s_coeffs", "coords")
 
-    def __init__(self, s_coeffs, mat):
+    def __init__(self, s_coeffs, coords):
         self.s_coeffs = s_coeffs  # UniPoly coefficients over the S-basis
-        self.mat = mat            # Mat over UniPoly, h(t)+s(t)
+        self.coords = coords      # h(t)+s(t), gl coordinates over UniPoly
 
 
 class NotGraded(ValueError):
@@ -191,6 +177,11 @@ def _weight_kernel(vectors: Sequence[dict], coord_weights: Sequence[int], keep) 
     rows."""
     return kernel(len(vectors), transpose([{i: x for i, x in v.items() if keep(coord_weights[i])}
                                            for v in vectors]))
+
+
+def _at_zero(v: dict) -> dict:
+    """The value at t = 0 of a vector over Q[t]."""
+    return {j: y for j, x in v.items() if (y := x(0))}
 
 
 def _pure_weights(vectors: Sequence[dict], coord_weights: Sequence[int]) -> list[int]:
@@ -221,10 +212,15 @@ def graded_component(vectors: Sequence[dict], coord_weights: Sequence[int], w: i
 class LimitAlgebraData:
     """K(t), K0 and the associated exact data for one limit computation."""
 
-    def __init__(self, problem: LimitProblem, Kt, K0):
+    def __init__(self, problem: LimitProblem, Kt, K0_coords):
         self.problem = problem
         self.Kt = Kt                # list of KtElement
-        self.K0 = K0                # list of Mat over Fraction
+        self.K0_coords = K0_coords  # the K(t) basis at t = 0, gl elements over Q
+
+    @cached_property
+    def K0(self) -> list[Mat]:
+        """K0 as matrices over Q, for output."""
+        return [self.problem.glrep.from_coords(k) for k in self.K0_coords]
 
     @property
     def expansion(self) -> LimitExpansion:
@@ -240,8 +236,7 @@ class LimitAlgebraData:
 
     @property
     def graded_dims(self) -> dict:
-        glrep = self.problem.glrep
-        return graded_dims_of([glrep.to_coords(m) for m in self.K0], self.problem.glw)
+        return graded_dims_of(self.K0_coords, self.problem.glw)
 
     def graded_dims_tuple(self) -> tuple:
         """Dims in the order (weight 1, 0, -1), the reference display order."""
@@ -250,21 +245,20 @@ class LimitAlgebraData:
 
     @cached_property
     def K0_span(self) -> Subspace:
-        """The span of K0 in gl coordinates."""
-        glrep = self.problem.glrep
-        return Subspace(glrep.dim, [glrep.to_coords(m) for m in self.K0])
+        """The span of K0."""
+        return Subspace(self.problem.glrep.dim, self.K0_coords)
 
     @cached_property
     def beta(self) -> dict:
         """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
         structure constants of K0, which must be independent and closed."""
-        glrep, K0 = self.problem.glrep, self.K0
+        K0, n = self.K0_coords, self.problem.rep.n
         if len(self.K0_span) != len(K0):
             raise ValueError("K0 columns are dependent")
         out = {}
         for i in range(len(K0)):
             for j in range(i + 1, len(K0)):
-                co = self.K0_span.coords(glrep.to_coords(bracket(K0[i], K0[j])))
+                co = self.K0_span.coords(bracket(K0[i], K0[j], n))
                 if co is None:
                     raise ValueError("K0 is not bracket-closed")
                 out[(i, j)] = co
@@ -274,12 +268,10 @@ class LimitAlgebraData:
         """The pairs i < j whose bracket [k_i(t), k_j(t)] lies in the Q(t)-span
         of K(t), each decided by a rank over Q(t) (`rank_qt`); K(t) is
         bracket-closed when every pair is listed."""
-        glrep = self.problem.glrep
-        mats = [kt.mat for kt in self.Kt]
-        coords = [glrep.to_coords(m) for m in mats]
-        r = rank_qt(coords)
-        return [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))
-                if rank_qt(coords + [glrep.to_coords(bracket(mats[i], mats[j]))]) == r]
+        kt, n = [k.coords for k in self.Kt], self.problem.rep.n
+        r = rank_qt(kt)
+        return [(i, j) for i in range(len(kt)) for j in range(i + 1, len(kt))
+                if rank_qt(kt + [bracket(kt[i], kt[j], n)]) == r]
 
 
 def _regrade(vectors: Sequence[dict], weights: Sequence[int]) -> list[dict]:
@@ -307,33 +299,28 @@ def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     t^(sigma_i - w_j), sigma_i the weight of S's element i.  Only the
     equations at n1 are solved, over Q."""
     problem = LimitProblem.of(f, lam)
-    rep, model, glrep = problem.rep, problem.model, problem.glrep
+    rep, model = problem.rep, problem.model
     ker, ms_cols = model.slice_equations(rep.to_coords(problem.f - problem.expansion.g))
     sw = problem.s_weights
     ms_t = [{i: UniPoly.t(sw[i] - hw, x) for i, x in col.items()}
             for hw, col in zip(problem.h_weights, ms_cols)]
-    nh = len(model.H)
-    Kt, K0 = [], []
+    Kt = []
     for alpha in _regrade(ker, problem.h_weights):
-        # s(t) = -M_S(t) alpha
+        # s(t) = -M_S(t) alpha and k(t) = h(t) + s(t)
         sc = lin_comb({j: -a for j, a in alpha.items()}, ms_t)
-        # k(t) = h(t) + s(t)
-        kmat = glrep.from_coords(lin_comb(alpha | {nh + i: c for i, c in sc.items()},
-                                          model.H_coords + model.S_coords))
-        Kt.append(KtElement(sc, kmat))
-        K0.append(kmat.eval_at(0))
-    data = LimitAlgebraData(problem, Kt, K0)
+        Kt.append(KtElement(sc, model.element(alpha, sc)))
+    data = LimitAlgebraData(problem, Kt, [_at_zero(kt.coords) for kt in Kt])
     _verify_limit_algebra(data)
     return data
 
 
 def _verify_limit_algebra(data: LimitAlgebraData):
     problem = data.problem
-    rep, glrep = problem.rep, problem.glrep
-    if len(data.K0) != len(problem.K):
-        raise ValueError(f"dim K0 = {len(data.K0)} differs from dim K = {len(problem.K)}")
+    rep = problem.rep
+    if len(data.K0_coords) != len(problem.K):
+        raise ValueError(f"dim K0 = {len(data.K0_coords)} differs from dim K = {len(problem.K)}")
     data.beta       # K0 independent and bracket-closed
-    if any(glrep.to_coords(m) not in problem.H_span for m in data.K0):
+    if any(k not in problem.H_span for k in data.K0_coords):
         raise ValueError("K0 is not contained in the stabilizer of g")
     # s-parts vanish to order b-a at t=0 (Prop K0(2))
     exp = problem.expansion
@@ -346,36 +333,34 @@ def _verify_limit_algebra(data: LimitAlgebraData):
     curve = {rep.index[e]: UniPoly.t(c - exp.a, coef)
              for c, form in exp.terms.items() for e, coef in form.terms.items()}
     for kt in data.Kt:
-        if rep.act(kt.mat, curve):
+        if rep.act(kt.coords, curve):
             raise ValueError("k(t) does not annihilate g + f^+(t)")
 
 
 def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
-                                 lam: Optional[OnePS] = None) -> list[Mat]:
+                                 lam: Optional[OnePS] = None) -> list[dict]:
     """Independent route to a basis of K0: conjugate a basis of K = stab(f)
     by lambda(t) symbolically (the E_ij component of weight w scales by
     t^w), normalize columns, and take t=0."""
     problem = LimitProblem.of(f, lam)
-    return [problem.glrep.from_coords({j: y for j, x in col.items() if (y := x(0))})
-            for col in _regrade(problem.K_coords, problem.glw)]
+    return [_at_zero(col) for col in _regrade(problem.K, problem.glw)]
 
 
-def same_span(A: Sequence[Mat], B: Sequence[Mat], n: int) -> bool:
+def same_span(A: Sequence[dict], B: Sequence[dict], n: int) -> bool:
     """Whether the elements A and B of gl(n) span the same subspace: over Q
     by `Subspace`, over Q(t) by ranks (`rank_qt`) if an entry is over Q[t]."""
-    glrep = ConjRep(n)
-    fa, fb = [glrep.to_coords(m) for m in A], [glrep.to_coords(m) for m in B]
-    if any(isinstance(x, UniPoly) for v in fa + fb for x in v.values()):
-        return rank_qt(fa) == rank_qt(fb) == rank_qt(fa + fb)
-    a = Subspace(glrep.dim, fa)
-    return len(Subspace(glrep.dim, fb)) == len(a) and all(v in a for v in fb)
+    A, B = list(A), list(B)
+    if any(isinstance(x, UniPoly) for v in A + B for x in v.values()):
+        return rank_qt(A) == rank_qt(B) == rank_qt(A + B)
+    a = Subspace(n * n, A)
+    return len(Subspace(n * n, B)) == len(a) and all(v in a for v in B)
 
 
 class TripleStabilizers:
     __slots__ = ("pure", "Klf_dims")
 
     def __init__(self, pure, Klf_dims):
-        self.pure = pure            # weight-homogeneous elements of K
+        self.pure = pure            # weight-homogeneous elements of K (gl elements)
         self.Klf_dims = Klf_dims    # weight -> dim of the graded parts of K_lf; None if not graded
 
     def klf_dims_tuple(self) -> Optional[tuple]:
@@ -390,17 +375,15 @@ def triple_stabilizers(f: Union[Form, LimitProblem],
     """Pure elements of K and the graded dims of the stabilizer
     K_{ell f} = {k in K : [k, ell] in K}."""
     problem = LimitProblem.of(f, lam)
-    rep, glrep, glw = problem.rep, problem.glrep, problem.glw
-    K, k_flat = problem.K, problem.K_coords
+    rep, glw, K = problem.rep, problem.glw, problem.K
     ell = problem.lam.ell()
 
-    pure = [glrep.from_coords(c) for w in sorted(set(glw))
-            for c in graded_component(k_flat, glw, w)]
+    pure = [c for w in sorted(set(glw)) for c in graded_component(K, glw, w)]
 
-    # K_lf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K, combined in gl coordinates
-    mod_K = Subspace(glrep.dim, k_flat).residue
-    Klf = [lin_comb(alpha, k_flat) for alpha in
-           kernel(len(K), transpose([mod_K(glrep.to_coords(bracket(k, ell))) for k in K]))]
+    # K_lf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K
+    mod_K = Subspace(problem.glrep.dim, K).residue
+    Klf = [lin_comb(alpha, K) for alpha in
+           kernel(len(K), transpose([mod_K(bracket(k, ell, rep.n)) for k in K]))]
     try:
         Klf_dims = graded_dims_of(Klf, glw)
     except NotGraded:
@@ -422,7 +405,7 @@ def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     K, glw = problem.K, problem.glw
     if not K:
         return {}
-    return {i: len(_weight_kernel(problem.K_coords, glw, lambda w: w < i))
+    return {i: len(_weight_kernel(K, glw, lambda w: w < i))
             for i in range(min(glw), max(glw) + 2)}
 
 
@@ -503,10 +486,6 @@ def jordan_chevalley(m: Mat):
     return s, nil
 
 
-def _weight_split(m: Mat, glw, glrep) -> dict:
-    return {w: glrep.from_coords(v) for w, v in weight_split(glrep.to_coords(m), glw).items()}
-
-
 # random combinations of the basis of P(lambda) ∩ K that the (B) search tries
 CASE_B_TRIES = 10
 
@@ -527,21 +506,19 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
         return "B"
 
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
-    pk_alphas = _weight_kernel(problem.K_coords, glw, lambda w: w < 0)
+    pk_alphas = _weight_kernel(K, glw, lambda w: w < 0)
     rng = random.Random(seed)
     alphas = pk_alphas + [lin_comb(sparse([Fraction(rng.randint(-3, 3)) for _ in pk_alphas]),
                                    pk_alphas)
                           for _ in range(CASE_B_TRIES if pk_alphas else 0)]
-    candidates = [glrep.from_coords(lin_comb(alpha, problem.K_coords)) for alpha in alphas]
     f_coords = rep.to_coords(f)
     exp_f = problem.expansion
-    for cand in candidates:
-        if all(not x for row in cand.a for x in row):
+    for cand in (lin_comb(alpha, K) for alpha in alphas):
+        if not cand:
             continue
-        ss, _nil = jordan_chevalley(cand)
-        if all(not x for row in ss.a for x in row):
-            continue
-        if rep.act(ss, f_coords):
+        ss, _nil = jordan_chevalley(glrep.from_coords(cand))
+        ss_coords = glrep.to_coords(ss)
+        if not ss_coords or rep.act(ss_coords, f_coords):
             continue  # semisimple part should stabilize f; skip if not
         witness = _cancel_positive_weights(ss, glw, glrep)
         if witness is None:
@@ -562,21 +539,21 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
 
     # (A): K0 nilpotent, certified by its lower central series and its elements
     K0 = limit_algebra_by_conjugation(problem)
-    if _lower_central_series_vanishes(K0, glrep) and all(is_nilpotent_matrix(m) for m in K0):
+    if (_lower_central_series_vanishes(K0, rep.n)
+            and all(is_nilpotent_matrix(glrep.from_coords(k)) for k in K0)):
         return "A"
     return "search-exhausted"
 
 
-def _lower_central_series_vanishes(K0: Sequence[Mat], glrep) -> bool:
-    """Whether the lower central series of span(K0) reaches 0.  K0 is a Lie
-    algebra, so each term [K0, C^k] lies inside C^k, and the series stalls
-    exactly when a term is no smaller than the one before."""
-    span = Subspace(glrep.dim)
-    cur = [v for v in map(glrep.to_coords, K0) if span.add(v)]
+def _lower_central_series_vanishes(K0: Sequence[dict], n: int) -> bool:
+    """Whether the lower central series of span(K0) in gl(n) reaches 0.  K0
+    is a Lie algebra, so each term [K0, C^k] lies inside C^k, and the series
+    stalls exactly when a term is no smaller than the one before."""
+    span = Subspace(n * n)
+    cur = [v for v in K0 if span.add(v)]
     while cur:
-        span = Subspace(glrep.dim)
-        nxt = [w for v in cur for k in K0
-               if span.add(w := glrep.to_coords(bracket(k, glrep.from_coords(v))))]
+        span = Subspace(n * n)
+        nxt = [w for v in cur for k in K0 if span.add(w := bracket(k, v, n))]
         if len(nxt) >= len(cur):
             return False
         cur = nxt
@@ -585,34 +562,34 @@ def _lower_central_series_vanishes(K0: Sequence[Mat], glrep) -> bool:
 
 def _cancel_positive_weights(ss: Mat, glw, glrep):
     """Find u in U(lam) with u ss u^{-1} of pure weight 0, by cancelling the
-    positive-weight components level by level.  Returns (u^{-1}, u ss u^{-1})."""
+    positive-weight components level by level.  Returns u^{-1} and the gl
+    element u ss u^{-1}."""
     n = ss.rows
     u_inv = Mat.identity(n)
     cur = ss
     pos_weights = sorted({w for w in glw if w > 0})
     for _ in range(len(pos_weights) + 1):
-        comps = _weight_split(cur, glw, glrep)
+        comps = weight_split(glrep.to_coords(cur), glw)
         if any(w < 0 for w in comps):
             return None
         pos = sorted(w for w in comps if w > 0)
         if not pos:
-            return u_inv, cur
+            return u_inv, comps.get(0, {})
         w = pos[0]
-        s0 = comps.get(0, Mat.zeros(n, n))
+        s0 = comps.get(0, {})
         # solve [z, s0] = -cur_w over the weight-w entries of gl
         span = Subspace(glrep.dim)
-        idx = [i for i in range(glrep.dim) if glw[i] == w
-               and span.add(glrep.to_coords(bracket(glrep.from_coords({i: Q1}), s0)))]
-        sol = span.coords({i: -x for i, x in glrep.to_coords(comps[w]).items()})
+        idx = [i for i in range(glrep.dim) if glw[i] == w and span.add(bracket({i: Q1}, s0, n))]
+        sol = span.coords({i: -x for i, x in comps[w].items()})
         if sol is None:      # any solution cancels cur_w
             return None
         step = Mat.identity(n) + glrep.from_coords({idx[g]: c for g, c in sol.items()})
         inv_step = _unipotent_inverse(step)
         cur = step * cur * inv_step
         u_inv = u_inv * inv_step
-    comps = _weight_split(cur, glw, glrep)
+    comps = weight_split(glrep.to_coords(cur), glw)
     if set(comps) <= {0}:
-        return u_inv, cur
+        return u_inv, comps.get(0, {})
     return None
 
 
@@ -641,8 +618,7 @@ def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
     A lambda-homogeneous f has no f_b; it is read as the zero form, so d_b = 0.
     """
     problem = data.problem
-    model, rep, glrep = problem.model, problem.rep, problem.glrep
-    K0 = data.K0
+    model, rep, K0 = problem.model, problem.rep, data.K0_coords
     f_b = problem.expansion.f_b
     fb = rep.to_coords(f_b) if f_b is not None else {}
     values = []
@@ -650,13 +626,12 @@ def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
         sc, nc = model.split_V(rep.act(h, fb))
         if nc:
             raise ValueError("h does not star-stabilize f_b; d_b undefined")
-        values.append(model.s_mat(sc))
-    value_coords = [glrep.to_coords(v) for v in values]
+        values.append(model.s_vec(sc))
     defects = {}
     for (i, j), co in data.beta.items():
         diff = lin_comb({0: Q1, 1: -Q1} | {2 + m: -c for m, c in co.items()},
-                        [glrep.to_coords(bracket(K0[i], values[j])),
-                         glrep.to_coords(bracket(K0[j], values[i]))] + value_coords)
+                        [bracket(K0[i], values[j], rep.n),
+                         bracket(K0[j], values[i], rep.n)] + values)
         if diff not in problem.H_span:
             raise ValueError("d_b fails the derivation identity")
         defects[(i, j)] = diff
@@ -668,7 +643,7 @@ class FeasibilityResult:
 
     def __init__(self, feasible, epsilon_basis, hoffman=None, regular=None):
         self.feasible = feasible
-        self.epsilon_basis = epsilon_basis  # list of (h, s): h + eps*s; plus eps*K0
+        self.epsilon_basis = epsilon_basis  # list of (h, s), gl elements: h + eps*s; plus eps*K0
         self.hoffman = hoffman
         self.regular = regular
 
@@ -676,20 +651,19 @@ class FeasibilityResult:
         return bool(self.feasible)
 
 
-def hoffman_case(H: Sequence[Mat], K0: Sequence[Mat], n: int) -> Optional[int]:
-    """Hoffman's trichotomy for a codimension-1 subalgebra K0 of H:
-    3 = K0 is an ideal of H; 2/1 distinguished by the codimension inside K0
-    of the largest H-ideal I contained in K0 (K0/I is then D or P)."""
-    glrep = ConjRep(n)
+def hoffman_case(H: Sequence[dict], K0: Sequence[dict], n: int) -> Optional[int]:
+    """Hoffman's trichotomy for a codimension-1 subalgebra K0 of H inside
+    gl(n): 3 = K0 is an ideal of H; 2/1 distinguished by the codimension
+    inside K0 of the largest H-ideal I contained in K0 (K0/I is then D or P)."""
     if len(H) - len(K0) != 1:
         return None
-    cur = [glrep.to_coords(m) for m in K0]
+    dim, cur = n * n, list(K0)
     while cur:
         # next iterate: {x in span(cur) : [h, x] in span(cur) for all h in H},
         # the kernel of x -> ([h, x] mod span(cur))_h; one column per x
-        mod_cur = Subspace(glrep.dim, cur).residue
-        cols = [{a * glrep.dim + k: x for a, h in enumerate(H)
-                 for k, x in mod_cur(glrep.to_coords(bracket(h, glrep.from_coords(v)))).items()}
+        mod_cur = Subspace(dim, cur).residue
+        cols = [{a * dim + k: x for a, h in enumerate(H)
+                 for k, x in mod_cur(bracket(h, v, n)).items()}
                 for v in cur]
         nxt = [lin_comb(alpha, cur) for alpha in kernel(len(cur), transpose(cols))]
         if len(nxt) == len(cur):
@@ -704,16 +678,16 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     problem = data.problem
     model, rep, glrep = problem.model, problem.rep, problem.glrep
     values, defects = derivation_db(data)
-    K0 = data.K0
+    K0 = data.K0_coords
     K = len(K0)
     # the quotient map gl -> gl/K0, and a complement W of K0 inside H: the
     # h whose residues modulo K0 are independent
     mod_K0 = data.K0_span.residue
     quotient = Subspace(glrep.dim)
-    W = [a for a, h in enumerate(model.H_coords) if quotient.add(mod_K0(h))]
+    W = [a for a, h in enumerate(model.H) if quotient.add(mod_K0(h))]
     # [k_i, W_w] and W_w modulo K0, once each
-    brW = [[mod_K0(glrep.to_coords(bracket(k, model.H[a]))) for a in W] for k in K0]
-    Wq = [mod_K0(model.H_coords[a]) for a in W]
+    brW = [[mod_K0(bracket(k, model.H[a], rep.n)) for a in W] for k in K0]
+    Wq = [mod_K0(model.H[a]) for a in W]
     # unknowns x_{m,w}: dbar(k_m) = d_b(k_m) + sum_w x_{m,w} W_w (cosets mod K0).
     # The derivation identity dbar([k_i,k_j]) = [k_i, dbar(k_j)] - [k_j, dbar(k_i)]
     # on each pair i < j gives x_{m,w} the coefficient
@@ -737,16 +711,16 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     if sol is None:
         return FeasibilityResult(False, None)
     sol = {unknowns[g]: c for g, c in sol.items()}
-    eps_basis = [(K0[m], glrep.from_coords(lin_comb(
+    eps_basis = [(K0[m], lin_comb(
         {0: -Q1} | {1 + w: -sol[m * nw + w] for w in range(nw) if m * nw + w in sol},
-        [glrep.to_coords(values[m])] + [model.H_coords[a] for a in W]))) for m in range(K)]
+        [values[m]] + [model.H[a] for a in W])) for m in range(K)]
     hof = hoffman_case(model.H, K0, rep.n)
     reg = None
     exp = problem.expansion
     if exp.b is not None:
         d = exp.b - exp.a
         cond_i = all((c - exp.a) % d == 0 for c in exp.terms)
-        cond_ii = any(k not in problem.H_span for k in problem.K_coords)
+        cond_ii = any(k not in problem.H_span for k in problem.K)
         reg = (cond_i, cond_ii)
     return FeasibilityResult(True, eps_basis, hoffman=hof, regular=reg)
 
@@ -762,7 +736,7 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
     case split of the appendix is the specialization to w in {-1, 0}.  A
     lambda-homogeneous f has no f_b and so no condition: the report is empty."""
     problem = data.problem
-    model, rep, glrep, glw = problem.model, problem.rep, problem.glrep, problem.glw
+    model, rep, glw = problem.model, problem.rep, problem.glw
     exp = problem.expansion
     if exp.f_b is None:
         return []
@@ -774,8 +748,8 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
     d = exp.b - exp.a
     case = "b-a=1" if d == 1 else ("b-a=2" if d == 2 else "b-a>2")
     report = []
-    for ki, k in enumerate(data.K0):
-        for w, hw in sorted(_weight_split(k, glw, glrep).items()):
+    for ki, k in enumerate(data.K0_coords):
+        for w, hw in sorted(weight_split(k, glw).items()):
             target = rep.act(hw, fb)
             needed = d + w
             entry = {"element": ki, "weight": w, "s_weight": needed, "case": case}

@@ -4,8 +4,9 @@ exact (1+θ(n))^{-1} and slice stabilizers (S-completion).
 The solve for (1+θ(n))^{-1} uses the factorization θ(n) = B ∘ λ_S with
 B(s-coeffs) = s·n, so only the dim(S) system C = I + λ_S∘B is ever
 eliminated.  `LocalModel.slice_equations` is the one construction of the
-slice matrices M_N and M_S at x + n.  V- and gl-coordinate vectors, and
-coefficient vectors over the H, S and N bases, are sparse dicts.
+slice matrices M_N and M_S at x + n.  V-vectors, gl elements (as their
+coordinates) and coefficient vectors over the H, S and N bases are sparse
+dicts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .exactcore import Mat, Q1, SingularMatrix, Subspace, dense, det_bareiss, kernel, transpose
-from .lierep import ConjRep, Representation, lin_comb, stabilizer_algebra
+from .lierep import Representation, lin_comb, stabilizer_algebra
 
 
 def gl_act_weights(rep: Representation, weights: Sequence[int]) -> list[int]:
@@ -50,16 +51,13 @@ class LocalModel:
                  HS: Subspace, ambient=None):
         self.rep = rep
         self.x = dict(x)
-        self.H = H                    # list of Mat (gl elements)
-        self.S = S                    # list of Mat
+        self.H = H                    # list of gl elements
+        self.S = S                    # list of gl elements
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
         self.N = N                    # list of V-coordinate vectors
         self.V = V                    # span of TO + N
-        self.HS = HS                  # span of H + S in gl coordinates
+        self.HS = HS                  # span of H + S
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
-        self.glrep = ConjRep(rep.n)
-        self.H_coords = [self.glrep.to_coords(h) for h in H]
-        self.S_coords = [self.glrep.to_coords(s) for s in S]
         self._theta_cache = None
 
     # -- projections --------------------------------------------------
@@ -84,11 +82,14 @@ class LocalModel:
         """N-coefficients -> V-coordinate vector."""
         return lin_comb(ncoeffs, self.N)
 
-    def s_mat(self, scoeffs: dict) -> Mat:
-        return self.glrep.from_coords(lin_comb(scoeffs, self.S_coords))
+    def element(self, hcoeffs: dict, scoeffs: dict) -> dict:
+        """H- and S-coefficients -> the gl element h + s."""
+        nh = len(self.H)
+        return lin_comb(hcoeffs | {nh + i: c for i, c in scoeffs.items()}, self.H + self.S)
 
-    def h_mat(self, hcoeffs: dict) -> Mat:
-        return self.glrep.from_coords(lin_comb(hcoeffs, self.H_coords))
+    def s_vec(self, scoeffs: dict) -> dict:
+        """S-coefficients -> gl element."""
+        return lin_comb(scoeffs, self.S)
 
     # -- theta --------------------------------------------------------
     def theta_matrix(self, n: dict) -> Mat:
@@ -149,15 +150,14 @@ class LocalModel:
         return (kernel(len(self.H), transpose([nc for _, nc in splits])),
                 [sc for sc, _ in splits])
 
-    def slice_stabilizer(self, n: dict) -> list[Mat]:
+    def slice_stabilizer(self, n: dict) -> list[dict]:
         """Stabilizer of x+n: the elements h + s with α in ker M_N and
         s = -M_S α (`slice_equations`)."""
         ker, ms_cols = self.slice_equations(n)
-        return [self.h_mat(alpha) + self.s_mat(lin_comb({j: -a for j, a in alpha.items()},
-                                                        ms_cols))
+        return [self.element(alpha, lin_comb({j: -a for j, a in alpha.items()}, ms_cols))
                 for alpha in ker]
 
-    def star(self, h: Mat, n: dict) -> dict:
+    def star(self, h: dict, n: dict) -> dict:
         """h ⋆ n = λ_N(h·n), the induced H-action on N ≅ V/TO."""
         return self.lamN(self.rep.act(h, n))
 
@@ -178,12 +178,12 @@ class NotTransverse(ValueError):
 
 
 def build_local_model(rep: Representation, x: dict,
-                      S: Optional[Sequence[Mat]] = None,
+                      S: Optional[Sequence[dict]] = None,
                       N: Optional[Sequence[dict]] = None,
                       N_contains: Optional[Sequence[dict]] = None,
                       weights=None,
-                      ambient: Optional[Sequence[Mat]] = None) -> LocalModel:
-    """Build the local model at x.
+                      ambient: Optional[Sequence[dict]] = None) -> LocalModel:
+    """Build the local model at x; S and ambient are lists of gl elements.
 
     A supplied S or N is validated as a complement; a complement not
     supplied is coefficientwise-orthogonal (the positive-definite trace
@@ -195,36 +195,33 @@ def build_local_model(rep: Representation, x: dict,
     """
     if not x:
         raise ValueError("base point x must be nonzero")
-    glrep = ConjRep(rep.n)
+    gl_dim = rep.n ** 2
     cw = [rep.coord_weight(i, weights) for i in range(rep.dim)] if weights is not None else None
     glw = gl_act_weights(rep, weights) if weights is not None else None
 
     if ambient is None:
-        h_coords = [glrep.to_coords(h) for h in stabilizer_algebra(rep, x)]
-        ambient_dim = glrep.dim
+        H = stabilizer_algebra(rep, x)
+        ambient_dim = gl_dim
     else:
         # stabilizer within the span of the ambient basis
-        amb = [glrep.to_coords(a) for a in ambient]
-        h_coords = [lin_comb(co, amb) for co in
-                    kernel(len(ambient), transpose([rep.act(a, x) for a in ambient]))]
+        H = [lin_comb(co, ambient) for co in
+             kernel(len(ambient), transpose([rep.act(a, x) for a in ambient]))]
         ambient_dim = len(ambient)
     if cw is not None:
-        h_coords = graded_basis(h_coords, glw)
+        H = graded_basis(H, glw)
 
     if S is not None:
-        s_coords = [glrep.to_coords(s) for s in S]
+        Sb = list(S)
     elif ambient is not None:
         # complement of H inside the ambient span, orthogonal in ambient coords
-        amb_span = Subspace(glrep.dim, amb)
-        s_coords = [lin_comb(co, amb) for co in
-                    kernel(len(ambient), [amb_span.coords(v) for v in h_coords])]
+        amb_span = Subspace(gl_dim, ambient)
+        Sb = [lin_comb(co, ambient) for co in
+              kernel(len(ambient), [amb_span.coords(v) for v in H])]
     else:
-        s_coords = kernel(glrep.dim, h_coords)
+        Sb = kernel(gl_dim, H)
         if glw is not None:
-            s_coords = graded_basis(s_coords, glw)
-    H = [glrep.from_coords(v) for v in h_coords]
-    Sb = list(S) if S is not None else [glrep.from_coords(v) for v in s_coords]
-    HS = Subspace(glrep.dim, h_coords + s_coords)
+            Sb = graded_basis(Sb, glw)
+    HS = Subspace(gl_dim, H + Sb)
     if S is not None and not len(HS) == len(H) + len(Sb) == ambient_dim:
         raise NotTransverse("supplied S is not a complement of the stabilizer")
 

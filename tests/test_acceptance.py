@@ -27,7 +27,7 @@ from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      z4_example)
 from orbitlimits.curvature import cyclic_shift_suite
 from orbitlimits.exactcore import Q1, Subspace, UniPoly, sparse
-from orbitlimits.lierep import ConjRep, Form, bracket, lin_comb, monomial_basis
+from orbitlimits.lierep import ConjRep, Form, lin_comb, monomial_basis
 from orbitlimits.limits import (OnePS, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse
@@ -247,19 +247,20 @@ def test_acceptance_10_property_suites():
     glrep = ConjRep(2)
     for f, lam, d1, d2 in _random_limit_instances(25):
         # dual-pipeline agreement
-        ok = ok and same_span(d1.K0, d2, 2)
-        # K0 bracket closure
-        k0_span = Subspace(glrep.dim, [glrep.to_coords(m) for m in d1.K0])
-        for i in range(len(d1.K0)):
-            for j in range(i + 1, len(d1.K0)):
-                br = glrep.to_coords(bracket(d1.K0[i], d1.K0[j]))
+        ok = ok and same_span(d1.K0_coords, d2, 2)
+        # K0 bracket closure, with brackets as matrix products
+        K0 = d1.K0
+        k0_span = Subspace(glrep.dim, [glrep.to_coords(m) for m in K0])
+        for i in range(len(K0)):
+            for j in range(i + 1, len(K0)):
+                br = glrep.to_coords(K0[i] * K0[j] - K0[j] * K0[i])
                 ok = ok and k0_span.coords(br) is not None
         # K0 lies in H and star-annihilates f_b
-        h_span = Subspace(glrep.dim, [glrep.to_coords(m) for m in d1.model.H])
+        h_span = Subspace(glrep.dim, d1.model.H)
         fb = (d1.rep.to_coords(d1.expansion.f_b)
               if d1.expansion.f_b is not None else None)
-        for k in d1.K0:
-            ok = ok and h_span.coords(glrep.to_coords(k)) is not None
+        for k in map(glrep.to_coords, K0):
+            ok = ok and h_span.coords(k) is not None
             if fb is not None:
                 ok = ok and not d1.model.star(k, fb)
 
@@ -277,7 +278,7 @@ def test_acceptance_10_property_suites():
             sc, nprime = model.solve_decomposition(n, dv)
         except Exception:
             continue
-        recon = rep.act(model.s_mat(sc), lin_comb({0: Q1, 1: Q1}, [model.x, n]))
+        recon = rep.act(model.s_vec(sc), lin_comb({0: Q1, 1: Q1}, [model.x, n]))
         recon = lin_comb({0: Q1, 1: Q1}, [recon, model.n_vec(nprime)])
         ok = ok and recon == dv
         done += 1

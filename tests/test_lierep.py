@@ -19,14 +19,19 @@ def rand_gl(draw, n):
     return Mat.rational([[draw(small) for _ in range(n)] for _ in range(n)])
 
 
+def gl(m):
+    """The coordinates of the matrix m as an element of gl(n)."""
+    return ConjRep(m.rows).to_coords(m)
+
+
 def test_sym_action_is_derivation_rule():
     # g . f = sum g[i][j] x_j df/dx_i: e_01 sends x^2 to 2xy, e_10 kills it
     rep = SymRep(2, 2)
     f = Form(2, 2, {(2, 0): 1})
     v = rep.to_coords(f)
-    assert rep.from_coords(rep.act(elementary(2, 0, 1), v)) == \
+    assert rep.from_coords(rep.act(gl(elementary(2, 0, 1)), v)) == \
         Form(2, 2, {(1, 1): 2})
-    assert not rep.act(elementary(2, 1, 0), v)
+    assert not rep.act(gl(elementary(2, 1, 0)), v)
 
 
 def test_sym_euler_identity():
@@ -34,31 +39,32 @@ def test_sym_euler_identity():
     rep = SymRep(3, 4)
     f = Form(3, 4, {(2, 1, 1): Fraction(5), (4, 0, 0): 1})
     v = rep.to_coords(f)
-    assert rep.act(Mat.identity(3), v) == {k: 4 * x for k, x in v.items()}
+    assert rep.act(gl(Mat.identity(3)), v) == {k: 4 * x for k, x in v.items()}
 
 
 def test_conj_action_is_commutator():
     rep = ConjRep(3)
     g = Mat.rational([[1, 2, 0], [0, 1, 0], [3, 0, 2]])
     y = Mat.rational([[0, 1, 1], [2, 0, 0], [0, 0, 5]])
-    assert rep.from_coords(rep.act(g, rep.to_coords(y))) == bracket(g, y)
+    assert rep.act(gl(g), gl(y)) == bracket(gl(g), gl(y), 3) == gl(g * y - y * g)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_bracket_jacobi(data):
     n = 3
-    a, b, c = (rand_gl(data.draw, n) for _ in range(3))
-    lhs = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + \
-        bracket(c, bracket(a, b))
-    assert lhs == Mat.zeros(n, n)
+    a, b, c = (gl(rand_gl(data.draw, n)) for _ in range(3))
+    lhs = lin_comb({0: Q1, 1: Q1, 2: Q1},
+                   [bracket(a, bracket(b, c, n), n), bracket(b, bracket(c, a, n), n),
+                    bracket(c, bracket(a, b, n), n)])
+    assert lhs == {}
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_action_matrix_consistent_with_act(data):
     rep = SymRep(2, 3)
-    g = rand_gl(data.draw, 2)
+    g = gl(rand_gl(data.draw, 2))
     v = [Fraction(data.draw(small)) for _ in range(rep.dim)]
     got = rep.act(g, sparse(v))
     assert action_matrix(rep, g).apply(v) == dense(got, rep.dim)
@@ -69,10 +75,10 @@ def test_action_matrix_consistent_with_act(data):
 @given(st.data())
 def test_action_is_lie_algebra_homomorphism(data):
     rep = ConjRep(2)
-    a, b = rand_gl(data.draw, 2), rand_gl(data.draw, 2)
+    a, b = gl(rand_gl(data.draw, 2)), gl(rand_gl(data.draw, 2))
     v = sparse([Fraction(data.draw(small)) for _ in range(rep.dim)])
     lhs = lin_comb({0: Q1, 1: -Q1}, [rep.act(a, rep.act(b, v)), rep.act(b, rep.act(a, v))])
-    assert lhs == rep.act(bracket(a, b), v)
+    assert lhs == rep.act(bracket(a, b, 2), v)
 
 
 def test_stabilizer_annihilates():
@@ -158,8 +164,8 @@ def test_sparse_bracket_against_dense_products(data):
     draw = data.draw
     n, ring = draw(st.integers(1, 4)), draw(rings)
     a, b = sparse_mat(draw, ring, n), sparse_mat(draw, ring, n)
-    got, want = bracket(a, b), a * b - b * a
-    assert got == want and types(flat(got)) == types(flat(want))
+    got, want = bracket(gl(a), gl(b), n), gl(a * b - b * a)
+    assert got == want and types(got) == types(want) and all(got.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +177,7 @@ def test_sparse_conj_act_against_dense_products(data):
     g = sparse_mat(draw, draw(rings), n)
     v = scalars(draw, draw(rings), rep.dim)
     m = Mat([v[i * n:(i + 1) * n] for i in range(n)])
-    got, want = rep.act(g, sparse(v)), rep.to_coords(g * m - m * g)
+    got, want = rep.act(gl(g), sparse(v)), rep.to_coords(g * m - m * g)
     assert got == want and types(got) == types(want) and all(got.values())
 
 
@@ -194,9 +200,9 @@ def test_sparse_sym_act_against_act_elementary(data):
     rep = SymRep(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
     g = sparse_mat(draw, draw(rings), rep.n)
     v = scalars(draw, draw(rings), rep.dim)
-    got, want = rep.act(g, sparse(v)), sparse(dense_sym_act(rep, g, v))
+    got, want = rep.act(gl(g), sparse(v)), sparse(dense_sym_act(rep, g, v))
     assert got == want and types(got) == types(want)
-    assert action_matrix(rep, g).apply(v) == dense(got, rep.dim)
+    assert action_matrix(rep, gl(g)).apply(v) == dense(got, rep.dim)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
-from orbitlimits.exactcore import Mat, Q0, Subspace, UniPoly, sparse
-from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, elementary, monomial_basis
+from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, sparse
+from orbitlimits.lierep import ConjRep, Form, SymRep, elementary, lin_comb, monomial_basis
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
                                 _cancel_positive_weights, _verify_limit_algebra,
                                 check_graded_conditions, classify_case, expand_orbit_curve,
@@ -58,9 +58,14 @@ def test_trivial_oneps_gives_whole_form():
 # O2: K(t), K0, feasibility
 
 
+def gl(m):
+    """The coordinates of the matrix m as an element of gl(n)."""
+    return ConjRep(m.rows).to_coords(m)
+
+
 def test_o2_kt_and_k0(o2_data):
     assert len(o2_data.Kt) == 1
-    kt = o2_data.Kt[0].mat
+    kt = ConjRep(2).from_coords(o2_data.Kt[0].coords)
     alpha = kt.a[0][1]
     assert alpha
     assert kt.a[1][0] == alpha * UniPoly.t(2, -1)
@@ -75,11 +80,11 @@ def test_verification_catches_a_wrong_regrading(o2_data):
     _verify_limit_algebra(o2_data)
     t = UniPoly.t(1, 1)
     i, kt = next((i, kt) for i, kt in enumerate(o2_data.Kt) if kt.s_coeffs)
-    s = o2_data.model.s_mat(kt.s_coeffs)
+    s = o2_data.model.s_vec(kt.s_coeffs)
     wrong = copy.copy(o2_data)
     wrong.Kt = list(o2_data.Kt)
     wrong.Kt[i] = KtElement({j: t * c for j, c in kt.s_coeffs.items()},
-                            kt.mat + s.scale(t - 1))
+                            lin_comb({0: Q1, 1: t - 1}, [kt.coords, s]))
     with pytest.raises(ValueError, match="does not annihilate"):
         _verify_limit_algebra(wrong)
 
@@ -94,9 +99,12 @@ def test_verification_catches_a_kt_that_agrees_at_one_half(o2_data):
     s_coeffs = dict(kt.s_coeffs)
     s_coeffs[0] = s_coeffs.get(0, UniPoly.zero()) + bump
     wrong = copy.copy(o2_data)
-    wrong.Kt = [KtElement(s_coeffs, kt.mat + o2_data.model.S[0].scale(bump))] + o2_data.Kt[1:]
-    assert wrong.Kt[0].mat.eval_at(Fraction(1, 2)) == kt.mat.eval_at(Fraction(1, 2))
-    assert wrong.Kt[0].mat.eval_at(0) == kt.mat.eval_at(0)
+    wrong.Kt = [KtElement(s_coeffs, lin_comb({0: Q1, 1: bump}, [kt.coords, o2_data.model.S[0]]))]
+    wrong.Kt += o2_data.Kt[1:]
+    glrep = ConjRep(2)
+    wrong_mat, kt_mat = glrep.from_coords(wrong.Kt[0].coords), glrep.from_coords(kt.coords)
+    assert wrong_mat.eval_at(Fraction(1, 2)) == kt_mat.eval_at(Fraction(1, 2))
+    assert wrong_mat.eval_at(0) == kt_mat.eval_at(0)
     with pytest.raises(ValueError, match="does not annihilate"):
         _verify_limit_algebra(wrong)
 
@@ -124,7 +132,7 @@ def test_o2_filtered_dims():
 
 def test_o3_kt_spans_printed_basis(o3_data):
     assert len(o3_data.Kt) == 3
-    assert same_span([kt.mat for kt in o3_data.Kt], o3_reference_kt(), 3)
+    assert same_span([kt.coords for kt in o3_data.Kt], [gl(m) for m in o3_reference_kt()], 3)
 
 
 def test_o3_printed_structure_constants():
@@ -152,13 +160,13 @@ def test_o3_computed_structure_closed(o3_data):
 def test_dual_pipeline_o2():
     d1 = limit_algebra(o2_form(), O2_LAM)
     d2 = limit_algebra_by_conjugation(o2_form(), O2_LAM)
-    assert same_span(d1.K0, d2, 2)
+    assert same_span(d1.K0_coords, d2, 2)
 
 
 def test_dual_pipeline_o3():
     d1 = limit_algebra(o3_form(), O3_LAM)
     d2 = limit_algebra_by_conjugation(o3_form(), O3_LAM)
-    assert same_span(d1.K0, d2, 3)
+    assert same_span(d1.K0_coords, d2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +222,20 @@ def _graded_conditions_by_subspaces(data):
     spanned by the weight-w components of the S basis, and h_w.f_b must lie in
     S_(b-a+w).g."""
     problem = data.problem
-    model, rep, glrep, glw = problem.model, problem.rep, problem.glrep, problem.glw
+    model, rep, glw = problem.model, problem.rep, problem.glw
     exp = problem.expansion
     if exp.f_b is None:
         return []
-
-    def split(m):
-        return {w: glrep.from_coords(v) for w, v in weight_split(glrep.to_coords(m), glw).items()}
-
     s_comps = {}
     for s in model.S:
-        for w, part in split(s).items():
+        for w, part in weight_split(s, glw).items():
             s_comps.setdefault(w, []).append(part)
     fb, g = rep.to_coords(exp.f_b), rep.to_coords(exp.g)
     d = exp.b - exp.a
     case = "b-a=1" if d == 1 else ("b-a=2" if d == 2 else "b-a>2")
     report = []
-    for ki, k in enumerate(data.K0):
-        for w, hw in sorted(split(k).items()):
+    for ki, k in enumerate(data.K0_coords):
+        for w, hw in sorted(weight_split(k, glw).items()):
             target = rep.act(hw, fb)
             entry = {"element": ki, "weight": w, "s_weight": d + w, "case": case}
             if not target:
@@ -252,7 +256,7 @@ def _random_gl_elements(rng, glw, count):
     for _ in range(count):
         ws = rng.sample(weights, min(len(weights), rng.randint(1, 2)))
         coords = [Fraction(rng.randint(-2, 2)) if w in ws else Q0 for w in glw]
-        out.append(ConjRep(int(len(glw) ** 0.5)).from_coords(sparse(coords)))
+        out.append(sparse(coords))
     return out
 
 
@@ -275,7 +279,7 @@ def test_graded_conditions_match_the_subspace_formulation():
         done += 1
         assert check_graded_conditions(data) == _graded_conditions_by_subspaces(data)
         fake = copy.copy(data)
-        fake.K0 = _random_gl_elements(rng, data.problem.glw, 4)
+        fake.K0_coords = _random_gl_elements(rng, data.problem.glw, 4)
         report = check_graded_conditions(fake)
         assert report == _graded_conditions_by_subspaces(fake)
         statuses.update(e["status"] for e in report)
@@ -287,30 +291,30 @@ def test_k0_killed_by_star(o2_data):
     model = o2_data.model
     rep = o2_data.rep
     fb = rep.to_coords(o2_data.expansion.f_b)
-    glrep = ConjRep(2)
-    h_span = Subspace(glrep.dim, [glrep.to_coords(m) for m in model.H])
-    for k in o2_data.K0:
-        assert h_span.coords(glrep.to_coords(k)) is not None
+    h_span = Subspace(4, model.H)
+    for k in o2_data.K0_coords:
+        assert h_span.coords(k) is not None
         # star-annihilation: lambda_N(k . f_b) = 0
         assert not model.star(k, fb)
 
 
 def test_k0_bracket_closed(o3_data):
     glrep = ConjRep(3)
-    span = Subspace(glrep.dim, [glrep.to_coords(m) for m in o3_data.K0])
-    for i in range(len(o3_data.K0)):
-        for j in range(i + 1, len(o3_data.K0)):
-            br = glrep.to_coords(bracket(o3_data.K0[i], o3_data.K0[j]))
+    K0 = o3_data.K0
+    span = Subspace(glrep.dim, [glrep.to_coords(m) for m in K0])
+    for i in range(len(K0)):
+        for j in range(i + 1, len(K0)):
+            br = glrep.to_coords(K0[i] * K0[j] - K0[j] * K0[i])
             assert span.coords(br) is not None
 
 
 def test_hoffman_requires_codim_one():
-    H = [elementary(2, 0, 1), elementary(2, 1, 0)]
+    H = [gl(elementary(2, 0, 1)), gl(elementary(2, 1, 0))]
     assert hoffman_case(H, H, 2) is None
 
 
 def test_hoffman_trichotomy_branches():
-    e, f, h = elementary(2, 0, 1), elementary(2, 1, 0), Mat.rational([[1, 0], [0, -1]])
+    e, f, h = gl(elementary(2, 0, 1)), gl(elementary(2, 1, 0)), gl(Mat.rational([[1, 0], [0, -1]]))
     # the Borel <e, h> of sl2 contains no nonzero ideal of sl2
     assert hoffman_case([e, f, h], [e, h], 2) == 1
     # <h> inside <h, e>: the largest ideal inside <h> is 0, of codim 1
@@ -342,7 +346,7 @@ def test_hoffman_case_against_dual_oracle(n, positions, expected):
     spanned by the elementary matrices at `positions`; phi and -phi give one
     kernel, counted once.  Between them the two algebras reach all three cases."""
     H = [elementary(n, i, j) for i, j in positions]
-    ad = [sympy.Matrix([[bracket(h, hj).a[i][j] for hj in H] for i, j in positions])
+    ad = [sympy.Matrix([[(h * hj - hj * h).a[i][j] for hj in H] for i, j in positions])
           for h in H]
     seen = Counter()
     for phi in itertools.product((-1, 0, 1), repeat=len(H)):
@@ -350,11 +354,11 @@ def test_hoffman_case_against_dual_oracle(n, positions, expected):
         if p is None or phi[p] < 0:      # zero, or the same kernel as -phi
             continue
         K0 = [H[j] - H[p].scale(Fraction(phi[j], phi[p])) for j in range(len(H)) if j != p]
-        if any(sum(c * bracket(a, b).a[i][j] for c, (i, j) in zip(phi, positions))
+        if any(sum(c * (a * b - b * a).a[i][j] for c, (i, j) in zip(phi, positions))
                for a in K0 for b in K0):
             continue                     # ker phi is not a subalgebra
         codim = _codim_of_largest_ideal(ad, phi)
-        case = hoffman_case(H, K0, n)
+        case = hoffman_case([gl(m) for m in H], [gl(m) for m in K0], n)
         assert case == {0: 3, 1: 2, 2: 1}.get(codim), phi
         seen[case] += 1
     assert seen == expected
@@ -369,8 +373,8 @@ def test_cancel_positive_weights_gives_weight_zero_conjugate():
     diag = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]).map(Fraction)
     ss = diag + elementary(3, 0, 1) + elementary(3, 1, 2) + elementary(3, 0, 2)
     u_inv, k = _cancel_positive_weights(ss, glw, glrep)
-    assert k == diag                      # the weight-0 part, now pure
-    assert u_inv * k == ss * u_inv        # k = u ss u^-1
+    assert k == gl(diag)                  # the weight-0 part, now pure
+    assert u_inv * glrep.from_coords(k) == ss * u_inv        # k = u ss u^-1
     ident = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).map(Fraction)
     co = glrep.to_coords(u_inv - ident)
     assert co and all(glw[i] > 0 for i in co)   # u in U(lambda)

@@ -12,8 +12,9 @@ from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, lin_comb, mon
 from orbitlimits.localmodel import NotTransverse, build_local_model
 
 
-def _g(a, b, c) -> Mat:
-    return Mat.rational([[a, b], [c, -a]])
+def _g(a, b, c) -> dict:
+    """The element [[a, b], [c, -a]] of sl(2), in gl coordinates."""
+    return ConjRep(2).to_coords(Mat.rational([[a, b], [c, -a]]))
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +50,8 @@ def test_sl2_slice_completion(sl2_model):
     stab = model.slice_stabilizer(n)
     assert len(stab) == 1
     el = stab[0]
-    c = el.a[1][0]
-    assert c and el == _g(0, -1, 1).scale(c)
+    c = el.get(2)
+    assert c and el == {k: c * x for k, x in _g(0, -1, 1).items()}
     # the completed element stabilizes x^2 + y^2
     p2 = lin_comb({0: Q1, 1: Q1}, [x, n])
     assert not rep.act(el, p2)
@@ -64,7 +65,7 @@ def test_solve_decomposition_reconstructs(sl2_model):
         n = model.n_vec(nc)
         dv = sparse([Fraction(rng.randint(-3, 3)) for _ in range(rep.dim)])
         sc, nprime = model.solve_decomposition(n, dv)
-        recon = rep.act(model.s_mat(sc), lin_comb({0: Q1, 1: Q1}, [x, n]))
+        recon = rep.act(model.s_vec(sc), lin_comb({0: Q1, 1: Q1}, [x, n]))
         recon = lin_comb({0: Q1, 1: Q1}, [recon, model.n_vec(nprime)])
         assert recon == dv
 
@@ -83,7 +84,8 @@ def test_explicit_policy_validates_complement():
     x = rep.to_coords(j)
     # a supplied S that overlaps the stabilizer must be rejected
     with pytest.raises(NotTransverse, match="supplied S is not a complement of the stabilizer"):
-        build_local_model(rep, x, S=[j, Mat.identity(2), elementary(2, 1, 0)])
+        build_local_model(rep, x, S=[rep.to_coords(m) for m in
+                                     (j, Mat.identity(2), elementary(2, 1, 0))])
 
 
 @pytest.mark.parametrize("N", [
@@ -130,7 +132,7 @@ def test_weighted_model_has_weight_pure_bases():
     glw = [rep.act_weight(i, j, weights) for i, j in glrep.basis]
     cw = [rep.coord_weight(i, weights) for i in range(rep.dim)]
     for m in model.H + model.S:
-        assert len({glw[i] for i in glrep.to_coords(m)}) == 1
+        assert len({glw[i] for i in m}) == 1
     for v in model.N:
         assert len({cw[i] for i in v}) == 1
     # x^2 + y^2 has stabilizer so(2), spanned by E_01 - E_10 of weights -1 and 1
@@ -193,7 +195,7 @@ def test_theta_matrix_columns_are_lamS_times_n():
             assert (theta.rows, theta.cols) == (rep.dim, rep.dim)
             for k in range(rep.dim):
                 e = {k: Q1}
-                assert theta.col(k) == dense(rep.act(model.s_mat(model.lamS(e)), n), rep.dim)
+                assert theta.col(k) == dense(rep.act(model.s_vec(model.lamS(e)), n), rep.dim)
 
 
 def test_denominators_over_qt_divide_delta():

@@ -13,7 +13,7 @@ from orbitlimits.conjclosure import jn_local_model
 from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
 from orbitlimits.exactcore import (Mat, Q1, Subspace, UniPoly, column_normalize, dense,
                                    sparse)
-from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, lin_comb
+from orbitlimits.lierep import ConjRep, Form, SymRep, lin_comb
 from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse
@@ -56,7 +56,7 @@ def test_dual_pipeline_k0_agreement(data):
     except (NotTransverse, ValueError):
         assume(False)
         return
-    assert same_span(d1.K0, d2, f.nvars)
+    assert same_span(d1.K0_coords, d2, f.nvars)
 
 
 @settings(max_examples=25, deadline=None,
@@ -70,18 +70,18 @@ def test_k0_bracket_closure_and_star(data):
     except (NotTransverse, ValueError):
         assume(False)
         return
-    glrep = ConjRep(f.nvars)
-    span = Subspace(glrep.dim, [glrep.to_coords(m) for m in d.K0])
-    for i in range(len(d.K0)):
-        for j in range(i + 1, len(d.K0)):
-            br = glrep.to_coords(bracket(d.K0[i], d.K0[j]))
+    glrep, K0 = ConjRep(f.nvars), d.K0
+    span = Subspace(glrep.dim, [glrep.to_coords(m) for m in K0])
+    for i in range(len(K0)):
+        for j in range(i + 1, len(K0)):
+            br = glrep.to_coords(K0[i] * K0[j] - K0[j] * K0[i])
             assert span.coords(br) is not None
     # K0 lies in H and star-annihilates f_b
-    h_span = Subspace(glrep.dim, [glrep.to_coords(m) for m in d.model.H])
+    h_span = Subspace(glrep.dim, d.model.H)
     fb = (d.rep.to_coords(d.expansion.f_b)
           if d.expansion.f_b is not None else None)
-    for k in d.K0:
-        assert h_span.coords(glrep.to_coords(k)) is not None
+    for k in map(glrep.to_coords, K0):
+        assert h_span.coords(k) is not None
         if fb is not None:
             assert not d.model.star(k, fb)
 
@@ -101,7 +101,7 @@ def test_reconstruction_identity_100_random_pairs():
             sc, nprime = model.solve_decomposition(n, dv)
         except Exception:
             continue                 # 1 + theta(n) singular for this n
-        recon = rep.act(model.s_mat(sc), lin_comb({0: Q1, 1: Q1}, [model.x, n]))
+        recon = rep.act(model.s_vec(sc), lin_comb({0: Q1, 1: Q1}, [model.x, n]))
         recon = lin_comb({0: Q1, 1: Q1}, [recon, model.n_vec(nprime)])
         assert recon == dv
         done += 1
@@ -166,16 +166,22 @@ def _assert_epsilon_extension(d, feas):
     """Each pair (k_m, -dbar_m) of the eps-extension has dbar_m - d_b(k_m) in
     H = stab g, and dbar is a derivation modulo K0:
     sum_m beta_ij^m dbar_m - [k_i, dbar_j] + [k_j, dbar_i] lies in span K0,
-    with the structure constants beta of K0 from a sympy solve."""
+    with the structure constants beta of K0 from a sympy solve, and brackets
+    as matrix products."""
     rep, glrep = d.rep, d.problem.glrep
     K0 = [k for k, _ in feas.epsilon_basis]
-    dbar = [-s for _, s in feas.epsilon_basis]
-    assert K0 == d.K0
+    dbar = [{i: -x for i, x in s.items()} for _, s in feas.epsilon_basis]
+    assert K0 == d.K0_coords
     g, fb = rep.to_coords(d.expansion.g), _fb_coords(d)
     for k, x in zip(K0, dbar):
         # d_b(k) is any s with s.g = k.f_b, so dbar(k) - d_b(k) is in H iff it kills g
         assert rep.act(x, g) == rep.act(k, fb)
-    k0 = _sym_cols([glrep.to_coords(k) for k in K0], glrep.dim)
+    k0 = _sym_cols(K0, glrep.dim)
+    K0, dbar = d.K0, [glrep.from_coords(x) for x in dbar]
+
+    def bracket(a, b):
+        return a * b - b * a
+
     for i in range(len(K0)):
         for j in range(i + 1, len(K0)):
             br = _sym_cols([glrep.to_coords(bracket(K0[i], K0[j]))], glrep.dim)
@@ -213,8 +219,8 @@ def test_epsilon_extension_corrects_db():
     assert feas.feasible and len(d.K0) == 3
     _assert_epsilon_extension(d, feas)
     model, fb = d.model, _fb_coords(d)
-    db = [model.s_mat(model.split_V(d.rep.act(k, fb))[0]) for k in d.K0]
-    assert any(-s != x for (_, s), x in zip(feas.epsilon_basis, db))
+    db = [model.s_vec(model.split_V(d.rep.act(k, fb))[0]) for k in d.K0_coords]
+    assert any({i: -x for i, x in s.items()} != x for (_, s), x in zip(feas.epsilon_basis, db))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +258,16 @@ def _kt_over_qt(d):
     for alpha in map(sparse, column_normalize(Mat.from_cols(cleared)).columns()):
         s = m_s * qt_oracle.columns([{j: -a for j, a in alpha.items()}], nh)
         sc = sparse([qt_oracle.as_poly(x) for x in s.to_list_flat()])
-        kc = lin_comb(alpha | {nh + i: c for i, c in sc.items()}, model.H_coords + model.S_coords)
-        out.append((sc, model.glrep.from_coords(kc)))
+        out.append((sc, model.element(alpha, sc)))
     return out
 
 
 def _assert_kt_matches_the_qt_route(d):
     oracle = _kt_over_qt(d)
     assert len(oracle) == len(d.Kt)
-    for (sc, mat), kt in zip(oracle, d.Kt):
+    for (sc, k), kt in zip(oracle, d.Kt):
         assert kt.s_coeffs == sc
-        assert kt.mat.a == mat.a
+        assert kt.coords == k
 
 
 @pytest.mark.parametrize("name", ["det3-l2", "det3-l4", "O2", "O3"])
@@ -306,4 +311,4 @@ def test_delta_is_one_and_kt_is_polynomial(data):
         return
     assert d.model.delta(_fplus(d.problem)) == 1
     for kt in d.Kt:
-        assert all(isinstance(x, UniPoly) for row in kt.mat.a for x in row)
+        assert kt.coords and all(isinstance(x, UniPoly) for x in kt.coords.values())
