@@ -542,13 +542,12 @@ def z4_example() -> dict:
     h = J_4^3, the completion s = E_21 + E_32 + E_43 satisfies
     [s, J_4] = -[h, C_4] and s + h stabilizes Z_4."""
     glrep, j4 = ConjRep(4), Z_shift(4, 1)
-    c4 = glrep.to_coords(elementary(4, 3, 0))
+    jc, c4 = glrep.to_coords(j4), glrep.to_coords(elementary(4, 3, 0))
     h = glrep.to_coords(j4 * j4 * j4)
     s = glrep.to_coords(elementary(4, 1, 0) + elementary(4, 2, 1) + elementary(4, 3, 2))
     s_plus_h = lin_comb({0: Q1, 1: Q1}, [s, h])
-    z4 = lin_comb({0: Q1, 1: Q1}, [glrep.to_coords(j4), c4])
-    ok_completion = bracket(s, glrep.to_coords(j4), 4) == lin_comb({0: -Q1}, [bracket(h, c4, 4)])
-    ok_stab = not bracket(s_plus_h, z4, 4)
+    ok_completion = bracket(s, jc, 4) == lin_comb({0: -Q1}, [bracket(h, c4, 4)])
+    ok_stab = not bracket(s_plus_h, lin_comb({0: Q1, 1: Q1}, [jc, c4]), 4)
     stab = jn_local_model(4).slice_stabilizer(c4)
     return {"completion_identity": ok_completion, "stabilizes": ok_stab,
             "s_plus_h": s_plus_h, "slice_stabilizer_dim": len(stab)}

@@ -404,11 +404,6 @@ class Mat:
     def map(self, f: Callable) -> "Mat":
         return Mat([[f(x) for x in r] for r in self.a])
 
-    def eval_at(self, x) -> "Mat":
-        """Evaluate polynomial entries at t=x; their zeros become Q0 without
-        evaluation."""
-        return self.map(lambda e: (e(x) if e else Q0) if isinstance(e, UniPoly) else e)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.a == other.a)
 

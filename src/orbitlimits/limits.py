@@ -346,10 +346,9 @@ def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
     return [_at_zero(col) for col in _regrade(problem.K, problem.glw)]
 
 
-def same_span(A: Sequence[dict], B: Sequence[dict], n: int) -> bool:
+def same_span(A: list[dict], B: list[dict], n: int) -> bool:
     """Whether the elements A and B of gl(n) span the same subspace: over Q
     by `Subspace`, over Q(t) by ranks (`rank_qt`) if an entry is over Q[t]."""
-    A, B = list(A), list(B)
     if any(isinstance(x, UniPoly) for v in A + B for x in v.values()):
         return rank_qt(A) == rank_qt(B) == rank_qt(A + B)
     a = Subspace(n * n, A)

@@ -226,7 +226,7 @@ def test_column_normalize():
     m = column_normalize(Mat([[UniPoly.t(1, 1)], [UniPoly.t(2, 1)]]))
     col0 = m.col(0)
     assert min(p.valuation() for p in col0 if p) == 0
-    assert rank(m.eval_at(Q0)) == 1
+    assert rank(m.map(lambda p: p(Q0))) == 1
     # (1, 0) and (1 + t, t^2) agree at t = 0; the second becomes (0, t) and then (0, 1)
     t, one, zero = UniPoly.t(1, 1), UniPoly.const(1), UniPoly.zero()
     m = column_normalize(Mat.from_cols([[one, zero], [one + t, t * t]]))
