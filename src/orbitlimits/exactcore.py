@@ -10,15 +10,18 @@ row reduction over Q goes through one sparse incremental `Subspace` echelon.
 It answers questions about one subspace -- independence, the residue of a
 vector modulo the span (the quotient map), membership, coordinates,
 completion by unit vectors -- and `kernel`, `rref`, `nullspace`, `rank` and
-`solve` read their answers off it.  Over Q[t], fraction-free Bareiss
-elimination on sparse rows gives determinants and ranks over Q(t) without a
-rational function, at a cost in proportion to the nonzeros.
+`solve` read their answers off it.  Inside, its rows are primitive integer
+vectors, eliminated fraction-free with the content divided out, and a
+`Fraction` is made only for what it returns.  Over Q[t], fraction-free
+Bareiss elimination on sparse rows gives determinants and ranks over Q(t)
+without a rational function, at a cost in proportion to the nonzeros.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 Q0 = Fraction(0)
@@ -669,26 +672,66 @@ def _sub_scaled(d: dict, c, s: dict) -> None:
             del d[j]
 
 
-class Subspace:
-    """A subspace of K^dim grown one generator at a time; vectors are sparse.
+def _integral(v: dict) -> Optional[tuple]:
+    """(W, D) with v = W/D: D the lcm of the denominators of v's entries and W
+    the integer vector of its nonzero entries times D; None if an entry of v
+    is over Q[t]."""
+    try:
+        D = lcm(*[x.denominator for x in v.values()])
+    except AttributeError:      # a UniPoly has no denominator
+        return None
+    if D == 1:
+        return {j: x.numerator for j, x in v.items() if x}, 1
+    return {j: x.numerator * (D // x.denominator) for j, x in v.items() if x}, D
 
-    The span is kept in reduced row echelon form: each row is a sparse
-    {coordinate: value} dict with a 1 at its pivot and a 0 at every other
-    row's pivot, and the row with pivot p has the combination combos[p]
-    {generator: coefficient} of the accepted generators that equals it.
-    Because the rows are fully reduced, the coefficient of a vector v on the
-    row with pivot p is v[p] itself, so the residue, membership and
-    coordinates of v cost one pass over the rows that v meets.  The span is
-    over Q; a vector over Q[t] may be reduced modulo it (its residue and
+
+def _over(W: dict, D: int) -> dict:
+    """The rational vector W/D."""
+    if D == 1:
+        return {j: Fraction(x) for j, x in W.items()}
+    return {j: Fraction(x, D) for j, x in W.items()}
+
+
+def _primitive(R: dict, C: dict) -> None:
+    """Divide the integer vectors R and C, in place, by the gcd of all their
+    entries."""
+    g = gcd(*R.values(), *C.values())
+    if g > 1:
+        for v in (R, C):
+            for j, x in v.items():
+                v[j] = x // g
+
+
+class Subspace:
+    """A subspace of Q^dim grown one generator at a time; vectors are sparse.
+
+    The span is kept in reduced row echelon form, eliminated fraction-free
+    over the integers.  The row with pivot p is a primitive integer dict R
+    with R[p] > 0 that stands for the rational row R/R[p]: 1 at p, 0 at every
+    other row's pivot.  The combination {generator: coefficient} of the
+    accepted generators that equals the row is an integer dict C over the
+    same denominator R[p], and R and C together have content 1.
+
+    A vector v enters as W/D, W an integer vector and D the lcm of v's
+    denominators.  Because the rows are fully reduced, v's part along the
+    row with pivot p is v[p] R/R[p], so the residue, membership and
+    coordinates of v cost one pass over the rows that v meets: W is scaled
+    by the lcm L of their pivot entries R[p], which divide a common minor,
+    so that each W[p]/R[p] is an integer, then the rows are subtracted and
+    the content of W, its combination and D L is divided out.  A new row W
+    with pivot p clears column p of each row R that meets it by
+    R <- W[p] R - R[p] W, divided by its content with its combination.
+    `rows`, `residue` and `coords` make `Fraction`s only on the way out.  A
+    vector over Q[t] may be reduced modulo the span (its residue and
     coordinates are then over Q[t]), but not added to it.
     """
 
-    __slots__ = ("dim", "rows", "_combos")
+    __slots__ = ("dim", "_rows", "_combos")
 
     def __init__(self, dim: int, gens: Iterable[dict] = ()):
         self.dim = dim
-        self.rows: dict = {}            # pivot -> row
-        self._combos: Optional[dict] = {}   # pivot -> combination; None if not kept
+        self._rows: dict = {}                # pivot -> primitive integer row
+        self._combos: Optional[dict] = {}    # pivot -> combination; None if not kept
         for v in gens:
             self.add(v)
 
@@ -703,53 +746,107 @@ class Subspace:
             sp.add(r)
         return sp.rows
 
+    @property
+    def rows(self) -> dict:
+        """The reduced rows {pivot: row} over Q, in the order of acceptance."""
+        return {p: _over(r, r[p]) for p, r in self._rows.items()}
+
     def __len__(self) -> int:
         """Dimension of the span, which is the number of accepted generators."""
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduce(self, w: dict, combo: Optional[dict] = None) -> None:
-        """Subtract from w, in place, its part in the span; add that part, as
-        a combination of the accepted generators, to combo if one is given."""
-        for p, c in [(p, c) for p, c in w.items() if p in self.rows]:
-            _sub_scaled(w, c, self.rows[p])
+    def _reduce(self, W: dict, D: int, combo: bool) -> tuple:
+        """(W', D', A) for v = W/D over Q: W'/D' is v minus its part in the
+        span, and A/D' that part as a combination of the accepted generators
+        (empty unless combo).  W may be changed in place."""
+        A: dict = {}
+        rows, combos = self._rows, self._combos
+        met = [p for p in W if p in rows]
+        if not met:
+            return W, D, A
+        # scaled by the lcm L of the pivot entries, v's part along the row
+        # R/R[p] is the integer multiple (W[p]/R[p]) R
+        L = lcm(*[rows[p][p] for p in met])
+        if L != 1:
+            W = {j: L * x for j, x in W.items()}
+            D *= L
+        for p in met:
+            R = rows[p]
+            c = W[p] // R[p]
+            _sub_scaled(W, c, R)
+            if combo:
+                _sub_scaled(A, -c, combos[p])
+        if D != 1:
+            g = gcd(D, *W.values(), *A.values())
+            if g != 1:
+                W = {j: x // g for j, x in W.items()}
+                A = {k: x // g for k, x in A.items()}
+                D //= g
+        return W, D, A
+
+    def _reduce_qt(self, w: dict, combo: Optional[dict]) -> None:
+        """Subtract from w over Q[t], in place, its part in the span; add that
+        part, as a combination of the accepted generators, to combo if one is
+        given."""
+        for p in [p for p in w if p in self._rows]:
+            R = self._rows[p]
+            c = w[p] * Fraction(1, R[p])
+            _sub_scaled(w, c, R)
             if combo is not None:
                 _sub_scaled(combo, -c, self._combos[p])
 
     def add(self, v: dict) -> bool:
         """Add v to the span; True if v was independent of it (then v is the
         next accepted generator)."""
-        return self._add(dict(v))
-
-    def _add(self, w: dict) -> bool:
+        WD = _integral(v)
+        if WD is None:
+            raise TypeError("only a vector over Q can be added to a Subspace")
         combos = self._combos
-        combo = None if combos is None else {}
-        self._reduce(w, combo)
-        if not w:
+        W, D, A = self._reduce(*WD, combos is not None)
+        if not W:
             return False
-        p = min(w)
-        piv = w[p]
-        inv = Q1 / piv
-        row = {j: x * inv for j, x in w.items()}
+        p = min(W)
+        # W/D = v - (A/D).gens: the new row W/W[p] is (D v - A.gens)/W[p],
+        # kept with W[p] > 0
+        if W[p] > 0:
+            C = {g: -x for g, x in A.items()}
+            k = D
+        else:
+            W = {j: -x for j, x in W.items()}
+            C, k = A, -D
+        rows = self._rows
         if combos is not None:
-            rc = {g: -x * inv for g, x in combo.items()}
-            rc[len(self.rows)] = inv
-        for q, r in self.rows.items():
-            c = r.get(p)
-            if c:
-                _sub_scaled(r, c, row)
-                if combos is not None:
-                    _sub_scaled(combos[q], c, rc)
-        self.rows[p] = row
+            C[len(rows)] = k
+        _primitive(W, C)
+        d = W[p]
+        for q, R in rows.items():
+            e = R.get(p)
+            if e:
+                # R/R[q] - (e/R[q]) W/d, over the denominator d R[q]
+                Cq = combos[q] if combos is not None else {}
+                if d != 1:
+                    for j, x in R.items():
+                        R[j] = d * x
+                    for g, x in Cq.items():
+                        Cq[g] = d * x
+                _sub_scaled(R, e, W)
+                _sub_scaled(Cq, e, C)
+                _primitive(R, Cq)
+        rows[p] = W
         if combos is not None:
-            combos[p] = rc
+            combos[p] = C
         return True
 
     def residue(self, v: dict) -> dict:
         """v minus its part in the span.  This is the quotient map
         K^dim -> K^dim / span: it is linear and its kernel is the span."""
-        w = dict(v)
-        self._reduce(w)
-        return w
+        WD = _integral(v)
+        if WD is None:
+            w = dict(v)
+            self._reduce_qt(w, None)
+            return w
+        W, D, _ = self._reduce(*WD, False)
+        return _over(W, D)
 
     def __contains__(self, v: dict) -> bool:
         return not self.residue(v)
@@ -758,18 +855,22 @@ class Subspace:
         """Coefficients {generator: coefficient} of v over the accepted
         generators, numbered in the order they were accepted; None if v is
         not in the span."""
-        w, combo = dict(v), {}
-        self._reduce(w, combo)
-        return None if w else combo
+        WD = _integral(v)
+        if WD is None:
+            w, combo = dict(v), {}
+            self._reduce_qt(w, combo)
+            return None if w else combo
+        W, D, A = self._reduce(*WD, True)
+        return None if W else _over(A, D)
 
     def complete_with_units(self) -> list[int]:
         """Add the unit vectors e_0, e_1, ... that are independent of the span
         until it fills K^dim; return their indices."""
         units = []
         for j in range(self.dim):
-            if len(self.rows) == self.dim:
+            if len(self._rows) == self.dim:
                 break
-            if self._add({j: Q1}):
+            if self.add({j: 1}):
                 units.append(j)
         return units
 

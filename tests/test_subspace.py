@@ -171,6 +171,51 @@ def test_lin_indep_subset_and_coords_in_basis_against_sympy(data):
         assert combination(co, cols, dim) == v
 
 
+# dense vectors with large coefficients, some of them ints: the rows meet
+# each other everywhere, so the integers of the elimination grow
+big_entries = st.one_of(st.integers(-10**6, 10**6),
+                        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_subspace_on_dense_large_coefficients_against_sympy(data):
+    dim, count = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 12))
+    gens = [[data.draw(big_entries) for _ in range(dim)] for _ in range(count)]
+    sp = Subspace(dim)
+    flags = [sp.add(sparse(g)) for g in gens]
+    idx = greedy(gens, dim)
+    assert [i for i, f in enumerate(flags) if f] == idx
+    basis = [gens[i] for i in idx]
+    # rows: the reduced row echelon form of the span
+    want, pivots = dom_mat(basis, dim).rref()
+    want_rows = {p: r for p, r in zip(pivots, want.to_list())}
+    assert sorted(sp.rows) == list(pivots)
+    for p, row in sp.rows.items():
+        assert same([dense(row, dim)], [want_rows[p]], sympy.QQ)
+    assert_no_stored_zeros(sp)
+    assert all(type(x) is Fraction for row in sp.rows.values() for x in row.values())
+    # residue: v minus v[p] times the row with pivot p, for every pivot p
+    v = ([data.draw(big_entries) for _ in range(dim)] if data.draw(st.booleans())
+         else combination([data.draw(big_entries) for _ in basis], basis, dim))
+    r = sp.residue(sparse(v))
+    expected = [sympy.QQ.from_sympy(to_sympy(x)) for x in v]
+    for p, row in want_rows.items():
+        c = expected[p]
+        expected = [a - c * b for a, b in zip(expected, row)]
+    assert same([dense(r, dim)], [expected], sympy.QQ)
+    # coords: the solution of basis . x = v, by the rref of [basis | v]
+    co = sp.coords(sparse(v))
+    k = len(basis)
+    aug, aug_pivots = dom_mat([[b[i] for b in basis] + [v[i]] for i in range(dim)], k + 1).rref()
+    assert (co is None) == (k in aug_pivots) == bool(r)
+    if co is not None:
+        sol = [row[-1] for row in aug.to_list()[:k]]
+        assert same([dense(co, k)], [sol], sympy.QQ)
+    assert_no_stored_zeros(sp, r, co)
+    assert all(type(x) is Fraction for w in (r, co or {}) for x in w.values())
+
+
 def test_integer_input_gives_fractions():
     sp = Subspace(2, [{0: 2, 1: 4}, {1: 3}])
     co = sp.coords({0: 1, 1: 1})
