@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -46,8 +47,8 @@ GRID_MAX_RANK = 4
 FORM_MAX_VARS = 12
 FORM_MAX_DIM = 500
 # A matrix input of size n acts through gl(n), whose action map is n^2 x n^2:
-# the stabilizer of a dense 9x9 integer matrix takes about 2 s, of a dense
-# 11x11 one 10 s (Python 3.11 on a 2-core Xeon).
+# the local model of a dense 9x9 integer matrix takes about 1 s, of a dense
+# 11x11 one 6 s (Python 3.11 on a 2-core Xeon).
 MATRIX_MAX_N = 9
 # The other size fields, each bounded where one document costs about 2 s on
 # the same machine: a closure spec of size 500 with a witness family takes up
@@ -65,6 +66,13 @@ CYCLIC_MAX_N = 10
 # under [2500, -2499] and 0.15 s under [10^9, 1 - 10^9] on the same machine.
 # The bound keeps the weights inside the range that the tests cover.
 ONEPS_MAX_WEIGHT = 2500
+# A rational string has at most this many characters once its exponent is
+# written out as zeros ("1e5" as "100000"): Python's default bound on the
+# digits of an int converted from or to a string, which also bounds a JSON
+# integer literal.  "1e1000000" would otherwise become a million-digit
+# integer before any other check runs.
+RATIONAL_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
 class InputError(ValueError):
@@ -81,11 +89,20 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        if _written_out_length(s) > RATIONAL_MAX_DIGITS:
+            raise InputError(f"rational {s[:40]!r} has more than {RATIONAL_MAX_DIGITS} "
+                             "digits written out")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational {s!r}: {e}") from None
     raise InputError(f"not a rational: {s!r}")
+
+
+def _written_out_length(s: str) -> int:
+    """len(s) with the decimal exponent of s, if any, written out as zeros."""
+    e = _EXPONENT.search(s) if len(s) <= RATIONAL_MAX_DIGITS else None
+    return len(s) + (abs(int(e[1])) if e else 0)
 
 
 def rational_str(x: Fraction) -> str:
@@ -226,7 +243,9 @@ def read_input(args) -> dict:
                 doc = json.load(fh)
         else:
             doc = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
+        # ValueError: malformed JSON, bad UTF-8, or an integer literal longer
+        # than the interpreter converts (RATIONAL_MAX_DIGITS)
         raise InputError(f"cannot read input: {e}") from None
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")

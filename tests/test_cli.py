@@ -23,8 +23,9 @@ def _run(capsys, argv, stdin=None, monkeypatch=None):
 
 
 def _write(tmp_path, name, doc):
+    """Write doc as JSON; a str is written as it is."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(p)
 
 
@@ -375,10 +376,11 @@ def test_kempf_output_is_pinned(tmp_path, capsys, name):
 
 
 # Whole `--format json` outputs of the subcommands that print gl elements or
-# build on them: stabilizer and local-model on xyz, J_4 and a dense 5x5
-# integer matrix (entries drawn from [-3, 3] by random.Random(3)), local-model
-# under weights, the slice reports at J_4 and J_{3,2}, and the cyclic and
-# adjoint curvature suites
+# build on them: stabilizer and local-model on xyz, J_4 and the dense 5x5 and
+# 6x6 integer matrices (entries drawn row by row from [-3, 3] by
+# random.Random(3); the 6x6 shows real coefficient growth), local-model under
+# weights, the slice reports at J_4 and J_{3,2}, and the cyclic and adjoint
+# curvature suites
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -584,11 +586,21 @@ def test_bad_slice_and_curvature_documents_are_input_errors(tmp_path, capsys, cm
     ("closure", {"spec": [{"eig": {"label": {"a": 1}}, "sizes": [2]}], "partition": [2]}),
     ("closure", {"spec": [{"eig": {"label": 1}, "sizes": [1]}, {"eig": "1", "sizes": [1]}],
                  "partition": [2]}),
+    # a JSON integer literal longer than the interpreter converts (4,300 digits)
+    ("stabilizer", '{"matrix": [[' + "9" * 5000 + ', 1], [0, 1]]}'),
 ])
 def test_ill_typed_fields_are_input_errors(tmp_path, capsys, cmd, doc):
     path = _write(tmp_path, "in.json", doc)
     code, out, err = _run(capsys, [cmd, "--input", path])
     assert code == EXIT_INPUT and out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("x", ["1e100000", "1e1000000"])
+def test_rational_exponents_are_bounded(tmp_path, capsys, x):
+    # each string would become an integer of more than 4,300 digits
+    path = _write(tmp_path, "in.json", {"matrix": [[x, "0"], ["0", "1"]]})
+    code, out, err = _run(capsys, ["stabilizer", "--input", path])
+    assert code == EXIT_INPUT and out == "" and "digits written out" in err
 
 
 @pytest.mark.parametrize("cmd", ["limit", "local-model"])
