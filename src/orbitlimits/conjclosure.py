@@ -512,10 +512,11 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     # H is spanned by the nonnegative shifts Z_0..Z_{n-1}
     report["H_is_span_Z"] = same_span([model.rep.to_coords(Z_shift(n, k)) for k in range(n)],
                                       model.H, n)
-    # theta(n1) theta(n2) = 0 on basis pairs => theta(n)^2 = 0 for all n in N
-    mats = [model.theta_matrix(nv) for nv in model.N]
-    report["theta_squared_zero"] = all(not any(x for row in (t1 * t2).a for x in row)
-                                       for t1 in mats for t2 in mats)
+    # theta(n1) theta(n2) = 0 on basis pairs => theta(n)^2 = 0 for all n in N;
+    # column k of theta(n1) theta(n2) is theta(n1) applied to column k of theta(n2)
+    cols = [model.theta_columns(nv) for nv in model.N]
+    report["theta_squared_zero"] = all(not lin_comb(c, c1)
+                                       for c1 in cols for c2 in cols for c in c2)
     rng = random.Random(seed)
     samples = []
     for _ in range(3):

@@ -92,13 +92,16 @@ class LocalModel:
         return lin_comb(scoeffs, self.S)
 
     # -- theta --------------------------------------------------------
-    def theta_matrix(self, n: dict) -> Mat:
-        """θ(n)(dv) = λ_S(dv)·n as a matrix: B ∘ λ_S, where B has the columns
-        s·n over the S basis."""
-        dim = self.rep.dim
+    def theta_columns(self, n: dict) -> list[dict]:
+        """The sparse columns θ(n)(e_k), k < dim V, of θ(n)(dv) = λ_S(dv)·n:
+        B ∘ λ_S, where B has the columns s·n over the S basis."""
         bcols = [self.rep.act(s, n) for s in self.S]
-        return Mat.from_cols([dense(lin_comb(self.lamS({k: Q1}), bcols), dim)
-                              for k in range(dim)])
+        return [lin_comb(self.lamS({k: Q1}), bcols) for k in range(self.rep.dim)]
+
+    def theta_matrix(self, n: dict) -> Mat:
+        """θ(n) as a matrix (`theta_columns`)."""
+        dim = self.rep.dim
+        return Mat.from_cols([dense(c, dim) for c in self.theta_columns(n)])
 
     def _theta_columns(self, n: dict) -> tuple[list, list]:
         """The columns s·n of B and the columns of C = I_S + λ_S ∘ B on
