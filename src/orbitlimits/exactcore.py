@@ -784,16 +784,23 @@ class Subspace:
                 D //= g
         return W, D, A
 
-    def _reduce_qt(self, w: dict, combo: Optional[dict]) -> None:
-        """Subtract from w over Q[t], in place, its part in the span; add that
-        part, as a combination of the accepted generators, to combo if one is
-        given."""
+    def _split(self, v: dict, combo: bool) -> tuple:
+        """(residue, A): v minus its part in the span, and that part as a
+        combination of the accepted generators (empty unless combo), over Q,
+        or over Q[t] if an entry of v is.  Over Q[t], v is reduced by the rows
+        R/R[p]."""
+        WD = _integral(v)
+        if WD is not None:
+            W, D, A = self._reduce(*WD, combo)
+            return _over(W, D), _over(A, D)
+        w, A = dict(v), {}
         for p in [p for p in w if p in self._rows]:
             R = self._rows[p]
             c = w[p] * Fraction(1, R[p])
             _sub_scaled(w, c, R)
-            if combo is not None:
-                _sub_scaled(combo, -c, self._combos[p])
+            if combo:
+                _sub_scaled(A, -c, self._combos[p])
+        return w, A
 
     def add(self, v: dict) -> bool:
         """Add v to the span; True if v was independent of it (then v is the
@@ -840,13 +847,7 @@ class Subspace:
     def residue(self, v: dict) -> dict:
         """v minus its part in the span.  This is the quotient map
         K^dim -> K^dim / span: it is linear and its kernel is the span."""
-        WD = _integral(v)
-        if WD is None:
-            w = dict(v)
-            self._reduce_qt(w, None)
-            return w
-        W, D, _ = self._reduce(*WD, False)
-        return _over(W, D)
+        return self._split(v, False)[0]
 
     def __contains__(self, v: dict) -> bool:
         return not self.residue(v)
@@ -855,13 +856,8 @@ class Subspace:
         """Coefficients {generator: coefficient} of v over the accepted
         generators, numbered in the order they were accepted; None if v is
         not in the span."""
-        WD = _integral(v)
-        if WD is None:
-            w, combo = dict(v), {}
-            self._reduce_qt(w, combo)
-            return None if w else combo
-        W, D, A = self._reduce(*WD, True)
-        return None if W else _over(A, D)
+        w, A = self._split(v, True)
+        return None if w else A
 
     def complete_with_units(self) -> list[int]:
         """Add the unit vectors e_0, e_1, ... that are independent of the span

@@ -103,7 +103,7 @@ class LocalModel:
         dim = self.rep.dim
         return Mat.from_cols([dense(c, dim) for c in self.theta_columns(n)])
 
-    def _theta_columns(self, n: dict) -> tuple[list, list]:
+    def _b_and_c_columns(self, n: dict) -> tuple[list, list]:
         """The columns s·n of B and the columns of C = I_S + λ_S ∘ B on
         S-coefficients."""
         bcols = [self.rep.act(s, n) for s in self.S]
@@ -114,7 +114,7 @@ class LocalModel:
         """The columns of B and the span of the columns of C, built once for
         each n and kept for the next call with the same n."""
         if self._theta_cache is None or self._theta_cache[0] != n:
-            bcols, ccols = self._theta_columns(n)
+            bcols, ccols = self._b_and_c_columns(n)
             self._theta_cache = (dict(n), bcols, Subspace(len(ccols), ccols))
         return self._theta_cache[1:]
 
@@ -122,7 +122,7 @@ class LocalModel:
         """det(1 + θ(n)) = det C, for n over Q or Q[t].  The limit pipeline
         does not need it: along f^+(t) at a limit's weight-graded model it is
         1.  Tests read it."""
-        ccols = self._theta_columns(n)[1]
+        ccols = self._b_and_c_columns(n)[1]
         return det_bareiss(Mat.from_cols([dense(c, len(ccols)) for c in ccols]))
 
     def inv_one_plus_theta(self, n: dict, dvs: Sequence[dict]) -> list[dict]:
