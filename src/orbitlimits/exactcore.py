@@ -8,11 +8,11 @@ A vector is a sparse dict {index: value} with no stored zeros; `Mat` is
 a dense row-major matrix, and `sparse` and `dense` convert at the edges.  All
 row reduction over Q goes through one sparse incremental `Subspace` echelon.
 It answers questions about one subspace -- independence, the residue of a
-vector modulo the span (the quotient map), membership, coordinates,
-completion by unit vectors -- and `kernel`, `rref`, `nullspace`, `rank` and
-`solve` read their answers off it.  Inside, its rows are primitive integer
-vectors, eliminated fraction-free with the content divided out, and a
-`Fraction` is made only for what it returns.  Over Q[t], fraction-free
+vector modulo the span (the quotient map), membership, coordinates, free
+columns, the orthogonal complement -- and `kernel`, `rref`, `nullspace`,
+`rank` and `solve` read their answers off it.  Inside, its rows are
+primitive integer vectors, eliminated fraction-free with the content divided
+out, and a `Fraction` is made only for what it returns.  Over Q[t], fraction-free
 Bareiss elimination on sparse rows gives determinants and ranks over Q(t)
 without a rational function, at a cost in proportion to the nonzeros.
 """
@@ -486,7 +486,7 @@ def rref(m: Mat):
     then zero rows up to m.rows.  The form is unique, so it does not depend
     on the order in which `Subspace` eliminates.
     """
-    ech = Subspace._echelon(m.cols, _sparse_rows(m))
+    ech = Subspace(m.cols, _sparse_rows(m), combos=False).rows
     pivots = sorted(ech)
     out = [dense(ech[p], m.cols) for p in pivots]
     out += [[Q0] * m.cols for _ in range(m.rows - len(pivots))]
@@ -498,16 +498,8 @@ def rank(m: Mat) -> int:
 
 
 def kernel(ncols: int, rows: Iterable[dict]) -> list[dict]:
-    """Basis of {v : r·v = 0 for every sparse row r} in Q^ncols, one vector
-    per free column in increasing order: e_free - sum over pivots p of
-    (reduced row p)[free] e_p."""
-    ech = Subspace._echelon(ncols, rows)
-    by_col: dict = {}
-    for p, r in ech.items():
-        for j, x in r.items():
-            if j != p:
-                by_col.setdefault(j, {})[p] = -x
-    return [{f: Q1, **by_col.get(f, {})} for f in range(ncols) if f not in ech]
+    """Basis of {v : r·v = 0 for every sparse row r} in Q^ncols (`Subspace.orthogonal`)."""
+    return Subspace(ncols, rows, combos=False).orthogonal()
 
 
 def nullspace(m: Mat) -> list[list]:
@@ -720,31 +712,24 @@ class Subspace:
     so that each W[p]/R[p] is an integer, then the rows are subtracted and
     the content of W, its combination and D L is divided out.  A new row W
     with pivot p clears column p of each row R that meets it by
-    R <- W[p] R - R[p] W, divided by its content with its combination.
+    R <- W[p] R - R[p] W, divided by its content with its combination; an
+    index {column: pivots of the rows that may meet it} names those R, and
+    `add` still checks R[p], since a row loses an entry when it is cleared.
     `rows`, `residue` and `coords` make `Fraction`s only on the way out.  A
     vector over Q[t] may be reduced modulo the span (its residue and
     coordinates are then over Q[t]), but not added to it.
     """
 
-    __slots__ = ("dim", "_rows", "_combos")
+    __slots__ = ("dim", "_rows", "_combos", "_cols")
 
-    def __init__(self, dim: int, gens: Iterable[dict] = ()):
+    def __init__(self, dim: int, gens: Iterable[dict] = (), combos: bool = True):
+        """combos=False skips the generator combinations, and `coords` with them."""
         self.dim = dim
         self._rows: dict = {}                # pivot -> primitive integer row
-        self._combos: Optional[dict] = {}    # pivot -> combination; None if not kept
+        self._combos: Optional[dict] = {} if combos else None   # pivot -> combination
+        self._cols: dict = {}                # column -> pivots of rows that may meet it
         for v in gens:
             self.add(v)
-
-    @classmethod
-    def _echelon(cls, dim: int, rows: Iterable[dict]) -> dict:
-        """The reduced rows {pivot: row} of the span of rows, eliminated
-        without the combinations that only `coords` reads; the subspace that
-        skips them stays inside, so nothing calls `coords` on it."""
-        sp = cls(dim)
-        sp._combos = None
-        for r in rows:
-            sp.add(r)
-        return sp.rows
 
     @property
     def rows(self) -> dict:
@@ -784,7 +769,7 @@ class Subspace:
                 D //= g
         return W, D, A
 
-    def _split(self, v: dict, combo: bool) -> tuple:
+    def split(self, v: dict, combo: bool = True) -> tuple:
         """(residue, A): v minus its part in the span, and that part as a
         combination of the accepted generators (empty unless combo), over Q,
         or over Q[t] if an entry of v is.  Over Q[t], v is reduced by the rows
@@ -821,24 +806,29 @@ class Subspace:
         else:
             W = {j: -x for j, x in W.items()}
             C, k = A, -D
-        rows = self._rows
+        rows, cols = self._rows, self._cols
         if combos is not None:
             C[len(rows)] = k
         _primitive(W, C)
         d = W[p]
-        for q, R in rows.items():
-            e = R.get(p)
-            if e:
-                # R/R[q] - (e/R[q]) W/d, over the denominator d R[q]
-                Cq = combos[q] if combos is not None else {}
-                if d != 1:
-                    for j, x in R.items():
-                        R[j] = d * x
-                    for g, x in Cq.items():
-                        Cq[g] = d * x
-                _sub_scaled(R, e, W)
-                _sub_scaled(Cq, e, C)
-                _primitive(R, Cq)
+        touched = [q for q in cols.get(p, ()) if rows[q].get(p)]
+        for q in touched:
+            # R/R[q] - (e/R[q]) W/d, over the denominator d R[q]
+            R = rows[q]
+            e = R[p]
+            Cq = combos[q] if combos is not None else {}
+            if d != 1:
+                for j, x in R.items():
+                    R[j] = d * x
+                for g, x in Cq.items():
+                    Cq[g] = d * x
+            _sub_scaled(R, e, W)
+            _sub_scaled(Cq, e, C)
+            _primitive(R, Cq)
+        touched.append(p)
+        for j in W:
+            cols.setdefault(j, set()).update(touched)
+        del cols[p]                  # every later vector is 0 at column p
         rows[p] = W
         if combos is not None:
             combos[p] = C
@@ -847,7 +837,7 @@ class Subspace:
     def residue(self, v: dict) -> dict:
         """v minus its part in the span.  This is the quotient map
         K^dim -> K^dim / span: it is linear and its kernel is the span."""
-        return self._split(v, False)[0]
+        return self.split(v, False)[0]
 
     def __contains__(self, v: dict) -> bool:
         return not self.residue(v)
@@ -856,19 +846,23 @@ class Subspace:
         """Coefficients {generator: coefficient} of v over the accepted
         generators, numbered in the order they were accepted; None if v is
         not in the span."""
-        w, A = self._split(v, True)
+        w, A = self.split(v)
         return None if w else A
 
-    def complete_with_units(self) -> list[int]:
-        """Add the unit vectors e_0, e_1, ... that are independent of the span
-        until it fills K^dim; return their indices."""
-        units = []
-        for j in range(self.dim):
-            if len(self._rows) == self.dim:
-                break
-            if self.add({j: 1}):
-                units.append(j)
-        return units
+    def free_columns(self) -> list[int]:
+        """The columns that are no row's pivot, in increasing order."""
+        return [j for j in range(self.dim) if j not in self._rows]
+
+    def orthogonal(self) -> list[dict]:
+        """Basis of {v : r·v = 0 for r in the span}, one vector per free column
+        f: e_f - sum over pivots p of (reduced row p)[f] e_p."""
+        by_col: dict = {}
+        for p, R in self._rows.items():
+            d = R[p]
+            for j, x in R.items():
+                if j != p:
+                    by_col.setdefault(j, {})[p] = Fraction(-x, d)
+        return [{f: Q1, **by_col.get(f, {})} for f in self.free_columns()]
 
 
 def lin_indep_subset(cols: Sequence[Sequence]) -> list[int]:
@@ -888,9 +882,4 @@ def coords_in_basis(basis_cols: Sequence[Sequence], v: Sequence):
     sp = Subspace(len(v))
     accepted = [i for i, b in enumerate(basis_cols) if sp.add(sparse(b))]
     co = sp.coords(sparse(v))
-    if co is None:
-        return None
-    out = [Q0] * len(basis_cols)
-    for g, c in co.items():
-        out[accepted[g]] = c
-    return out
+    return None if co is None else dense({accepted[g]: c for g, c in co.items()}, len(basis_cols))

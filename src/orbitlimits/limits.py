@@ -328,12 +328,16 @@ def _verify_limit_algebra(data: LimitAlgebraData):
         d = exp.b - exp.a
         if any(c.valuation() < d for kt in data.Kt for c in kt.s_coeffs.values()):
             raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
-    # k(t) annihilates g + f^+(t) = sum t^(c-a) f_c as polynomials in t; the
-    # f_c have disjoint supports
-    curve = {rep.index[e]: UniPoly.t(c - exp.a, coef)
-             for c, form in exp.terms.items() for e, coef in form.terms.items()}
+    # k(t) = sum t^m k_m annihilates g + f^+(t) = sum t^(c-a) f_c as a
+    # polynomial in t: for each r, the sum of k_m·f_c over m + c - a = r is 0
+    fc = [(c - exp.a, rep.to_coords(form)) for c, form in exp.terms.items()]
     for kt in data.Kt:
-        if rep.act(kt.coords, curve):
+        coeff: dict = {}
+        for m in range(max(p.degree() for p in kt.coords.values()) + 1):
+            k = {i: y for i, p in kt.coords.items() if (y := p.coeff(m))}
+            for e, f in fc:
+                coeff.setdefault(m + e, Counter()).update(rep.act(k, f))
+        if any(any(v.values()) for v in coeff.values()):
             raise ValueError("k(t) does not annihilate g + f^+(t)")
 
 

@@ -43,33 +43,37 @@ def graded_basis(vectors: Sequence[dict], coord_weights) -> list[dict]:
 
 
 class LocalModel:
-    """gl ⊇ H ⊕ S with H = stab x, and V = TO ⊕ N with TO = S.x.  V and HS
-    span TO + N and H + S in that generator order, so their coords split a
-    vector in two; build_local_model grows and checks them, and supplies them."""
+    """gl ⊇ H ⊕ S with H = stab x, and V = TO ⊕ N with TO = S.x.  N is an
+    explicit part followed by the unit vectors at the `units` columns.  HS
+    spans H + S, and V spans TO + the explicit part, each in that generator
+    order (build_local_model grows and checks them); an explicit part not
+    yet in V enters it on the first split_V."""
 
     def __init__(self, rep: Representation, x: dict, H, S, TO, N, V: Subspace,
-                 HS: Subspace, ambient=None):
+                 HS: Subspace, ambient=None, units: Sequence[int] = ()):
         self.rep = rep
         self.x = dict(x)
         self.H = H                    # list of gl elements
         self.S = S                    # list of gl elements
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
         self.N = N                    # list of V-coordinate vectors
-        self.V = V                    # span of TO + N
+        self.V = V                    # span of TO + the explicit part of N
         self.HS = HS                  # span of H + S
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
+        self._units = {j: len(N) - len(units) + i for i, j in enumerate(units)}  # column -> N index
         self._theta_cache = None
 
     # -- projections --------------------------------------------------
     def split_V(self, v: dict) -> tuple[dict, dict]:
-        """(λ_S v, λ_N v): the coefficients of v over S.x = TO and over N."""
-        k, s, n = len(self.TO), {}, {}
-        for g, c in self.V.coords(v).items():    # TO + N is a basis of V
-            if g < k:
-                s[g] = c
-            else:
-                n[g - k] = c
-        return s, n
+        """(λ_S v, λ_N v): the coefficients of v over S.x = TO and over N; v's
+        residue modulo V, zero at V's pivots, gives those of the unit vectors."""
+        k = len(self.TO)
+        for w in self.N[len(self.V) - k:len(self.N) - len(self._units)]:
+            self.V.add(w)
+        r, A = self.V.split(v)
+        n = {g - k: c for g, c in A.items() if g >= k}
+        n.update((self._units[j], c) for j, c in r.items())
+        return {g: c for g, c in A.items() if g < k}, n
 
     def lamS(self, v: dict) -> dict:
         """s-coefficients of the TO-component (lambda_S: V -> S-coeffs)."""
@@ -168,7 +172,7 @@ class LocalModel:
         ambient_dim = self.rep.n ** 2 if self.ambient is None else len(self.ambient)
         if not len(self.HS) == len(self.H) + len(self.S) == ambient_dim:
             raise ValueError("H + S does not fill the ambient algebra")
-        if not len(self.V) == len(self.TO) + len(self.N) == self.rep.dim:
+        if len(self.TO) + len(self.N) != self.rep.dim:
             raise ValueError("TO + N does not fill V")
         for s, to in zip(self.S, self.TO):
             if self.rep.act(s, self.x) != to:
@@ -190,11 +194,12 @@ def build_local_model(rep: Representation, x: dict,
 
     A supplied S or N is validated as a complement; a complement not
     supplied is coefficientwise-orthogonal (the positive-definite trace
-    pairing Tr(a b^T) on gl, the coefficient inner product on V).
-    N_contains lists vectors that must lie inside N (the expansion tail of a
-    limit pipeline); N is then completed with coordinate vectors.  ambient
-    restricts the acting algebra to a subalgebra of gl (e.g. sl via its
-    trace-zero basis).
+    pairing Tr(a b^T) on gl, the coefficient inner product on V), hence
+    transversal, and N is read off V's reduced rows.  N_contains lists
+    vectors that must lie inside N (a limit's expansion tail); N is then
+    completed by the unit vectors at the free columns of TO + N_contains,
+    which never enter V.  ambient restricts the acting algebra to a
+    subalgebra of gl (e.g. sl via its trace-zero basis).
     """
     if not x:
         raise ValueError("base point x must be nonzero")
@@ -233,24 +238,25 @@ def build_local_model(rep: Representation, x: dict,
     if len(V) != len(TO):
         raise NotTransverse("S does not inject into the tangent space")
 
-    if N is None and N_contains:
+    units: list = []
+    if N is not None:
+        Nb = [dict(v) for v in N]
+        for v in Nb:
+            V.add(v)
+        if not len(V) == len(TO) + len(Nb) == rep.dim:
+            raise NotTransverse("supplied N is not a complement of the tangent space")
+    elif N_contains:
         Nb = [dict(v) for v in N_contains if V.add(v)]
         if len(Nb) != len(Subspace(rep.dim, N_contains)):
             raise NotTransverse("N_contains meets the tangent space")
-        Nb += [{j: Q1} for j in V.complete_with_units()]
+        units = V.free_columns()
+        Nb += [{j: Q1} for j in units]
     else:
-        if N is not None:
-            Nb = [dict(v) for v in N]
-        else:
-            Nb = kernel(rep.dim, TO)
-            if cw is not None:
-                Nb = graded_basis(Nb, cw)
-        for v in Nb:
-            V.add(v)
-    if len(V) != rep.dim or len(TO) + len(Nb) != rep.dim:
-        raise NotTransverse("supplied N is not a complement of the tangent space")
+        Nb = V.orthogonal()
+        if cw is not None:
+            Nb = graded_basis(Nb, cw)
 
     model = LocalModel(rep, x, H, Sb, TO, Nb, V, HS,
-                       ambient=list(ambient) if ambient is not None else None)
+                       ambient=list(ambient) if ambient is not None else None, units=units)
     model.verify()
     return model

@@ -379,8 +379,9 @@ def test_kempf_output_is_pinned(tmp_path, capsys, name):
 # build on them: stabilizer and local-model on xyz, J_4 and the dense 5x5 and
 # 6x6 integer matrices (entries drawn row by row from [-3, 3] by
 # random.Random(3); the 6x6 shows real coefficient growth), local-model under
-# weights, the slice reports at J_4 and J_{3,2}, and the cyclic and adjoint
-# curvature suites
+# weights and on the dense cubic in 7 variables (coefficients 1-9 drawn by
+# random.Random(3) in monomial-basis order), the slice reports at J_4 and
+# J_{3,2}, and the cyclic and adjoint curvature suites
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 

@@ -431,3 +431,25 @@ def test_graded_dims_of_against_sympy(case):
     else:
         with pytest.raises(NotGraded):
             graded_dims_of([sparse(v) for v in vectors], weights)
+
+
+def _det_form(n: int) -> Form:
+    """The determinant of the generic n x n matrix, variables row-major."""
+    terms = {}
+    for p in itertools.permutations(range(n)):
+        e = [0] * (n * n)
+        for i, j in enumerate(p):
+            e[i * n + j] = 1
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        terms[tuple(e)] = Fraction((-1) ** inversions)
+    return Form(n * n, n, terms)
+
+
+def test_det4_limit_under_weight_one_on_five_variables():
+    """det4 (dim V = 3,876) with the unit vectors of N never added to V."""
+    data = limit_algebra(_det_form(4), OnePS([1] * 5 + [0] * 11))
+    rep, g = data.rep, data.rep.to_coords(data.expansion.g)
+    assert len(data.K0_coords) == 30
+    assert all(not rep.act(k, g) for k in data.K0_coords)
+    assert data.graded_dims == {1: 2, 0: 20, -1: 8}
+    assert extension_feasible(data)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import qt_oracle
-from orbitlimits.exactcore import Mat, Q1, SingularMatrix, UniPoly, dense, sparse
+from orbitlimits.exactcore import Mat, Q1, SingularMatrix, Subspace, UniPoly, dense, sparse
 from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, lin_comb, monomial_basis,
                                 stabilizer_algebra)
 from orbitlimits.localmodel import NotTransverse, build_local_model
@@ -108,6 +108,53 @@ def test_N_contains_must_meet_the_tangent_space_only_in_zero():
     # y^2 alone is a complement, so N is just y^2
     model = build_local_model(rep, x, N_contains=[{2: Q1}])
     assert model.N == [{2: Q1}] and model.verify()
+
+
+@pytest.mark.parametrize("N_contains", [
+    [{1: Q1}],                          # xy lies in the tangent space
+    [{1: Q1, 2: Q1}, {1: -Q1, 2: Q1}],  # neither lies in it, but their span holds xy
+])
+def test_N_contains_inside_the_tangent_space_is_rejected(N_contains):
+    rep = SymRep(2, 2)
+    x = rep.to_coords(Form(2, 2, {(2, 0): 1}))
+    with pytest.raises(NotTransverse, match="N_contains meets the tangent space"):
+        build_local_model(rep, x, N_contains=N_contains)
+
+
+def test_split_over_N_contains_and_unit_vectors():
+    """With N = N_contains followed by unit vectors, lambda_S and lambda_N
+    rebuild v over TO and N, and lambda_N(v) is empty exactly on TO."""
+    rng = random.Random(8)
+    checked = 0
+    while checked < 12:
+        nvars, degree = rng.randint(2, 3), rng.randint(2, 3)
+        rep = SymRep(nvars, degree)
+        basis = monomial_basis(nvars, degree)
+        x = rep.to_coords(Form(nvars, degree, {e: Fraction(rng.choice([-2, -1, 1, 2]))
+                                               for e in rng.sample(basis, rng.randint(1, 3))}))
+        tail = [dict(zip(rng.sample(range(rep.dim), 2), (Q1, Fraction(rng.choice([-2, -1, 1, 2])))))
+                for _ in range(rng.randint(1, 2))]
+        try:
+            model = build_local_model(rep, x, N_contains=tail)
+        except NotTransverse:
+            continue
+        units = model.N[len(tail):]
+        if not units:
+            continue
+        assert model.N[:len(tail)] == tail
+        assert all(len(v) == 1 and set(v.values()) == {Q1} for v in units)
+        assert [min(v) for v in units] == sorted(min(v) for v in units)
+        checked += 1
+        for inside in (False, True):
+            v = sparse([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rep.dim)])
+            if inside:
+                v = lin_comb({i: Fraction(rng.randint(-3, 3)) for i in range(len(model.TO))},
+                             model.TO)
+            s, n = model.split_V(v)
+            assert lin_comb({0: Q1, 1: Q1}, [lin_comb(s, model.TO), model.n_vec(n)]) == v
+            assert (not n) == (v in Subspace(rep.dim, model.TO))
+        for nv in model.N:
+            assert model.split_V(nv) == ({}, {model.N.index(nv): Q1})
 
 
 def test_zero_base_point_rejected():

@@ -134,25 +134,6 @@ def test_residue_is_the_quotient_map_against_sympy(data):
         sparse([a + c * b for a, b in zip(dense(r, dim), dense(sp.residue(sparse(v)), dim))])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_complete_with_units_is_greedy(data):
-    dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
-    gens = vectors(data, dim, count)
-    sp = Subspace(dim, map(sparse, gens))
-    units = sp.complete_with_units()
-    assert len(sp) == dim
-    assert_no_stored_zeros(sp)
-    cur = [gens[i] for i in greedy(gens, dim)]
-    expected = []
-    for j in range(dim):
-        e = [Q1 if i == j else Q0 for i in range(dim)]
-        if sym_rank(cur + [e], dim) > len(cur):
-            cur.append(e)
-            expected.append(j)
-    assert units == expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_lin_indep_subset_and_coords_in_basis_against_sympy(data):
@@ -216,6 +197,32 @@ def test_subspace_on_dense_large_coefficients_against_sympy(data):
     assert all(type(x) is Fraction for w in (r, co or {}) for x in w.values())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_back_substitution_reaches_the_columns_it_filled(data):
+    """The chain vectors e_k + c_k e_(k+1), added for k = 0, 1, ..., each clear
+    column k of the row before, which fills its column k + 1; the next chain
+    vector must find that row under column k + 1 of the column index, or the
+    row stays unreduced.  Rows and coords are checked against sympy's rref."""
+    dim = data.draw(st.integers(2, 8))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    gens = [[Q1 if i == k else data.draw(nonzero) if i == k + 1 else Q0 for i in range(dim)]
+            for k in range(data.draw(st.integers(2, dim)) - 1)]
+    gens += vectors(data, dim, data.draw(st.integers(0, 2)))
+    sp = Subspace(dim)
+    basis = [g for g in gens if sp.add(sparse(g))]
+    want, pivots = dom_mat(basis, dim).rref()
+    assert sorted(sp.rows) == list(pivots)
+    for (p, row), want_row in zip(sorted(sp.rows.items()), want.to_list()):
+        assert same([dense(row, dim)], [want_row], sympy.QQ)
+    assert_no_stored_zeros(sp)
+    v = combination([data.draw(entries) for _ in basis], basis, dim)
+    co = sp.coords(sparse(v))
+    k = len(basis)
+    aug, _ = dom_mat([[b[i] for b in basis] + [v[i]] for i in range(dim)], k + 1).rref()
+    assert same([dense(co, k)], [[row[-1] for row in aug.to_list()[:k]]], sympy.QQ)
+
+
 def test_integer_input_gives_fractions():
     sp = Subspace(2, [{0: 2, 1: 4}, {1: 3}])
     co = sp.coords({0: 1, 1: 1})
@@ -234,7 +241,7 @@ def test_zero_row_and_zero_column_shapes():
     assert lin_indep_subset([[], []]) == [] and coords_in_basis([[], []], []) == [Q0, Q0]
     sp = Subspace(0)
     assert not sp.add({}) and {} in sp and sp.coords({}) == {}
-    assert sp.complete_with_units() == []
+    assert sp.free_columns() == [] and sp.orthogonal() == []
 
 
 polys = st.builds(lambda a, b: UniPoly({0: a, 1: b}),
