@@ -105,10 +105,6 @@ def _written_out_length(s: str) -> int:
     return len(s) + (abs(int(e[1])) if e else 0)
 
 
-def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def form_from_doc(doc) -> Form:
     try:
         nvars, degree = json_int(doc["nvars"], "'nvars'"), json_int(doc["degree"], "'degree'")
@@ -136,7 +132,7 @@ def form_from_doc(doc) -> Form:
 
 def form_to_doc(f: Form) -> dict:
     return {"nvars": f.nvars, "degree": f.degree,
-            "terms": [{"exp": list(e), "coef": rational_str(c)}
+            "terms": [{"exp": list(e), "coef": str(c)}
                       for e, c in sorted(f.terms.items())]}
 
 
@@ -151,7 +147,7 @@ def mat_from_doc(rows) -> Mat:
 
 
 def mat_to_doc(m: Mat):
-    return [[rational_str(x) for x in row] for row in m.a]
+    return [[str(x) for x in row] for row in m.a]
 
 
 def gl_to_doc(g: dict, n: int):
@@ -215,7 +211,7 @@ def to_jsonable(obj):
     if isinstance(obj, float):
         return obj
     if isinstance(obj, Fraction):
-        return rational_str(obj)
+        return str(obj)
     if isinstance(obj, UniPoly):
         return str(obj)
     if isinstance(obj, Mat):
@@ -318,7 +314,7 @@ def cmd_local_model(args) -> int:
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [gl_to_doc(h, rep.n) for h in model.H],
           "S": [gl_to_doc(s, rep.n) for s in model.S],
-          "N": [[rational_str(Fraction(x)) for x in dense(nv, rep.dim)] for nv in model.N]},
+          "N": [[str(x) for x in dense(nv, rep.dim)] for nv in model.N]},
          args.format)
     return EXIT_OK
 

@@ -144,7 +144,7 @@ def riemann_and_ricci(curv: CurvatureData) -> CurvatureData:
 
 
 def _project_off(y, v):
-    """v minus its component along y."""
+    """v minus its component along y; `dot` sums from Q0, so c is a `Fraction`."""
     c = dot(y, v) / dot(y, y)
     return [a - c * b for a, b in zip(v, y)]
 
@@ -187,10 +187,8 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
         coords = chart.coords(sparse(w))
         if coords is None:
             raise ValueError("vector does not decompose in tangent + chart normal")
-        out = [Q0] * K
-        for pos, k in enumerate(n_idx):
-            out[k] = coords.get(len(t_basis) + pos, Q0)
-        return out
+        t = len(t_basis)
+        return dense({k: coords[t + pos] for pos, k in enumerate(n_idx) if t + pos in coords}, K)
 
     pi = []
     for i in range(L):
@@ -261,7 +259,7 @@ def sphere_ricci(sphere_dim: int, r) -> list:
 def _e(lams, p, q) -> dict:
     """The normalized off-diagonal element e_pq = E_pq / (lam_q - lam_p), in
     gl coordinates."""
-    return {p * len(lams) + q: 1 / (lams[q] - lams[p])}
+    return {p * len(lams) + q: Fraction(1, lams[q] - lams[p])}
 
 
 def adjoint_pi(lams) -> dict:

@@ -12,7 +12,9 @@ vector modulo the span (the quotient map), membership, coordinates, free
 columns, the orthogonal complement -- and `kernel`, `rref`, `nullspace`,
 `rank` and `solve` read their answers off it.  Inside, its rows are
 primitive integer vectors, eliminated fraction-free with the content divided
-out, and a `Fraction` is made only for what it returns.  Over Q[t], fraction-free
+out.  A sparse vector over Q holds an integer value as an `int` and any
+other as a `Fraction` (`exact`); a `Mat`, a dense vector and a `UniPoly`
+hold `Fraction`s, and no quotient is `int / int`.  Over Q[t], fraction-free
 Bareiss elimination on sparse rows gives determinants and ranks over Q(t)
 without a rational function, at a cost in proportion to the nonzeros.
 """
@@ -28,6 +30,11 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+def exact(x):
+    """x as an `int` if it is an integer `Fraction`, else x itself."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -39,7 +46,7 @@ def _as_fraction(x) -> Fraction:
 
 
 class UniPoly:
-    """Sparse polynomial in t over Q.  Immutable."""
+    """Sparse polynomial in t over Q with `Fraction` coefficients.  Immutable."""
 
     __slots__ = ("c",)
 
@@ -474,11 +481,6 @@ def _zero_like(x):
     return Q0 if isinstance(x, (Fraction, int)) else x - x
 
 
-def _sparse_rows(m: Mat) -> list[dict]:
-    """m's rows as sparse vectors over Q."""
-    return [{j: _as_fraction(x) for j, x in enumerate(r) if x} for r in m.a]
-
-
 def rref(m: Mat):
     """Reduced row echelon form over Q, read off `Subspace`.
 
@@ -486,7 +488,7 @@ def rref(m: Mat):
     then zero rows up to m.rows.  The form is unique, so it does not depend
     on the order in which `Subspace` eliminates.
     """
-    ech = Subspace(m.cols, _sparse_rows(m), combos=False).rows
+    ech = Subspace(m.cols, map(sparse, m.a), combos=False).rows
     pivots = sorted(ech)
     out = [dense(ech[p], m.cols) for p in pivots]
     out += [[Q0] * m.cols for _ in range(m.rows - len(pivots))]
@@ -504,7 +506,7 @@ def kernel(ncols: int, rows: Iterable[dict]) -> list[dict]:
 
 def nullspace(m: Mat) -> list[list]:
     """Basis of the right kernel over Q, as dense column vectors (`kernel`)."""
-    return [dense(v, m.cols) for v in kernel(m.cols, _sparse_rows(m))]
+    return [dense(v, m.cols) for v in kernel(m.cols, map(sparse, m.a))]
 
 
 def transpose(vectors: Sequence[dict]) -> list[dict]:
@@ -650,8 +652,9 @@ def sparse(v: Sequence) -> dict:
 
 
 def dense(v: dict, dim: int, zero=Q0) -> list:
-    """The dense vector of length dim with the entries of v, zero elsewhere."""
-    return [v.get(i, zero) for i in range(dim)]
+    """v as a dense list of length dim, zero elsewhere, each `int` a `Fraction`."""
+    return [zero if (x := v.get(i)) is None else Fraction(x) if type(x) is int else x
+            for i in range(dim)]
 
 
 def _sub_scaled(d: dict, c, s: dict) -> None:
@@ -678,10 +681,10 @@ def _integral(v: dict) -> Optional[tuple]:
 
 
 def _over(W: dict, D: int) -> dict:
-    """The rational vector W/D."""
+    """The rational vector W/D as a new dict, an `int` wherever D divides."""
     if D == 1:
-        return {j: Fraction(x) for j, x in W.items()}
-    return {j: Fraction(x, D) for j, x in W.items()}
+        return dict(W)
+    return {j: x // D if not x % D else Fraction(x, D) for j, x in W.items()}
 
 
 def _primitive(R: dict, C: dict) -> None:
@@ -715,9 +718,9 @@ class Subspace:
     R <- W[p] R - R[p] W, divided by its content with its combination; an
     index {column: pivots of the rows that may meet it} names those R, and
     `add` still checks R[p], since a row loses an entry when it is cleared.
-    `rows`, `residue` and `coords` make `Fraction`s only on the way out.  A
-    vector over Q[t] may be reduced modulo the span (its residue and
-    coordinates are then over Q[t]), but not added to it.
+    `rows`, `split`, `residue`, `coords` and `orthogonal` give an `int` for
+    each integer value.  A vector over Q[t] may be reduced modulo the span
+    (its residue and coordinates are then over Q[t]), but not added to it.
     """
 
     __slots__ = ("dim", "_rows", "_combos", "_cols")
@@ -858,11 +861,9 @@ class Subspace:
         f: e_f - sum over pivots p of (reduced row p)[f] e_p."""
         by_col: dict = {}
         for p, R in self._rows.items():
-            d = R[p]
-            for j, x in R.items():
-                if j != p:
-                    by_col.setdefault(j, {})[p] = Fraction(-x, d)
-        return [{f: Q1, **by_col.get(f, {})} for f in self.free_columns()]
+            for j, x in _over({j: -x for j, x in R.items() if j != p}, R[p]).items():
+                by_col.setdefault(j, {})[p] = x
+        return [{f: 1, **by_col.get(f, {})} for f in self.free_columns()]
 
 
 def lin_indep_subset(cols: Sequence[Sequence]) -> list[int]:

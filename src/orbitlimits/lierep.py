@@ -9,7 +9,8 @@ Conventions (pinned by the Sym^2 worked example):
   * monomial bases are ordered graded-lexicographically in the given
     variable order, matrix-entry bases row-major;
   * coordinate vectors are sparse dicts {basis index: value} with no stored
-    zeros, in V and in gl alike.  An element g of gl(n) is its coordinate
+    zeros, in V and in gl alike, an integer value an `int` and any other a
+    `Fraction` (`exactcore.exact`).  An element g of gl(n) is its coordinate
     vector {i*n + j: g_ij}, from the action maps through the limit algebra;
     `Mat` is for matrix products, group elements and input and output, and
     `ConjRep.to_coords`/`from_coords` convert at those edges.
@@ -18,13 +19,15 @@ Conventions (pinned by the Sym^2 worked example):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactcore import Mat, Q0, Q1, Subspace, _as_fraction, _zero_like, dense, kernel, transpose
+from .exactcore import (Mat, Q0, Q1, Subspace, _as_fraction, _zero_like, dense, exact, kernel,
+                        transpose)
 
 
 class Form:
-    """Homogeneous polynomial over Q: dict {exponent tuple: coefficient}."""
+    """Homogeneous polynomial over Q: dict {exponent tuple: coefficient}, integers as `int`s."""
 
     __slots__ = ("nvars", "degree", "terms")
 
@@ -37,8 +40,8 @@ class Form:
             if len(e) != nvars or sum(e) != degree:
                 raise ValueError(f"exponent {e} not of degree {degree} in {nvars} vars")
             if c:
-                t[e] = t.get(e, Q0) + c
-                if not t[e]:
+                c = t[e] = exact(t[e] + c if e in t else c)
+                if not c:
                     del t[e]
         self.terms = t
 
@@ -52,7 +55,7 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Q0) + c
+            t[e] = t[e] + c if e in t else c
         return Form(self.nvars, self.degree, t)
 
     def __sub__(self, other: "Form") -> "Form":
@@ -132,8 +135,10 @@ class SymRep:
                     out[tgt] = out[tgt] + p if tgt in out else p
         return {k: x for k, x in out.items() if x}
 
-    def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
-        return sum(k * w for k, w in zip(self.basis[idx], weights))
+    def coord_weights(self, weights: Sequence[int]) -> list[int]:
+        """The basis monomials' weights: `combinations_with_replacement` lists
+        their factors in basis order."""
+        return [sum(c) for c in combinations_with_replacement(weights, self.degree)]
 
     def act_weight(self, i: int, j: int, weights: Sequence[int]) -> int:
         """Weight of E_ij as an operator: it moves V_chi to V_{chi+w}.
@@ -157,7 +162,7 @@ class ConjRep:
 
     def to_coords(self, m: Mat) -> dict:
         n = self.n
-        return {i * n + j: x for i, r in enumerate(m.a) for j, x in enumerate(r) if x}
+        return {i * n + j: exact(x) for i, r in enumerate(m.a) for j, x in enumerate(r) if x}
 
     def from_coords(self, v: dict) -> Mat:
         """The matrix with coordinates v; its zeros are like v's entries."""
@@ -182,9 +187,9 @@ class ConjRep:
     def act(self, g: dict, v: dict) -> dict:
         return bracket(g, v, self.n)
 
-    def coord_weight(self, idx: int, weights: Sequence[int]) -> int:
-        i, j = self.basis[idx]
-        return weights[i] - weights[j]
+    def coord_weights(self, weights: Sequence[int]) -> list[int]:
+        """The weight d_i - d_j of each basis matrix E_ij, in basis order."""
+        return [wi - wj for wi in weights for wj in weights]
 
     def act_weight(self, i: int, j: int, weights: Sequence[int]) -> int:
         """Weight of E_ij acting by commutator: lam E_ij lam^{-1} = t^{d_i-d_j} E_ij."""

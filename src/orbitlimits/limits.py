@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactcore import (Mat, Q0, Q1, Subspace, UniPoly, column_normalize, det_bareiss,
+from .exactcore import (Mat, Subspace, UniPoly, column_normalize, det_bareiss, exact,
                         kernel, rank_qt, sparse, transpose)
 from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
@@ -39,7 +39,7 @@ class OnePS:
     def nvars(self) -> int:
         return len(self.weights)
 
-    def ell(self, shift: Fraction = Q0) -> dict:
+    def ell(self, shift: Fraction = 0) -> dict:
         """log_t of t^{-shift} lambda(t) = diag(d) - shift * I, in gl coordinates."""
         n = len(self.weights)
         return {i * (n + 1): x for i, w in enumerate(self.weights) if (x := w - shift)}
@@ -71,20 +71,20 @@ class LimitExpansion:
         self.transversal = transversal
 
 
-def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
+def expand_orbit_curve(f: Form, lam: OnePS, rep: Optional[SymRep] = None) -> LimitExpansion:
     """Graded expansion of lam(t).f.
 
     Transversality of span{f_b, ..., f_D} with T_g O(g) is tested and
     reported as a flag, not an error.  The tail forms have disjoint monomial
     supports, so they are independent, and the span meets the tangent space
     only in 0 exactly when each is independent of the tangent space and the
-    tail forms before it.
+    tail forms before it.  rep, if given, is SymRep(f.nvars, f.degree).
     """
     if not f:
         raise ValueError("f must be nonzero")
     exp = LimitExpansion(decompose_form(f, lam), None)
     if exp.tail:
-        rep = SymRep(f.nvars, f.degree)
+        rep = rep or SymRep(f.nvars, f.degree)
         g, n = rep.to_coords(exp.g), rep.n
         span = Subspace(rep.dim, (rep.act_elementary(i, j, g) for i in range(n) for j in range(n)))
         exp.transversal = all(span.add(rep.to_coords(form)) for form in exp.tail.values())
@@ -121,7 +121,7 @@ class LimitProblem:
 
     @cached_property
     def expansion(self) -> LimitExpansion:
-        return expand_orbit_curve(self.f, self.lam)
+        return expand_orbit_curve(self.f, self.lam, self.rep)
 
     @cached_property
     def K(self) -> list[dict]:
@@ -180,8 +180,8 @@ def _weight_kernel(vectors: Sequence[dict], coord_weights: Sequence[int], keep) 
 
 
 def _at_zero(v: dict) -> dict:
-    """The value at t = 0 of a vector over Q[t]."""
-    return {j: y for j, x in v.items() if (y := x(0))}
+    """The value at t = 0 of a vector over Q[t]: its constant coefficients."""
+    return {j: exact(y) for j, x in v.items() if (y := x.coeff(0))}
 
 
 def _pure_weights(vectors: Sequence[dict], coord_weights: Sequence[int]) -> list[int]:
@@ -582,7 +582,7 @@ def _cancel_positive_weights(ss: Mat, glw, glrep):
         s0 = comps.get(0, {})
         # solve [z, s0] = -cur_w over the weight-w entries of gl
         span = Subspace(glrep.dim)
-        idx = [i for i in range(glrep.dim) if glw[i] == w and span.add(bracket({i: Q1}, s0, n))]
+        idx = [i for i in range(glrep.dim) if glw[i] == w and span.add(bracket({i: 1}, s0, n))]
         sol = span.coords({i: -x for i, x in comps[w].items()})
         if sol is None:      # any solution cancels cur_w
             return None
@@ -632,7 +632,7 @@ def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
         values.append(model.s_vec(sc))
     defects = {}
     for (i, j), co in data.beta.items():
-        diff = lin_comb({0: Q1, 1: -Q1} | {2 + m: -c for m, c in co.items()},
+        diff = lin_comb({0: 1, 1: -1} | {2 + m: -c for m, c in co.items()},
                         [bracket(K0[i], values[j], rep.n),
                          bracket(K0[j], values[i], rep.n)] + values)
         if diff not in problem.H_span:
@@ -701,7 +701,7 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     cols = [{} for _ in range(K * nw)]
     for p, ((i, j), co) in enumerate(data.beta.items()):
         for m in {i, j} | co.keys():
-            coeffs = sparse([Q1 if m == j else 0, -Q1 if m == i else 0, -co.get(m, 0)])
+            coeffs = sparse([1 if m == j else 0, -1 if m == i else 0, -co.get(m, 0)])
             for w in range(nw):
                 for k, x in lin_comb(coeffs, [brW[i][w], brW[j][w], Wq[w]]).items():
                     cols[m * nw + w][p * dim + k] = x
@@ -715,7 +715,7 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
         return FeasibilityResult(False, None)
     sol = {unknowns[g]: c for g, c in sol.items()}
     eps_basis = [(K0[m], lin_comb(
-        {0: -Q1} | {1 + w: -sol[m * nw + w] for w in range(nw) if m * nw + w in sol},
+        {0: -1} | {1 + w: -sol[m * nw + w] for w in range(nw) if m * nw + w in sol},
         [values[m]] + [model.H[a] for a in W])) for m in range(K)]
     hof = hoffman_case(model.H, K0, rep.n)
     reg = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exactcore import Mat, Q1, SingularMatrix, Subspace, dense, det_bareiss, kernel, transpose
+from .exactcore import Mat, SingularMatrix, Subspace, dense, det_bareiss, kernel, transpose
 from .lierep import Representation, lin_comb, stabilizer_algebra
 
 
@@ -100,7 +100,7 @@ class LocalModel:
         """The sparse columns θ(n)(e_k), k < dim V, of θ(n)(dv) = λ_S(dv)·n:
         B ∘ λ_S, where B has the columns s·n over the S basis."""
         bcols = [self.rep.act(s, n) for s in self.S]
-        return [lin_comb(self.lamS({k: Q1}), bcols) for k in range(self.rep.dim)]
+        return [lin_comb(self.lamS({k: 1}), bcols) for k in range(self.rep.dim)]
 
     def theta_matrix(self, n: dict) -> Mat:
         """θ(n) as a matrix (`theta_columns`)."""
@@ -111,7 +111,7 @@ class LocalModel:
         """The columns s·n of B and the columns of C = I_S + λ_S ∘ B on
         S-coefficients."""
         bcols = [self.rep.act(s, n) for s in self.S]
-        return bcols, [lin_comb({0: Q1, 1: Q1}, [{j: Q1}, self.lamS(b)])
+        return bcols, [lin_comb({0: 1, 1: 1}, [{j: 1}, self.lamS(b)])
                        for j, b in enumerate(bcols)]
 
     def _theta_system(self, n: dict):
@@ -136,7 +136,7 @@ class LocalModel:
         bcols, C = self._theta_system(n)
         if len(C) < len(self.S):
             raise SingularMatrix("1+theta(n) is singular")
-        return [lin_comb({0: Q1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
+        return [lin_comb({0: 1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
                          [dv] + bcols) for dv in dvs]
 
     # -- slice formulas -----------------------------------------------
@@ -204,7 +204,7 @@ def build_local_model(rep: Representation, x: dict,
     if not x:
         raise ValueError("base point x must be nonzero")
     gl_dim = rep.n ** 2
-    cw = [rep.coord_weight(i, weights) for i in range(rep.dim)] if weights is not None else None
+    cw = rep.coord_weights(weights) if weights is not None else None
     glw = gl_act_weights(rep, weights) if weights is not None else None
 
     if ambient is None:
@@ -250,7 +250,7 @@ def build_local_model(rep: Representation, x: dict,
         if len(Nb) != len(Subspace(rep.dim, N_contains)):
             raise NotTransverse("N_contains meets the tangent space")
         units = V.free_columns()
-        Nb += [{j: Q1} for j in units]
+        Nb += [{j: 1} for j in units]
     else:
         Nb = V.orthogonal()
         if cw is not None:

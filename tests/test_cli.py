@@ -1,6 +1,7 @@
 """CLI contract: JSON in/out, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from orbitlimits import (cli, conjclosure, curvature, kempf, lierep, limits, loc
                          reproduce)
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                              form_from_doc, main)
+from orbitlimits.exactcore import Mat
 from orbitlimits.lierep import SymRep, stabilizer_algebra
 
 
@@ -392,6 +394,47 @@ def test_cli_output_is_pinned(tmp_path, capsys, name):
     code, out, err = _run(capsys, [case["command"], "--input", path, "--format", "json"])
     assert code == EXIT_OK, err
     assert out == case["json"]
+
+
+# 2 x^2 z - 3 y^2 z + 5 z^3, coefficients as JSON integers and strings: the
+# library holds its integer values as ints, its outputs mix integers and
+# proper fractions
+INT_FORM = {"nvars": 3, "degree": 3,
+            "terms": [{"exp": [2, 0, 1], "coef": 2}, {"exp": [0, 2, 1], "coef": "-3"},
+                      {"exp": [0, 0, 3], "coef": 5}]}
+
+
+def _rational_fields(cmd, doc):
+    """The values of a stabilizer, local-model or limit document that are
+    rationals."""
+    if cmd == "stabilizer":
+        mats = doc["basis"]
+    elif cmd == "local-model":
+        mats = doc["H"] + doc["S"] + [doc["N"]]
+    else:
+        mats = doc["K0_basis"] + [[[t["coef"] for t in doc[k]["terms"]]] for k in ("g", "f_b")]
+    return [x for m in mats for row in m for x in row]
+
+
+@pytest.mark.parametrize("cmd,counts", [("stabilizer", ["dimension"]),
+                                        ("local-model", ["dim_H", "dim_S", "dim_N"]),
+                                        ("limit", ["dim_K", "a", "b"])])
+def test_rationals_of_an_integer_form_are_json_strings(tmp_path, capsys, cmd, counts):
+    path = _write(tmp_path, "in.json", {"form": INT_FORM, "oneps": [0, 0, 1],
+                                        "weights": [0, 0, 1]})
+    code, out, err = _run(capsys, [cmd, "--input", path, "--format", "json"])
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    values = _rational_fields(cmd, doc)
+    assert values and all(isinstance(x, str) for x in values)
+    assert any("/" in x for x in values) and any(x not in ("0", "1") for x in values)
+    assert all(type(doc[k]) is int for k in counts)
+
+
+def test_to_jsonable_keeps_ints_as_numbers_and_writes_rationals_as_strings():
+    assert cli.to_jsonable(3) == 3 and cli.to_jsonable(True) is True
+    assert cli.to_jsonable(Fraction(3)) == "3" and cli.to_jsonable(Fraction(-1, 2)) == "-1/2"
+    assert cli.mat_to_doc(Mat([[1, Fraction(2, 3)]])) == [["1", "2/3"]]
 
 
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from orbitlimits.curvature import (adjoint_offdiagonal_vanishing, adjoint_pi,
-                                   block_pi, block_pi_verify,
+from orbitlimits.curvature import (L_op, _e, _project_off, adjoint_offdiagonal_vanishing,
+                                   adjoint_pi, block_pi, block_pi_verify,
+                                   chart_second_fundamental_form, cyc_power,
                                    cyclic_chart_form, cyclic_shift,
                                    cyclic_shift_suite, ell_bar, gamma_squared,
                                    p_closed, p_trace, riemann_and_ricci,
                                    second_fundamental_form, sphere_model,
                                    sphere_ricci)
-from orbitlimits.exactcore import Mat, Q0
+from orbitlimits.exactcore import Mat, Q0, dense
+from orbitlimits.lierep import ConjRep, action_matrix, tangent_space
 
 
 # ---------------------------------------------------------------------------
@@ -148,3 +150,35 @@ def test_riemann_antisymmetry_on_sphere():
                 for l in range(m):
                     assert r[i][j][k][l] == -r[j][i][k][l]
                     assert r[i][j][k][l] == -r[i][j][l][k]
+
+
+# ---------------------------------------------------------------------------
+# exact quotients on int input
+
+
+def test_projection_of_int_vectors_is_exact():
+    """Integer-valued vectors held as `int`s: the projection off y divides
+    two dot products, and the quotient is a Fraction, never a float."""
+    got = _project_off([1, 1, 0], [2, 0, 3])
+    assert got == [1, -1, 3] and all(type(x) is Fraction for x in got)
+    assert all(type(x) is Fraction for x in _e([1, 2, 4], 0, 2).values())
+
+
+def test_chart_form_on_int_inputs_is_exact():
+    """The cyclic chart form at n = 3 with y, the S operators, the normal
+    basis and the tangent space all as `int`s equals the reference, entry by
+    entry a Fraction."""
+    n, rep = 3, ConjRep(3)
+
+    def ints(v):
+        return [int(x) for x in v]
+
+    c = rep.to_coords(cyclic_shift(n))
+    S_ops = [Mat([ints(r) for r in action_matrix(rep, rep.to_coords(L_op(n, i))).a])
+             for i in range(n)]
+    N_basis = [ints(dense(rep.to_coords(cyc_power(n, k)), rep.dim)) for k in range(n)]
+    full = [ints(dense(t, rep.dim)) for t in tangent_space(rep, c)]
+    got = chart_second_fundamental_form(ints(dense(c, rep.dim)), S_ops, N_basis,
+                                        full_tangent=full)
+    assert got.pi == cyclic_chart_form(n).pi
+    assert all(type(x) is Fraction for row in got.pi for v in row for x in v)

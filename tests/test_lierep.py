@@ -2,8 +2,10 @@
 gl arithmetic (bracket, actions on sparse coordinate vectors, linear
 combinations) against dense references."""
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +115,19 @@ def test_group_act_form_substitution():
     assert group_act_form(A, f) == Form(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
+@pytest.mark.parametrize("nvars,degree", [(1, 0), (1, 3), (2, 0), (3, 2), (4, 3), (5, 4)])
+def test_monomial_basis_and_coord_weights(nvars, degree):
+    """The basis is every exponent of the degree once, lexicographically
+    descending; coord_weights pairs each exponent with the weights."""
+    rep, w = SymRep(nvars, degree), [3, -1, 0, 2, 5][:nvars]
+    assert rep.basis == sorted(set(rep.basis), reverse=True)
+    assert len(rep.basis) == math.comb(nvars + degree - 1, degree)
+    assert all(len(e) == nvars and sum(e) == degree and min(e) >= 0 for e in rep.basis)
+    assert rep.coord_weights(w) == [sum(k * x for k, x in zip(e, w)) for e in rep.basis]
+    crep = ConjRep(nvars)
+    assert crep.coord_weights(w) == [w[i] - w[j] for i, j in crep.basis]
+
+
 def test_act_weight_conventions():
     rep = SymRep(2, 2)
     d = [3, 1]
@@ -148,10 +163,13 @@ def sparse_mat(draw, ring, n):
 
 
 def types(entries):
-    """The entry types of a dense list, or of a sparse vector by index."""
+    """The entry types of a dense list, or of a sparse vector by index.  A
+    rational may be an `int` or a `Fraction` (`exactcore.exact`), so both
+    read as `Fraction`; a float or a bool keeps its own type."""
+    kind = {int: Fraction}
     if isinstance(entries, dict):
-        return {k: type(x) for k, x in entries.items()}
-    return [type(x) for x in entries]
+        return {k: kind.get(type(x), type(x)) for k, x in entries.items()}
+    return [kind.get(type(x), type(x)) for x in entries]
 
 
 def flat(m):

@@ -177,7 +177,7 @@ def test_weighted_model_has_weight_pure_bases():
     x = rep.to_coords(Form(3, 2, {(1, 0, 1): 1, (0, 2, 0): 1}))      # xz + y^2, weight 0
     model = build_local_model(rep, x, weights=weights)
     glw = [rep.act_weight(i, j, weights) for i, j in glrep.basis]
-    cw = [rep.coord_weight(i, weights) for i in range(rep.dim)]
+    cw = rep.coord_weights(weights)
     for m in model.H + model.S:
         assert len({glw[i] for i in m}) == 1
     for v in model.N:

@@ -9,14 +9,15 @@ from hypothesis import assume, given, settings, HealthCheck
 from hypothesis import strategies as st
 
 import qt_oracle
+from test_subspace import exact_types
 from orbitlimits.conjclosure import jn_local_model
 from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
-from orbitlimits.exactcore import (Mat, Q1, Subspace, UniPoly, column_normalize, dense,
-                                   sparse)
-from orbitlimits.lierep import ConjRep, Form, SymRep, lin_comb
+from orbitlimits.exactcore import (Mat, Q1, SingularMatrix, Subspace, UniPoly, column_normalize,
+                                   dense, kernel, sparse)
+from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, lin_comb
 from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
-from orbitlimits.localmodel import NotTransverse
+from orbitlimits.localmodel import NotTransverse, build_local_model
 from orbitlimits.reproduce import _lam_data
 
 coef = st.integers(-3, 3)
@@ -318,3 +319,46 @@ def test_delta_is_one_and_kt_is_polynomial(data):
     assert d.model.delta(_fplus(d.problem)) == 1
     for kt in d.Kt:
         assert kt.coords and all(isinstance(x, UniPoly) for x in kt.coords.values())
+
+
+# rationals as a mixed input: ints, integral Fractions and proper Fractions
+mixed = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def _rational(values) -> bool:
+    """Every value is an int or a Fraction: never a float or a bool."""
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mixed_int_and_fraction_input_never_gives_float_or_bool(data):
+    """The vector operations on sparse vectors whose entries mix ints and
+    Fractions give ints and Fractions only, and Subspace's outputs are ints
+    exactly where the value is an integer."""
+    draw = data.draw
+    rep = SymRep(draw(st.integers(2, 3)), draw(st.integers(1, 3)))
+    n = rep.n
+
+    def vector(dim):
+        return sparse([draw(mixed) for _ in range(dim)])
+
+    gens = [vector(rep.dim) for _ in range(draw(st.integers(0, 4)))]
+    v, g, h = vector(rep.dim), vector(n * n), vector(n * n)
+    sp = Subspace(rep.dim, gens)
+    assert exact_types(x for row in sp.rows.values() for x in row.values())
+    assert exact_types(sp.residue(v).values())
+    assert exact_types((sp.coords(lin_comb(vector(len(gens)), gens)) or {}).values())
+    assert all(exact_types(k.values()) for k in kernel(rep.dim, gens))
+    assert _rational(rep.act(g, v).values()) and _rational(bracket(g, h, n).values())
+    assert _rational(lin_comb(vector(2), [g, h]).values())
+    x = vector(rep.dim)
+    assume(x)
+    model = build_local_model(rep, x)
+    lam_s, lam_n = model.split_V(v)
+    assert _rational(lam_s.values()) and _rational(lam_n.values())
+    try:
+        (w,) = model.inv_one_plus_theta(model.n_vec(vector(len(model.N))), [v])
+    except SingularMatrix:
+        return
+    assert _rational(w.values())

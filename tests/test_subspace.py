@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import pytest
 
 from orbitlimits.exactcore import (Mat, Q0, Q1, Subspace, UniPoly, coords_in_basis,
-                                   dense, det_bareiss, lin_indep_subset, nullspace,
+                                   dense, det_bareiss, kernel, lin_indep_subset, nullspace,
                                    rank, rank_qt, rref, solve, sparse)
 
 # mostly zeros, so that the matrices are sparse like the action maps
@@ -69,6 +69,13 @@ def greedy(cols, dim):
     return out
 
 
+def exact_types(values) -> bool:
+    """The scalar rule of a sparse vector over Q: an `int` for each integer
+    value and a `Fraction` for any other, so never a float, a bool or a
+    `Fraction` with denominator 1."""
+    return all(x.denominator != 1 if type(x) is Fraction else type(x) is int for x in values)
+
+
 def assert_no_stored_zeros(sp, *vectors):
     """No row of sp and no given sparse vector (None is skipped) keeps a zero."""
     assert all(x for row in sp.rows.values() for x in row.values())
@@ -105,7 +112,7 @@ def test_subspace_add_contains_coords_against_sympy(data):
         sol, params = sym_cols(basis, dim).gauss_jordan_solve(sympy.Matrix([to_sympy(x) for x in v]))
         assert params.shape[0] == 0
         assert co == sparse([Fraction(int(x.p), int(x.q)) for x in sol])
-        assert all(type(c) is Fraction for c in co.values())
+        assert exact_types(co.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +130,7 @@ def test_residue_is_the_quotient_map_against_sympy(data):
 
     u, v, c = draw_vector(), draw_vector(), data.draw(entries)
     r = sp.residue(sparse(u))
-    assert all(0 <= i < dim for i in r) and all(type(x) is Fraction for x in r.values())
+    assert all(0 <= i < dim for i in r) and exact_types(r.values())
     assert_no_stored_zeros(sp, r)
     # zero exactly on the span, and the part taken off lies in the span
     inside = sym_rank(basis + [u], dim) == len(basis)
@@ -175,7 +182,7 @@ def test_subspace_on_dense_large_coefficients_against_sympy(data):
     for p, row in sp.rows.items():
         assert same([dense(row, dim)], [want_rows[p]], sympy.QQ)
     assert_no_stored_zeros(sp)
-    assert all(type(x) is Fraction for row in sp.rows.values() for x in row.values())
+    assert exact_types(x for row in sp.rows.values() for x in row.values())
     # residue: v minus v[p] times the row with pivot p, for every pivot p
     v = ([data.draw(big_entries) for _ in range(dim)] if data.draw(st.booleans())
          else combination([data.draw(big_entries) for _ in basis], basis, dim))
@@ -194,7 +201,7 @@ def test_subspace_on_dense_large_coefficients_against_sympy(data):
         sol = [row[-1] for row in aug.to_list()[:k]]
         assert same([dense(co, k)], [sol], sympy.QQ)
     assert_no_stored_zeros(sp, r, co)
-    assert all(type(x) is Fraction for w in (r, co or {}) for x in w.values())
+    assert exact_types(x for w in (r, co or {}) for x in w.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,13 +230,24 @@ def test_back_substitution_reaches_the_columns_it_filled(data):
     assert same([dense(co, k)], [[row[-1] for row in aug.to_list()[:k]]], sympy.QQ)
 
 
-def test_integer_input_gives_fractions():
+def test_integral_values_are_ints():
+    """Subspace gives an int exactly for an integer value, whether its input
+    was an int or a Fraction; the dense adapters give Fractions."""
     sp = Subspace(2, [{0: 2, 1: 4}, {1: 3}])
     co = sp.coords({0: 1, 1: 1})
-    assert co == {0: Fraction(1, 2), 1: Fraction(-1, 3)}
-    assert all(type(c) is Fraction for c in co.values())
+    assert co == {0: Fraction(1, 2), 1: Fraction(-1, 3)} and exact_types(co.values())
+    co = sp.coords({0: Fraction(4), 1: 11})
+    assert co == {0: 2, 1: 1} and exact_types(co.values())
     assert all(type(c) is Fraction for c in coords_in_basis([[2, 0], [0, 3]], [1, 1]))
-    assert all(type(x) is Fraction for row in sp.rows.values() for x in row.values())
+    assert sp.rows == {0: {0: 1}, 1: {1: 1}}
+    assert exact_types(x for row in sp.rows.values() for x in row.values())
+    line = Subspace(3, [{0: 2, 1: 4}])
+    r = line.residue({0: Fraction(1), 2: Fraction(3, 2)})
+    assert r == {1: -2, 2: Fraction(3, 2)} and exact_types(r.values())
+    for rows, want in (([{0: 2, 1: 4}], [{0: -2, 1: 1}, {2: 1}]),
+                       ([{0: 2, 1: 3}], [{0: Fraction(-3, 2), 1: 1}, {2: 1}])):
+        ker = kernel(3, rows)
+        assert ker == want and all(exact_types(v.values()) for v in ker)
 
 
 def test_zero_row_and_zero_column_shapes():
