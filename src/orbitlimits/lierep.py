@@ -83,6 +83,9 @@ def monomial_basis(nvars: int, degree: int) -> list[tuple]:
         if slots == 1:
             out.append(prefix + (rem,))
             return
+        if not rem:                   # the degree is used up: the rest are 0
+            out.append(prefix + (0,) * slots)
+            return
         for k in range(rem, -1, -1):
             rec(prefix + (k,), rem - k, slots - 1)
 

@@ -23,8 +23,7 @@ from .exactcore import (Mat, Subspace, UniPoly, column_normalize, det_bareiss, e
                         kernel, rank_qt, sparse, transpose)
 from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
-from .localmodel import (LocalModel, NotTransverse, build_local_model, gl_act_weights,
-                         graded_basis, weight_split)
+from .localmodel import LocalModel, NotTransverse, build_local_model, gl_act_weights, weight_split
 
 
 class OnePS:
@@ -60,7 +59,7 @@ def decompose_form(f: Form, lam: OnePS) -> dict:
 class LimitExpansion:
     """f(t) = lam(t).f = t^a g + t^b f_b + ... + t^D f_D."""
 
-    def __init__(self, terms: dict, transversal: Optional[bool]):
+    def __init__(self, terms: dict):
         self.terms = terms                     # exponent -> Form, ascending
         exps = sorted(terms)
         self.a = exps[0]
@@ -68,27 +67,15 @@ class LimitExpansion:
         self.b = exps[1] if len(exps) > 1 else None
         self.f_b = terms[self.b] if self.b is not None else None
         self.tail = {c: terms[c] for c in exps[1:]}
-        self.transversal = transversal
 
 
-def expand_orbit_curve(f: Form, lam: OnePS, rep: Optional[SymRep] = None) -> LimitExpansion:
-    """Graded expansion of lam(t).f.
-
-    Transversality of span{f_b, ..., f_D} with T_g O(g) is tested and
-    reported as a flag, not an error.  The tail forms have disjoint monomial
-    supports, so they are independent, and the span meets the tangent space
-    only in 0 exactly when each is independent of the tangent space and the
-    tail forms before it.  rep, if given, is SymRep(f.nvars, f.degree).
-    """
+def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
+    """Graded expansion of lam(t).f: f split by lam-weight.  Whether the
+    tail span{f_b, ..., f_D} meets the tangent space at g is decided once,
+    when the local model at g takes the tail into N (`LimitProblem.model`)."""
     if not f:
         raise ValueError("f must be nonzero")
-    exp = LimitExpansion(decompose_form(f, lam), None)
-    if exp.tail:
-        rep = rep or SymRep(f.nvars, f.degree)
-        g, n = rep.to_coords(exp.g), rep.n
-        span = Subspace(rep.dim, (rep.act_elementary(i, j, g) for i in range(n) for j in range(n)))
-        exp.transversal = all(span.add(rep.to_coords(form)) for form in exp.tail.values())
-    return exp
+    return LimitExpansion(decompose_form(f, lam))
 
 
 class LimitProblem:
@@ -121,7 +108,7 @@ class LimitProblem:
 
     @cached_property
     def expansion(self) -> LimitExpansion:
-        return expand_orbit_curve(self.f, self.lam, self.rep)
+        return expand_orbit_curve(self.f, self.lam)
 
     @cached_property
     def K(self) -> list[dict]:
@@ -129,13 +116,16 @@ class LimitProblem:
 
     @cached_property
     def model(self) -> LocalModel:
-        """The local model at g with the expansion tail inside N."""
+        """The local model at g with the expansion tail inside N.  H = stab g
+        and S are graded, as lambda(t) scales g, so it fails only if the tail
+        meets the tangent space at g."""
         exp, rep = self.expansion, self.rep
-        if exp.transversal is False:
-            raise NotTransverse("expansion tail meets the tangent space at g")
-        return build_local_model(rep, rep.to_coords(exp.g),
-                                 N_contains=[rep.to_coords(form) for form in exp.tail.values()],
-                                 weights=self.lam.weights)
+        tail = [rep.to_coords(form) for form in exp.tail.values()]
+        try:
+            return build_local_model(rep, rep.to_coords(exp.g), N_contains=tail,
+                                     weights=self.lam.weights)
+        except NotTransverse:
+            raise NotTransverse("expansion tail meets the tangent space at g") from None
 
     @cached_property
     def h_weights(self) -> list[int]:
@@ -146,11 +136,6 @@ class LimitProblem:
     def s_weights(self) -> list[int]:
         """The lambda-weights of the model's weight-pure S basis."""
         return _pure_weights(self.model.S, self.glw)
-
-    @cached_property
-    def H_span(self) -> Subspace:
-        """The span of H = stab g."""
-        return Subspace(self.glrep.dim, self.model.H)
 
     @cached_property
     def triple(self) -> TripleStabilizers:
@@ -190,17 +175,16 @@ def _pure_weights(vectors: Sequence[dict], coord_weights: Sequence[int]) -> list
 
 
 def graded_dims_of(vectors: Sequence[dict], coord_weights: Sequence[int]) -> dict:
-    """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight.
-
-    Raises NotGraded if the subspace is not graded (its weight-pure parts
-    span more than it).
-    """
-    span = Subspace(len(coord_weights))
-    try:
-        basis = graded_basis([v for v in vectors if span.add(v)], coord_weights)
-    except ValueError:
-        raise NotGraded("subspace is not graded with respect to the 1-PS") from None
-    return dict(sorted(Counter(_pure_weights(basis, coord_weights)).items()))
+    """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight: the
+    number of reduced rows of weight w, which are all weight-pure exactly
+    when the span is graded (`localmodel.check_graded`); else NotGraded."""
+    weights = []
+    for row in Subspace(len(coord_weights), vectors, combos=False).rows.values():
+        ws = {coord_weights[i] for i in row}
+        if len(ws) > 1:
+            raise NotGraded("subspace is not graded with respect to the 1-PS")
+        weights.append(ws.pop())
+    return dict(sorted(Counter(weights).items()))
 
 
 def graded_component(vectors: Sequence[dict], coord_weights: Sequence[int], w: int) -> list[dict]:
@@ -320,7 +304,7 @@ def _verify_limit_algebra(data: LimitAlgebraData):
     if len(data.K0_coords) != len(problem.K):
         raise ValueError(f"dim K0 = {len(data.K0_coords)} differs from dim K = {len(problem.K)}")
     data.beta       # K0 independent and bracket-closed
-    if any(k not in problem.H_span for k in data.K0_coords):
+    if any(k not in problem.model.H_span for k in data.K0_coords):
         raise ValueError("K0 is not contained in the stabilizer of g")
     # s-parts vanish to order b-a at t=0 (Prop K0(2))
     exp = problem.expansion
@@ -635,7 +619,7 @@ def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
         diff = lin_comb({0: 1, 1: -1} | {2 + m: -c for m, c in co.items()},
                         [bracket(K0[i], values[j], rep.n),
                          bracket(K0[j], values[i], rep.n)] + values)
-        if diff not in problem.H_span:
+        if diff not in model.H_span:
             raise ValueError("d_b fails the derivation identity")
         defects[(i, j)] = diff
     return values, defects
@@ -723,7 +707,7 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     if exp.b is not None:
         d = exp.b - exp.a
         cond_i = all((c - exp.a) % d == 0 for c in exp.terms)
-        cond_ii = any(k not in problem.H_span for k in problem.K)
+        cond_ii = any(k not in model.H_span for k in problem.K)
         reg = (cond_i, cond_ii)
     return FeasibilityResult(True, eps_basis, hoffman=hof, regular=reg)
 

@@ -11,6 +11,7 @@ dicts.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactcore import Mat, SingularMatrix, Subspace, dense, det_bareiss, kernel, transpose
@@ -31,26 +32,25 @@ def weight_split(v: dict, coord_weights: Sequence[int]) -> dict:
     return out
 
 
-def graded_basis(vectors: Sequence[dict], coord_weights) -> list[dict]:
-    """Replace a basis of a weight-graded subspace by a weight-pure one.  The
-    span is graded exactly when the weight parts of the basis span no more."""
-    span = Subspace(len(coord_weights))
-    basis = [part for v in vectors for part in weight_split(v, coord_weights).values()
-             if span.add(part)]
-    if len(basis) != len(vectors):
+def check_graded(basis: Sequence[dict], coord_weights) -> None:
+    """Raise unless span(basis) is weight-graded, for a basis that is the
+    identity on some set of columns, as `kernel` returns.  That basis is
+    unique, and a graded span's is the union of its weight parts' ones, so
+    the span is graded exactly when each basis vector is weight-pure."""
+    if any(len({coord_weights[i] for i in v}) > 1 for v in basis):
         raise ValueError("subspace is not weight-graded")
-    return basis
 
 
 class LocalModel:
     """gl ⊇ H ⊕ S with H = stab x, and V = TO ⊕ N with TO = S.x.  N is an
-    explicit part followed by the unit vectors at the `units` columns.  HS
-    spans H + S, and V spans TO + the explicit part, each in that generator
-    order (build_local_model grows and checks them); an explicit part not
-    yet in V enters it on the first split_V."""
+    explicit part followed by the unit vectors at the `units` columns.  V
+    spans TO + the explicit part, in that generator order (build_local_model
+    grows and checks it); an explicit part not yet in V enters it on the
+    first split_V.  H_span, the span of H, is the one whose orthogonal
+    complement gave S, or is built on first use."""
 
     def __init__(self, rep: Representation, x: dict, H, S, TO, N, V: Subspace,
-                 HS: Subspace, ambient=None, units: Sequence[int] = ()):
+                 H_span: Optional[Subspace] = None, ambient=None, units: Sequence[int] = ()):
         self.rep = rep
         self.x = dict(x)
         self.H = H                    # list of gl elements
@@ -58,10 +58,16 @@ class LocalModel:
         self.TO = TO                  # list of V-coordinate vectors, TO[i] = S[i].x
         self.N = N                    # list of V-coordinate vectors
         self.V = V                    # span of TO + the explicit part of N
-        self.HS = HS                  # span of H + S
+        if H_span is not None:
+            self.H_span = H_span
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
         self._units = {j: len(N) - len(units) + i for i, j in enumerate(units)}  # column -> N index
         self._theta_cache = None
+
+    @cached_property
+    def H_span(self) -> Subspace:
+        """The span of H, for membership (it keeps no coordinates)."""
+        return Subspace(self.rep.n ** 2, self.H, combos=False)
 
     # -- projections --------------------------------------------------
     def split_V(self, v: dict) -> tuple[dict, dict]:
@@ -170,7 +176,7 @@ class LocalModel:
 
     def verify(self):
         ambient_dim = self.rep.n ** 2 if self.ambient is None else len(self.ambient)
-        if not len(self.HS) == len(self.H) + len(self.S) == ambient_dim:
+        if len(self.H) + len(self.S) != ambient_dim:
             raise ValueError("H + S does not fill the ambient algebra")
         if len(self.TO) + len(self.N) != self.rep.dim:
             raise ValueError("TO + N does not fill V")
@@ -199,39 +205,42 @@ def build_local_model(rep: Representation, x: dict,
     vectors that must lie inside N (a limit's expansion tail); N is then
     completed by the unit vectors at the free columns of TO + N_contains,
     which never enter V.  ambient restricts the acting algebra to a
-    subalgebra of gl (e.g. sl via its trace-zero basis).
+    subalgebra of gl (e.g. sl via its trace-zero basis).  weights (a 1-PS,
+    not with ambient) require H and a computed S and N to be graded.
     """
+    if ambient is not None and weights is not None:
+        raise ValueError("weights and ambient cannot both be given")
     if not x:
         raise ValueError("base point x must be nonzero")
     gl_dim = rep.n ** 2
-    cw = rep.coord_weights(weights) if weights is not None else None
     glw = gl_act_weights(rep, weights) if weights is not None else None
 
+    H_span = None
     if ambient is None:
         H = stabilizer_algebra(rep, x)
         ambient_dim = gl_dim
+        if glw is not None:
+            check_graded(H, glw)
     else:
         # stabilizer within the span of the ambient basis
         H = [lin_comb(co, ambient) for co in
              kernel(len(ambient), transpose([rep.act(a, x) for a in ambient]))]
         ambient_dim = len(ambient)
-    if cw is not None:
-        H = graded_basis(H, glw)
 
     if S is not None:
         Sb = list(S)
+        if not len(Subspace(gl_dim, H + Sb)) == len(H) + len(Sb) == ambient_dim:
+            raise NotTransverse("supplied S is not a complement of the stabilizer")
     elif ambient is not None:
         # complement of H inside the ambient span, orthogonal in ambient coords
         amb_span = Subspace(gl_dim, ambient)
         Sb = [lin_comb(co, ambient) for co in
               kernel(len(ambient), [amb_span.coords(v) for v in H])]
     else:
-        Sb = kernel(gl_dim, H)
+        H_span = Subspace(gl_dim, H, combos=False)
+        Sb = H_span.orthogonal()
         if glw is not None:
-            Sb = graded_basis(Sb, glw)
-    HS = Subspace(gl_dim, H + Sb)
-    if S is not None and not len(HS) == len(H) + len(Sb) == ambient_dim:
-        raise NotTransverse("supplied S is not a complement of the stabilizer")
+            check_graded(Sb, glw)
 
     TO = [rep.act(s, x) for s in Sb]
     V = Subspace(rep.dim, TO)
@@ -253,10 +262,10 @@ def build_local_model(rep: Representation, x: dict,
         Nb += [{j: 1} for j in units]
     else:
         Nb = V.orthogonal()
-        if cw is not None:
-            Nb = graded_basis(Nb, cw)
+        if weights is not None:
+            check_graded(Nb, rep.coord_weights(weights))
 
-    model = LocalModel(rep, x, H, Sb, TO, Nb, V, HS,
+    model = LocalModel(rep, x, H, Sb, TO, Nb, V, H_span,
                        ambient=list(ambient) if ambient is not None else None, units=units)
     model.verify()
     return model

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from orbitlimits import (cli, conjclosure, curvature, kempf, lierep, limits, localmodel,
-                         reproduce)
+from orbitlimits import (cli, conjclosure, curvature, exactcore, kempf, lierep, limits,
+                         localmodel, reproduce)
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                              form_from_doc, main)
 from orbitlimits.exactcore import Mat
@@ -233,14 +233,26 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_limit_builds_each_stage_input_once(tmp_path, capsys, monkeypatch):
-    # stab f and stab g once each, one expansion, one triple-stabilizer run
+    # stab f and stab g once each, one expansion, one triple-stabilizer run;
+    # of the 24 subspaces built, 2 lie in V = Sym^4 of dim 5: the tangent space
+    # at g with the tail (the model's V) and the span of the tail, and none
+    # is a second elimination of the tangent space
     stab = _count_calls(monkeypatch, lierep, "stabilizer_algebra")
     expand = _count_calls(monkeypatch, limits, "expand_orbit_curve")
     triple = _count_calls(monkeypatch, limits, "triple_stabilizers")
+    dims = []
+    init = exactcore.Subspace.__init__
+
+    def counted(self, dim, *args, **kwargs):
+        dims.append(dim)
+        init(self, dim, *args, **kwargs)
+
+    monkeypatch.setattr(exactcore.Subspace, "__init__", counted)
     path = _write(tmp_path, "in.json", LIMIT_GOLDEN["o2"]["input"])
     code, _, err = _run(capsys, ["limit", "--input", path])
     assert code == EXIT_OK, err
     assert (len(stab), len(expand), len(triple)) == (2, 1, 1)
+    assert (len(dims), dims.count(5)) == (24, 2)
 
 
 def test_closure_verdicts(tmp_path, capsys):
@@ -389,11 +401,14 @@ CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").rea
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
 def test_cli_output_is_pinned(tmp_path, capsys, name):
+    # a case without "exit" succeeds; one with it pins the exit code and stderr
     case = CLI_GOLDEN[name]
     path = _write(tmp_path, "in.json", case["input"])
     code, out, err = _run(capsys, [case["command"], "--input", path, "--format", "json"])
-    assert code == EXIT_OK, err
+    assert code == case.get("exit", EXIT_OK), err
     assert out == case["json"]
+    if "exit" in case:
+        assert err == case["stderr"]
 
 
 # 2 x^2 z - 3 y^2 z + 5 z^3, coefficients as JSON integers and strings: the

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
@@ -17,7 +17,7 @@ from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
 from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, sparse
 from orbitlimits.lierep import ConjRep, Form, SymRep, elementary, lin_comb, monomial_basis
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
-                                _cancel_positive_weights, _verify_limit_algebra,
+                                _cancel_positive_weights, _verify_limit_algebra, _weight_kernel,
                                 check_graded_conditions, classify_case, expand_orbit_curve,
                                 extension_feasible, filtered_dims, gl_act_weights,
                                 graded_dims_of, hoffman_case, limit_algebra,
@@ -45,7 +45,6 @@ def test_o2_expansion():
     assert (exp.a, exp.b) == (0, 2)
     assert exp.g == Form(2, 4, {(0, 4): 1})          # y^4
     assert exp.f_b == Form(2, 4, {(2, 2): 2})        # 2 y^2 z^2
-    assert exp.transversal is True
 
 
 def test_trivial_oneps_gives_whole_form():
@@ -431,6 +430,29 @@ def test_graded_dims_of_against_sympy(case):
     else:
         with pytest.raises(NotGraded):
             graded_dims_of([sparse(v) for v in vectors], weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_vectors())
+@example(([[Q1, Q1], [Q1, Q0]], [0, 1]))      # graded, spanned by an impure basis
+@example(([[Q1, Q1]], [0, 1]))                # not graded
+def test_graded_dims_of_against_the_weight_kernels(case):
+    """dim(span ∩ V_w) is the dimension of the combinations whose other
+    weights vanish (`_weight_kernel`) less that of the dependencies among
+    the vectors; the span is graded exactly when these add up to its
+    dimension."""
+    vectors, weights = case
+    vectors = [sparse(v) for v in vectors]
+    deps = len(_weight_kernel(vectors, weights, lambda w: True))
+    expected = {}
+    for w in sorted(set(weights)):
+        if d := len(_weight_kernel(vectors, weights, lambda x: x != w)) - deps:
+            expected[w] = d
+    if sum(expected.values()) == len(vectors) - deps:
+        assert graded_dims_of(vectors, weights) == expected
+    else:
+        with pytest.raises(NotGraded):
+            graded_dims_of(vectors, weights)
 
 
 def _det_form(n: int) -> Form:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qt_oracle
 from orbitlimits.exactcore import Mat, Q1, SingularMatrix, Subspace, UniPoly, dense, sparse
@@ -186,6 +188,43 @@ def test_weighted_model_has_weight_pure_bases():
     x = rep.to_coords(Form(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1}))
     with pytest.raises(ValueError, match="^subspace is not weight-graded$"):
         build_local_model(rep, x, weights=weights)
+
+
+def test_weights_and_ambient_are_exclusive():
+    # the weight-purity test covers the kernel bases of the full gl only
+    rep = SymRep(2, 2)
+    ambient = [_g(1, 0, 0), _g(0, 1, 0), _g(0, 0, 1)]
+    x = rep.to_coords(Form(2, 2, {(2, 0): 1}))
+    with pytest.raises(ValueError, match="^weights and ambient cannot both be given$"):
+        build_local_model(rep, x, weights=[1, 0], ambient=ambient)
+
+
+@st.composite
+def _homogeneous_points(draw):
+    """(rep, x, weights): a nonzero form (2-3 variables, degree 2-3) or 2x2 or
+    3x3 matrix whose coordinates all have one weight under random weights."""
+    n = draw(st.integers(2, 3))
+    rep = draw(st.sampled_from([ConjRep(n), SymRep(n, 2), SymRep(n, 3)]))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    cw = rep.coord_weights(weights)
+    w = draw(st.sampled_from(cw))
+    coords = [i for i in range(rep.dim) if cw[i] == w]
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(coords), max_size=len(coords)))
+    x = {i: c for i, c in zip(coords, values) if c}
+    if not x:
+        x = {coords[0]: 1}
+    return rep, x, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_homogeneous_points())
+def test_weighted_model_at_a_homogeneous_point_is_the_unweighted_one(case):
+    """H, S and N are kernel bases, each the unique one that is the identity
+    on its columns; at a weight-homogeneous point they are graded, so the
+    weights only check them."""
+    rep, x, weights = case
+    plain, weighted = build_local_model(rep, x), build_local_model(rep, x, weights=weights)
+    assert (weighted.H, weighted.S, weighted.N) == (plain.H, plain.S, plain.N)
 
 
 def _random_models(rng, count):
