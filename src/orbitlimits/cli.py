@@ -24,7 +24,7 @@ from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
                           jab_slice_report, jn_slice_report, transpose_block_spectrum)
 from .curvature import (CurvatureData, adjoint_offdiagonal_vanishing,
                         adjoint_pi, cyclic_shift_suite, sphere_ricci)
-from .exactcore import Mat, UniPoly, dense
+from .exactcore import Mat, UniPoly, as_strings, dense, exact
 from .kempf import grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
@@ -83,17 +83,19 @@ class InputError(ValueError):
 # JSON (de)serialization
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s):
+    """The rational of a JSON integer or rational string, by the scalar rule
+    (an `int` if it is an integer, else a `Fraction`)."""
     if isinstance(s, bool):
         raise InputError(f"not a rational: {s!r}")
     if isinstance(s, int):
-        return Fraction(s)
+        return s
     if isinstance(s, str):
         if _written_out_length(s) > RATIONAL_MAX_DIGITS:
             raise InputError(f"rational {s[:40]!r} has more than {RATIONAL_MAX_DIGITS} "
                              "digits written out")
         try:
-            return Fraction(s)
+            return exact(Fraction(s))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational {s!r}: {e}") from None
     raise InputError(f"not a rational: {s!r}")
@@ -122,7 +124,7 @@ def form_from_doc(doc) -> Form:
             if len(e) != nvars or any(x < 0 for x in e) or sum(e) != degree:
                 raise InputError(f"bad exponent {list(e)} for a degree-{degree} "
                                  f"form in {nvars} variables")
-            terms[e] = terms.get(e, Fraction(0)) + parse_rational(t["coef"])
+            terms[e] = terms.get(e, 0) + parse_rational(t["coef"])
         return Form(nvars, degree, {e: c for e, c in terms.items() if c})
     except InputError:
         raise
@@ -147,7 +149,7 @@ def mat_from_doc(rows) -> Mat:
 
 
 def mat_to_doc(m: Mat):
-    return [[str(x) for x in row] for row in m.a]
+    return as_strings(m.a)
 
 
 def gl_to_doc(g: dict, n: int):
@@ -314,7 +316,7 @@ def cmd_local_model(args) -> int:
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [gl_to_doc(h, rep.n) for h in model.H],
           "S": [gl_to_doc(s, rep.n) for s in model.S],
-          "N": [[str(x) for x in dense(nv, rep.dim)] for nv in model.N]},
+          "N": as_strings([dense(nv, rep.dim) for nv in model.N])},
          args.format)
     return EXIT_OK
 
@@ -387,6 +389,7 @@ def cmd_slice(args) -> int:
     kind = doc.get("kind")
     if kind == "jn":
         report = jn_slice_report(int_field(doc, "n", 2, SLICE_MAX_N), seed=args.seed)
+        report["samples"] = [s | {"c": as_strings(s["c"])} for s in report["samples"]]
     elif kind == "jab":
         b = int_field(doc, "b", 1)
         a = int_field(doc, "a", max(b, 2))     # J_{1,1} is the zero matrix
@@ -406,7 +409,7 @@ def cmd_curvature(args) -> int:
         r = parse_rational(doc.get("r", 1))
         if r == 0:
             raise InputError("radius must be nonzero")
-        out = {"ricci": sphere_ricci(int_field(doc, "dim", 1, SPHERE_MAX_DIM), r)}
+        out = {"ricci": as_strings(sphere_ricci(int_field(doc, "dim", 1, SPHERE_MAX_DIM), r))}
     elif kind == "adjoint":
         if not isinstance(doc.get("lams"), list):
             raise InputError("'lams' must be a list of rationals")
@@ -416,12 +419,14 @@ def cmd_curvature(args) -> int:
         lams = [parse_rational(x) for x in doc["lams"]]
         if len(set(lams)) != len(lams):
             raise InputError("eigenvalues must be distinct")
-        out = {"d": {f"{p},{q}": diag for (p, q), diag in adjoint_pi(lams).items()},
+        out = {"d": {f"{p},{q}": as_strings(diag) for (p, q), diag in adjoint_pi(lams).items()},
                "offdiagonal_vanishes": adjoint_offdiagonal_vanishing(lams)}
     elif kind == "cyclic":
         suite = cyclic_shift_suite(int_field(doc, "n", 3, CYCLIC_MAX_N))
         out = {k: v for k, v in suite.items() if k != "curvature"}
-        out["ricci"] = suite["curvature"].ricci
+        for k in ("p_tables", "gamma_squared"):
+            out[k] = as_strings(out[k])
+        out["ricci"] = as_strings(suite["curvature"].ricci)
     else:
         raise InputError("curvature input needs kind 'sphere', 'adjoint' or 'cyclic'")
     emit(to_jsonable(out), args.format)
@@ -450,8 +455,8 @@ def cmd_kempf(args) -> int:
            "converged": res.converged, "iterations": res.iterations,
            "weights": [list(chi) for chi in support.weights],
            "unstable": res.mu_star_squared > 0,
-           "min_norm_point": list(res.min_norm_point),
-           "mu_star_squared": res.mu_star_squared}
+           "min_norm_point": as_strings(res.min_norm_point),
+           "mu_star_squared": str(res.mu_star_squared)}
     if grid:
         gp, gf = grid_minimize(support, t)
         out["grid_f"] = gf

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Mat, Q0, Q1, Subspace, UniPoly, _as_fraction, rank, sparse
+from .exactcore import Mat, Subspace, UniPoly, _as_q, exact, qdiv, rank, sparse
 from .lierep import ConjRep, bracket, elementary, lin_comb
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
 from .localmodel import LocalModel, build_local_model
@@ -114,10 +114,10 @@ def all_partitions(n: int) -> list[Partition]:
 class JordanSpec:
     """Eigenvalue -> Jordan-block-size partition data of a matrix.
 
-    Eigenvalues may be rationals (ints are read as rationals) or hashable
-    symbolic labels (strings, even those that read like numbers); only the
-    multiplicity structure enters the closure theorem, but witness
-    families require rational eigenvalues.
+    Eigenvalues may be rationals (an `int` or a `Fraction`, kept by the
+    scalar rule) or hashable symbolic labels (strings, even those that read
+    like numbers); only the multiplicity structure enters the closure
+    theorem, but witness families require rational eigenvalues.
     """
 
     __slots__ = ("blocks", "n")
@@ -126,7 +126,7 @@ class JordanSpec:
         seen = set()
         bl = []
         for ev, sizes in blocks:
-            ev = _as_fraction(ev) if isinstance(ev, int) else ev
+            ev = _as_q(ev) if _is_rational(ev) else ev
             if ev in seen:
                 raise ValueError(f"repeated eigenvalue {ev!r}")
             seen.add(ev)
@@ -157,17 +157,17 @@ def _rational_roots(p: UniPoly) -> list[tuple]:
     lead = ic[max(ic)]
     # candidate roots a/b with a | constant term (of p / X^v), b | leading
     c0 = ic[v]
-    cands = {Fraction(0)} if v > 0 else set()
+    cands = {0} if v > 0 else set()
     for a in _divisors(abs(c0)):
         for b in _divisors(abs(lead)):
-            cands.add(Fraction(a, b))
-            cands.add(Fraction(-a, b))
+            cands.add(qdiv(a, b))
+            cands.add(qdiv(-a, b))
     out = []
     for r in sorted(cands):
         mult = 0
         q = p
         while q.degree() >= 1 and not q(r):
-            q = q.exact_div(UniPoly({1: Q1, 0: -r}))
+            q = q.exact_div(UniPoly({1: 1, 0: -r}))
             mult += 1
         if mult:
             out.append((r, mult))
@@ -186,6 +186,10 @@ def _divisors(m: int) -> list[int]:
             out.append(m // d)
         d += 1
     return sorted(set(out))
+
+
+def _is_rational(ev) -> bool:
+    return isinstance(ev, (int, Fraction))
 
 
 def transpose_block_spectrum(spec: JordanSpec) -> Partition:
@@ -270,7 +274,7 @@ def closure_contains_nilpotent(spec: JordanSpec, theta) -> ClosureDecision:
     chi = transpose_block_spectrum(spec)
     if dominates(chi, theta):
         family = None
-        if all(isinstance(ev, Fraction) for ev, _ in spec.blocks):
+        if all(_is_rational(ev) for ev, _ in spec.blocks):
             family = witness_family(spec)
         return ClosureDecision(True, chi, theta, family=family)
     # least prefix where theta overtakes chi
@@ -293,13 +297,13 @@ def closure_contains_nilpotent(spec: JordanSpec, theta) -> ClosureDecision:
 # constructive witness families
 # ---------------------------------------------------------------------------
 
-def jordan_block(size: int, ev=Q0) -> Mat:
+def jordan_block(size: int, ev=0) -> Mat:
     m = Mat.zeros(size, size)
-    ev = _as_fraction(ev)
+    ev = _as_q(ev)
     for i in range(size):
         m.a[i][i] = ev
         if i + 1 < size:
-            m.a[i][i + 1] = Q1
+            m.a[i][i + 1] = 1
     return m
 
 
@@ -321,22 +325,16 @@ def companion(coeffs: Sequence) -> Mat:
     -c_{m-1}), 1s on the superdiagonal."""
     m = len(coeffs)
     poly = any(isinstance(c, UniPoly) for c in coeffs)
-    one = UniPoly.const(1) if poly else Q1
+    one = UniPoly.const(1) if poly else 1
     out = Mat.zeros(m, m)
     if poly:
         out = out.map(UniPoly.coerce)
     for i in range(m):
-        c = _coerce_scalar(coeffs[m - 1 - i])
-        out.a[i][0] = -(UniPoly.coerce(c) if poly else c)
+        c = coeffs[m - 1 - i]
+        out.a[i][0] = -(UniPoly.coerce(c) if poly else _as_q(c))
         if i + 1 < m:
             out.a[i][i + 1] = one
     return out
-
-
-def _coerce_scalar(c):
-    if isinstance(c, UniPoly):
-        return c
-    return _as_fraction(c)
 
 
 def j_chi(chi: Partition) -> Mat:
@@ -357,14 +355,14 @@ class WitnessFamily:
 
     def at(self, t0) -> Mat:
         """The honest conjugate A(t0) x' A(t0)^{-1} at a nonzero rational t0."""
-        t0 = _as_fraction(t0)
+        t0 = _as_q(t0)
         n = self.x_prime.rows
         out = Mat.zeros(n, n)
         for i in range(n):
             for j in range(n):
                 c = self.x_prime.a[i][j]
                 if c:
-                    out.a[i][j] = c * t0 ** (i - j)
+                    out.a[i][j] = exact(c * t0 ** (i - j))
         return out
 
 
@@ -373,7 +371,7 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
     per eigenvalue into each x_j (so its minimal polynomial equals its
     characteristic polynomial), replace x_j by its companion form, and
     conjugate the direct sum by A(t) = diag(t, ..., t^n)."""
-    if not all(isinstance(ev, Fraction) for ev, _ in spec.blocks):
+    if not all(_is_rational(ev) for ev, _ in spec.blocks):
         raise ValueError("witness families need rational eigenvalues")
     chi = transpose_block_spectrum(spec)
     blocks = []
@@ -382,7 +380,7 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
         for ev, sizes in spec.blocks:
             e = sizes.part(j)
             if e:
-                p = p * (UniPoly({1: Q1, 0: -ev}) ** e)
+                p = p * (UniPoly({1: 1, 0: -ev}) ** e)
         deg = p.degree()
         coeffs = [p.coeff(i) for i in range(deg)]  # c_0 .. c_{deg-1}
         blocks.append(companion(coeffs))
@@ -472,19 +470,19 @@ def Z_shift(n: int, k: int) -> Mat:
     for i in range(n):
         j = i + k
         if 0 <= j < n:
-            m.a[i][j] = Q1
+            m.a[i][j] = 1
     return m
 
 
 def companion_slice_basis(n: int) -> list[dict]:
     """V-coordinate basis of C_n: the units E_i1 of the first column."""
-    return [{i * n: Q1} for i in range(n)]
+    return [{i * n: 1} for i in range(n)]
 
 
 def jn_local_model(n: int) -> LocalModel:
     """The local model at J_n with S spanned by the E_ij off the first row."""
     rep = ConjRep(n)
-    S = [{k: Q1} for k in range(n, n * n)]
+    S = [{k: 1} for k in range(n, n * n)]
     return build_local_model(rep, rep.to_coords(Z_shift(n, 1)), S=S, N=companion_slice_basis(n))
 
 
@@ -496,7 +494,7 @@ def minimal_polynomial(m: Mat) -> UniPoly:
     while powers.add(glrep.to_coords(power)):
         power = power * m
     co = powers.coords(glrep.to_coords(power))
-    return UniPoly({i: -c for i, c in co.items()} | {len(powers): Q1})
+    return UniPoly({i: -c for i, c in co.items()} | {len(powers): 1})
 
 
 def jn_slice_report(n: int, seed: int = 0) -> dict:
@@ -520,12 +518,12 @@ def jn_slice_report(n: int, seed: int = 0) -> dict:
     rng = random.Random(seed)
     samples = []
     for _ in range(3):
-        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        c = [qdiv(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         comp = companion(c)
         p = minimal_polynomial(comp)
-        expected = UniPoly({n: Q1, **{i: _as_fraction(c[i]) for i in range(n)}})
+        expected = UniPoly({n: 1, **{i: c[i] for i in range(n)}})
         # N basis is E_{i,0}; companion's first column entries are -c reversed
-        nvec = model.n_vec(sparse([-_as_fraction(ci) for ci in reversed(c)]))
+        nvec = model.n_vec(sparse([-ci for ci in reversed(c)]))
         stab = model.slice_stabilizer(nvec)
         samples.append({
             "c": c,
@@ -546,9 +544,9 @@ def z4_example() -> dict:
     jc, c4 = glrep.to_coords(j4), glrep.to_coords(elementary(4, 3, 0))
     h = glrep.to_coords(j4 * j4 * j4)
     s = glrep.to_coords(elementary(4, 1, 0) + elementary(4, 2, 1) + elementary(4, 3, 2))
-    s_plus_h = lin_comb({0: Q1, 1: Q1}, [s, h])
-    ok_completion = bracket(s, jc, 4) == lin_comb({0: -Q1}, [bracket(h, c4, 4)])
-    ok_stab = not bracket(s_plus_h, lin_comb({0: Q1, 1: Q1}, [jc, c4]), 4)
+    s_plus_h = lin_comb({0: 1, 1: 1}, [s, h])
+    ok_completion = bracket(s, jc, 4) == lin_comb({0: -1}, [bracket(h, c4, 4)])
+    ok_stab = not bracket(s_plus_h, lin_comb({0: 1, 1: 1}, [jc, c4]), 4)
     stab = jn_local_model(4).slice_stabilizer(c4)
     return {"completion_identity": ok_completion, "stabilizes": ok_stab,
             "s_plus_h": s_plus_h, "slice_stabilizer_dim": len(stab)}
@@ -581,13 +579,13 @@ def jab_slice_point(a: int, b: int, c, d, alpha, beta) -> Mat:
     n = a + b
     m = jab_matrix(a, b)
     for i in range(a):
-        m.a[i][0] = m.a[i][0] - _as_fraction(c[a - 1 - i])
+        m.a[i][0] = m.a[i][0] - _as_q(c[a - 1 - i])
     for i in range(b):
-        m.a[a + i][a] = m.a[a + i][a] - _as_fraction(d[b - 1 - i])
+        m.a[a + i][a] = m.a[a + i][a] - _as_q(d[b - 1 - i])
     for i in range(b):
-        m.a[a - 1][a + i] = m.a[a - 1][a + i] + _as_fraction(alpha[i])
+        m.a[a - 1][a + i] = m.a[a - 1][a + i] + _as_q(alpha[i])
     for i in range(b):
-        m.a[a + i][0] = m.a[a + i][0] + _as_fraction(beta[i])
+        m.a[a + i][0] = m.a[a + i][0] + _as_q(beta[i])
     return m
 
 
@@ -611,10 +609,10 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
     rng = random.Random(seed)
     deg_ok = ker_ok = True
     for _ in range(nsamples):
-        c = [Fraction(rng.randint(-4, 4)) for _ in range(a)]
-        d = [Fraction(rng.randint(-4, 4)) for _ in range(b)]
-        al = [Fraction(rng.randint(-4, 4)) for _ in range(b)]
-        be = [Fraction(rng.randint(-4, 4)) for _ in range(b)]
+        c = [rng.randint(-4, 4) for _ in range(a)]
+        d = [rng.randint(-4, 4) for _ in range(b)]
+        al = [rng.randint(-4, 4) for _ in range(b)]
+        be = [rng.randint(-4, 4) for _ in range(b)]
         T = jab_slice_point(a, b, c, d, al, be)
         p = minimal_polynomial(T)
         if p.degree() < a:
@@ -628,9 +626,9 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
     # the nilpotent family: alpha_i = t, everything else zero
     family = []
     for i in range(1, b + 1):
-        al = [Q0] * b
-        al[i - 1] = Q1
-        Ji = jab_slice_point(a, b, [Q0] * a, [Q0] * b, al, [Q0] * b)
+        al = [0] * b
+        al[i - 1] = 1
+        Ji = jab_slice_point(a, b, [0] * a, [0] * b, al, [0] * b)
         sig = nilpotent_signature(Ji)
         expected = Partition([p for p in (a + b - i + 1, i - 1) if p])
         family.append({"i": i, "signature": sig, "expected": expected,
@@ -640,14 +638,14 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
     # degree-a minimal polynomial: p = min poly of T_a; min poly of T_b | p
     pa = UniPoly.const(1)
     for i in range(1, a + 1):
-        pa = pa * UniPoly({1: Q1, 0: -Fraction(i)})
+        pa = pa * UniPoly({1: 1, 0: -i})
     pb = UniPoly.const(1)
     for i in range(1, b + 1):
-        pb = pb * UniPoly({1: Q1, 0: -Fraction(i)})
+        pb = pb * UniPoly({1: 1, 0: -i})
     c = [pa.coeff(i) for i in range(a)]
     d = [pb.coeff(i) for i in range(b)]
     # the couplings must vanish for the minimal polynomial to drop to degree a
-    T = jab_slice_point(a, b, c, d, [Q0] * b, [Q0] * b)
+    T = jab_slice_point(a, b, c, d, [0] * b, [0] * b)
     p = minimal_polynomial(T)
     Ta = companion(c)
     Tb = companion(d)

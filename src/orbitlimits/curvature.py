@@ -22,22 +22,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Mat, Q0, Q1, Subspace, _as_fraction, dense, sparse
+from .exactcore import Mat, Subspace, _as_q, dense, exact, qdiv, sparse
 from .lierep import ConjRep, action_matrix, stabilizer_algebra, tangent_space
 
 
 def dot(u, v):
-    s = Q0
+    s = 0
     for x, y in zip(u, v):
         if x and y:
             s = s + x * y
-    return s
+    return exact(s)
 
 
 def _is_orthonormal(vectors) -> bool:
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
-            if dot(u, v) != (Q1 if i == j else Q0):
+            if dot(u, v) != (1 if i == j else 0):
                 return False
     return True
 
@@ -92,7 +92,7 @@ def second_fundamental_form(x, S_ops, N_basis) -> CurvatureData:
         raise ValueError("normal basis is not orthonormal")
     for t in tangents:
         for v in N_basis:
-            if dot(t, v) != Q0:
+            if dot(t, v):
                 raise ValueError("normal basis is not orthogonal to the tangent space")
     L = len(S_ops)
     pi = [[[dot(v, S_ops[j].apply(t_i)) for v in N_basis]
@@ -125,18 +125,18 @@ def riemann_and_ricci(curv: CurvatureData) -> CurvatureData:
             return dot(a, b)
     else:
         def inner(a, b):
-            s = Q0
+            s = 0
             for r in range(K):
                 for q in range(K):
                     g = gram[r][q]
                     if a[r] and b[q] and g:
                         s = s + a[r] * g * b[q]
-            return s
+            return exact(s)
     pi = curv.pi
-    riem = [[[[inner(pi[i][l], pi[j][k]) - inner(pi[j][l], pi[i][k])
+    riem = [[[[exact(inner(pi[i][l], pi[j][k]) - inner(pi[j][l], pi[i][k]))
                for l in range(L)] for k in range(L)]
              for j in range(L)] for i in range(L)]
-    ricci = [[sum((riem[i][j][k][i] for i in range(L)), Q0)
+    ricci = [[exact(sum(riem[i][j][k][i] for i in range(L)))
               for k in range(L)] for j in range(L)]
     curv.riemann = riem
     curv.ricci = ricci
@@ -144,9 +144,10 @@ def riemann_and_ricci(curv: CurvatureData) -> CurvatureData:
 
 
 def _project_off(y, v):
-    """v minus its component along y; `dot` sums from Q0, so c is a `Fraction`."""
-    c = dot(y, v) / dot(y, y)
-    return [a - c * b for a, b in zip(v, y)]
+    """v minus its component along y, c y with c = <y, v> / <y, y> (`qdiv`):
+    an `int` for each integer entry."""
+    c = qdiv(dot(y, v), dot(y, y))
+    return [exact(a - c * b) for a, b in zip(v, y)]
 
 
 def chart_second_fundamental_form(y, S_ops, N_basis,
@@ -172,7 +173,7 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
         raise ValueError("y is not a simple point: y lies in its own tangent space")
     for t in full_tangent:
         for v in N_basis:
-            if dot(t, v) != Q0:
+            if dot(t, v):
                 raise ValueError("normal basis is not orthogonal to the tangent space")
 
     # N is orthogonal to the tangent space, so a set of projected normals is
@@ -198,7 +199,7 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
             row.append(lam_N_tilde(w))
         pi.append(row)
 
-    osc = all(dot(y, t) == Q0 for t in tangents)
+    osc = all(not dot(y, t) for t in tangents)
     match = None
     if osc:
         # ambient Pi then chart projection (the osculation identity)
@@ -211,10 +212,10 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
                 if coords is None:
                     match = False
                     continue
-                amb = [Q0] * len(y)
+                amb = [0] * len(y)
                 for r in range(K):
-                    c = coords.get(len(t_basis) + r, Q0)
-                    amb = [a + c * b for a, b in zip(amb, N_basis[r])]
+                    c = coords.get(len(t_basis) + r, 0)
+                    amb = [exact(a + c * b) for a, b in zip(amb, N_basis[r])]
                 if lam_N_tilde(_project_off(y, amb)) != pi[i][j]:
                     match = False
     gram = [[dot(_project_off(y, list(N_basis[r])), _project_off(y, list(N_basis[q])))
@@ -233,15 +234,15 @@ def sphere_model(sphere_dim: int, r) -> tuple[list, list[Mat], list[list]]:
     x = r e_1; S^i rotates the (1,i) plane scaled by 1/r so that S^i x = e_i.
     """
     n = sphere_dim + 1
-    r = _as_fraction(r)
-    x = [r] + [Q0] * (n - 1)
+    r = _as_q(r)
+    x = [r] + [0] * (n - 1)
     S_ops = []
     for i in range(1, n):
         S = Mat.zeros(n, n)
-        S.a[0][i] = -1 / r
-        S.a[i][0] = 1 / r
+        S.a[0][i] = qdiv(-1, r)
+        S.a[i][0] = qdiv(1, r)
         S_ops.append(S)
-    N_basis = [[Q1] + [Q0] * (n - 1)]
+    N_basis = [[1] + [0] * (n - 1)]
     return x, S_ops, N_basis
 
 
@@ -259,7 +260,7 @@ def sphere_ricci(sphere_dim: int, r) -> list:
 def _e(lams, p, q) -> dict:
     """The normalized off-diagonal element e_pq = E_pq / (lam_q - lam_p), in
     gl coordinates."""
-    return {p * len(lams) + q: Fraction(1, lams[q] - lams[p])}
+    return {p * len(lams) + q: qdiv(1, lams[q] - lams[p])}
 
 
 def adjoint_pi(lams) -> dict:
@@ -273,7 +274,7 @@ def adjoint_pi(lams) -> dict:
     Returns {(p, q): diagonal entries of d_pq} (0-indexed), verified against
     the commutator computed through the generic gl-action machinery.
     """
-    lams = [_as_fraction(x) for x in lams]
+    lams = [_as_q(x) for x in lams]
     n = len(lams)
     if len(set(lams)) != n:
         raise ValueError("eigenvalues must be distinct")
@@ -285,11 +286,11 @@ def adjoint_pi(lams) -> dict:
                 continue
             # dual route: the generic action of e_pq on the coordinates of e_qp
             w = rep.act(_e(lams, p, q), _e(lams, q, p))
-            diag = [w.get(i * (n + 1), Q0) for i in range(n)]
+            diag = [exact(w.get(i * (n + 1), 0)) for i in range(n)]
             d = (lams[q] - lams[p]) ** 2
-            expected = [Q0] * n
-            expected[p] = -1 / d
-            expected[q] = 1 / d
+            expected = [0] * n
+            expected[p] = qdiv(-1, d)
+            expected[q] = qdiv(1, d)
             if diag != expected:
                 raise AssertionError("adjoint Pi table mismatch between routes")
             # off-resonance entries (r,s) != (q,p) must have no diagonal part
@@ -299,7 +300,7 @@ def adjoint_pi(lams) -> dict:
 
 def adjoint_offdiagonal_vanishing(lams) -> bool:
     """Pi(e_rs, e_pq) has no normal (diagonal) component unless (rs) = (qp)."""
-    lams = [_as_fraction(x) for x in lams]
+    lams = [_as_q(x) for x in lams]
     n = len(lams)
     rep = ConjRep(n)
     for p, q, r, s in itertools.product(range(n), repeat=4):
@@ -339,7 +340,7 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
     x, the exact Pi carries an extra scalar 1/(mu - lam); the displayed table
     is the block-diagonal part of [Xhat, Yhat], which is what we verify.
     """
-    lam, mu = _as_fraction(lam), _as_fraction(mu)
+    lam, mu = _as_q(lam), _as_q(mu)
     if lam == mu or not lam or not mu:
         raise ValueError("blocks need distinct nonzero scalars")
     m = X.rows
@@ -363,11 +364,11 @@ def block_pi_verify(X: Mat, Y: Mat, lam, mu) -> bool:
                 return False
     # scaled route: fields with value Xhat, Yhat at x come from Xhat/(mu-lam)
     # and Yhat/(lam-mu); their Pi is the commutator route divided by (mu-lam).
-    s = 1 / (mu - lam)
+    s = qdiv(1, mu - lam)
     w = rep.act(rep.to_coords(Yhat.scale(-s)), rep.to_coords(Xhat))
     for i in range(n):
         for j in range(n):
-            if (i < m) == (j < m) and w.get(i * n + j, Q0) != disp.a[i][j] * s:
+            if (i < m) == (j < m) and w.get(i * n + j, 0) != disp.a[i][j] * s:
                 return False
     return True
 
@@ -380,7 +381,7 @@ def cyc_power(n: int, k: int) -> Mat:
     """c^k: c^k(i, j) = 1 iff j - i = k mod n."""
     m = Mat.zeros(n, n)
     for i in range(n):
-        m.a[i][(i + k) % n] = Q1
+        m.a[i][(i + k) % n] = 1
     return m
 
 
@@ -390,13 +391,12 @@ def cyclic_shift(n: int) -> Mat:
 
 
 def ell_matrix(n: int) -> Mat:
-    return Mat([[_as_fraction(i + 1) if i == j else Q0 for j in range(n)]
-                for i in range(n)])
+    return Mat([[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def ell_bar(n: int) -> Mat:
-    c = Fraction(n + 1, 2)
-    return Mat([[(i + 1 - c) if i == j else Q0 for j in range(n)]
+    c = qdiv(n + 1, 2)
+    return Mat([[(i + 1 - c) if i == j else 0 for j in range(n)]
                 for i in range(n)])
 
 
@@ -413,38 +413,35 @@ def L_op(n: int, i: int) -> Mat:
 def shifted_diagonal_sums(m: Mat) -> list:
     """[sum over D_k of entries] for k = 0..n-1; zero vector iff m in S."""
     n = m.rows
-    return [sum((m.a[i][(i + k) % n] for i in range(n)), Q0) for k in range(n)]
+    return [exact(sum(m.a[i][(i + k) % n] for i in range(n))) for k in range(n)]
 
 
 def p_trace(n: int, i: int, j: int) -> list:
     """Components of Pi(L_i, L_j) on c^0..c^{n-1} via the trace formula:
-    p^k = (1/n) Tr([L_j, [L_i, c]] (c^k)^T)."""
+    p^k = (1/n) Tr([L_j, [L_i, c]] (c^k)^T), where Tr(A (c^k)^T) is the sum
+    of A over the k-th shifted diagonal (`shifted_diagonal_sums`)."""
     c = cyclic_shift(n)
     Li, Lj = L_op(n, i), L_op(n, j)
     inner = Li * c - c * Li
     outer = Lj * inner - inner * Lj
-    out = []
-    for k in range(n):
-        ck = cyc_power(n, k)
-        out.append((outer * ck.transpose()).trace() / n)
-    return out
+    return [qdiv(q, n) for q in shifted_diagonal_sums(outer)]
 
 
 def p_closed(n: int, i: int, j: int) -> list:
     """Closed form: p^k = (n-1)-(i+j) when k != 0 and k = i+j+1 mod n, else 0."""
-    out = [Q0] * n
+    out = [0] * n
     k = (i + j + 1) % n
     if k != 0:
-        out[k] = _as_fraction((n - 1) - (i + j))
+        out[k] = (n - 1) - (i + j)
     return out
 
 
-def gamma_squared(s: Mat, c: Mat) -> Fraction:
-    """Compression gamma(s)^2 = |[s, c]|^2 / |s|^2 (Frobenius)."""
+def gamma_squared(s: Mat, c: Mat):
+    """Compression gamma(s)^2 = |[s, c]|^2 / |s|^2 (Frobenius), by `qdiv`."""
     t = s * c - c * s
-    num = sum((x * x for row in t.a for x in row), Q0)
-    den = sum((x * x for row in s.a for x in row), Q0)
-    return num / den
+    num = sum(x * x for row in t.a for x in row)
+    den = sum(x * x for row in s.a for x in row)
+    return qdiv(num, den)
 
 
 def cyclic_shift_suite(n: int) -> dict:
@@ -482,29 +479,28 @@ def cyclic_shift_suite(n: int) -> dict:
     gamma_constant = all(gamma_squared(ell_ij(n, i, j), c) == g2
                          for i in range(n) for j in range(n))
     even = [Fraction(1, n - 1)] * (n - 1)
-    even_num = sum((d * d for d in even), Q0)
+    even_num = sum(d * d for d in even)
     perturbed_ok = True
     for k in range(n - 1):
         for eps in (Fraction(1, 3), Fraction(-1, 2)):
             d = list(even)
             d[k] += eps
             d[(k + 1) % (n - 1)] -= eps
-            if sum((x * x for x in d), Q0) <= even_num:
+            if sum(x * x for x in d) <= even_num:
                 perturbed_ok = False
 
     # chart flags: Pi_C(L_i, L_i) = 0 iff every component with k != 1 vanishes
     flags = []
     for i in range(n):
         comps = list(P[i][i])
-        comps[1] = Q0
+        comps[1] = 0
         if not any(comps):
             flags.append(i)
 
     # assemble the Gauss tensor from the exact P tables (normal Gram = n I)
     curv = CurvatureData(
         pi=[[P[i][j] for j in range(n)] for i in range(n)],
-        normal_gram=[[(_as_fraction(n) if r == q else Q0) for q in range(n)]
-                     for r in range(n)])
+        normal_gram=[[n if r == q else 0 for q in range(n)] for r in range(n)])
     riemann_and_ricci(curv)
     L = n
     antisym = all(curv.riemann[i][j][k][l] == -curv.riemann[j][i][k][l]

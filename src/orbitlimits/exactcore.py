@@ -1,8 +1,13 @@
 """Exact scalars (Q, Q[t]) and exact linear algebra.
 
 Everything downstream (stabilizers, local models, limit algebras) reduces to
-kernels, solves and determinants over the rationals (`Fraction`), and to
-determinants and ranks over Q[t] (`UniPoly`, sparse dict rep).
+kernels, solves and determinants over the rationals, and to determinants
+and ranks over Q[t] (`UniPoly`, sparse dict rep).
+
+One scalar rule holds throughout: a rational value that is an integer is an
+`int` and any other is a `Fraction` (`exact`), in sparse vectors, dense
+vectors, `Mat` entries and `UniPoly` coefficients alike, and no quotient is
+`int / int`: every division over Q goes through `qdiv`.
 
 A vector is a sparse dict {index: value} with no stored zeros; `Mat` is
 a dense row-major matrix, and `sparse` and `dense` convert at the edges.  All
@@ -12,16 +17,13 @@ vector modulo the span (the quotient map), membership, coordinates, free
 columns, the orthogonal complement -- and `kernel`, `rref`, `nullspace`,
 `rank` and `solve` read their answers off it.  Inside, its rows are
 primitive integer vectors, eliminated fraction-free with the content divided
-out.  A sparse vector over Q holds an integer value as an `int` and any
-other as a `Fraction` (`exact`); a `Mat`, a dense vector and a `UniPoly`
-hold `Fraction`s, and no quotient is `int / int`.  Over Q[t], fraction-free
-Bareiss elimination on sparse rows gives determinants and ranks over Q(t)
-without a rational function, at a cost in proportion to the nonzeros.
+out.  Fraction-free Bareiss elimination on sparse rows gives determinants
+over Q, in `int`s for an integer matrix, and determinants and ranks over
+Q(t) without a rational function, at a cost in proportion to the nonzeros.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -35,18 +37,46 @@ def exact(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def qdiv(a, b):
+    """a / b over Q by the scalar rule: `a // b` where the integer b divides
+    the integer a, `Fraction(a, b)` for other integers, and `exact(a / b)`
+    when an operand is a `Fraction`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(a / b)
+
+
+def as_strings(x):
+    """A rational, or nested lists or tuples of them, with each rational as
+    its string, as the JSON output writes it: an integer value is an `int`,
+    which would otherwise be written as a JSON number, like a count."""
+    return [as_strings(y) for y in x] if isinstance(x, (list, tuple)) else str(x)
+
+
+def _as_q(x):
+    """x as a scalar of Q under the rule: an `int` or a non-integer `Fraction`."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to Fraction")
+    if isinstance(x, Fraction):
+        return exact(x)
+    if isinstance(x, (int, str)):
+        return exact(Fraction(x))
+    raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
+def _poly(c: dict) -> "UniPoly":
+    """The UniPoly with the coefficient dict c, which it takes over; c holds
+    no zero and follows the scalar rule."""
+    out = UniPoly.__new__(UniPoly)
+    out.c = c
+    return out
 
 
 class UniPoly:
-    """Sparse polynomial in t over Q with `Fraction` coefficients.  Immutable."""
+    """Sparse polynomial in t over Q: {exponent: coefficient}, each
+    coefficient nonzero, an `int` if it is an integer and a `Fraction`
+    otherwise.  Immutable."""
 
     __slots__ = ("c",)
 
@@ -54,7 +84,7 @@ class UniPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _as_fraction(v)
+                v = _as_q(v)
                 if v:
                     c[int(e)] = v
         self.c = c
@@ -62,11 +92,11 @@ class UniPoly:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(v) -> "UniPoly":
-        return UniPoly({0: _as_fraction(v)})
+        return UniPoly({0: v})
 
     @staticmethod
     def t(e: int = 1, coef=1) -> "UniPoly":
-        return UniPoly({e: _as_fraction(coef)})
+        return UniPoly({e: coef})
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -76,7 +106,7 @@ class UniPoly:
     def coerce(x) -> "UniPoly":
         if isinstance(x, UniPoly):
             return x
-        return UniPoly.const(_as_fraction(x))
+        return UniPoly.const(x)
 
     # -- structure ----------------------------------------------------
     def __bool__(self):
@@ -90,19 +120,19 @@ class UniPoly:
         """Smallest exponent with nonzero coefficient; -1 for zero."""
         return min(self.c) if self.c else -1
 
-    def lc(self) -> Fraction:
-        return self.c[self.degree()] if self.c else Q0
+    def lc(self):
+        return self.c[self.degree()] if self.c else 0
 
-    def coeff(self, e: int) -> Fraction:
-        return self.c.get(e, Q0)
+    def coeff(self, e: int):
+        return self.c.get(e, 0)
 
     def is_const(self) -> bool:
         return not self.c or set(self.c) == {0}
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.c.get(0, Q0)
+        return self.c.get(0, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,21 +151,17 @@ class UniPoly:
         other = UniPoly.coerce(other)
         c = dict(self.c)
         for e, v in other.c.items():
-            w = c.get(e, Q0) + v
+            w = exact(c[e] + v) if e in c else v
             if w:
                 c[e] = w
             else:
-                c.pop(e, None)
-        out = UniPoly.__new__(UniPoly)
-        out.c = c
-        return out
+                del c[e]
+        return _poly(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = UniPoly.__new__(UniPoly)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
+        return _poly({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -147,25 +173,17 @@ class UniPoly:
         if not isinstance(other, _POLY_OPERANDS):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            v = _as_fraction(other)
+            v = _as_q(other)
             if not v:
                 return UniPoly.zero()
-            out = UniPoly.__new__(UniPoly)
-            out.c = {e: w * v for e, w in self.c.items()}
-            return out
+            return _poly({e: exact(w * v) for e, w in self.c.items()})
         other = UniPoly.coerce(other)
-        c: dict[int, Fraction] = {}
+        c: dict = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = c.get(e, Q0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = UniPoly.__new__(UniPoly)
-        out.c = c
-        return out
+                e, p = e1 + e2, v1 * v2
+                c[e] = c[e] + p if e in c else p
+        return _poly({e: exact(w) for e, w in c.items() if w})
 
     __rmul__ = __mul__
 
@@ -190,35 +208,29 @@ class UniPoly:
         """Multiply by t**k (k may be negative if the valuation allows)."""
         if k < 0 and self.c and min(self.c) + k < 0:
             raise ValueError("negative exponent in shift")
-        out = UniPoly.__new__(UniPoly)
-        out.c = {e + k: v for e, v in self.c.items()}
-        return out
+        return _poly({e + k: v for e, v in self.c.items()})
 
     def divmod(self, other: "UniPoly"):
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         r = dict(self.c)
-        q: dict[int, Fraction] = {}
+        q: dict = {}
         dlc = other.lc()
         dd = other.degree()
         while r:
             e = max(r)
             if e < dd:
                 break
-            f = r[e] / dlc
+            f = qdiv(r[e], dlc)
             q[e - dd] = f
             for e2, v2 in other.c.items():
                 ee = e - dd + e2
-                w = r.get(ee, Q0) - f * v2
+                w = exact(r.get(ee, 0) - f * v2)
                 if w:
                     r[ee] = w
                 else:
-                    r.pop(ee, None)
-        qq = UniPoly.__new__(UniPoly)
-        qq.c = q
-        rr = UniPoly.__new__(UniPoly)
-        rr.c = r
-        return qq, rr
+                    del r[ee]
+        return _poly(q), _poly(r)
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -227,24 +239,24 @@ class UniPoly:
         return q
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
+        """The monic gcd; 0 if both are 0."""
         a, b = self, other
         while b:
             a, b = b, a.divmod(b)[1]
-        if not a:
-            return a
-        return a * (1 / a.lc())
+        return a.monic()
 
     def monic(self) -> "UniPoly":
         if not self:
             return self
-        return self * (1 / self.lc())
+        lc = self.lc()
+        return _poly({e: qdiv(v, lc) for e, v in self.c.items()})
 
-    def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
-        r = Q0
+    def __call__(self, x):
+        x = _as_q(x)
+        r = 0
         for e, v in self.c.items():
             r += v * x**e
-        return r
+        return exact(r)
 
     def derivative(self) -> "UniPoly":
         return UniPoly({e - 1: v * e for e, v in self.c.items() if e})
@@ -286,7 +298,7 @@ class RationalFn:
             if g.degree() > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lcinv = 1 / den.lc()
+            lcinv = qdiv(1, den.lc())
             if lcinv != 1:
                 num = num * lcinv
                 den = den * lcinv
@@ -343,14 +355,14 @@ class RationalFn:
     def as_poly(self) -> UniPoly:
         if not self.is_poly():
             raise ValueError("not a polynomial")
-        return self.num * (1 / self.den.const_value())
+        return self.num * qdiv(1, self.den.const_value())
 
-    def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
+    def __call__(self, x):
+        x = _as_q(x)
         d = self.den(x)
         if not d:
             raise ZeroDivisionError(f"pole at t={x}")
-        return self.num(x) / d
+        return qdiv(self.num(x), d)
 
     def __repr__(self):
         if self.den.is_const():
@@ -363,7 +375,9 @@ class RationalFn:
 
 
 class Mat:
-    """Dense row-major matrix over Fraction or UniPoly."""
+    """Dense row-major matrix over Q, by the scalar rule (an `int` for an
+    integer entry, else a `Fraction`), or over Q[t] (`UniPoly`).  The
+    arithmetic keeps the rule: an integer result is an `int`."""
 
     __slots__ = ("rows", "cols", "a")
 
@@ -378,14 +392,14 @@ class Mat:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zeros(r: int, c: int, zero=Q0) -> "Mat":
+    def zeros(r: int, c: int, zero=0) -> "Mat":
         return Mat([[zero] * c for _ in range(r)], c)
 
     @staticmethod
     def identity(n: int) -> "Mat":
         m = Mat.zeros(n, n)
         for i in range(n):
-            m.a[i][i] = Q1
+            m.a[i][i] = 1
         return m
 
     @staticmethod
@@ -394,7 +408,7 @@ class Mat:
 
     @staticmethod
     def rational(rows) -> "Mat":
-        return Mat([[_as_fraction(x) for x in r] for r in rows])
+        return Mat([[_as_q(x) for x in r] for r in rows])
 
     # -- access -------------------------------------------------------
     def __getitem__(self, ij):
@@ -419,22 +433,22 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
+        return Mat([[exact(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
+        return Mat([[exact(x - y) for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
 
     def __neg__(self) -> "Mat":
         return self.map(lambda x: -x)
 
     def scale(self, s) -> "Mat":
-        return self.map(lambda x: x * s)
+        return self.map(lambda x: exact(x * s))
 
     def __mul__(self, other: "Mat") -> "Mat":
         """Row-by-row sparse product (Gustavson 1978): row i of the result
         accumulates A[i][k] * B[k][j] over the nonzeros of A's row i and of
         B's row k only, in increasing k.  An entry that gets no term is a
-        fresh zero of the type of A's row."""
+        fresh zero of the ring of A's row."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in other.a]
@@ -449,8 +463,8 @@ class Mat:
                     p = x * y
                     s = acc.get(j)
                     acc[j] = p if s is None else s + p
-            zero = _zero_like(r[0] if r else Q0)
-            out.append([acc.get(j, zero) for j in range(m)])
+            zero = _zero_like(r[0] if r else 0)
+            out.append([zero if (x := acc.get(j)) is None else exact(x) for j in range(m)])
         return Mat(out, m)
 
     def apply(self, v: Sequence) -> list:
@@ -463,14 +477,14 @@ class Mat:
                     continue
                 p = x * y
                 s = p if s is None else s + p
-            out.append(s if s is not None else Q0)
+            out.append(0 if s is None else exact(s))
         return out
 
     def trace(self):
         s = self.a[0][0]
         for i in range(1, self.rows):
             s = s + self.a[i][i]
-        return s
+        return exact(s)
 
     def __repr__(self):
         return "Mat(" + ",\n    ".join(repr(r) for r in self.a) + ")"
@@ -478,7 +492,7 @@ class Mat:
 
 def _zero_like(x):
     """The zero of the scalar ring of x."""
-    return Q0 if isinstance(x, (Fraction, int)) else x - x
+    return 0 if isinstance(x, (Fraction, int)) else x - x
 
 
 def rref(m: Mat):
@@ -491,7 +505,7 @@ def rref(m: Mat):
     ech = Subspace(m.cols, map(sparse, m.a), combos=False).rows
     pivots = sorted(ech)
     out = [dense(ech[p], m.cols) for p in pivots]
-    out += [[Q0] * m.cols for _ in range(m.rows - len(pivots))]
+    out += [[0] * m.cols for _ in range(m.rows - len(pivots))]
     return out, pivots
 
 
@@ -535,7 +549,7 @@ def _ring(entries: Iterable):
     """(coerce, one, exact division) of Q[t] if any entry is a UniPoly, else of Q."""
     if any(isinstance(x, UniPoly) for x in entries):
         return UniPoly.coerce, UniPoly.const(1), UniPoly.exact_div
-    return _as_fraction, Q1, operator.truediv
+    return _as_q, 1, qdiv
 
 
 def _bareiss(rows: list[dict], cols: Iterable[int], one, div):
@@ -580,8 +594,10 @@ def _bareiss(rows: list[dict], cols: Iterable[int], one, div):
 
 
 def det_bareiss(m: Mat):
-    """Fraction-free determinant (`_bareiss`) over Fraction or UniPoly entries,
-    on sparse rows.  Returns a UniPoly if any entry is one, else a Fraction."""
+    """Fraction-free determinant (`_bareiss`) over Q or Q[t], on sparse rows.
+    Returns a UniPoly if any entry is one, else a rational by the scalar rule:
+    an `int` for an integer determinant, eliminated in `int`s when every entry
+    is an `int`."""
     n = m.rows
     if m.cols != n:
         raise ValueError("determinant of non-square matrix")
@@ -593,7 +609,7 @@ def det_bareiss(m: Mat):
             return _zero_like(one)
         if swapped:
             sign = -sign
-    return -d if sign < 0 else d
+    return exact(-d if sign < 0 else d)
 
 
 def rank_qt(vectors: Sequence[dict]) -> int:
@@ -651,10 +667,9 @@ def sparse(v: Sequence) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
-def dense(v: dict, dim: int, zero=Q0) -> list:
-    """v as a dense list of length dim, zero elsewhere, each `int` a `Fraction`."""
-    return [zero if (x := v.get(i)) is None else Fraction(x) if type(x) is int else x
-            for i in range(dim)]
+def dense(v: dict, dim: int, zero=0) -> list:
+    """v as a dense list of length dim, zero elsewhere."""
+    return [v.get(i, zero) for i in range(dim)]
 
 
 def _sub_scaled(d: dict, c, s: dict) -> None:

@@ -16,9 +16,7 @@ Variable conventions:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactcore import Mat, Q0, Q1, UniPoly
+from .exactcore import Mat, UniPoly
 from .lierep import Form, group_act_form
 from .limits import OnePS
 
@@ -31,14 +29,14 @@ def _cubic(*terms) -> Form:
         e = [0] * 9
         for i in idx:
             e[i] += 1
-        out[tuple(e)] = Fraction(c)
+        out[tuple(e)] = c
     return Form(9, 3, out)
 
 
 def _det3_of(*entries) -> Form:
     """det3 with matrix entry k (row-major) replaced by the linear form
     entries[k], given as {variable index: coefficient}."""
-    A = Mat([[Fraction(e.get(j, 0)) for j in range(9)] for e in entries])
+    A = Mat([[e.get(j, 0) for j in range(9)] for e in entries])
     return group_act_form(A, det3_form())
 
 
@@ -110,7 +108,7 @@ def o3_form() -> Form:
     for _, e1 in sq:
         for _, e2 in sq:
             key = tuple(a + b for a, b in zip(e1, e2))
-            terms[key] = terms.get(key, Q0) + Q1
+            terms[key] = terms.get(key, 0) + 1
     return Form(3, 4, terms)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactcore import Q0, Q1, Mat, _as_fraction, solve
+from .exactcore import Mat, _as_q, exact, qdiv, solve
 from .lierep import ConjRep, SymRep
 
 # kempf_descent: starts on a semistable v, iterations per start, and the
@@ -56,7 +56,7 @@ GRID_RESOLUTION = 20
 @dataclass(frozen=True)
 class WeightComponent:
     chi: tuple[int, ...]
-    norm_sq: Fraction
+    norm_sq: int | Fraction
     coords: dict  # sparse V-coordinate vector of v_chi
 
 
@@ -101,11 +101,11 @@ def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
             w[i] += 1
             w[j] -= 1
             chi = tuple(w)
-        groups.setdefault(chi, {})[idx] = _as_fraction(c)
+        groups.setdefault(chi, {})[idx] = _as_q(c)
     comps = []
     for chi in sorted(groups):
         coords = groups[chi]
-        nsq = sum((x * x for x in coords.values()), Q0)
+        nsq = exact(sum(x * x for x in coords.values()))
         comps.append(WeightComponent(chi, nsq, coords))
     return WeightSupport(n=n, components=comps)
 
@@ -155,16 +155,17 @@ def leading_term_along(ell, support: WeightSupport):
 # the exact optimum: Wolfe's minimum-norm point
 
 
-def _affine_min_norm(S: list) -> list[Fraction]:
+def _affine_min_norm(S: list) -> list:
     """Barycentric coordinates of the minimum-norm point of the affine hull
     of the affinely independent points S: the solution alpha of
-    [G 1; 1^T 0] (alpha, theta) = (0, 1), G the Gram matrix of S."""
+    [G 1; 1^T 0] (alpha, theta) = (0, 1), G the Gram matrix of S, by the
+    scalar rule (an `int` for an integer coordinate)."""
     k = len(S)
     rows = [[pairing(a, b) for b in S] + [1] for a in S] + [[1] * k + [0]]
     return solve(Mat.rational(rows), [[0] * k + [1]])[0][:k]
 
 
-def kempf_optimum(support: WeightSupport) -> tuple[tuple[Fraction, ...], Fraction]:
+def kempf_optimum(support: WeightSupport) -> tuple[tuple, int | Fraction]:
     """(p, |p|^2): the minimum-norm point p of the convex hull of the weights
     projected to the trace-zero plane, chi - (sum chi / n) 1, in rationals.
 
@@ -179,7 +180,7 @@ def kempf_optimum(support: WeightSupport) -> tuple[tuple[Fraction, ...], Fractio
     n = support.n
     pts = sorted({tuple(n * x - sum(chi) for x in chi) for chi in support.weights})
     S = [min(pts, key=lambda q: pairing(q, q))]
-    lam = [Q1]
+    lam = [1]
     while True:
         # x = sum lam_i S_i, as an integer vector xi over the denominator den
         den = math.lcm(*(c.denominator for c in lam))
@@ -192,18 +193,18 @@ def kempf_optimum(support: WeightSupport) -> tuple[tuple[Fraction, ...], Fractio
         if pairing(xi, q) * den >= xx:
             break
         S.append(q)
-        lam.append(Q0)
+        lam.append(0)
         while True:
             alpha = _affine_min_norm(S)
             if all(a > 0 for a in alpha):
                 lam = alpha
                 break
-            theta = min(c / (c - a) for c, a in zip(lam, alpha) if a <= 0)
-            lam = [theta * a + (1 - theta) * c for c, a in zip(lam, alpha)]
+            theta = min(qdiv(c, c - a) for c, a in zip(lam, alpha) if a <= 0)
+            lam = [exact(theta * a + (1 - theta) * c) for c, a in zip(lam, alpha)]
             S = [s for s, c in zip(S, lam) if c > 0]
             lam = [c for c in lam if c > 0]
     d = den * n
-    return tuple(Fraction(x, d) for x in xi), Fraction(xx, d * d)
+    return tuple(qdiv(x, d) for x in xi), qdiv(xx, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +254,8 @@ class KempfResult:
     converged: bool
     iterations: int
     max_residual: float
-    min_norm_point: tuple[Fraction, ...]   # p of `kempf_optimum`
-    mu_star_squared: Fraction              # |p|^2; v is unstable iff it is > 0
+    min_norm_point: tuple                  # p of `kempf_optimum`, rationals
+    mu_star_squared: int | Fraction        # |p|^2; v is unstable iff it is > 0
 
 
 def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0) -> KempfResult:

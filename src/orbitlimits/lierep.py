@@ -22,8 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactcore import (Mat, Q0, Q1, Subspace, _as_fraction, _zero_like, dense, exact, kernel,
-                        transpose)
+from .exactcore import Mat, Subspace, _as_q, _zero_like, dense, exact, kernel, transpose
 
 
 class Form:
@@ -170,7 +169,7 @@ class ConjRep:
     def from_coords(self, v: dict) -> Mat:
         """The matrix with coordinates v; its zeros are like v's entries."""
         n = self.n
-        flat = dense(v, self.dim, _zero_like(next(iter(v.values()), Q0)))
+        flat = dense(v, self.dim, _zero_like(next(iter(v.values()), 0)))
         return Mat([flat[i * n:(i + 1) * n] for i in range(n)], n)
 
     def act_elementary(self, i: int, j: int, v: dict) -> dict:
@@ -241,7 +240,7 @@ def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:
     """Exponent->coefficient mapping of f after x_i -> sum_j rows[i][j]*x_j.
 
-    Coefficients may be Fraction or UniPoly (for polynomial families A(t));
+    Coefficients may be rationals or UniPolys (for polynomial families A(t));
     the result dict is over whatever scalar type closes under + and *.
     """
     nv = f.nvars
@@ -278,15 +277,15 @@ def group_act_form(A: Mat, f: Form) -> Form:
     return Form(f.nvars, f.degree, substitute_linear(f, A.a))
 
 
-def elementary(n: int, i: int, j: int, coef=Q1) -> Mat:
+def elementary(n: int, i: int, j: int, coef=1) -> Mat:
     m = Mat.zeros(n, n)
-    m.a[i][j] = _as_fraction(coef) if isinstance(coef, (int, str, Fraction)) else coef
+    m.a[i][j] = _as_q(coef) if isinstance(coef, (int, str, Fraction)) else coef
     return m
 
 
 def action_matrix(rep: Representation, g: dict) -> Mat:
     """The dim(V) x dim(V) matrix of the action of g on the chosen basis."""
-    return Mat.from_cols([dense(rep.act(g, {k: Q1}), rep.dim) for k in range(rep.dim)])
+    return Mat.from_cols([dense(rep.act(g, {k: 1}), rep.dim) for k in range(rep.dim)])
 
 
 def _action_map_cols(rep: Representation, v: dict) -> list[dict]:

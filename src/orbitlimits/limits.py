@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactcore import (Mat, Subspace, UniPoly, column_normalize, det_bareiss, exact,
-                        kernel, rank_qt, sparse, transpose)
+from .exactcore import (Mat, Subspace, UniPoly, column_normalize, det_bareiss, kernel,
+                        qdiv, rank_qt, sparse, transpose)
 from .lierep import (ConjRep, Form, SymRep, bracket,
                      group_act_form, lin_comb, stabilizer_algebra)
 from .localmodel import LocalModel, NotTransverse, build_local_model, gl_act_weights, weight_split
@@ -166,7 +166,7 @@ def _weight_kernel(vectors: Sequence[dict], coord_weights: Sequence[int], keep) 
 
 def _at_zero(v: dict) -> dict:
     """The value at t = 0 of a vector over Q[t]: its constant coefficients."""
-    return {j: exact(y) for j, x in v.items() if (y := x.coeff(0))}
+    return {j: y for j, x in v.items() if (y := x.coeff(0))}
 
 
 def _pure_weights(vectors: Sequence[dict], coord_weights: Sequence[int]) -> list[int]:
@@ -413,7 +413,7 @@ def _poly_xgcd(a: UniPoly, b: UniPoly):
     if not r0:
         return r0, s0, t0
     lc = r0.lc()
-    inv = Fraction(1) / lc
+    inv = qdiv(1, lc)
     return (r0 * UniPoly.const(inv), s0 * UniPoly.const(inv), t0 * UniPoly.const(inv))
 
 
@@ -495,7 +495,7 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
     # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
     pk_alphas = _weight_kernel(K, glw, lambda w: w < 0)
     rng = random.Random(seed)
-    alphas = pk_alphas + [lin_comb(sparse([Fraction(rng.randint(-3, 3)) for _ in pk_alphas]),
+    alphas = pk_alphas + [lin_comb(sparse([rng.randint(-3, 3) for _ in pk_alphas]),
                                    pk_alphas)
                           for _ in range(CASE_B_TRIES if pk_alphas else 0)]
     f_coords = rep.to_coords(f)
@@ -518,7 +518,7 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
             continue  # g must stay the leading term of f^u
         ellfu = Form(f.nvars, f.degree, {})
         for c, form in comps_u.items():
-            ellfu = ellfu + form.scale(Fraction(c))
+            ellfu = ellfu + form.scale(c)
         if (not rep.act(k_pure, rep.to_coords(fu))
                 and not rep.act(k_pure, rep.to_coords(exp_f.g))
                 and not rep.act(k_pure, rep.to_coords(ellfu))):
@@ -586,7 +586,7 @@ def _unipotent_inverse(u: Mat) -> Mat:
     inv = Mat.identity(n)
     term = Mat.identity(n)
     for _ in range(n):
-        term = (term * z).scale(Fraction(-1))
+        term = (term * z).scale(-1)
         inv = inv + term
     if any(x for row in ((u * inv) - Mat.identity(n)).a for x in row):
         raise ValueError("matrix is not unipotent")

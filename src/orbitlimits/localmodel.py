@@ -11,6 +11,7 @@ dicts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -61,7 +62,7 @@ class LocalModel:
         if H_span is not None:
             self.H_span = H_span
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
-        self._units = {j: len(N) - len(units) + i for i, j in enumerate(units)}  # column -> N index
+        self._units = units           # increasing columns of N's unit vectors, which end N
         self._theta_cache = None
 
     @cached_property
@@ -73,12 +74,13 @@ class LocalModel:
     def split_V(self, v: dict) -> tuple[dict, dict]:
         """(λ_S v, λ_N v): the coefficients of v over S.x = TO and over N; v's
         residue modulo V, zero at V's pivots, gives those of the unit vectors."""
-        k = len(self.TO)
-        for w in self.N[len(self.V) - k:len(self.N) - len(self._units)]:
+        k, units = len(self.TO), self._units
+        first_unit = len(self.N) - len(units)
+        for w in self.N[len(self.V) - k:first_unit]:
             self.V.add(w)
         r, A = self.V.split(v)
         n = {g - k: c for g, c in A.items() if g >= k}
-        n.update((self._units[j], c) for j, c in r.items())
+        n.update((first_unit + bisect_left(units, j), c) for j, c in r.items())
         return {g: c for g, c in A.items() if g < k}, n
 
     def lamS(self, v: dict) -> dict:

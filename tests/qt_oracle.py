@@ -30,7 +30,7 @@ def _unipoly(p) -> UniPoly:
 def poly_parts(x) -> tuple[UniPoly, UniPoly]:
     """(numerator, denominator) of an element of QQ(t), the denominator monic."""
     num, den = _unipoly(x.numer), _unipoly(x.denom)
-    inv = 1 / den.lc()
+    inv = Fraction(1) / den.lc()
     return num * inv, den * inv
 
 

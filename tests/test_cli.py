@@ -446,6 +446,81 @@ def test_rationals_of_an_integer_form_are_json_strings(tmp_path, capsys, cmd, co
     assert all(type(doc[k]) is int for k in counts)
 
 
+def _at(doc, path):
+    """The values of doc at a path of keys, where "*" runs over a list."""
+    if not path:
+        return [doc]
+    key, rest = path[0], path[1:]
+    return [v for x in (doc if key == "*" else [doc[key]]) for v in _at(x, rest)]
+
+
+def _leaves(x):
+    if isinstance(x, (list, dict)):
+        return [y for v in (x.values() if isinstance(x, dict) else x) for y in _leaves(v)]
+    return [x]
+
+
+# (command, input, the paths of its rationals, the paths of its counts); a
+# path is a key sequence, "*" for every element of a list
+OUTPUT_TYPES = {
+    "curvature-sphere": ("curvature", {"kind": "sphere", "dim": 3, "r": "1"}, [["ricci"]], []),
+    "curvature-adjoint": ("curvature", {"kind": "adjoint", "lams": ["1", "2", "4"]},
+                          [["d"]], []),
+    "curvature-cyclic": ("curvature", {"kind": "cyclic", "n": 5},
+                         [["p_tables"], ["gamma_squared"], ["ricci"]],
+                         [["n"], ["chart_vanishing_L"]]),
+    "slice-jn": ("slice", {"kind": "jn", "n": 4}, [["samples", "*", "c"]],
+                 [["n"], ["dim_H"], ["dim_S"], ["dim_N"], ["samples", "*", "stabilizer_dim"]]),
+    "slice-jab": ("slice", {"kind": "jab", "a": 3, "b": 2}, [],
+                  [["a"], ["b"], ["dim_H"], ["dim_C"], ["nilpotent_family", "*", "i"],
+                   ["nilpotent_family", "*", "signature"], ["nilpotent_family", "*", "expected"],
+                   ["divisibility_sample", "min_poly_degree"]]),
+    "closure-witness": ("closure", {"spec": [{"eig": "1", "sizes": [2]},
+                                             {"eig": "-1/2", "sizes": [1]}],
+                                    "partition": [2, 1]},
+                        [["witness", "x_prime"]],
+                        [["transpose_block_spectrum"], ["partition"], ["witness", "weights"],
+                         ["witness", "leading_power"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_TYPES))
+def test_every_rational_is_a_json_string_and_every_count_an_integer(tmp_path, capsys, name):
+    cmd, doc, rationals, counts = OUTPUT_TYPES[name]
+    code, out, err = _run(capsys, [cmd, "--input", _write(tmp_path, "in.json", doc)])
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    values = [x for p in rationals for v in _at(doc, p) for x in _leaves(v)]
+    assert all(isinstance(x, str) and Fraction(x) is not None for x in values)
+    # integer rationals are what an int would leak as a JSON number
+    assert not rationals or any("/" not in x for x in values)
+    ints = [x for p in counts + [["schema"]] for v in _at(doc, p) for x in _leaves(v)]
+    assert ints and all(type(x) is int for x in ints)
+    # every other value is a flag
+    assert len(_leaves(doc)) == len(values) + len(ints) + sum(
+        type(x) is bool for x in _leaves(doc))
+
+
+# the reproduce checks whose values are rationals; every other check's are
+# counts or flags
+REPRODUCE_RATIONAL_CHECKS = ("P^", "gamma(ell_bar)^2", "Ricci of", "adjoint d_pq", "theta(y^2)",
+                             "(1 + theta(y^2))^-1", "lambda_S(", "S-completion")
+
+
+def test_reproduce_json_writes_rationals_as_strings(capsys):
+    code, out, _ = _run(capsys, ["reproduce", "--format", "json"])
+    assert code == EXIT_OK
+    checks = [c for e in json.loads(out)["examples"].values() for c in e["checks"]]
+    rational = [c for c in checks if c["label"].startswith(REPRODUCE_RATIONAL_CHECKS)]
+    assert len(rational) == 13
+    for c in checks:
+        leaves = _leaves([c["got"], c["expected"]])
+        if c in rational:
+            assert all(isinstance(x, str) and Fraction(x) is not None for x in leaves)
+        else:
+            assert all(type(x) in (int, bool) for x in leaves)
+
+
 def test_to_jsonable_keeps_ints_as_numbers_and_writes_rationals_as_strings():
     assert cli.to_jsonable(3) == 3 and cli.to_jsonable(True) is True
     assert cli.to_jsonable(Fraction(3)) == "3" and cli.to_jsonable(Fraction(-1, 2)) == "-1/2"

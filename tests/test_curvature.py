@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_subspace import exact_types
 from orbitlimits.curvature import (L_op, _e, _project_off, adjoint_offdiagonal_vanishing,
                                    adjoint_pi, block_pi, block_pi_verify,
                                    chart_second_fundamental_form, cyc_power,
@@ -158,27 +159,32 @@ def test_riemann_antisymmetry_on_sphere():
 
 def test_projection_of_int_vectors_is_exact():
     """Integer-valued vectors held as `int`s: the projection off y divides
-    two dot products, and the quotient is a Fraction, never a float."""
+    two dot products through `qdiv`, so an integer entry is an int and any
+    other a Fraction, never a float."""
     got = _project_off([1, 1, 0], [2, 0, 3])
-    assert got == [1, -1, 3] and all(type(x) is Fraction for x in got)
-    assert all(type(x) is Fraction for x in _e([1, 2, 4], 0, 2).values())
+    assert got == [1, -1, 3] and exact_types(got)
+    got = _project_off([1, 1, 1], [1, 0, 0])
+    assert got == [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)] and exact_types(got)
+    assert _e([1, 2, 4], 0, 2) == {2: Fraction(1, 3)} and _e([1, 2, 4], 0, 1) == {1: 1}
+    assert exact_types([*_e([1, 2, 4], 0, 2).values(), *_e([1, 2, 4], 0, 1).values()])
 
 
 def test_chart_form_on_int_inputs_is_exact():
     """The cyclic chart form at n = 3 with y, the S operators, the normal
-    basis and the tangent space all as `int`s equals the reference, entry by
-    entry a Fraction."""
+    basis and the tangent space all as `int`s equals the same computation on
+    `Fraction`s and the reference, entry by entry by the scalar rule."""
     n, rep = 3, ConjRep(3)
-
-    def ints(v):
-        return [int(x) for x in v]
-
     c = rep.to_coords(cyclic_shift(n))
-    S_ops = [Mat([ints(r) for r in action_matrix(rep, rep.to_coords(L_op(n, i))).a])
-             for i in range(n)]
-    N_basis = [ints(dense(rep.to_coords(cyc_power(n, k)), rep.dim)) for k in range(n)]
-    full = [ints(dense(t, rep.dim)) for t in tangent_space(rep, c)]
-    got = chart_second_fundamental_form(ints(dense(c, rep.dim)), S_ops, N_basis,
-                                        full_tangent=full)
-    assert got.pi == cyclic_chart_form(n).pi
-    assert all(type(x) is Fraction for row in got.pi for v in row for x in v)
+    S_ops = [action_matrix(rep, rep.to_coords(L_op(n, i))) for i in range(n)]
+    N_basis = [dense(rep.to_coords(cyc_power(n, k)), rep.dim) for k in range(n)]
+    full = [dense(t, rep.dim) for t in tangent_space(rep, c)]
+    y = dense(c, rep.dim)
+    forms = []
+    for cast in (int, Fraction):
+        def vec(v):
+            return [cast(x) for x in v]
+        forms.append(chart_second_fundamental_form(
+            vec(y), [Mat([vec(r) for r in S.a]) for S in S_ops], [vec(v) for v in N_basis],
+            full_tangent=[vec(t) for t in full]).pi)
+    assert forms[0] == forms[1] == cyclic_chart_form(n).pi
+    assert all(exact_types(v) for pi in forms for row in pi for v in row)

@@ -1,6 +1,8 @@
 """Exact rational/polynomial linear algebra kernel."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 import sympy
 
+from test_subspace import exact_types
+from orbitlimits import exactcore
 from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, UniPoly, column_normalize,
                                    coords_in_basis, det_bareiss,
                                    lin_indep_subset, nullspace, rank, rref,
@@ -161,11 +165,12 @@ def _triple_loop(a, b, zero):
 def _check_product(a, b, zero):
     c = a * b
     assert (c.rows, c.cols) == (a.rows, b.cols)
-    zero_type = type(zero) if a.cols else Fraction         # an empty row has Q0
+    # the zero of the row's ring: the int 0 over Q and for an empty row
+    zero_type = int if isinstance(zero, Fraction) or not a.cols else type(zero)
     for i, row in enumerate(c.a):
         for j, x in enumerate(row):
             if not any(a.a[i][k] and b.a[k][j] for k in range(a.cols)):
-                assert type(x) is zero_type and not x     # the zero of the row's type
+                assert type(x) is zero_type and not x
     return c
 
 
@@ -182,6 +187,7 @@ def test_product_matches_sympy(ab):
     want = _sympy(a) * _sympy(b)
     assert c.a == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)]
                    for i in range(want.rows)]
+    assert all(exact_types(r) for r in c.a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,3 +237,55 @@ def test_column_normalize():
     t, one, zero = UniPoly.t(1, 1), UniPoly.const(1), UniPoly.zero()
     m = column_normalize(Mat.from_cols([[one, zero], [one + t, t * t]]))
     assert m.columns() == [[one, zero], [zero, one]]
+
+
+# ---------------------------------------------------------------------------
+# the division guard
+
+# Every true division in the package, by module, enclosing function and
+# source: float code, or the one exact division, inside `qdiv`.  Over Q an
+# `int / int` would give a float without notice, so a new `/` (or
+# `truediv`) fails this test until it is pinned here.
+DIVISIONS = [
+    ("exactcore", "qdiv", "a / b", "exact, through the helper"),
+    ("conjclosure", "probe_family", "abs(float(pc.coeff(n - k))) / fro ** k", "float code"),
+    ("conjclosure", "probe_family", "1.0 / k", "float code"),
+    ("kempf", "_project_point", "sum(p) / len(p)", "float code"),
+    ("kempf", "_project_point", "x / nrm", "float code"),
+    ("kempf", "_project_gradient", "sum(g) / len(g)", "float code"),
+    ("kempf", "centered_ap_direction", "(n + 1) / 2.0", "float code"),
+    ("kempf", "kempf_descent.logf_and_grad", "x / sw", "float code"),
+    ("kempf", "kempf_descent", "sum(a * a for a in s) / sy", "float code"),
+    ("kempf", "grid_minimize", "q[i] / nrm", "float code"),
+    ("kempf", "grid_minimize", "q[j] / nrm", "float code"),
+    ("kempf", "grid_minimize", "y / nrm", "float code"),
+]
+
+
+def _divisions(path: Path) -> list:
+    """(module, enclosing function, source) of each `/`, `/=` and `truediv`."""
+    src = path.read_text()
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div)
+                    or isinstance(child, ast.Name) and child.id == "truediv"
+                    or isinstance(child, ast.Attribute) and child.attr in ("truediv",
+                                                                           "__truediv__")):
+                out.append((path.stem, ".".join(inner), ast.get_source_segment(src, child)))
+            walk(child, inner)
+
+    walk(ast.parse(src), [])
+    return out
+
+
+def test_every_division_is_pinned():
+    package = Path(exactcore.__file__).parent
+    found = [d for path in sorted(package.glob("*.py")) for d in _divisions(path)]
+    assert sorted(found) == sorted(d[:3] for d in DIVISIONS)
+    assert {d[3] for d in DIVISIONS} == {"float code", "exact, through the helper"}
+    assert all(d[0] in ("kempf", "conjclosure") for d in DIVISIONS if d[3] == "float code")

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import qt_oracle
 from test_subspace import exact_types
-from orbitlimits.conjclosure import jn_local_model
+from orbitlimits.conjclosure import jn_local_model, minimal_polynomial
+from orbitlimits.curvature import _project_off, gamma_squared
 from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
 from orbitlimits.exactcore import (Mat, Q1, SingularMatrix, Subspace, UniPoly, column_normalize,
-                                   dense, kernel, sparse)
+                                   dense, det_bareiss, kernel, nullspace, rref, solve, sparse)
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket, lin_comb
-from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
+from orbitlimits.limits import (OnePS, charpoly, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse, build_local_model
 from orbitlimits.reproduce import _lam_data
@@ -362,3 +363,50 @@ def test_mixed_int_and_fraction_input_never_gives_float_or_bool(data):
     except SingularMatrix:
         return
     assert _rational(w.values())
+
+
+def _scalars(*results) -> list:
+    """The scalars of each result in order: a Mat's entries, a UniPoly's
+    coefficients by exponent (with the exponents), a list's items."""
+    out = []
+    for r in results:
+        if isinstance(r, Mat):
+            out += [x for row in r.a for x in row]
+        elif isinstance(r, UniPoly):
+            out += [v for e in sorted(r.c) for v in (e, r.c[e])]
+        elif isinstance(r, (list, tuple)):
+            out += _scalars(*r)
+        else:
+            out.append(r)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mixed_int_and_fraction_matrices_equal_the_fraction_computation(data):
+    """`Mat` arithmetic, `det_bareiss`, `charpoly`, `minimal_polynomial`,
+    `rref`, `nullspace`, `solve`, the `UniPoly` methods and the curvature
+    quotients on input that mixes ints and Fractions give ints and Fractions
+    only, an int exactly where the value is an integer, and the values of the
+    same computation on all-Fraction input."""
+    draw = data.draw
+    n = draw(st.integers(1, 4))
+    a_rows, b_rows = ([[draw(mixed) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    v, s = [draw(mixed) for _ in range(n)], draw(mixed)
+    p_c, q_c = ([draw(mixed) for _ in range(draw(st.integers(1, 4)))] for _ in range(2))
+    assume(any(q_c) and any(v))
+
+    def results(cast):
+        a, b = (Mat([[cast(x) for x in r] for r in rows]) for rows in (a_rows, b_rows))
+        w = [cast(x) for x in v]
+        p, q = (UniPoly({e: cast(x) for e, x in enumerate(c)}) for c in (p_c, q_c))
+        d = det_bareiss(a)
+        out = [a * b, a + b, a - b, a.scale(cast(s)), a.apply(w), a.trace(), d,
+               charpoly(a), minimal_polynomial(a), rref(a)[0], nullspace(a),
+               solve(a, [w]) if d else [], p * q, p + q, p - q, p.divmod(q), p.gcd(q),
+               q.monic(), p.derivative(), p(cast(s)), _project_off(w, list(a.a[0])),
+               gamma_squared(b, a) if any(map(any, b_rows)) else 0]
+        return _scalars(*out)
+
+    got, want = results(lambda x: x), results(Fraction)
+    assert got == want and exact_types(got) and exact_types(want)

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 import pytest
 
+from orbitlimits.conjclosure import minimal_polynomial
 from orbitlimits.exactcore import (Mat, Q0, Q1, Subspace, UniPoly, coords_in_basis,
                                    dense, det_bareiss, kernel, lin_indep_subset, nullspace,
                                    rank, rank_qt, rref, solve, sparse)
+from orbitlimits.limits import charpoly
 
 # mostly zeros, so that the matrices are sparse like the action maps
 entries = st.one_of(st.just(Q0), st.just(Q0),
@@ -231,14 +233,17 @@ def test_back_substitution_reaches_the_columns_it_filled(data):
 
 
 def test_integral_values_are_ints():
-    """Subspace gives an int exactly for an integer value, whether its input
-    was an int or a Fraction; the dense adapters give Fractions."""
+    """Subspace, the dense adapters, `Mat` arithmetic, `det_bareiss`,
+    `charpoly`, `minimal_polynomial` and the `UniPoly` methods give an int
+    exactly for an integer value, whether their input was an int or a
+    Fraction."""
     sp = Subspace(2, [{0: 2, 1: 4}, {1: 3}])
     co = sp.coords({0: 1, 1: 1})
     assert co == {0: Fraction(1, 2), 1: Fraction(-1, 3)} and exact_types(co.values())
     co = sp.coords({0: Fraction(4), 1: 11})
     assert co == {0: 2, 1: 1} and exact_types(co.values())
-    assert all(type(c) is Fraction for c in coords_in_basis([[2, 0], [0, 3]], [1, 1]))
+    co = coords_in_basis([[2, 0], [0, 3]], [2, 1])
+    assert co == [1, Fraction(1, 3)] and exact_types(co)
     assert sp.rows == {0: {0: 1}, 1: {1: 1}}
     assert exact_types(x for row in sp.rows.values() for x in row.values())
     line = Subspace(3, [{0: 2, 1: 4}])
@@ -248,6 +253,43 @@ def test_integral_values_are_ints():
                        ([{0: 2, 1: 3}], [{0: Fraction(-3, 2), 1: 1}, {2: 1}])):
         ker = kernel(3, rows)
         assert ker == want and all(exact_types(v.values()) for v in ker)
+
+    # Mat: products of halves and thirds that are integers, sums, scaling
+    a = Mat([[Fraction(1, 2), Fraction(3, 2)], [1, Fraction(1, 3)]])
+    b = Mat([[2, 0], [Fraction(2, 3), 3]])
+    ab = a * b
+    assert ab.a == [[2, Fraction(9, 2)], [Fraction(20, 9), 1]]
+    assert ab.trace() == 3 and ab.apply([1, 2]) == [11, Fraction(38, 9)]
+    assert (a + a).a == [[1, 3], [2, Fraction(2, 3)]] and (a - a).a == [[0, 0], [0, 0]]
+    assert a.scale(6).a == [[3, 9], [6, 2]] and Mat.identity(2).a == [[1, 0], [0, 1]]
+    for m in (ab, a + a, a - a, a.scale(6), Mat.identity(2), Mat.zeros(2, 1)):
+        assert all(exact_types(r) for r in m.a)
+    assert exact_types([ab.trace()] + ab.apply([1, 2]))
+    # det_bareiss: an integer matrix in ints, and integer determinants of
+    # rational matrices, with and without a pivot 1
+    for rows, want in (([[2, 1], [1, 1]], 1), ([[Fraction(1, 2), 1], [3, 8]], 1),
+                       ([[1, Fraction(1, 2)], [2, 3]], 2), ([[Fraction(1, 2)]], Fraction(1, 2)),
+                       ([[0, 1], [1, 0]], -1), ([[1, 1], [1, 1]], 0)):
+        d = det_bareiss(Mat(rows))
+        assert d == want and exact_types([d])
+    p = charpoly(Mat([[Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]]))
+    assert p == UniPoly({2: 1, 1: -1, 0: Fraction(-1, 2)}) and exact_types(p.c.values())
+    for m, want in ((Mat([[Fraction(2), 0], [0, Fraction(2)]]), UniPoly({1: 1, 0: -2})),
+                    (Mat([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]),
+                     UniPoly({2: 1, 1: -1, 0: Fraction(1, 4)}))):
+        p = minimal_polynomial(m)
+        assert p == want and exact_types(p.c.values())
+    # UniPoly: divmod, gcd, monic, and halves that add or multiply to integers
+    p, q = UniPoly({2: Fraction(2), 1: Fraction(2)}), UniPoly({2: 1, 0: -1})
+    h = UniPoly.t(1, Fraction(1, 2))
+    got = [*p.divmod(q), q.divmod(UniPoly({1: 2, 0: 2}))[0], p.gcd(q), p.monic(),
+           UniPoly({1: 2, 0: 1}).monic(), h + h, h * 2, h * h * 4 - h]
+    assert got == [UniPoly({0: 2}), UniPoly({1: 2, 0: 2}),
+                   UniPoly({1: Fraction(1, 2), 0: Fraction(-1, 2)}), UniPoly({1: 1, 0: 1}),
+                   UniPoly({2: 1, 1: 1}), UniPoly({1: 1, 0: Fraction(1, 2)}), UniPoly.t(),
+                   UniPoly.t(), UniPoly({2: 1, 1: Fraction(-1, 2)})]
+    assert all(exact_types(r.c.values()) for r in got)
+    assert exact_types([p(Fraction(1, 2)), q(3), UniPoly.const(Fraction(4, 2)).lc()])
 
 
 def test_zero_row_and_zero_column_shapes():
@@ -307,7 +349,7 @@ def same(ours, theirs, K):
 
 def check_elimination(rows, cols):
     """rref, nullspace and rank of Mat(rows, cols) against sympy; every entry
-    of the results is a Fraction."""
+    of the results follows the scalar rule (`exact_types`)."""
     m, dm = Mat(rows, cols), dom_mat(rows, cols)
     got, pivots = rref(m)
     want, want_pivots = dm.rref()
@@ -316,9 +358,7 @@ def check_elimination(rows, cols):
     # one basis vector per free column, 1 there: sympy's Matrix.nullspace basis
     assert same(ns, dm.nullspace(divide_last=True).to_list(), dm.domain)
     assert rank(m) == len(pivots) == dm.rank()
-    if rows and cols:
-        assert all(type(x) is Fraction for r in got for x in r)
-        assert all(type(x) is Fraction for v in ns for x in v)
+    assert all(exact_types(r) for r in got) and all(exact_types(v) for v in ns)
 
 
 @settings(max_examples=80, deadline=None)
@@ -356,7 +396,7 @@ def test_solve_against_sympy(data):
     got = solve(Mat(rows, n), rhs)
     want = [dm.lu_solve(dom_mat([[x] for x in b], 1, K)).to_list_flat() for b in rhs]
     assert same(got, want, K)
-    assert all(type(x) is Fraction for col in got for x in col)
+    assert all(exact_types(col) for col in got)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -403,10 +443,12 @@ def test_det_bareiss_against_sympy(data):
     rows = sparse_square(data, n, cell, shape) if n else []
     d = det_bareiss(Mat(rows, n))
     if not n:
-        assert d == 1 and type(d) is Fraction
+        assert d == 1 and type(d) is int
         return
-    assert type(d) is (UniPoly if any(isinstance(x, UniPoly) for r in rows for x in r)
-                       else Fraction)
+    if any(isinstance(x, UniPoly) for r in rows for x in r):
+        assert type(d) is UniPoly and exact_types(d.c.values())
+    else:
+        assert exact_types([d])
     K = domain_of(rows)
     assert K.from_sympy(to_sympy(d)) == dom_mat(rows, n, K).det()
     if shape == "singular":
