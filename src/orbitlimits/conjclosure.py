@@ -20,8 +20,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Mat, Subspace, UniPoly, _as_q, exact, qdiv, rank, sparse
-from .lierep import ConjRep, bracket, elementary, lin_comb
+from .exactcore import Mat, Subspace, UniPoly, _as_q, exact, lin_comb, qdiv, rank, sparse
+from .lierep import ConjRep, bracket, elementary
 from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
 from .localmodel import LocalModel, build_local_model
 
@@ -324,16 +324,11 @@ def companion(coeffs: Sequence) -> Mat:
     coeffs = [c_0, ..., c_{m-1}]: -c down the first column (top entry
     -c_{m-1}), 1s on the superdiagonal."""
     m = len(coeffs)
-    poly = any(isinstance(c, UniPoly) for c in coeffs)
-    one = UniPoly.const(1) if poly else 1
     out = Mat.zeros(m, m)
-    if poly:
-        out = out.map(UniPoly.coerce)
     for i in range(m):
-        c = coeffs[m - 1 - i]
-        out.a[i][0] = -(UniPoly.coerce(c) if poly else _as_q(c))
+        out.a[i][0] = -_as_q(coeffs[m - 1 - i])
         if i + 1 < m:
-            out.a[i][i + 1] = one
+            out.a[i][i + 1] = 1
     return out
 
 
@@ -617,7 +612,7 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
         p = minimal_polynomial(T)
         if p.degree() < a:
             deg_ok = False
-        for ev, _ in _rational_roots(charpoly(T)):
+        for ev, _ in _rational_roots(p):
             shifted = T - Mat.identity(n).scale(ev)
             if n - rank(shifted) > 2:
                 ker_ok = False

@@ -1,8 +1,11 @@
 """Exact scalars (Q, Q[t]) and exact linear algebra.
 
 Everything downstream (stabilizers, local models, limit algebras) reduces to
-kernels, solves and determinants over the rationals, and to determinants
-and ranks over Q[t] (`UniPoly`, sparse dict rep).
+kernels, solves and determinants over the rationals.  Polynomials in t
+(`UniPoly`, sparse dict rep) are eliminated only by the fraction-free
+`_bareiss`, for determinants and ranks.  Sparse columns over Q[t], such as
+the stabilizer curve K(t), are normalized through their values at t = 0
+(`at_zero`, `column_normalize`) by kernels over Q.
 
 One scalar rule holds throughout: a rational value that is an integer is an
 `int` and any other is a `Fraction` (`exact`), in sparse vectors, dense
@@ -125,14 +128,6 @@ class UniPoly:
 
     def coeff(self, e: int):
         return self.c.get(e, 0)
-
-    def is_const(self) -> bool:
-        return not self.c or set(self.c) == {0}
-
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError("not a constant polynomial")
-        return self.c.get(0, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -280,94 +275,11 @@ _POLY_OPERANDS = (UniPoly, int, Fraction)   # other types get their reflected op
 
 
 class RationalFn:
-    """Reduced fraction num/den in Q(t); den monic and nonzero.  Unused by
-    the library; kept only for the rref hook of `perfbench/tracing.py`, which
-    imports it, and to go with that hook."""
+    """Not a scalar of the library: no library value is one.  The class
+    exists only for the `isinstance` test in the rref hook of
+    `perfbench/tracing.py`, which imports it."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = UniPoly.coerce(num)
-        den = UniPoly.const(1) if den is None else UniPoly.coerce(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = UniPoly.const(1)
-        else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lcinv = qdiv(1, den.lc())
-            if lcinv != 1:
-                num = num * lcinv
-                den = den * lcinv
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def coerce(x) -> "RationalFn":
-        if isinstance(x, RationalFn):
-            return x
-        return RationalFn(UniPoly.coerce(x))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RationalFn.coerce(other)
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = RationalFn.coerce(other)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RationalFn.__new__(RationalFn)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        return self + (-RationalFn.coerce(other))
-
-    def __rsub__(self, other):
-        return RationalFn.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = RationalFn.coerce(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def is_poly(self) -> bool:
-        return self.den.is_const()
-
-    def as_poly(self) -> UniPoly:
-        if not self.is_poly():
-            raise ValueError("not a polynomial")
-        return self.num * qdiv(1, self.den.const_value())
-
-    def __call__(self, x):
-        x = _as_q(x)
-        d = self.den(x)
-        if not d:
-            raise ZeroDivisionError(f"pole at t={x}")
-        return qdiv(self.num(x), d)
-
-    def __repr__(self):
-        if self.den.is_const():
-            return repr(self.as_poly())
-        return f"({self.num!r})/({self.den!r})"
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +325,6 @@ class Mat:
     # -- access -------------------------------------------------------
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]
-
-    def col(self, j: int) -> list:
-        return [self.a[i][j] for i in range(self.rows)]
-
-    def columns(self) -> list[list]:
-        return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
         if not self.a:
@@ -625,37 +531,28 @@ class SingularMatrix(ValueError):
     pass
 
 
-def column_normalize(m: Mat) -> Mat:
-    """Normalize Q[t]-columns so that evaluation at t=0 has full column rank.
+def column_normalize(cols: Sequence[dict]) -> list[dict]:
+    """Normalize sparse Q[t]-columns {row: UniPoly} so that their values at
+    t = 0 (`at_zero`) are independent over Q.
 
     Preserves the Q(t)-column span: strip common t-powers, then repeatedly
-    replace any column whose value at 0 depends on the others by the reduced
-    combination divided by its t-valuation.
+    replace the last column that a relation among the values at 0 involves
+    by the combination, divided by its t-valuation.
     """
     def strip(c):
-        v = min((p.valuation() for p in c if p), default=0)
-        return [p.shift(-v) if p else p for p in c] if v > 0 else c
+        v = min((p.valuation() for p in c.values()), default=0)
+        return {i: p.shift(-v) for i, p in c.items()} if v > 0 else c
 
-    cols = [strip(c) for c in m.columns()]
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("column_normalize failed to terminate")
-        at0 = Mat([[c[i](0) for c in cols] for i in range(m.rows)])
-        ker = nullspace(at0)
+    cols = [strip(c) for c in cols]
+    for _ in range(10000):
+        ker = kernel(len(cols), transpose([at_zero(c) for c in cols]))
         if not ker:
-            break
-        v = ker[0]
-        j = max(i for i, x in enumerate(v) if x)
-        comb = [UniPoly.zero() for _ in range(m.rows)]
-        for i, x in enumerate(v):
-            if x:
-                comb = [a + x * b for a, b in zip(comb, cols[i])]
-        if not any(comb):
+            return cols
+        comb = lin_comb(ker[0], cols)
+        if not comb:
             raise ValueError("columns are linearly dependent over Q(t)")
-        cols[j] = strip(comb)
-    return Mat.from_cols(cols)
+        cols[max(ker[0])] = strip(comb)
+    raise RuntimeError("column_normalize failed to terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +569,22 @@ def dense(v: dict, dim: int, zero=0) -> list:
     return [v.get(i, zero) for i in range(dim)]
 
 
+def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:
+    """sum over coeffs' items (k, c) of c * terms[k], for sparse vectors over
+    Q or Q[t], by the scalar rule."""
+    acc: dict = {}
+    for k, c in coeffs.items():
+        for i, x in terms[k].items():
+            p = c * x
+            acc[i] = acc[i] + p if i in acc else p
+    return {i: exact(x) for i, x in acc.items() if x}
+
+
+def at_zero(v: dict) -> dict:
+    """The value at t = 0 of a sparse vector over Q[t]: its constant coefficients."""
+    return {j: y for j, x in v.items() if (y := x.coeff(0))}
+
+
 def _sub_scaled(d: dict, c, s: dict) -> None:
     """d -= c * s for sparse vectors, in place, dropping zeros."""
     for j, x in s.items():
@@ -682,14 +595,10 @@ def _sub_scaled(d: dict, c, s: dict) -> None:
             del d[j]
 
 
-def _integral(v: dict) -> Optional[tuple]:
+def _integral(v: dict) -> tuple:
     """(W, D) with v = W/D: D the lcm of the denominators of v's entries and W
-    the integer vector of its nonzero entries times D; None if an entry of v
-    is over Q[t]."""
-    try:
-        D = lcm(*[x.denominator for x in v.values()])
-    except AttributeError:      # a UniPoly has no denominator
-        return None
+    the integer vector of its nonzero entries times D."""
+    D = lcm(*[x.denominator for x in v.values()])
     if D == 1:
         return {j: x.numerator for j, x in v.items() if x}, 1
     return {j: x.numerator * (D // x.denominator) for j, x in v.items() if x}, D
@@ -734,8 +643,7 @@ class Subspace:
     index {column: pivots of the rows that may meet it} names those R, and
     `add` still checks R[p], since a row loses an entry when it is cleared.
     `rows`, `split`, `residue`, `coords` and `orthogonal` give an `int` for
-    each integer value.  A vector over Q[t] may be reduced modulo the span
-    (its residue and coordinates are then over Q[t]), but not added to it.
+    each integer value.
     """
 
     __slots__ = ("dim", "_rows", "_combos", "_cols")
@@ -789,30 +697,15 @@ class Subspace:
 
     def split(self, v: dict, combo: bool = True) -> tuple:
         """(residue, A): v minus its part in the span, and that part as a
-        combination of the accepted generators (empty unless combo), over Q,
-        or over Q[t] if an entry of v is.  Over Q[t], v is reduced by the rows
-        R/R[p]."""
-        WD = _integral(v)
-        if WD is not None:
-            W, D, A = self._reduce(*WD, combo)
-            return _over(W, D), _over(A, D)
-        w, A = dict(v), {}
-        for p in [p for p in w if p in self._rows]:
-            R = self._rows[p]
-            c = w[p] * Fraction(1, R[p])
-            _sub_scaled(w, c, R)
-            if combo:
-                _sub_scaled(A, -c, self._combos[p])
-        return w, A
+        combination of the accepted generators (empty unless combo)."""
+        W, D, A = self._reduce(*_integral(v), combo)
+        return _over(W, D), _over(A, D)
 
     def add(self, v: dict) -> bool:
         """Add v to the span; True if v was independent of it (then v is the
         next accepted generator)."""
-        WD = _integral(v)
-        if WD is None:
-            raise TypeError("only a vector over Q can be added to a Subspace")
         combos = self._combos
-        W, D, A = self._reduce(*WD, combos is not None)
+        W, D, A = self._reduce(*_integral(v), combos is not None)
         if not W:
             return False
         p = min(W)

@@ -135,7 +135,7 @@ class SymRep:
                     tgt = self.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
                     p = gij * mc
                     out[tgt] = out[tgt] + p if tgt in out else p
-        return {k: x for k, x in out.items() if x}
+        return {k: exact(x) for k, x in out.items() if x}
 
     def coord_weights(self, weights: Sequence[int]) -> list[int]:
         """The basis monomials' weights: `combinations_with_replacement` lists
@@ -224,17 +224,7 @@ def bracket(a: dict, b: dict, n: int) -> dict:
             for k, x in ra.get(j, ()):
                 c, p = i * n + k, y * x
                 acc[c] = acc[c] - p if c in acc else -p
-    return {k: x for k, x in acc.items() if x}
-
-
-def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:
-    """sum over coeffs' items (k, c) of c * terms[k], for sparse vectors."""
-    acc: dict = {}
-    for k, c in coeffs.items():
-        for i, x in terms[k].items():
-            p = c * x
-            acc[i] = acc[i] + p if i in acc else p
-    return {i: x for i, x in acc.items() if x}
+    return {k: exact(x) for k, x in acc.items() if x}
 
 
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:

@@ -19,10 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactcore import (Mat, Subspace, UniPoly, column_normalize, det_bareiss, kernel,
-                        qdiv, rank_qt, sparse, transpose)
-from .lierep import (ConjRep, Form, SymRep, bracket,
-                     group_act_form, lin_comb, stabilizer_algebra)
+from .exactcore import (Mat, Subspace, UniPoly, at_zero, column_normalize, det_bareiss,
+                        kernel, lin_comb, qdiv, rank_qt, sparse, transpose)
+from .lierep import ConjRep, Form, SymRep, bracket, group_act_form, stabilizer_algebra
 from .localmodel import LocalModel, NotTransverse, build_local_model, gl_act_weights, weight_split
 
 
@@ -164,11 +163,6 @@ def _weight_kernel(vectors: Sequence[dict], coord_weights: Sequence[int], keep) 
                                            for v in vectors]))
 
 
-def _at_zero(v: dict) -> dict:
-    """The value at t = 0 of a vector over Q[t]: its constant coefficients."""
-    return {j: y for j, x in v.items() if (y := x.coeff(0))}
-
-
 def _pure_weights(vectors: Sequence[dict], coord_weights: Sequence[int]) -> list[int]:
     """The weight of each weight-pure vector: that of its first nonzero coordinate."""
     return [coord_weights[min(v)] for v in vectors]
@@ -266,9 +260,8 @@ def _regrade(vectors: Sequence[dict], weights: Sequence[int]) -> list[dict]:
     cols = []
     for v in vectors:
         base = min((weights[j] for j in v), default=0)
-        cols.append([UniPoly.t(w - base, v[j]) if j in v else UniPoly.zero()
-                     for j, w in enumerate(weights)])
-    return [sparse(c) for c in column_normalize(Mat.from_cols(cols)).columns()] if cols else []
+        cols.append({j: UniPoly.t(weights[j] - base, x) for j, x in v.items()})
+    return column_normalize(cols)
 
 
 def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitAlgebraData:
@@ -293,7 +286,7 @@ def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
         # s(t) = -M_S(t) alpha and k(t) = h(t) + s(t)
         sc = lin_comb({j: -a for j, a in alpha.items()}, ms_t)
         Kt.append(KtElement(sc, model.element(alpha, sc)))
-    data = LimitAlgebraData(problem, Kt, [_at_zero(kt.coords) for kt in Kt])
+    data = LimitAlgebraData(problem, Kt, [at_zero(kt.coords) for kt in Kt])
     _verify_limit_algebra(data)
     return data
 
@@ -331,7 +324,7 @@ def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
     by lambda(t) symbolically (the E_ij component of weight w scales by
     t^w), normalize columns, and take t=0."""
     problem = LimitProblem.of(f, lam)
-    return [_at_zero(col) for col in _regrade(problem.K, problem.glw)]
+    return [at_zero(col) for col in _regrade(problem.K, problem.glw)]
 
 
 def same_span(A: list[dict], B: list[dict], n: int) -> bool:

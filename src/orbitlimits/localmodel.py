@@ -15,8 +15,9 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactcore import Mat, SingularMatrix, Subspace, dense, det_bareiss, kernel, transpose
-from .lierep import Representation, lin_comb, stabilizer_algebra
+from .exactcore import (Mat, SingularMatrix, Subspace, UniPoly, dense, det_bareiss, kernel,
+                        lin_comb, transpose)
+from .lierep import Representation, stabilizer_algebra
 
 
 def gl_act_weights(rep: Representation, weights: Sequence[int]) -> list[int]:
@@ -115,26 +116,32 @@ class LocalModel:
         dim = self.rep.dim
         return Mat.from_cols([dense(c, dim) for c in self.theta_columns(n)])
 
-    def _b_and_c_columns(self, n: dict) -> tuple[list, list]:
-        """The columns s·n of B and the columns of C = I_S + λ_S ∘ B on
-        S-coefficients."""
-        bcols = [self.rep.act(s, n) for s in self.S]
-        return bcols, [lin_comb({0: 1, 1: 1}, [{j: 1}, self.lamS(b)])
-                       for j, b in enumerate(bcols)]
-
     def _theta_system(self, n: dict):
-        """The columns of B and the span of the columns of C, built once for
-        each n and kept for the next call with the same n."""
+        """The columns s·n of B and the span of the columns of
+        C = I_S + λ_S ∘ B on S-coefficients, built once for each n and kept
+        for the next call with the same n."""
         if self._theta_cache is None or self._theta_cache[0] != n:
-            bcols, ccols = self._b_and_c_columns(n)
+            bcols = [self.rep.act(s, n) for s in self.S]
+            ccols = [lin_comb({0: 1, 1: 1}, [{j: 1}, self.lamS(b)]) for j, b in enumerate(bcols)]
             self._theta_cache = (dict(n), bcols, Subspace(len(ccols), ccols))
         return self._theta_cache[1:]
 
     def delta(self, n: dict):
-        """det(1 + θ(n)) = det C, for n over Q or Q[t].  The limit pipeline
-        does not need it: along f^+(t) at a limit's weight-graded model it is
-        1.  Tests read it."""
-        ccols = self._b_and_c_columns(n)[1]
+        """det(1 + θ(n)) = det C, for n over Q or Q[t].  Over Q[t], n is the
+        sum of t^e n_e with each n_e over Q, and λ_S is Q-linear, so column j
+        of λ_S ∘ B is the sum of t^e λ_S(s_j·n_e).  The limit pipeline does
+        not need Δ: along f^+(t) at a limit's weight-graded model it is 1.
+        Tests read it."""
+        parts = [(1, n)]                     # (t^e, n_e)
+        if any(isinstance(x, UniPoly) for x in n.values()):
+            by_e: dict = {}
+            for i, p in n.items():
+                for e, c in UniPoly.coerce(p).c.items():
+                    by_e.setdefault(e, {})[i] = c
+            parts = [(UniPoly.t(e), ne) for e, ne in by_e.items()]
+        coeffs = {0: 1} | {k: te for k, (te, _) in enumerate(parts, 1)}
+        ccols = [lin_comb(coeffs, [{j: 1}] + [self.lamS(self.rep.act(s, ne)) for _, ne in parts])
+                 for j, s in enumerate(self.S)]
         return det_bareiss(Mat.from_cols([dense(c, len(ccols)) for c in ccols]))
 
     def inv_one_plus_theta(self, n: dict, dvs: Sequence[dict]) -> list[dict]:

@@ -20,10 +20,10 @@ from .examples import (LAM1, LAM2, LAM4, O2_LAM, O3_LAM, det3_form,
                        det3_skew_sym_form, det3_z_adapted_form, o2_form,
                        o3_form, o3_reference_kt, q1_prime_form, q2_form, q3_form,
                        q4_form, q4_prime_form, O3_STRUCTURE)
-from .exactcore import Mat, Subspace, UniPoly, as_strings, dense, qdiv, sparse
+from .exactcore import Mat, Subspace, UniPoly, as_strings, dense, lin_comb, qdiv, sparse
 from .kempf import (grid_minimize, kempf_descent, kempf_support,
                     leading_term_along, mu)
-from .lierep import ConjRep, Form, SymRep, elementary, lin_comb
+from .lierep import ConjRep, Form, SymRep, elementary
 from .limits import (check_graded_conditions, extension_feasible, graded_dims_of,
                      limit_algebra, same_span)
 from .localmodel import build_local_model

@@ -26,8 +26,8 @@ from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
 from orbitlimits.curvature import cyclic_shift_suite
-from orbitlimits.exactcore import Q1, Subspace, UniPoly, sparse
-from orbitlimits.lierep import ConjRep, Form, lin_comb, monomial_basis
+from orbitlimits.exactcore import Q1, Subspace, UniPoly, lin_comb, sparse
+from orbitlimits.lierep import ConjRep, Form, monomial_basis
 from orbitlimits.limits import (OnePS, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse

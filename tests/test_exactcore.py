@@ -5,17 +5,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sympy
 
 from test_subspace import exact_types
 from orbitlimits import exactcore
-from orbitlimits.exactcore import (Mat, Q0, Q1, RationalFn, UniPoly, column_normalize,
-                                   coords_in_basis, det_bareiss,
-                                   lin_indep_subset, nullspace, rank, rref,
-                                   solve)
+from orbitlimits.exactcore import (Mat, Q0, Q1, Subspace, UniPoly, at_zero, column_normalize,
+                                   coords_in_basis, det_bareiss, lin_comb,
+                                   lin_indep_subset, nullspace, rank, rank_qt, rref,
+                                   solve, sparse)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -75,14 +75,6 @@ def test_unipoly_pow_is_repeated_multiplication(p):
 def test_unipoly_negative_power_raises():
     with pytest.raises(ValueError):
         UniPoly({1: Q1, 0: Q1}) ** -1
-
-
-def test_rationalfn_reduces():
-    num = UniPoly({2: Q1, 1: Q1})                       # t^2 + t
-    den = UniPoly({1: Fraction(2)})                     # 2t
-    r = RationalFn(num, den)
-    assert r.den.degree() == 0                          # common factor t removed
-    assert r(Fraction(5)) == Fraction(6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +168,6 @@ def _check_product(a, b, zero):
 
 polys = st.builds(lambda cs: UniPoly(dict(enumerate(cs))),
                   st.lists(rationals, min_size=1, max_size=3)).filter(bool)
-ratfns = st.builds(RationalFn, polys, polys)
 
 
 @settings(max_examples=80, deadline=None)
@@ -195,13 +186,6 @@ def test_product_matches_sympy(ab):
 def test_unipoly_product_matches_triple_loop(ab):
     a, b = ab
     assert _check_product(a, b, UniPoly.zero()).a == _triple_loop(a, b, UniPoly.zero())
-
-
-@settings(max_examples=25, deadline=None)
-@given(product_pairs(ratfns, RationalFn(0)))
-def test_rationalfn_product_matches_triple_loop(ab):
-    a, b = ab
-    assert _check_product(a, b, RationalFn(0)).a == _triple_loop(a, b, RationalFn(0))
 
 
 def test_product_of_empty_shapes():
@@ -229,14 +213,37 @@ def test_lin_indep_subset():
 
 
 def test_column_normalize():
-    m = column_normalize(Mat([[UniPoly.t(1, 1)], [UniPoly.t(2, 1)]]))
-    col0 = m.col(0)
-    assert min(p.valuation() for p in col0 if p) == 0
-    assert rank(m.map(lambda p: p(Q0))) == 1
+    t, one = UniPoly.t(1, 1), UniPoly.const(1)
+    (col0,) = column_normalize([{0: t, 1: t * t}])
+    assert min(p.valuation() for p in col0.values()) == 0
+    assert col0 == {0: one, 1: t} and at_zero(col0) == {0: 1}
     # (1, 0) and (1 + t, t^2) agree at t = 0; the second becomes (0, t) and then (0, 1)
-    t, one, zero = UniPoly.t(1, 1), UniPoly.const(1), UniPoly.zero()
-    m = column_normalize(Mat.from_cols([[one, zero], [one + t, t * t]]))
-    assert m.columns() == [[one, zero], [zero, one]]
+    assert column_normalize([{0: one}, {0: one + t, 1: t * t}]) == [{0: one}, {1: one}]
+
+
+# Q[t] entries t^e (a + b t), half of them zero
+t_cells = st.one_of(st.just(0), st.builds(lambda e, a, b: UniPoly({e: a, e + 1: b}),
+                                          st.integers(0, 2), st.integers(-2, 2),
+                                          st.integers(-2, 2)))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_column_normalize_keeps_the_qt_span(data):
+    """Sparse Q[t]-columns that are independent over Q(t) become columns of
+    the same Q(t)-span whose values at t = 0 are independent over Q; with a
+    Q[t]-combination of them as one more column, they raise."""
+    nrows = data.draw(st.integers(1, 4))
+    cols = [sparse([data.draw(t_cells) for _ in range(nrows)])
+            for _ in range(data.draw(st.integers(1, nrows)))]
+    k = len(cols)
+    assume(rank_qt(cols) == k)
+    out = column_normalize(cols)
+    assert len(out) == k and rank_qt(out) == rank_qt(cols + out) == k
+    assert len(Subspace(nrows, [at_zero(c) for c in out])) == k
+    dependent = lin_comb(sparse([data.draw(t_cells) for _ in cols]), cols)
+    with pytest.raises(ValueError, match=r"linearly dependent over Q\(t\)"):
+        column_normalize(cols + [dependent])
 
 
 # ---------------------------------------------------------------------------

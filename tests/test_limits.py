@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
-from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, sparse
-from orbitlimits.lierep import ConjRep, Form, SymRep, elementary, lin_comb, monomial_basis
+from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, lin_comb, sparse
+from orbitlimits.lierep import ConjRep, Form, SymRep, elementary, monomial_basis
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
                                 _cancel_positive_weights, _verify_limit_algebra, _weight_kernel,
                                 check_graded_conditions, classify_case, expand_orbit_curve,

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qt_oracle
-from orbitlimits.exactcore import Mat, Q1, SingularMatrix, Subspace, UniPoly, dense, sparse
-from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, lin_comb, monomial_basis,
+from orbitlimits.exactcore import (Mat, Q1, SingularMatrix, Subspace, UniPoly, dense, lin_comb,
+                                   sparse)
+from orbitlimits.lierep import (ConjRep, Form, SymRep, elementary, monomial_basis,
                                 stabilizer_algebra)
 from orbitlimits.localmodel import NotTransverse, build_local_model
 
@@ -277,11 +278,12 @@ def test_theta_matrix_columns_are_lamS_times_n():
     rng = random.Random(6)
     for rep, x, model in _random_models(rng, 16):
         for n in _slice_points(rng, model, 2):
-            theta = model.theta_matrix(n)
-            assert (theta.rows, theta.cols) == (rep.dim, rep.dim)
+            cols, theta = model.theta_columns(n), model.theta_matrix(n)
+            assert len(cols) == rep.dim and (theta.rows, theta.cols) == (rep.dim, rep.dim)
             for k in range(rep.dim):
-                e = {k: Q1}
-                assert theta.col(k) == dense(rep.act(model.s_vec(model.lamS(e)), n), rep.dim)
+                want = rep.act(model.s_vec(model.lamS({k: Q1})), n)
+                assert cols[k] == want
+                assert [theta[i, k] for i in range(rep.dim)] == dense(want, rep.dim)
 
 
 def test_denominators_over_qt_divide_delta():

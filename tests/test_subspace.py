@@ -1,7 +1,7 @@
-"""Differential tests of the Subspace echelon on sparse vectors over Q (and of
-vectors over Q[t] reduced modulo it), its residue (quotient) map and the
-functions built on it (rref, nullspace, rank, solve, and the dense adapters
-lin_indep_subset and coords_in_basis), and of the sparse fraction-free
+"""Differential tests of the Subspace echelon on sparse vectors over Q, its
+residue (quotient) map and the functions built on it (rref, nullspace,
+rank, solve, and the dense adapters lin_indep_subset and coords_in_basis),
+and of the sparse fraction-free
 Bareiss determinant and rank over Q[t], against sympy, including 0-row and
 0-column shapes.  The oracle is sympy's DomainMatrix over QQ and
 QQ.frac_field(t), whose entries are canonical, so that results compare
@@ -306,36 +306,6 @@ def test_zero_row_and_zero_column_shapes():
 
 polys = st.builds(lambda a, b: UniPoly({0: a, 1: b}),
                   st.integers(-2, 2), st.integers(-2, 2))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_subspace_over_qt_against_sympy(data):
-    # a span over Q reduces vectors over Q[t]: their coordinates are over Q[t],
-    # and they lie in it exactly when they lie in its Q(t)-span
-    dim, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    gens = vectors(data, dim, count)
-    sp = Subspace(dim)
-    flags = [sp.add(sparse(g)) for g in gens]
-    idx = greedy(gens, dim)
-    assert [i for i, f in enumerate(flags) if f] == idx
-    basis = [gens[i] for i in idx]
-    coeffs = [data.draw(polys) for _ in basis]
-    v = [sum((c * b[i] for c, b in zip(coeffs, basis)), UniPoly.zero())
-         for i in range(dim)]
-    co = sp.coords(sparse(v))
-    assert co is not None and all(co.get(i, UniPoly.zero()) == p for i, p in enumerate(coeffs))
-    assert_no_stored_zeros(sp, co)
-    w = [data.draw(polys) for _ in range(dim)]
-    assert (sparse(w) in sp) == (sym_rank(basis + [w], dim) == len(basis))
-
-
-def test_qt_vector_over_rational_basis_stays_polynomial():
-    t = UniPoly.t()
-    sp = Subspace(2, [{0: Q1, 1: Q1}, {1: Fraction(2)}])
-    co = sp.coords({0: t, 1: t * t})
-    assert all(isinstance(c, (UniPoly, Fraction)) for c in co.values())
-    assert co[0] == t and co[1] == (t * t - t) * Fraction(1, 2)
 
 
 def same(ours, theirs, K):

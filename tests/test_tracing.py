@@ -1,5 +1,6 @@
 """The benchmark's layer tracer patches library names by string; each must exist."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -28,6 +29,14 @@ def test_every_traced_name_exists():
         cls = getattr(importlib.import_module(f"orbitlimits.{mod_name}"), cls_name, None)
         assert callable(getattr(cls, meth, None)), f"{mod_name}.{cls_name}.{meth}"
     assert callable(getattr(importlib.import_module("orbitlimits.kempf"), "kempf_f", None))
+    # the names that the tracer's hooks import only when they first run
+    lazy = [(node.module, alias.name) for node in ast.walk(ast.parse(TRACING.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("orbitlimits")
+            for alias in node.names]
+    assert {("orbitlimits.exactcore", "RationalFn"),
+            ("orbitlimits.exactcore", "UniPoly")} <= set(lazy)
+    for mod_name, name in lazy:
+        assert hasattr(importlib.import_module(mod_name), name), f"{mod_name}.{name}"
 
 
 def test_traced_worker_runs_a_limit_and_a_det3_row():
