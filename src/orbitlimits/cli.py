@@ -25,7 +25,7 @@ from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
 from .curvature import (CurvatureData, adjoint_offdiagonal_vanishing,
                         adjoint_pi, cyclic_shift_suite, sphere_ricci)
 from .exactcore import Mat, UniPoly, as_strings, dense, exact
-from .kempf import grid_minimize, kempf_descent, kempf_support, mu
+from .kempf import FloatRangeError, grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
                      limit_algebra)
@@ -398,7 +398,7 @@ def cmd_slice(args) -> int:
         report = jab_slice_report(a, b, seed=args.seed)
     else:
         raise InputError("slice input needs kind 'jn' or 'jab'")
-    emit(to_jsonable(report), args.format)
+    emit(report, args.format)
     return EXIT_OK
 
 
@@ -429,7 +429,7 @@ def cmd_curvature(args) -> int:
         out["ricci"] = as_strings(suite["curvature"].ricci)
     else:
         raise InputError("curvature input needs kind 'sphere', 'adjoint' or 'cyclic'")
-    emit(to_jsonable(out), args.format)
+    emit(out, args.format)
     return EXIT_OK
 
 
@@ -450,7 +450,10 @@ def cmd_kempf(args) -> int:
         raise InputError(f"'grid' must be true or false, got {grid!r}")
     if grid and support.n > GRID_MAX_RANK:
         raise InputError(f"'grid' needs torus rank <= {GRID_MAX_RANK}, got {support.n}")
-    res = kempf_descent(support, t, seed=args.seed)
+    try:
+        res = kempf_descent(support, t, seed=args.seed)
+    except FloatRangeError as e:
+        raise InputError(str(e)) from None
     out = {"ell": res.ell, "f": res.f_value, "mu": res.mu_value,
            "converged": res.converged, "iterations": res.iterations,
            "weights": [list(chi) for chi in support.weights],

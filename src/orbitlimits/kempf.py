@@ -24,9 +24,13 @@ of v's coordinates.  On an unstable v it makes one
 start, at l*: f is convex on the plane and <grad f, l*> < 0 everywhere on
 it, so f has no critical point inside the unit ball and its ball minimizer
 is the sphere minimizer.  On a semistable v (p = 0) it keeps a
-deterministic multi-start.  An exhaustive rational-grid oracle
-(`grid_minimize`) cross-checks both for small n; the float norms both read
-are computed once per support (`WeightSupport.float_norms`).  The CLI
+deterministic multi-start.  A rational-grid oracle (`grid_minimize`)
+cross-checks both for small n: it returns the first least-f point of the
+grid, as an exhaustive scan would, but skips the points where an AM-GM lower
+bound on f already exceeds the least f known, seeded with f at the grid
+point nearest p.  The float norms and the exact optimum both read are
+computed once per support (`WeightSupport.float_norms`,
+`WeightSupport.optimum`).  The CLI
 compares the descent with the grid by f and mu on an unstable v, and by f
 alone on a semistable one, where mu at a finite-t minimizer is no
 optimality measure.
@@ -37,9 +41,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .exactcore import Mat, _as_q, exact, qdiv, solve
 from .lierep import ConjRep, SymRep
@@ -51,6 +57,13 @@ MAX_ITER = 2000
 GTOL = 1e-8
 # grid_minimize evaluates f at the points q/|q|, q in (Z/GRID_RESOLUTION)^n
 GRID_RESOLUTION = 20
+# it skips a point only where the AM-GM bound on its f exceeds the least f
+# known by at least this relative margin
+GRID_MARGIN = 1e-9
+
+
+class FloatRangeError(ValueError):
+    """A squared component norm outside the range of normal floats."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,29 @@ class WeightSupport:
     @cached_property
     def float_norms(self) -> list[float]:
         """|v_chi|^2 as floats, one per component: the only float copy of the
-        norms, shared by `kempf_f`, `grid_minimize` and `kempf_descent`."""
-        return [float(c.norm_sq) for c in self.components]
+        norms, shared by `kempf_f`, `grid_minimize` and `kempf_descent`.
+
+        Raises FloatRangeError, naming the weight, where a norm lies outside
+        [sys.float_info.min, sys.float_info.max]: the descent and the grid's
+        bound take logarithms of the norms."""
+        norms = []
+        for c in self.components:
+            try:
+                x = float(c.norm_sq)
+            except OverflowError:
+                x = math.inf
+            if not sys.float_info.min <= x <= sys.float_info.max:
+                raise FloatRangeError(
+                    f"the squared norm of the weight-{c.chi} component is outside the "
+                    f"float range [{sys.float_info.min:.4g}, {sys.float_info.max:.4g}]")
+            norms.append(x)
+        return norms
+
+    @cached_property
+    def optimum(self) -> tuple[tuple, int | Fraction]:
+        """`kempf_optimum` of the support, computed once and shared by
+        `kempf_descent` and `grid_minimize`."""
+        return kempf_optimum(self)
 
 
 def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
@@ -279,7 +313,7 @@ def kempf_descent(support: WeightSupport, t: float, *, seed: int = 0) -> KempfRe
     if t <= 1:
         raise ValueError("need t > 1")
     n = support.n
-    p_star, p2 = kempf_optimum(support)
+    p_star, p2 = support.optimum
     terms = [(math.log(nsq), [float(x) for x in c.chi])
              for nsq, c in zip(support.float_norms, support.components)]
     lt = math.log(t)
@@ -361,8 +395,111 @@ def _residual(p: list[float]) -> float:
                abs(math.sqrt(sum(x * x for x in p)) - 1.0))
 
 
+class _GridBound:
+    """The grid points that can still beat a bound value B on f.
+
+    By AM-GM over the m terms, f(q) >= m G t^(-<q, s>/(m |q|)), with G the
+    geometric mean of the |v_chi|^2 and s = sum chi.  That lower bound is at
+    most B (1 + GRID_MARGIN) only where <q, s> >= gamma |q|, with
+    gamma = m (ln(m G) - ln B - GRID_MARGIN) / ln t.  For gamma > 0 this is a
+    convex cone, and it meets each line of the grid in one interval.
+
+    `window(B)` rounds gamma down to g / 2^40 and returns the test of the
+    lines, or None where nothing can be ruled out.  The test is exact: a
+    point survives when <q, s> >= 0 and 2^80 <q, s>^2 >= g^2 |q|^2 in
+    integers.  The margin exceeds the float rounding of f (at most about
+    1e-15 (m + (n + 2) ln t max|chi|), added to the margin) and of the
+    logarithms (1e-11), and B > 1e-300 (sum |v_chi|^2 + m) keeps the
+    terms that underflow negligible, so every ruled-out point has a float f
+    above B.
+    """
+
+    def __init__(self, support: WeightSupport, t: float):
+        n, comps = support.n, support.components
+        m = len(comps)
+        s = [sum(c.chi[i] for c in comps) for i in range(n)]
+        # <q, s> = <head, ds> + b x with ds_i = s_i - s_{n-1}
+        self.ds, self.b = [c - s[-1] for c in s], s[n - 2] - s[n - 1]
+        self.m = m
+        self.lt = math.log(t) if t > 1 else 0.0
+        self.ln_mg = math.log(m) + math.fsum(map(math.log, support.float_norms)) / m
+        chi_max = max(math.sqrt(pairing(c.chi, c.chi)) for c in comps)
+        self.slack = GRID_MARGIN + 1e-11 + 1e-15 * (m + (n + 2) * self.lt * chi_max)
+        # a term w t^(-<p, chi>) loses up to about 5e-324 (w + 1) where its
+        # power or product underflows; below this B, that could exceed B 1e-10
+        self.least_bound = 1e-300 * (sum(support.float_norms) + m)
+
+    def window(self, bound: float):
+        """A function (head, h, hsq, lo, hi) -> (lo', hi'): the x in
+        [lo, hi] for which q = head + (x, -(h + x)) lies in the cone of
+        `bound`, h = sum head and hsq = |head|^2; None where no cone rules
+        out a point."""
+        if not (self.lt > 0 and self.least_bound < bound < math.inf):
+            return None
+        # the factor 1 - 1e-15 covers the rounding of the division and product
+        gamma = (self.m * (self.ln_mg - math.log(bound) - self.slack) / self.lt
+                 * (1 - 1e-15))
+        g = math.floor(gamma * 2.0 ** 40) if gamma > 0 else 0
+        if not g:
+            return None
+        P, M, b, ds = 1 << 80, g * g, self.b, self.ds
+        # |q|^2 is quadratic in x with leading coefficient 2, so A is the
+        # leading coefficient of 2^80 <q, s>^2 - g^2 |q|^2; it is not 0, as
+        # 2^80 b^2 = 2 g^2 has no solution in integers with g > 0
+        A = P * b * b - 2 * M
+
+        def window(head, h, hsq, lo, hi):
+            a0 = sum(map(mul, head, ds))
+            q0 = hsq + h * h
+
+            def inside(x):
+                a = a0 + b * x
+                return a >= 0 and P * a * a >= M * (q0 + 2 * x * (x + h))
+
+            # a point of the line in the cone: near the vertex of the concave
+            # quadratic when A < 0 (the interval on the line is bounded), and
+            # the end of [lo, hi] the cone's ray runs to when A > 0
+            if A < 0:
+                k = (M * h - P * a0 * b) // A
+                if not inside(k):
+                    k += 1
+                    if not inside(k):
+                        return lo, lo - 1
+                if not lo <= k <= hi:
+                    k = min(max(k, lo), hi)
+                    if not inside(k):
+                        return lo, lo - 1
+            else:
+                k = hi if b > 0 else lo
+                if not inside(k):
+                    return lo, lo - 1
+            # the points in the cone are consecutive: walk out from k
+            first = last = k
+            while first > lo and inside(first - 1):
+                first -= 1
+            while last < hi and inside(last + 1):
+                last += 1
+            return first, last
+
+        return window
+
+
+def _grid_seed(support: WeightSupport):
+    """The grid point nearest Kempf's direction p: p scaled to
+    max |q_i| = GRID_RESOLUTION and rounded, the last coordinate fixed so
+    that sum q = 0; None where p = 0 or that point leaves the grid."""
+    p, p2 = support.optimum
+    if not p2:
+        return None
+    R = GRID_RESOLUTION
+    top = max(abs(x) for x in p)
+    q = [round(qdiv(x * R, top)) for x in p[:-1]]
+    q.append(-sum(q))
+    return q if abs(q[-1]) <= R and any(q) else None
+
+
 def grid_minimize(support: WeightSupport, t: float) -> tuple[list[float], float]:
-    """Brute-force oracle: the best direction p = q/|q| on f(t, .), over the
+    """Grid oracle: the best direction p = q/|q| on f(t, .), over the
     nonzero integer q with sum q = 0 and every |q_i| <= GRID_RESOLUTION
     (40, 1,260 and 45,960 points for n = 2, 3, 4).  Intended for small n.
 
@@ -374,6 +511,13 @@ def grid_minimize(support: WeightSupport, t: float) -> tuple[list[float], float]
     float addition is monotone; a term that overflows makes f +inf.  Where
     every point's f is +inf, or n < 2 leaves no point, the result is
     (None, inf).
+
+    The scan skips the points where the AM-GM bound of `_GridBound` rules
+    out f <= B, for B the least of f at `_grid_seed` and the best f so far;
+    on each line q = head + (x, -(h + x)) they lie outside one interval of
+    x.  That cannot change the result: the returned point q_min is the
+    first with the least f, so its f is at most B, and the bound skips only
+    points whose f exceeds B.
     """
     n = support.n
     R = GRID_RESOLUTION
@@ -389,12 +533,25 @@ def grid_minimize(support: WeightSupport, t: float) -> tuple[list[float], float]
             terms.append((nsq, nz[0][0], nz[0][1], nz[1:]))
         else:
             terms.append((nsq * t ** -0.0, None, None, None))
+    cone = _GridBound(support, t)
+    seed = _grid_seed(support)
+    bound = math.inf
+    if seed is not None:
+        nrm = math.sqrt(sum(y * y for y in seed))
+        bound = kempf_f(t, [y / nrm for y in seed], support)
+    window = cone.window(bound)
     # q = head + (x, -(h + x)): x runs over the values with |h + x| <= R
     for head in itertools.product(range(-R, R + 1), repeat=n - 2):
         h = sum(head)
-        hsq = sum(y * y for y in head)
+        hsq = sum(map(mul, head, head))
         at_origin = not any(head)
-        for x in range(max(-R, -R - h), min(R, R - h) + 1):
+        if best_f < bound:
+            bound = best_f
+            window = cone.window(bound)
+        lo, hi = max(-R, -R - h), min(R, R - h)
+        if window is not None:
+            lo, hi = window(head, h, hsq, lo, hi)
+        for x in range(lo, hi + 1):
             if at_origin and not x:
                 continue
             q = head + (x, -(h + x))

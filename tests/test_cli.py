@@ -352,6 +352,24 @@ def test_kempf_f_past_the_float_range_is_computation_error(tmp_path, capsys, ext
     assert err == "computation error: f exceeds the float range at t = 1e+300\n"
 
 
+# A squared component norm outside the normal floats: the matrix is
+# projectively J_2, but |1/10^200|^2 underflows to 0.0; |10^200|^2 overflows
+TINY_J2 = {"matrix": [["0", "1/1" + "0" * 200], ["0", "0"]]}
+HUGE_FORM = {"form": {"nvars": 2, "degree": 2,
+                      "terms": [{"exp": [2, 0], "coef": "1" + "0" * 200},
+                                {"exp": [0, 2], "coef": "1"}]}}
+
+
+@pytest.mark.parametrize("extra", [{}, {"grid": False}])
+@pytest.mark.parametrize("doc, chi", [(TINY_J2, "(1, -1)"), (HUGE_FORM, "(2, 0)")])
+def test_kempf_norm_past_the_float_range_is_input_error(tmp_path, capsys, doc, chi, extra):
+    path = _write(tmp_path, "in.json", {**doc, "t": 10, **extra})
+    code, out, err = _run(capsys, ["kempf", "--input", path])
+    assert code == EXIT_INPUT and out == ""
+    assert err == (f"input error: the squared norm of the weight-{chi} component is outside "
+                   "the float range [2.225e-308, 1.798e+308]\n")
+
+
 def test_kempf_exact_optimum_of_semistable_monomial(tmp_path, capsys):
     path = _write(tmp_path, "in.json", dict(XYZ, t=10))
     code, out, _ = _run(capsys, ["kempf", "--input", path])
@@ -375,8 +393,9 @@ def test_kempf_agrees_with_grid_on_semistable_input(tmp_path, capsys):
 
 
 # Whole `kempf --format json` outputs, pinned on J_3 and J_4 at t = 1000 and
-# t = 1e300, the semistable dense 4x4 above at t = 100 and a semistable
-# ternary cubic, all with the grid cross-check
+# t = 1e300, the semistable dense 4x4 above at t = 100, a semistable
+# ternary cubic and the unstable x^3 + 2xyz + 5y^2z in 4 variables at t = 2
+# (unequal norms, small ln t), all with the grid cross-check
 KEMPF_GOLDEN = json.loads((Path(__file__).parent / "data" / "kempf_golden.json").read_text())
 
 

@@ -266,6 +266,11 @@ DIVISIONS = [
     ("kempf", "grid_minimize", "q[i] / nrm", "float code"),
     ("kempf", "grid_minimize", "q[j] / nrm", "float code"),
     ("kempf", "grid_minimize", "y / nrm", "float code"),
+    ("kempf", "grid_minimize", "y / nrm", "float code"),
+    ("kempf", "_GridBound.__init__", "math.fsum(map(math.log, support.float_norms)) / m",
+     "float code"),
+    ("kempf", "_GridBound.window",
+     "self.m * (self.ln_mg - math.log(bound) - self.slack) / self.lt", "float code"),
 ]
 
 

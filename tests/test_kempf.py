@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from orbitlimits.conjclosure import jordan_block
 from orbitlimits.exactcore import Mat
 from orbitlimits.kempf import (GRID_RESOLUTION, WeightComponent, WeightSupport,
-                               centered_ap_direction, grid_minimize, kempf_f,
-                               kempf_descent, kempf_optimum, kempf_support,
+                               _grid_seed, centered_ap_direction, grid_minimize,
+                               kempf_f, kempf_descent, kempf_optimum, kempf_support,
                                leading_term_along, mu, pairing)
 from orbitlimits.lierep import ConjRep, Form, SymRep, elementary
 
@@ -253,12 +253,49 @@ def _grid_supports():
     return cases
 
 
+def _form_support(nvars, terms):
+    degree = sum(next(iter(terms)))
+    rep = SymRep(nvars, degree)
+    return kempf_support(rep, rep.to_coords(Form(nvars, degree, terms)))
+
+
+def _pruning_supports():
+    """Supports that probe the AM-GM bound of `grid_minimize`, each at its
+    values of t."""
+    near_one = 1 + 1e-9                # ln t about 1e-9: the margin matters
+    return [
+        # x^3 + 2xyz + 5y^2z: unstable, with unequal norms
+        ("cubic125-3v", _form_support(3, {(3, 0, 0): 1, (1, 1, 1): 2, (0, 2, 1): 5}),
+         (near_one, 2.0, 1e300)),
+        ("cubic125-4v", _form_support(4, {(3, 0, 0, 0): 1, (1, 1, 1, 0): 2, (0, 2, 1, 0): 5}),
+         (near_one, 2.0)),
+        ("J_3", _jn_support(3), (near_one,)),
+        ("J_4", _jn_support(4), (near_one,)),
+        # the rays k (1, -1, 0) tie up to rounding: the seed (20, -20, 0) is
+        # not the first least-f point, and at t = 1e300 every f underflows
+        ("ray-tie", _support(3, [((1, -1, 0), 1)]), (1000.0, 1e300)),
+        ("ray-tie-4v", _support(4, [((1, -1, 0, 0), 1)]), (1000.0,)),
+        # t^(-<p, chi>) underflows to a subnormal near 1e-318 at the best
+        # points and |v_chi|^2 = 5e165 lifts it back: their float f is below
+        # the exact f by far more than the margin
+        ("underflow", _support(2, [((6, -3), 5 * 10**165)]), (1e50,)),
+        # semistable, so no seed
+        ("semistable", _support(3, [((1, -1, 0), 1), ((-1, 1, 0), 5), ((0, 1, -1), 2)]),
+         (near_one, 10.0, 1e300)),
+        ("zero-weight", _support(3, [((0, 0, 0), 3), ((1, -1, 0), 1), ((0, 2, -2), 2)]),
+         (near_one, 10.0, 1e300)),
+    ]
+
+
 # the reference loop takes about 0.5 s a call at n = 4: there J_4 runs at
-# every t and the other supports at one moderate and one overflowing t
-GRID_CASES = [pytest.param(sup, t, id=f"{name}-t{t:g}")
-              for name, sup in _grid_supports()
-              for t in (2.0, 10.0, 1000.0, 1e300)
-              if sup.n < 4 or name == "J_4" or t in (10.0, 1e300)]
+# every t and the other supports at one moderate and one overflowing t, and
+# the pruning supports add four n = 4 calls
+GRID_CASES = ([pytest.param(sup, t, id=f"{name}-t{t:g}")
+               for name, sup in _grid_supports()
+               for t in (2.0, 10.0, 1000.0, 1e300)
+               if sup.n < 4 or name == "J_4" or t in (10.0, 1e300)]
+              + [pytest.param(sup, t, id=f"{name}-t{t:.10g}")
+                 for name, sup, ts in _pruning_supports() for t in ts])
 
 
 @pytest.mark.parametrize("sup, t", GRID_CASES)
@@ -266,6 +303,25 @@ def test_grid_equals_reference_loop(sup, t):
     p, f = grid_minimize(sup, t)
     rp, rf = _grid_reference(sup, t)
     assert p == rp and f == rf
+
+
+def test_grid_seed_is_not_always_the_winner():
+    # f is constant on the ray of (1, -1, 0) up to rounding; the seed's f is
+    # a rounding above the least, which (3, -3, 0) is the first to reach
+    sup = _support(3, [((1, -1, 0), 1)])
+    assert _grid_seed(sup) == [20, -20, 0]
+    p, f = grid_minimize(sup, 1000.0)
+    nrm = math.sqrt(18)
+    assert p == [3 / nrm, -3 / nrm, 0 / nrm]
+    seed_nrm = math.sqrt(800)
+    assert kempf_f(1000.0, [20 / seed_nrm, -20 / seed_nrm, 0 / seed_nrm], sup) > f
+
+
+def test_grid_seed_nearest_the_optimum():
+    # J_4's optimum is (3, 1, -1, -3)/10: scaled to max 20, (20, 6.67, ...)
+    assert _grid_seed(_jn_support(4)) == [20, 7, -7, -20]
+    # p = 0 on a semistable support: no seed
+    assert _grid_seed(_support(3, [((1, -1, 0), 1), ((-1, 1, 0), 5)])) is None
 
 
 def test_grid_without_a_finite_point():
