@@ -22,9 +22,9 @@ from typing import Optional
 
 from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
                           jab_slice_report, jn_slice_report, transpose_block_spectrum)
-from .curvature import (CurvatureData, adjoint_offdiagonal_vanishing,
-                        adjoint_pi, cyclic_shift_suite, sphere_ricci)
-from .exactcore import Mat, UniPoly, as_strings, dense, exact
+from .curvature import (adjoint_offdiagonal_vanishing, adjoint_pi, cyclic_shift_suite,
+                        sphere_ricci)
+from .exactcore import Mat, as_strings, dense, exact
 from .kempf import FloatRangeError, grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
@@ -50,11 +50,12 @@ FORM_MAX_DIM = 500
 # the local model of a dense 9x9 integer matrix takes about 1 s, of a dense
 # 11x11 one 6 s (Python 3.11 on a 2-core Xeon).
 MATRIX_MAX_N = 9
-# The other size fields, each bounded where one document costs about 2 s on
-# the same machine: a closure spec of size 500 with a witness family takes up
-# to 2.1 s, the slice report at J_8 2.9 s, the sphere in dim 24 2.2 s, the
-# adjoint orbit with 6 eigenvalues 2.5 s and the cyclic-shift suite at
-# n = 10 1.9 s.
+# The other size fields.  Their worst measured documents, as whole processes
+# on the same machine: a closure spec of size 500 with a witness family (250
+# eigenvalues k/3, blocks of 2) 1.6 s, the slice report at J_8 or J_{a,b}
+# with a + b = 8 0.2 s, the sphere in dim 24 0.5 s, the adjoint orbit with 6
+# eigenvalues 0.2 s and the cyclic-shift suite at n = 10 0.4 s.  A closure
+# witness grows with the size of the eigenvalues, which no bound limits.
 CLOSURE_MAX_N = 500
 SLICE_MAX_N = 8           # the size n of J_n, a + b of J_{a,b}
 SPHERE_MAX_DIM = 24
@@ -207,31 +208,19 @@ def jordanspec_from_doc(doc) -> JordanSpec:
 
 
 def to_jsonable(obj):
-    """Recursively convert library objects to JSON-friendly structures."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    """Recursively convert a document of JSON values, tuples and partitions to
+    JSON-friendly structures; a library value must be converted before (a
+    rational by `as_strings`), and any other type raises TypeError."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, UniPoly):
-        return str(obj)
-    if isinstance(obj, Mat):
-        return [[to_jsonable(x) for x in row] for row in obj.a]
-    if isinstance(obj, Form):
-        return form_to_doc(obj)
     if isinstance(obj, Partition):
         return list(obj)
-    if isinstance(obj, CurvatureData):
-        obj = {k: getattr(obj, k) for k in
-               ("pi", "skew", "beta_is_minus_alpha", "normal_gram",
-                "ricci", "osculates", "chart_matches_projection")}
     if isinstance(obj, dict):
         return {(k if isinstance(k, str) else repr(k)): to_jsonable(v)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    return repr(obj)
+    raise TypeError(f"no JSON form for a {type(obj).__name__}: convert it first")
 
 
 def read_input(args) -> dict:

@@ -3,17 +3,18 @@ chart correction, Gauss-equation curvature, and the cyclic-shift suite.
 
 Conventions:
   * V carries the standard inner product of its coordinate basis (for matrix
-    spaces this is Tr(a b^T) in the row-major coordinates);
-  * for a Lie algebra element s with action matrix S on V, the associated
-    vector field is v |-> S v, its value at x is the tangent vector S x, and
-    the derivative of the field of s_j along the direction S_i x is S_j S_i x;
+    spaces this is Tr(a b^T) in the row-major coordinates); V-vectors are
+    sparse coordinate dicts, and gl elements their coordinates {i*n + j: x};
+  * a Lie algebra element s acts through `rep.act`: the associated vector
+    field is v |-> s.v, its value at x is the tangent vector s.x, and the
+    derivative of the field of s_j along the direction s_i.x is s_j.(s_i.x);
   * the second fundamental form is reported as
-        pi[i][j]^r = <v_r, S_j S_i x>        (the normal component),
-    together with alpha[i][j]^r = -x^T S_j S_i v_r, which equals -pi[i][j]^r
-    whenever every S_i is skew-symmetric;
+        pi[i][j]^r = <v_r, s_j.(s_i.x)>        (the normal component),
+    together with alpha[i][j]^r = -<x, s_j.(s_i.v_r)>, which equals
+    -pi[i][j]^r whenever every s_i acts by a skew-symmetric operator;
   * the chart at y is the sphere {|v| = |y|}; its projection at y is
-    P = I - y y^T / y^T y, the chart operators are S~ = P S, and the chart
-    second fundamental form is the normal part of S~_j S~_i y.
+    P = I - y y^T / y^T y, the chart fields are v |-> P (s.v), and the chart
+    second fundamental form is the normal part of P s_j.(P s_i.y).
 """
 
 from __future__ import annotations
@@ -22,29 +23,31 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Mat, Subspace, _as_q, dense, exact, qdiv, sparse
-from .lierep import ConjRep, action_matrix, stabilizer_algebra, tangent_space
+from .exactcore import Mat, Subspace, _as_q, exact, lin_comb, qdiv
+from .lierep import ConjRep, Representation, SymRep, _action_map_cols, stabilizer_algebra
 
 
-def dot(u, v):
+def dot(u: dict, v: dict):
+    """<u, v> of sparse vectors, over the entries of the shorter one."""
+    if len(v) < len(u):
+        u, v = v, u
     s = 0
-    for x, y in zip(u, v):
-        if x and y:
-            s = s + x * y
+    for k, x in u.items():
+        if k in v:
+            s = s + x * v[k]
     return exact(s)
 
 
-def _is_orthonormal(vectors) -> bool:
+def _check_orthonormal(vectors: list, what: str) -> None:
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
             if dot(u, v) != (1 if i == j else 0):
-                return False
-    return True
+                raise ValueError(f"{what} is not orthonormal")
 
 
-def _is_skew(m: Mat) -> bool:
-    return all(m.a[i][j] == -m.a[j][i]
-               for i in range(m.rows) for j in range(m.cols))
+def _check_orthogonal(tangents: list, N: list) -> None:
+    if any(dot(t, v) for t in tangents for v in N):
+        raise ValueError("normal basis is not orthogonal to the tangent space")
 
 
 @dataclass
@@ -52,11 +55,11 @@ class CurvatureData:
     """Second-fundamental-form tables and (optionally) their contraction.
 
     pi[i][j] is the component vector of Pi(X_i, X_j) on the normal basis;
-    alpha[i][j][r] is the theta-side table -x^T S_j S_i v_r; riemann is the
-    Gauss-equation tensor r[i][j][k][l] and ricci its contraction
-    R_{jk} = sum_i r[i][j][k][i].  normal_gram is the Gram matrix of the
-    normal basis used for inner products of pi-vectors (identity when the
-    basis is orthonormal).
+    alpha[i][j][r] is the theta-side table -<x, s_j.(s_i.v_r)>; skew says
+    that every s_i is a skew-symmetric matrix; riemann is the Gauss-equation
+    tensor r[i][j][k][l] and ricci its contraction R_{jk} = sum_i r[i][j][k][i].
+    normal_gram is the Gram matrix of the normal basis used for inner
+    products of pi-vectors (identity when the basis is orthonormal).
     """
 
     pi: list
@@ -78,35 +81,29 @@ class CurvatureData:
         return len(self.pi[0][0]) if self.pi and self.pi[0] else 0
 
 
-def second_fundamental_form(x, S_ops, N_basis) -> CurvatureData:
+def second_fundamental_form(rep: Representation, x: dict, S: list,
+                            N: list) -> CurvatureData:
     """Pi and alpha tables at x for orthonormal tangent/normal bases.
 
-    S_ops are the action matrices on V of a basis of the tangent-generating
-    complement; the tangent vectors S_i x and the normal basis must each be
-    orthonormal and mutually orthogonal (raises ValueError otherwise).
+    S is a basis of the tangent-generating complement in gl coordinates and
+    N a basis of normal V-vectors; the tangent vectors s_i.x and N must each
+    be orthonormal and mutually orthogonal (raises ValueError otherwise).
     """
-    tangents = [S.apply(list(x)) for S in S_ops]
-    if not _is_orthonormal(tangents):
-        raise ValueError("tangent basis S_i x is not orthonormal")
-    if not _is_orthonormal(N_basis):
-        raise ValueError("normal basis is not orthonormal")
-    for t in tangents:
-        for v in N_basis:
-            if dot(t, v):
-                raise ValueError("normal basis is not orthogonal to the tangent space")
-    L = len(S_ops)
-    pi = [[[dot(v, S_ops[j].apply(t_i)) for v in N_basis]
-           for j, _ in enumerate(S_ops)]
-          for t_i in tangents]
-    alpha = [[[-dot(x, S_ops[j].apply(S_ops[i].apply(list(v)))) for v in N_basis]
-              for j in range(L)]
+    tangents = [rep.act(s, x) for s in S]
+    _check_orthonormal(tangents, "tangent basis s_i.x")
+    _check_orthonormal(N, "normal basis")
+    _check_orthogonal(tangents, N)
+    L, K = len(S), len(N)
+    pi = [[[dot(v, rep.act(s_j, t_i)) for v in N] for s_j in S] for t_i in tangents]
+    s_N = [[rep.act(s_i, v) for v in N] for s_i in S]
+    alpha = [[[-dot(x, rep.act(s_j, w)) for w in s_N[i]] for s_j in S]
              for i in range(L)]
-    skew = all(_is_skew(S) for S in S_ops)
+    n = rep.n
+    skew = all(s.get(k % n * n + k // n, 0) == -c for s in S for k, c in s.items())
     beta_flag = None
     if skew:
         beta_flag = all(pi[i][j][r] == -alpha[i][j][r]
-                        for i in range(L) for j in range(L)
-                        for r in range(len(N_basis)))
+                        for i in range(L) for j in range(L) for r in range(K))
     return CurvatureData(pi=pi, alpha=alpha, skew=skew,
                          beta_is_minus_alpha=beta_flag)
 
@@ -122,7 +119,11 @@ def riemann_and_ricci(curv: CurvatureData) -> CurvatureData:
     gram = curv.normal_gram
     if gram is None:
         def inner(a, b):
-            return dot(a, b)
+            s = 0
+            for x, y in zip(a, b):
+                if x and y:
+                    s = s + x * y
+            return exact(s)
     else:
         def inner(a, b):
             s = 0
@@ -143,83 +144,65 @@ def riemann_and_ricci(curv: CurvatureData) -> CurvatureData:
     return curv
 
 
-def _project_off(y, v):
+def _project_off(y: dict, v: dict) -> dict:
     """v minus its component along y, c y with c = <y, v> / <y, y> (`qdiv`):
     an `int` for each integer entry."""
-    c = qdiv(dot(y, v), dot(y, y))
-    return [exact(a - c * b) for a, b in zip(v, y)]
+    return lin_comb({0: 1, 1: -qdiv(dot(y, v), dot(y, y))}, [v, y])
 
 
-def chart_second_fundamental_form(y, S_ops, N_basis,
-                                  full_tangent=None) -> CurvatureData:
+def chart_second_fundamental_form(rep: Representation, y: dict, S: list,
+                                  N: list) -> CurvatureData:
     """Second fundamental form of the orbit chart {|v| = |y|} at y.
 
-    Works with arbitrary (not necessarily orthonormal) bases: N_basis must
-    span the orthogonal complement of the full tangent space, and
-    full_tangent (default: span of the S_i y) must contain every S_i y.
+    Works with arbitrary (not necessarily orthonormal) bases: the tangent
+    space is the image gl.y, and N must span its orthogonal complement.
     Components of the chart form are reported on the *original* N basis
     vectors; the direction of y itself collapses in the chart.
 
-    Raises ValueError when y is not a simple point (y in G.y).
+    Raises ValueError when y is not a simple point (y in gl.y).
     """
-    y = list(y)
-    tangents = [S.apply(y) for S in S_ops]
-    if full_tangent is None:
-        full_tangent = tangents
     # one basis: the tangent space, then the chart normals
-    chart = Subspace(len(y))
-    t_basis = [t for t in full_tangent if chart.add(sparse(t))]
-    if sparse(y) in chart:
+    chart = Subspace(rep.dim)
+    t_basis = [c for c in _action_map_cols(rep, y) if chart.add(c)]
+    if y in chart:
         raise ValueError("y is not a simple point: y lies in its own tangent space")
-    for t in full_tangent:
-        for v in N_basis:
-            if dot(t, v):
-                raise ValueError("normal basis is not orthogonal to the tangent space")
+    _check_orthogonal(t_basis, N)
 
     # N is orthogonal to the tangent space, so a set of projected normals is
     # independent modulo the tangent space exactly when it is independent
-    proj_N = [_project_off(y, list(v)) for v in N_basis]
-    n_idx = [k for k, v in enumerate(proj_N) if chart.add(sparse(v))]
-
-    L = len(S_ops)
-    K = len(N_basis)
+    proj_N = [_project_off(y, v) for v in N]
+    n_idx = [k for k, v in enumerate(proj_N) if chart.add(v)]
+    t, K = len(t_basis), len(N)
 
     def lam_N_tilde(w):
-        coords = chart.coords(sparse(w))
+        coords = chart.coords(w)
         if coords is None:
             raise ValueError("vector does not decompose in tangent + chart normal")
-        t = len(t_basis)
-        return dense({k: coords[t + pos] for pos, k in enumerate(n_idx) if t + pos in coords}, K)
+        out = [0] * K
+        for pos, k in enumerate(n_idx):
+            out[k] = coords.get(t + pos, 0)
+        return out
 
-    pi = []
-    for i in range(L):
-        row = []
-        for j in range(L):
-            w = _project_off(y, S_ops[j].apply(_project_off(y, tangents[i])))
-            row.append(lam_N_tilde(w))
-        pi.append(row)
+    tangents = [rep.act(s, y) for s in S]
+    pi = [[lam_N_tilde(_project_off(y, rep.act(s_j, _project_off(y, t_i)))) for s_j in S]
+          for t_i in tangents]
 
-    osc = all(not dot(y, t) for t in tangents)
+    osc = all(not dot(y, t_i) for t_i in tangents)
     match = None
     if osc:
         # ambient Pi then chart projection (the osculation identity)
+        ambient = Subspace(rep.dim, t_basis + N)
         match = True
-        ambient = Subspace(len(y), map(sparse, t_basis + list(N_basis)))
-        for i in range(L):
-            for j in range(L):
-                w = S_ops[j].apply(tangents[i])
-                coords = ambient.coords(sparse(w))
+        for i, t_i in enumerate(tangents):
+            for j, s_j in enumerate(S):
+                coords = ambient.coords(rep.act(s_j, t_i))
                 if coords is None:
                     match = False
                     continue
-                amb = [0] * len(y)
-                for r in range(K):
-                    c = coords.get(len(t_basis) + r, 0)
-                    amb = [exact(a + c * b) for a, b in zip(amb, N_basis[r])]
+                amb = lin_comb({g - t: c for g, c in coords.items() if g >= t}, N)
                 if lam_N_tilde(_project_off(y, amb)) != pi[i][j]:
                     match = False
-    gram = [[dot(_project_off(y, list(N_basis[r])), _project_off(y, list(N_basis[q])))
-             for q in range(K)] for r in range(K)]
+    gram = [[dot(u, v) for v in proj_N] for u in proj_N]
     return CurvatureData(pi=pi, normal_gram=gram, osculates=osc,
                          chart_matches_projection=match)
 
@@ -228,29 +211,22 @@ def chart_second_fundamental_form(y, S_ops, N_basis,
 # sphere model: SO(m+1) acting on R^{m+1}, orbit the sphere S^m of radius r
 
 
-def sphere_model(sphere_dim: int, r) -> tuple[list, list[Mat], list[list]]:
-    """(x, S_ops, N_basis) for the radius-r sphere S^sphere_dim in R^(dim+1).
+def sphere_model(sphere_dim: int, r) -> tuple:
+    """(rep, x, S, N) for the radius-r sphere S^sphere_dim in R^(dim+1).
 
-    x = r e_1; S^i rotates the (1,i) plane scaled by 1/r so that S^i x = e_i.
+    V is the space of linear forms in dim+1 variables, where g acts by its
+    transpose; x = r x_1, and s_i rotates the (1,i) plane scaled by 1/r so
+    that s_i.x = x_i.
     """
     n = sphere_dim + 1
     r = _as_q(r)
-    x = [r] + [0] * (n - 1)
-    S_ops = []
-    for i in range(1, n):
-        S = Mat.zeros(n, n)
-        S.a[0][i] = qdiv(-1, r)
-        S.a[i][0] = qdiv(1, r)
-        S_ops.append(S)
-    N_basis = [[1] + [0] * (n - 1)]
-    return x, S_ops, N_basis
+    S = [{i: qdiv(1, r), i * n: qdiv(-1, r)} for i in range(1, n)]
+    return SymRep(n, 1), {0: r}, S, [{0: 1}]
 
 
 def sphere_ricci(sphere_dim: int, r) -> list:
     """Exact Ricci matrix of the radius-r sphere S^sphere_dim via Gauss."""
-    x, S_ops, N_basis = sphere_model(sphere_dim, r)
-    curv = riemann_and_ricci(second_fundamental_form(x, S_ops, N_basis))
-    return curv.ricci
+    return riemann_and_ricci(second_fundamental_form(*sphere_model(sphere_dim, r))).ricci
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +502,9 @@ def cyclic_shift_suite(n: int) -> dict:
 
 def cyclic_chart_form(n: int) -> CurvatureData:
     """Pi_C at y = c computed through the generic chart machinery, with the
-    full tangent space and the normal basis {c^k}; components on {c^k}."""
+    normal basis {c^k}; components on {c^k}."""
     rep = ConjRep(n)
-    c = cyclic_shift(n)
-    y = rep.to_coords(c)
-    S_ops = [action_matrix(rep, rep.to_coords(L_op(n, i))) for i in range(n)]
-    N_basis = [dense(rep.to_coords(cyc_power(n, k)), rep.dim) for k in range(n)]
-    full_tangent = [dense(t, rep.dim) for t in tangent_space(rep, y)]
-    return chart_second_fundamental_form(dense(y, rep.dim), S_ops, N_basis,
-                                         full_tangent=full_tangent)
+    return chart_second_fundamental_form(
+        rep, rep.to_coords(cyclic_shift(n)),
+        [rep.to_coords(L_op(n, i)) for i in range(n)],
+        [rep.to_coords(cyc_power(n, k)) for k in range(n)])

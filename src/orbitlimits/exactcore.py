@@ -326,11 +326,6 @@ class Mat:
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]
 
-    def transpose(self) -> "Mat":
-        if not self.a:
-            return Mat([[] for _ in range(self.cols)])
-        return Mat([list(r) for r in zip(*self.a)], self.rows)
-
     def map(self, f: Callable) -> "Mat":
         return Mat([[f(x) for x in r] for r in self.a])
 
@@ -372,25 +367,6 @@ class Mat:
             zero = _zero_like(r[0] if r else 0)
             out.append([zero if (x := acc.get(j)) is None else exact(x) for j in range(m)])
         return Mat(out, m)
-
-    def apply(self, v: Sequence) -> list:
-        """Matrix times column vector."""
-        out = []
-        for r in self.a:
-            s = None
-            for x, y in zip(r, v):
-                if not x or not y:
-                    continue
-                p = x * y
-                s = p if s is None else s + p
-            out.append(0 if s is None else exact(s))
-        return out
-
-    def trace(self):
-        s = self.a[0][0]
-        for i in range(1, self.rows):
-            s = s + self.a[i][i]
-        return exact(s)
 
     def __repr__(self):
         return "Mat(" + ",\n    ".join(repr(r) for r in self.a) + ")"

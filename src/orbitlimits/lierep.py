@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactcore import Mat, Subspace, _as_q, _zero_like, dense, exact, kernel, transpose
+from .exactcore import Mat, _as_q, _zero_like, dense, exact, kernel, transpose
 
 
 class Form:
@@ -273,11 +273,6 @@ def elementary(n: int, i: int, j: int, coef=1) -> Mat:
     return m
 
 
-def action_matrix(rep: Representation, g: dict) -> Mat:
-    """The dim(V) x dim(V) matrix of the action of g on the chosen basis."""
-    return Mat.from_cols([dense(rep.act(g, {k: 1}), rep.dim) for k in range(rep.dim)])
-
-
 def _action_map_cols(rep: Representation, v: dict) -> list[dict]:
     """The columns of g |-> rho(g).v : gl -> V, indexed by E_ij row-major."""
     return [rep.act_elementary(i, j, v) for i in range(rep.n) for j in range(rep.n)]
@@ -287,8 +282,3 @@ def stabilizer_algebra(rep: Representation, v: dict) -> list[dict]:
     """Basis of {g in gl : rho(g).v = 0} in gl coordinates, deterministic order."""
     return kernel(rep.n ** 2, transpose(_action_map_cols(rep, v)))
 
-
-def tangent_space(rep: Representation, v: dict) -> list[dict]:
-    """Basis of the image {rho(g).v : g in gl} as V-coordinate vectors."""
-    span = Subspace(rep.dim)
-    return [c for c in _action_map_cols(rep, v) if span.add(c)]

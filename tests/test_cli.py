@@ -10,7 +10,7 @@ from orbitlimits import (cli, conjclosure, curvature, exactcore, kempf, lierep, 
                          localmodel, reproduce)
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                              form_from_doc, main)
-from orbitlimits.exactcore import Mat
+from orbitlimits.exactcore import Mat, UniPoly, as_strings
 from orbitlimits.lierep import SymRep, stabilizer_algebra
 
 
@@ -540,10 +540,17 @@ def test_reproduce_json_writes_rationals_as_strings(capsys):
             assert all(type(x) in (int, bool) for x in leaves)
 
 
-def test_to_jsonable_keeps_ints_as_numbers_and_writes_rationals_as_strings():
+def test_to_jsonable_keeps_ints_as_numbers_and_refuses_unconverted_values():
+    """Rationals are written as strings by `as_strings` and `mat_to_doc`
+    before `to_jsonable`; a library value that reaches it unconverted is a
+    TypeError that names its type, not a repr in the output."""
     assert cli.to_jsonable(3) == 3 and cli.to_jsonable(True) is True
-    assert cli.to_jsonable(Fraction(3)) == "3" and cli.to_jsonable(Fraction(-1, 2)) == "-1/2"
+    assert cli.to_jsonable({(0, 1): (2, [None, 1.5])}) == {"(0, 1)": [2, [None, 1.5]]}
+    assert cli.to_jsonable(as_strings([3, Fraction(-1, 2)])) == ["3", "-1/2"]
     assert cli.mat_to_doc(Mat([[1, Fraction(2, 3)]])) == [["1", "2/3"]]
+    for value in (Fraction(-1, 2), Mat([[1]]), UniPoly.t()):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            cli.to_jsonable({"x": [value]})
 
 
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])

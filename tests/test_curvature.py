@@ -13,8 +13,8 @@ from orbitlimits.curvature import (L_op, _e, _project_off, adjoint_offdiagonal_v
                                    p_closed, p_trace, riemann_and_ricci,
                                    second_fundamental_form, sphere_model,
                                    sphere_ricci)
-from orbitlimits.exactcore import Mat, Q0, dense
-from orbitlimits.lierep import ConjRep, action_matrix, tangent_space
+from orbitlimits.exactcore import Mat, Q0
+from orbitlimits.lierep import ConjRep
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +32,7 @@ def test_sphere_ricci_exact(m, r):
 
 
 def test_sphere_second_form_skew_and_symmetric():
-    x, S_ops, N_basis = sphere_model(3, Fraction(2))
-    curv = second_fundamental_form(x, S_ops, N_basis)
+    curv = second_fundamental_form(*sphere_model(3, Fraction(2)))
     assert curv.skew is True
     assert curv.beta_is_minus_alpha is True
     L = curv.tangent_dim
@@ -41,10 +40,32 @@ def test_sphere_second_form_skew_and_symmetric():
 
 
 def test_non_orthonormal_frame_rejected():
-    x, S_ops, N_basis = sphere_model(2, Fraction(2))
-    bad = [S_ops[0].scale(Fraction(2)), S_ops[1]]
-    with pytest.raises(ValueError):
-        second_fundamental_form(x, bad, N_basis)
+    rep, x, S, N = sphere_model(2, Fraction(2))
+    bad = [{k: 2 * c for k, c in S[0].items()}, S[1]]
+    with pytest.raises(ValueError, match="tangent basis"):
+        second_fundamental_form(rep, x, bad, N)
+    with pytest.raises(ValueError, match="normal basis is not orthonormal"):
+        second_fundamental_form(rep, x, S, [{0: 2}])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        second_fundamental_form(rep, x, S[:1], [{2: 1}, {1: 1}])
+
+
+def test_second_fundamental_form_on_the_adjoint_orbit():
+    """ConjRep(3) at x = diag(1, 2, 4), S the normalized e_pq and N the E_ii:
+    Pi(e_pq, e_qp) = -(lam_q - lam_p) d_pq, with d_pq from `adjoint_pi`,
+    and every other component vanishes."""
+    lams = [1, 2, 4]
+    rep = ConjRep(3)
+    pairs = [(p, q) for p in range(3) for q in range(3) if p != q]
+    curv = second_fundamental_form(rep, {0: 1, 4: 2, 8: 4}, [_e(lams, p, q) for p, q in pairs],
+                                   [{4 * i: 1} for i in range(3)])
+    d = adjoint_pi(lams)
+    for a, (p, q) in enumerate(pairs):
+        for b, (r, s) in enumerate(pairs):
+            want = ([-(lams[q] - lams[p]) * x for x in d[(p, q)]] if (r, s) == (q, p)
+                    else [0] * 3)
+            assert curv.pi[a][b] == want and exact_types(curv.pi[a][b])
+    assert curv.skew is False and curv.beta_is_minus_alpha is None
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +162,7 @@ def test_gamma_squared_direct():
 
 
 def test_riemann_antisymmetry_on_sphere():
-    x, S_ops, N_basis = sphere_model(3, Fraction(1))
-    curv = riemann_and_ricci(second_fundamental_form(x, S_ops, N_basis))
+    curv = riemann_and_ricci(second_fundamental_form(*sphere_model(3, Fraction(1))))
     r = curv.riemann
     m = 3
     for i in range(m):
@@ -161,30 +181,44 @@ def test_projection_of_int_vectors_is_exact():
     """Integer-valued vectors held as `int`s: the projection off y divides
     two dot products through `qdiv`, so an integer entry is an int and any
     other a Fraction, never a float."""
-    got = _project_off([1, 1, 0], [2, 0, 3])
-    assert got == [1, -1, 3] and exact_types(got)
-    got = _project_off([1, 1, 1], [1, 0, 0])
-    assert got == [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)] and exact_types(got)
+    got = _project_off({0: 1, 1: 1}, {0: 2, 2: 3})
+    assert got == {0: 1, 1: -1, 2: 3} and exact_types(got.values())
+    got = _project_off({0: 1, 1: 1, 2: 1}, {0: 1})
+    assert got == {0: Fraction(2, 3), 1: Fraction(-1, 3), 2: Fraction(-1, 3)}
+    assert exact_types(got.values())
     assert _e([1, 2, 4], 0, 2) == {2: Fraction(1, 3)} and _e([1, 2, 4], 0, 1) == {1: 1}
     assert exact_types([*_e([1, 2, 4], 0, 2).values(), *_e([1, 2, 4], 0, 1).values()])
 
 
 def test_chart_form_on_int_inputs_is_exact():
-    """The cyclic chart form at n = 3 with y, the S operators, the normal
-    basis and the tangent space all as `int`s equals the same computation on
-    `Fraction`s and the reference, entry by entry by the scalar rule."""
+    """The cyclic chart form at n = 3 with y, the s_i and the normal basis
+    all as `int` coordinates equals the same computation on `Fraction`s and
+    the reference, entry by entry by the scalar rule."""
     n, rep = 3, ConjRep(3)
-    c = rep.to_coords(cyclic_shift(n))
-    S_ops = [action_matrix(rep, rep.to_coords(L_op(n, i))) for i in range(n)]
-    N_basis = [dense(rep.to_coords(cyc_power(n, k)), rep.dim) for k in range(n)]
-    full = [dense(t, rep.dim) for t in tangent_space(rep, c)]
-    y = dense(c, rep.dim)
+    y = rep.to_coords(cyclic_shift(n))
+    S = [rep.to_coords(L_op(n, i)) for i in range(n)]
+    N = [rep.to_coords(cyc_power(n, k)) for k in range(n)]
     forms = []
     for cast in (int, Fraction):
         def vec(v):
-            return [cast(x) for x in v]
+            return {k: cast(x) for k, x in v.items()}
         forms.append(chart_second_fundamental_form(
-            vec(y), [Mat([vec(r) for r in S.a]) for S in S_ops], [vec(v) for v in N_basis],
-            full_tangent=[vec(t) for t in full]).pi)
+            rep, vec(y), [vec(s) for s in S], [vec(v) for v in N]).pi)
     assert forms[0] == forms[1] == cyclic_chart_form(n).pi
     assert all(exact_types(v) for pi in forms for row in pi for v in row)
+
+
+def test_chart_form_rejects_a_point_in_its_tangent_space():
+    """J_3 = [h, J_3] for h = diag(1, 0, -1): y lies in gl.y."""
+    rep = ConjRep(3)
+    with pytest.raises(ValueError, match="not a simple point"):
+        chart_second_fundamental_form(rep, {1: 1, 5: 1}, [{0: 1}], [{0: 1}])
+
+
+def test_chart_form_rejects_normals_off_the_orthogonal_complement():
+    """E_00 is not orthogonal to gl.c: [E_02, c] = E_00 - E_22."""
+    n, rep = 3, ConjRep(3)
+    y = rep.to_coords(cyclic_shift(n))
+    S = [rep.to_coords(L_op(n, i)) for i in range(n)]
+    with pytest.raises(ValueError, match="not orthogonal"):
+        chart_second_fundamental_form(rep, y, S, [{0: 1}])

@@ -94,7 +94,7 @@ def test_rank_nullspace():
     assert rank(m) == 2
     ns = nullspace(m)
     assert len(ns) == 1
-    assert not any(m.apply(list(ns[0])))
+    assert m * Mat.from_cols(ns) == Mat.zeros(3, 1)
 
 
 def test_rref_pivots():
@@ -115,7 +115,7 @@ def test_nullspace_vectors_are_in_kernel(data):
     n, m = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
     mat = rand_mat(data.draw, n, m)
     for v in nullspace(mat):
-        assert not any(mat.apply(list(v)))
+        assert mat * Mat.from_cols([v]) == Mat.zeros(n, 1)
     assert rank(mat) + len(nullspace(mat)) == m
 
 

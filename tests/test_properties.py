@@ -403,10 +403,11 @@ def test_mixed_int_and_fraction_matrices_equal_the_fraction_computation(data):
         w = [cast(x) for x in v]
         p, q = (UniPoly({e: cast(x) for e, x in enumerate(c)}) for c in (p_c, q_c))
         d = det_bareiss(a)
-        out = [a * b, a + b, a - b, a.scale(cast(s)), a.apply(w), a.trace(), d,
+        out = [a * b, a + b, a - b, a.scale(cast(s)), a * Mat.from_cols([w]), d,
                charpoly(a), minimal_polynomial(a), rref(a)[0], nullspace(a),
                solve(a, [w]) if d else [], p * q, p + q, p - q, p.divmod(q), p.gcd(q),
-               q.monic(), p.derivative(), p(cast(s)), _project_off(w, list(a.a[0])),
+               q.monic(), p.derivative(), p(cast(s)),
+               sorted(_project_off(sparse(w), sparse(a.a[0])).items()),
                gamma_squared(b, a) if any(map(any, b_rows)) else 0]
         return _scalars(*out)
 
