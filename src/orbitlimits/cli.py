@@ -51,11 +51,11 @@ FORM_MAX_DIM = 500
 # 11x11 one 6 s (Python 3.11 on a 2-core Xeon).
 MATRIX_MAX_N = 9
 # The other size fields.  Their worst measured documents, as whole processes
-# on the same machine: a closure spec of size 500 with a witness family (250
-# eigenvalues k/3, blocks of 2) 1.6 s, the slice report at J_8 or J_{a,b}
-# with a + b = 8 0.2 s, the sphere in dim 24 0.5 s, the adjoint orbit with 6
-# eigenvalues 0.2 s and the cyclic-shift suite at n = 10 0.4 s.  A closure
-# witness grows with the size of the eigenvalues, which no bound limits.
+# on the same machine: the slice report at J_8 or J_{a,b} with a + b = 8
+# 0.2 s, the sphere in dim 24 0.5 s, the adjoint orbit with 6 eigenvalues
+# 0.2 s and the cyclic-shift suite at n = 10 0.4 s.  The closure witness has
+# entries of at most RATIONAL_MAX_DIGITS digits (`_witness_too_long`): the
+# worst accepted spec, 500 eigenvalues p/q with p, q near 1.9 * 10^8, 1.8 s.
 CLOSURE_MAX_N = 500
 SLICE_MAX_N = 8           # the size n of J_n, a + b of J_{a,b}
 SPHERE_MAX_DIM = 24
@@ -73,6 +73,7 @@ ONEPS_MAX_WEIGHT = 2500
 # integer literal.  "1e1000000" would otherwise become a million-digit
 # integer before any other check runs.
 RATIONAL_MAX_DIGITS = 4300
+_DIGITS_LIMIT = 10 ** RATIONAL_MAX_DIGITS   # made once: 30 us, a tenth of a closure request
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
@@ -325,7 +326,7 @@ def cmd_limit(args) -> int:
     exp = problem.expansion
     ts = problem.triple
     feas = extension_feasible(data)
-    case = classify_case(problem, seed=args.seed)
+    case = classify_case(problem)
     out = {
         "a": exp.a, "b": exp.b,
         "g": form_to_doc(exp.g),
@@ -350,6 +351,9 @@ def cmd_closure(args) -> int:
     spec = jordanspec_from_doc(doc["spec"])
     if spec.n > CLOSURE_MAX_N:
         raise InputError(f"a closure spec may have size at most {CLOSURE_MAX_N}, got {spec.n}")
+    if _witness_too_long(spec):
+        raise InputError("the eigenvalues are too large: the closure witness may have "
+                         f"entries of more than {RATIONAL_MAX_DIGITS} digits")
     try:
         part = Partition([json_int(p, "a partition part") for p in doc["partition"]])
     except (TypeError, ValueError) as e:
@@ -371,6 +375,21 @@ def cmd_closure(args) -> int:
                           "leading_power": d.family.leading_power}
     emit(out, args.format)
     return EXIT_OK
+
+
+def _witness_too_long(spec: JordanSpec) -> bool:
+    """Whether the closure witness x' may have an entry of more than
+    RATIONAL_MAX_DIGITS digits.  Its largest block is the companion matrix of
+    the product of (x - p/q)^e over the rational eigenvalues, e the largest
+    block of p/q, whose numerators and denominators are at most the product
+    P of the (|p| + q)^e.  The test is P > 10^RATIONAL_MAX_DIGITS, exact."""
+    prod = 1
+    for ev, sizes in spec.blocks:
+        for _ in range(0 if isinstance(ev, str) else sizes.part(1)):
+            prod *= abs(ev.numerator) + ev.denominator
+            if prod > _DIGITS_LIMIT:
+                return True
+    return False
 
 
 def cmd_slice(args) -> int:
@@ -536,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", default="-",
                         help="JSON input file ('-' for stdin)")
         sp.add_argument("--format", choices=("json", "table"), default="json")
-        if name in ("limit", "slice", "kempf"):
+        if name in ("slice", "kempf"):
             sp.add_argument("--seed", type=int, default=0)
         if name == "kempf":
             sp.add_argument("--tol", type=float, default=1e-3)

@@ -54,8 +54,13 @@ class Partition:
         return self.parts[i]
 
     def __eq__(self, other):
-        other = Partition(other) if not isinstance(other, Partition) else other
-        return self.parts == other.parts
+        """Equal to the same partition or a list or tuple of its parts."""
+        if isinstance(other, (list, tuple)):
+            try:
+                other = Partition(other)
+            except (TypeError, ValueError):
+                return False
+        return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
         return hash(self.parts)
@@ -371,13 +376,13 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
     chi = transpose_block_spectrum(spec)
     blocks = []
     for j in range(1, len(chi) + 1):
-        p = UniPoly.const(1)
+        # prod (x - p/q)^e = prod (qx - p)^e / prod q^e: no gcd until the end
+        p, den = UniPoly.const(1), 1
         for ev, sizes in spec.blocks:
-            e = sizes.part(j)
-            if e:
-                p = p * (UniPoly({1: 1, 0: -ev}) ** e)
+            for _ in range(sizes.part(j)):
+                p, den = p * UniPoly({1: ev.denominator, 0: -ev.numerator}), den * ev.denominator
         deg = p.degree()
-        coeffs = [p.coeff(i) for i in range(deg)]  # c_0 .. c_{deg-1}
+        coeffs = [qdiv(p.coeff(i), den) for i in range(deg)]  # c_0 .. c_{deg-1}
         blocks.append(companion(coeffs))
     x_prime = direct_sum(blocks)
     n = spec.n

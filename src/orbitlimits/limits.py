@@ -13,15 +13,14 @@ their coordinate vectors (`lierep`), over Q[t] along K(t).
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactcore import (Mat, Subspace, UniPoly, at_zero, column_normalize, det_bareiss,
-                        kernel, lin_comb, qdiv, rank_qt, sparse, transpose)
-from .lierep import ConjRep, Form, SymRep, bracket, group_act_form, stabilizer_algebra
+                        kernel, lin_comb, rank_qt, sparse, transpose)
+from .lierep import ConjRep, Form, SymRep, bracket, stabilizer_algebra
 from .localmodel import LocalModel, NotTransverse, build_local_model, gl_act_weights, weight_split
 
 
@@ -393,136 +392,68 @@ def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
 # case classification (Prop stabgeneric / stabgeneral)
 # ---------------------------------------------------------------------------
 
-def _poly_xgcd(a: UniPoly, b: UniPoly):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b), g monic."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly.const(1), UniPoly.zero()
-    t0, t1 = UniPoly.zero(), UniPoly.const(1)
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0:
-        return r0, s0, t0
-    lc = r0.lc()
-    inv = qdiv(1, lc)
-    return (r0 * UniPoly.const(inv), s0 * UniPoly.const(inv), t0 * UniPoly.const(inv))
-
-
 def charpoly(m: Mat) -> UniPoly:
-    n = m.rows
-    tm = Mat([[UniPoly.t(1, 1 if i == j else 0) - UniPoly.coerce(m.a[i][j])
-               for j in range(n)] for i in range(n)])
-    return det_bareiss(tm)
+    return det_bareiss(Mat.identity(m.rows).map(lambda x: UniPoly.t(1, x)) - m.map(UniPoly.coerce))
 
 
 def _poly_of_matrix(p: UniPoly, m: Mat) -> Mat:
-    n = m.rows
-    out = Mat.zeros(n, n)
-    if not p:
-        return out
-    deg = p.degree()
-    # Horner
-    out = Mat.identity(n).scale(p.coeff(deg))
-    for e in range(deg - 1, -1, -1):
-        out = out * m + Mat.identity(n).scale(p.coeff(e))
+    """p(m), by Horner's rule."""
+    out = Mat.zeros(m.rows, m.rows)
+    for e in range(p.degree(), -1, -1):
+        out = out * m + Mat.identity(m.rows).scale(p.coeff(e))
     return out
 
 
 def is_nilpotent_matrix(m: Mat) -> bool:
-    n = m.rows
-    p = Mat.identity(n)
-    for _ in range(n):
+    p = Mat.identity(m.rows)
+    for _ in range(m.rows):
         p = p * m
     return all(not x for row in p.a for x in row)
 
 
-def jordan_chevalley(m: Mat):
-    """(s, n) with m = s + n, s semisimple (squarefree char poly kernel),
-    n nilpotent, [s, n] = 0; all over Q."""
-    p = charpoly(m)
-    dp = p.derivative()
-    g = p.gcd(dp)
-    f0 = p.exact_div(g).monic()          # squarefree part
-    if all(not x for row in _poly_of_matrix(f0, m).a for x in row):
-        return m, Mat.zeros(m.rows, m.cols)
-    g1, u1, _v1 = _poly_xgcd(f0.derivative(), f0)   # u1 inverts f0' modulo f0
-    if g1.degree() != 0:
-        raise ValueError("squarefree part is not separable over Q")
-    y = m
-    steps = 0
-    while steps < m.rows + 2:
-        fy = _poly_of_matrix(f0, y)
-        if all(not x for row in fy.a for x in row):
-            break
-        corr = fy * _poly_of_matrix(u1, y)
-        y = y - corr
-        steps += 1
-    s = y
-    nil = m - s
-    if not is_nilpotent_matrix(nil):
-        raise ValueError("Jordan-Chevalley iteration failed")
-    return s, nil
+def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> str:
+    """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness.
 
-
-# random combinations of the basis of P(lambda) ∩ K that the (B) search tries
-CASE_B_TRIES = 10
-
-
-def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None,
-                  seed: int = 0) -> str:
-    """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness:
-    "A", "B", or "search-exhausted" when neither is certified.  seed drives
-    only the random candidates of the (B) search."""
+    (B) holds when K has a weight-pure element or a non-nilpotent matrix in
+    q = K ∩ p, p the gl elements of weight >= 0.  q = Lie(G_f ∩ P(lambda)) is
+    algebraic (char 0), so it holds the semisimple part of each element,
+    nonzero unless the element is nilpotent.  A semisimple s in q is
+    conjugated into L(lambda) by some u in U(lambda), rational as the
+    level-by-level equations are linear over Q; u s u^-1 is the weight-0 part
+    of s, as Ad(u) only adds positive weights, and kills each weight
+    component of u.f: g, still the lowest, and sum c f_c^u.  That is the
+    witness of (B), found with no draw.  When q is nil, K0 is nilpotent,
+    which (A) certifies; a failure there is a computation error."""
     problem = LimitProblem.of(f, lam)
-    f, lam = problem.f, problem.lam
-    rep, glrep, glw = problem.rep, problem.glrep, problem.glw
-    K = problem.K
-
-    # (B) with u = identity: a pure element of K, which kills every graded
-    # component of f (triple_stabilizers checks it)
-    if problem.triple.pure:
+    rep, glrep, glw, K = problem.rep, problem.glrep, problem.glw, problem.K
+    # (B): a pure element of K (u = 1), or a semisimple element of q
+    if problem.triple.pure or not _is_nil(
+            [lin_comb(alpha, K) for alpha in _weight_kernel(K, glw, lambda w: w < 0)], glrep):
         return "B"
-
-    # (B) via a semisimple element of P(lam) ∩ K conjugated into L(lam)
-    pk_alphas = _weight_kernel(K, glw, lambda w: w < 0)
-    rng = random.Random(seed)
-    alphas = pk_alphas + [lin_comb(sparse([rng.randint(-3, 3) for _ in pk_alphas]),
-                                   pk_alphas)
-                          for _ in range(CASE_B_TRIES if pk_alphas else 0)]
-    f_coords = rep.to_coords(f)
-    exp_f = problem.expansion
-    for cand in (lin_comb(alpha, K) for alpha in alphas):
-        if not cand:
-            continue
-        ss, _nil = jordan_chevalley(glrep.from_coords(cand))
-        ss_coords = glrep.to_coords(ss)
-        if not ss_coords or rep.act(ss_coords, f_coords):
-            continue  # semisimple part should stabilize f; skip if not
-        witness = _cancel_positive_weights(ss, glw, glrep)
-        if witness is None:
-            continue
-        # k = u ss u^-1 stabilizes f(u^-1 x), the substitution by u^-1
-        u_inv, k_pure = witness
-        fu = group_act_form(u_inv, f)
-        comps_u = decompose_form(fu, lam)     # ascending weights
-        if next(iter(comps_u.items())) != (exp_f.a, exp_f.g):
-            continue  # g must stay the leading term of f^u
-        ellfu = Form(f.nvars, f.degree, {})
-        for c, form in comps_u.items():
-            ellfu = ellfu + form.scale(c)
-        if (not rep.act(k_pure, rep.to_coords(fu))
-                and not rep.act(k_pure, rep.to_coords(exp_f.g))
-                and not rep.act(k_pure, rep.to_coords(ellfu))):
-            return "B"
-
-    # (A): K0 nilpotent, certified by its lower central series and its elements
     K0 = limit_algebra_by_conjugation(problem)
     if (_lower_central_series_vanishes(K0, rep.n)
             and all(is_nilpotent_matrix(glrep.from_coords(k)) for k in K0)):
         return "A"
-    return "search-exhausted"
+    raise ValueError("K ∩ P(lambda) is nil but K0 is not nilpotent")
+
+
+def _is_nil(L: Sequence[dict], glrep: ConjRep) -> bool:
+    """Whether the Lie algebra span(L) in gl(n) consists of nilpotent
+    matrices, that is whether every product of elements of L has trace 0:
+    Engel's theorem gives one direction; for the other, tr(a^k) = 0 for each
+    a in the associative algebra A that the products span, so a is nilpotent
+    (char 0).  A is grown as one subspace closed under left multiplication by L."""
+    if not L:
+        return True
+    n, mats = glrep.n, [glrep.from_coords(x) for x in L]
+    A, todo = Subspace(glrep.dim, combos=False), list(L)
+    while todo:
+        a = todo.pop()
+        if A.add(a):
+            if sum(a.get(i * (n + 1), 0) for i in range(n)):
+                return False
+            todo += [glrep.to_coords(x * glrep.from_coords(a)) for x in mats]
+    return True
 
 
 def _lower_central_series_vanishes(K0: Sequence[dict], n: int) -> bool:
@@ -538,52 +469,6 @@ def _lower_central_series_vanishes(K0: Sequence[dict], n: int) -> bool:
             return False
         cur = nxt
     return True
-
-
-def _cancel_positive_weights(ss: Mat, glw, glrep):
-    """Find u in U(lam) with u ss u^{-1} of pure weight 0, by cancelling the
-    positive-weight components level by level.  Returns u^{-1} and the gl
-    element u ss u^{-1}."""
-    n = ss.rows
-    u_inv = Mat.identity(n)
-    cur = ss
-    pos_weights = sorted({w for w in glw if w > 0})
-    for _ in range(len(pos_weights) + 1):
-        comps = weight_split(glrep.to_coords(cur), glw)
-        if any(w < 0 for w in comps):
-            return None
-        pos = sorted(w for w in comps if w > 0)
-        if not pos:
-            return u_inv, comps.get(0, {})
-        w = pos[0]
-        s0 = comps.get(0, {})
-        # solve [z, s0] = -cur_w over the weight-w entries of gl
-        span = Subspace(glrep.dim)
-        idx = [i for i in range(glrep.dim) if glw[i] == w and span.add(bracket({i: 1}, s0, n))]
-        sol = span.coords({i: -x for i, x in comps[w].items()})
-        if sol is None:      # any solution cancels cur_w
-            return None
-        step = Mat.identity(n) + glrep.from_coords({idx[g]: c for g, c in sol.items()})
-        inv_step = _unipotent_inverse(step)
-        cur = step * cur * inv_step
-        u_inv = u_inv * inv_step
-    comps = weight_split(glrep.to_coords(cur), glw)
-    if set(comps) <= {0}:
-        return u_inv, comps.get(0, {})
-    return None
-
-
-def _unipotent_inverse(u: Mat) -> Mat:
-    n = u.rows
-    z = u - Mat.identity(n)
-    inv = Mat.identity(n)
-    term = Mat.identity(n)
-    for _ in range(n):
-        term = (term * z).scale(-1)
-        inv = inv + term
-    if any(x for row in ((u * inv) - Mat.identity(n)).a for x in row):
-        raise ValueError("matrix is not unipotent")
-    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,8 @@ def test_limit_with_ungraded_klf(tmp_path, capsys):
 
 # Whole `limit` outputs, json and table, pinned on the O2 and O3 quartics, two
 # lambda-homogeneous forms, an input whose K_lf is not graded, and
-# 3x^2 + 3yz + z^2 ("semisimple-b"), whose case B only the semisimple route
-# certifies: its witness u ss u^-1 stabilizes the substitution of f by u^-1.
+# 3x^2 + 3yz + z^2 ("semisimple-b"), which has no weight-pure stabilizer: its
+# case B comes from a non-nilpotent element of K ∩ P(lambda), the nil test.
 LIMIT_GOLDEN = json.loads((Path(__file__).parent / "data" / "limit_golden.json").read_text())
 
 
@@ -297,6 +297,22 @@ def test_closure_rejects_scalar_spec(tmp_path, capsys, eig):
     path = _write(tmp_path, "in.json", doc)
     code, out, err = _run(capsys, ["closure", "--input", path])
     assert code == EXIT_INPUT and out == "" and "scalar spec" in err
+
+
+@pytest.mark.parametrize("eig, code", [(10 ** 43 - 1, EXIT_OK), (10 ** 43, EXIT_INPUT)])
+def test_closure_witness_digits_at_the_bound(tmp_path, capsys, eig, code):
+    # the witness of J_100(c) is the companion matrix of (x - c)^100, whose
+    # coefficients are at most (|c| + 1)^100: 10^4300 for c = 10^43 - 1, whose
+    # constant term has 4300 digits, and above it for c = 10^43, whose
+    # constant term 10^4300 has 4301
+    doc = {"spec": [{"eig": str(eig), "sizes": [100]}], "partition": [100]}
+    got, out, err = _run(capsys, ["closure", "--input", _write(tmp_path, "in.json", doc)])
+    assert got == code, err
+    if code == EXIT_OK:
+        entries = [x for row in json.loads(out)["witness"]["x_prime"] for x in row]
+        assert max(len(x.lstrip("-")) for x in entries) == cli.RATIONAL_MAX_DIGITS
+    else:
+        assert out == "" and f"more than {cli.RATIONAL_MAX_DIGITS} digits" in err
 
 
 def test_slice_jn(tmp_path, capsys):
@@ -664,10 +680,15 @@ def test_matrix_at_the_size_bound_is_accepted(tmp_path, capsys):
     assert res["dimension"] == n        # the centralizer of J_n
 
 
-def test_flags_are_registered_only_where_read():
+def test_flags_are_registered_only_where_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stabilizer", "--tol", "1"])
     assert exc.value.code == 2
+    # `limit` is deterministic: its case test draws nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):

@@ -40,6 +40,16 @@ def test_dominance_axioms_up_to_8():
                         assert dominates(a, c)
 
 
+def test_partition_equality_with_other_values():
+    p = Partition([2, 1])
+    assert p == Partition([2, 1]) and p == [2, 1] and p == (2, 1)
+    assert p != Partition([3]) and p != [3]
+    for other in (None, [1, 2], [2, -1], ["a"], 3, "21", {2: 1}):
+        assert not p == other and p != other
+    assert None not in [p] and [1, 2] not in [p]
+    assert p in [None, [1, 2], (2, 1)]
+
+
 def test_transpose_is_antitone_up_to_6():
     for n in range(1, 7):
         parts = all_partitions(n)

@@ -15,11 +15,11 @@ from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
 from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, lin_comb, sparse
-from orbitlimits.lierep import ConjRep, Form, SymRep, elementary, monomial_basis
+from orbitlimits.lierep import ConjRep, Form, elementary, monomial_basis
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
-                                _cancel_positive_weights, _verify_limit_algebra, _weight_kernel,
+                                _is_nil, _verify_limit_algebra, _weight_kernel,
                                 check_graded_conditions, classify_case, expand_orbit_curve,
-                                extension_feasible, filtered_dims, gl_act_weights,
+                                extension_feasible, filtered_dims,
                                 graded_dims_of, hoffman_case, limit_algebra,
                                 limit_algebra_by_conjugation, same_span, triple_stabilizers)
 from orbitlimits.localmodel import NotTransverse, weight_split
@@ -365,20 +365,61 @@ def test_hoffman_case_against_dual_oracle(n, positions, expected):
     assert seen == expected
 
 
-def test_cancel_positive_weights_gives_weight_zero_conjugate():
-    # E_ij has weight d_j - d_i on forms: E_01 and E_12 weight 1, E_02 weight 2.
-    # ss = diag(1,2,3) + E_01 + E_12 + E_02 is semisimple (distinct eigenvalues)
-    # with positive-weight parts at two levels.
-    rep, glrep = SymRep(3, 2), ConjRep(3)
-    glw = gl_act_weights(rep, [0, 1, 2])
-    diag = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]]).map(Fraction)
-    ss = diag + elementary(3, 0, 1) + elementary(3, 1, 2) + elementary(3, 0, 2)
-    u_inv, k = _cancel_positive_weights(ss, glw, glrep)
-    assert k == gl(diag)                  # the weight-0 part, now pure
-    assert u_inv * glrep.from_coords(k) == ss * u_inv        # k = u ss u^-1
-    ident = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).map(Fraction)
-    co = glrep.to_coords(u_inv - ident)
-    assert co and all(glw[i] > 0 for i in co)   # u in U(lambda)
+def test_nil_test_on_sl2_and_the_upper_triangular_algebra():
+    # e, f and h + e - f are each nilpotent, but they span sl(2)
+    e, f, h = {1: 1}, {2: 1}, {0: 1, 3: -1}
+    assert not _is_nil([e, f, lin_comb({0: 1, 1: 1, 2: -1}, [h, e, f])], ConjRep(2))
+    # E_01, E_02, E_12: the strictly upper-triangular 3 x 3 matrices
+    assert _is_nil([{1: 1}, {2: 1}, {5: 1}], ConjRep(3))
+    assert _is_nil([], ConjRep(3))
+
+
+def _nilpotent_by_sympy(g: dict, n: int) -> bool:
+    x = sympy.Symbol("x")
+    m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(g.get(i * n + j, 0))))
+    return m.charpoly(x).as_expr() == x ** n
+
+
+# x^4, x^2 Q and Q^2 with Q = y^2 - 2xz span the quartics killed by the
+# nilpotent x d/dy + y d/dz, and most of their combinations by nothing else
+_NIL_STABLE_QUARTICS = [{(4, 0, 0): 1}, {(2, 2, 0): 1, (3, 0, 1): -2},
+                        {(0, 4, 0): 1, (1, 2, 1): -4, (2, 0, 2): 4}]
+
+
+def _random_form(rng: random.Random) -> Form:
+    """A sparse random form, or a combination of the quartics above in
+    permuted variables, whose K ∩ p is then often nonzero and nil."""
+    coef = [-3, -2, -1, 1, 2, 3]
+    if rng.random() < 0.5:
+        n, d = rng.randint(2, 4), rng.randint(2, 4)
+        basis = monomial_basis(n, d)
+        return Form(n, d, {e: rng.choice(coef)
+                           for e in rng.sample(basis, min(len(basis), rng.randint(2, 5)))})
+    perm = rng.sample(range(3), 3)
+    f = Form(3, 4, {})
+    for q in _NIL_STABLE_QUARTICS:
+        f = f + Form(3, 4, {tuple(e[i] for i in perm): x for e, x in q.items()}).scale(
+            rng.choice(coef))
+    return f
+
+
+def test_case_b_exactly_when_k_cap_p_is_not_nil():
+    """Where classify_case answers B with no pure element, a seeded integer
+    combination of the basis of q = K ∩ p is not nilpotent by sympy's
+    charpoly; where it answers A, every one is."""
+    rng = random.Random(5)
+    seen = Counter()
+    while min(seen["A", True], seen["B", True]) < 10:
+        f = _random_form(rng)
+        problem = LimitProblem(f, OnePS([rng.randint(-3, 3) for _ in range(f.nvars)]))
+        if not f or problem.triple.pure:
+            continue
+        K, glw, n = problem.K, problem.glw, f.nvars
+        q = [lin_comb(alpha, K) for alpha in _weight_kernel(K, glw, lambda w: w < 0)]
+        case = classify_case(problem)
+        combos = q + [lin_comb(sparse([rng.randint(-5, 5) for _ in q]), q) for _ in range(4)]
+        assert all(_nilpotent_by_sympy(g, n) for g in combos) == (case == "A"), (f, problem.lam)
+        seen[case, bool(q)] += 1
 
 
 # ---------------------------------------------------------------------------
