@@ -29,7 +29,7 @@ from .kempf import FloatRangeError, grid_minimize, kempf_descent, kempf_support,
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
                      limit_algebra)
-from .localmodel import build_local_model
+from .localmodel import NotGraded, build_local_model
 from .reproduce import RUNNERS, run_ids
 
 SCHEMA = 1
@@ -302,7 +302,11 @@ def cmd_local_model(args) -> int:
     weights = oneps_from_doc(doc["weights"]).weights if "weights" in doc else None
     if weights is not None and len(weights) != rep.n:
         raise InputError(f"need {rep.n} weights, got {len(weights)}")
-    model = build_local_model(rep, v, weights=weights)
+    try:
+        model = build_local_model(rep, v, weights=weights)
+    except NotGraded:
+        # at a point homogeneous under the weights, H, S and N are graded
+        raise InputError("the point is not homogeneous under the weights") from None
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [gl_to_doc(h, rep.n) for h in model.H],
           "S": [gl_to_doc(s, rep.n) for s in model.S],

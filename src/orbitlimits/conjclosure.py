@@ -20,9 +20,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Mat, Subspace, UniPoly, _as_q, exact, lin_comb, qdiv, rank, sparse
+from .exactcore import (Mat, Subspace, UniPoly, _as_q, det_bareiss, exact, lin_comb, qdiv, rank,
+                        sparse)
 from .lierep import ConjRep, bracket, elementary
-from .limits import charpoly, is_nilpotent_matrix, _poly_of_matrix, same_span
+from .limits import same_span
 from .localmodel import LocalModel, build_local_model
 
 
@@ -207,21 +208,34 @@ def transpose_block_spectrum(spec: JordanSpec) -> Partition:
 
 
 def nilpotent_signature(m: Mat) -> Partition:
-    """Block-size partition of a nilpotent matrix, from ranks of powers."""
-    n = m.rows
-    if not is_nilpotent_matrix(m):
-        raise ValueError("matrix is not nilpotent")
+    """Block-size partition of a nilpotent matrix, from ranks of powers.  The
+    ranks fall until they reach 0, or stall at a nonzero rank exactly when m
+    is not nilpotent."""
     tparts = []
-    prev = n
-    power = Mat.identity(n)
-    while True:
+    prev = m.rows
+    power = Mat.identity(m.rows)
+    while prev:
         power = power * m
         r = rank(power)
+        if r == prev:
+            raise ValueError("matrix is not nilpotent")
         tparts.append(prev - r)
         prev = r
-        if r == 0:
-            break
     return transpose(Partition(tparts))
+
+
+def charpoly(m: Mat) -> UniPoly:
+    """det(tI - m), on the rows of tI - m over Q[t]."""
+    return det_bareiss(Mat([[UniPoly({1: int(i == j), 0: -x}) for j, x in enumerate(r)]
+                            for i, r in enumerate(m.a)]))
+
+
+def _poly_of_matrix(p: UniPoly, m: Mat) -> Mat:
+    """p(m), by Horner's rule."""
+    out = Mat.zeros(m.rows, m.rows)
+    for e in range(p.degree(), -1, -1):
+        out = out * m + Mat.identity(m.rows).scale(p.coeff(e))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -182,23 +182,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        """Square and multiply: b runs through self^(2^i) and is squared only
-        while a higher bit of k remains; r starts at the first set bit."""
-        if k < 0:
-            raise ValueError("negative exponent of a polynomial")
-        if not k:
-            return UniPoly.const(1)
-        r = None
-        b = self
-        while True:
-            if k & 1:
-                r = b if r is None else r * b
-            k >>= 1
-            if not k:
-                return r
-            b = b * b
-
     def shift(self, k: int) -> "UniPoly":
         """Multiply by t**k (k may be negative if the valuation allows)."""
         if k < 0 and self.c and min(self.c) + k < 0:
@@ -233,28 +216,12 @@ class UniPoly:
             raise ValueError("inexact polynomial division")
         return q
 
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """The monic gcd; 0 if both are 0."""
-        a, b = self, other
-        while b:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def monic(self) -> "UniPoly":
-        if not self:
-            return self
-        lc = self.lc()
-        return _poly({e: qdiv(v, lc) for e, v in self.c.items()})
-
     def __call__(self, x):
         x = _as_q(x)
         r = 0
         for e, v in self.c.items():
             r += v * x**e
         return exact(r)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly({e - 1: v * e for e, v in self.c.items() if e})
 
     def __repr__(self):
         if not self.c:
@@ -288,8 +255,9 @@ class RationalFn:
 
 class Mat:
     """Dense row-major matrix over Q, by the scalar rule (an `int` for an
-    integer entry, else a `Fraction`), or over Q[t] (`UniPoly`).  The
-    arithmetic keeps the rule: an integer result is an `int`."""
+    integer entry, else a `Fraction`).  The arithmetic keeps the rule: an
+    integer result is an `int`.  The library gives a `Mat` `UniPoly` entries
+    only for `det_bareiss` and `ConjRep.to_coords` to read."""
 
     __slots__ = ("rows", "cols", "a")
 
@@ -304,8 +272,8 @@ class Mat:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zeros(r: int, c: int, zero=0) -> "Mat":
-        return Mat([[zero] * c for _ in range(r)], c)
+    def zeros(r: int, c: int) -> "Mat":
+        return Mat([[0] * c for _ in range(r)], c)
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -326,9 +294,6 @@ class Mat:
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]
 
-    def map(self, f: Callable) -> "Mat":
-        return Mat([[f(x) for x in r] for r in self.a])
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.a == other.a)
 
@@ -339,17 +304,13 @@ class Mat:
     def __sub__(self, other: "Mat") -> "Mat":
         return Mat([[exact(x - y) for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
 
-    def __neg__(self) -> "Mat":
-        return self.map(lambda x: -x)
-
     def scale(self, s) -> "Mat":
-        return self.map(lambda x: exact(x * s))
+        return Mat([[exact(x * s) for x in r] for r in self.a])
 
     def __mul__(self, other: "Mat") -> "Mat":
         """Row-by-row sparse product (Gustavson 1978): row i of the result
         accumulates A[i][k] * B[k][j] over the nonzeros of A's row i and of
-        B's row k only, in increasing k.  An entry that gets no term is a
-        fresh zero of the ring of A's row."""
+        B's row k only, in increasing k.  An entry that gets no term is 0."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in other.a]
@@ -364,17 +325,11 @@ class Mat:
                     p = x * y
                     s = acc.get(j)
                     acc[j] = p if s is None else s + p
-            zero = _zero_like(r[0] if r else 0)
-            out.append([zero if (x := acc.get(j)) is None else exact(x) for j in range(m)])
+            out.append([0 if (x := acc.get(j)) is None else exact(x) for j in range(m)])
         return Mat(out, m)
 
     def __repr__(self):
         return "Mat(" + ",\n    ".join(repr(r) for r in self.a) + ")"
-
-
-def _zero_like(x):
-    """The zero of the scalar ring of x."""
-    return 0 if isinstance(x, (Fraction, int)) else x - x
 
 
 def rref(m: Mat):
@@ -488,7 +443,7 @@ def det_bareiss(m: Mat):
     sign, d = 1, one
     for d, swapped in _bareiss(rows, range(n), one, div):
         if d is None:
-            return _zero_like(one)
+            return coerce(0)
         if swapped:
             sign = -sign
     return exact(-d if sign < 0 else d)
@@ -540,9 +495,9 @@ def sparse(v: Sequence) -> dict:
     return {i: x for i, x in enumerate(v) if x}
 
 
-def dense(v: dict, dim: int, zero=0) -> list:
-    """v as a dense list of length dim, zero elsewhere."""
-    return [v.get(i, zero) for i in range(dim)]
+def dense(v: dict, dim: int) -> list:
+    """v as a dense list of length dim, 0 elsewhere."""
+    return [v.get(i, 0) for i in range(dim)]
 
 
 def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:

@@ -18,11 +18,10 @@ Conventions (pinned by the Sym^2 worked example):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactcore import Mat, _as_q, _zero_like, dense, exact, kernel, transpose
+from .exactcore import Mat, _as_q, dense, exact, kernel, transpose
 
 
 class Form:
@@ -167,9 +166,9 @@ class ConjRep:
         return {i * n + j: exact(x) for i, r in enumerate(m.a) for j, x in enumerate(r) if x}
 
     def from_coords(self, v: dict) -> Mat:
-        """The matrix with coordinates v; its zeros are like v's entries."""
+        """The matrix with coordinates v."""
         n = self.n
-        flat = dense(v, self.dim, _zero_like(next(iter(v.values()), 0)))
+        flat = dense(v, self.dim)
         return Mat([flat[i * n:(i + 1) * n] for i in range(n)], n)
 
     def act_elementary(self, i: int, j: int, v: dict) -> dict:
@@ -230,8 +229,7 @@ def bracket(a: dict, b: dict, n: int) -> dict:
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:
     """Exponent->coefficient mapping of f after x_i -> sum_j rows[i][j]*x_j.
 
-    Coefficients may be rationals or UniPolys (for polynomial families A(t));
-    the result dict is over whatever scalar type closes under + and *.
+    The entries of rows are rationals, and so are the result's coefficients.
     """
     nv = f.nvars
     zero_exp = (0,) * nv
@@ -269,7 +267,7 @@ def group_act_form(A: Mat, f: Form) -> Form:
 
 def elementary(n: int, i: int, j: int, coef=1) -> Mat:
     m = Mat.zeros(n, n)
-    m.a[i][j] = _as_q(coef) if isinstance(coef, (int, str, Fraction)) else coef
+    m.a[i][j] = _as_q(coef)
     return m
 
 

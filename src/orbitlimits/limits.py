@@ -18,10 +18,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactcore import (Mat, Subspace, UniPoly, at_zero, column_normalize, det_bareiss,
-                        kernel, lin_comb, rank_qt, sparse, transpose)
+from .exactcore import (Mat, Subspace, UniPoly, at_zero, column_normalize, kernel, lin_comb,
+                        rank_qt, sparse, transpose)
 from .lierep import ConjRep, Form, SymRep, bracket, stabilizer_algebra
-from .localmodel import LocalModel, NotTransverse, build_local_model, gl_act_weights, weight_split
+from .localmodel import (LocalModel, NotGraded, NotTransverse, build_local_model,
+                         gl_act_weights, weight_split)
 
 
 class OnePS:
@@ -148,10 +149,6 @@ class KtElement:
     def __init__(self, s_coeffs, coords):
         self.s_coeffs = s_coeffs  # UniPoly coefficients over the S-basis
         self.coords = coords      # h(t)+s(t), gl coordinates over UniPoly
-
-
-class NotGraded(ValueError):
-    pass
 
 
 def _weight_kernel(vectors: Sequence[dict], coord_weights: Sequence[int], keep) -> list[dict]:
@@ -392,25 +389,6 @@ def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
 # case classification (Prop stabgeneric / stabgeneral)
 # ---------------------------------------------------------------------------
 
-def charpoly(m: Mat) -> UniPoly:
-    return det_bareiss(Mat.identity(m.rows).map(lambda x: UniPoly.t(1, x)) - m.map(UniPoly.coerce))
-
-
-def _poly_of_matrix(p: UniPoly, m: Mat) -> Mat:
-    """p(m), by Horner's rule."""
-    out = Mat.zeros(m.rows, m.rows)
-    for e in range(p.degree(), -1, -1):
-        out = out * m + Mat.identity(m.rows).scale(p.coeff(e))
-    return out
-
-
-def is_nilpotent_matrix(m: Mat) -> bool:
-    p = Mat.identity(m.rows)
-    for _ in range(m.rows):
-        p = p * m
-    return all(not x for row in p.a for x in row)
-
-
 def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> str:
     """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness.
 
@@ -423,16 +401,22 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     of s, as Ad(u) only adds positive weights, and kills each weight
     component of u.f: g, still the lowest, and sum c f_c^u.  That is the
     witness of (B), found with no draw.  When q is nil, K0 is nilpotent,
-    which (A) certifies; a failure there is a computation error."""
+    which (A) certifies; a failure there is a computation error.
+
+    The certificate is `_is_nil` on K0, taken by conjugation, which also
+    works when the expansion tail is not transversal.  For a Lie algebra L
+    in gl(n), "L is nilpotent and has a basis of nilpotent matrices" is the
+    same as "every element of L is nilpotent": one way is Engel's theorem;
+    the other, a nilpotent L splits the space into generalized weight
+    spaces with linear weights, which vanish on a nilpotent basis and so
+    everywhere."""
     problem = LimitProblem.of(f, lam)
-    rep, glrep, glw, K = problem.rep, problem.glrep, problem.glw, problem.K
+    glrep, glw, K = problem.glrep, problem.glw, problem.K
     # (B): a pure element of K (u = 1), or a semisimple element of q
     if problem.triple.pure or not _is_nil(
             [lin_comb(alpha, K) for alpha in _weight_kernel(K, glw, lambda w: w < 0)], glrep):
         return "B"
-    K0 = limit_algebra_by_conjugation(problem)
-    if (_lower_central_series_vanishes(K0, rep.n)
-            and all(is_nilpotent_matrix(glrep.from_coords(k)) for k in K0)):
+    if _is_nil(limit_algebra_by_conjugation(problem), glrep):
         return "A"
     raise ValueError("K ∩ P(lambda) is nil but K0 is not nilpotent")
 
@@ -453,21 +437,6 @@ def _is_nil(L: Sequence[dict], glrep: ConjRep) -> bool:
             if sum(a.get(i * (n + 1), 0) for i in range(n)):
                 return False
             todo += [glrep.to_coords(x * glrep.from_coords(a)) for x in mats]
-    return True
-
-
-def _lower_central_series_vanishes(K0: Sequence[dict], n: int) -> bool:
-    """Whether the lower central series of span(K0) in gl(n) reaches 0.  K0
-    is a Lie algebra, so each term [K0, C^k] lies inside C^k, and the series
-    stalls exactly when a term is no smaller than the one before."""
-    span = Subspace(n * n)
-    cur = [v for v in K0 if span.add(v)]
-    while cur:
-        span = Subspace(n * n)
-        nxt = [w for v in cur for k in K0 if span.add(w := bracket(k, v, n))]
-        if len(nxt) >= len(cur):
-            return False
-        cur = nxt
     return True
 
 

@@ -34,13 +34,18 @@ def weight_split(v: dict, coord_weights: Sequence[int]) -> dict:
     return out
 
 
+class NotGraded(ValueError):
+    """A span that should be graded under a 1-PS is not: at a point that is
+    homogeneous under the 1-PS, H, S and N always are."""
+
+
 def check_graded(basis: Sequence[dict], coord_weights) -> None:
     """Raise unless span(basis) is weight-graded, for a basis that is the
     identity on some set of columns, as `kernel` returns.  That basis is
     unique, and a graded span's is the union of its weight parts' ones, so
     the span is graded exactly when each basis vector is weight-pure."""
     if any(len({coord_weights[i] for i in v}) > 1 for v in basis):
-        raise ValueError("subspace is not weight-graded")
+        raise NotGraded("subspace is not weight-graded")
 
 
 class LocalModel:

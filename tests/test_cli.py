@@ -234,7 +234,7 @@ def _count_calls(monkeypatch, module, name):
 
 def test_limit_builds_each_stage_input_once(tmp_path, capsys, monkeypatch):
     # stab f and stab g once each, one expansion, one triple-stabilizer run;
-    # of the 24 subspaces built, 2 lie in V = Sym^4 of dim 5: the tangent space
+    # of the 23 subspaces built, 2 lie in V = Sym^4 of dim 5: the tangent space
     # at g with the tail (the model's V) and the span of the tail, and none
     # is a second elimination of the tangent space
     stab = _count_calls(monkeypatch, lierep, "stabilizer_algebra")
@@ -252,7 +252,7 @@ def test_limit_builds_each_stage_input_once(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["limit", "--input", path])
     assert code == EXIT_OK, err
     assert (len(stab), len(expand), len(triple)) == (2, 1, 1)
-    assert (len(dims), dims.count(5)) == (24, 2)
+    assert (len(dims), dims.count(5)) == (23, 2)
 
 
 def test_closure_verdicts(tmp_path, capsys):
@@ -444,6 +444,25 @@ def test_cli_output_is_pinned(tmp_path, capsys, name):
     assert out == case["json"]
     if "exit" in case:
         assert err == case["stderr"]
+
+
+def _quadric(nvars, *exps):
+    return {"nvars": nvars, "degree": 2, "terms": [{"exp": e, "coef": "1"} for e in exps]}
+
+
+# Points that are not homogeneous under the weights, whose H, S or N is not
+# graded; a homogeneous point always gives graded ones, and the pinned
+# local-model-xyz-weights output above is one at exit 0
+@pytest.mark.parametrize("doc", [
+    {"form": _quadric(2, [2, 0], [0, 2]), "weights": [1, 0]},        # x^2 + y^2
+    {"form": _quadric(2, [2, 0], [1, 1]), "weights": [1, 0]},        # x^2 + xy
+    {"form": _quadric(3, [2, 0, 0], [0, 1, 1]), "weights": [1, 0, 0]},   # x^2 + yz
+    {"matrix": [["1", "1"], ["0", "2"]], "weights": [1, 0]},
+])
+def test_local_model_at_a_point_not_homogeneous_under_the_weights(tmp_path, capsys, doc):
+    code, out, err = _run(capsys, ["local-model", "--input", _write(tmp_path, "in.json", doc)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: the point is not homogeneous under the weights\n"
 
 
 # 2 x^2 z - 3 y^2 z + 5 z^3, coefficients as JSON integers and strings: the

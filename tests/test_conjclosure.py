@@ -17,6 +17,7 @@ from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
 from orbitlimits.exactcore import Mat, UniPoly, Q1
+from orbitlimits.lierep import elementary
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +243,6 @@ def test_jab_slice_report(ab):
 def test_nilpotent_signature():
     m = jordan_block(3) + Mat.zeros(3, 3)
     assert list(nilpotent_signature(m)) == [3]
+    # J_3 + E_00: the ranks of its powers fall from 3 to 2 and stall at 1
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
+        nilpotent_signature(m + elementary(3, 0, 0))

@@ -219,19 +219,15 @@ def test_lin_comb_against_dense_sums(data):
     cring, tring = draw(rings), draw(rings)
     coeffs = scalars(draw, cring, count, nonzero=3)
     mats = [sparse_mat(draw, tring, n) for _ in range(count)]
-    want = Mat.zeros(n, n)
+    want = [Q0] * (n * n)
     for c, m in zip(coeffs, mats):
         if c:
-            want = want + m.scale(c)
-    # gl elements combine in coordinates; from_coords takes its zeros from
-    # the entries, so an all-zero combination, which has none, has Q's zeros
+            want = [a + c * b for a, b in zip(want, flat(m))]
+    # gl elements combine in coordinates; from_coords fills in the int 0
     glrep = ConjRep(n)
-    got = glrep.from_coords(lin_comb(sparse(coeffs), [glrep.to_coords(m) for m in mats]))
-    assert got == want
-    if any(flat(want)):
-        assert types(flat(got)) == types(flat(want))
-    else:
-        assert types(flat(got)) == [Fraction] * (n * n)
+    got = flat(glrep.from_coords(lin_comb(sparse(coeffs), [glrep.to_coords(m) for m in mats])))
+    assert got == want and types(sparse(got)) == types(sparse(want))
+    assert all(type(x) is int for x in got if not x)
     vecs = [scalars(draw, tring, n * n) for _ in range(count)]
     want = [Q0] * (n * n)
     for c, v in zip(coeffs, vecs):

@@ -15,7 +15,7 @@ from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
 from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, lin_comb, sparse
-from orbitlimits.lierep import ConjRep, Form, elementary, monomial_basis
+from orbitlimits.lierep import ConjRep, Form, bracket, elementary, monomial_basis
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
                                 _is_nil, _verify_limit_algebra, _weight_kernel,
                                 check_graded_conditions, classify_case, expand_orbit_curve,
@@ -136,13 +136,9 @@ def test_o3_kt_spans_printed_basis(o3_data):
 
 
 def test_o3_printed_structure_constants():
-    kt = o3_reference_kt()
+    kt = [gl(m) for m in o3_reference_kt()]
     for (i, j), coeffs in O3_STRUCTURE.items():
-        br = kt[i] * kt[j] - kt[j] * kt[i]
-        rhs = Mat.zeros(3, 3, zero=UniPoly.zero())
-        for cf, km in zip(coeffs, kt):
-            rhs = rhs + km.map(lambda x, cf=cf: cf * x)
-        assert br == rhs
+        assert bracket(kt[i], kt[j], 3) == lin_comb(dict(enumerate(coeffs)), kt)
 
 
 def test_o3_case_classification():
@@ -406,8 +402,9 @@ def _random_form(rng: random.Random) -> Form:
 def test_case_b_exactly_when_k_cap_p_is_not_nil():
     """Where classify_case answers B with no pure element, a seeded integer
     combination of the basis of q = K ∩ p is not nilpotent by sympy's
-    charpoly; where it answers A, every one is."""
-    rng = random.Random(5)
+    charpoly; where it answers A, every one is, and so is every seeded
+    combination of the basis of K0 taken by conjugation."""
+    rng, k0_rng = random.Random(5), random.Random(6)
     seen = Counter()
     while min(seen["A", True], seen["B", True]) < 10:
         f = _random_form(rng)
@@ -419,6 +416,10 @@ def test_case_b_exactly_when_k_cap_p_is_not_nil():
         case = classify_case(problem)
         combos = q + [lin_comb(sparse([rng.randint(-5, 5) for _ in q]), q) for _ in range(4)]
         assert all(_nilpotent_by_sympy(g, n) for g in combos) == (case == "A"), (f, problem.lam)
+        if case == "A":
+            K0 = limit_algebra_by_conjugation(problem)
+            K0 += [lin_comb(sparse([k0_rng.randint(-5, 5) for _ in K0]), K0) for _ in range(4)]
+            assert all(_nilpotent_by_sympy(g, n) for g in K0), (f, problem.lam)
         seen[case, bool(q)] += 1
 
 
