@@ -18,10 +18,11 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
-                          jab_slice_report, jn_slice_report, transpose_block_spectrum)
+                          jab_slice_report, jn_slice_report)
 from .curvature import (adjoint_offdiagonal_vanishing, adjoint_pi, cyclic_shift_suite,
                         sphere_ricci)
 from .exactcore import Mat, as_strings, dense, exact
@@ -29,7 +30,7 @@ from .kempf import FloatRangeError, grid_minimize, kempf_descent, kempf_support,
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
 from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
                      limit_algebra)
-from .localmodel import NotGraded, build_local_model
+from .localmodel import build_local_model
 from .reproduce import RUNNERS, run_ids
 
 SCHEMA = 1
@@ -73,7 +74,9 @@ ONEPS_MAX_WEIGHT = 2500
 # integer literal.  "1e1000000" would otherwise become a million-digit
 # integer before any other check runs.
 RATIONAL_MAX_DIGITS = 4300
-_DIGITS_LIMIT = 10 ** RATIONAL_MAX_DIGITS   # made once: 30 us, a tenth of a closure request
+# made once: 40 us, about a third of a whole closure request in process (a
+# median of 130 us on matrix-mix's closure documents, Python 3.11, 2-core Xeon)
+_DIGITS_LIMIT = 10 ** RATIONAL_MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
@@ -122,7 +125,7 @@ def form_from_doc(doc) -> Form:
                              f"> {FORM_MAX_DIM}")
         terms = {}
         for t in doc["terms"]:
-            e = tuple(json_int(x, "an exponent") for x in t["exp"])
+            e = tuple([json_int(x, "an exponent") for x in t["exp"]])
             if len(e) != nvars or any(x < 0 for x in e) or sum(e) != degree:
                 raise InputError(f"bad exponent {list(e)} for a degree-{degree} "
                                  f"form in {nvars} variables")
@@ -224,6 +227,59 @@ def to_jsonable(obj):
     raise TypeError(f"no JSON form for a {type(obj).__name__}: convert it first")
 
 
+def json_text(obj, indent: bool = True) -> str:
+    """The text of json.dumps(to_jsonable(obj), sort_keys=True, indent=2), or
+    with indent=False of json.dumps(to_jsonable(obj), sort_keys=True), in
+    one pass and byte for byte: Python's json drops its C encoder whenever
+    it indents, and its pure-Python one builds closures that each call
+    leaves behind as cyclic garbage."""
+    out: list = []
+    _write_json(obj, out, "\n" if indent else None)
+    return "".join(out)
+
+
+def _write_json(obj, out: list, nl: Optional[str]) -> None:
+    """Append the JSON text of obj to out, in json's order of type tests.
+    nl is the newline and indentation before a closing bracket at obj's
+    depth, or None for one line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):              # allow_nan, as JavaScript writes them
+        out.append("NaN" if obj != obj else "Infinity" if obj == math.inf
+                   else "-Infinity" if obj == -math.inf else float.__repr__(obj))
+    elif isinstance(obj, (list, tuple, Partition, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = None if nl is None else nl + "  "
+        first, sep, last = ("", ", ", "") if nl is None else (inner, "," + inner, nl)
+        if isinstance(obj, dict):
+            if not all(isinstance(k, str) for k in obj):
+                obj = {(k if isinstance(k, str) else repr(k)): v for k, v in obj.items()}
+            out.append("{" + first)
+            for k in sorted(obj):
+                out.append(encode_basestring_ascii(k) + ": ")
+                _write_json(obj[k], out, inner)
+                out.append(sep)
+            out[-1] = last + "}"            # in place of the last separator
+        else:
+            out.append("[" + first)
+            for x in obj:
+                _write_json(x, out, inner)
+                out.append(sep)
+            out[-1] = last + "]"
+    else:
+        raise TypeError(f"no JSON form for a {type(obj).__name__}: convert it first")
+
+
 def read_input(args) -> dict:
     try:
         if args.input and args.input != "-":
@@ -272,13 +328,14 @@ def emit(doc: dict, fmt: str) -> None:
     doc = dict(doc)
     doc["schema"] = SCHEMA
     if fmt == "json":
-        print(json.dumps(to_jsonable(doc), sort_keys=True, indent=2))
+        print(json_text(doc))
     else:
         width = max((len(k) for k in doc), default=0)
         for k in sorted(doc):
-            v = to_jsonable(doc[k])
-            if isinstance(v, (dict, list)):
-                v = json.dumps(v, sort_keys=True)
+            v = doc[k]
+            text = json_text(v, indent=False)      # which refuses an unconverted value
+            if isinstance(v, (dict, list, tuple, Partition)):
+                v = text
             print(f"{k.ljust(width)}  {v}")
 
 
@@ -300,13 +357,14 @@ def cmd_local_model(args) -> int:
     doc = read_input(args)
     rep, v = _nonzero_vector_input(doc)
     weights = oneps_from_doc(doc["weights"]).weights if "weights" in doc else None
-    if weights is not None and len(weights) != rep.n:
-        raise InputError(f"need {rep.n} weights, got {len(weights)}")
-    try:
-        model = build_local_model(rep, v, weights=weights)
-    except NotGraded:
+    if weights is not None:
+        if len(weights) != rep.n:
+            raise InputError(f"need {rep.n} weights, got {len(weights)}")
         # at a point homogeneous under the weights, H, S and N are graded
-        raise InputError("the point is not homogeneous under the weights") from None
+        coord_weights = rep.coord_weights(weights)
+        if len({coord_weights[i] for i in v}) > 1:
+            raise InputError("the point is not homogeneous under the weights")
+    model = build_local_model(rep, v, weights=weights)
     emit({"dim_H": len(model.H), "dim_S": len(model.S), "dim_N": len(model.N),
           "H": [gl_to_doc(h, rep.n) for h in model.H],
           "S": [gl_to_doc(s, rep.n) for s in model.S],
@@ -364,7 +422,7 @@ def cmd_closure(args) -> int:
         raise InputError(f"bad partition: {e}") from None
     if part.n != spec.n:
         raise InputError(f"partition of {part.n} vs spec of size {spec.n}")
-    if all(c == 1 for c in transpose_block_spectrum(spec)):
+    if all(c == 1 for c in spec.chi):
         raise InputError("a scalar spec (chi = 1^n) is not accepted: its projective "
                          "orbit is one point, and empty for eigenvalue 0")
     d = closure_contains_nilpotent(spec, part)
@@ -503,9 +561,9 @@ def cmd_reproduce(args) -> int:
             checks = reports[i]
             ok = all(c["ok"] for c in checks)
             all_ok = all_ok and ok
-            out["examples"][i] = {"ok": ok, "checks": to_jsonable(checks)}
+            out["examples"][i] = {"ok": ok, "checks": checks}
         out["ok"] = all_ok
-        print(json.dumps(out, sort_keys=True, indent=2))
+        print(json_text(out))
     else:
         for i in ids:
             for c in reports[i]:

@@ -37,7 +37,10 @@ class Partition:
     __slots__ = ("parts", "n")
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(p) for p in parts if p)
+        # from a list, not a generator: tuple(<generator>) allocates ten slots
+        # and shrinks them by realloc, so each such tuple leaves the free list
+        # of size 10 and, once freed, fills the one of its own size
+        parts = tuple([int(p) for p in parts if p])
         if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -123,10 +126,11 @@ class JordanSpec:
     Eigenvalues may be rationals (an `int` or a `Fraction`, kept by the
     scalar rule) or hashable symbolic labels (strings, even those that read
     like numbers); only the multiplicity structure enters the closure
-    theorem, but witness families require rational eigenvalues.
+    theorem, but witness families require rational eigenvalues.  `chi`,
+    the transpose block spectrum, is computed once, at construction.
     """
 
-    __slots__ = ("blocks", "n")
+    __slots__ = ("blocks", "n", "chi")
 
     def __init__(self, blocks: Sequence[tuple]):
         seen = set()
@@ -139,6 +143,7 @@ class JordanSpec:
             bl.append((ev, sizes if isinstance(sizes, Partition) else Partition(sizes)))
         self.blocks = bl
         self.n = sum(p.n for _, p in bl)
+        self.chi = transpose_block_spectrum(self)
 
     def __repr__(self):
         return f"JordanSpec({self.blocks!r})"
@@ -290,7 +295,7 @@ def closure_contains_nilpotent(spec: JordanSpec, theta) -> ClosureDecision:
     theta = theta if isinstance(theta, Partition) else Partition(theta)
     if theta.n != spec.n:
         raise ValueError(f"size mismatch: partition of {theta.n} vs spec of size {spec.n}")
-    chi = transpose_block_spectrum(spec)
+    chi = spec.chi
     if dominates(chi, theta):
         family = None
         if all(_is_rational(ev) for ev, _ in spec.blocks):
@@ -384,33 +389,45 @@ def witness_family(spec: JordanSpec) -> WitnessFamily:
     """The constructive family driving spec to J_chi: group one Jordan block
     per eigenvalue into each x_j (so its minimal polynomial equals its
     characteristic polynomial), replace x_j by its companion form, and
-    conjugate the direct sum by A(t) = diag(t, ..., t^n)."""
+    conjugate the direct sum by A(t) = diag(t, ..., t^n).  x' is written
+    straight into its rows: block j is the companion matrix of
+    prod (x - p/q)^e = prod (qx - p)^e / D, D = prod q^e, whose integer
+    coefficients c_i give the entries -c_i / D down its first column."""
     if not all(_is_rational(ev) for ev, _ in spec.blocks):
         raise ValueError("witness families need rational eigenvalues")
-    chi = transpose_block_spectrum(spec)
-    blocks = []
-    for j in range(1, len(chi) + 1):
-        # prod (x - p/q)^e = prod (qx - p)^e / prod q^e: no gcd until the end
-        p, den = UniPoly.const(1), 1
+    n, chi = spec.n, spec.chi
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for j, m in enumerate(chi, 1):
+        c, den = [1], 1               # c[i]: the coefficient of x^i
         for ev, sizes in spec.blocks:
+            p, q = ev.numerator, ev.denominator
             for _ in range(sizes.part(j)):
-                p, den = p * UniPoly({1: ev.denominator, 0: -ev.numerator}), den * ev.denominator
-        deg = p.degree()
-        coeffs = [qdiv(p.coeff(i), den) for i in range(deg)]  # c_0 .. c_{deg-1}
-        blocks.append(companion(coeffs))
-    x_prime = direct_sum(blocks)
-    n = spec.n
-    # lowest power of t in A(t) x' A(t)^{-1}: entry (i,j) scales by t^{i-j}
-    low = min(i - j for i in range(n) for j in range(n)
-              if x_prime.a[i][j])
-    lead = Mat.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            if i - j == low and x_prime.a[i][j]:
-                lead.a[i][j] = x_prime.a[i][j]
-    if low != -1 or lead != j_chi(chi):
+                c = [q * a - p * b for a, b in zip([0] + c, c + [0])]
+                den *= q
+        for i in range(m):
+            rows[off + i][off] = qdiv(-c[m - 1 - i], den)
+            if i + 1 < m:
+                rows[off + i][off + i + 1] = 1
+        off += m
+    x_prime = Mat(rows)
+    certify_witness(x_prime, chi)
+    return WitnessFamily(x_prime, list(range(1, n + 1)), chi, -1)
+
+
+def certify_witness(x_prime: Mat, chi: Partition) -> None:
+    """Raise unless the lowest power of t in A(t) x' A(t)^{-1}, whose entry
+    (i, j) scales by t^{i-j}, is t^{-1} with coefficient J_chi: the nonzero
+    entries have i - j >= -1, and the superdiagonal is that of J_chi, a 1
+    inside each block of chi and 0 where a block starts."""
+    a = x_prime.a
+    low = min(i - j for i, row in enumerate(a) for j, c in enumerate(row) if c)
+    starts, off = set(), 0
+    for m in chi:
+        off += m
+        starts.add(off)
+    if low != -1 or any(a[i][i + 1] != (0 if i + 1 in starts else 1) for i in range(len(a) - 1)):
         raise AssertionError("witness family leading term is not J_chi")
-    return WitnessFamily(x_prime, list(range(1, n + 1)), chi, low)
 
 
 # ---------------------------------------------------------------------------

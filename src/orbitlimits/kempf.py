@@ -212,7 +212,7 @@ def kempf_optimum(support: WeightSupport) -> tuple[tuple, int | Fraction]:
     and |x| strictly decreases between major cycles, so it terminates.
     """
     n = support.n
-    pts = sorted({tuple(n * x - sum(chi) for x in chi) for chi in support.weights})
+    pts = sorted({tuple([n * x - sum(chi) for x in chi]) for chi in support.weights})
     S = [min(pts, key=lambda q: pairing(q, q))]
     lam = [1]
     while True:
@@ -238,7 +238,7 @@ def kempf_optimum(support: WeightSupport) -> tuple[tuple, int | Fraction]:
             S = [s for s, c in zip(S, lam) if c > 0]
             lam = [c for c in lam if c > 0]
     d = den * n
-    return tuple(qdiv(x, d) for x in xi), qdiv(xx, d * d)
+    return tuple([qdiv(x, d) for x in xi]), qdiv(xx, d * d)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class Form:
         self.degree = degree
         t = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            e = tuple([int(x) for x in e])
             if len(e) != nvars or sum(e) != degree:
                 raise ValueError(f"exponent {e} not of degree {degree} in {nvars} vars")
             if c:
@@ -74,20 +74,22 @@ class Form:
 
 
 def monomial_basis(nvars: int, degree: int) -> list[tuple]:
-    """All exponent tuples of the given total degree, graded-lex order."""
-    out = []
-
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(prefix + (rem,))
-            return
-        if not rem:                   # the degree is used up: the rest are 0
-            out.append(prefix + (0,) * slots)
-            return
-        for k in range(rem, -1, -1):
-            rec(prefix + (k,), rem - k, slots - 1)
-
-    rec((), degree, nvars)
+    """All exponent tuples of the given total degree, graded-lex order
+    (descending lexicographic).  Each tuple follows from the one before it:
+    the last nonzero entry before the final one gives up 1, and the entry
+    after it takes that 1 together with the final entry."""
+    e = [degree] + [0] * (nvars - 1)
+    out = [tuple(e)]
+    last = nvars - 1
+    while e[last] != degree:
+        i = last - 1
+        while not e[i]:
+            i -= 1
+        e[i] -= 1
+        rest = e[last] + 1
+        e[last] = 0
+        e[i + 1] = rest
+        out.append(tuple(e))
     return out
 
 

@@ -1,15 +1,20 @@
 """CLI contract: JSON in/out, exit codes, determinism."""
 
+import gc
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlimits import (cli, conjclosure, curvature, exactcore, kempf, lierep, limits,
                          localmodel, reproduce)
 from orbitlimits.cli import (EXIT_COMPUTE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                              form_from_doc, main)
+from orbitlimits.conjclosure import Partition
 from orbitlimits.exactcore import Mat, UniPoly, as_strings
 from orbitlimits.lierep import SymRep, stabilizer_algebra
 
@@ -137,6 +142,22 @@ def test_limit_output_is_pinned(tmp_path, capsys, name, fmt):
     case = LIMIT_GOLDEN[name]
     path = _write(tmp_path, "in.json", case["input"])
     code, out, err = _run(capsys, ["limit", "--input", path, "--format", fmt])
+    assert code == EXIT_OK, err
+    assert out == case[fmt]
+
+
+# Whole `closure` outputs, json and table: witnesses for n = 2..10 with
+# eigenvalues 0, negative and p/q, separating pairs, and symbolic labels
+CLOSURE_GOLDEN = json.loads((Path(__file__).parent / "data" / "closure_golden.json")
+                            .read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", sorted(CLOSURE_GOLDEN))
+def test_closure_output_is_pinned(tmp_path, capsys, name, fmt):
+    case = CLOSURE_GOLDEN[name]
+    path = _write(tmp_path, "in.json", case["input"])
+    code, out, err = _run(capsys, ["closure", "--input", path, "--format", fmt])
     assert code == EXIT_OK, err
     assert out == case[fmt]
 
@@ -450,14 +471,18 @@ def _quadric(nvars, *exps):
     return {"nvars": nvars, "degree": 2, "terms": [{"exp": e, "coef": "1"} for e in exps]}
 
 
-# Points that are not homogeneous under the weights, whose H, S or N is not
-# graded; a homogeneous point always gives graded ones, and the pinned
-# local-model-xyz-weights output above is one at exit 0
+# Points that are not homogeneous under the weights, decided on the point's
+# own coordinates whether or not its H, S and N are graded; the pinned
+# local-model-xyz-weights output above is a homogeneous point at exit 0
 @pytest.mark.parametrize("doc", [
     {"form": _quadric(2, [2, 0], [0, 2]), "weights": [1, 0]},        # x^2 + y^2
     {"form": _quadric(2, [2, 0], [1, 1]), "weights": [1, 0]},        # x^2 + xy
     {"form": _quadric(3, [2, 0, 0], [0, 1, 1]), "weights": [1, 0, 0]},   # x^2 + yz
     {"matrix": [["1", "1"], ["0", "2"]], "weights": [1, 0]},
+    # x^3 + y^3 (weights 3 and 0) under [1, 0, -1]: its H, S and N are graded
+    {"form": {"nvars": 3, "degree": 3, "terms": [{"exp": [3, 0, 0], "coef": "1"},
+                                                 {"exp": [0, 3, 0], "coef": "1"}]},
+     "weights": [1, 0, -1]},
 ])
 def test_local_model_at_a_point_not_homogeneous_under_the_weights(tmp_path, capsys, doc):
     code, out, err = _run(capsys, ["local-model", "--input", _write(tmp_path, "in.json", doc)])
@@ -489,8 +514,9 @@ def _rational_fields(cmd, doc):
                                         ("local-model", ["dim_H", "dim_S", "dim_N"]),
                                         ("limit", ["dim_K", "a", "b"])])
 def test_rationals_of_an_integer_form_are_json_strings(tmp_path, capsys, cmd, counts):
+    # local-model reads "weights", under which INT_FORM must be homogeneous
     path = _write(tmp_path, "in.json", {"form": INT_FORM, "oneps": [0, 0, 1],
-                                        "weights": [0, 0, 1]})
+                                        "weights": [1, 1, 1]})
     code, out, err = _run(capsys, [cmd, "--input", path, "--format", "json"])
     assert code == EXIT_OK, err
     doc = json.loads(out)
@@ -586,6 +612,56 @@ def test_to_jsonable_keeps_ints_as_numbers_and_refuses_unconverted_values():
     for value in (Fraction(-1, 2), Mat([[1]]), UniPoly.t()):
         with pytest.raises(TypeError, match=type(value).__name__):
             cli.to_jsonable({"x": [value]})
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1.5]
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 400, 10 ** 400)
+                | st.floats() | st.sampled_from(_SPECIAL_FLOATS) | st.text())
+# str and int keys that collide once an int is written as its repr
+_json_keys = st.text(max_size=3) | st.integers(-3, 12) | st.tuples(st.integers(0, 2))
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.lists(st.integers(1, 4), max_size=4).map(
+                      lambda ps: Partition(sorted(ps, reverse=True)))
+                  | st.dictionaries(_json_keys, kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_docs)
+def test_json_text_is_the_stdlib_text(doc):
+    """The writer against json.dumps on to_jsonable, indented and on one line."""
+    assert cli.json_text(doc) == json.dumps(cli.to_jsonable(doc), sort_keys=True, indent=2)
+    assert cli.json_text(doc, indent=False) == json.dumps(cli.to_jsonable(doc),
+                                                          sort_keys=True)
+
+
+def test_json_text_refuses_unconverted_values():
+    for value in (Fraction(-1, 2), Mat([[1]]), UniPoly.t()):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            cli.json_text({"x": [value]})
+    assert cli.json_text({"a": [], "b": {}, "c": ()}) == '{\n  "a": [],\n  "b": {},\n  "c": []\n}'
+
+
+def test_requests_leave_no_cyclic_garbage(tmp_path, capsys):
+    # each request's objects are freed by reference counting alone: the
+    # collector finds nothing after a limit, a closure and a stabilizer
+    docs = [("limit", LIMIT_GOLDEN["o2"]["input"]),
+            ("closure", CLOSURE_GOLDEN["witness-n7"]["input"]),
+            ("stabilizer", XYZ)]
+    paths = [(cmd, _write(tmp_path, f"{cmd}.json", doc)) for cmd, doc in docs]
+    for cmd, path in paths:                        # warm-up: parser, caches
+        assert main([cmd, "--input", path]) == EXIT_OK
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        for cmd, path in paths:
+            assert main([cmd, "--input", path]) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("t", ["x", float("nan"), "inf", float("inf"), True, 1, "1000"])

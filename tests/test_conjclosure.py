@@ -8,15 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
+from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions, certify_witness,
                                      closure_contains_nilpotent, companion, direct_sum,
-                                     dominates, in_Xkr, jab_slice_report,
+                                     dominates, in_Xkr, j_chi, jab_slice_report,
                                      jn_slice_report, jordan_block,
                                      minimal_polynomial, nilpotent_signature,
                                      probe_family, transpose,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
-from orbitlimits.exactcore import Mat, UniPoly, Q1
+from orbitlimits.exactcore import Mat, UniPoly, Q1, qdiv
 from orbitlimits.lierep import elementary
 
 
@@ -150,6 +150,85 @@ def test_witness_family_symbolic_identity():
     fam = witness_family(spec)
     chi = transpose_block_spectrum(spec)
     assert list(fam.chi) == list(chi)
+
+
+def _companion_witness(spec):
+    """x' and its leading term by the direct-sum construction: one companion
+    matrix per part of chi, of the product over UniPolys of (x - p/q)^e."""
+    chi = transpose_block_spectrum(spec)
+    blocks = []
+    for j in range(1, len(chi) + 1):
+        p, den = UniPoly.const(1), 1
+        for ev, sizes in spec.blocks:
+            for _ in range(sizes.part(j)):
+                p, den = p * UniPoly({1: ev.denominator, 0: -ev.numerator}), den * ev.denominator
+        blocks.append(companion([qdiv(p.coeff(i), den) for i in range(p.degree())]))
+    x_prime = direct_sum(blocks)
+    n = spec.n
+    low = min(i - j for i in range(n) for j in range(n) if x_prime.a[i][j])
+    lead = Mat([[x if i - j == low else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(x_prime.a)])
+    return x_prime, low, lead, chi
+
+
+@st.composite
+def _rational_specs(draw, max_n=12):
+    """A JordanSpec of size at most max_n with distinct rational eigenvalues
+    p/q in [-20, 20], q <= 9, 0 and negatives included."""
+    n = draw(st.integers(1, max_n))
+    evs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9),
+                        min_size=1, max_size=n, unique=True))
+    blocks, left = [], n
+    for k, ev in enumerate(evs):
+        size = left if k == len(evs) - 1 else draw(st.integers(0, left))
+        parts, rest = [], size
+        while rest:
+            parts.append(draw(st.integers(1, rest)))
+            rest -= parts[-1]
+        if parts:
+            blocks.append((ev, sorted(parts, reverse=True)))
+            left -= size
+    return JordanSpec(blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_specs())
+def test_witness_family_matches_the_companion_construction(spec):
+    # the rows written in place equal the direct sum of companion matrices,
+    # entry for entry and type for type, and both certificates agree
+    try:
+        x_prime, low, lead, chi = _companion_witness(spec)
+    except ValueError:                  # x' = 0, which has no lowest power of t
+        with pytest.raises(ValueError):
+            witness_family(spec)
+        return
+    try:
+        fam = witness_family(spec)
+    except AssertionError:
+        assert low != -1 or lead != j_chi(chi)
+        return
+    assert fam.x_prime == x_prime and low == -1 and lead == j_chi(chi)
+    assert [[type(x) for x in r] for r in fam.x_prime.a] == [[type(x) for x in r]
+                                                             for r in x_prime.a]
+    assert (list(fam.chi), fam.weights, fam.leading_power) == (list(chi),
+                                                                list(range(1, spec.n + 1)), -1)
+
+
+def test_witness_certificate_refuses_a_corrupted_x_prime():
+    spec = JordanSpec([(Fraction(-2, 3), [3, 1]), (Fraction(0), [2]), (Fraction(5), [1])])
+    fam = witness_family(spec)              # chi = (6, 1)
+    certify_witness(fam.x_prime, fam.chi)
+    for i, j, x in [(0, 2, 1),             # a t^-2 term
+                    (2, 3, 0),             # a 1 of J_chi missing
+                    (5, 6, 1),             # a 1 across the blocks
+                    (1, 2, 2)]:            # a 2 in place of a 1
+        bad = Mat(fam.x_prime.a)
+        bad.a[i][j] = x
+        with pytest.raises(AssertionError, match="not J_chi"):
+            certify_witness(bad, fam.chi)
+    # a scalar spec has no t^-1 term at all
+    with pytest.raises(AssertionError, match="not J_chi"):
+        witness_family(JordanSpec([(Fraction(3), [1, 1])]))
 
 
 @pytest.mark.parametrize("blocks", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, lin_comb, sparse
 from orbitlimits.lierep import (ConjRep, Form, SymRep, bracket, elementary, group_act_form,
-                                stabilizer_algebra)
+                                monomial_basis, stabilizer_algebra)
 
 small = st.integers(-4, 4)
 
@@ -116,6 +116,28 @@ def test_monomial_basis_and_coord_weights(nvars, degree):
     assert rep.coord_weights(w) == [sum(k * x for k, x in zip(e, w)) for e in rep.basis]
     crep = ConjRep(nvars)
     assert crep.coord_weights(w) == [w[i] - w[j] for i, j in crep.basis]
+
+
+def _recursive_monomial_basis(nvars, degree):
+    """The exponents of the degree with the first entry largest first, then
+    the rest by recursion: graded-lex order."""
+    out = []
+
+    def rec(prefix, rem, slots):
+        if slots == 1:
+            out.append(prefix + (rem,))
+            return
+        for k in range(rem, -1, -1):
+            rec(prefix + (k,), rem - k, slots - 1)
+
+    rec((), degree, nvars)
+    return out
+
+
+def test_monomial_basis_order_is_the_recursive_one():
+    for nvars in range(1, 6):
+        for degree in range(6):
+            assert monomial_basis(nvars, degree) == _recursive_monomial_basis(nvars, degree)
 
 
 def test_act_weight_conventions():
