@@ -74,8 +74,9 @@ ONEPS_MAX_WEIGHT = 2500
 # integer literal.  "1e1000000" would otherwise become a million-digit
 # integer before any other check runs.
 RATIONAL_MAX_DIGITS = 4300
-# made once: 40 us, about a third of a whole closure request in process (a
-# median of 130 us on matrix-mix's closure documents, Python 3.11, 2-core Xeon)
+# made once, at import: 10 ** 4300 takes 30-60 us, a quarter to a half of a
+# whole closure request in process (a median of 90-125 us on matrix-mix's
+# closure documents, Python 3.11, 2-core Xeon)
 _DIGITS_LIMIT = 10 ** RATIONAL_MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
@@ -534,12 +535,10 @@ def cmd_kempf(args) -> int:
         gp, gf = grid_minimize(support, t)
         out["grid_f"] = gf
         out["grid_mu"] = float(mu(gp, support))
-        # the descent agrees when its f is no worse than the grid's and, on an
-        # unstable v, its mu no lower; mu at a finite-t minimizer of a
-        # semistable v measures nothing
-        out["agrees_with_grid"] = (res.f_value <= gf * (1 + args.tol)
-                                   and (not out["unstable"]
-                                        or res.mu_value >= out["grid_mu"] - args.tol))
+        # the descent agrees when its f is no worse than the grid's; mu at a
+        # finite-t minimizer of f measures nothing against a grid point, on
+        # either branch (mu* = |p| is printed exactly)
+        out["agrees_with_grid"] = res.f_value <= gf * (1 + args.tol)
     emit(out, args.format)
     return EXIT_OK
 
@@ -628,8 +627,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=64)
+def _parse(argv: tuple) -> argparse.Namespace:
+    """The parsed arguments of argv, parsed once per distinct argv: a
+    request's argv is almost always one of a few, and parsing it costs about
+    a tenth of a small request.  argparse exits through SystemExit, which is
+    never cached, so help and errors print on every call."""
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # a fresh namespace per call: a command may set attributes on its args
+    args = argparse.Namespace(**vars(_parse(tuple(sys.argv[1:] if argv is None else argv))))
     try:
         return args.fn(args)
     except InputError as e:

@@ -32,7 +32,9 @@ from .localmodel import LocalModel, build_local_model
 # ---------------------------------------------------------------------------
 
 class Partition:
-    """A partition of n: weakly decreasing positive parts."""
+    """A partition of n: weakly decreasing positive parts.  `Partition(parts)`
+    checks parts that come from outside the library; the partitions the
+    library builds itself go through the unchecked `_of`."""
 
     __slots__ = ("parts", "n")
 
@@ -47,6 +49,15 @@ class Partition:
             raise ValueError("partition parts must be weakly decreasing")
         self.parts = parts
         self.n = sum(parts)
+
+    @classmethod
+    def _of(cls, parts: tuple) -> "Partition":
+        """The partition with these parts, unchecked: a tuple of positive
+        ints, weakly decreasing, as the library's own constructions give."""
+        p = object.__new__(cls)
+        p.parts = parts
+        p.n = sum(parts)
+        return p
 
     def __iter__(self):
         return iter(self.parts)
@@ -81,9 +92,9 @@ def transpose(p: Partition) -> Partition:
     """gamma_i = #{j : p_j >= i}; an involution preserving n."""
     p = p if isinstance(p, Partition) else Partition(p)
     if not p.parts:
-        return Partition(())
-    return Partition([sum(1 for a in p.parts if a >= i)
-                      for i in range(1, p.parts[0] + 1)])
+        return Partition._of(())
+    return Partition._of(tuple([sum(1 for a in p.parts if a >= i)
+                                for i in range(1, p.parts[0] + 1)]))
 
 
 def dominates(a: Partition, b: Partition) -> bool:
@@ -107,7 +118,7 @@ def all_partitions(n: int) -> list[Partition]:
 
     def rec(rem, maxp, prefix):
         if rem == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._of(tuple(prefix)))
             return
         for p in range(min(rem, maxp), 0, -1):
             rec(rem - p, p, prefix + [p])
@@ -151,7 +162,7 @@ class JordanSpec:
     @classmethod
     def diagonalizable(cls, multiplicities: dict) -> "JordanSpec":
         """Spec of a diagonalizable matrix: eigenvalue -> multiplicity."""
-        return cls([(ev, Partition([1] * m)) for ev, m in multiplicities.items()])
+        return cls([(ev, Partition._of((1,) * m)) for ev, m in multiplicities.items()])
 
 
 def _rational_roots(p: UniPoly) -> list[tuple]:
@@ -206,10 +217,10 @@ def _is_rational(ev) -> bool:
 def transpose_block_spectrum(spec: JordanSpec) -> Partition:
     """chi_j = sum over eigenvalues of the j-th largest block size."""
     if not spec.blocks:
-        return Partition(())
+        return Partition._of(())
     depth = max(len(sizes) for _, sizes in spec.blocks)
-    return Partition([sum(sizes.part(j) for _, sizes in spec.blocks)
-                      for j in range(1, depth + 1)])
+    return Partition._of(tuple([sum(sizes.part(j) for _, sizes in spec.blocks)
+                                for j in range(1, depth + 1)]))
 
 
 def nilpotent_signature(m: Mat) -> Partition:

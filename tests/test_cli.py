@@ -1,5 +1,6 @@
 """CLI contract: JSON in/out, exit codes, determinism."""
 
+import argparse
 import gc
 import json
 import math
@@ -429,6 +430,18 @@ def test_kempf_agrees_with_grid_on_semistable_input(tmp_path, capsys):
     assert res["agrees_with_grid"] is True
 
 
+def test_kempf_agreement_is_judged_by_f_on_unstable_input(tmp_path, capsys):
+    # J_4 at the default t = 100: the descent's f is below the grid's, its mu
+    # 3.5e-3 under the grid point's; a finite-t minimizer of f need not
+    # maximize mu
+    path = _write(tmp_path, "in.json", {"matrix": _jordan_nilpotent(4)})
+    code, out, _ = _run(capsys, ["kempf", "--input", path])
+    res = json.loads(out)
+    assert code == EXIT_OK and res["unstable"] is True and res["converged"] is True
+    assert res["f"] < res["grid_f"] and res["mu"] < res["grid_mu"] - 1e-3
+    assert res["agrees_with_grid"] is True
+
+
 # Whole `kempf --format json` outputs, pinned on J_3 and J_4 at t = 1000 and
 # t = 1e300, the semistable dense 4x4 above at t = 100, a semistable
 # ternary cubic and the unstable x^3 + 2xyz + 5y^2z in 4 variables at t = 2
@@ -806,6 +819,46 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     code, third, _ = _run(capsys, ["kempf", "--input", path])
     assert code == EXIT_OK and third == second
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, code", [(["no-such-command"], 2),
+                                        (["closure", "--bogus"], 2),
+                                        (["kempf", "--help"], 0)])
+def test_argparse_exits_alike_on_a_repeated_argv(capsys, argv, code):
+    # argparse's exits are never memoized: each call prints its text again
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        seen.append((exc.value.code, captured.out, captured.err))
+    assert seen[0] == seen[1] and seen[0][0] == code
+    assert (seen[0][1] if code == 0 else seen[0][2]).startswith("usage: orbitlimits")
+
+
+def test_repeated_argv_is_parsed_once(tmp_path, capsys, monkeypatch):
+    parses = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: parses.append(a) or parse_args(self, *a, **k))
+    seen = []
+    read_input = cli.read_input
+
+    def read_and_mutate(args):
+        # a command that sets and changes attributes of its args
+        seen.append((hasattr(args, "mark"), args.format))
+        args.mark, args.format = 1, "table"
+        return read_input(args)
+
+    monkeypatch.setattr(cli, "read_input", read_and_mutate)
+    cli._parse.cache_clear()
+    path = _write(tmp_path, "in.json", {"spec": [{"eig": "1", "sizes": [2]},
+                                                 {"eig": "-1", "sizes": [1]}],
+                                        "partition": [3]})
+    outs = [_run(capsys, ["closure", "--input", path]) for _ in range(3)]
+    assert len(parses) == 1
+    assert seen == [(False, "json")] * 3
+    assert outs[0][0] == EXIT_OK and outs[0] == outs[1] == outs[2]
 
 
 def test_wrong_schema_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Projective conjugation-orbit closures: dominance, witnesses, slices."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitlimits.cli import EXIT_INPUT, main
 from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions, certify_witness,
                                      closure_contains_nilpotent, companion, direct_sum,
                                      dominates, in_Xkr, j_chi, jab_slice_report,
@@ -189,6 +191,58 @@ def _rational_specs(draw, max_n=12):
             blocks.append((ev, sorted(parts, reverse=True)))
             left -= size
     return JordanSpec(blocks)
+
+
+@st.composite
+def _partitions(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    parts = []
+    while n:
+        parts.append(draw(st.integers(1, n)))
+        n -= parts[-1]
+    return Partition(sorted(parts, reverse=True))
+
+
+def _checked(p: Partition) -> Partition:
+    """p rebuilt through the checked constructor, which must accept it as it is."""
+    q = Partition(list(p))
+    assert (p.parts, p.n) == (q.parts, q.n) and all(type(a) is int for a in p.parts)
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partitions(), _rational_specs(),
+       st.lists(st.integers(0, 4), max_size=4))
+def test_library_built_partitions_pass_the_input_checks(p, spec, mults):
+    # the partitions the library builds unchecked are partitions by construction
+    t = _checked(transpose(p))
+    assert transpose(t) == p and t.n == p.n
+    _checked(transpose_block_spectrum(spec))
+    _checked(spec.chi)
+    for _, sizes in JordanSpec.diagonalizable(dict(enumerate(mults))).blocks:
+        _checked(sizes)
+
+
+def test_all_partitions_pass_the_input_checks():
+    for n in range(9):
+        assert len({_checked(p) for p in all_partitions(n)}) == len(all_partitions(n))
+
+
+def test_partition_input_errors_keep_their_messages(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^partition parts must be weakly decreasing$"):
+        Partition([1, 2])
+    with pytest.raises(ValueError, match="^partition parts must be positive$"):
+        Partition([-1])
+    for doc, err in [
+            ({"spec": [{"eig": "1", "sizes": [2]}, {"eig": "0", "sizes": [1]}],
+              "partition": [1, 2]},
+             "input error: bad partition: partition parts must be weakly decreasing\n"),
+            ({"spec": [{"eig": "1", "sizes": [1, 2]}], "partition": [3]},
+             "input error: partition parts must be weakly decreasing\n")]:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main(["closure", "--input", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", err)
 
 
 @settings(max_examples=150, deadline=None)
