@@ -28,8 +28,7 @@ from .curvature import (adjoint_offdiagonal_vanishing, adjoint_pi, cyclic_shift_
 from .exactcore import Mat, as_strings, dense, exact
 from .kempf import FloatRangeError, grid_minimize, kempf_descent, kempf_support, mu
 from .lierep import ConjRep, Form, SymRep, stabilizer_algebra
-from .limits import (LimitProblem, OnePS, classify_case, extension_feasible,
-                     limit_algebra)
+from .limits import OnePS, classify_case, extension_feasible, limit_algebra
 from .localmodel import build_local_model
 from .reproduce import RUNNERS, run_ids
 
@@ -384,19 +383,18 @@ def cmd_limit(args) -> int:
     lam = oneps_from_doc(doc["oneps"])
     if lam.nvars != f.nvars:
         raise InputError("one-parameter subgroup length must match nvars")
-    problem = LimitProblem(f, lam)
-    data = limit_algebra(problem)
+    problem = limit_algebra(f, lam)
     exp = problem.expansion
     ts = problem.triple
-    feas = extension_feasible(data)
+    feas = extension_feasible(problem)
     case = classify_case(problem)
     out = {
         "a": exp.a, "b": exp.b,
         "g": form_to_doc(exp.g),
         "f_b": form_to_doc(exp.f_b) if exp.f_b is not None else None,
-        "dim_K": len(data.K0),
-        "K0_basis": [mat_to_doc(k) for k in data.K0],
-        "K0_graded_dims": {str(w): d for w, d in data.graded_dims.items()},
+        "dim_K": len(problem.K0),
+        "K0_basis": [mat_to_doc(k) for k in problem.K0],
+        "K0_graded_dims": {str(w): d for w, d in problem.graded_dims.items()},
         "Klf_graded_dims": ({str(w): d for w, d in ts.Klf_dims.items()}
                             if ts.Klf_dims is not None else None),
         "case": case,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .exactcore import (Mat, Subspace, UniPoly, _as_q, det_bareiss, exact, lin_comb, qdiv, rank,
@@ -170,10 +171,7 @@ def _rational_roots(p: UniPoly) -> list[tuple]:
     coeffs = {e: c for e, c in p.c.items() if c}
     if not coeffs:
         return []
-    from math import gcd
-    den = 1
-    for c in coeffs.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*[c.denominator for c in coeffs.values()])
     ic = {e: int(c * den) for e, c in coeffs.items()}
     v = min(ic)
     lead = ic[max(ic)]
@@ -677,15 +675,12 @@ def jab_slice_report(a: int, b: int, seed: int = 0, nsamples: int = 5) -> dict:
                        "matches": sig == expected})
     report["nilpotent_family"] = family
     report["nilpotent_family_ok"] = all(f["matches"] for f in family)
-    # degree-a minimal polynomial: p = min poly of T_a; min poly of T_b | p
-    pa = UniPoly.const(1)
-    for i in range(1, a + 1):
-        pa = pa * UniPoly({1: 1, 0: -i})
-    pb = UniPoly.const(1)
-    for i in range(1, b + 1):
-        pb = pb * UniPoly({1: 1, 0: -i})
-    c = [pa.coeff(i) for i in range(a)]
-    d = [pb.coeff(i) for i in range(b)]
+    # degree-a minimal polynomial: p = min poly of T_a; min poly of T_b | p.
+    # c and d are the lower coefficients of (x - 1)...(x - a) and (x - 1)...(x - b)
+    c, d = [], []
+    for m, coeffs in ((a, c), (b, d)):
+        p = prod([UniPoly({1: 1, 0: -i}) for i in range(1, m + 1)], start=UniPoly.const(1))
+        coeffs += [p.coeff(i) for i in range(m)]
     # the couplings must vanish for the minimal polynomial to drop to degree a
     T = jab_slice_point(a, b, c, d, [0] * b, [0] * b)
     p = minimal_polynomial(T)

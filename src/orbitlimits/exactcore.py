@@ -136,9 +136,6 @@ class UniPoly:
             return NotImplemented
         return self.c == other.c
 
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, _POLY_OPERANDS):

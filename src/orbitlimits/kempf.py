@@ -124,7 +124,7 @@ def kempf_support(rep: SymRep | ConjRep, v) -> WeightSupport:
     """
     if not v:
         raise ValueError("support of the zero vector")
-    n = rep.nvars if isinstance(rep, SymRep) else rep.n
+    n = rep.n
     groups: dict[tuple, dict] = {}
     for idx, c in v.items():
         if isinstance(rep, SymRep):

@@ -143,14 +143,15 @@ class SymRep:
         their factors in basis order."""
         return [sum(c) for c in combinations_with_replacement(weights, self.degree)]
 
-    def act_weight(self, i: int, j: int, weights: Sequence[int]) -> int:
-        """Weight of E_ij as an operator: it moves V_chi to V_{chi+w}.
+    def gl_weights(self, weights: Sequence[int]) -> list[int]:
+        """The weight w of each E_ij as an operator, row-major like
+        `ConjRep(n).basis`: E_ij moves V_chi to V_{chi+w}.
 
         E_ij = x_j d/dx_i trades one x_i for one x_j, so w = d_j - d_i.
         This is also the grading of gl under conjugation by the 1-PS
         (Hom(Z,Y) sits in degree -1 when Z scales by t and Y is fixed).
         """
-        return weights[j] - weights[i]
+        return [wj - wi for wi in weights for wj in weights]
 
 
 class ConjRep:
@@ -191,12 +192,12 @@ class ConjRep:
         return bracket(g, v, self.n)
 
     def coord_weights(self, weights: Sequence[int]) -> list[int]:
-        """The weight d_i - d_j of each basis matrix E_ij, in basis order."""
+        """The weight d_i - d_j of each basis matrix E_ij, in basis order:
+        lam E_ij lam^{-1} = t^{d_i-d_j} E_ij.  It is also E_ij's weight
+        acting by commutator, so it is the grading of gl (`gl_weights`)."""
         return [wi - wj for wi in weights for wj in weights]
 
-    def act_weight(self, i: int, j: int, weights: Sequence[int]) -> int:
-        """Weight of E_ij acting by commutator: lam E_ij lam^{-1} = t^{d_i-d_j} E_ij."""
-        return weights[i] - weights[j]
+    gl_weights = coord_weights
 
 
 Representation = SymRep | ConjRep

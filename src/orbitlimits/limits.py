@@ -5,10 +5,12 @@ the derivation-extension feasibility test.
 
 Conventions.  lambda(t).x_i = t^{d_i} x_i, so the monomial x^e picks up
 t^{<d,e>}.  A stabilizer element k of f conjugates to a stabilizer of
-f(t) = lambda(t).f whose E_ij-component scales by t^{w} with
-w = act_weight(E_ij) (d_j - d_i on forms); normalizing columns and letting
-t -> 0 gives K0, spanned by the lowest-weight components.  gl elements are
-their coordinate vectors (`lierep`), over Q[t] along K(t).
+f(t) = lambda(t).f whose E_ij-component scales by t^{w}, w the entry of
+`rep.gl_weights(d)` at E_ij (d_j - d_i on forms); normalizing columns and
+letting t -> 0 gives K0, spanned by the lowest-weight components.  gl
+elements are their coordinate vectors (`lierep`), over Q[t] along K(t).
+One `LimitProblem` holds everything computed for one f and lambda, and every
+stage takes it.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactcore import (Mat, Subspace, UniPoly, at_zero, column_normalize, kernel, lin_comb,
                         rank_qt, sparse, transpose)
 from .lierep import ConjRep, Form, SymRep, bracket, stabilizer_algebra
-from .localmodel import (LocalModel, NotGraded, NotTransverse, build_local_model,
-                         gl_act_weights, weight_split)
+from .localmodel import LocalModel, NotGraded, NotTransverse, build_local_model, weight_split
 
 
 class OnePS:
@@ -78,20 +79,18 @@ def expand_orbit_curve(f: Form, lam: OnePS) -> LimitExpansion:
 
 
 class LimitProblem:
-    """One form f and one 1-PS lam, with what the limit stages share, each
-    built on first use: the representations, the expansion of lam(t).f,
-    K = stab f, the local model at the limit g (its H is stab g) and the
-    triple stabilizers.
+    """One form f and one 1-PS lam, and what the limit stages compute from
+    them, each built on first use: the representations, the expansion of
+    lam(t).f, K = stab f, the local model at the limit g (its H is stab g),
+    K(t), K0 with its span and structure constants, and the triple
+    stabilizers.  Every stage takes a problem.
 
-    The stage functions take a problem, or (f, lam) to build their own."""
+    K(t) is built once.  K0, and everything read off it, is returned only
+    once K(t) has passed `_verify_limit_algebra`."""
 
     def __init__(self, f: Form, lam: OnePS):
         self.f = f
         self.lam = lam
-
-    @classmethod
-    def of(cls, f: Union[Form, LimitProblem], lam: Optional[OnePS]) -> LimitProblem:
-        return f if isinstance(f, LimitProblem) else cls(f, lam)
 
     @cached_property
     def rep(self) -> SymRep:
@@ -103,7 +102,7 @@ class LimitProblem:
 
     @cached_property
     def glw(self) -> list[int]:
-        return gl_act_weights(self.rep, self.lam.weights)
+        return self.rep.gl_weights(self.lam.weights)
 
     @cached_property
     def expansion(self) -> LimitExpansion:
@@ -139,6 +138,71 @@ class LimitProblem:
     @cached_property
     def triple(self) -> TripleStabilizers:
         return triple_stabilizers(self)
+
+    @cached_property
+    def Kt(self) -> list[KtElement]:
+        """K(t) = h(t) + s(t), the stabilizers of g + f^+(t), by the exact M_N
+        pipeline.  It is not checked here: `_verify_limit_algebra` checks it
+        before K0 is read off it.
+
+        The H, S and N bases of the local model at g are weight-pure and
+        f^+(t) = sum t^(c-a) f_c, so g + f^+(t) is lambda(t) applied to
+        g + f^+(1) up to the scalar t^a, and the slice equations along the
+        curve are those at n1 = f^+(1) = f - g with t put back by the
+        weights: ker M_N by `_regrade` over the H weights w_j, and
+        M_S(t)_ij = M_S(1)_ij t^(sigma_i - w_j), sigma_i the weight of S's
+        element i.  Only the equations at n1 are solved, over Q."""
+        model = self.model
+        ker, ms_cols = model.slice_equations(self.rep.to_coords(self.f - self.expansion.g))
+        sw = self.s_weights
+        ms_t = [{i: UniPoly.t(sw[i] - hw, x) for i, x in col.items()}
+                for hw, col in zip(self.h_weights, ms_cols)]
+        Kt = []
+        for alpha in _regrade(ker, self.h_weights):
+            # s(t) = -M_S(t) alpha and k(t) = h(t) + s(t)
+            sc = lin_comb({j: -a for j, a in alpha.items()}, ms_t)
+            Kt.append(KtElement(sc, model.element(alpha, sc)))
+        return Kt
+
+    @cached_property
+    def _verified(self) -> tuple[list[dict], Subspace, dict]:
+        """(K0_coords, K0_span, beta), kept once K(t) has passed
+        `_verify_limit_algebra`."""
+        return _verify_limit_algebra(self)
+
+    @property
+    def K0_coords(self) -> list[dict]:
+        """K(t) at t = 0: a basis of K0, gl elements over Q."""
+        return self._verified[0]
+
+    @property
+    def K0_span(self) -> Subspace:
+        """The span of K0."""
+        return self._verified[1]
+
+    @property
+    def beta(self) -> dict:
+        """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
+        structure constants of K0."""
+        return self._verified[2]
+
+    @cached_property
+    def K0(self) -> list[Mat]:
+        """K0 as matrices over Q, for output."""
+        return [self.glrep.from_coords(k) for k in self.K0_coords]
+
+    @property
+    def graded_dims(self) -> dict:
+        return graded_dims_of(self.K0_coords, self.glw)
+
+    def closed_pairs(self) -> list[tuple]:
+        """The pairs i < j whose bracket [k_i(t), k_j(t)] lies in the Q(t)-span
+        of K(t), each decided by a rank over Q(t) (`rank_qt`); K(t) is
+        bracket-closed when every pair is listed."""
+        kt, n = [k.coords for k in self.Kt], self.rep.n
+        r = rank_qt(kt)
+        return [(i, j) for i in range(len(kt)) for j in range(i + 1, len(kt))
+                if rank_qt(kt + [bracket(kt[i], kt[j], n)]) == r]
 
 
 class KtElement:
@@ -183,71 +247,6 @@ def graded_component(vectors: Sequence[dict], coord_weights: Sequence[int], w: i
             for alpha in _weight_kernel(vectors, coord_weights, lambda x: x != w)]
 
 
-class LimitAlgebraData:
-    """K(t), K0 and the associated exact data for one limit computation."""
-
-    def __init__(self, problem: LimitProblem, Kt, K0_coords):
-        self.problem = problem
-        self.Kt = Kt                # list of KtElement
-        self.K0_coords = K0_coords  # the K(t) basis at t = 0, gl elements over Q
-
-    @cached_property
-    def K0(self) -> list[Mat]:
-        """K0 as matrices over Q, for output."""
-        return [self.problem.glrep.from_coords(k) for k in self.K0_coords]
-
-    @property
-    def expansion(self) -> LimitExpansion:
-        return self.problem.expansion
-
-    @property
-    def model(self) -> LocalModel:
-        return self.problem.model
-
-    @property
-    def rep(self) -> SymRep:
-        return self.problem.rep
-
-    @property
-    def graded_dims(self) -> dict:
-        return graded_dims_of(self.K0_coords, self.problem.glw)
-
-    def graded_dims_tuple(self) -> tuple:
-        """Dims in the order (weight 1, 0, -1), the reference display order."""
-        d = self.graded_dims
-        return (d.get(1, 0), d.get(0, 0), d.get(-1, 0))
-
-    @cached_property
-    def K0_span(self) -> Subspace:
-        """The span of K0."""
-        return Subspace(self.problem.glrep.dim, self.K0_coords)
-
-    @cached_property
-    def beta(self) -> dict:
-        """(i, j) -> coordinates of [K0_i, K0_j] over K0, for i < j: the
-        structure constants of K0, which must be independent and closed."""
-        K0, n = self.K0_coords, self.problem.rep.n
-        if len(self.K0_span) != len(K0):
-            raise ValueError("K0 columns are dependent")
-        out = {}
-        for i in range(len(K0)):
-            for j in range(i + 1, len(K0)):
-                co = self.K0_span.coords(bracket(K0[i], K0[j], n))
-                if co is None:
-                    raise ValueError("K0 is not bracket-closed")
-                out[(i, j)] = co
-        return out
-
-    def closed_pairs(self) -> list[tuple]:
-        """The pairs i < j whose bracket [k_i(t), k_j(t)] lies in the Q(t)-span
-        of K(t), each decided by a rank over Q(t) (`rank_qt`); K(t) is
-        bracket-closed when every pair is listed."""
-        kt, n = [k.coords for k in self.Kt], self.problem.rep.n
-        r = rank_qt(kt)
-        return [(i, j) for i in range(len(kt)) for j in range(i + 1, len(kt))
-                if rank_qt(kt + [bracket(kt[i], kt[j], n)]) == r]
-
-
 def _regrade(vectors: Sequence[dict], weights: Sequence[int]) -> list[dict]:
     """Put t back into Q-vectors whose coordinate j has lambda-weight
     weights[j]: v becomes the Q[t]-column v_j t^(w_j - m), m the least weight
@@ -260,51 +259,44 @@ def _regrade(vectors: Sequence[dict], weights: Sequence[int]) -> list[dict]:
     return column_normalize(cols)
 
 
-def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitAlgebraData:
-    """The exact M_N pipeline: K(t) = h(t) + s(t), the stabilizers of
-    g + f^+(t), and K0 = K(t) at t=0.
-
-    The H, S and N bases of the local model at g are weight-pure and
-    f^+(t) = sum t^(c-a) f_c, so g + f^+(t) is lambda(t) applied to
-    g + f^+(1) up to the scalar t^a, and the slice equations along the curve
-    are those at n1 = f^+(1) = f - g with t put back by the weights: ker M_N
-    by `_regrade` over the H weights w_j, and M_S(t)_ij = M_S(1)_ij
-    t^(sigma_i - w_j), sigma_i the weight of S's element i.  Only the
-    equations at n1 are solved, over Q."""
-    problem = LimitProblem.of(f, lam)
-    rep, model = problem.rep, problem.model
-    ker, ms_cols = model.slice_equations(rep.to_coords(problem.f - problem.expansion.g))
-    sw = problem.s_weights
-    ms_t = [{i: UniPoly.t(sw[i] - hw, x) for i, x in col.items()}
-            for hw, col in zip(problem.h_weights, ms_cols)]
-    Kt = []
-    for alpha in _regrade(ker, problem.h_weights):
-        # s(t) = -M_S(t) alpha and k(t) = h(t) + s(t)
-        sc = lin_comb({j: -a for j, a in alpha.items()}, ms_t)
-        Kt.append(KtElement(sc, model.element(alpha, sc)))
-    data = LimitAlgebraData(problem, Kt, [at_zero(kt.coords) for kt in Kt])
-    _verify_limit_algebra(data)
-    return data
+def limit_algebra(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> LimitProblem:
+    """The problem of f under lam, or the problem f, with K(t) built and
+    verified and K0 read off it: the one stage that also takes (f, lam)."""
+    problem = f if isinstance(f, LimitProblem) else LimitProblem(f, lam)
+    problem._verified      # raises unless K(t) passes `_verify_limit_algebra`
+    return problem
 
 
-def _verify_limit_algebra(data: LimitAlgebraData):
-    problem = data.problem
-    rep = problem.rep
-    if len(data.K0_coords) != len(problem.K):
-        raise ValueError(f"dim K0 = {len(data.K0_coords)} differs from dim K = {len(problem.K)}")
-    data.beta       # K0 independent and bracket-closed
-    if any(k not in problem.model.H_span for k in data.K0_coords):
+def _verify_limit_algebra(problem: LimitProblem) -> tuple[list[dict], Subspace, dict]:
+    """Check K(t) and read K0 off it: (K0_coords, K0_span, beta).  K0 = K(0)
+    must have dim K, be independent and bracket-closed, and lie in H; the
+    s-parts of K(t) must vanish to order b - a at t = 0 (Prop K0(2)); and
+    each k(t) must annihilate g + f^+(t) as a polynomial identity in t."""
+    rep, Kt = problem.rep, problem.Kt
+    K0 = [at_zero(kt.coords) for kt in Kt]
+    if len(K0) != len(problem.K):
+        raise ValueError(f"dim K0 = {len(K0)} differs from dim K = {len(problem.K)}")
+    span = Subspace(problem.glrep.dim, K0)
+    if len(span) != len(K0):
+        raise ValueError("K0 columns are dependent")
+    beta = {}
+    for i in range(len(K0)):
+        for j in range(i + 1, len(K0)):
+            co = span.coords(bracket(K0[i], K0[j], rep.n))
+            if co is None:
+                raise ValueError("K0 is not bracket-closed")
+            beta[(i, j)] = co
+    if any(k not in problem.model.H_span for k in K0):
         raise ValueError("K0 is not contained in the stabilizer of g")
-    # s-parts vanish to order b-a at t=0 (Prop K0(2))
     exp = problem.expansion
     if exp.b is not None:
         d = exp.b - exp.a
-        if any(c.valuation() < d for kt in data.Kt for c in kt.s_coeffs.values()):
+        if any(c.valuation() < d for kt in Kt for c in kt.s_coeffs.values()):
             raise ValueError("s-part of k(t) is not divisible by t^(b-a)")
     # k(t) = sum t^m k_m annihilates g + f^+(t) = sum t^(c-a) f_c as a
     # polynomial in t: for each r, the sum of k_m·f_c over m + c - a = r is 0
     fc = [(c - exp.a, rep.to_coords(form)) for c, form in exp.terms.items()]
-    for kt in data.Kt:
+    for kt in Kt:
         coeff: dict = {}
         for m in range(max(p.degree() for p in kt.coords.values()) + 1):
             k = {i: y for i, p in kt.coords.items() if (y := p.coeff(m))}
@@ -312,14 +304,13 @@ def _verify_limit_algebra(data: LimitAlgebraData):
                 coeff.setdefault(m + e, Counter()).update(rep.act(k, f))
         if any(any(v.values()) for v in coeff.values()):
             raise ValueError("k(t) does not annihilate g + f^+(t)")
+    return K0, span, beta
 
 
-def limit_algebra_by_conjugation(f: Union[Form, LimitProblem],
-                                 lam: Optional[OnePS] = None) -> list[dict]:
+def limit_algebra_by_conjugation(problem: LimitProblem) -> list[dict]:
     """Independent route to a basis of K0: conjugate a basis of K = stab(f)
     by lambda(t) symbolically (the E_ij component of weight w scales by
     t^w), normalize columns, and take t=0."""
-    problem = LimitProblem.of(f, lam)
     return [at_zero(col) for col in _regrade(problem.K, problem.glw)]
 
 
@@ -332,25 +323,14 @@ def same_span(A: list[dict], B: list[dict], n: int) -> bool:
     return len(Subspace(n * n, B)) == len(a) and all(v in a for v in B)
 
 
-class TripleStabilizers:
-    __slots__ = ("pure", "Klf_dims")
-
-    def __init__(self, pure, Klf_dims):
-        self.pure = pure            # weight-homogeneous elements of K (gl elements)
-        self.Klf_dims = Klf_dims    # weight -> dim of the graded parts of K_lf; None if not graded
-
-    def klf_dims_tuple(self) -> Optional[tuple]:
-        if self.Klf_dims is None:
-            return None
-        return (self.Klf_dims.get(1, 0), self.Klf_dims.get(0, 0),
-                self.Klf_dims.get(-1, 0))
+class TripleStabilizers(NamedTuple):
+    pure: list                 # weight-homogeneous elements of K (gl elements)
+    Klf_dims: Optional[dict]   # weight -> dim of the graded parts of K_lf; None if not graded
 
 
-def triple_stabilizers(f: Union[Form, LimitProblem],
-                       lam: Optional[OnePS] = None) -> TripleStabilizers:
+def triple_stabilizers(problem: LimitProblem) -> TripleStabilizers:
     """Pure elements of K and the graded dims of the stabilizer
     K_{ell f} = {k in K : [k, ell] in K}."""
-    problem = LimitProblem.of(f, lam)
     rep, glw, K = problem.rep, problem.glw, problem.K
     ell = problem.lam.ell()
 
@@ -372,12 +352,11 @@ def triple_stabilizers(f: Union[Form, LimitProblem],
     return TripleStabilizers(pure, Klf_dims)
 
 
-def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> dict:
+def filtered_dims(problem: LimitProblem) -> dict:
     """i -> dim K^{>=i} where K^{>=i} = {k in K : components of weight < i vanish}.
 
     Quotient dims K^{>=i}/K^{>=i+1} match the graded dims of K0.
     """
-    problem = LimitProblem.of(f, lam)
     K, glw = problem.K, problem.glw
     if not K:
         return {}
@@ -389,7 +368,7 @@ def filtered_dims(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
 # case classification (Prop stabgeneric / stabgeneral)
 # ---------------------------------------------------------------------------
 
-def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> str:
+def classify_case(problem: LimitProblem) -> str:
     """Decide between (A) K0 nilpotent and (B) a triple stabilizer witness.
 
     (B) holds when K has a weight-pure element or a non-nilpotent matrix in
@@ -410,7 +389,6 @@ def classify_case(f: Union[Form, LimitProblem], lam: Optional[OnePS] = None) -> 
     the other, a nilpotent L splits the space into generalized weight
     spaces with linear weights, which vanish on a nilpotent basis and so
     everywhere."""
-    problem = LimitProblem.of(f, lam)
     glrep, glw, K = problem.glrep, problem.glw, problem.K
     # (B): a pure element of K (u = 1), or a semisimple element of q
     if problem.triple.pure or not _is_nil(
@@ -444,15 +422,14 @@ def _is_nil(L: Sequence[dict], glrep: ConjRep) -> bool:
 # derivations and the epsilon-extension feasibility test
 # ---------------------------------------------------------------------------
 
-def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
+def derivation_db(problem: LimitProblem) -> tuple[list, dict]:
     """d_b(h) = {s} with s.g = h.f_b, for h in K0, and its defect on each pair
     i < j: [k_i, d(k_j)] - [k_j, d(k_i)] - d([k_i, k_j]) in gl coordinates,
     which must lie in H.  Returns (values, defects).
 
     A lambda-homogeneous f has no f_b; it is read as the zero form, so d_b = 0.
     """
-    problem = data.problem
-    model, rep, K0 = problem.model, problem.rep, data.K0_coords
+    model, rep, K0 = problem.model, problem.rep, problem.K0_coords
     f_b = problem.expansion.f_b
     fb = rep.to_coords(f_b) if f_b is not None else {}
     values = []
@@ -462,7 +439,7 @@ def derivation_db(data: LimitAlgebraData) -> tuple[list, dict]:
             raise ValueError("h does not star-stabilize f_b; d_b undefined")
         values.append(model.s_vec(sc))
     defects = {}
-    for (i, j), co in data.beta.items():
+    for (i, j), co in problem.beta.items():
         diff = lin_comb({0: 1, 1: -1} | {2 + m: -c for m, c in co.items()},
                         [bracket(K0[i], values[j], rep.n),
                          bracket(K0[j], values[i], rep.n)] + values)
@@ -506,17 +483,16 @@ def hoffman_case(H: Sequence[dict], K0: Sequence[dict], n: int) -> Optional[int]
     return {0: 3, 1: 2, 2: 1}.get(len(K0) - len(cur))
 
 
-def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
+def extension_feasible(problem: LimitProblem) -> FeasibilityResult:
     """Linear feasibility of extending d_b : K0 -> G/H to d_bar : K0 -> G/K0
     (Prop localmain); returns the eps-extension when feasible."""
-    problem = data.problem
     model, rep, glrep = problem.model, problem.rep, problem.glrep
-    values, defects = derivation_db(data)
-    K0 = data.K0_coords
+    values, defects = derivation_db(problem)
+    K0, beta = problem.K0_coords, problem.beta
     K = len(K0)
     # the quotient map gl -> gl/K0, and a complement W of K0 inside H: the
     # h whose residues modulo K0 are independent
-    mod_K0 = data.K0_span.residue
+    mod_K0 = problem.K0_span.residue
     quotient = Subspace(glrep.dim)
     W = [a for a, h in enumerate(model.H) if quotient.add(mod_K0(h))]
     # [k_i, W_w] and W_w modulo K0, once each
@@ -530,16 +506,16 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
     # number p fills the rows p * dim(gl) + (gl coordinate).
     nw, dim = len(W), glrep.dim
     cols = [{} for _ in range(K * nw)]
-    for p, ((i, j), co) in enumerate(data.beta.items()):
+    for p, ((i, j), co) in enumerate(beta.items()):
         for m in {i, j} | co.keys():
             coeffs = sparse([1 if m == j else 0, -1 if m == i else 0, -co.get(m, 0)])
             for w in range(nw):
                 for k, x in lin_comb(coeffs, [brW[i][w], brW[j][w], Wq[w]]).items():
                     cols[m * nw + w][p * dim + k] = x
-    rhs = {p * dim + k: -x for p, pair in enumerate(data.beta)
+    rhs = {p * dim + k: -x for p, pair in enumerate(beta)
            for k, x in mod_K0(defects[pair]).items()}
     # one solution, free unknowns set to 0; None if inconsistent
-    span = Subspace(len(data.beta) * dim)
+    span = Subspace(len(beta) * dim)
     unknowns = [u for u, c in enumerate(cols) if span.add(c)]
     sol = span.coords(rhs)
     if sol is None:
@@ -563,13 +539,12 @@ def extension_feasible(data: LimitAlgebraData) -> FeasibilityResult:
 # Appendix-B graded stabilization conditions
 # ---------------------------------------------------------------------------
 
-def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
+def check_graded_conditions(problem: LimitProblem) -> list[dict]:
     """For each weight component h_w of each K0 element, check the identity
     required at leading order: an s of weight (b-a)+w with s.g = h_w.f_b
     when such a weight exists in S, else h_w.f_b = 0.  The b-a in {1, 2, >2}
     case split of the appendix is the specialization to w in {-1, 0}.  A
     lambda-homogeneous f has no f_b and so no condition: the report is empty."""
-    problem = data.problem
     model, rep, glw = problem.model, problem.rep, problem.glw
     exp = problem.expansion
     if exp.f_b is None:
@@ -582,7 +557,7 @@ def check_graded_conditions(data: LimitAlgebraData) -> list[dict]:
     d = exp.b - exp.a
     case = "b-a=1" if d == 1 else ("b-a=2" if d == 2 else "b-a>2")
     report = []
-    for ki, k in enumerate(data.K0_coords):
+    for ki, k in enumerate(problem.K0_coords):
         for w, hw in sorted(weight_split(k, glw).items()):
             target = rep.act(hw, fb)
             needed = d + w

@@ -3,10 +3,11 @@ exact (1+θ(n))^{-1} and slice stabilizers (S-completion).
 
 The solve for (1+θ(n))^{-1} uses the factorization θ(n) = B ∘ λ_S with
 B(s-coeffs) = s·n, so only the dim(S) system C = I + λ_S∘B is ever
-eliminated.  `LocalModel.slice_equations` is the one construction of the
-slice matrices M_N and M_S at x + n.  V-vectors, gl elements (as their
-coordinates) and coefficient vectors over the H, S and N bases are sparse
-dicts.
+eliminated, once per call: `LocalModel.slice_equations`, the one
+construction of the slice matrices M_N and M_S at x + n, makes one call for
+all of H.  A 1-PS grades gl by `rep.gl_weights`.  V-vectors, gl elements
+(as their coordinates) and coefficient vectors over the H, S and N bases are
+sparse dicts.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from typing import Optional, Sequence
 from .exactcore import (Mat, SingularMatrix, Subspace, UniPoly, dense, det_bareiss, kernel,
                         lin_comb, transpose)
 from .lierep import Representation, stabilizer_algebra
-
-
-def gl_act_weights(rep: Representation, weights: Sequence[int]) -> list[int]:
-    """act_weight of each E_ij, indexed like ConjRep(n).basis (row-major)."""
-    return [rep.act_weight(i, j, weights) for i in range(rep.n) for j in range(rep.n)]
 
 
 def weight_split(v: dict, coord_weights: Sequence[int]) -> dict:
@@ -69,7 +65,6 @@ class LocalModel:
             self.H_span = H_span
         self.ambient = ambient        # optional basis of a subalgebra containing H+S
         self._units = units           # increasing columns of N's unit vectors, which end N
-        self._theta_cache = None
 
     @cached_property
     def H_span(self) -> Subspace:
@@ -121,16 +116,6 @@ class LocalModel:
         dim = self.rep.dim
         return Mat.from_cols([dense(c, dim) for c in self.theta_columns(n)])
 
-    def _theta_system(self, n: dict):
-        """The columns s·n of B and the span of the columns of
-        C = I_S + λ_S ∘ B on S-coefficients, built once for each n and kept
-        for the next call with the same n."""
-        if self._theta_cache is None or self._theta_cache[0] != n:
-            bcols = [self.rep.act(s, n) for s in self.S]
-            ccols = [lin_comb({0: 1, 1: 1}, [{j: 1}, self.lamS(b)]) for j, b in enumerate(bcols)]
-            self._theta_cache = (dict(n), bcols, Subspace(len(ccols), ccols))
-        return self._theta_cache[1:]
-
     def delta(self, n: dict):
         """det(1 + θ(n)) = det C, for n over Q or Q[t].  Over Q[t], n is the
         sum of t^e n_e with each n_e over Q, and λ_S is Q-linear, so column j
@@ -152,8 +137,11 @@ class LocalModel:
     def inv_one_plus_theta(self, n: dict, dvs: Sequence[dict]) -> list[dict]:
         """(1+θ(n))^{-1} applied to each V-vector dv in dvs, for n over Q:
         dv - B u with C u = λ_S dv, u read off as coordinates over the columns
-        of C."""
-        bcols, C = self._theta_system(n)
+        of C = I_S + λ_S ∘ B on S-coefficients (B has the columns s·n).  B and
+        C are built on each call."""
+        bcols = [self.rep.act(s, n) for s in self.S]
+        C = Subspace(len(bcols), [lin_comb({0: 1, 1: 1}, [{j: 1}, self.lamS(b)])
+                                  for j, b in enumerate(bcols)])
         if len(C) < len(self.S):
             raise SingularMatrix("1+theta(n) is singular")
         return [lin_comb({0: 1} | {j + 1: -x for j, x in C.coords(self.lamS(dv)).items()},
@@ -227,7 +215,7 @@ def build_local_model(rep: Representation, x: dict,
     if not x:
         raise ValueError("base point x must be nonzero")
     gl_dim = rep.n ** 2
-    glw = gl_act_weights(rep, weights) if weights is not None else None
+    glw = rep.gl_weights(weights) if weights is not None else None
 
     H_span = None
     if ambient is None:

@@ -9,6 +9,7 @@ PASS/FAIL lines and the exit code.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from .conjclosure import (JordanSpec, Partition, closure_contains_nilpotent,
                           jab_slice_report, jn_slice_report, jordan_block,
@@ -24,8 +25,8 @@ from .exactcore import Mat, Subspace, UniPoly, as_strings, dense, lin_comb, qdiv
 from .kempf import (grid_minimize, kempf_descent, kempf_support,
                     leading_term_along, mu)
 from .lierep import ConjRep, Form, SymRep, bracket, elementary
-from .limits import (check_graded_conditions, extension_feasible, graded_dims_of,
-                     limit_algebra, same_span)
+from .limits import (LimitProblem, check_graded_conditions, extension_feasible,
+                     graded_dims_of, limit_algebra, same_span)
 from .localmodel import build_local_model
 
 
@@ -111,16 +112,16 @@ def run_sl2_sym2() -> list:
 
 def run_o2() -> list:
     out = []
-    data = limit_algebra(o2_form(), O2_LAM)
-    _check(out, "dim K(t)", len(data.Kt), 1)
+    problem = limit_algebra(o2_form(), O2_LAM)
+    _check(out, "dim K(t)", len(problem.Kt), 1)
     # coordinates 1 and 2 of gl(2) are e12 and e21
-    kt = data.Kt[0].coords
+    kt = problem.Kt[0].coords
     _flag(out, "k(t) = alpha(t) (e12 - t^2 e21)",
           kt.keys() == {1, 2} and kt[2] == kt[1] * UniPoly.t(2, -1))
-    k0 = data.K0[0]
+    k0 = problem.K0[0]
     _flag(out, "K0 = span{e12}",
           k0.a[0][1] and k0 == elementary(2, 0, 1, k0.a[0][1]))
-    feas = extension_feasible(data)
+    feas = extension_feasible(problem)
     _flag(out, "extension feasible", feas.feasible)
     glrep = ConjRep(2)
     h, s = map(glrep.from_coords, feas.epsilon_basis[0])
@@ -128,7 +129,7 @@ def run_o2() -> list:
     _flag(out, "first-order term A(eps) = e12 - eps e21 modulo K0",
           c
           and h == elementary(2, 0, 1, c)
-          and glrep.to_coords(s + elementary(2, 1, 0, c)) in data.K0_span)
+          and glrep.to_coords(s + elementary(2, 1, 0, c)) in problem.K0_span)
     _check(out, "subalgebra trichotomy case", feas.hoffman, 3)
     _check(out, "regularity conditions (i, ii)", feas.regular, (True, True))
     return out
@@ -136,18 +137,18 @@ def run_o2() -> list:
 
 def run_o3() -> list:
     out = []
-    data = limit_algebra(o3_form(), O3_LAM)
-    _check(out, "dim K(t)", len(data.Kt), 3)
+    problem = limit_algebra(o3_form(), O3_LAM)
+    _check(out, "dim K(t)", len(problem.Kt), 3)
     kt = [ConjRep(3).to_coords(m) for m in o3_reference_kt()]
     _flag(out, "computed K(t) spans the printed basis over Q(t)",
-          same_span([k.coords for k in data.Kt], kt, 3))
+          same_span([k.coords for k in problem.Kt], kt, 3))
     # the printed basis satisfies the printed structure-constant table
     _flag(out, "printed structure constants (0, -t^2, 1, -1) verified",
           all(bracket(kt[i], kt[j], 3) == lin_comb(dict(enumerate(coeffs)), kt)
               for (i, j), coeffs in O3_STRUCTURE.items()))
     _check(out, "computed K(t) closed under bracket over Q(t)",
-           sorted(data.closed_pairs()), [(0, 1), (0, 2), (1, 2)])
-    _check(out, "dim K0", len(data.K0), 3)
+           sorted(problem.closed_pairs()), [(0, 1), (0, 2), (1, 2)])
+    _check(out, "dim K0", len(problem.K0), 3)
     return out
 
 
@@ -161,9 +162,14 @@ _DET3_FORMS = {"l1": (det3_z_adapted_form, LAM1),
 
 
 @lru_cache(maxsize=None)
-def _lam_data(which: str):
+def _lam_data(which: str) -> LimitProblem:
     form_fn, lam = _DET3_FORMS[which]
     return limit_algebra(form_fn(), lam)
+
+
+def _by_weight(dims: Optional[dict]) -> Optional[tuple]:
+    """Graded dims in the reference display order (weight 1, 0, -1)."""
+    return None if dims is None else tuple(dims.get(w, 0) for w in (1, 0, -1))
 
 
 # The reference table lists H(Q1) and H(Q2) graded dims as (0, 8, 8), which
@@ -180,43 +186,41 @@ _DET3_ROWS = [
 def run_det3_table() -> list:
     out = []
     for name, k_dims, h_dims, klf_dims in _DET3_ROWS:
-        data = _lam_data(name)
-        problem = data.problem
-        _check(out, f"{name}: dim K", len(data.K0), 16)
+        problem = _lam_data(name)
+        _check(out, f"{name}: dim K", len(problem.K0), 16)
         _check(out, f"{name}: graded dims of K0 (1, 0, -1)",
-               data.graded_dims_tuple(), k_dims)
+               _by_weight(problem.graded_dims), k_dims)
         rep, lam = problem.rep, problem.lam
         H = problem.model.H
-        hd = graded_dims_of(H, problem.glw)
         _check(out, f"{name}: graded dims of H(limit) (1, 0, -1)",
-               (hd.get(1, 0), hd.get(0, 0), hd.get(-1, 0)), h_dims)
+               _by_weight(graded_dims_of(H, problem.glw)), h_dims)
         if name in ("l1", "l2"):
-            a = data.expansion.a
-            g_coords = rep.to_coords(data.expansion.g)
+            a = problem.expansion.a
+            g_coords = rep.to_coords(problem.expansion.g)
             ellp = next((lam.ell(s) for s in (qdiv(a, 3), qdiv(-a, 3))
                          if not rep.act(lam.ell(s), g_coords)),
                         None)
             _flag(out, f"{name}: H(limit) = K0 + span(ell')",
-                  ellp is not None and same_span(data.K0_coords + [ellp], H, 9))
+                  ellp is not None and same_span(problem.K0_coords + [ellp], H, 9))
         _check(out, f"{name}: graded dims of K_lf (1, 0, -1)",
-               problem.triple.klf_dims_tuple(), klf_dims)
+               _by_weight(problem.triple.Klf_dims), klf_dims)
     return out
 
 
 def run_det3_q1() -> list:
     out = []
-    data = _lam_data("l1")
-    exp = data.expansion
+    problem = _lam_data("l1")
+    exp = problem.expansion
     _check(out, "expansion orders (a, b)", (exp.a, exp.b), (0, 1))
-    _check(out, "dim H(Q1)", len(data.model.H), 17)
-    _check(out, "K0 graded dims (1, 0, -1)", data.graded_dims_tuple(), (0, 8, 8))
+    _check(out, "dim H(Q1)", len(problem.model.H), 17)
+    _check(out, "K0 graded dims (1, 0, -1)", _by_weight(problem.graded_dims), (0, 8, 8))
     _flag(out, "f_b = Q1' = z (x1 x5 - x2 x4)", exp.f_b == q1_prime_form())
-    conds = check_graded_conditions(data)
+    conds = check_graded_conditions(problem)
     status = sorted(c["status"] for c in conds)
     _check(out, "graded conditions: 12 solved, 4 vanish identically",
            (status.count("solved"), status.count("zero"), len(conds)),
            (12, 4, 16))
-    feas = extension_feasible(data)
+    feas = extension_feasible(problem)
     _flag(out, "extension feasible", feas.feasible)
     _check(out, "subalgebra trichotomy case", feas.hoffman, 3)
     return out
@@ -224,26 +228,26 @@ def run_det3_q1() -> list:
 
 def run_det3_q2() -> list:
     out = []
-    data = _lam_data("l2")
-    exp = data.expansion
+    problem = _lam_data("l2")
+    exp = problem.expansion
     _check(out, "expansion orders (a, b)", (exp.a, exp.b), (1, 3))
     _check(out, "exponent support of the expansion", sorted(exp.terms), [1, 3])
     _flag(out, "leading term g = 2 Q2", exp.g == q2_form().scale(2))
     _flag(out, "exit direction f_b = Q3", exp.f_b == q3_form())
-    _check(out, "dim H(Q2)", len(data.model.H), 17)
-    _check(out, "K0 graded dims (1, 0, -1)", data.graded_dims_tuple(), (0, 8, 8))
+    _check(out, "dim H(Q2)", len(problem.model.H), 17)
+    _check(out, "K0 graded dims (1, 0, -1)", _by_weight(problem.graded_dims), (0, 8, 8))
     return out
 
 
 def run_det3_q4() -> list:
     out = []
-    data = _lam_data("l4")
-    exp = data.expansion
+    problem = _lam_data("l4")
+    exp = problem.expansion
     _check(out, "expansion orders (a, b)", (exp.a, exp.b), (1, 2))
     _flag(out, "leading term g = Q4", exp.g == q4_form())
     _flag(out, "exit direction f_b = Q4'", exp.f_b == q4_prime_form())
-    _check(out, "dim H(Q4)", len(data.model.H), 21)
-    _check(out, "K0 graded dims (1, 0, -1)", data.graded_dims_tuple(), (1, 10, 5))
+    _check(out, "dim H(Q4)", len(problem.model.H), 21)
+    _check(out, "K0 graded dims (1, 0, -1)", _by_weight(problem.graded_dims), (1, 10, 5))
     return out
 
 

@@ -28,7 +28,7 @@ from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
 from orbitlimits.curvature import cyclic_shift_suite
 from orbitlimits.exactcore import Q1, Subspace, UniPoly, lin_comb, sparse
 from orbitlimits.lierep import ConjRep, Form, monomial_basis
-from orbitlimits.limits import (OnePS, limit_algebra,
+from orbitlimits.limits import (LimitProblem, OnePS, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse
 from orbitlimits.reproduce import RUNNERS
@@ -235,7 +235,7 @@ def _random_limit_instances(count, seed=2024):
         lam = OnePS(w)
         try:
             d1 = limit_algebra(f, lam)
-            d2 = limit_algebra_by_conjugation(f, lam)
+            d2 = limit_algebra_by_conjugation(LimitProblem(f, lam))
         except (NotTransverse, ValueError):
             continue
         made += 1

@@ -1000,3 +1000,59 @@ def test_json_output_deterministic(tmp_path, capsys):
     _, out1, _ = _run(capsys, ["stabilizer", "--input", path])
     _, out2, _ = _run(capsys, ["stabilizer", "--input", path])
     assert out1 == out2
+
+
+def _golden_requests():
+    """(subcommand, input) of each of the 49 pinned CLI outputs."""
+    return ([("limit", c["input"]) for c in LIMIT_GOLDEN.values()]
+            + [("closure", c["input"]) for c in CLOSURE_GOLDEN.values()]
+            + [("kempf", c["input"]) for c in KEMPF_GOLDEN.values()]
+            + [(c["command"], c["input"]) for c in CLI_GOLDEN.values()])
+
+
+def _mutate(doc, rng):
+    """A copy of doc with one value replaced by null, a bool, a number, a
+    string, [] or {}, or with one key dropped.  A number put in place of a
+    number is never the larger, so no size field grows."""
+    doc = json.loads(json.dumps(doc))
+    slots = []                        # (container, key) of every value below the root
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for k, v in list(items):
+            slots.append((node, k))
+            if isinstance(v, (dict, list)):
+                walk(v)
+
+    walk(doc)
+    dicts = [node for node, _ in slots if isinstance(node, dict)]
+    if dicts and rng.random() < 0.2:
+        node = rng.choice(dicts)
+        del node[rng.choice(sorted(node))]
+        return doc
+    node, k = rng.choice(slots)
+    old = node[k]
+    new = rng.choice([None, True, False, 0, -1, 0.5, "", "x", "1/0", "-3/2", [], {}])
+    if isinstance(new, (int, float)) and not isinstance(new, bool) \
+            and isinstance(old, (int, float)) and not isinstance(old, bool):
+        new = min(new, old)
+    node[k] = new
+    return doc
+
+
+def test_mutated_golden_inputs_exit_cleanly(capsys, monkeypatch):
+    # 600 seeded one-value mutations of the pinned inputs, run in process:
+    # each exits 0, 2 or 3, and none raises out of main
+    import io
+    import random
+    import sys
+    rng = random.Random(5)
+    requests = _golden_requests()
+    assert len(requests) == 49
+    for _ in range(600):
+        cmd, doc = rng.choice(requests)
+        text = json.dumps(_mutate(doc, rng))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main([cmd, "--format", "json"])
+        capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_COMPUTE), (cmd, text)

@@ -38,6 +38,13 @@ def test_unipoly_basic():
     assert p(Fraction(3)) == 8
 
 
+def test_unipoly_is_unhashable_as_it_equals_scalars():
+    # UniPoly.const(1) == 1, so no hash could agree with both 1's and t^2's
+    assert UniPoly.const(1) == 1
+    with pytest.raises(TypeError):
+        hash(UniPoly.const(1))
+
+
 def test_unipoly_exact_div_raises_on_remainder():
     p = UniPoly({1: Q1, 0: Q1})
     with pytest.raises(ValueError):

@@ -140,13 +140,29 @@ def test_monomial_basis_order_is_the_recursive_one():
             assert monomial_basis(nvars, degree) == _recursive_monomial_basis(nvars, degree)
 
 
-def test_act_weight_conventions():
-    rep = SymRep(2, 2)
-    d = [3, 1]
-    # acting by e_ij changes a monomial weight by d_j - d_i
-    assert rep.act_weight(0, 1, d) == -2
-    crep = ConjRep(2)
-    assert crep.act_weight(0, 1, d) == 2
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gl_weights_follow_their_definitions(data):
+    """SymRep: E_ij moves a monomial x^e with e_i > 0 by d_j - d_i (and kills
+    it when e_i = 0).  ConjRep: diag(t^d) E_ij diag(t^-d) = t^(d_i - d_j) E_ij,
+    taken at t = 2."""
+    n = data.draw(st.integers(1, 4), label="n")
+    d = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="d")
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    rep = SymRep(n, data.draw(st.integers(1, 3), label="degree"))
+    cw, glw = rep.coord_weights(d), rep.gl_weights(d)
+    k = data.draw(st.integers(0, rep.dim - 1), label="monomial")
+    moved = rep.act_elementary(i, j, {k: 1})
+    if rep.basis[k][i]:
+        (m,) = moved
+        assert cw[m] - cw[k] == glw[i * n + j] == d[j] - d[i]
+    else:
+        assert not moved
+    lam, lam_inv = (Mat.rational([[Fraction(2) ** (s * d[a]) if a == b else 0 for b in range(n)]
+                                  for a in range(n)]) for s in (1, -1))
+    assert lam * elementary(n, i, j) * lam_inv == elementary(n, i, j).scale(
+        Fraction(2) ** ConjRep(n).gl_weights(d)[i * n + j])
 
 
 # -- sparse gl arithmetic against dense references ---------------------------

@@ -18,12 +18,12 @@ from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, lin_comb, spar
 from orbitlimits.lierep import ConjRep, Form, bracket, elementary, monomial_basis
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
                                 _is_nil, _verify_limit_algebra, _weight_kernel,
-                                check_graded_conditions, classify_case, expand_orbit_curve,
-                                extension_feasible, filtered_dims,
+                                check_graded_conditions, classify_case, derivation_db,
+                                expand_orbit_curve, extension_feasible, filtered_dims,
                                 graded_dims_of, hoffman_case, limit_algebra,
                                 limit_algebra_by_conjugation, same_span, triple_stabilizers)
-from orbitlimits.localmodel import NotTransverse, weight_split
-from orbitlimits.reproduce import _lam_data
+from orbitlimits.localmodel import LocalModel, NotTransverse, weight_split
+from orbitlimits.reproduce import _by_weight, _lam_data
 
 
 @pytest.fixture(scope="module")
@@ -72,20 +72,58 @@ def test_o2_kt_and_k0(o2_data):
     assert k0 == elementary(2, 0, 1, k0.a[0][1])
 
 
-def test_verification_catches_a_wrong_regrading(o2_data):
-    """k(t) = h(t) + t s(t) has the same K0 and an s-part of higher order,
-    and equals k(t) at t = 1; only a check away from t = 1 can tell it is
-    wrong."""
-    _verify_limit_algebra(o2_data)
+def _wrongly_regraded(problem):
+    """K(t) with one k(t) = h(t) + s(t) replaced by h(t) + t s(t): it has the
+    same K0 and an s-part of higher order, and equals k(t) at t = 1."""
     t = UniPoly.t(1, 1)
-    i, kt = next((i, kt) for i, kt in enumerate(o2_data.Kt) if kt.s_coeffs)
-    s = o2_data.model.s_vec(kt.s_coeffs)
+    i, kt = next((i, kt) for i, kt in enumerate(problem.Kt) if kt.s_coeffs)
+    s = problem.model.s_vec(kt.s_coeffs)
+    wrong = list(problem.Kt)
+    wrong[i] = KtElement({j: t * c for j, c in kt.s_coeffs.items()},
+                         lin_comb({0: Q1, 1: t - 1}, [kt.coords, s]))
+    return wrong
+
+
+def test_verification_catches_a_wrong_regrading(o2_data):
+    """Only a check away from t = 1 can tell `_wrongly_regraded` is wrong."""
+    _verify_limit_algebra(o2_data)
     wrong = copy.copy(o2_data)
-    wrong.Kt = list(o2_data.Kt)
-    wrong.Kt[i] = KtElement({j: t * c for j, c in kt.s_coeffs.items()},
-                            lin_comb({0: Q1, 1: t - 1}, [kt.coords, s]))
+    wrong.Kt = _wrongly_regraded(o2_data)
     with pytest.raises(ValueError, match="does not annihilate"):
         _verify_limit_algebra(wrong)
+
+
+def test_no_k0_is_read_off_an_unverified_kt(o2_data):
+    """A problem whose K(t) fails verification raises on every read of K0 and
+    of what is derived from it, and keeps nothing."""
+    problem = LimitProblem(o2_form(), O2_LAM)
+    problem.Kt = _wrongly_regraded(o2_data)
+    reads = [lambda p: p.K0_coords, lambda p: p.K0, lambda p: p.K0_span, lambda p: p.beta,
+             lambda p: p.graded_dims, limit_algebra, derivation_db, extension_feasible,
+             check_graded_conditions]
+    for read in reads:
+        with pytest.raises(ValueError, match="does not annihilate"):
+            read(problem)
+    assert "_verified" not in vars(problem) and "K0" not in vars(problem)
+
+
+def test_kt_is_built_once_per_problem(monkeypatch):
+    """limit_algebra twice, then the feasibility test and the case decision on
+    one problem: the slice equations are solved once."""
+    calls = []
+    solve = LocalModel.slice_equations
+
+    def counted(self, n):
+        calls.append(n)
+        return solve(self, n)
+
+    monkeypatch.setattr(LocalModel, "slice_equations", counted)
+    problem = LimitProblem(o2_form(), O2_LAM)
+    assert limit_algebra(problem) is problem
+    assert limit_algebra(problem) is problem
+    assert extension_feasible(problem)
+    assert classify_case(problem) == "A"
+    assert len(calls) == 1
 
 
 def test_verification_catches_a_kt_that_agrees_at_one_half(o2_data):
@@ -117,11 +155,11 @@ def test_o2_feasibility(o2_data):
 
 
 def test_o2_case_classification():
-    assert classify_case(o2_form(), O2_LAM) == "A"
+    assert classify_case(LimitProblem(o2_form(), O2_LAM)) == "A"
 
 
 def test_o2_filtered_dims():
-    fd = filtered_dims(o2_form(), O2_LAM)
+    fd = filtered_dims(LimitProblem(o2_form(), O2_LAM))
     # dim K = 1 and the element has a weight -1 component
     assert fd[-1] == 1 and fd[0] == 0
 
@@ -142,7 +180,7 @@ def test_o3_printed_structure_constants():
 
 
 def test_o3_case_classification():
-    assert classify_case(o3_form(), O3_LAM) == "B"
+    assert classify_case(LimitProblem(o3_form(), O3_LAM)) == "B"
 
 
 def test_o3_computed_structure_closed(o3_data):
@@ -155,13 +193,13 @@ def test_o3_computed_structure_closed(o3_data):
 
 def test_dual_pipeline_o2():
     d1 = limit_algebra(o2_form(), O2_LAM)
-    d2 = limit_algebra_by_conjugation(o2_form(), O2_LAM)
+    d2 = limit_algebra_by_conjugation(LimitProblem(o2_form(), O2_LAM))
     assert same_span(d1.K0_coords, d2, 2)
 
 
 def test_dual_pipeline_o3():
     d1 = limit_algebra(o3_form(), O3_LAM)
-    d2 = limit_algebra_by_conjugation(o3_form(), O3_LAM)
+    d2 = limit_algebra_by_conjugation(LimitProblem(o3_form(), O3_LAM))
     assert same_span(d1.K0_coords, d2, 3)
 
 
@@ -183,17 +221,17 @@ def test_lam4_expansion(lam4_data):
 
 def test_lam4_k0_dims(lam4_data):
     assert len(lam4_data.K0) == 16
-    assert lam4_data.graded_dims_tuple() == (1, 10, 5)
+    assert _by_weight(lam4_data.graded_dims) == (1, 10, 5)
 
 
 def test_lam4_filtered_dims():
-    fd = filtered_dims(det3_form(), LAM4)
+    fd = filtered_dims(LimitProblem(det3_form(), LAM4))
     assert fd == {-1: 16, 0: 11, 1: 1, 2: 0}
 
 
 def test_lam4_triple_stabilizers():
     problem = LimitProblem(det3_form(), LAM4)
-    assert triple_stabilizers(problem).klf_dims_tuple() == (1, 6, 1)
+    assert _by_weight(triple_stabilizers(problem).Klf_dims) == (1, 6, 1)
     assert len(problem.K) == 16
 
 
@@ -213,11 +251,10 @@ def test_graded_conditions_of_lambda_homogeneous_form():
     assert check_graded_conditions(data) == []
 
 
-def _graded_conditions_by_subspaces(data):
+def _graded_conditions_by_subspaces(problem):
     """The graded conditions with a Subspace of S_w.g for each weight w: S_w is
     spanned by the weight-w components of the S basis, and h_w.f_b must lie in
     S_(b-a+w).g."""
-    problem = data.problem
     model, rep, glw = problem.model, problem.rep, problem.glw
     exp = problem.expansion
     if exp.f_b is None:
@@ -230,7 +267,7 @@ def _graded_conditions_by_subspaces(data):
     d = exp.b - exp.a
     case = "b-a=1" if d == 1 else ("b-a=2" if d == 2 else "b-a>2")
     report = []
-    for ki, k in enumerate(data.K0_coords):
+    for ki, k in enumerate(problem.K0_coords):
         for w, hw in sorted(weight_split(k, glw).items()):
             target = rep.act(hw, fb)
             entry = {"element": ki, "weight": w, "s_weight": d + w, "case": case}
@@ -274,8 +311,9 @@ def test_graded_conditions_match_the_subspace_formulation():
             continue
         done += 1
         assert check_graded_conditions(data) == _graded_conditions_by_subspaces(data)
+        # the same problem with K0 replaced by random gl elements
         fake = copy.copy(data)
-        fake.K0_coords = _random_gl_elements(rng, data.problem.glw, 4)
+        fake._verified = (_random_gl_elements(rng, data.glw, 4), None, None)
         report = check_graded_conditions(fake)
         assert report == _graded_conditions_by_subspaces(fake)
         statuses.update(e["status"] for e in report)

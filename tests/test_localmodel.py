@@ -176,10 +176,10 @@ def test_orthogonal_policy_full_gl():
 
 
 def test_weighted_model_has_weight_pure_bases():
-    rep, glrep, weights = SymRep(3, 2), ConjRep(3), [1, 0, -1]
+    rep, weights = SymRep(3, 2), [1, 0, -1]
     x = rep.to_coords(Form(3, 2, {(1, 0, 1): 1, (0, 2, 0): 1}))      # xz + y^2, weight 0
     model = build_local_model(rep, x, weights=weights)
-    glw = [rep.act_weight(i, j, weights) for i, j in glrep.basis]
+    glw = rep.gl_weights(weights)
     cw = rep.coord_weights(weights)
     for m in model.H + model.S:
         assert len({glw[i] for i in m}) == 1

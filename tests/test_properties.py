@@ -17,7 +17,7 @@ from orbitlimits.exactcore import (Mat, Q1, SingularMatrix, Subspace, UniPoly, c
                                    dense, det_bareiss, kernel, lin_comb, nullspace, rref, solve,
                                    sparse)
 from orbitlimits.lierep import ConjRep, Form, SymRep, bracket
-from orbitlimits.limits import (OnePS, extension_feasible, limit_algebra,
+from orbitlimits.limits import (LimitProblem, OnePS, extension_feasible, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
 from orbitlimits.localmodel import NotTransverse, build_local_model
 from orbitlimits.reproduce import _lam_data
@@ -55,7 +55,7 @@ def test_dual_pipeline_k0_agreement(data):
     f, lam = _limit_pair(data.draw)
     try:
         d1 = limit_algebra(f, lam)
-        d2 = limit_algebra_by_conjugation(f, lam)
+        d2 = limit_algebra_by_conjugation(LimitProblem(f, lam))
     except (NotTransverse, ValueError):
         assume(False)
         return
@@ -120,7 +120,7 @@ def test_filtered_vs_graded_dims(data):
     f, lam = _limit_pair(data.draw)
     try:
         d = limit_algebra(f, lam)
-        fd = filtered_dims(f, lam)
+        fd = filtered_dims(d)
     except (NotTransverse, ValueError):
         assume(False)
         return
@@ -171,7 +171,7 @@ def _assert_epsilon_extension(d, feas):
     sum_m beta_ij^m dbar_m - [k_i, dbar_j] + [k_j, dbar_i] lies in span K0,
     with the structure constants beta of K0 from a sympy solve, and brackets
     as matrix products."""
-    rep, glrep = d.rep, d.problem.glrep
+    rep, glrep = d.rep, d.glrep
     K0 = [k for k, _ in feas.epsilon_basis]
     dbar = [{i: -x for i, x in s.items()} for _, s in feas.epsilon_basis]
     assert K0 == d.K0_coords
@@ -260,7 +260,7 @@ def _kt_over_qt(d):
     equations solved along f^+(t) over Q(t) by sympy: ker M_N cleared and
     normalized by column_normalize, and s = -M_S alpha."""
     model, nh = d.model, len(d.model.H)
-    ker, m_s = qt_oracle.slice_equations(model, _fplus(d.problem))
+    ker, m_s = qt_oracle.slice_equations(model, _fplus(d))
     if not ker:
         return []
     out = []
@@ -325,7 +325,7 @@ def test_delta_is_one_and_kt_is_polynomial(data):
     except (NotTransverse, ValueError):
         assume(False)
         return
-    assert d.model.delta(_fplus(d.problem)) == 1
+    assert d.model.delta(_fplus(d)) == 1
     for kt in d.Kt:
         assert kt.coords and all(isinstance(x, UniPoly) for x in kt.coords.values())
 
