@@ -505,7 +505,7 @@ def lin_comb(coeffs: dict, terms: Sequence[dict]) -> dict:
         for i, x in terms[k].items():
             p = c * x
             acc[i] = acc[i] + p if i in acc else p
-    return {i: exact(x) for i, x in acc.items() if x}
+    return {i: x if type(x) is int else exact(x) for i, x in acc.items() if x}
 
 
 def at_zero(v: dict) -> dict:
@@ -525,7 +525,13 @@ def _sub_scaled(d: dict, c, s: dict) -> None:
 
 def _integral(v: dict) -> tuple:
     """(W, D) with v = W/D: D the lcm of the denominators of v's entries and W
-    the integer vector of its nonzero entries times D."""
+    the integer vector of its nonzero entries times D.  A vector of nonzero
+    `int`s is copied as it is."""
+    for x in v.values():
+        if type(x) is not int or not x:
+            break
+    else:
+        return dict(v), 1
     D = lcm(*[x.denominator for x in v.values()])
     if D == 1:
         return {j: x.numerator for j, x in v.items() if x}, 1
@@ -560,7 +566,9 @@ class Subspace:
     same denominator R[p], and R and C together have content 1.
 
     A vector v enters as W/D, W an integer vector and D the lcm of v's
-    denominators.  Because the rows are fully reduced, v's part along the
+    denominators; a v whose entries are all nonzero `int`s enters as a copy
+    of itself with D = 1, the common case of the limit pipeline's small
+    systems.  Because the rows are fully reduced, v's part along the
     row with pivot p is v[p] R/R[p], so the residue, membership and
     coordinates of v cost one pass over the rows that v meets: W is scaled
     by the lcm L of their pivot entries R[p], which divide a common minor,
@@ -571,7 +579,7 @@ class Subspace:
     index {column: pivots of the rows that may meet it} names those R, and
     `add` still checks R[p], since a row loses an entry when it is cleared.
     `rows`, `split`, `residue`, `coords` and `orthogonal` give an `int` for
-    each integer value.
+    each integer value, in fresh dicts that the caller may change.
     """
 
     __slots__ = ("dim", "_rows", "_combos", "_cols")
@@ -627,6 +635,8 @@ class Subspace:
         """(residue, A): v minus its part in the span, and that part as a
         combination of the accepted generators (empty unless combo)."""
         W, D, A = self._reduce(*_integral(v), combo)
+        if D == 1:
+            return W, A
         return _over(W, D), _over(A, D)
 
     def add(self, v: dict) -> bool:
@@ -666,7 +676,11 @@ class Subspace:
             _primitive(R, Cq)
         touched.append(p)
         for j in W:
-            cols.setdefault(j, set()).update(touched)
+            s = cols.get(j)
+            if s is None:
+                cols[j] = set(touched)
+            else:
+                s.update(touched)
         del cols[p]                  # every later vector is 0 at column p
         rows[p] = W
         if combos is not None:

@@ -103,6 +103,7 @@ class SymRep:
         self.index = {e: i for i, e in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.n = nvars
+        self._move: dict = {}    # monomial index -> `_moves`, filled on first touch
 
     def to_coords(self, f: Form) -> dict:
         return {self.index[e]: c for e, c in f.terms.items()}
@@ -110,33 +111,48 @@ class SymRep:
     def from_coords(self, v: dict) -> Form:
         return Form(self.nvars, self.degree, {self.basis[k]: c for k, c in v.items()})
 
+    def _moves(self, k: int) -> tuple:
+        """For the monomial x^e with index k, the entry i is None if e_i = 0,
+        else (e_i, targets) with targets[j] the index of x^(e - e_i + e_j):
+        x_j d/dx_i sends x^e to e_i x^(e - e_i + e_j).  Made on the first
+        call for k and kept, so the table grows with the support acted on."""
+        moves = self._move.get(k)
+        if moves is None:
+            e, index, n = self.basis[k], self.index, self.n
+            moves = []
+            for i in range(n):
+                if e[i]:
+                    low = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    moves.append((e[i], [index[low[:j] + (low[j] + 1,) + low[j + 1:]]
+                                         for j in range(n)]))
+                else:
+                    moves.append(None)
+            moves = self._move[k] = tuple(moves)
+        return moves
+
     def act_elementary(self, i: int, j: int, v: dict) -> dict:
         """E_ij . v  =  x_j d/dx_i applied coordinatewise.  It sends distinct
         monomials to distinct ones, so no two terms meet."""
-        out = {}
-        for idx, c in v.items():
-            e = self.basis[idx]
-            if e[i]:
-                ee = list(e)
-                ee[i] -= 1
-                ee[j] += 1
-                out[self.index[tuple(ee)]] = e[i] * c
+        out, table = {}, self._move
+        for k, c in v.items():
+            if m := (table.get(k) or self._moves(k))[i]:
+                out[m[1][j]] = m[0] * c
         return out
 
     def act(self, g: dict, v: dict) -> dict:
         """g . v, one coordinate g_ij of g at a time on the nonzero coordinates
         of v."""
         out: dict = {}
-        nz = [(self.basis[k], c) for k, c in v.items()]
+        table = self._move
+        nz = [(table.get(k) or self._moves(k), c) for k, c in v.items()]
         for i, gi in _rows(g, self.n).items():
-            # x_j d/dx_i sends x^e to e_i x^(e - e_i + e_j)
-            lowered = [(e[:i] + (e[i] - 1,) + e[i + 1:], e[i] * c) for e, c in nz if e[i]]
+            lowered = [(m[1], m[0] * c) for moves, c in nz if (m := moves[i])]
             for j, gij in gi:
-                for e, mc in lowered:
-                    tgt = self.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
+                for targets, mc in lowered:
+                    tgt = targets[j]
                     p = gij * mc
                     out[tgt] = out[tgt] + p if tgt in out else p
-        return {k: exact(x) for k, x in out.items() if x}
+        return {k: x if type(x) is int else exact(x) for k, x in out.items() if x}
 
     def coord_weights(self, weights: Sequence[int]) -> list[int]:
         """The basis monomials' weights: `combinations_with_replacement` lists
@@ -226,7 +242,7 @@ def bracket(a: dict, b: dict, n: int) -> dict:
             for k, x in ra.get(j, ()):
                 c, p = i * n + k, y * x
                 acc[c] = acc[c] - p if c in acc else -p
-    return {k: exact(x) for k, x in acc.items() if x}
+    return {k: x if type(x) is int else exact(x) for k, x in acc.items() if x}
 
 
 def substitute_linear(f: Form, rows: Sequence[Sequence]) -> dict:

@@ -193,7 +193,8 @@ class LimitProblem:
 
     @property
     def graded_dims(self) -> dict:
-        return graded_dims_of(self.K0_coords, self.glw)
+        """`graded_dims_of` K0, read off the rows of `K0_span`."""
+        return _graded_dims(self.K0_span, self.glw)
 
     def closed_pairs(self) -> list[tuple]:
         """The pairs i < j whose bracket [k_i(t), k_j(t)] lies in the Q(t)-span
@@ -232,8 +233,13 @@ def graded_dims_of(vectors: Sequence[dict], coord_weights: Sequence[int]) -> dic
     """dim of span(vectors) ∩ (weight-w coordinate subspace), per weight: the
     number of reduced rows of weight w, which are all weight-pure exactly
     when the span is graded (`localmodel.check_graded`); else NotGraded."""
+    return _graded_dims(Subspace(len(coord_weights), vectors, combos=False), coord_weights)
+
+
+def _graded_dims(span: Subspace, coord_weights: Sequence[int]) -> dict:
+    """`graded_dims_of` the vectors that span span."""
     weights = []
-    for row in Subspace(len(coord_weights), vectors, combos=False).rows.values():
+    for row in span.rows.values():
         ws = {coord_weights[i] for i in row}
         if len(ws) > 1:
             raise NotGraded("subspace is not graded with respect to the 1-PS")
@@ -334,10 +340,12 @@ def triple_stabilizers(problem: LimitProblem) -> TripleStabilizers:
     rep, glw, K = problem.rep, problem.glw, problem.K
     ell = problem.lam.ell()
 
-    pure = [c for w in sorted(set(glw)) for c in graded_component(K, glw, w)]
+    # K ∩ gl_w = 0 for a weight w on no coordinate of K's vectors
+    touched = {glw[i] for k in K for i in k}
+    pure = [c for w in sorted(touched) for c in graded_component(K, glw, w)]
 
     # K_lf: alpha with sum alpha_i [k_i, ell] = 0 modulo span K
-    mod_K = Subspace(problem.glrep.dim, K).residue
+    mod_K = Subspace(problem.glrep.dim, K, combos=False).residue
     Klf = [lin_comb(alpha, K) for alpha in
            kernel(len(K), transpose([mod_K(bracket(k, ell, rep.n)) for k in K]))]
     try:
@@ -472,7 +480,7 @@ def hoffman_case(H: Sequence[dict], K0: Sequence[dict], n: int) -> Optional[int]
     while cur:
         # next iterate: {x in span(cur) : [h, x] in span(cur) for all h in H},
         # the kernel of x -> ([h, x] mod span(cur))_h; one column per x
-        mod_cur = Subspace(dim, cur).residue
+        mod_cur = Subspace(dim, cur, combos=False).residue
         cols = [{a * dim + k: x for a, h in enumerate(H)
                  for k, x in mod_cur(bracket(h, v, n)).items()}
                 for v in cur]
@@ -493,7 +501,7 @@ def extension_feasible(problem: LimitProblem) -> FeasibilityResult:
     # the quotient map gl -> gl/K0, and a complement W of K0 inside H: the
     # h whose residues modulo K0 are independent
     mod_K0 = problem.K0_span.residue
-    quotient = Subspace(glrep.dim)
+    quotient = Subspace(glrep.dim, combos=False)
     W = [a for a, h in enumerate(model.H) if quotient.add(mod_K0(h))]
     # [k_i, W_w] and W_w modulo K0, once each
     brW = [[mod_K0(bracket(k, model.H[a], rep.n)) for a in W] for k in K0]

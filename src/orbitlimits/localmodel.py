@@ -258,7 +258,7 @@ def build_local_model(rep: Representation, x: dict,
             raise NotTransverse("supplied N is not a complement of the tangent space")
     elif N_contains:
         Nb = [dict(v) for v in N_contains if V.add(v)]
-        if len(Nb) != len(Subspace(rep.dim, N_contains)):
+        if len(Nb) != len(Subspace(rep.dim, N_contains, combos=False)):
             raise NotTransverse("N_contains meets the tangent space")
         units = V.free_columns()
         Nb += [{j: 1} for j in units]

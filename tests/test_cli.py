@@ -256,12 +256,31 @@ def _count_calls(monkeypatch, module, name):
 
 def test_limit_builds_each_stage_input_once(tmp_path, capsys, monkeypatch):
     # stab f and stab g once each, one expansion, one triple-stabilizer run;
-    # of the 23 subspaces built, 2 lie in V = Sym^4 of dim 5: the tangent space
+    # of the 21 subspaces built, 2 lie in V = Sym^4 of dim 5: the tangent space
     # at g with the tail (the model's V) and the span of the tail, and none
-    # is a second elimination of the tangent space
+    # is a second elimination of the tangent space or of K0.  The triple
+    # stabilizers take a weight kernel of K only at a weight that K touches.
     stab = _count_calls(monkeypatch, lierep, "stabilizer_algebra")
     expand = _count_calls(monkeypatch, limits, "expand_orbit_curve")
     triple = _count_calls(monkeypatch, limits, "triple_stabilizers")
+    counted_triple, weight_kernel = limits.triple_stabilizers, limits._weight_kernel
+    inside, kernel_weights = [], []
+
+    def in_triple(problem):
+        inside.append(problem)
+        try:
+            return counted_triple(problem)
+        finally:
+            inside.pop()
+
+    def weight_kernel_at(vectors, coord_weights, keep):
+        if inside:
+            kernel_weights.append(({w for w in coord_weights if not keep(w)},
+                                   {coord_weights[i] for v in vectors for i in v}))
+        return weight_kernel(vectors, coord_weights, keep)
+
+    monkeypatch.setattr(limits, "triple_stabilizers", in_triple)
+    monkeypatch.setattr(limits, "_weight_kernel", weight_kernel_at)
     dims = []
     init = exactcore.Subspace.__init__
 
@@ -274,7 +293,8 @@ def test_limit_builds_each_stage_input_once(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["limit", "--input", path])
     assert code == EXIT_OK, err
     assert (len(stab), len(expand), len(triple)) == (2, 1, 1)
-    assert (len(dims), dims.count(5)) == (23, 2)
+    assert (len(dims), dims.count(5)) == (21, 2)
+    assert kernel_weights and all(cut <= touched for cut, touched in kernel_weights)
 
 
 def test_closure_verdicts(tmp_path, capsys):
