@@ -103,7 +103,7 @@ class SymRep:
         self.index = {e: i for i, e in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.n = nvars
-        self._move: dict = {}    # monomial index -> `_moves`, filled on first touch
+        self._move: dict = {}    # monomial index -> `_moves(index)`, filled on first touch
 
     def to_coords(self, f: Form) -> dict:
         return {self.index[e]: c for e, c in f.terms.items()}
@@ -112,22 +112,21 @@ class SymRep:
         return Form(self.nvars, self.degree, {self.basis[k]: c for k, c in v.items()})
 
     def _moves(self, k: int) -> tuple:
-        """For the monomial x^e with index k, the entry i is None if e_i = 0,
-        else (e_i, targets) with targets[j] the index of x^(e - e_i + e_j):
-        x_j d/dx_i sends x^e to e_i x^(e - e_i + e_j).  Made on the first
-        call for k and kept, so the table grows with the support acted on."""
-        moves = self._move.get(k)
-        if moves is None:
-            e, index, n = self.basis[k], self.index, self.n
-            moves = []
-            for i in range(n):
-                if e[i]:
-                    low = e[:i] + (e[i] - 1,) + e[i + 1:]
-                    moves.append((e[i], [index[low[:j] + (low[j] + 1,) + low[j + 1:]]
-                                         for j in range(n)]))
-                else:
-                    moves.append(None)
-            moves = self._move[k] = tuple(moves)
+        """The move table's entry for the monomial x^e with index k, made and
+        kept: entry i is None if e_i = 0, else (e_i, targets) with targets[j]
+        the index of x^(e - e_i + e_j), as x_j d/dx_i sends x^e to
+        e_i x^(e - e_i + e_j).  The actions call it only for a k not yet in
+        the table, so the table grows with the support acted on."""
+        e, index, n = self.basis[k], self.index, self.n
+        moves = []
+        for i in range(n):
+            if e[i]:
+                low = e[:i] + (e[i] - 1,) + e[i + 1:]
+                moves.append((e[i], [index[low[:j] + (low[j] + 1,) + low[j + 1:]]
+                                     for j in range(n)]))
+            else:
+                moves.append(None)
+        moves = self._move[k] = tuple(moves)
         return moves
 
     def act_elementary(self, i: int, j: int, v: dict) -> dict:

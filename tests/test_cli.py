@@ -743,6 +743,36 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT and "input error" in err
 
 
+def _rational_by_fraction(s: str):
+    """`cli.parse_rational` on a string, through `Fraction` alone."""
+    if cli._written_out_length(s) > cli.RATIONAL_MAX_DIGITS:
+        raise cli.InputError(f"rational {s[:40]!r} has more than {cli.RATIONAL_MAX_DIGITS} "
+                             "digits written out")
+    try:
+        return exactcore.exact(Fraction(s))
+    except (ValueError, ZeroDivisionError) as e:
+        raise cli.InputError(f"bad rational {s!r}: {e}") from None
+
+
+rational_texts = st.one_of(
+    st.text(alphabet="0123456789+-_ /.e\u0663", max_size=12),
+    st.from_regex(r"\s?[+-]?[0-9\u0663]{1,4}(_[0-9]{1,3})?([/.e][0-9]{0,2})?\s?", fullmatch=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_texts)
+def test_parse_rational_agrees_with_the_fraction_parser(s):
+    # the int path: the same value, type and InputError text as Fraction's
+    def outcome(parse):
+        try:
+            x = parse(s)
+        except cli.InputError as e:
+            return "error", str(e)
+        return x, type(x)
+
+    assert outcome(cli.parse_rational) == outcome(_rational_by_fraction)
+
+
 def test_bad_exponent_is_input_error(tmp_path, capsys):
     doc = {"form": {"nvars": 2, "degree": 2,
                     "terms": [{"exp": [3, 0], "coef": "1"}]}}

@@ -2,6 +2,7 @@
 gl arithmetic (bracket, actions on sparse coordinate vectors, linear
 combinations) against dense references."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, lin_comb, sparse
+from orbitlimits.exactcore import Mat, Q0, Q1, Subspace, UniPoly, exact, lin_comb, sparse
 from orbitlimits.lierep import (ConjRep, Form, SymRep, bracket, elementary, group_act_form,
                                 monomial_basis, stabilizer_algebra)
 
@@ -273,3 +274,72 @@ def test_lin_comb_against_dense_sums(data):
             want = [a + c * b for a, b in zip(want, v)]
     got = lin_comb(sparse(coeffs), [sparse(v) for v in vecs])
     assert got == sparse(want) and types(got) == types(sparse(want)) and all(got.values())
+
+
+def _act_by_slicing(rep, g, v):
+    """g . v by the tuple-slicing formula: x_j d/dx_i sends x^e to
+    e_i x^(e - e_i + e_j), the target's exponent built and looked up per term."""
+    rows: dict = {}
+    for k, x in g.items():
+        rows.setdefault(k // rep.n, []).append((k % rep.n, x))
+    out: dict = {}
+    nz = [(rep.basis[k], c) for k, c in v.items()]
+    for i, gi in rows.items():
+        lowered = [(e[:i] + (e[i] - 1,) + e[i + 1:], e[i] * c) for e, c in nz if e[i]]
+        for j, gij in gi:
+            for e, mc in lowered:
+                tgt = rep.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
+                p = gij * mc
+                out[tgt] = out[tgt] + p if tgt in out else p
+    return {k: exact(x) for k, x in out.items() if x}
+
+
+def _act_elementary_by_slicing(rep, i, j, v):
+    out = {}
+    for idx, c in v.items():
+        e = rep.basis[idx]
+        if e[i]:
+            ee = list(e)
+            ee[i] -= 1
+            ee[j] += 1
+            out[rep.index[tuple(ee)]] = e[i] * c
+    return out
+
+
+nonzero = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_move_table_agrees_with_tuple_slicing(data):
+    draw = data.draw
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    rep = SymRep(n, d)
+    v = draw(st.dictionaries(st.integers(0, rep.dim - 1), nonzero, max_size=6))
+    g = draw(st.dictionaries(st.integers(0, n * n - 1), nonzero, max_size=2 * n))
+    for _ in range(2):   # the first pass fills the table, the second reads it
+        got, want = rep.act(g, v), _act_by_slicing(rep, g, v)
+        assert list(got.items()) == list(want.items())
+        assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+        for i in range(n):
+            for j in range(n):
+                got, want = rep.act_elementary(i, j, v), _act_elementary_by_slicing(rep, i, j, v)
+                assert list(got.items()) == list(want.items())
+
+
+def test_move_table_follows_the_support_acted_on():
+    # det5 in 25 variables: dim V = 118,755, of which det5 has 120 monomials
+    terms = {}
+    for p in itertools.permutations(range(5)):
+        e = [0] * 25
+        for i, j in enumerate(p):
+            e[i * 5 + j] = 1
+        terms[tuple(e)] = (-1) ** sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5))
+    rep = SymRep(25, 5)
+    det5 = rep.to_coords(Form(25, 5, terms))
+    assert not rep._move
+    tangent = [rep.act_elementary(i, j, det5) for i in range(25) for j in range(25)]
+    rep.act({0: 1, 26: -1}, det5)
+    assert set(rep._move) == set(det5)
+    rep.act({1: 1, 30: 2}, tangent[1])
+    assert set(rep._move) == set(det5) | set(tangent[1])

@@ -24,12 +24,26 @@ from orbitlimits.exactcore import (Mat, Q0, Q1, Subspace, UniPoly, coords_in_bas
 # mostly zeros, so that the matrices are sparse like the action maps
 entries = st.one_of(st.just(Q0), st.just(Q0),
                     st.fractions(min_value=-5, max_value=5, max_denominator=4))
+# the same with plain `int`s and integral `Fraction`s such as Fraction(4, 2),
+# which a vector may mix
+mixed_entries = st.one_of(entries, st.integers(-5, 5),
+                          st.integers(-5, 5).map(lambda k: Fraction(2 * k, 2)))
 T = sympy.Symbol("t")
 QT = sympy.QQ.frac_field(T)
 
 
-def vectors(data, dim, count):
+def vectors(data, dim, count, entries=entries):
     return [[data.draw(entries) for _ in range(dim)] for _ in range(count)]
+
+
+def entered(data, v):
+    """sparse(v), sometimes with a stored zero (0 or Fraction(0)) at one of
+    v's zero coordinates: `Subspace` takes such a vector as it is."""
+    s = sparse(v)
+    zeros = [i for i, x in enumerate(v) if not x]
+    if zeros and data.draw(st.booleans()):
+        s[data.draw(st.sampled_from(zeros))] = data.draw(st.sampled_from([0, Q0]))
+    return s
 
 
 def to_sympy(x):
@@ -94,20 +108,21 @@ def combination(coeffs, cols, dim):
 @given(st.data())
 def test_subspace_add_contains_coords_against_sympy(data):
     dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
-    gens = vectors(data, dim, count)
+    gens = vectors(data, dim, count, mixed_entries)
     sp = Subspace(dim)
-    flags = [sp.add(sparse(g)) for g in gens]
+    flags = [sp.add(entered(data, g)) for g in gens]
     idx = greedy(gens, dim)
     assert [i for i, f in enumerate(flags) if f] == idx
     assert len(sp) == sym_rank(gens, dim)
+    assert exact_types(x for row in sp.rows.values() for x in row.values())
     basis = [gens[i] for i in idx]
     if data.draw(st.booleans()):
-        v = combination([data.draw(entries) for _ in basis], basis, dim)
+        v = combination([data.draw(mixed_entries) for _ in basis], basis, dim)
     else:
-        v = vectors(data, dim, 1)[0]
+        v = vectors(data, dim, 1, mixed_entries)[0]
     inside = sym_rank(basis + [v], dim) == len(basis)
-    co = sp.coords(sparse(v))
-    assert (sparse(v) in sp) == inside == (co is not None)
+    co = sp.coords(entered(data, v))
+    assert (entered(data, v) in sp) == inside == (co is not None)
     assert_no_stored_zeros(sp, co)
     if inside and basis:
         sol, params = sym_cols(basis, dim).gauss_jordan_solve(sympy.Matrix([to_sympy(x) for x in v]))
@@ -120,26 +135,26 @@ def test_subspace_add_contains_coords_against_sympy(data):
 @given(st.data())
 def test_residue_is_the_quotient_map_against_sympy(data):
     dim, count = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
-    gens = vectors(data, dim, count)
-    sp = Subspace(dim, map(sparse, gens))
+    gens = vectors(data, dim, count, mixed_entries)
+    sp = Subspace(dim, [entered(data, g) for g in gens])
     basis = [gens[i] for i in greedy(gens, dim)]
 
     def draw_vector():
         if data.draw(st.booleans()):
-            return combination([data.draw(entries) for _ in basis], basis, dim)
-        return vectors(data, dim, 1)[0]
+            return combination([data.draw(mixed_entries) for _ in basis], basis, dim)
+        return vectors(data, dim, 1, mixed_entries)[0]
 
-    u, v, c = draw_vector(), draw_vector(), data.draw(entries)
-    r = sp.residue(sparse(u))
+    u, v, c = draw_vector(), draw_vector(), data.draw(mixed_entries)
+    r = sp.residue(entered(data, u))
     assert all(0 <= i < dim for i in r) and exact_types(r.values())
     assert_no_stored_zeros(sp, r)
     # zero exactly on the span, and the part taken off lies in the span
     inside = sym_rank(basis + [u], dim) == len(basis)
-    assert (not r) == inside == (sparse(u) in sp)
+    assert (not r) == inside == (entered(data, u) in sp)
     assert sym_rank(basis + [[a - b for a, b in zip(u, dense(r, dim))]], dim) == len(basis)
     # linear
-    assert sp.residue(sparse([a + c * b for a, b in zip(u, v)])) == \
-        sparse([a + c * b for a, b in zip(dense(r, dim), dense(sp.residue(sparse(v)), dim))])
+    assert sp.residue(entered(data, [a + c * b for a, b in zip(u, v)])) == \
+        sparse([a + c * b for a, b in zip(dense(r, dim), dense(sp.residue(entered(data, v)), dim))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,6 +244,27 @@ def test_back_substitution_reaches_the_columns_it_filled(data):
     k = len(basis)
     aug, _ = dom_mat([[b[i] for b in basis] + [v[i]] for i in range(dim)], k + 1).rref()
     assert same([dense(co, k)], [[row[-1] for row in aug.to_list()[:k]]], sympy.QQ)
+
+
+def test_split_residue_and_coords_return_fresh_dicts():
+    """Changing a dict that `split`, `residue` or `coords` returned changes
+    neither the vector asked about nor any later answer, on the `int` path
+    (D = 1, with and without a row met) and the `Fraction` path."""
+    gens = [{0: 1, 1: 2}, {1: 3, 2: Fraction(1, 2)}]
+    probes = [{3: 5}, {0: 1, 1: 2}, {0: 2, 1: 7, 2: Fraction(1, 2)},
+              {1: Fraction(1, 3), 3: 1}, {0: 1, 3: 2}, {2: 4}]
+    sp, fresh = Subspace(4, [dict(g) for g in gens]), Subspace(4, gens)
+    asked = [dict(v) for v in probes]
+    for v in asked:
+        for d in (*sp.split(v), *sp.split(v, False), sp.residue(v), sp.coords(v)):
+            if d is not None:
+                d.clear()
+                d[1] = 13
+    assert asked == probes and sp.rows == fresh.rows
+    for v in probes:
+        assert (sp.split(v), sp.residue(v), sp.coords(v)) == \
+            (fresh.split(v), fresh.residue(v), fresh.coords(v))
+    assert sp.add({3: 1}) and fresh.add({3: 1}) and sp.rows == fresh.rows
 
 
 def test_integral_values_are_ints():
