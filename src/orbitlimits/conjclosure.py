@@ -21,8 +21,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .exactcore import (Mat, Subspace, UniPoly, _as_q, det_bareiss, exact, lin_comb, qdiv, rank,
-                        sparse)
+from .exactcore import Mat, Subspace, UniPoly, _as_q, lin_comb, qdiv, rank, sparse
 from .lierep import ConjRep, bracket, elementary
 from .limits import same_span
 from .localmodel import LocalModel, build_local_model
@@ -40,15 +39,14 @@ class Partition:
     __slots__ = ("parts", "n")
 
     def __init__(self, parts: Sequence[int]):
-        # from a list, not a generator: tuple(<generator>) allocates ten slots
-        # and shrinks them by realloc, so each such tuple leaves the free list
-        # of size 10 and, once freed, fills the one of its own size
-        parts = tuple([int(p) for p in parts if p])
-        if any(p <= 0 for p in parts):
+        parts = [int(p) for p in parts]
+        if any(p < 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
-        self.parts = parts
+        while parts and not parts[-1]:      # in order, a zero part can only trail
+            parts.pop()
+        self.parts = tuple(parts)
         self.n = sum(parts)
 
     @classmethod
@@ -91,7 +89,6 @@ class Partition:
 
 def transpose(p: Partition) -> Partition:
     """gamma_i = #{j : p_j >= i}; an involution preserving n."""
-    p = p if isinstance(p, Partition) else Partition(p)
     if not p.parts:
         return Partition._of(())
     return Partition._of(tuple([sum(1 for a in p.parts if a >= i)
@@ -100,8 +97,6 @@ def transpose(p: Partition) -> Partition:
 
 def dominates(a: Partition, b: Partition) -> bool:
     """All prefix sums of a are >= those of b (partitions of the same n)."""
-    a = a if isinstance(a, Partition) else Partition(a)
-    b = b if isinstance(b, Partition) else Partition(b)
     if a.n != b.n:
         raise ValueError(f"partitions of different sizes: {a.n} vs {b.n}")
     sa = sb = 0
@@ -111,21 +106,6 @@ def dominates(a: Partition, b: Partition) -> bool:
         if sa < sb:
             return False
     return True
-
-
-def all_partitions(n: int) -> list[Partition]:
-    """All partitions of n (largest part first, lexicographic)."""
-    out = []
-
-    def rec(rem, maxp, prefix):
-        if rem == 0:
-            out.append(Partition._of(tuple(prefix)))
-            return
-        for p in range(min(rem, maxp), 0, -1):
-            rec(rem - p, p, prefix + [p])
-
-    rec(n, n, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +118,9 @@ class JordanSpec:
     Eigenvalues may be rationals (an `int` or a `Fraction`, kept by the
     scalar rule) or hashable symbolic labels (strings, even those that read
     like numbers); only the multiplicity structure enters the closure
-    theorem, but witness families require rational eigenvalues.  `chi`,
-    the transpose block spectrum, is computed once, at construction.
+    theorem, but witness families require rational eigenvalues.  A spec has
+    at least one eigenvalue, each with at least one block.  `chi`, the
+    transpose block spectrum, is computed once, at construction.
     """
 
     __slots__ = ("blocks", "n", "chi")
@@ -152,7 +133,12 @@ class JordanSpec:
             if ev in seen:
                 raise ValueError(f"repeated eigenvalue {ev!r}")
             seen.add(ev)
-            bl.append((ev, sizes if isinstance(sizes, Partition) else Partition(sizes)))
+            sizes = sizes if isinstance(sizes, Partition) else Partition(sizes)
+            if not sizes.n:
+                raise ValueError(f"eigenvalue {ev!r} has no Jordan block")
+            bl.append((ev, sizes))
+        if not bl:
+            raise ValueError("a Jordan spec needs at least one eigenvalue")
         self.blocks = bl
         self.n = sum(p.n for _, p in bl)
         self.chi = transpose_block_spectrum(self)
@@ -167,10 +153,8 @@ class JordanSpec:
 
 
 def _rational_roots(p: UniPoly) -> list[tuple]:
-    """[(root, multiplicity)] of the rational roots of p, over Q."""
+    """[(root, multiplicity)] of the rational roots of a nonzero p, over Q."""
     coeffs = {e: c for e, c in p.c.items() if c}
-    if not coeffs:
-        return []
     den = lcm(*[c.denominator for c in coeffs.values()])
     ic = {e: int(c * den) for e, c in coeffs.items()}
     v = min(ic)
@@ -195,9 +179,7 @@ def _rational_roots(p: UniPoly) -> list[tuple]:
 
 
 def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    if m == 0:
-        return [1]
+    """The divisors of m > 0."""
     out = []
     d = 1
     while d * d <= m:
@@ -214,8 +196,6 @@ def _is_rational(ev) -> bool:
 
 def transpose_block_spectrum(spec: JordanSpec) -> Partition:
     """chi_j = sum over eigenvalues of the j-th largest block size."""
-    if not spec.blocks:
-        return Partition._of(())
     depth = max(len(sizes) for _, sizes in spec.blocks)
     return Partition._of(tuple([sum(sizes.part(j) for _, sizes in spec.blocks)
                                 for j in range(1, depth + 1)]))
@@ -236,12 +216,6 @@ def nilpotent_signature(m: Mat) -> Partition:
         tparts.append(prev - r)
         prev = r
     return transpose(Partition(tparts))
-
-
-def charpoly(m: Mat) -> UniPoly:
-    """det(tI - m), on the rows of tI - m over Q[t]."""
-    return det_bareiss(Mat([[UniPoly({1: int(i == j), 0: -x}) for j, x in enumerate(r)]
-                            for i, r in enumerate(m.a)]))
 
 
 def _poly_of_matrix(p: UniPoly, m: Mat) -> Mat:
@@ -270,9 +244,8 @@ def in_Xkr(spec, k: int, r: int) -> bool:
         entries = [e for _, sizes in spec.blocks for e in transpose(sizes)]
         n = spec.n
     else:
-        p = spec if isinstance(spec, Partition) else Partition(spec)
-        entries = list(transpose(p))
-        n = p.n
+        entries = list(transpose(spec))
+        n = spec.n
     entries.sort(reverse=True)
     drop = sum(entries[:k])
     return n - drop <= r
@@ -301,7 +274,6 @@ def closure_contains_nilpotent(spec: JordanSpec, theta) -> ClosureDecision:
     nilpotents of signature theta?  True iff theta is dominated by the
     transpose block-spectrum chi; returns the separating (k, r) pair on
     failure and the constructive witness family on success."""
-    theta = theta if isinstance(theta, Partition) else Partition(theta)
     if theta.n != spec.n:
         raise ValueError(f"size mismatch: partition of {theta.n} vs spec of size {spec.n}")
     chi = spec.chi
@@ -365,10 +337,6 @@ def companion(coeffs: Sequence) -> Mat:
     return out
 
 
-def j_chi(chi: Partition) -> Mat:
-    return direct_sum([jordan_block(s) for s in chi])
-
-
 class WitnessFamily:
     """x' = direct sum of companion blocks; A(t) = diag(t, ..., t^n)
     conjugates it so the lowest t-power term is t^{leading_power} J_chi."""
@@ -380,18 +348,6 @@ class WitnessFamily:
         self.weights = weights
         self.chi = chi
         self.leading_power = leading_power
-
-    def at(self, t0) -> Mat:
-        """The honest conjugate A(t0) x' A(t0)^{-1} at a nonzero rational t0."""
-        t0 = _as_q(t0)
-        n = self.x_prime.rows
-        out = Mat.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                c = self.x_prime.a[i][j]
-                if c:
-                    out.a[i][j] = exact(c * t0 ** (i - j))
-        return out
 
 
 def witness_family(spec: JordanSpec) -> WitnessFamily:
@@ -437,67 +393,6 @@ def certify_witness(x_prime: Mat, chi: Partition) -> None:
         starts.add(off)
     if low != -1 or any(a[i][i + 1] != (0 if i + 1 in starts else 1) for i in range(len(a) - 1)):
         raise AssertionError("witness family leading term is not J_chi")
-
-
-# ---------------------------------------------------------------------------
-# numeric probe: invariant-based closeness of the witness family to J_chi
-# ---------------------------------------------------------------------------
-
-# probe_family's t and its two tolerances
-PROBE_T = Fraction(1, 1000)
-PROBE_TOL = 0.05
-PROBE_RANK_REL = 1e-2
-
-
-def probe_family(fam: WitnessFamily) -> dict:
-    """Evaluate the family at the small rational t = PROBE_T and test,
-    numerically, that v = t * A(t) x' A(t)^{-1} is close to the orbit of J_chi.
-
-    Two scale-invariant checks:
-      * nilpotency distance max_k (|e_k(v)| / ||v||_F^k)^{1/k} < PROBE_TOL,
-        where e_k are the characteristic-polynomial coefficients (each term
-        decays linearly in t, so a few times t is the right tolerance);
-      * the rank of each power v^k, counting singular values above
-        PROBE_RANK_REL * ||v||_F^k (thresholding against the original matrix's
-        scale, since the spurious singular values of v^k are O(t) while the
-        genuine ones are O(||v||^k)), matches that of J_chi.
-    Intended for small n (<= 4 at t = 1e-3)."""
-    import numpy as np
-
-    v = fam.at(PROBE_T).scale(PROBE_T)
-    n = v.rows
-    arr = np.array([[float(x) for x in row] for row in v.a])
-    fro = float(np.linalg.norm(arr))
-    pc = charpoly(v)
-    dist = 0.0
-    for k in range(1, n + 1):
-        ek = abs(float(pc.coeff(n - k))) / fro ** k
-        dist = max(dist, ek ** (1.0 / k))
-    target = j_chi(fam.chi)
-    tarr = np.array([[float(x) for x in row] for row in target.a])
-    tfro = float(np.linalg.norm(tarr))
-    ranks, tranks = [], []
-    pa, pt = arr.copy(), tarr.copy()
-    for k in range(1, n + 1):
-        ranks.append(_num_rank(pa, PROBE_RANK_REL * fro ** k))
-        tranks.append(_num_rank(pt, PROBE_RANK_REL * tfro ** k))
-        pa = pa @ arr
-        pt = pt @ tarr
-    return {
-        "t": PROBE_T,
-        "nilpotency_distance": dist,
-        "nilpotent_to_tol": dist < PROBE_TOL,
-        "rank_sequence": ranks,
-        "target_rank_sequence": tranks,
-        "ranks_match": ranks == tranks,
-    }
-
-
-def _num_rank(arr, threshold: float) -> int:
-    import numpy as np
-
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int((s > threshold).sum())
 
 
 # ---------------------------------------------------------------------------

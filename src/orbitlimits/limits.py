@@ -1,7 +1,7 @@
 """Limits of forms under 1-parameter subgroups: graded expansions, the
 M_N/M_S matrices, K(t) over Q[t] and its limit algebra K0, the star-action,
-triple stabilizers, the A/B case classification, filtered dimensions, and
-the derivation-extension feasibility test.
+triple stabilizers, the A/B case classification and the
+derivation-extension feasibility test.
 
 Conventions.  lambda(t).x_i = t^{d_i} x_i, so the monomial x^e picks up
 t^{<d,e>}.  A stabilizer element k of f conjugates to a stabilizer of
@@ -358,18 +358,6 @@ def triple_stabilizers(problem: LimitProblem) -> TripleStabilizers:
         if any(rep.act(p, c) for c in comps):
             raise ValueError("pure element does not kill a graded component of f")
     return TripleStabilizers(pure, Klf_dims)
-
-
-def filtered_dims(problem: LimitProblem) -> dict:
-    """i -> dim K^{>=i} where K^{>=i} = {k in K : components of weight < i vanish}.
-
-    Quotient dims K^{>=i}/K^{>=i+1} match the graded dims of K0.
-    """
-    K, glw = problem.K, problem.glw
-    if not K:
-        return {}
-    return {i: len(_weight_kernel(K, glw, lambda w: w < i))
-            for i in range(min(glw), max(glw) + 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class LocalModel:
     complement gave S, or is built on first use."""
 
     def __init__(self, rep: Representation, x: dict, H, S, TO, N, V: Subspace,
-                 H_span: Optional[Subspace] = None, ambient=None, units: Sequence[int] = ()):
+                 H_span: Optional[Subspace] = None, units: Sequence[int] = ()):
         self.rep = rep
         self.x = dict(x)
         self.H = H                    # list of gl elements
@@ -63,7 +63,6 @@ class LocalModel:
         self.V = V                    # span of TO + the explicit part of N
         if H_span is not None:
             self.H_span = H_span
-        self.ambient = ambient        # optional basis of a subalgebra containing H+S
         self._units = units           # increasing columns of N's unit vectors, which end N
 
     @cached_property
@@ -176,17 +175,6 @@ class LocalModel:
         """h ⋆ n = λ_N(h·n), the induced H-action on N ≅ V/TO."""
         return self.lamN(self.rep.act(h, n))
 
-    def verify(self):
-        ambient_dim = self.rep.n ** 2 if self.ambient is None else len(self.ambient)
-        if len(self.H) + len(self.S) != ambient_dim:
-            raise ValueError("H + S does not fill the ambient algebra")
-        if len(self.TO) + len(self.N) != self.rep.dim:
-            raise ValueError("TO + N does not fill V")
-        for s, to in zip(self.S, self.TO):
-            if self.rep.act(s, self.x) != to:
-                raise ValueError("TO basis is not S.x")
-        return True
-
 
 class NotTransverse(ValueError):
     pass
@@ -208,7 +196,8 @@ def build_local_model(rep: Representation, x: dict,
     completed by the unit vectors at the free columns of TO + N_contains,
     which never enter V.  ambient restricts the acting algebra to a
     subalgebra of gl (e.g. sl via its trace-zero basis).  weights (a 1-PS,
-    not with ambient) require H and a computed S and N to be graded.
+    not with ambient) require H and a computed S and N to be graded.  So
+    H + S fills the acting algebra, TO + N fills V and TO = S.x as built.
     """
     if ambient is not None and weights is not None:
         raise ValueError("weights and ambient cannot both be given")
@@ -267,7 +256,4 @@ def build_local_model(rep: Representation, x: dict,
         if weights is not None:
             check_graded(Nb, rep.coord_weights(weights))
 
-    model = LocalModel(rep, x, H, Sb, TO, Nb, V, H_span,
-                       ambient=list(ambient) if ambient is not None else None, units=units)
-    model.verify()
-    return model
+    return LocalModel(rep, x, H, Sb, TO, Nb, V, H_span, units=units)

@@ -17,16 +17,17 @@ from pathlib import Path
 
 import pytest
 
+from oracles import all_partitions, charpoly
+
 from orbitlimits import cli
-from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions,
-                                     charpoly, closure_contains_nilpotent,
+from orbitlimits.conjclosure import (JordanSpec, closure_contains_nilpotent,
                                      companion, dominates, in_Xkr,
                                      jab_slice_report, jn_local_model,
                                      jn_slice_report, minimal_polynomial,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
 from orbitlimits.curvature import cyclic_shift_suite
-from orbitlimits.exactcore import Q1, Subspace, UniPoly, lin_comb, sparse
+from orbitlimits.exactcore import Q1, Mat, Subspace, UniPoly, exact, lin_comb, sparse
 from orbitlimits.lierep import ConjRep, Form, monomial_basis
 from orbitlimits.limits import (LimitProblem, OnePS, limit_algebra,
                                 limit_algebra_by_conjugation, same_span)
@@ -114,11 +115,13 @@ def _all_specs(n):
 def _witness_residual_below(blocks, bound: Fraction) -> bool:
     """Exact-rational check that the scale-invariant characteristic
     residuals max_k |e_k(v)| / ||v||_F^k of the family at t = 1/1000 lie
-    strictly below the bound."""
+    strictly below the bound.  Entry (i, j) of v = t A(t) x' A(t)^-1 is
+    x'_ij t^(i-j+1)."""
     t = Fraction(1, 1000)
-    fam = witness_family(JordanSpec(blocks))
-    v = fam.at(t).scale(t)
-    n = v.rows
+    x_prime = witness_family(JordanSpec(blocks)).x_prime
+    n = x_prime.rows
+    v = Mat([[exact(c * t ** (i - j + 1)) for j, c in enumerate(row)]
+             for i, row in enumerate(x_prime.a)])
     fro2 = sum(x * x for row in v.a for x in row)
     pc = charpoly(v)
     return all(pc.coeff(n - k) ** 2 < bound ** 2 * fro2 ** k

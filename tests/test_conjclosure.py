@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitlimits.cli import EXIT_INPUT, main
-from orbitlimits.conjclosure import (JordanSpec, Partition, all_partitions, certify_witness,
+from oracles import all_partitions, j_chi
+
+from orbitlimits.cli import EXIT_INPUT, EXIT_OK, main
+from orbitlimits.conjclosure import (JordanSpec, Partition, certify_witness,
                                      closure_contains_nilpotent, companion, direct_sum,
-                                     dominates, in_Xkr, j_chi, jab_slice_report,
+                                     dominates, in_Xkr, jab_slice_report,
                                      jn_slice_report, jordan_block,
-                                     minimal_polynomial, nilpotent_signature,
-                                     probe_family, transpose,
+                                     minimal_polynomial, nilpotent_signature, transpose,
                                      transpose_block_spectrum, witness_family,
                                      z4_example)
 from orbitlimits.exactcore import Mat, UniPoly, Q1, qdiv
@@ -212,7 +213,7 @@ def _checked(p: Partition) -> Partition:
 
 @settings(max_examples=200, deadline=None)
 @given(_partitions(), _rational_specs(),
-       st.lists(st.integers(0, 4), max_size=4))
+       st.lists(st.integers(1, 4), min_size=1, max_size=4))
 def test_library_built_partitions_pass_the_input_checks(p, spec, mults):
     # the partitions the library builds unchecked are partitions by construction
     t = _checked(transpose(p))
@@ -233,20 +234,52 @@ def test_partition_input_errors_keep_their_messages(tmp_path, capsys):
         Partition([1, 2])
     with pytest.raises(ValueError, match="^partition parts must be positive$"):
         Partition([-1])
+    # the order is checked before zeros are dropped: only trailing zeros pass
+    with pytest.raises(ValueError, match="^partition parts must be weakly decreasing$"):
+        Partition([2, 0, 1])
+    assert Partition([2, 1, 0, 0]).parts == (2, 1)
+    with pytest.raises(ValueError, match="^eigenvalue 0 has no Jordan block$"):
+        JordanSpec([(1, [1]), (0, [0])])
+    with pytest.raises(ValueError, match="^eigenvalue 0 has no Jordan block$"):
+        JordanSpec.diagonalizable({0: 0})
+    with pytest.raises(ValueError, match="^a Jordan spec needs at least one eigenvalue$"):
+        JordanSpec([])
     for doc, err in [
             ({"spec": [{"eig": "1", "sizes": [2]}, {"eig": "0", "sizes": [1]}],
               "partition": [1, 2]},
              "input error: bad partition: partition parts must be weakly decreasing\n"),
             ({"spec": [{"eig": "1", "sizes": [1, 2]}], "partition": [3]},
-             "input error: partition parts must be weakly decreasing\n")]:
+             "input error: partition parts must be weakly decreasing\n"),
+            ({"spec": [{"eig": "1", "sizes": [2]}, {"eig": "0", "sizes": [1]}],
+              "partition": [2, 0, 1]},
+             "input error: bad partition: partition parts must be weakly decreasing\n"),
+            ({"spec": [{"eig": "1", "sizes": [2, 0, 1]}], "partition": [3]},
+             "input error: partition parts must be weakly decreasing\n"),
+            ({"spec": [{"eig": "1", "sizes": [2]}, {"eig": "0", "sizes": [0]}],
+              "partition": [2]},
+             "input error: eigenvalue 0 has no Jordan block\n"),
+            ({"spec": [{"eig": {"label": "mu"}, "sizes": []}], "partition": []},
+             "input error: eigenvalue 'mu' has no Jordan block\n"),
+            ({"spec": [], "partition": []},
+             "input error: a Jordan spec needs at least one eigenvalue\n")]:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         assert main(["closure", "--input", str(path)]) == EXIT_INPUT
         assert capsys.readouterr() == ("", err)
+    # trailing zeros stay accepted, in the spec and in the partition
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"spec": [{"eig": "1", "sizes": [2, 0]}, {"eig": "0", "sizes": [1]}],
+                                "partition": [2, 1, 0]}))
+    assert main(["closure", "--input", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["partition"] == [2, 1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_rational_specs())
+@example(JordanSpec([(Fraction(1), [2]), (Fraction(-1), [1])]))
+@example(JordanSpec([(Fraction(0), [2]), (Fraction(3), [2])]))
+@example(JordanSpec([(Fraction(2), [1]), (Fraction(5), [1]), (Fraction(-1), [1]),
+                     (Fraction(7), [1])]))
 def test_witness_family_matches_the_companion_construction(spec):
     # the rows written in place equal the direct sum of companion matrices,
     # entry for entry and type for type, and both certificates agree
@@ -283,20 +316,6 @@ def test_witness_certificate_refuses_a_corrupted_x_prime():
     # a scalar spec has no t^-1 term at all
     with pytest.raises(AssertionError, match="not J_chi"):
         witness_family(JordanSpec([(Fraction(3), [1, 1])]))
-
-
-@pytest.mark.parametrize("blocks", [
-    [(Fraction(1), [2]), (Fraction(-1), [1])],
-    [(Fraction(0), [2]), (Fraction(3), [2])],
-    [(Fraction(2), [1]), (Fraction(5), [1]), (Fraction(-1), [1]),
-     (Fraction(7), [1])],
-])
-def test_witness_family_numeric_probe(blocks):
-    spec = JordanSpec(blocks)
-    fam = witness_family(spec)
-    probe = probe_family(fam)
-    assert probe["nilpotent_to_tol"]
-    assert probe["ranks_match"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import filtered_dims
+
 from orbitlimits.examples import (LAM4, O2_LAM, O3_LAM, det3_form, o2_form,
                                   o3_form, o3_reference_kt, q4_form,
                                   q4_prime_form, O3_STRUCTURE)
@@ -19,7 +21,7 @@ from orbitlimits.lierep import ConjRep, Form, bracket, elementary, monomial_basi
 from orbitlimits.limits import (KtElement, LimitProblem, NotGraded, OnePS,
                                 _is_nil, _verify_limit_algebra, _weight_kernel,
                                 check_graded_conditions, classify_case, derivation_db,
-                                expand_orbit_curve, extension_feasible, filtered_dims,
+                                expand_orbit_curve, extension_feasible,
                                 graded_dims_of, hoffman_case, limit_algebra,
                                 limit_algebra_by_conjugation, same_span, triple_stabilizers)
 from orbitlimits.localmodel import LocalModel, NotTransverse, weight_split

@@ -20,6 +20,13 @@ def _g(a, b, c) -> dict:
     return ConjRep(2).to_coords(Mat.rational([[a, b], [c, -a]]))
 
 
+def _assert_fills(model, acting_dim):
+    """H + S fills the acting algebra, TO + N fills V, and TO = S.x."""
+    assert len(model.H) + len(model.S) == acting_dim
+    assert len(model.TO) + len(model.N) == model.rep.dim
+    assert model.TO == [model.rep.act(s, model.x) for s in model.S]
+
+
 @pytest.fixture(scope="module")
 def sl2_model():
     rep = SymRep(2, 2)
@@ -31,7 +38,7 @@ def sl2_model():
 def test_sl2_splitting_dims(sl2_model):
     rep, x, model = sl2_model
     assert (len(model.H), len(model.S), len(model.N)) == (1, 2, 1)
-    assert model.verify() is True
+    _assert_fills(model, 3)
 
 
 def test_sl2_theta_and_inverse(sl2_model):
@@ -110,7 +117,8 @@ def test_N_contains_must_meet_the_tangent_space_only_in_zero():
         build_local_model(rep, x, N_contains=[{2: Q1}, {0: Q1, 1: Q1}])
     # y^2 alone is a complement, so N is just y^2
     model = build_local_model(rep, x, N_contains=[{2: Q1}])
-    assert model.N == [{2: Q1}] and model.verify()
+    assert model.N == [{2: Q1}]
+    _assert_fills(model, 4)
 
 
 @pytest.mark.parametrize("N_contains", [
@@ -170,9 +178,7 @@ def test_orthogonal_policy_full_gl():
     rep = SymRep(2, 2)
     f = Form(2, 2, {(2, 0): 1, (0, 2): 1})
     model = build_local_model(rep, rep.to_coords(f))
-    assert len(model.H) + len(model.S) == 4
-    assert len(model.TO) + len(model.N) == rep.dim
-    assert model.verify() is True
+    _assert_fills(model, 4)
 
 
 def test_weighted_model_has_weight_pure_bases():

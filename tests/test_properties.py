@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, HealthCheck
 from hypothesis import strategies as st
 
 import qt_oracle
+from oracles import charpoly, filtered_dims
 from test_subspace import exact_types
-from orbitlimits.conjclosure import charpoly, jn_local_model, minimal_polynomial
+from orbitlimits.conjclosure import jn_local_model, minimal_polynomial
 from orbitlimits.curvature import _project_off, gamma_squared
 from orbitlimits.examples import O2_LAM, O3_LAM, o2_form, o3_form
 from orbitlimits.exactcore import (Mat, Q1, SingularMatrix, Subspace, UniPoly, column_normalize,
@@ -116,7 +117,6 @@ def test_reconstruction_identity_100_random_pairs():
 @given(st.data())
 def test_filtered_vs_graded_dims(data):
     """K^{>=i} is decreasing in i and refines the graded dims of K0."""
-    from orbitlimits.limits import filtered_dims
     f, lam = _limit_pair(data.draw)
     try:
         d = limit_algebra(f, lam)

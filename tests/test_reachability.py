@@ -1,4 +1,5 @@
-"""Every function, method and class of the package is used by the package.
+"""Every function, method and class of the package is used by the package,
+and the package imports nothing outside the standard library.
 
 A name-based check on the syntax trees of `src/orbitlimits`: each function,
 method or class that is not a dunder must be named (as a variable or an
@@ -8,6 +9,7 @@ code unless they are listed.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,11 +23,7 @@ ALLOWED = {
     "coords_in_basis": "the tracer wraps it",
     "nullspace": "the tracer wraps it",
     "delta": "the tracer wraps LocalModel.delta",
-    # test oracles and enumerations
-    "filtered_dims": "oracle for the graded dims of K0",
-    "all_partitions": "enumerates the partitions that the dominance tests range over",
     # library API from the paper, under test
-    "probe_family": "numeric probe of a witness family",
     "solve_decomposition": "the slice decomposition s.(x + n) + n' = dv",
     "star": "the induced H-action on N",
 }
@@ -57,3 +55,20 @@ def test_every_definition_is_referenced_or_allowed():
     assert {n: m for n, m in unreferenced.items() if n not in ALLOWED} == {}
     # an allowed name that is now referenced, or gone, leaves the list
     assert sorted(set(ALLOWED) - set(unreferenced)) == []
+
+
+def test_the_package_imports_the_standard_library_alone():
+    # every import, at any depth (a function-local one too), is relative or
+    # names a standard-library module
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.stem}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

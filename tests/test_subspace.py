@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import pytest
 
-from orbitlimits.conjclosure import charpoly, minimal_polynomial
+from oracles import charpoly
+from orbitlimits.conjclosure import minimal_polynomial
 from orbitlimits.exactcore import (Mat, Q0, Q1, Subspace, UniPoly, coords_in_basis,
                                    dense, det_bareiss, kernel, lin_indep_subset, nullspace,
                                    rank, rank_qt, rref, solve, sparse)
